@@ -20,6 +20,7 @@ from .intmat import (
     Mat,
     Vec,
     det_int,
+    dot,
     fp_enumerate,
     freeze,
     hnf_basis,
@@ -27,6 +28,7 @@ from .intmat import (
     inv_unimodular,
     kernel_int,
     mat_mul,
+    mat_vec,
     rank_int,
     signature,
     snf,
@@ -255,16 +257,14 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
     lifts = tuple(
         tuple(Fraction(v[r][i], orders[i]) for r in range(n)) for i in keep
     )
-    g = lat.gram
+    # lift i is column i of V over d_i: its pairings are (V^T G V)_ij / d_i d_j
+    cols = [tuple(v[r][i] for r in range(n)) for i in keep]
+    g_cols = [mat_vec(lat.gram, c) for c in cols]
     gram = []
     for a, i in enumerate(keep):
         row = []
         for b, j in enumerate(keep):
-            val = sum(
-                lifts[a][r] * g[r][s] * lifts[b][s]
-                for r in range(n)
-                for s in range(n)
-            )
+            val = Fraction(dot(cols[a], g_cols[b]), orders[i] * orders[j])
             row.append(val % 2 if a == b else val % 1)
         gram.append(tuple(row))
     form = FiniteQuadraticForm(tuple(orders[i] for i in keep), tuple(gram))

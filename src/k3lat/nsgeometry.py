@@ -25,8 +25,6 @@ together with the corrected reading that the code verifies).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -84,12 +82,11 @@ from .overlattice import (
 )
 
 
-def _thread_count() -> int:
-    """Worker cap for the internally parallel searches (>= 1)."""
-    try:
-        return max(1, int(os.environ.get("K3LAT_THREADS", "1")))
-    except ValueError:
-        return 1
+def _require(ok: bool, message: str) -> None:
+    """A check on a certificate or a search invariant that, unlike
+    `assert`, still runs under `python -O`."""
+    if not ok:
+        raise ArithmeticError(message)
 
 
 def _entry(check: str, status: str, detail: str, witness=None) -> dict:
@@ -556,7 +553,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         b_vec = tuple(dot(lin, k) for k in krows)
         if a_rows:
             beta = solve_frac(a_rows, b_vec)
-            assert beta is not None  # A is positive definite
+            _require(beta is not None, "the shell form is not positive definite")
             tau = rhs + dot(beta, b_vec)
             if tau < 0:
                 continue
@@ -571,69 +568,113 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             v = tuple(pre) + w
             if any(abs(cd) > bound for cd in v):
                 continue
-            assert lat.norm(v) == -2 and dot(f, v) == 1
+            _require(lat.norm(v) == -2 and dot(f, v) == 1,
+                     f"candidate {v} does not satisfy v.v = -2, v.E = 1")
             out.add(v)
     return sorted(out)
 
 
-def _orthogonal_eight_cliques(
+def _packed_adjacency(lat: IntegralLattice, cands: Sequence[Vec]) -> list[int]:
+    """Orthogonality rows: bit j of row i is set iff cands[i] . cands[j] = 0
+    and j != i.
+
+    The candidates are packed by column: for each coordinate t one integer
+    holds cands[j][t] for every j, in fields of w bits, so row i is the
+    single sum over t of p_i[t] * col_t (p_i = G cands[i]), whose field j
+    is the pairing of cands[i] with cands[j].  Every pairing is bounded by
+    M = max_i sum_t |p_i[t]| max_j |cands[j][t]|; with b the bit length of
+    M, a field holds b bits, a sign bit and a guard bit.  A bias of 2^b
+    per field makes each field non-negative, XOR with the bias zeroes
+    exactly the orthogonal fields, and subtracting from the guard bits
+    flags those (a SWAR zero-field test).  One flag sits every w bits, so
+    a stride slice of the binary string reads the row off.
+    """
+    k = len(cands)
+    if not k:
+        return []
+    paired = [mat_vec(lat.gram, v) for v in cands]
+    colmax = [max(abs(c) for c in col) for col in zip(*cands)]
+    b = max(sum(abs(x) * m for x, m in zip(p, colmax)) for p in paired).bit_length()
+    w = b + 2
+    total = w * k
+    ones = ((1 << total) - 1) // ((1 << w) - 1)  # the low bit of every field
+    bias, guard = ones << b, ones << (b + 1)
+    cols = []
+    for col in zip(*cands):
+        packed = 0
+        for c in reversed(col):
+            packed = (packed << w) + c
+        cols.append(packed)
+    fmt = f"0{total}b"
+    rows = []
+    for i, p in enumerate(paired):
+        x = bias
+        for pt, col in zip(p, cols):
+            if pt:
+                x += pt * col
+        if x >> total or x & guard:
+            raise ArithmeticError("a pairing overflowed its packed field")
+        flags = (guard - (x ^ bias)) & guard
+        rows.append(int(format(flags, fmt)[::w], 2) & ~(1 << i))
+    return rows
+
+
+def _even_eight_cliques(
     lat: IntegralLattice, cands: Sequence[Vec]
 ) -> list[tuple[Vec, ...]]:
-    """All 8-element subsets of the candidates that are pairwise orthogonal.
+    """All 8-element subsets of the candidates that are pairwise orthogonal
+    and whose sum is 2-divisible, each as a sorted tuple, in sorted order.
 
-    Bit-set adjacency with ascending-degree vertex ordering; the outer
-    branching level is distributed over K3LAT_THREADS workers and results
-    are re-sorted, so the output is independent of the worker count.
+    Bit-set adjacency with ascending-degree vertex ordering.  Each
+    candidate's residue mod 2 is a bitmask XORed down the recursion, so
+    the eighth vertex is read straight off the common neighbours that lie
+    in the one residue class completing an even sum.
     """
     k = len(cands)
     if k < 8:
         return []
-    paired = [mat_vec(lat.gram, v) for v in cands]
-    adj = [0] * k
-    for i in range(k):
-        pi = paired[i]
-        for j in range(i + 1, k):
-            if dot(cands[j], pi) == 0:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    order = sorted(range(k), key=lambda i: (adj[i].bit_count(), cands[i]))
-    rank_of = {old: new for new, old in enumerate(order)}
-    radj = [0] * k
-    for new, old in enumerate(order):
-        mask = adj[old]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            radj[new] |= 1 << rank_of[low.bit_length() - 1]
-    rcands = [cands[old] for old in order]
+    degree = [row.bit_count() for row in _packed_adjacency(lat, cands)]
+    order = sorted(range(k), key=lambda i: (degree[i], cands[i]))
+    rcands = [cands[i] for i in order]
+    radj = _packed_adjacency(lat, rcands)
+    parity = [sum((c & 1) << t for t, c in enumerate(v)) for v in rcands]
+    same_parity: dict[int, int] = {}
+    for i, r in enumerate(parity):
+        same_parity[r] = same_parity.get(r, 0) | (1 << i)
 
-    def branch(first: int) -> list[tuple[Vec, ...]]:
-        found: list[tuple[Vec, ...]] = []
-        above = ~((1 << (first + 1)) - 1)
+    found: list[tuple[Vec, ...]] = []
+    chosen: list[Vec] = []
 
-        def rec(chosen: tuple[int, ...], allowed: int) -> None:
-            if len(chosen) == 8:
-                found.append(tuple(rcands[i] for i in chosen))
-                return
-            if len(chosen) + allowed.bit_count() < 8:
-                return
-            a = allowed
-            while a:
-                low = a & -a
-                i = low.bit_length() - 1
-                a ^= low
-                rec(chosen + (i,), allowed & radj[i] & ~((1 << (i + 1)) - 1))
+    def extend(allowed: int, left: int, residue: int) -> None:
+        # `allowed` holds the `left` common neighbours above every chosen
+        # vertex; `residue` is the parity of the chosen vertices' sum.
+        need = 7 - len(chosen)
+        while left > need:
+            low = allowed & -allowed
+            allowed ^= low
+            left -= 1
+            i = low.bit_length() - 1
+            common = allowed & radj[i]
+            if need == 1:
+                leaves = common & same_parity.get(residue ^ parity[i], 0)
+                while leaves:
+                    last = leaves & -leaves
+                    leaves ^= last
+                    found.append(tuple(sorted(
+                        (*chosen, rcands[i], rcands[last.bit_length() - 1]))))
+                continue
+            size = common.bit_count()
+            if size >= need:
+                chosen.append(rcands[i])
+                extend(common, size, residue ^ parity[i])
+                chosen.pop()
 
-        rec((first,), radj[first] & above)
-        return found
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(branch, range(k)))
-    else:
-        chunks = [branch(i) for i in range(k)]
-    return [clique for chunk in chunks for clique in chunk]
+    extend((1 << k) - 1, k, 0)
+    # A recursive closure is a reference cycle; breaking it returns the
+    # search's bit sets at once rather than at the next garbage collection.
+    del extend
+    found.sort()
+    return found
 
 
 def find_even_sets(
@@ -643,19 +684,11 @@ def find_even_sets(
 
     A result is a sorted 8-tuple of vectors v with v.v = -2, v.E = 1,
     pairwise orthogonal, whose sum is 2-divisible; the list is sorted, so
-    repeated runs (with any thread count) are byte-identical.  A bound too
-    small to see a configuration yields an empty list, not an error.
+    repeated runs are byte-identical.  A bound too small to see a
+    configuration yields an empty list, not an error.
     """
     cands = _bounded_sections(model, e_label, coeff_bound)
-    cliques = _orthogonal_eight_cliques(model.lattice, cands)
-    out = set()
-    for clique in cliques:
-        total = clique[0]
-        for v in clique[1:]:
-            total = vec_add(total, v)
-        if all(c % 2 == 0 for c in total):
-            out.add(tuple(sorted(clique)))
-    return sorted(out)
+    return _even_eight_cliques(model.lattice, cands)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +739,8 @@ def _certified_definite_isometry(
     if m2 is None:
         return None
     m = mat_mul(m2, transpose(inv_unimodular(s)))
-    assert mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram
+    _require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
+             "the isometry certificate does not carry one Gram to the other")
     return m
 
 
@@ -829,7 +863,7 @@ def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     z, emb = _glue_overlattice(host, [glue])
     if not z.is_even:
         raise ArithmeticError("glue produced an odd lattice")
-    assert 4 * z.det == host.det
+    _require(4 * z.det == host.det, "the glue does not have index 2")
     return z, emb
 
 

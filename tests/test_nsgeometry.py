@@ -5,15 +5,19 @@ The displayed coordinates (sections, orbit classes, polarization,
 base-change identities) are frozen here and re-derived from the Gram by
 direct arithmetic, independently of the module's own report checks.  The
 bounded vector enumeration is cross-checked against a full box scan at
-bound 1, and the clique search against an itertools.combinations sweep
-over the same candidate list.
+bound 1, the packed adjacency against plain pairings, and the clique
+search against an itertools.combinations sweep over the same candidates.
 """
 
 import itertools
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import k3lat
 from k3lat.catalog import FamilyDescriptor, family_genus, named
 from k3lat.intmat import (
     det_int,
@@ -42,6 +46,8 @@ from k3lat.nsgeometry import (
     LabeledLattice,
     _bounded_sections,
     _certified_definite_isometry,
+    _even_eight_cliques,
+    _packed_adjacency,
     _simple_root_rows,
     _unit,
     base_change,
@@ -343,12 +349,9 @@ def test_bounded_sections_against_box_scan():
         assert all(abs(c) <= 1 for c in v)
 
 
-def test_even_set_search_against_combination_sweep():
-    # At bound 1 the candidate list is small enough to sweep every 8-subset.
-    x2 = build_X2()
-    cands = _bounded_sections(x2, "E1", 1)
-    gram = x2.lattice.gram
-    paired = [mat_vec(gram, v) for v in cands]
+def sweep_even_sets(lat, cands):
+    """Every even 8-subset of the candidates, by a sweep over all of them."""
+    paired = [mat_vec(lat.gram, v) for v in cands]
     brute = set()
     for combo in itertools.combinations(range(len(cands)), 8):
         ok = True
@@ -357,12 +360,90 @@ def test_even_set_search_against_combination_sweep():
                 ok = False
                 break
         if ok:
-            total = (0,) * 9
+            total = (0,) * lat.rank
             for i in combo:
                 total = vec_add(total, cands[i])
             if all(c % 2 == 0 for c in total):
                 brute.add(tuple(sorted(cands[i] for i in combo)))
-    assert sorted(brute) == find_even_sets(x2, "E1", 1)
+    return sorted(brute)
+
+
+def test_even_set_search_against_combination_sweep():
+    # At bound 1 the candidate lists are small enough to sweep every 8-subset.
+    x2 = build_X2()
+    for e_label in ("E1", "E2"):
+        cands = _bounded_sections(x2, e_label, 1)
+        assert sweep_even_sets(x2.lattice, cands) == find_even_sets(x2, e_label, 1)
+
+
+def test_even_cliques_against_combination_sweep_with_odd_cliques():
+    # The bound-1 sweeps find nothing, so the parity filter needs a graph
+    # with both kinds of clique: in Z^12 the vectors e_2i +- e_2i+1 are
+    # pairwise orthogonal, and eight of them sum to an even vector exactly
+    # when they fill four of the six blocks (15 of the 495 8-subsets).
+    # 2e_4 and 2e_5 meet block 2 only; with three more full blocks they
+    # make 10 more even sets.  e_0 + e_2 meets blocks 0 and 1 and lies in
+    # no even set.
+    lat = from_rows(identity(12))
+    cands = []
+    for i in range(0, 12, 2):
+        for sign in (1, -1):
+            v = [0] * 12
+            v[i], v[i + 1] = 1, sign
+            cands.append(tuple(v))
+    cands.append(tuple(int(j in (0, 2)) for j in range(12)))
+    cands.append(tuple(2 * int(j == 4) for j in range(12)))
+    cands.append(tuple(2 * int(j == 5) for j in range(12)))
+    cands.sort()
+    got = _even_eight_cliques(lat, cands)
+    assert got == sweep_even_sets(lat, cands)
+    assert len(got) == 15 + 10
+
+
+def reference_rows(lat, cands, rows):
+    """Adjacency rows by plain pairings: bit j set iff cands[i].cands[j] = 0."""
+    return [
+        sum(1 << j for j, w in enumerate(cands)
+            if j != i and lat.pairing(cands[i], w) == 0)
+        for i in rows
+    ]
+
+
+def test_packed_adjacency_against_plain_pairings():
+    # A plain pairing costs about 10 microseconds, so past 100 candidates
+    # (bounds 3 to 5) about 40 evenly spaced rows are compared; the whole
+    # matrix must still be symmetric.
+    x2 = build_X2()
+    for e_label in ("E1", "E2"):
+        for bound in range(1, 6):
+            cands = _bounded_sections(x2, e_label, bound)
+            k = len(cands)
+            packed = _packed_adjacency(x2.lattice, cands)
+            rows = range(0, k, 1 if k <= 100 else k // 40)
+            want = reference_rows(x2.lattice, cands, rows)
+            assert [packed[i] for i in rows] == want, (e_label, bound)
+            for i, row in enumerate(packed):
+                while row:
+                    j = (row & -row).bit_length() - 1
+                    row ^= 1 << j
+                    assert packed[j] >> i & 1, (e_label, bound, i, j)
+
+
+def test_packed_adjacency_with_wide_fields():
+    # Coordinates in the thousands make pairings far wider than 16 bits;
+    # each vector comes with a partner orthogonal to it, and a zero vector
+    # is orthogonal to everything.
+    lat = from_rows([[2, 1, 0], [1, -4, 3], [0, 3, -6]])
+    rng = random.Random(7)
+    cands = [(0, 0, 0)]
+    for _ in range(30):
+        v = tuple(rng.randint(-3000, 3000) for _ in range(3))
+        p = mat_vec(lat.gram, v)
+        cands += [v, (p[1], -p[0], 0)]
+    assert max(abs(lat.pairing(v, w)) for v in cands for w in cands) > 1 << 16
+    packed = _packed_adjacency(lat, cands)
+    assert packed == reference_rows(lat, cands, range(len(cands)))
+    assert _packed_adjacency(lat, []) == []
 
 
 def test_even_set_counts_grow_with_the_bound():
@@ -419,15 +500,6 @@ def test_bound_too_small_is_reported_not_silent():
     report = statuses(x2_report(bound=4))
     assert report["x2-even-set-search-E1"] == "fail"
     assert report["x2-even-set-search-E2"] == "fail"
-
-
-def test_thread_count_does_not_change_results(monkeypatch):
-    x2 = build_X2()
-    single = find_even_sets(x2, "E1", 3)
-    monkeypatch.setenv("K3LAT_THREADS", "3")
-    assert find_even_sets(x2, "E1", 3) == single
-    monkeypatch.setenv("K3LAT_THREADS", "not a number")
-    assert find_even_sets(x2, "E1", 3) == single
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +568,36 @@ def test_torsion_translation_invariant_split():
     assert genus_equal(
         genus_of(model.lattice), genus_of(direct_sum(named("U"), named("N")))
     )
+
+
+_CORRUPT_CERTIFICATE = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+from k3lat.catalog import named
+from k3lat.intmat import identity
+from k3lat.lattice import invariant_split
+_, anti = invariant_split(nsgeometry.build_UN_vgs()[1])
+nsgeometry.is_isometric_definite = lambda l1, l2: identity(8)
+try:
+    nsgeometry._certified_definite_isometry(anti.sub, named("E8(-2)"))
+except ArithmeticError:
+    print("rejected")
+"""
+
+
+def test_corrupt_isometry_certificate_is_rejected_under_python_O():
+    # The re-check of the certificate must not be an assert, which
+    # `python -O` strips: a wrong matrix from the search has to raise.
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CERTIFICATE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["rejected"]
 
 
 def test_simple_root_rows_give_a_unimodular_small_basis():
