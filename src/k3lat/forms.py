@@ -24,6 +24,7 @@ from .intmat import (
     inv_unimodular,
     kernel_int,
     mat_mul,
+    require,
     snf,
     solve_int,
     transpose,
@@ -568,17 +569,22 @@ def forms_isomorphic(
             chosen.pop()
         return False
 
-    if not extend(0):
-        return None
+    # A recursive closure is a reference cycle; break it on every exit,
+    # SearchBudgetExceeded included.
+    try:
+        if not extend(0):
+            return None
+    finally:
+        del extend
     images = [None] * q1.rank
     for (i, _, _), img in zip(gens1, chosen):
         images[i] = img
     out = tuple(images)  # type: ignore[arg-type]
     # transporting q and b is guaranteed by the constraints; re-verify
     for i in range(q1.rank):
-        assert q2.q_value(out[i]) == q1.q_value(
+        require(q2.q_value(out[i]) == q1.q_value(
             tuple(int(i == j) for j in range(q1.rank))
-        )
+        ), f"the image of generator {i} does not keep its q-value")
     return out
 
 

@@ -9,7 +9,8 @@ tuples so results can live inside frozen dataclasses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
@@ -18,16 +19,19 @@ FracVec = tuple[Fraction, ...]
 FracMat = tuple[FracVec, ...]
 
 
+def require(ok: bool, message: str) -> None:
+    """A check on a certificate or a search invariant that, unlike
+    `assert`, still runs under `python -O`."""
+    if not ok:
+        raise ArithmeticError(message)
+
+
 def freeze(rows: Iterable[Sequence]) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
 def identity(n: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def zeros(m: int, n: int) -> Mat:
-    return tuple((0,) * n for _ in range(m))
 
 
 def transpose(a: Sequence[Sequence]) -> tuple:
@@ -67,13 +71,6 @@ def vec_scale(v: Sequence, c) -> tuple:
 
 def vec_neg(v: Sequence) -> tuple:
     return tuple(-x for x in v)
-
-
-def is_symmetric(a: Sequence[Sequence]) -> bool:
-    n = len(a)
-    return all(len(r) == n for r in a) and all(
-        a[i][j] == a[j][i] for i in range(n) for j in range(i)
-    )
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -440,22 +437,6 @@ def ldl(gram: Sequence[Sequence]) -> tuple[FracVec, FracMat]:
     return tuple(d), freeze(l)
 
 
-def _floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for a nonnegative rational."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def _quad_range(c: Fraction, t: Fraction) -> range:
-    """Integers x with (x + c)^2 <= t (empty when t < 0)."""
-    if t < 0:
-        return range(0)
-    a, b = c.numerator, c.denominator
-    u = _floor_sqrt(t * b * b)  # floor(b*sqrt(t))
-    return range(-((u + a) // b), (u - a) // b + 1)
-
-
 def fp_enumerate(
     gram_posdef: Sequence[Sequence[int]],
     upper,
@@ -464,9 +445,20 @@ def fp_enumerate(
 ) -> list[tuple[Vec, Fraction]]:
     """All integer x with lower <= Q(x + center) <= upper, Q positive definite.
 
-    Fincke-Pohst with an exact rational LDL^T; `center` may be a rational
-    vector (defaults to 0).  Output is sorted by (value, coordinates) so
-    callers get byte-for-byte reproducible results.
+    Fincke-Pohst over the integers.  The rational LDL^T data are scaled
+    once to common denominators: with L the lcm of the denominators of
+    the l[i][j] and of `center`, and D that of the d[i],
+
+        Q(x + center) * D L^4 = sum_i a_i (L^2 x_i + K_i)^2,
+
+    where a_i = D d_i and K_i = L (L c_i) + sum_{j>i} (L l_ij)(L x_j + L c_j)
+    are integers.  The bounds become floor(upper D L^4) and
+    ceil(lower D L^4), and each level of the recursion takes its range
+    of x_i from s = isqrt(rem // a_i) and two floor divisions by L^2, so
+    it forms no `Fraction`; a value becomes one only when its vector is
+    returned.  `center` may be a rational vector (defaults to 0).  Output
+    is sorted by (value, coordinates) so callers get byte-for-byte
+    reproducible results.
     """
     n = len(gram_posdef)
     upper = Fraction(upper)
@@ -475,22 +467,47 @@ def fp_enumerate(
         return [((), Fraction(0))] if lower <= 0 <= upper else []
     d, l = ldl(gram_posdef)
     cen = [Fraction(c) for c in center] if center is not None else [Fraction(0)] * n
-    out: list[tuple[Vec, Fraction]] = []
+    den = lcm(*(di.denominator for di in d))
+    big = lcm(*(c.denominator for c in cen), *(q.denominator for row in l for q in row))
+    scale = den * big**4
+    step = big * big
+    a = [int(di * den) for di in d]
+    lc = [int(c * big) for c in cen]
+    # K_i = k0[i] + L * sum_{j>i} ll[i][j - i - 1] * x_j
+    ll = [[int(l[i][j] * big) for j in range(i + 1, n)] for i in range(n)]
+    k0 = [big * lc[i] + sum(map(mul, ll[i], lc[i + 1:])) for i in range(n)]
+    top = upper.numerator * scale // upper.denominator
+    bottom = -(-lower.numerator * scale // lower.denominator)
+    if top < 0:
+        return []
+    found: list[tuple[Vec, int]] = []
     x = [0] * n
 
-    def recurse(i: int, used: Fraction) -> None:
-        budget = upper - used
-        c = cen[i] + sum(l[i][j] * (x[j] + cen[j]) for j in range(i + 1, n))
-        for xi in _quad_range(c, budget / d[i]):
+    def recurse(i: int, rem: int) -> None:
+        # rem = top minus the value of the levels above i, never negative
+        k = k0[i] + big * sum(map(mul, ll[i], x[i + 1:]))
+        s = isqrt(rem // a[i])
+        xs = range(-((s + k) // step), (s - k) // step + 1)
+        if i == 0:
+            used = top - rem
+            rest = tuple(x[1:])
+            for xi in xs:
+                z = step * xi + k
+                val = used + a[0] * z * z
+                if val >= bottom:
+                    found.append(((xi,) + rest, val))
+            return
+        for xi in xs:
+            z = step * xi + k
             x[i] = xi
-            val = used + d[i] * (xi + c) ** 2
-            if i == 0:
-                if val >= lower:
-                    out.append((tuple(x), val))
-            else:
-                recurse(i - 1, val)
+            recurse(i - 1, rem - a[i] * z * z)
         x[i] = 0
 
-    recurse(n - 1, Fraction(0))
-    out.sort(key=lambda pair: (pair[1], pair[0]))
-    return out
+    # The recursive closure is a reference cycle; breaking it frees the
+    # closure at once instead of at the next garbage collection.
+    try:
+        recurse(n - 1, top)
+    finally:
+        del recurse
+    found.sort(key=lambda pair: (pair[1], pair[0]))
+    return [(vec, Fraction(val, scale)) for vec, val in found]

@@ -30,6 +30,7 @@ from .intmat import (
     mat_mul,
     mat_vec,
     rank_int,
+    require,
     signature,
     snf,
     transpose,
@@ -74,11 +75,6 @@ class IntegralLattice:
     @property
     def is_degenerate(self) -> bool:
         return self.rank > 0 and self.det == 0
-
-    @property
-    def is_definite(self) -> bool:
-        pos, neg = self.signature
-        return (pos == 0 or neg == 0) and pos + neg == self.rank
 
     def norm(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
@@ -480,13 +476,19 @@ def is_isometric_definite(
             chosen.pop()
         return False
 
-    if not extend(0):
-        return None
+    # A recursive closure is a reference cycle; break it on every exit,
+    # SearchBudgetExceeded included.
+    try:
+        if not extend(0):
+            return None
+    finally:
+        del extend
     rows: list[Vec] = [()] * n
     for idx, vec in zip(order, chosen):
         rows[idx] = vec
     m = transpose(freeze(rows))
-    assert mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram
+    require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
+            "the isometry does not carry the second Gram matrix to the first")
     return m
 
 

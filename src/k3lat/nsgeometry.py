@@ -48,6 +48,7 @@ from .intmat import (
     ldl,
     mat_mul,
     mat_vec,
+    require,
     solve_frac,
     solve_int,
     transpose,
@@ -80,13 +81,6 @@ from .overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
-
-
-def _require(ok: bool, message: str) -> None:
-    """A check on a certificate or a search invariant that, unlike
-    `assert`, still runs under `python -O`."""
-    if not ok:
-        raise ArithmeticError(message)
 
 
 def _entry(check: str, status: str, detail: str, witness=None) -> dict:
@@ -553,7 +547,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         b_vec = tuple(dot(lin, k) for k in krows)
         if a_rows:
             beta = solve_frac(a_rows, b_vec)
-            _require(beta is not None, "the shell form is not positive definite")
+            require(beta is not None, "the shell form is not positive definite")
             tau = rhs + dot(beta, b_vec)
             if tau < 0:
                 continue
@@ -568,8 +562,8 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             v = tuple(pre) + w
             if any(abs(cd) > bound for cd in v):
                 continue
-            _require(lat.norm(v) == -2 and dot(f, v) == 1,
-                     f"candidate {v} does not satisfy v.v = -2, v.E = 1")
+            require(lat.norm(v) == -2 and dot(f, v) == 1,
+                    f"candidate {v} does not satisfy v.v = -2, v.E = 1")
             out.add(v)
     return sorted(out)
 
@@ -739,8 +733,8 @@ def _certified_definite_isometry(
     if m2 is None:
         return None
     m = mat_mul(m2, transpose(inv_unimodular(s)))
-    _require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
-             "the isometry certificate does not carry one Gram to the other")
+    require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
+            "the isometry certificate does not carry one Gram to the other")
     return m
 
 
@@ -863,7 +857,7 @@ def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     z, emb = _glue_overlattice(host, [glue])
     if not z.is_even:
         raise ArithmeticError("glue produced an odd lattice")
-    _require(4 * z.det == host.det, "the glue does not have index 2")
+    require(4 * z.det == host.det, "the glue does not have index 2")
     return z, emb
 
 

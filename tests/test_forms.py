@@ -7,6 +7,7 @@ group elements, and degeneracy against a direct adjoint scan.
 """
 
 import cmath
+import gc
 import math
 from fractions import Fraction as F
 
@@ -368,6 +369,23 @@ def test_isomorphism_budget_is_enforced():
     vv = sum_forms([v_block(2), v_block(2)])
     with pytest.raises(SearchBudgetExceeded):
         forms_isomorphic(uu, vv, budget=2)
+
+
+def test_isomorphism_search_leaves_no_cyclic_garbage():
+    # The backtracking closure refers to itself; it must be freed when the
+    # search ends, also when it ends by running out of budget.
+    uu = sum_forms([u_block(2), u_block(2)])
+    vv = sum_forms([v_block(2), v_block(2)])
+    gc.collect()
+    gc.disable()
+    try:
+        assert forms_isomorphic(uu, vv) is not None
+        assert gc.collect() == 0
+        with pytest.raises(SearchBudgetExceeded):
+            forms_isomorphic(uu, vv, budget=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_trivial_forms_isomorphic():

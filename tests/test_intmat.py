@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 from fractions import Fraction
+from math import ceil, floor, isqrt, lcm, prod
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat.intmat import (
@@ -280,3 +282,78 @@ def test_fp_enumerate_rejects_indefinite():
         pass
     else:
         raise AssertionError("expected ValueError on indefinite input")
+
+
+def scan_box(g, upper, center):
+    """Integer ranges that hold every x with Q(x + center) <= upper >= 0:
+    |x_i + center_i| <= sqrt(upper (G^-1)_ii)."""
+    ginv = inv_frac(g) if g else ()
+    box = []
+    for i in range(len(g)):
+        r = isqrt(int(upper * ginv[i][i])) + 1
+        box.append(range(-ceil(center[i]) - r, -floor(center[i]) + r + 1))
+    return box
+
+
+def brute_shell(g, lower, upper, center):
+    """Every x with lower <= Q(x + center) <= upper, by a box scan (oracle)."""
+    if upper < 0:
+        return []
+    # scale by the centre's denominator so that the scan runs on integers
+    den = lcm(*(c.denominator for c in center))
+    shift = [int(c * den) for c in center]
+    hits = []
+    for x in itertools.product(*scan_box(g, upper, center)):
+        v = Fraction(quad_value(g, [den * xi + s for xi, s in zip(x, shift)]), den * den)
+        if lower <= v <= upper:
+            hits.append((tuple(x), v))
+    hits.sort(key=lambda p: (p[1], p[0]))
+    return hits
+
+
+@st.composite
+def fp_cases(draw):
+    """A Gram B^T B with det B != 0, a rational centre and rational bounds:
+    a shell through a lattice point, a shell at a random level, or an
+    interval that may be empty."""
+    n = draw(st.integers(0, 4))
+    b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(det_int(b) != 0)
+    g = mat_mul(transpose(b), b)
+    center = tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=12),
+                                 min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["hit", "shell", "interval"]))
+    if kind == "hit":
+        x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        lower = upper = quad_value(g, [xi + c for xi, c in zip(x, center)])
+    else:
+        upper = draw(st.fractions(-2, 14, max_denominator=6))
+        lower = upper if kind == "shell" else draw(
+            st.fractions(-2, 16, max_denominator=6))
+    return g, Fraction(lower), Fraction(upper), center
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_cases())
+def test_fp_enumerate_against_box_scan(case):
+    g, lower, upper, center = case
+    assume(upper < 0 or prod(map(len, scan_box(g, upper, center))) <= 4000)
+    got = fp_enumerate(g, upper, lower, center=center)
+    assert got == brute_shell(g, lower, upper, center)
+    assert all(type(v) is Fraction for _, v in got)
+    if not any(center):
+        assert fp_enumerate(g, upper, lower) == got
+
+
+def test_fp_enumerate_leaves_no_cyclic_garbage():
+    # The recursion is a closure that refers to itself; it must be freed
+    # when the enumeration ends.
+    gc.collect()
+    gc.disable()
+    try:
+        got = fp_enumerate(((2, 1), (1, 2)), 6, center=(Fraction(1, 2), 0))
+        assert got
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,13 +5,18 @@ vector construction inside R^8 with its standard inner product), so Gram
 based enumeration is validated against a completely separate description.
 """
 
+import gc
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import k3lat
 from k3lat.forms import (
     cyclic_block,
     forms_isomorphic,
@@ -519,6 +524,70 @@ def test_non_isometric_same_determinant():
 def test_isometry_budget():
     with pytest.raises(SearchBudgetExceeded):
         is_isometric_definite(E8, E8, budget=3)
+
+
+def test_isometry_search_leaves_no_cyclic_garbage():
+    # The backtracking closure refers to itself; it must be freed when the
+    # search ends, also when it ends by running out of budget.
+    gc.collect()
+    gc.disable()
+    try:
+        assert is_isometric_definite(A2, A2) is not None
+        assert gc.collect() == 0
+        with pytest.raises(SearchBudgetExceeded):
+            is_isometric_definite(E8, E8, budget=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_CORRUPT_CERTIFICATES = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from fractions import Fraction
+from k3lat import forms, lattice
+
+# A value table of the second form that swaps the elements 1 <-> 3 and
+# 5 <-> 7 of Z/8 with q(x) = x^2/8, so q-values 1/8 and 9/8 trade places.
+q1 = forms.cyclic_block(8, Fraction(1, 8))
+q2 = forms.cyclic_block(8, Fraction(1, 8))
+table = forms._value_table
+swap = {1: 3, 3: 1, 5: 7, 7: 5}
+forms._value_table = lambda q: tuple(
+    ((swap[x[0]] if x[0] in swap else x[0],), o, v) for x, o, v in table(q)
+) if q is q2 else table(q)
+try:
+    print("forms", forms.forms_isomorphic(q1, q2))
+except ArithmeticError:
+    print("forms", "rejected")
+
+# A pairing with its off-diagonal signs flipped: the search then accepts
+# columns that do not carry one Gram matrix to the other.
+a2 = lattice.from_rows([[2, 1], [1, 2]])
+lattice.IntegralLattice.pairing = lambda self, v, w: sum(
+    v[i] * (1 if i == j else -1) * self.gram[i][j] * w[j]
+    for i in range(self.rank) for j in range(self.rank)
+)
+try:
+    print("lattice", lattice.is_isometric_definite(a2, a2))
+except ArithmeticError:
+    print("lattice", "rejected")
+"""
+
+
+def test_corrupt_certificates_are_rejected_under_python_O():
+    # The final re-checks of forms_isomorphic and is_isometric_definite must
+    # not be asserts, which `python -O` strips: a wrong answer from the
+    # search has to raise.
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_CERTIFICATES],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["forms rejected", "lattice rejected"]
 
 
 def test_e8_self_isometry():
