@@ -18,13 +18,14 @@ from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
+    _value_table,
     cyclic_block,
     isotropic_subgroups,
     length,
     sum_forms,
     u_block,
 )
-from .intmat import freeze, inv_frac, transpose
+from .intmat import freeze, inv_frac, require, transpose
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -220,7 +221,8 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
         raise RuntimeError(f"seeded configuration for n={n} has the wrong rank")
     root_sum, disc = _block_disc(config)
     target_roots = sum(m * (m + 1) for m in config)
-    assert root_count(root_sum) == target_roots
+    require(root_count(root_sum) == target_roots,
+            f"seeded configuration for n={n} has the wrong root count")
 
     subs = isotropic_subgroups(disc.form, n)
     cyclic = [
@@ -294,7 +296,8 @@ def omega_genus(n: int) -> GenusDescriptor:
     )
     if n == 2:
         # rank-8 case is a known explicit lattice; cross-check the surrogate
-        assert genus_equal(g, genus_of(named("E8(-2)")))
+        require(genus_equal(g, genus_of(named("E8(-2)"))),
+                "the rank-8 partner genus is not that of E8(-2)")
     return g
 
 
@@ -357,18 +360,16 @@ def _transvection_orbits(
     cand = [tuple(x) for x in candidates]
     if any(o > 2 for o in qw.orders):
         return cand
-    values = {v: qw.q_value(v) for v in qw.elements()}
-    if any(val.denominator != 1 for val in values.values()):
+    # the level N is 2 (or 1 on the trivial group): values are N*q mod 2N
+    values = {(0,) * qw.rank: 0}
+    values.update((x, v) for x, _, v in _value_table(qw))
+    if any(val % qw.level for val in values.values()):
         return cand
-    gens = [v for v, val in values.items() if val % 2 == 1]
+    gens = [v for v, val in values.items() if val == qw.level]  # q(v) odd
     # everything lives mod 2 now, so the BFS can run on plain integers:
-    # 2b(., .) is integral and y -> x + v is coordinatewise mod 2
-    k = qw.rank
-    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    two_b = [
-        [int((2 * qw.b_value(units[i], units[j])) % 2) for j in range(k)]
-        for i in range(k)
-    ]
+    # 2b(e_i, e_j) = N*b(e_i, e_j) is the table entry mod 2 and y -> x + v
+    # is coordinatewise mod 2
+    two_b = [[t % 2 for t in row] for row in qw.table]
     support = {v: tuple(i for i, c in enumerate(v) if c) for v in values}
     pending = set(cand)
     reps = []
@@ -390,7 +391,7 @@ def _transvection_orbits(
                 if not c:
                     continue
                 y = tuple((a + b) % 2 for a, b in zip(x, v))
-                assert values[y] == values[x]
+                require(values[y] == values[x], "a transvection changed a q-value")
                 if y not in orbit:
                     orbit.add(y)
                     queue.append(y)
@@ -423,9 +424,9 @@ def _primitive_index2_overlattice(
         z, emb = _glue_overlattice(v, [lift])
         if not z.is_even:
             continue
-        assert z.det * 4 == v.det
+        require(z.det * 4 == v.det, "index-2 glue has the wrong determinant")
         w_emb = Embedding(z, w, transpose(emb.vectors[1:]))
-        assert is_primitive(w_emb)
+        require(is_primitive(w_emb), "index-2 glue leaves W imprimitive")
         zs.append(z)
     if not zs:
         raise ArithmeticError("no glue candidate produced an even overlattice")

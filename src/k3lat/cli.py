@@ -142,7 +142,7 @@ def _genus_record(g: GenusDescriptor) -> dict:
         "form": {
             "group": list(group_invariants(q.orders)),
             "milgram": milgram_signature(q),
-            "values": [[str(v), tally[v]] for v in sorted(tally)],
+            "values": [[str(Fraction(v, q.level)), tally[v]] for v in sorted(tally)],
         },
     }
 

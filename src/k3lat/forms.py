@@ -1,15 +1,20 @@
 """Finite quadratic forms on finite abelian groups.
 
 A form lives on A = Z/d_1 x ... x Z/d_k and takes values q(x) in Q/2Z with
-associated pairing b(x, y) in Q/Z.  The Gram data is stored exactly: the
-diagonal holds q-values reduced into [0, 2), off-diagonal entries hold
-pairing values reduced into [0, 1).
+associated pairing b(x, y) in Q/Z.  The public constructor takes the Gram
+data as exact fractions: the diagonal holds q-values reduced into [0, 2),
+off-diagonal entries hold pairing values reduced into [0, 1).  It converts
+them once into integers over the level N = lcm(d_1, ..., d_k), an
+isomorphism invariant: N*q(e_i) mod 2N on the diagonal and N*b(e_i, e_j)
+mod N off it.  Every computation below reads only that integer table;
+`q_value` and `b_value` turn their result back into a fraction for
+outside callers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -30,9 +35,6 @@ from .intmat import (
     transpose,
 )
 
-TWO = Fraction(2)
-ONE = Fraction(1)
-
 
 class SearchBudgetExceeded(RuntimeError):
     """A bounded backtracking search ran out of nodes before deciding."""
@@ -44,6 +46,8 @@ class FiniteQuadraticForm:
 
     orders: tuple[int, ...]
     q_gram: tuple[tuple[Fraction, ...], ...]
+    level: int = field(init=False, repr=False, compare=False)
+    table: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.orders)
@@ -51,21 +55,31 @@ class FiniteQuadraticForm:
             raise ValueError("generator orders must be >= 2")
         if len(self.q_gram) != k or any(len(r) != k for r in self.q_gram):
             raise ValueError("Gram table shape does not match orders")
-        for i in range(k):
-            di = self.orders[i]
-            qi = self.q_gram[i][i]
-            if not (0 <= qi < 2):
+        n = lcm(*self.orders)
+        table = []
+        for row in self.q_gram:
+            scaled = [x * n for x in row]
+            if any(v.denominator != 1 for v in scaled):
+                raise ValueError("Gram entry incompatible with generator orders")
+            table.append(tuple(int(v) for v in scaled))
+        for i, di in enumerate(self.orders):
+            t = table[i][i]
+            if not 0 <= t < 2 * n:
                 raise ValueError("diagonal entries must lie in [0, 2)")
-            if (qi * di * di) % 2 != 0:
+            # q is well defined on Z/d_i iff d_i*q_ii is in Z and
+            # d_i^2*q_ii in 2Z
+            if (t * di) % n or (t * di * di) % (2 * n):
                 raise ValueError("q-value incompatible with generator order")
             for j in range(i):
-                bij = self.q_gram[i][j]
-                if bij != self.q_gram[j][i]:
+                s = table[i][j]
+                if s != table[j][i]:
                     raise ValueError("Gram table must be symmetric")
-                if not (0 <= bij < 1):
+                if not 0 <= s < n:
                     raise ValueError("pairing entries must lie in [0, 1)")
-                if (bij * di) % 1 != 0 or (bij * self.orders[j]) % 1 != 0:
+                if (s * di) % n or (s * self.orders[j]) % n:
                     raise ValueError("pairing incompatible with generator orders")
+        object.__setattr__(self, "level", n)
+        object.__setattr__(self, "table", tuple(table))
 
     @property
     def rank(self) -> int:
@@ -82,27 +96,37 @@ class FiniteQuadraticForm:
         return itertools.product(*(range(o) for o in self.orders))
 
     def q_value(self, x: Sequence[int]) -> Fraction:
-        k = len(self.orders)
-        g = self.q_gram
-        total = Fraction(0)
-        for i in range(k):
-            if x[i]:
-                total += g[i][i] * x[i] * x[i]
-                for j in range(i + 1, k):
-                    if x[j]:
-                        total += 2 * g[i][j] * x[i] * x[j]
-        return total % 2
+        return Fraction(self._q_int(x), self.level)
 
     def b_value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        k = len(self.orders)
-        g = self.q_gram
-        total = Fraction(0)
+        return Fraction(self._b_int(x, y), self.level)
+
+    def _q_int(self, x: Sequence[int]) -> int:
+        """N*q(x) mod 2N for any integer vector x."""
+        t = self.table
+        k = len(t)
+        total = 0
+        for i in range(k):
+            xi = x[i]
+            if xi:
+                row = t[i]
+                s = row[i] * xi
+                for j in range(i + 1, k):
+                    if x[j]:
+                        s += 2 * row[j] * x[j]
+                total += s * xi
+        return total % (2 * self.level)
+
+    def _b_int(self, x: Sequence[int], y: Sequence[int]) -> int:
+        """N*b(x, y) mod N for any integer vectors x and y."""
+        t = self.table
+        k = len(t)
+        total = 0
         for i in range(k):
             if x[i]:
-                for j in range(k):
-                    if y[j]:
-                        total += g[i][j] * x[i] * y[j]
-        return total % 1
+                row = t[i]
+                total += x[i] * sum(row[j] * y[j] for j in range(k) if y[j])
+        return total % self.level
 
     def element_order(self, x: Sequence[int]) -> int:
         n = 1
@@ -127,8 +151,6 @@ def cyclic_block(order: int, value: Fraction | int) -> FiniteQuadraticForm:
         if value % 2:
             raise ValueError("nontrivial value on the trivial group")
         return trivial_form()
-    if (value * order * order) % 2 != 0:
-        raise ValueError("q-value denominator incompatible with order")
     return FiniteQuadraticForm((order,), ((value,),))
 
 
@@ -187,40 +209,27 @@ def length(q: FiniteQuadraticForm) -> int:
     return len(group_invariants(q.orders))
 
 
-@lru_cache(maxsize=None)
-def _int_gram(q: FiniteQuadraticForm) -> tuple[Mat, int]:
-    """Gram table as an integer matrix over a common denominator."""
-    den = 1
-    for row in q.q_gram:
-        for x in row:
-            den = lcm(den, x.denominator)
-    num = freeze(
-        tuple(int(x * den) for x in row) for row in q.q_gram
-    )
-    return num, den
-
-
 def is_degenerate(q: FiniteQuadraticForm) -> bool:
     """True iff some nonzero element pairs integrally with the whole group.
 
     The adjoint map A -> Hom(A, Q/Z) is bijective exactly when the index of
-    {x in Z^k : Gram*x integral} in Z^k equals |A|.
+    {x in Z^k : table*x = 0 mod N} in Z^k equals |A|.
     """
     k = q.rank
     if k == 0:
         return False
-    num, den = _int_gram(q)
-    gens = [list(row) for row in num]  # num is symmetric: rows = columns
+    n = q.level
+    gens = [list(row) for row in q.table]  # the table is symmetric
     for i in range(k):
         e = [0] * k
-        e[i] = den
+        e[i] = n
         gens.append(e)
     lam = hnf_basis(gens)
     index = 1
     for i, row in enumerate(lam):
         index *= row[i]
-    # adjoint image size inside (Z/den)^k is den^k / [Z^k : num Z^k + den Z^k]
-    return den**k // index != q.group_order
+    # adjoint image size inside (Z/N)^k is N^k / [Z^k : table Z^k + N Z^k]
+    return n**k // index != q.group_order
 
 
 # ---------------------------------------------------------------------------
@@ -281,61 +290,45 @@ def _cyclo_equal(counts: dict[int, int], other: dict[int, int], m: int) -> bool:
     return not any(_cyclotomic_reduce(poly, m))
 
 
-def _prime_part_gens(q: FiniteQuadraticForm, p: int) -> list[tuple[Vec, int]]:
-    """Generators of the p-Sylow subgroup with their orders."""
-    gens = []
+def _prime_part(
+    q: FiniteQuadraticForm, p: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Gram of the p-Sylow subgroup over its exponent P.
+
+    The subgroup is generated by the multiples m_i*e_i that kill the
+    prime-to-p part of each order.  Returns (gram, orders, P): entry (i, j)
+    of gram is an integer representative of P*b(g_i, g_j), of P*q(g_i) on
+    the diagonal; representatives are enough because q(x) is computed
+    mod 2 and off-diagonal terms enter doubled.
+    """
+    idx, mult, orders = [], [], []
     for i, o in enumerate(q.orders):
-        a = 0
         t = o
         while t % p == 0:
             t //= p
-            a += 1
-        if a:
-            g = [0] * q.rank
-            g[i] = t  # kill the prime-to-p part
-            gens.append((tuple(g), p**a))
-    return gens
-
-
-def _scaled_gen_gram(
-    q: FiniteQuadraticForm, gens: Sequence[Vec]
-) -> tuple[list[list[int]], int]:
-    """Ambient Gram of the given group elements, over its own denominator.
-
-    Returns (integer matrix, d) with entry/d an exact representative of
-    b(g_i, g_j) (of q(g_i) on the diagonal); representatives are enough
-    because q(x) is computed mod 2 and off-diagonal terms enter doubled.
-    """
-    num, den = _int_gram(q)
-    k = q.rank
-    s = len(gens)
-    fr = [
-        [
-            Fraction(
-                sum(
-                    gens[i][a] * num[a][b] * gens[j][b]
-                    for a in range(k)
-                    for b in range(k)
-                ),
-                den,
-            )
-            for j in range(s)
-        ]
-        for i in range(s)
-    ]
-    d = 1
-    for row in fr:
-        for x in row:
-            d = lcm(d, x.denominator)
-    return [[int(x * d) for x in row] for row in fr], d
+        if t != o:
+            idx.append(i)
+            mult.append(t)
+            orders.append(o // t)
+    exp = max(orders, default=1)
+    scale = q.level // exp  # N*q(g) and N*b(g, h) are multiples of N/P
+    gram = []
+    for a, i in enumerate(idx):
+        row = []
+        for b, j in enumerate(idx):
+            v = mult[a] * mult[b] * q.table[i][j]
+            require(v % scale == 0, f"the {p}-part has values outside (1/{exp})Z")
+            row.append(v // scale)
+        gram.append(row)
+    return gram, orders, exp
 
 
 def _gauss_counts(
-    q: FiniteQuadraticForm, gens: list[tuple[Vec, int]], m: int
+    gmat: list[list[int]], orders: list[int], d: int, m: int
 ) -> dict[int, int]:
-    """Exponent histogram over the subgroup of zeta_m^(q(x) * m/2)."""
-    s = len(gens)
-    gmat, d = _scaled_gen_gram(q, [g for g, _ in gens])
+    """Exponent histogram over the group of zeta_m^(q(x) * m/2), where
+    gmat holds d*q and d*b on generators of the given orders."""
+    s = len(orders)
     mod = 2 * d
     if m % mod:
         raise ArithmeticError("modulus does not clear denominators")
@@ -345,7 +338,7 @@ def _gauss_counts(
     val = 0  # q(x) * d, mod 2*d
     rowsum = [0] * s  # (gmat @ coords)_j mod 2*d
     total = 1
-    for _, o in gens:
+    for o in orders:
         total *= o
     for _ in range(total):
         e = (val * f) % m
@@ -357,7 +350,7 @@ def _gauss_counts(
             for t in range(s):
                 rowsum[t] = (rowsum[t] + gmat[t][j]) % mod
             coords[j] += 1
-            if coords[j] < gens[j][1]:
+            if coords[j] < orders[j]:
                 break
             coords[j] = 0
             j += 1
@@ -404,23 +397,22 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
     if rest > 1:
         primes.append(rest)
     for p in primes:
-        gens = _prime_part_gens(q, p)
+        gmat, orders, d = _prime_part(q, p)
         size = 1
-        for _, o in gens:
+        for o in orders:
             size *= o
         k = 0
         t = size
         while t > 1:
             t //= p
             k += 1
-        # cyclotomic modulus: the restricted Gram has p-power denominator d,
-        # and the sum lives in Z[zeta_{2d}]; enlarge to a supported shape.
-        _, d = _scaled_gen_gram(q, [g for g, _ in gens])
+        # cyclotomic modulus: the p-part has exponent d, and the sum lives
+        # in Z[zeta_{2d}]; enlarge to a supported shape.
         if p == 2:
             m = max(8, 2 * d)  # both are powers of two
         else:
             m = 4 * d  # d = p^a with a >= 1 for a non-degenerate p-part
-        s = _gauss_counts(q, gens, m)
+        s = _gauss_counts(gmat, orders, d, m)
         matched = None
         if p == 2:
             root2 = {m // 8: 1, (7 * m) // 8: 1}  # zeta_8 + zeta_8^-1
@@ -464,23 +456,15 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
 
 
 @lru_cache(maxsize=None)
-def _value_table(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, Fraction], ...]:
-    """All elements with (coords, order, q-value), skipping zero."""
-    out = []
-    num, den = _int_gram(q)
-    k = q.rank
-    for x in q.elements():
-        if not any(x):
-            continue
-        val = Fraction(
-            sum(x[i] * num[i][j] * x[j] for i in range(k) for j in range(k)), den
-        ) % 2
-        out.append((x, q.element_order(x), val))
-    return tuple(out)
+def _value_table(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
+    """All elements with (coords, order, N*q mod 2N), skipping zero."""
+    return tuple(
+        (x, q.element_order(x), q._q_int(x)) for x in q.elements() if any(x)
+    )
 
 
-def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, Fraction, int], ...]:
-    buckets: dict[tuple[int, Fraction], int] = {}
+def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
+    buckets: dict[tuple[int, int], int] = {}
     for _, o, v in _value_table(q):
         buckets[(o, v)] = buckets.get((o, v), 0) + 1
     return tuple(sorted((o, v, c) for (o, v), c in buckets.items()))
@@ -527,16 +511,16 @@ def forms_isomorphic(
         return None
 
     table2 = _value_table(q2)
-    buckets: dict[tuple[int, Fraction], list[Vec]] = {}
+    # equal group invariants give equal levels, so the integer values of
+    # both forms are over the same N
+    buckets: dict[tuple[int, int], list[Vec]] = {}
     for x, o, v in table2:
         buckets.setdefault((o, v), []).append(x)
 
-    t1 = {x: (o, v) for x, o, v in _value_table(q1)}
     gens1 = []
     for i, o in enumerate(q1.orders):
         e = tuple(int(i == j) for j in range(q1.rank))
-        ov = t1[e]
-        gens1.append((i, e, ov))
+        gens1.append((i, e, (o, q1.table[i][i])))
     # rarest value class first, then larger order first
     gens1.sort(key=lambda g: (-g[2][0], len(buckets.get(g[2], [])), g[0]))
 
@@ -557,8 +541,8 @@ def forms_isomorphic(
                 )
             ok = True
             for lv in range(level):
-                want = q1.b_value(gens1[lv][1], e)
-                if q2.b_value(chosen[lv], cand) != want:
+                want = q1._b_int(gens1[lv][1], e)
+                if q2._b_int(chosen[lv], cand) != want:
                     ok = False
                     break
             if not ok:
@@ -582,9 +566,8 @@ def forms_isomorphic(
     out = tuple(images)  # type: ignore[arg-type]
     # transporting q and b is guaranteed by the constraints; re-verify
     for i in range(q1.rank):
-        require(q2.q_value(out[i]) == q1.q_value(
-            tuple(int(i == j) for j in range(q1.rank))
-        ), f"the image of generator {i} does not keep its q-value")
+        require(q2._q_int(out[i]) == q1.table[i][i],
+                f"the image of generator {i} does not keep its q-value")
     return out
 
 
@@ -656,9 +639,9 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subgroup]:
     grow([], frozenset({zero}), 0)
     out = []
     for key in sorted(found):
-        # q = 0 elementwise forces b = 0 on H x H; assert both anyway
+        # q = 0 elementwise forces b = 0 on H x H; check q again
         for x in key:
-            assert q.q_value(x) == 0
+            require(q._q_int(x) == 0, f"subgroup element {x} is not isotropic")
         out.append(Subgroup(q, key, found[key]))
     return out
 
@@ -666,18 +649,18 @@ def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subgroup]:
 def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:
     """Rows generating {x in Z^k : b(x, g) integral for all gens g}."""
     k = q.rank
-    num, den = _int_gram(q)
     if not gens:
         return identity(k)
+    n = q.level
     s = len(gens)
     cols = [
-        [sum(num[i][j] * g[j] for j in range(k)) for i in range(k)] for g in gens
+        [sum(q.table[i][j] * g[j] for j in range(k)) for i in range(k)] for g in gens
     ]
-    # x satisfies cols_j . x == 0 mod den for all j; take the x-part of the
-    # integer kernel of (x, y) -> B^T x + den*y
+    # x satisfies cols_j . x == 0 mod N for all j; take the x-part of the
+    # integer kernel of (x, y) -> B^T x + N*y
     amat = [
         tuple(cols[j][i] for i in range(k))
-        + tuple(den if t == j else 0 for t in range(s))
+        + tuple(n if t == j else 0 for t in range(s))
         for j in range(s)
     ]
     ker = kernel_int(amat)
@@ -715,28 +698,16 @@ def _form_on_subquotient(
     q: FiniteQuadraticForm, orders: Sequence[int], lifts: Mat
 ) -> FiniteQuadraticForm:
     keep = [i for i, o in enumerate(orders) if o > 1]
-    num, den = _int_gram(q)
-    k = q.rank
-
-    def qv(x: Sequence[int]) -> Fraction:
-        return Fraction(
-            sum(x[i] * num[i][j] * x[j] for i in range(k) for j in range(k)), den
-        )
-
-    def bv(x: Sequence[int], y: Sequence[int]) -> Fraction:
-        return Fraction(
-            sum(x[i] * num[i][j] * y[j] for i in range(k) for j in range(k)), den
-        )
-
-    gram = []
-    for a in keep:
-        row = []
-        for b in keep:
-            if a == b:
-                row.append(qv(lifts[a]) % 2)
-            else:
-                row.append(bv(lifts[a], lifts[b]) % 1)
-        gram.append(row)
+    gram = [
+        [
+            Fraction(
+                q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]),
+                q.level,
+            )
+            for b in keep
+        ]
+        for a in keep
+    ]
     return FiniteQuadraticForm(tuple(orders[i] for i in keep), freeze(gram))
 
 
@@ -774,9 +745,9 @@ def orthogonal_complement_form(
 def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     """Locate a hyperbolic u(m) pair inside q (first in canonical order)."""
     cands = [x for x, o, v in _value_table(q) if o == m and v == 0]
-    target = Fraction(-1, m) % 1
-    for i, x in enumerate(cands):
+    target = q.level - q.level // m  # N*(-1/m) mod N
+    for x in cands:
         for y in cands:
-            if y != x and q.b_value(x, y) == target:
+            if y != x and q._b_int(x, y) == target:
                 return x, y
     raise ValueError(f"no u({m}) block found")

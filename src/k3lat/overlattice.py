@@ -23,7 +23,7 @@ from .forms import (
     milgram_signature,
     quotient_form,
 )
-from .intmat import Vec, freeze, hnf_basis, solve_int, transpose
+from .intmat import Vec, freeze, hnf_basis, require, solve_int, transpose
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -96,7 +96,8 @@ def overlattices(
         z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens])
         if not z.is_even:
             continue
-        assert z.det * index * index == lat.det
+        require(z.det * index * index == lat.det,
+                "overlattice determinant does not match its index")
         out.append((z, emb))
     return out
 
@@ -144,22 +145,25 @@ def lemma_overlattice(
         glue = (Fraction(4 * k, 2 * d),) + tuple(
             a + 2 * k * c for a, c in zip(l1, l2)
         )
-        # isotropic of order exactly m in the glue group
-        assert all((m * c).denominator == 1 for c in glue)
-        qval = sum(
-            glue[i] * v.gram[i][j] * glue[j]
+        # isotropic of order dividing m: m*glue is integral and its norm
+        # m^2 q(glue) lies in 2m^2 Z
+        mg = [m * c for c in glue]
+        require(all(c.denominator == 1 for c in mg), "glue order does not divide m")
+        mg = [int(c) for c in mg]
+        norm = sum(
+            mg[i] * v.gram[i][j] * mg[j]
             for i in range(v.rank)
             for j in range(v.rank)
         )
-        assert qval % 2 == 0
+        require(norm % (2 * m * m) == 0, "glue is not isotropic")
         lifts = [glue]
     z, emb = _glue_overlattice(v, lifts)
     if not z.is_even:
         raise ArithmeticError("glue produced an odd lattice")
-    assert z.det * m * m == v.det
+    require(z.det * m * m == v.det, "glue changed the determinant by the wrong index")
     # W is primitively embedded: its image spans a saturated sublattice
     w_emb = Embedding(z, w, transpose(emb.vectors[1:]))
-    assert is_primitive(w_emb)
+    require(is_primitive(w_emb), "W is not primitively embedded")
     return z, w_emb
 
 
@@ -262,7 +266,8 @@ def genus_lemma_quotient(
     glue = q.reduce(
         tuple(4 * k * hc + a + 2 * k * b for hc, a, b in zip(h, e1, e2))
     )
-    assert q.q_value(glue) == 0 and q.element_order(glue) == m
+    require(q.q_value(glue) == 0 and q.element_order(glue) == m,
+            "glue is not isotropic of order m")
     elements = []
     x = (0,) * q.rank
     for _ in range(m):

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, family_lattice, named
 from .forms import forms_isomorphic, negate
-from .intmat import freeze, hnf_basis, mat_mul
+from .intmat import freeze, hnf_basis, mat_mul, require
 from .lattice import (
     IntegralLattice,
     direct_sum,
@@ -218,5 +218,5 @@ def galois_cover_invariants(d: int, ks: Sequence[int]) -> GaloisInvariants:
         raise ValueError("multiplicities and the degree must be positive")
     bulk = Fraction(d, 2) * sum(ks) ** 2
     inv = GaloisInvariants(4 + bulk, 3 + bulk, 3 + bulk, Fraction(0))
-    assert inv.h20_v >= 3 + 32 * d >= 35
+    require(inv.h20_v >= 3 + 32 * d >= 35, "h^(2,0) is below its lower bound")
     return inv

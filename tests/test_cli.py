@@ -83,6 +83,26 @@ def test_genus_records_of_equal_genera_are_byte_identical(capsys):
     assert data["form"]["group"] == [2, 2, 2, 2, 2, 2, 8]
 
 
+# stdout of the only commands that print form values, recorded before the
+# form values moved from Fraction to integers over the level
+DISC_M42 = (
+    '{"invariants":[2,2,2,2,2,2,8],"milgram":1,"orders":[2,2,2,2,2,2,8],'
+    '"q":[["1","1/2","0","0","0","0","0"],["1/2","1","1/2","0","0","0","0"],'
+    '["0","1/2","1","1/2","0","0","0"],["0","0","1/2","1","1/2","0","0"],'
+    '["0","0","0","1/2","1","1/2","0"],["0","0","0","0","1/2","1","0"],'
+    '["0","0","0","0","0","0","1/8"]]}\n'
+)
+GENUS_LP42 = (
+    '{"form":{"group":[2,2,2,2,2,2,8],"milgram":1,"values":[["0",71],'
+    '["1/8",128],["1/2",72],["1",56],["9/8",128],["3/2",56]]},"sig":[1,8]}\n'
+)
+
+
+def test_disc_and_genus_stdout_bytes_are_pinned(capsys):
+    assert run(capsys, "disc", "M(4,2)") == (0, DISC_M42, "")
+    assert run(capsys, "genus", "Lp(4,2)") == (0, GENUS_LP42, "")
+
+
 def test_genus_of_degenerate_input_rejected(capsys, tmp_path):
     f = tmp_path / "deg.json"
     f.write_text("[[0]]")

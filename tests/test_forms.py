@@ -19,6 +19,7 @@ from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
     Subgroup,
+    _value_table,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -180,6 +181,11 @@ def test_validation_rejects_bad_data():
         cyclic_block(3, F(1, 3))  # 9 * (1/3) = 3 is odd
     with pytest.raises(ValueError):
         cyclic_block(0, F(0))
+    # q(1) = 1/8 but q(5) = 25/8 = 9/8 mod 2 although 5 = 1 mod 4
+    with pytest.raises(ValueError):
+        FiniteQuadraticForm((4,), ((F(1, 8),),))
+    with pytest.raises(ValueError):
+        cyclic_block(4, F(1, 8))
 
 
 def test_trivial_and_order_one_blocks():
@@ -318,6 +324,101 @@ def test_milgram_signature_random_forms(blocks):
     if q.group_order > 4000:
         return
     assert milgram_signature(q) == gauss_sum_signature_oracle(q)
+
+
+# ---------------------------------------------------------------------------
+# Integer value path against the Fraction Gram table
+# ---------------------------------------------------------------------------
+
+
+def oracle_q(q, x):
+    """q(x) in [0, 2) straight from the Fraction Gram table."""
+    g = q.q_gram
+    k = q.rank
+    total = sum(g[i][i] * x[i] * x[i] for i in range(k))
+    total += sum(
+        2 * g[i][j] * x[i] * x[j] for i in range(k) for j in range(i + 1, k)
+    )
+    return total % 2
+
+
+def oracle_b(q, x, y):
+    """b(x, y) in [0, 1) straight from the Fraction Gram table."""
+    g = q.q_gram
+    k = q.rank
+    return sum(g[i][j] * x[i] * y[j] for i in range(k) for j in range(k)) % 1
+
+
+def oracle_order(q, x):
+    n = 1
+    while any(q.reduce(tuple(n * c for c in x))):
+        n += 1
+    return n
+
+
+def check_value_path(q, pairs):
+    assert q.level == math.lcm(*q.orders)
+    for x, y in pairs:
+        assert q.q_value(x) == oracle_q(q, x)
+        assert q.b_value(x, y) == oracle_b(q, x, y)
+    if q.group_order > 3000:
+        return
+    table = _value_table(q)
+    assert [x for x, _, _ in table] == [x for x in q.elements() if any(x)]
+    for x, o, v in table:
+        assert o == oracle_order(q, x)
+        assert isinstance(v, int) and 0 <= v < 2 * q.level
+        assert F(v, q.level) == oracle_q(q, x)
+
+
+@st.composite
+def regrammed_forms(draw):
+    """A sum of random blocks, presented on random new generators.
+
+    The new generators need not form a basis: the form pulled back to the
+    product of their cyclic groups may be degenerate, and its Gram
+    denominators may stay below its level.
+    """
+    q = sum_forms(draw(st.lists(_block_strategy(), min_size=1, max_size=3)))
+    k = q.rank
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-4, 4), min_size=k, max_size=k),
+            min_size=1,
+            max_size=k,
+        )
+    )
+    gens = [q.reduce(r) for r in rows if any(q.reduce(r))]
+    gram = tuple(
+        tuple(oracle_q(q, g) if i == j else oracle_b(q, g, h) for j, h in enumerate(gens))
+        for i, g in enumerate(gens)
+    )
+    return FiniteQuadraticForm(tuple(oracle_order(q, g) for g in gens), gram)
+
+
+LEVEL_CASES = [
+    sum_forms([u_block(2), cyclic_block(9, F(2, 9))]),  # level 18, two primes
+    # the level exceeds the lcm of the Gram denominators:
+    FiniteQuadraticForm((2,), ((F(0),),)),  # level 2, denominators 1
+    cyclic_block(4, F(1)),  # level 4, denominators 1
+    sum_forms([cyclic_block(3, F(0)), u_block(2)]),  # level 6, denominators 2
+    regram(cyclic_block(9, F(2, 9)), [(3,)]),  # order 3, q = 2 = 0 mod 2
+]
+
+
+@pytest.mark.parametrize("q", LEVEL_CASES)
+def test_value_path_on_fixed_forms(q):
+    xs = list(q.elements())
+    check_value_path(q, [(x, y) for x in xs[:12] for y in xs[-12:]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_value_path_matches_fraction_oracle(data):
+    q = data.draw(regrammed_forms())
+    vec = st.lists(st.integers(-20, 20), min_size=q.rank, max_size=q.rank).map(tuple)
+    pairs = data.draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=8))
+    check_value_path(q, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import itertools
+import pathlib
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import k3lat
 from k3lat.intmat import (
     det_int,
     fp_enumerate,
@@ -357,3 +360,15 @@ def test_fp_enumerate_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts; checks in the package use `require`.
+    pkg = pathlib.Path(k3lat.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(pkg.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
