@@ -32,7 +32,7 @@ from .catalog import (
 from .forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
-    _value_table,
+    _value_multiset,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -136,7 +136,9 @@ def _genus_record(g: GenusDescriptor) -> dict:
     q = g.disc
     if q.group_order > 10 ** 6:
         raise ValueError("discriminant group too large to tabulate")
-    tally = Counter(v for _, _, v in _value_table(q))
+    tally: Counter[int] = Counter()
+    for _, v, n in _value_multiset(q):
+        tally[v] += n
     return {
         "sig": [g.sig_plus, g.sig_minus],
         "form": {
@@ -172,8 +174,9 @@ class VerificationReport:
 def _run_suite(name: str, entries: Iterable[dict]) -> list[VerificationReport]:
     """Consume a suite, stamping each entry with the time since the last.
 
-    A search-budget overrun aborts the suite with a single inconclusive
-    entry instead of crashing the run."""
+    A search-budget overrun ends the suite with a single inconclusive
+    entry, and any other exception with a single fail entry that names
+    its type, instead of crashing the run: the next suite still runs."""
     out = []
     t0 = time.perf_counter()
     it = iter(entries)
@@ -188,6 +191,14 @@ def _run_suite(name: str, entries: Iterable[dict]) -> list[VerificationReport]:
                 f"{name}-budget-exhausted", "inconclusive", str(exc),
                 None, now - t0))
             break
+        except Exception as exc:
+            import traceback  # only a failing suite pays for the import
+
+            traceback.print_exc()
+            out.append(VerificationReport(
+                f"{name}-error", "fail", f"{type(exc).__name__}: {exc}",
+                None, time.perf_counter() - t0))
+            break
         now = time.perf_counter()
         out.append(VerificationReport(
             e["check"], e["status"], e["detail"], e["witness"], now - t0))
@@ -200,6 +211,13 @@ def _run_suite(name: str, entries: Iterable[dict]) -> list[VerificationReport]:
 # ---------------------------------------------------------------------------
 
 
+# A suite that takes parameters checks them when its _suite_* function is
+# called, and returns the iterator of its checks.  cmd_verify calls every
+# suite function before it runs any, so unusable parameters stop the
+# command with exit code 2, while an exception raised by a running check
+# becomes a fail entry (_run_suite).
+
+
 def _suite_lemma(args) -> Iterator[dict]:
     """Congruence overlattice of <2d> + W: the U(n) demonstration for the
     requested n, and the rank-9 case W = E8(-2) when n = 2."""
@@ -209,8 +227,10 @@ def _suite_lemma(args) -> Iterator[dict]:
         raise ValueError("the block parameter n must be at least 2")
     if d % (2 * n):
         raise ValueError(f"need d = 0 mod 2n, got d={d}, n={n}")
-    budget = args.budget
+    return _lemma_checks(n, d, args.budget)
 
+
+def _lemma_checks(n: int, d: int, budget: int) -> Iterator[dict]:
     demo_w = named(f"U({n})")
     z, emb = lemma_overlattice(d, n, demo_w, find_u_block(discriminant_form(demo_w), n))
     v_det = -2 * d * n * n  # det(<2d>) * det(U(n))
@@ -275,8 +295,14 @@ def _suite_theorem(args) -> Iterator[dict]:
     """Certify Lp(d,n) = M(d,n): same genus plus the length criterion."""
     n = args.n if args.n is not None else 2
     d = args.d if args.d is not None else 2 * n
-    budget = args.budget
-    lp, m = FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n)
+    return _theorem_checks(
+        n, d, FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n),
+        args.budget)
+
+
+def _theorem_checks(
+    n: int, d: int, lp: FamilyDescriptor, m: FamilyDescriptor, budget: int
+) -> Iterator[dict]:
     gm = family_genus(m)
     yield _check(
         f"theorem-genus-n{n}-d{d}",
@@ -430,9 +456,10 @@ def cmd_genus(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
+    suites = [(name, _SUITE_FN[name](args)) for name in names]
     reports: list[VerificationReport] = []
-    for name in names:
-        reports.extend(_run_suite(name, _SUITE_FN[name](args)))
+    for name, entries in suites:
+        reports.extend(_run_suite(name, entries))
 
     if args.json:
         payload = _dumps([r.record() for r in reports])

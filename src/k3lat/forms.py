@@ -9,11 +9,20 @@ isomorphism invariant: N*q(e_i) mod 2N on the diagonal and N*b(e_i, e_j)
 mod N off it.  Every computation below reads only that integer table;
 `q_value` and `b_value` turn their result back into a fraction for
 outside callers.
+
+Whatever needs every element of the group reads one walk, `_walk`: an
+odometer over all coordinates but the last, in itertools.product order,
+that carries the value, row sums and order of each prefix forward and
+yields the run of the last coordinate in one piece.  The value table, the
+value multiset and the Gauss sums of the Milgram signature are built from
+it, and all three are cached per form (forms are frozen and hashable; a
+raised ArithmeticError is not cached).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -323,39 +332,74 @@ def _prime_part(
     return gram, orders, exp
 
 
+def _walk(
+    gram: Sequence[Sequence[int]], orders: Sequence[int], c: int
+) -> Iterator[tuple[Vec, tuple[int, ...], tuple[int, ...]]]:
+    """Walk Z/o_1 x ... x Z/o_s (s >= 1) in itertools.product order, one run
+    of the last coordinate at a time.
+
+    gram is symmetric and holds integer representatives of c*b on the
+    generators, of c*q on the diagonal.  Yields (prefix, ords, vals) for
+    each prefix of the first s-1 coordinates: the element prefix + (t,)
+    has order ords[t] and value c*q mod 2c equal to vals[t].  An odometer
+    over the prefix carries its value, its row sums (gram @ prefix mod c)
+    and the lcm of its coordinates' orders; a run depends only on the
+    value, the last row sum and that lcm, so equal runs are one object.
+    """
+    k = len(orders) - 1
+    mod = 2 * c
+    last = orders[k]
+    ord_last = [last // gcd(last, t) for t in range(last)]
+    squares = [gram[k][k] * t * t for t in range(last)]
+    ord_prefix = [[o // gcd(o, x) for x in range(o)] for o in orders[:k]]
+    ord_runs: dict[int, tuple[int, ...]] = {}
+    val_runs: dict[tuple[int, int], tuple[int, ...]] = {}
+    coords = [0] * k
+    pre = [1] * k  # pre[j]: lcm of the orders of coords[0..j]
+    row = [0] * (k + 1)
+    val, order = 0, 1
+    while True:
+        ords = ord_runs.get(order)
+        if ords is None:
+            ords = ord_runs[order] = tuple(lcm(order, o) for o in ord_last)
+        lin = 2 * row[k]
+        vals = val_runs.get((val, lin))
+        if vals is None:
+            vals = val_runs[val, lin] = tuple(
+                [(val + lin * t + sq) % mod for t, sq in enumerate(squares)])
+        yield tuple(coords), ords, vals
+        # odometer increment, last prefix coordinate fastest; a wrap back
+        # to 0 is one more step, as values depend on coords mod the orders
+        j = k - 1
+        while j >= 0:
+            col = gram[j]
+            val = (val + 2 * row[j] + col[j]) % mod
+            row = [(r + g) % c for r, g in zip(row, col)]
+            x = coords[j] + 1
+            if x < orders[j]:
+                coords[j] = x
+                order = lcm(pre[j - 1] if j else 1, ord_prefix[j][x])
+                pre[j:] = [order] * (k - j)
+                break
+            coords[j] = 0
+            j -= 1
+        else:
+            return
+
+
 def _gauss_counts(
     gmat: list[list[int]], orders: list[int], d: int, m: int
 ) -> dict[int, int]:
     """Exponent histogram over the group of zeta_m^(q(x) * m/2), where
     gmat holds d*q and d*b on generators of the given orders."""
-    s = len(orders)
-    mod = 2 * d
-    if m % mod:
+    if m % (2 * d):
         raise ArithmeticError("modulus does not clear denominators")
-    f = m // mod
+    f = m // (2 * d)
     counts: dict[int, int] = {}
-    coords = [0] * s
-    val = 0  # q(x) * d, mod 2*d
-    rowsum = [0] * s  # (gmat @ coords)_j mod 2*d
-    total = 1
-    for o in orders:
-        total *= o
-    for _ in range(total):
-        e = (val * f) % m
-        counts[e] = counts.get(e, 0) + 1
-        # odometer increment; values only depend on coords mod the orders
-        j = 0
-        while j < s:
-            val = (val + 2 * rowsum[j] + gmat[j][j]) % mod
-            for t in range(s):
-                rowsum[t] = (rowsum[t] + gmat[t][j]) % mod
-            coords[j] += 1
-            if coords[j] < orders[j]:
-                break
-            coords[j] = 0
-            j += 1
-        if j == s:
-            break
+    runs = Counter(vals for _, _, vals in _walk(gmat, orders, d))
+    for vals, n in runs.items():
+        for v in vals:
+            counts[v * f] = counts.get(v * f, 0) + n
     return counts
 
 
@@ -372,6 +416,7 @@ def _scale_counts(a: dict[int, int], c: int) -> dict[int, int]:
     return {e: v * c for e, v in a.items()}
 
 
+@lru_cache(maxsize=None)
 def milgram_signature(q: FiniteQuadraticForm) -> int:
     """Signature invariant mod 8 via exact prime-split Gauss sums.
 
@@ -379,7 +424,8 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
     sqrt(|A_p|) * zeta_8^sigma_p; the eight candidate phases are compared
     exactly in a cyclotomic ring (sqrt(2) and the odd quadratic Gauss sums
     are themselves cyclotomic integers).  Raises ArithmeticError when no
-    phase matches, which signals a degenerate or corrupted form.
+    phase matches, which signals a degenerate or corrupted form.  Cached
+    per form; a raise is not, so a degenerate form raises on every call.
     """
     if is_degenerate(q):
         raise ArithmeticError("Milgram invariant requires a non-degenerate form")
@@ -457,17 +503,31 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
 
 @lru_cache(maxsize=None)
 def _value_table(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
-    """All elements with (coords, order, N*q mod 2N), skipping zero."""
-    return tuple(
-        (x, q.element_order(x), q._q_int(x)) for x in q.elements() if any(x)
+    """All elements with (coords, order, N*q mod 2N), skipping zero, in
+    itertools.product order."""
+    if q.rank == 0:
+        return ()
+    lasts = [(t,) for t in range(q.orders[-1])]
+    elements = itertools.chain.from_iterable(
+        zip(map(prefix.__add__, lasts), ords, vals)
+        for prefix, ords, vals in _walk(q.table, q.orders, q.level)
     )
+    next(elements)  # zero
+    return tuple(elements)
 
 
+@lru_cache(maxsize=None)
 def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
-    buckets: dict[tuple[int, int], int] = {}
-    for _, o, v in _value_table(q):
-        buckets[(o, v)] = buckets.get((o, v), 0) + 1
-    return tuple(sorted((o, v, c) for (o, v), c in buckets.items()))
+    """Sorted (order, N*q mod 2N, count) over the nonzero elements."""
+    if q.rank == 0:
+        return ()
+    tally: Counter[tuple[int, int]] = Counter()
+    runs = Counter((ords, vals) for _, ords, vals in _walk(q.table, q.orders, q.level))
+    for (ords, vals), n in runs.items():
+        for key in zip(ords, vals):
+            tally[key] += n
+    del tally[1, 0]  # zero, the only element of order 1
+    return tuple(sorted((o, v, n) for (o, v), n in tally.items()))
 
 
 def _subgroup_size(q: FiniteQuadraticForm, vecs: Sequence[Vec]) -> int:
@@ -510,21 +570,21 @@ def forms_isomorphic(
     if milgram_signature(q1) != milgram_signature(q2):
         return None
 
-    table2 = _value_table(q2)
-    # equal group invariants give equal levels, so the integer values of
-    # both forms are over the same N
-    buckets: dict[tuple[int, int], list[Vec]] = {}
-    for x, o, v in table2:
-        buckets.setdefault((o, v), []).append(x)
-
     gens1 = []
     for i, o in enumerate(q1.orders):
         e = tuple(int(i == j) for j in range(q1.rank))
         gens1.append((i, e, (o, q1.table[i][i])))
-    # rarest value class first, then larger order first
-    gens1.sort(key=lambda g: (-g[2][0], len(buckets.get(g[2], [])), g[0]))
+    # equal group invariants give equal levels, so the integer values of
+    # both forms are over the same N; only the generators' value classes
+    # need candidates
+    buckets: dict[tuple[int, int], list[Vec]] = {g[2]: [] for g in gens1}
+    for x, o, v in _value_table(q2):
+        bucket = buckets.get((o, v))
+        if bucket is not None:
+            bucket.append(x)
+    # larger order first, then the rarest value class
+    gens1.sort(key=lambda g: (-g[2][0], len(buckets[g[2]]), g[0]))
 
-    order_idx = [g[0] for g in gens1]
     nodes = 0
     chosen: list[Vec] = []
 
@@ -533,7 +593,7 @@ def forms_isomorphic(
         if level == len(gens1):
             return _subgroup_size(q2, chosen) == q2.group_order
         _, e, ov = gens1[level]
-        for cand in buckets.get(ov, ()):
+        for cand in buckets[ov]:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(

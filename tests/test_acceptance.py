@@ -6,6 +6,7 @@ lines appear; under plain ``pytest -v`` each criterion is one test).
 Every check is exact integer/rational arithmetic -- tolerance zero.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -438,6 +439,9 @@ def test_criterion_09_subgroup_machinery_vs_brute_force():
 # ---------------------------------------------------------------------------
 
 
+VERIFY_ALL_SHA256 = "fc6ca61ae78935cfc7f82d7d8bf532a7e3a558c2a7f7efcd3186a5c4ea1b5e6e"
+
+
 def test_criterion_10_verify_all_is_byte_deterministic():
     cmd = [sys.executable, "-m", "k3lat.cli", "verify", "all", "--json"]
     with criterion(10, 1200, "two verify-all JSON runs are byte-identical"):
@@ -447,3 +451,6 @@ def test_criterion_10_verify_all_is_byte_deterministic():
         assert second.returncode == 0, second.stderr.decode()[-2000:]
         assert first.stdout
         assert first.stdout == second.stdout
+        # the bytes themselves are pinned too (the digest k3bench/golden.json
+        # records): a faster kernel must not change any verdict or witness
+        assert hashlib.sha256(first.stdout).hexdigest() == VERIFY_ALL_SHA256

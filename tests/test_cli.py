@@ -2,9 +2,14 @@
 files, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import k3lat
+from k3lat import cli
 from k3lat.cli import main
 
 
@@ -152,8 +157,33 @@ def test_verify_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "verify", "lemma", "--n", "2", "--d", "3")
     assert code == 2
     assert "mod 2n" in err
+    # checked before any suite runs, so nothing reaches stdout
+    code, out, err = run(capsys, "verify", "all", "--n", "9")
+    assert (code, out) == (2, "")
+    assert "between 2 and 8" in err
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+def test_failing_suite_does_not_hide_the_rest(capsys, monkeypatch):
+    def broken(args):
+        yield {"check": "theorem-first", "status": "pass", "detail": "",
+               "witness": None}
+        raise ArithmeticError("planted")
+
+    monkeypatch.setattr(cli, "SUITES", ("theorem", "mukai"))
+    monkeypatch.setitem(cli._SUITE_FN, "theorem", broken)
+    code, out, err = run(capsys, "verify", "all", "--json")
+    assert code == 1
+    entries = json.loads(out)
+    assert [e["check"] for e in entries[:2]] == ["theorem-first", "theorem-error"]
+    assert entries[1]["status"] == "fail"
+    assert entries[1]["detail"] == "ArithmeticError: planted"
+    assert "Traceback" in err
+    rest = entries[2:]
+    assert len(rest) == 12
+    assert all(e["check"].startswith("twisted-") and e["status"] == "pass"
+               for e in rest)
 
 
 def test_golden_write_match_mismatch(capsys, tmp_path):
@@ -211,3 +241,51 @@ def test_evenset_command_reports_missing_sets(capsys):
     assert data["sets"] == []
     assert data["missing"] == ["E1", "E2"]
     assert data["pencils"]["E1"]["count"] == 280
+
+
+# The theorem-genus certificate with a corrupted value table: the values of
+# two elements of the M(4,2) form (the second form that check compares) swap,
+# so the value multiset still agrees but the candidates for a generator are
+# wrong.  Only the final re-check of forms_isomorphic can catch that, and it
+# must still run when `python -O` strips asserts.
+_CORRUPT_THEOREM = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import cli, forms
+from k3lat.catalog import FamilyDescriptor, family_genus
+
+target = family_genus(FamilyDescriptor("M", 4, 2)).disc
+table = forms._value_table
+
+
+def corrupt(q):
+    out = list(table(q))
+    if q == target:
+        top = max(o for _, o, _ in out)
+        i = next(i for i, (_, o, _) in enumerate(out) if o == top)
+        j = next(j for j, (_, o, v) in enumerate(out)
+                 if o == top and v != out[i][2])
+        (x, o, v), (y, _, w) = out[i], out[j]
+        out[i], out[j] = (x, o, w), (y, o, v)
+    return tuple(out)
+
+
+forms._value_table = corrupt
+sys.exit(cli.main(["verify", "theorem", "--json"]))
+"""
+
+
+def test_corrupt_theorem_certificate_fails_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_THEOREM],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode != 0, done.stderr[-2000:]
+    entries = json.loads(done.stdout)
+    assert not any(e["check"].startswith("theorem-genus") and e["status"] == "pass"
+                   for e in entries)
+    assert entries[0]["check"] == "theorem-error"
+    assert entries[0]["detail"].startswith("ArithmeticError")

@@ -9,6 +9,7 @@ group elements, and degeneracy against a direct adjoint scan.
 import cmath
 import gc
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,8 @@ from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
     Subgroup,
+    _gauss_counts,
+    _value_multiset,
     _value_table,
     cyclic_block,
     find_u_block,
@@ -283,8 +286,11 @@ def test_milgram_signature_matches_gauss_oracle(q, _):
 
 
 def test_milgram_rejects_degenerate():
-    with pytest.raises(ArithmeticError):
-        milgram_signature(FiniteQuadraticForm((2,), ((F(0),),)))
+    q = FiniteQuadraticForm((2,), ((F(0),),))
+    # the signature is cached per form; a raise must not be
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            milgram_signature(q)
 
 
 def test_milgram_additive_and_odd():
@@ -419,6 +425,48 @@ def test_value_path_matches_fraction_oracle(data):
     vec = st.lists(st.integers(-20, 20), min_size=q.rank, max_size=q.rank).map(tuple)
     pairs = data.draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=8))
     check_value_path(q, pairs)
+
+
+# ---------------------------------------------------------------------------
+# The odometer walk against a plain listing of the elements
+# ---------------------------------------------------------------------------
+
+
+def check_walk(q):
+    plain = tuple(
+        (x, q.element_order(x), q._q_int(x)) for x in q.elements() if any(x)
+    )
+    assert _value_table(q) == plain  # element for element, in product order
+    tally = Counter((o, v) for _, o, v in plain)
+    assert _value_multiset(q) == tuple(sorted((o, v, n) for (o, v), n in tally.items()))
+    if q.rank == 0:
+        return
+    histogram = Counter(q._q_int(x) for x in q.elements())
+    for f in (1, 2):  # exponents of zeta_m, m = 2N and 4N
+        counts = _gauss_counts(q.table, q.orders, q.level, 2 * f * q.level)
+        assert counts == {v * f: n for v, n in histogram.items()}
+
+
+WALK_CASES = [
+    trivial_form(),
+    cyclic_block(8, F(3, 8)),  # rank 1: the prefix is empty
+    sum_forms([u_block(2), cyclic_block(9, F(2, 9))]),  # level 18
+    u_block(6),
+    # a run of length 2 under a longer prefix
+    sum_forms([cyclic_block(8, F(1, 8)), u_block(4), cyclic_block(2, F(1, 2))]),
+]
+
+
+@pytest.mark.parametrize("q", WALK_CASES)
+def test_walk_on_fixed_forms(q):
+    check_walk(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(regrammed_forms())
+def test_walk_matches_plain_listing(q):
+    if q.group_order <= 3000:
+        check_walk(q)
 
 
 # ---------------------------------------------------------------------------
