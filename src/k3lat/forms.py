@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .intmat import (
@@ -38,6 +39,7 @@ from .intmat import (
     inv_unimodular,
     kernel_int,
     mat_mul,
+    mat_vec,
     require,
     snf,
     solve_int,
@@ -570,47 +572,46 @@ def forms_isomorphic(
     if milgram_signature(q1) != milgram_signature(q2):
         return None
 
-    gens1 = []
-    for i, o in enumerate(q1.orders):
-        e = tuple(int(i == j) for j in range(q1.rank))
-        gens1.append((i, e, (o, q1.table[i][i])))
+    gens1 = [(i, (o, q1.table[i][i])) for i, o in enumerate(q1.orders)]
     # equal group invariants give equal levels, so the integer values of
     # both forms are over the same N; only the generators' value classes
     # need candidates
-    buckets: dict[tuple[int, int], list[Vec]] = {g[2]: [] for g in gens1}
+    buckets: dict[tuple[int, int], list[Vec]] = {g[1]: [] for g in gens1}
     for x, o, v in _value_table(q2):
         bucket = buckets.get((o, v))
         if bucket is not None:
             bucket.append(x)
     # larger order first, then the rarest value class
-    gens1.sort(key=lambda g: (-g[2][0], len(buckets[g[2]]), g[0]))
+    gens1.sort(key=lambda g: (-g[1][0], len(buckets[g[1]]), g[0]))
 
     nodes = 0
     chosen: list[Vec] = []
+    # table2 @ chosen[lv], so that N*b(chosen[lv], cand) is one dot product
+    paired: list[Vec] = []
+    level2 = q2.level
 
     def extend(level: int) -> bool:
         nonlocal nodes
         if level == len(gens1):
             return _subgroup_size(q2, chosen) == q2.group_order
-        _, e, ov = gens1[level]
+        i, ov = gens1[level]
+        # N*b of this generator with the earlier ones, which are distinct
+        # unit vectors: off-diagonal entries of q1's table
+        wants = [q1.table[gens1[lv][0]][i] for lv in range(level)]
         for cand in buckets[ov]:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
                     f"forms_isomorphic exceeded {budget} nodes"
                 )
-            ok = True
-            for lv in range(level):
-                want = q1._b_int(gens1[lv][1], e)
-                if q2._b_int(chosen[lv], cand) != want:
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(map(mul, r, cand)) % level2 != w for r, w in zip(paired, wants)):
                 continue
             chosen.append(cand)
+            paired.append(mat_vec(q2.table, cand))
             if extend(level + 1):
                 return True
             chosen.pop()
+            paired.pop()
         return False
 
     # A recursive closure is a reference cycle; break it on every exit,
@@ -621,7 +622,7 @@ def forms_isomorphic(
     finally:
         del extend
     images = [None] * q1.rank
-    for (i, _, _), img in zip(gens1, chosen):
+    for (i, _), img in zip(gens1, chosen):
         images[i] = img
     out = tuple(images)  # type: ignore[arg-type]
     # transporting q and b is guaranteed by the constraints; re-verify
@@ -783,23 +784,6 @@ def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:
     if out.group_order * h.order * h.order != q.group_order:
         raise ArithmeticError("quotient size mismatch: subgroup not isotropic?")
     return out
-
-
-def orthogonal_complement_form(
-    q: FiniteQuadraticForm, gens: Sequence[Vec]
-) -> FiniteQuadraticForm:
-    """Form restricted to the orthogonal complement of the given subgroup.
-
-    Intended for non-degenerate distinguished blocks, where the complement
-    meets the block trivially and carries the full remaining form.
-    """
-    perp = _orthogonal_lattice(q, gens)
-    k = q.rank
-    sub = tuple(
-        tuple(q.orders[i] if i == j else 0 for j in range(k)) for i in range(k)
-    )
-    orders, lifts = _quotient_structure(perp, sub)
-    return _form_on_subquotient(q, orders, lifts)
 
 
 def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:

@@ -2,8 +2,13 @@
 
 Everything in this package runs on arbitrary-precision integers and
 `fractions.Fraction`; there is deliberately no floating point anywhere.
-Matrices are plain sequences of row sequences.  Functions return tuples of
-tuples so results can live inside frozen dataclasses.
+The eliminations here are fraction-free and run on integers: Hermite and
+Smith forms by extended gcds, and determinants, signatures, LDL^T and
+adjugates by Bareiss elimination.  A `Fraction` appears only in a
+returned rational value (`inv_frac`, the values and centre of
+`fp_enumerate`).  Matrices are plain sequences of row sequences.
+Functions return tuples of tuples so results can live inside frozen
+dataclasses.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-FracVec = tuple[Fraction, ...]
-FracMat = tuple[FracVec, ...]
+FracMat = tuple[tuple[Fraction, ...], ...]
 
 
 def require(ok: bool, message: str) -> None:
@@ -248,71 +252,163 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
     return freeze(d), freeze(u), freeze(v)
 
 
-def det_int(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def rank_int(a: Sequence[Sequence[int]]) -> int:
     return len(hnf_basis(a)) if a else 0
 
 
 # ---------------------------------------------------------------------------
-# Rational solving
+# Fraction-free (Bareiss) elimination
 # ---------------------------------------------------------------------------
+#
+# Every elimination below runs on integers.  After k pivots of the one-step
+# scheme of Bareiss (1968, "Sylvester's identity and multistep
+# integer-preserving Gaussian elimination") each remaining entry is a minor
+# of order k + 1 of the input, so the division by the previous pivot is
+# exact; `require` checks that it is, also under `python -O`.
 
 
-def solve_frac(a: Sequence[Sequence], b: Sequence) -> FracVec | None:
-    """One rational solution of a @ x = b, or None if inconsistent.
+def _bareiss_update(
+    p: int, f: int, row: Sequence[int], pivot_row: Sequence[int], prev: int
+) -> list[int]:
+    """(p * row - f * pivot_row) / prev, entry by entry: one fraction-free
+    elimination step of `row` against the pivot row, whose pivot is p."""
+    nums = [p * x - f * y for x, y in zip(row, pivot_row)]
+    if prev == 1:
+        return nums
+    require(not any(x % prev for x in nums),
+            "a fraction-free elimination step is not exact")
+    return [x // prev for x in nums]
 
-    When the solution space is positive-dimensional an arbitrary (but
-    deterministic) representative is returned.
+
+def _bareiss_step(a: list[list[int]], prev: int) -> list[list[int]]:
+    """Eliminate the first row and column of the block `a`, whose pivot
+    a[0][0] is nonzero; `prev` is the pivot of the step before (1 at the
+    first).  Returns the remaining block, one order smaller."""
+    p = a[0][0]
+    head = a[0][1:]
+    return [_bareiss_update(p, row[0], row[1:], head, prev) for row in a[1:]]
+
+
+def det_int(a: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    m = [list(map(int, row)) for row in a]
+    if not m:
+        return 1
+    sign = prev = 1
+    while len(m) > 1:
+        if not m[0][0]:
+            piv = next((i for i in range(1, len(m)) if m[i][0]), None)
+            if piv is None:
+                return 0
+            m[0], m[piv] = m[piv], m[0]
+            sign = -sign
+        p = m[0][0]
+        m = _bareiss_step(m, prev)
+        prev = p
+    return sign * m[0][0]
+
+
+def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, Mat]:
+    """(det a, adj a) of a nonsingular integer matrix, adj a @ a = det a * I.
+
+    Fraction-free Gauss-Jordan elimination of [a | I]: every row but the
+    pivot row takes the Bareiss step, so the left block ends as d * I and
+    the right block as d * a^-1, where d = +-det a (the sign of the row
+    swaps).  Raises ZeroDivisionError if `a` is singular.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
+    n = len(a)
+    m = [list(map(int, row)) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
         if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(m):
-        if aug[i][n] and not any(aug[i][j] for j in range(n)):
-            return None
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return tuple(x)
+            raise ZeroDivisionError("matrix is singular")
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        p = m[k][k]
+        pivot_row = m[k]
+        m = [row if i == k else _bareiss_update(p, row[k], row, pivot_row, prev)
+             for i, row in enumerate(m)]
+        prev = p
+    return sign * prev, freeze(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Exact signature (n_plus, n_minus, n_zero) of a symmetric integer matrix.
+
+    Symmetric Bareiss elimination: each pivot is a nonzero diagonal entry
+    of the remaining block, moved to the front by a symmetric permutation.
+    A block whose diagonal is all zero first takes the congruence
+    row_k += row_l, col_k += col_l with a_kl != 0, which makes a_kk = 2 a_kl.
+    The pivots p_1, p_2, ... are the leading principal minors of the
+    permuted and transformed matrix, so the i-th diagonal entry of its
+    LDL^T is p_i / p_{i-1} and has the sign of p_i * p_{i-1} (p_0 = 1).
+    """
+    a = [list(map(int, row)) for row in gram]
+    n = len(a)
+    pos = neg = 0
+    prev = 1
+    while a:
+        k = len(a)
+        t = next((i for i in range(k) if a[i][i]), None)
+        if t is None:
+            pair = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]), None)
+            if pair is None:
+                break  # the remaining block is identically zero
+            t, j = pair
+            a[t] = [x + y for x, y in zip(a[t], a[j])]
+            for row in a:
+                row[t] += row[j]
+        a[0], a[t] = a[t], a[0]
+        for row in a:
+            row[0], row[t] = row[t], row[0]
+        p = a[0][0]
+        if p * prev > 0:
+            pos += 1
+        else:
+            neg += 1
+        a = _bareiss_step(a, prev)
+        prev = p
+    return pos, neg, n - pos - neg
+
+
+def ldl_int(gram: Sequence[Sequence[int]]) -> tuple[Vec, Mat]:
+    """Fraction-free LDL^T of the positive definite leading block.
+
+    Symmetric Bareiss elimination in the given order, which stops before
+    the first pivot that is not positive.  Returns (p, rows): p[i] is the
+    leading principal minor of order i + 1 and rows[i] the Bareiss row i,
+    over columns i..n-1 (so rows[i][0] = p[i]).  With p_{-1} = 1,
+
+        Q(x) = sum_i d_i (x_i + sum_{j>i} l_ij x_j)^2,
+        d_i = p[i] / p[i-1],   l_ij = rows[i][j - i] / p[i],
+
+    over the first len(p) coordinates; len(p) is the order of the largest
+    positive definite leading block, n when the matrix is positive definite.
+    """
+    a = [list(map(int, row)) for row in gram]
+    pivots: list[int] = []
+    rows: list[Vec] = []
+    prev = 1
+    while a and a[0][0] > 0:
+        p = a[0][0]
+        pivots.append(p)
+        rows.append(tuple(a[0]))
+        a = _bareiss_step(a, prev)
+        prev = p
+    return tuple(pivots), tuple(rows)
+
+
+def _div_exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    require(not r, f"{num} is not divisible by {den}")
+    return q
+
+
+# ---------------------------------------------------------------------------
+# Solving and inverting
+# ---------------------------------------------------------------------------
 
 
 def solve_int(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vec | None:
@@ -338,103 +434,21 @@ def solve_int(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vec | None:
     return vec_mat(y, u)  # x = u^T @ y
 
 
-def inv_frac(a: Sequence[Sequence]) -> FracMat:
-    """Exact inverse of a square matrix over Q."""
-    n = len(a)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return freeze(row[n:] for row in aug)
+def inv_frac(a: Sequence[Sequence[int]]) -> FracMat:
+    """Exact inverse of a nonsingular integer matrix over Q: its adjugate
+    over its determinant."""
+    d, adj = adjugate(a)
+    return freeze(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def inv_unimodular(a: Sequence[Sequence[int]]) -> Mat:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = inv_frac(a)
-    out = freeze(tuple(int(x) for x in row) for row in inv)
-    if any(Fraction(out[i][j]) != inv[i][j] for i in range(len(a)) for j in range(len(a))):
+    """Inverse of a unimodular integer matrix, as an integer matrix: the
+    transform U of the row Hermite form U @ a = H, which is I exactly when
+    `a` is unimodular."""
+    h, u = hnf_row(a)
+    if h != identity(len(a)):
         raise ValueError("matrix is not unimodular")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Symmetric reduction (signature) and LDL^T
-# ---------------------------------------------------------------------------
-
-
-def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact signature (n_plus, n_minus, n_zero) of a symmetric matrix.
-
-    Symmetric congruence reduction over Q.  A block with all-zero diagonal
-    is handled by the congruence row_i += row_j (a 2x2 hyperbolic pivot,
-    which contributes one positive and one negative inertia index).
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        i = next((k for k in active if a[k][k]), None)
-        if i is None:
-            pair = next(
-                ((k, l) for k in active for l in active if k != l and a[k][l]), None
-            )
-            if pair is None:
-                break  # remaining block is identically zero
-            k, l = pair
-            for j in range(n):
-                a[k][j] += a[l][j]
-            for j in range(n):
-                a[j][k] += a[j][l]
-            i = k
-        d = a[i][i]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        active.remove(i)
-        for k in active:
-            if a[k][i]:
-                f = a[k][i] / d
-                for j in range(n):
-                    a[k][j] -= f * a[i][j]
-                for j in range(n):
-                    a[j][k] -= f * a[j][i]
-    return pos, neg, n - pos - neg
-
-
-def ldl(gram: Sequence[Sequence]) -> tuple[FracVec, FracMat]:
-    """LDL^T decomposition of a positive definite symmetric matrix.
-
-    Returns (d, l) with Q(x) = sum_i d_i (x_i + sum_{j>i} l[i][j] x_j)^2.
-    Raises ValueError if the matrix is not positive definite.
-    """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
-            raise ValueError("matrix is not positive definite")
-        for j in range(i + 1, n):
-            l[i][j] = a[i][j] / d[i]
-        for j in range(i + 1, n):
-            for k in range(j, n):
-                a[j][k] -= a[i][j] * a[i][k] / d[i]
-                a[k][j] = a[j][k]
-    return tuple(d), freeze(l)
+    return u
 
 
 def fp_enumerate(
@@ -445,9 +459,10 @@ def fp_enumerate(
 ) -> list[tuple[Vec, Fraction]]:
     """All integer x with lower <= Q(x + center) <= upper, Q positive definite.
 
-    Fincke-Pohst over the integers.  The rational LDL^T data are scaled
-    once to common denominators: with L the lcm of the denominators of
-    the l[i][j] and of `center`, and D that of the d[i],
+    Fincke-Pohst over the integers.  The LDL^T data d_i = p_i / p_{i-1}
+    and l_ij = r_ij / p_i are read off the Bareiss minors p_i and rows r_i
+    of `ldl_int` and scaled once to common denominators: with L the lcm of
+    the denominators of the l_ij and of `center`, and D that of the d_i,
 
         Q(x + center) * D L^4 = sum_i a_i (L^2 x_i + K_i)^2,
 
@@ -465,16 +480,20 @@ def fp_enumerate(
     lower = Fraction(lower)
     if n == 0:
         return [((), Fraction(0))] if lower <= 0 <= upper else []
-    d, l = ldl(gram_posdef)
+    p, rows = ldl_int(gram_posdef)
+    if len(p) < n:
+        raise ValueError("matrix is not positive definite")
+    prev = (1,) + p[:-1]
     cen = [Fraction(c) for c in center] if center is not None else [Fraction(0)] * n
-    den = lcm(*(di.denominator for di in d))
-    big = lcm(*(c.denominator for c in cen), *(q.denominator for row in l for q in row))
+    den = lcm(*(pm // gcd(pi, pm) for pi, pm in zip(p, prev)))
+    big = lcm(*(c.denominator for c in cen),
+              *(pi // gcd(r, pi) for pi, row in zip(p, rows) for r in row[1:]))
     scale = den * big**4
     step = big * big
-    a = [int(di * den) for di in d]
+    a = [_div_exact(pi * den, pm) for pi, pm in zip(p, prev)]
     lc = [int(c * big) for c in cen]
     # K_i = k0[i] + L * sum_{j>i} ll[i][j - i - 1] * x_j
-    ll = [[int(l[i][j] * big) for j in range(i + 1, n)] for i in range(n)]
+    ll = [[_div_exact(r * big, pi) for r in row[1:]] for pi, row in zip(p, rows)]
     k0 = [big * lc[i] + sum(map(mul, ll[i], lc[i + 1:])) for i in range(n)]
     top = upper.numerator * scale // upper.denominator
     bottom = -(-lower.numerator * scale // lower.denominator)

@@ -36,6 +36,7 @@ from .forms import find_u_block, length
 from .intmat import (
     Mat,
     Vec,
+    adjugate,
     det_int,
     dot,
     fp_enumerate,
@@ -45,11 +46,10 @@ from .intmat import (
     inv_frac,
     inv_unimodular,
     kernel_int,
-    ldl,
+    ldl_int,
     mat_mul,
     mat_vec,
     require,
-    solve_frac,
     solve_int,
     transpose,
     vec_add,
@@ -482,16 +482,16 @@ def base_change_report() -> list[dict]:
 
 def _negdef_tail_start(g: Mat) -> int:
     """Smallest m such that the trailing (n-m)-block of the Gram matrix is
-    negative definite (m = n when even the empty tail is all that works)."""
+    negative definite (m = n when even the empty tail is all that works).
+
+    By Sylvester's criterion the trailing blocks of sizes 1..k are all
+    negative definite exactly when the leading minors of orders 1..k of
+    -G in reversed order are positive, so one elimination of that matrix
+    finds the largest such k.
+    """
     n = len(g)
-    for m in range(n + 1):
-        sub = [[-g[i][j] for j in range(m, n)] for i in range(m, n)]
-        try:
-            ldl(sub)
-            return m
-        except ValueError:
-            continue
-    return n
+    rev = [[-g[i][j] for j in reversed(range(n))] for i in reversed(range(n))]
+    return n - len(ldl_int(rev)[0])
 
 
 def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[Vec]:
@@ -522,6 +522,11 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     a_rows = freeze(
         tuple(dot(ki, mat_vec(dpos, kj)) for kj in krows) for ki in krows
     )
+    if a_rows:
+        # the shell form is fixed for the pencil: solve A beta = b for each
+        # prefix as beta = adj(A) b / det(A)
+        det_a, adj_a = adjugate(a_rows)
+        require(det_a > 0, "the shell form is not positive definite")
 
     out: set[Vec] = set()
     for pre in product(range(-bound, bound + 1), repeat=m):
@@ -546,8 +551,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         lin = vec_sub(c, mat_vec(dpos, wr))
         b_vec = tuple(dot(lin, k) for k in krows)
         if a_rows:
-            beta = solve_frac(a_rows, b_vec)
-            require(beta is not None, "the shell form is not positive definite")
+            beta = tuple(Fraction(x, det_a) for x in mat_vec(adj_a, b_vec))
             tau = rhs + dot(beta, b_vec)
             if tau < 0:
                 continue

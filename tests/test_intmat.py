@@ -9,11 +9,13 @@ import pathlib
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3lat
 from k3lat.intmat import (
+    adjugate,
     det_int,
     fp_enumerate,
     hnf_basis,
@@ -22,16 +24,23 @@ from k3lat.intmat import (
     inv_frac,
     inv_unimodular,
     kernel_int,
-    ldl,
+    ldl_int,
     mat_mul,
     mat_vec,
     rank_int,
     signature,
     snf,
-    solve_frac,
     solve_int,
     transpose,
     xgcd,
+)
+from rational_oracles import (
+    conjugated_grams,
+    inv_gauss_jordan,
+    ldl_frac,
+    signature_frac,
+    solve_frac,
+    unimodular_mats,
 )
 
 # --- independent oracles ---------------------------------------------------
@@ -229,17 +238,120 @@ def test_inverse_roundtrip():
     )
     u = ((1, 3, 0), (0, 1, 2), (0, 0, 1))
     assert mat_mul(inv_unimodular(u), u) == identity(3)
+    for bad in (a, ((2, 0), (0, 1)), ((1, 2), (2, 4)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="not unimodular"):
+            inv_unimodular(bad)
+    with pytest.raises(ZeroDivisionError):
+        inv_frac(((1, 2), (2, 4)))
+
+
+def ldl_rebuild(p, rows, n):
+    """The Gram sum_i r_i r_i^T / (p_{i-1} p_i) of ldl_int's data, each r_i
+    padded with i leading zeros: G itself when G is positive definite."""
+    prev = (1,) + tuple(p[:-1])
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i, (pi, pm, row) in enumerate(zip(p, prev, rows)):
+        r = (0,) * i + tuple(row)
+        for j in range(n):
+            for k in range(n):
+                out[j][k] += Fraction(r[j] * r[k], pm * pi)
+    return tuple(map(tuple, out))
+
+
+def ldl_frac_data(p, rows):
+    """(d, l) of ldl_frac read off ldl_int's minors and Bareiss rows."""
+    n = len(p)
+    prev = (1,) + tuple(p[:-1])
+    d = tuple(Fraction(pi, pm) for pi, pm in zip(p, prev))
+    l = tuple(
+        tuple(Fraction(rows[i][j - i], p[i]) if j > i else Fraction(0) for j in range(n))
+        for i in range(n)
+    )
+    return d, l
 
 
 def test_ldl_reconstructs_quadratic_form():
     g = ((4, 2, 0), (2, 3, 1), (0, 1, 5))
-    d, l = ldl(g)
+    p, rows = ldl_int(g)
+    d, l = ldl_frac_data(p, rows)
     for x in itertools.product(range(-2, 3), repeat=3):
         q = sum(
             d[i] * (x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 3))) ** 2
             for i in range(3)
         )
         assert q == quad_value(g, x)
+    assert (d, l) == ldl_frac(g)
+    assert ldl_rebuild(p, rows, 3) == g
+
+
+def posdef_of(a):
+    """a a^T + I, positive definite for any square integer matrix a."""
+    n = len(a)
+    aat = mat_mul(a, transpose(a))
+    return tuple(tuple(x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(aat))
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugated_grams())
+def test_bareiss_signature_matches_rational_oracle(case):
+    g, h = case
+    assert signature(g) == signature_frac(g)
+    assert signature(h) == signature_frac(h) == signature(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_grams())
+def test_ldl_int_matches_rational_oracle(case):
+    for a in case + tuple(posdef_of(a) for a in case):
+        n = len(a)
+        p, rows = ldl_int(a)
+        # len(p) is the order of the largest positive definite leading block
+        k = 0
+        while k < n:
+            try:
+                ldl_frac([row[:k + 1] for row in a[:k + 1]])
+            except ValueError:
+                break
+            k += 1
+        assert len(p) == len(rows) == k
+        assert all(len(row) == n - i for i, row in enumerate(rows))
+        if k == n:
+            assert ldl_frac_data(p, rows) == ldl_frac(a)
+            assert ldl_rebuild(p, rows, n) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(conjugated_grams(), st.lists(st.integers(-9, 9), min_size=5, max_size=5))
+def test_adjugate_solves_and_inverts_like_rational_oracle(case, b):
+    for a in case:
+        n = len(a)
+        b = tuple(b[:n])
+        if det_int(a) == 0:
+            with pytest.raises(ZeroDivisionError):
+                adjugate(a)
+            with pytest.raises(ZeroDivisionError):
+                inv_gauss_jordan(a)
+            continue
+        d, adj = adjugate(a)
+        assert d == det_int(a)
+        assert mat_mul(adj, a) == mat_mul(a, adj) == tuple(
+            tuple(d * (i == j) for j in range(n)) for i in range(n))
+        beta = tuple(Fraction(x, d) for x in mat_vec(adj, b))
+        assert beta == solve_frac(a, b)
+        assert inv_frac(a) == inv_gauss_jordan(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(unimodular_mats(n), small_mats)))
+def test_inv_unimodular_matches_rational_oracle(case):
+    u, a = case
+    assert inv_unimodular(u) == inv_gauss_jordan(u)
+    assert mat_mul(inv_unimodular(u), u) == identity(len(u))
+    if abs(det_int(a)) != 1:
+        with pytest.raises(ValueError, match="not unimodular"):
+            inv_unimodular(a)
+    else:
+        assert inv_unimodular(a) == inv_gauss_jordan(a)
 
 
 def brute_ellipsoid(g, lower, upper, box=8):

@@ -8,31 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat.intmat import det_int, hnf_basis, identity, mat_mul, snf, transpose
+from k3lat.intmat import det_int, hnf_basis, ldl_int, mat_mul, snf, solve_int, transpose
+from rational_oracles import conjugated_grams
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
-
-
-@st.composite
-def conjugated_grams(draw):
-    """A symmetric integer Gram G, possibly singular, and U G U^T for a
-    random U in GL_n(Z) built from elementary row operations."""
-    n = draw(st.integers(1, 5))
-    g = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
-    u = [list(row) for row in identity(n)]
-    for _ in range(draw(st.integers(0, 10))):
-        i = draw(st.integers(0, n - 1))
-        j = draw(st.integers(0, n - 1))
-        if i == j:
-            u[i] = [-x for x in u[i]]
-        else:
-            c = draw(st.integers(-3, 3))
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-    return g, mat_mul(mat_mul(u, g), transpose(u))
 
 
 def sympy_hnf_basis(a):
@@ -59,3 +39,56 @@ def test_det_snf_hnf_match_sympy(case):
     g, h = case
     assert det_int(g) == det_int(h)
     assert snf(g)[0] == snf(h)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(conjugated_grams())
+def test_ldl_int_matches_sympy_ldl(case):
+    # a a^T + I is positive definite, where the LDL^T is unique
+    for a in case:
+        n = len(a)
+        g = [[x + (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(mat_mul(a, transpose(a)))]
+        p, rows = ldl_int(g)
+        assert len(p) == n
+        lo, d = sympy.Matrix(g).LDLdecomposition()
+        prev = (1,) + p[:-1]
+        for i in range(n):
+            assert d[i, i] == sympy.Rational(p[i], prev[i])
+            for j in range(i + 1, n):
+                assert lo[j, i] == sympy.Rational(rows[i][j - i], p[i])
+
+
+def sympy_solvable(a, b):
+    """Whether a @ x = b has an integer solution: exactly when a and [a | b]
+    have the same nonzero invariant factors (Smith normal forms by sympy)."""
+    def factors(m):
+        s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
+        return sorted(abs(s[i, i]) for i in range(min(s.shape)) if s[i, i])
+    return factors(a) == factors([list(row) + [x] for row, x in zip(a, b)])
+
+
+@st.composite
+def linear_systems(draw):
+    """An integer m x n system a @ x = b: b = a @ x for an integer x, or a
+    random b, which is often insolvable over Z when a is not unimodular."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        b = [sum(r * xi for r, xi in zip(row, x)) for row in a]
+    else:
+        b = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_int_matches_sympy_solvability(case):
+    a, b = case
+    x = solve_int(a, b)
+    assert (x is not None) == sympy_solvable(a, b)
+    if x is not None:
+        assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
