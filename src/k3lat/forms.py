@@ -204,15 +204,16 @@ def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
 
 
 def group_invariants(orders: Sequence[int]) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of the product of cyclic groups."""
-    k = len(orders)
-    if k == 0:
-        return ()
-    diag = tuple(
-        tuple(orders[i] if i == j else 0 for j in range(k)) for i in range(k)
-    )
-    d, _, _ = snf(diag)
-    return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
+    """Invariant factors d_1 | d_2 | ... of the product of cyclic groups.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); applied to every pair i < j in
+    turn, it leaves d_i dividing every later entry.
+    """
+    d = list(orders)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return tuple(x for x in d if x > 1)
 
 
 def length(q: FiniteQuadraticForm) -> int:
@@ -714,15 +715,11 @@ def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:
         return identity(k)
     n = q.level
     s = len(gens)
-    cols = [
-        [sum(q.table[i][j] * g[j] for j in range(k)) for i in range(k)] for g in gens
-    ]
-    # x satisfies cols_j . x == 0 mod N for all j; take the x-part of the
-    # integer kernel of (x, y) -> B^T x + N*y
+    # x satisfies (table g_j) . x == 0 mod N for all j; take the x-part of
+    # the integer kernel of (x, y) -> B^T x + N*y
     amat = [
-        tuple(cols[j][i] for i in range(k))
-        + tuple(n if t == j else 0 for t in range(s))
-        for j in range(s)
+        mat_vec(q.table, g) + tuple(n if t == j else 0 for t in range(s))
+        for j, g in enumerate(gens)
     ]
     ker = kernel_int(amat)
     rows = [tuple(col[:k]) for col in transpose(ker)]

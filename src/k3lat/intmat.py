@@ -44,21 +44,19 @@ def transpose(a: Sequence[Sequence]) -> tuple:
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def vec_mat(v: Sequence, a: Sequence[Sequence]) -> tuple:
-    return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*a))
+    return tuple(sum(map(mul, v, col)) for col in zip(*a))
 
 
 def dot(u: Sequence, v: Sequence) -> int | Fraction:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

@@ -1,10 +1,12 @@
 """Integral lattices: even bilinear forms over Z with exact arithmetic.
 
-A lattice is stored as an integer Gram matrix; a vector is an integer
-coordinate tuple, and the pairing of v, w is v * G * w^T.  Embeddings store
-images of the sub-basis as matrix columns; isometries act on coordinate
-columns.  All computations are exact (integers and Fractions, no floating
-point).
+A lattice is stored as an integer Gram matrix G; a vector is an integer
+coordinate tuple of length `rank` (any other length raises ValueError), and
+the pairing of v, w is v * G * w^T.  The Gram matrix of basis rows B is the
+matrix product B * G * B^T, so every change of basis, embedding check and
+isometry check is one `gram_in_basis`.  Embeddings store images of the
+sub-basis as matrix columns; isometries act on coordinate columns.  All
+computations are exact (integers and Fractions, no floating point).
 """
 
 from __future__ import annotations
@@ -80,11 +82,8 @@ class IntegralLattice:
         return self.pairing(v, v)
 
     def pairing(self, v: Sequence[int], w: Sequence[int]) -> int:
-        g = self.gram
-        n = self.rank
-        return sum(
-            v[i] * g[i][j] * w[j] for i in range(n) for j in range(n) if v[i]
-        )
+        _check_lengths(self, (v, w))
+        return dot(v, mat_vec(self.gram, w))
 
     def relabel(self, label: str | None) -> "IntegralLattice":
         return IntegralLattice(self.gram, label)
@@ -135,10 +134,18 @@ def rescale(lat: IntegralLattice, n: int) -> IntegralLattice:
     )
 
 
+def _check_lengths(lat: IntegralLattice, vectors: Sequence[Sequence[int]]) -> None:
+    n = len(lat.gram)
+    for v in vectors:
+        if len(v) != n:
+            raise ValueError(f"coordinate vectors must have length {n}, the rank")
+
+
 def gram_in_basis(lat: IntegralLattice, rows: Sequence[Sequence[int]]) -> Mat:
-    """Gram matrix of the given coordinate vectors inside the lattice."""
-    return freeze(
-        tuple(lat.pairing(v, w) for w in rows) for v in rows
+    """Gram matrix B * G * B^T of the coordinate rows B inside the lattice."""
+    _check_lengths(lat, rows)
+    return tuple(
+        tuple(dot(bg, w) for w in rows) for bg in mat_mul(rows, lat.gram)
     )
 
 
@@ -198,19 +205,15 @@ class IsometryAction:
     label: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        g = self.lattice.gram
-        m = self.matrix
-        if mat_mul(mat_mul(transpose(m), g), m) != g:
+        lat = self.lattice
+        if gram_in_basis(lat, transpose(self.matrix)) != lat.gram:
             raise ValueError("matrix does not preserve the form")
-        if det_int(m) not in (1, -1):
+        if det_int(self.matrix) not in (1, -1):
             raise ValueError("matrix is not invertible over Z")
 
     def apply(self, v: Sequence[int]) -> Vec:
-        m = self.matrix
-        n = self.lattice.rank
-        return tuple(
-            sum(m[i][j] * v[j] for j in range(n)) for i in range(n)
-        )
+        _check_lengths(self.lattice, (v,))
+        return mat_vec(self.matrix, v)
 
     @property
     def is_involution(self) -> bool:
@@ -250,20 +253,18 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
     d, _, v = snf(lat.gram)
     orders = [d[i][i] for i in range(n)]
     keep = [i for i in range(n) if orders[i] > 1]
-    lifts = tuple(
-        tuple(Fraction(v[r][i], orders[i]) for r in range(n)) for i in keep
-    )
+    vt = transpose(v)
+    lifts = tuple(tuple(Fraction(x, orders[i]) for x in vt[i]) for i in keep)
     # lift i is column i of V over d_i: its pairings are (V^T G V)_ij / d_i d_j
-    cols = [tuple(v[r][i] for r in range(n)) for i in keep]
-    g_cols = [mat_vec(lat.gram, c) for c in cols]
-    gram = []
-    for a, i in enumerate(keep):
-        row = []
-        for b, j in enumerate(keep):
-            val = Fraction(dot(cols[a], g_cols[b]), orders[i] * orders[j])
-            row.append(val % 2 if a == b else val % 1)
-        gram.append(tuple(row))
-    form = FiniteQuadraticForm(tuple(orders[i] for i in keep), tuple(gram))
+    vgv = gram_in_basis(lat, [vt[i] for i in keep])
+    gram = tuple(
+        tuple(
+            Fraction(vgv[a][b], orders[i] * orders[j]) % (2 if a == b else 1)
+            for b, j in enumerate(keep)
+        )
+        for a, i in enumerate(keep)
+    )
+    form = FiniteQuadraticForm(tuple(orders[i] for i in keep), gram)
     return DiscriminantData(form, lifts)
 
 
@@ -404,10 +405,11 @@ def root_count(lat: IntegralLattice) -> int:
 
 def is_isometry(lat: IntegralLattice, m: Sequence[Sequence[int]]) -> bool:
     """True when x -> m @ x preserves the form and is invertible over Z."""
-    mm = freeze(m)
-    if mat_mul(mat_mul(transpose(mm), lat.gram), mm) != lat.gram:
+    try:
+        IsometryAction(lat, freeze(m))
+    except ValueError:
         return False
-    return det_int(mm) in (1, -1)
+    return True
 
 
 def is_isometric_definite(
@@ -487,7 +489,7 @@ def is_isometric_definite(
     for idx, vec in zip(order, chosen):
         rows[idx] = vec
     m = transpose(freeze(rows))
-    require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
+    require(gram_in_basis(l2, transpose(m)) == l1.gram,
             "the isometry does not carry the second Gram matrix to the first")
     return m
 

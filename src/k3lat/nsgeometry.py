@@ -511,17 +511,16 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     f = mat_vec(g, e)
     m = _negdef_tail_start(g)
     t = n - m
-    gt = [row[m:] for row in g[m:]]
-    dpos = freeze(tuple(-x for x in row) for row in gt)
+    g_pre = [row[:m] for row in g[:m]]
+    g_tail_pre = [row[:m] for row in g[m:]]
+    dpos = freeze(tuple(-x for x in row[m:]) for row in g[m:])
     f_pre, f_tail = f[:m], f[m:]
     tail_constrained = any(f_tail)
     if tail_constrained:
         krows = hnf_basis(transpose(kernel_int((f_tail,))))
     else:
         krows = identity(t)
-    a_rows = freeze(
-        tuple(dot(ki, mat_vec(dpos, kj)) for kj in krows) for ki in krows
-    )
+    a_rows = gram_in_basis(IntegralLattice(dpos), krows)
     if a_rows:
         # the shell form is fixed for the pencil: solve A beta = b for each
         # prefix as beta = adj(A) b / det(A)
@@ -539,17 +538,13 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             if r != 0:
                 continue
             wr = (0,) * t
-        c = tuple(
-            sum(pre[i] * g[i][m + j] for i in range(m)) for j in range(t)
-        )
-        q_pre = sum(
-            pre[i] * pre[j] * g[i][j] for i in range(m) for j in range(m)
-        )
+        c = mat_vec(g_tail_pre, pre)
+        q_pre = dot(pre, mat_vec(g_pre, pre))
         # target: 2 c.w - w Dpos w = -2 - q_pre on the affine slice w = wr + z K
         n_wr = 2 * dot(c, wr) - dot(wr, mat_vec(dpos, wr))
         rhs = n_wr + 2 + q_pre  # z A z - 2 b.z = rhs
         lin = vec_sub(c, mat_vec(dpos, wr))
-        b_vec = tuple(dot(lin, k) for k in krows)
+        b_vec = mat_vec(krows, lin)
         if a_rows:
             beta = tuple(Fraction(x, det_a) for x in mat_vec(adj_a, b_vec))
             tau = rhs + dot(beta, b_vec)
@@ -737,7 +732,7 @@ def _certified_definite_isometry(
     if m2 is None:
         return None
     m = mat_mul(m2, transpose(inv_unimodular(s)))
-    require(mat_mul(mat_mul(transpose(m), l2.gram), m) == l1.gram,
+    require(gram_in_basis(l2, transpose(m)) == l1.gram,
             "the isometry certificate does not carry one Gram to the other")
     return m
 

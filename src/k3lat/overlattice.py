@@ -23,7 +23,7 @@ from .forms import (
     milgram_signature,
     quotient_form,
 )
-from .intmat import Vec, freeze, hnf_basis, require, solve_int, transpose
+from .intmat import Vec, adjugate, freeze, hnf_basis, require, transpose, vec_mat
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -31,19 +31,47 @@ from .lattice import (
     direct_sum,
     discriminant_group,
     from_rows,
+    gram_in_basis,
     is_primitive,
 )
 
 
 def _lift_of(disc: DiscriminantData, coords: Sequence[int]) -> tuple[Fraction, ...]:
     """Rational ambient row for an element of the discriminant group."""
-    n = len(disc.lifts[0]) if disc.lifts else 0
-    out = [Fraction(0)] * n
-    for c, lift in zip(coords, disc.lifts):
-        if c:
-            for i in range(n):
-                out[i] += c * lift[i]
-    return tuple(out)
+    return vec_mat(coords, disc.lifts)
+
+
+def _congruence_quotient(d: int, m: int) -> int:
+    """k with d = 2km, the congruence d = 0 mod 2m that the glue needs."""
+    if d <= 0 or m <= 0:
+        raise ValueError("d and m must be positive")
+    if d % (2 * m):
+        raise ValueError(f"congruence violated: {d} is not 0 mod {2 * m}")
+    return d // (2 * m)
+
+
+def _u_pair(
+    q: FiniteQuadraticForm,
+    e1: Sequence[int],
+    e2: Sequence[int],
+    m: int,
+    orthogonal_to: Sequence[int] | None = None,
+) -> tuple[Vec, Vec]:
+    """The u(m) pair (e1, e2) of q, with e2 negated if need be so that
+    b(e1, e2) = -1/m: both of order m with q = 0 (and, if given, orthogonal
+    to `orthogonal_to`)."""
+    e1, e2 = tuple(e1), tuple(e2)
+    for e in (e1, e2):
+        if q.element_order(e) != m or q.q_value(e) != 0:
+            raise ValueError("u(m) block not found at the supplied coordinates")
+        if orthogonal_to is not None and q.b_value(orthogonal_to, e) != 0:
+            raise ValueError("u(m) block is not orthogonal to the (1/2d) part")
+    b = q.b_value(e1, e2)
+    if b == Fraction(1, m) % 1:
+        e2 = tuple(-c for c in e2)
+    elif b != Fraction(-1, m) % 1:
+        raise ValueError("u(m) block not found at the supplied coordinates")
+    return e1, e2
 
 
 def _glue_overlattice(
@@ -59,24 +87,18 @@ def _glue_overlattice(
     rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(c * den) for c in lift] for lift in lifts]
     basis = hnf_basis(rows)
-    gram = []
-    for r1 in basis:
-        row = []
-        for r2 in basis:
-            val = lat.pairing(r1, r2)
-            if val % (den * den):
-                raise ArithmeticError("glue lift does not pair integrally")
-            row.append(val // (den * den))
-        gram.append(tuple(row))
-    z = IntegralLattice(freeze(gram))
-    emb_rows = []
-    for i in range(n):
-        target = tuple(den if i == j else 0 for j in range(n))
-        x = solve_int(transpose(basis), target)
-        if x is None:
-            raise ArithmeticError("original lattice does not embed")
-        emb_rows.append(x)
-    return z, Embedding(z, lat, transpose(freeze(emb_rows)))
+    scaled = gram_in_basis(lat, basis)
+    den2 = den * den
+    if any(x % den2 for row in scaled for x in row):
+        raise ArithmeticError("glue lift does not pair integrally")
+    z = IntegralLattice(freeze(tuple(x // den2 for x in row) for row in scaled))
+    # basis vector i of L is den * e_i = y @ basis, so y is row i of
+    # den * basis^-1 = den * adj(basis) / det(basis): the embedding columns
+    det_b, adj_b = adjugate(basis)
+    if any(den * x % det_b for row in adj_b for x in row):
+        raise ArithmeticError("original lattice does not embed")
+    emb = freeze(tuple(den * x // det_b for x in row) for row in adj_b)
+    return z, Embedding(z, lat, transpose(emb))
 
 
 def overlattices(
@@ -116,11 +138,7 @@ def lemma_overlattice(
     generated by (4k)h + e1 + (2k)e2 where h generates the dual of <2d>.
     For m = 1 the glue is trivial and the direct sum itself is returned.
     """
-    if d <= 0 or m <= 0:
-        raise ValueError("d and m must be positive")
-    if d % (2 * m):
-        raise ValueError(f"congruence violated: {d} is not 0 mod {2 * m}")
-    k = d // (2 * m)
+    k = _congruence_quotient(d, m)
     v = direct_sum(from_rows([[2 * d]]), w)
     if m == 1:
         lifts: list[tuple[Fraction, ...]] = []
@@ -129,15 +147,7 @@ def lemma_overlattice(
             raise ValueError("block must supply two generator coordinate rows")
         wdisc = discriminant_group(w)
         qw = wdisc.form
-        e1, e2 = tuple(block[0]), tuple(block[1])
-        for e in (e1, e2):
-            if qw.element_order(e) != m or qw.q_value(e) != 0:
-                raise ValueError("u(m) block not found at the supplied coordinates")
-        b = qw.b_value(e1, e2)
-        if b == Fraction(1, m) % 1:
-            e2 = tuple(-c for c in e2)  # normalize the pairing to -1/m
-        elif b != Fraction(-1, m) % 1:
-            raise ValueError("u(m) block not found at the supplied coordinates")
+        e1, e2 = _u_pair(qw, block[0], block[1], m)
         # glue = (4k) h + e1 + (2k) e2 where h is the dual generator of <2d>,
         # whose rational lift is (1/(2d), 0, ..., 0) by construction of V
         l1 = _lift_of(wdisc, e1)
@@ -150,12 +160,7 @@ def lemma_overlattice(
         mg = [m * c for c in glue]
         require(all(c.denominator == 1 for c in mg), "glue order does not divide m")
         mg = [int(c) for c in mg]
-        norm = sum(
-            mg[i] * v.gram[i][j] * mg[j]
-            for i in range(v.rank)
-            for j in range(v.rank)
-        )
-        require(norm % (2 * m * m) == 0, "glue is not isotropic")
+        require(v.norm(mg) % (2 * m * m) == 0, "glue is not isotropic")
         lifts = [glue]
     z, emb = _glue_overlattice(v, lifts)
     if not z.is_even:
@@ -237,10 +242,7 @@ def genus_lemma_quotient(
     a u(m) pair orthogonal to h.  Returns the genus with the glue group
     quotiented out of the discriminant form; the signature is unchanged.
     """
-    if d <= 0 or m <= 0:
-        raise ValueError("d and m must be positive")
-    if d % (2 * m):
-        raise ValueError(f"congruence violated: {d} is not 0 mod {2 * m}")
+    k = _congruence_quotient(d, m)
     q = gv.disc
     if not block:
         raise ValueError("block must designate at least the (1/2d) generator")
@@ -251,18 +253,7 @@ def genus_lemma_quotient(
         return gv
     if len(block) != 3:
         raise ValueError("block must be (h, e1, e2) when m > 1")
-    e1, e2 = tuple(block[1]), tuple(block[2])
-    for e in (e1, e2):
-        if q.element_order(e) != m or q.q_value(e) != 0:
-            raise ValueError("u(m) block not found at the supplied coordinates")
-        if q.b_value(h, e) != 0:
-            raise ValueError("u(m) block is not orthogonal to the (1/2d) part")
-    b = q.b_value(e1, e2)
-    if b == Fraction(1, m) % 1:
-        e2 = tuple(-c for c in e2)  # normalize the pairing to -1/m
-    elif b != Fraction(-1, m) % 1:
-        raise ValueError("u(m) block not found at the supplied coordinates")
-    k = d // (2 * m)
+    e1, e2 = _u_pair(q, block[1], block[2], m, orthogonal_to=h)
     glue = q.reduce(
         tuple(4 * k * hc + a + 2 * k * b for hc, a, b in zip(h, e1, e2))
     )

@@ -1,17 +1,20 @@
 """Reference routines in `Fraction` arithmetic, and the Grams they run on.
 
 These are the rational Gaussian eliminations that k3lat used before its
-eliminations became fraction-free.  They are kept here, outside the
-package, as oracles for `intmat`'s integer routines.
+eliminations became fraction-free, and the entry-by-entry Gram loops,
+per-vector solves and Smith forms it used before its Gram changes became
+matrix products.  They are kept here, outside the package, as oracles for
+k3lat's routines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import strategies as st
 
-from k3lat.intmat import identity, mat_mul, transpose
+from k3lat.intmat import hnf_basis, identity, mat_mul, snf, solve_int, transpose
 
 
 def signature_frac(gram):
@@ -162,3 +165,63 @@ def conjugated_grams(draw):
                 g[i][j] = g[j][i] = draw(st.integers(-6, 6))
     u = draw(unimodular_mats(n))
     return tuple(map(tuple, g)), mat_mul(mat_mul(u, g), transpose(u))
+
+
+def gram_in_basis_loops(gram, rows):
+    """Gram matrix of coordinate rows, one double loop v_i G_ij w_j per entry."""
+    n = len(gram)
+    return tuple(
+        tuple(
+            sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+            for w in rows
+        )
+        for v in rows
+    )
+
+
+def glue_overlattice_by_solves(gram, lifts):
+    """(Gram, embedding matrix) of the lattice generated by L = (Z^n, gram)
+    and rational glue rows, the Gram in Fractions (integral exactly when the
+    glue pairs integrally), and column i of the embedding the solution y of
+    basis^T y = den * e_i, one `solve_int` per basis vector of L."""
+    n = len(gram)
+    den = 1
+    for lift in lifts:
+        for c in lift:
+            den = lcm(den, c.denominator)
+    rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
+    rows += [[int(c * den) for c in lift] for lift in lifts]
+    basis = hnf_basis(rows)
+    z = tuple(
+        tuple(Fraction(x, den * den) for x in row)
+        for row in gram_in_basis_loops(gram, basis)
+    )
+    emb_rows = [
+        solve_int(transpose(basis), tuple(den if i == j else 0 for j in range(n)))
+        for i in range(n)
+    ]
+    return z, transpose(emb_rows)
+
+
+def group_invariants_snf(orders):
+    """Invariant factors > 1 of a product of cyclic groups, read off the
+    Smith form of the diagonal matrix of their orders."""
+    k = len(orders)
+    if k == 0:
+        return ()
+    diag = tuple(
+        tuple(orders[i] if i == j else 0 for j in range(k)) for i in range(k)
+    )
+    d, _, _ = snf(diag)
+    return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
+
+
+@st.composite
+def symmetric_grams(draw, min_rank=0, max_rank=5):
+    """A symmetric integer matrix with small entries, possibly singular."""
+    n = draw(st.integers(min_rank, max_rank))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    return tuple(map(tuple, g))

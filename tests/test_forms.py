@@ -37,6 +37,7 @@ from k3lat.forms import (
     trivial_form,
     u_block,
 )
+from rational_oracles import group_invariants_snf
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -213,6 +214,14 @@ def test_group_invariants_and_length():
     assert group_invariants(()) == ()
     assert length(sum_forms([u_block(2), u_block(2)])) == 4
     assert length(sum_forms([cyclic_block(4, F(1, 4)), cyclic_block(3, F(2, 3))])) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 18, 25, 27, 36)),
+                max_size=8))
+def test_group_invariants_match_smith_form(orders):
+    # 1s, the empty tuple and repeated prime powers all occur
+    assert group_invariants(orders) == group_invariants_snf(orders)
 
 
 def test_element_order():

@@ -59,6 +59,7 @@ from k3lat.lattice import (
     sublattice,
     vectors_of_norm,
 )
+from rational_oracles import gram_in_basis_loops, symmetric_grams
 
 U = from_rows([[0, 1], [1, 0]])
 A1 = from_rows([[2]])
@@ -158,6 +159,49 @@ def test_basic_invariants():
     assert s.norm((1, 1, 1)) == 4
     assert gram_invariants(s) == (3, -2, (2, 1))
     assert gram_invariants(rescale(E8, -2)) == (8, 256, (0, 8))
+
+
+def test_vectors_of_the_wrong_length_are_rejected():
+    # a vector has exactly `rank` coordinates: a longer one is not cut down
+    # to its first `rank` entries, and a shorter one is not padded
+    swap = IsometryAction(U, ((0, 1), (1, 0)))
+    for bad in ((1, 1, 7), (1,), ()):
+        with pytest.raises(ValueError):
+            U.norm(bad)
+        with pytest.raises(ValueError):
+            U.pairing((1, 0), bad)
+        with pytest.raises(ValueError):
+            U.pairing(bad, (1, 0))
+        with pytest.raises(ValueError):
+            gram_in_basis(U, [(1, 0), bad])
+        with pytest.raises(ValueError):
+            sublattice(U, [bad])
+        with pytest.raises(ValueError):
+            embedding_of(U, [bad])
+        with pytest.raises(ValueError):
+            swap.apply(bad)
+    assert U.norm((1, 1)) == 2 and swap.apply((1, 7)) == (7, 1)
+
+
+@st.composite
+def _grams_and_bases(draw):
+    gram = draw(symmetric_grams())
+    n = len(gram)
+    k = draw(st.integers(0, 7))
+    rows = [tuple(draw(st.integers(-4, 4)) for _ in range(n)) for _ in range(k)]
+    return gram, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grams_and_bases())
+def test_gram_in_basis_matches_entry_loops(case):
+    # k x n bases with k = 0, k < n, k = n and k > n, rank 0 included
+    gram, rows = case
+    lat = IntegralLattice(gram)
+    got = gram_in_basis(lat, rows)
+    assert got == gram_in_basis_loops(gram, rows)
+    assert all(got[i][j] == lat.pairing(v, w)
+               for i, v in enumerate(rows) for j, w in enumerate(rows))
 
 
 def test_labels_do_not_affect_equality():

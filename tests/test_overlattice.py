@@ -43,6 +43,7 @@ from k3lat.overlattice import (
     overlattices,
     unique_in_genus_by_length,
 )
+from rational_oracles import glue_overlattice_by_solves, unimodular_mats
 
 U = from_rows([[0, 1], [1, 0]])
 A2 = from_rows([[2, 1], [1, 2]])
@@ -108,16 +109,16 @@ def test_index3_glue_of_opposite_a2_pair():
     assert unique_in_genus_by_length(g)
 
 
-@pytest.mark.parametrize(
-    "lat,index",
-    [
-        (from_rows([[4, 0], [0, -4]]), 2),
-        (rescale(U, 2), 2),
-        (direct_sum(rescale(U, 2), rescale(U, 2)), 2),
-        (direct_sum(A2, neg(A2)), 3),
-        (direct_sum(from_rows([[6]]), neg(A2)), 3),
-    ],
-)
+GLUE_CASES = [
+    (from_rows([[4, 0], [0, -4]]), 2),
+    (rescale(U, 2), 2),
+    (direct_sum(rescale(U, 2), rescale(U, 2)), 2),
+    (direct_sum(A2, neg(A2)), 3),
+    (direct_sum(from_rows([[6]]), neg(A2)), 3),
+]
+
+
+@pytest.mark.parametrize("lat,index", GLUE_CASES)
 def test_overlattice_determinant_and_quotient_form(lat, index):
     disc = discriminant_group(lat)
     found = 0
@@ -133,6 +134,36 @@ def test_overlattice_determinant_and_quotient_form(lat, index):
         )
         assert emb.sub == lat
     assert found == len(overlattices(lat, index))
+
+
+@st.composite
+def _glue_case(draw):
+    """A glue fixture in a random basis, with glue from its isotropic
+    subgroups or drawn from its whole discriminant group."""
+    lat, index = draw(st.sampled_from(GLUE_CASES))
+    u = draw(unimodular_mats(lat.rank))
+    moved = IntegralLattice(mat_mul(mat_mul(u, lat.gram), transpose(u)))
+    disc = discriminant_group(moved)
+    gens = [h.gens for h in isotropic_subgroups(disc.form, index)]
+    gens.append(tuple(
+        tuple(draw(st.integers(0, d - 1)) for d in disc.form.orders)
+        for _ in range(draw(st.integers(0, 2)))
+    ))
+    return moved, [_lift_of(disc, g) for g in draw(st.sampled_from(gens))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_glue_case())
+def test_glue_overlattice_matches_per_vector_solves(case):
+    lat, lifts = case
+    gram, matrix = glue_overlattice_by_solves(lat.gram, lifts)
+    if any(x.denominator != 1 for row in gram for x in row):
+        with pytest.raises(ArithmeticError):
+            _glue_overlattice(lat, lifts)
+        return
+    z, emb = _glue_overlattice(lat, lifts)
+    assert z.gram == gram
+    assert emb.matrix == matrix and emb.sub == lat
 
 
 def test_u2_plus_n_has_an_overlattice_isometric_to_u_plus_n():
