@@ -174,7 +174,9 @@ class Embedding:
         rows = self.vectors
         if gram_in_basis(self.host, rows) != self.sub.gram:
             raise ValueError("embedding does not transport the form")
-        if k and rank_int(self.matrix) != k:
+        # A nonsingular transported Gram already proves the columns
+        # independent; only a degenerate one needs the rank.
+        if k and self.sub.det == 0 and rank_int(self.matrix) != k:
             raise ValueError("embedding columns are dependent")
 
     @property

@@ -7,7 +7,10 @@ of two anti-symplectic projection involutions iota_Q (onto a quadric) and
 iota_dP (onto a degree-1 del Pezzo double plane).  Eight disjoint sections
 N1..N8 of the E1-pencil form an even set (their sum is 2-divisible), and
 the search routine here recovers every such even set of bounded height
-from scratch.
+from scratch.  A section O splits the lattice as <E, O> + W with W
+negative definite (E7(-2) on X2); the sections are O + kE + w with
+k = -w.w/2, and an even set is a translate w + S of a shape S whose
+differences have norm -4 and whose sum lies in 2W.
 
 Model two ("UN") is the rank-10 elliptic lattice U + N written in a basis
 adapted to a fibration with eight I2 fibers and a 2-torsion section:
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, named
 from .forms import find_u_block, length
@@ -53,6 +56,7 @@ from .intmat import (
     solve_int,
     transpose,
     vec_add,
+    vec_mat,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -61,6 +65,7 @@ from .lattice import (
     Embedding,
     IntegralLattice,
     IsometryAction,
+    _complement_rows,
     direct_sum,
     discriminant_group,
     embedding_of,
@@ -554,11 +559,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         else:
             shell = [((), Fraction(0))] if rhs == 0 else []
         for z, _ in shell:
-            w = wr
-            for zi, k in zip(z, krows):
-                if zi:
-                    w = vec_add(w, vec_scale(k, zi))
-            v = tuple(pre) + w
+            v = tuple(pre) + (vec_add(wr, vec_mat(z, krows)) if z else wr)
             if any(abs(cd) > bound for cd in v):
                 continue
             require(lat.norm(v) == -2 and dot(f, v) == 1,
@@ -567,107 +568,58 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     return sorted(out)
 
 
-def _packed_adjacency(lat: IntegralLattice, cands: Sequence[Vec]) -> list[int]:
-    """Orthogonality rows: bit j of row i is set iff cands[i] . cands[j] = 0
-    and j != i.
-
-    The candidates are packed by column: for each coordinate t one integer
-    holds cands[j][t] for every j, in fields of w bits, so row i is the
-    single sum over t of p_i[t] * col_t (p_i = G cands[i]), whose field j
-    is the pairing of cands[i] with cands[j].  Every pairing is bounded by
-    M = max_i sum_t |p_i[t]| max_j |cands[j][t]|; with b the bit length of
-    M, a field holds b bits, a sign bit and a guard bit.  A bias of 2^b
-    per field makes each field non-negative, XOR with the bias zeroes
-    exactly the orthogonal fields, and subtracting from the guard bits
-    flags those (a SWAR zero-field test).  One flag sits every w bits, so
-    a stride slice of the binary string reads the row off.
-    """
-    k = len(cands)
-    if not k:
-        return []
-    paired = [mat_vec(lat.gram, v) for v in cands]
-    colmax = [max(abs(c) for c in col) for col in zip(*cands)]
-    b = max(sum(abs(x) * m for x, m in zip(p, colmax)) for p in paired).bit_length()
-    w = b + 2
-    total = w * k
-    ones = ((1 << total) - 1) // ((1 << w) - 1)  # the low bit of every field
-    bias, guard = ones << b, ones << (b + 1)
-    cols = []
-    for col in zip(*cands):
-        packed = 0
-        for c in reversed(col):
-            packed = (packed << w) + c
-        cols.append(packed)
-    fmt = f"0{total}b"
-    rows = []
-    for i, p in enumerate(paired):
-        x = bias
-        for pt, col in zip(p, cols):
-            if pt:
-                x += pt * col
-        if x >> total or x & guard:
-            raise ArithmeticError("a pairing overflowed its packed field")
-        flags = (guard - (x ^ bias)) & guard
-        rows.append(int(format(flags, fmt)[::w], 2) & ~(1 << i))
-    return rows
+def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattice, Mat]:
+    """The frame L = W + <E, O> of a pencil class E and a section O, which
+    <E, O> (Gram [[0, 1], [1, -2]], unimodular) splits off: W, on the basis
+    `_complement_rows` gives it, and the inverse of the basis (W rows, E, O),
+    which takes a vector to its W-coordinates and its E and O coefficients."""
+    basis = _complement_rows(lat, (e, o)) + (e, o)
+    require(len(basis) == lat.rank and det_int(basis) in (1, -1),
+            "the frame W + <E, O> is not a basis of the lattice")
+    g = gram_in_basis(lat, basis)
+    w = IntegralLattice(freeze(row[:-2] for row in g[:-2]))
+    require(g == direct_sum(w, from_rows(((0, 1), (1, -2)))).gram,
+            "the frame Gram is not W + [[0, 1], [1, -2]]")
+    return w, inv_unimodular(basis)
 
 
-def _even_eight_cliques(
-    lat: IntegralLattice, cands: Sequence[Vec]
-) -> list[tuple[Vec, ...]]:
-    """All 8-element subsets of the candidates that are pairwise orthogonal
-    and whose sum is 2-divisible, each as a sorted tuple, in sorted order.
+def _packing(vectors: Sequence[Vec]) -> Callable[[Vec], int]:
+    """Packs a vector into one integer, additively: its coordinates are the
+    digits in a balanced base above 4 max|coordinate| of the given vectors,
+    so packing is one-to-one on their pairwise sums and differences."""
+    base = 4 * max((abs(c) for v in vectors for c in v), default=0) + 1
 
-    Bit-set adjacency with ascending-degree vertex ordering.  Each
-    candidate's residue mod 2 is a bitmask XORed down the recursion, so
-    the eighth vertex is read straight off the common neighbours that lie
-    in the one residue class completing an even sum.
-    """
-    k = len(cands)
-    if k < 8:
-        return []
-    degree = [row.bit_count() for row in _packed_adjacency(lat, cands)]
-    order = sorted(range(k), key=lambda i: (degree[i], cands[i]))
-    rcands = [cands[i] for i in order]
-    radj = _packed_adjacency(lat, rcands)
-    parity = [sum((c & 1) << t for t, c in enumerate(v)) for v in rcands]
-    same_parity: dict[int, int] = {}
-    for i, r in enumerate(parity):
-        same_parity[r] = same_parity.get(r, 0) | (1 << i)
+    def pack(v: Vec) -> int:
+        s = 0
+        for c in v:
+            s = s * base + c
+        return s
 
-    found: list[tuple[Vec, ...]] = []
-    chosen: list[Vec] = []
+    return pack
 
-    def extend(allowed: int, left: int, residue: int) -> None:
-        # `allowed` holds the `left` common neighbours above every chosen
-        # vertex; `residue` is the parity of the chosen vertices' sum.
-        need = 7 - len(chosen)
-        while left > need:
+
+def _translate_shapes(packed: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every 7-subset of the (packed) roots whose differences are roots too,
+    as sorted indices: for the positive roots, the shapes {0} + S are the
+    sets with least element 0 whose differences are all roots."""
+    rset = set(packed) | {-x for x in packed}
+    adj = [sum(1 << j for j, y in enumerate(packed) if x - y in rset) for x in packed]
+    shapes: list[tuple[int, ...]] = []
+
+    def extend(chosen: tuple[int, ...], allowed: int, need: int) -> None:
+        while allowed.bit_count() >= need:
             low = allowed & -allowed
             allowed ^= low
-            left -= 1
             i = low.bit_length() - 1
-            common = allowed & radj[i]
             if need == 1:
-                leaves = common & same_parity.get(residue ^ parity[i], 0)
-                while leaves:
-                    last = leaves & -leaves
-                    leaves ^= last
-                    found.append(tuple(sorted(
-                        (*chosen, rcands[i], rcands[last.bit_length() - 1]))))
-                continue
-            size = common.bit_count()
-            if size >= need:
-                chosen.append(rcands[i])
-                extend(common, size, residue ^ parity[i])
-                chosen.pop()
+                shapes.append(chosen + (i,))
+            else:
+                extend(chosen + (i,), allowed & adj[i], need - 1)
 
-    extend((1 << k) - 1, k, 0)
-    # A recursive closure is a reference cycle; breaking it returns the
-    # search's bit sets at once rather than at the next garbage collection.
+    extend((), (1 << len(packed)) - 1, 7)
+    # A recursive closure is a reference cycle; breaking it frees it at once.
     del extend
-    found.sort()
-    return found
+    return shapes
 
 
 def find_even_sets(
@@ -678,10 +630,53 @@ def find_even_sets(
     A result is a sorted 8-tuple of vectors v with v.v = -2, v.E = 1,
     pairwise orthogonal, whose sum is 2-divisible; the list is sorted, so
     repeated runs are byte-identical.  A bound too small to see a
-    configuration yields an empty list, not an error.
+    configuration (fewer than eight sections) yields an empty list, not an
+    error.
+
+    The sections form a torsor of the frame lattice W (Shioda 1990): with
+    O the first section, L = W + <E, O> and every section is
+    v = O + kE + w with w in W and k = -w.w/2, so v -> w is a bijection,
+    and v.v' = -2 - (w - w').(w - w')/2 vanishes exactly when w - w' is a
+    norm -4 vector of W.  Every 8-clique is thus a translate w + S of a
+    shape S: a set with least element 0 whose differences all have norm
+    -4.  The sum of w + S lies in 2L exactly when the sum of S lies in 2W
+    (the sum of the k is w.sum(S) mod 2), so parity is a property of the
+    shape alone: the search lists the even shapes once and then tests, for
+    each section, which of them fit at it.  E must be isotropic and the
+    lattice hyperbolic (so that W is negative definite); otherwise, given
+    eight sections, ValueError.
     """
     cands = _bounded_sections(model, e_label, coeff_bound)
-    return _even_eight_cliques(model.lattice, cands)
+    if len(cands) < 8:
+        return []
+    lat = model.lattice
+    if lat.norm(model.vec(e_label)) != 0:
+        raise ValueError(f"pencil class {e_label!r} is not isotropic")
+    if lat.signature != (1, lat.rank - 1):
+        raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
+    w_lat, to_frame = _section_frame(lat, model.vec(e_label), cands[0])
+    ws = [vec_mat(v, to_frame)[:-2] for v in cands]
+    roots = [r for r in vectors_of_norm(w_lat, -4) if r > vec_neg(r)]
+    pack = _packing(ws + roots)
+    packed = [pack(r) for r in roots]
+    # each even shape as a bit mask over the positive roots and as indices
+    even = [
+        (sum(1 << j for j in shape), shape)
+        for shape in _translate_shapes(packed)
+        if all(sum(col) % 2 == 0 for col in zip(*(roots[j] for j in shape)))
+    ]
+    section_at = {pack(w): v for w, v in zip(ws, cands)}
+    found: list[tuple[Vec, ...]] = []
+    for w, v in zip(ws, cands):
+        # the shapes that fit at w: w + r is a section for each of their roots
+        key = pack(w)
+        hits = [section_at.get(key + r) for r in packed]
+        fits = sum(1 << j for j, h in enumerate(hits) if h is not None)
+        for shape, members in even:
+            if shape & fits == shape:
+                found.append(tuple(sorted([v] + [hits[j] for j in members])))
+    found.sort()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -693,23 +688,15 @@ def _simple_root_rows(lat: IntegralLattice) -> Mat:
     """A simple-root basis (rows) of a negative-definite lattice generated
     by its norm -4 vectors.
 
-    Positivity is decided by a positional functional that is injective on
-    the minimal vectors, so the extraction is deterministic; the simple
-    system of an irreducible 2-scaled root lattice is a lattice basis with
-    small Gram entries, which keeps later isometry searches cheap.
+    A root is positive when its first nonzero coordinate is, so the
+    extraction is deterministic; the simple system of an irreducible
+    2-scaled root lattice is a lattice basis with small Gram entries,
+    which keeps later isometry searches cheap.
     """
     roots = vectors_of_norm(lat, -4)
     if not roots:
         raise ArithmeticError("minimal vectors do not yield a root basis")
-    base = 2 * max(abs(c) for v in roots for c in v) + 1
-
-    def phi(v: Vec) -> int:
-        s = 0
-        for c in v:
-            s = s * base + c
-        return s
-
-    pos = sorted((v for v in roots if phi(v) > 0), key=phi)
+    pos = sorted(v for v in roots if v > vec_neg(v))
     pset = set(pos)
     simple = [
         v for v in pos

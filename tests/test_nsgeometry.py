@@ -5,8 +5,10 @@ The displayed coordinates (sections, orbit classes, polarization,
 base-change identities) are frozen here and re-derived from the Gram by
 direct arithmetic, independently of the module's own report checks.  The
 bounded vector enumeration is cross-checked against a full box scan at
-bound 1, the packed adjacency against plain pairings, and the clique
-search against an itertools.combinations sweep over the same candidates.
+bound 1.  The translate search is cross-checked against the 8-clique
+search it replaced (`clique_oracles`), whose packed adjacency is checked
+against plain pairings and whose cliques are checked against an
+itertools.combinations sweep over the same candidates.
 """
 
 import itertools
@@ -29,6 +31,7 @@ from k3lat.intmat import (
     solve_int,
     transpose,
     vec_add,
+    vec_mat,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -41,14 +44,16 @@ from k3lat.lattice import (
     gram_in_basis,
     hnf_basis,
     invariant_split,
+    vectors_of_norm,
 )
 from k3lat.nsgeometry import (
     LabeledLattice,
     _bounded_sections,
     _certified_definite_isometry,
-    _even_eight_cliques,
-    _packed_adjacency,
+    _packing,
+    _section_frame,
     _simple_root_rows,
+    _translate_shapes,
     _unit,
     base_change,
     base_change_report,
@@ -67,6 +72,8 @@ from k3lat.nsgeometry import (
     x2_report,
 )
 from k3lat.overlattice import genus_equal, genus_of
+
+from clique_oracles import even_eight_cliques, packed_adjacency
 
 
 def statuses(report):
@@ -395,7 +402,7 @@ def test_even_cliques_against_combination_sweep_with_odd_cliques():
     cands.append(tuple(2 * int(j == 4) for j in range(12)))
     cands.append(tuple(2 * int(j == 5) for j in range(12)))
     cands.sort()
-    got = _even_eight_cliques(lat, cands)
+    got = even_eight_cliques(lat, cands)
     assert got == sweep_even_sets(lat, cands)
     assert len(got) == 15 + 10
 
@@ -418,7 +425,7 @@ def test_packed_adjacency_against_plain_pairings():
         for bound in range(1, 6):
             cands = _bounded_sections(x2, e_label, bound)
             k = len(cands)
-            packed = _packed_adjacency(x2.lattice, cands)
+            packed = packed_adjacency(x2.lattice, cands)
             rows = range(0, k, 1 if k <= 100 else k // 40)
             want = reference_rows(x2.lattice, cands, rows)
             assert [packed[i] for i in rows] == want, (e_label, bound)
@@ -441,9 +448,113 @@ def test_packed_adjacency_with_wide_fields():
         p = mat_vec(lat.gram, v)
         cands += [v, (p[1], -p[0], 0)]
     assert max(abs(lat.pairing(v, w)) for v in cands for w in cands) > 1 << 16
-    packed = _packed_adjacency(lat, cands)
+    packed = packed_adjacency(lat, cands)
     assert packed == reference_rows(lat, cands, range(len(cands)))
-    assert _packed_adjacency(lat, []) == []
+    assert packed_adjacency(lat, []) == []
+
+
+def test_frame_of_the_x2_pencils_is_e7_minus_2():
+    # W = <E, O>^perp has rank 7, det -256, 126 vectors of norm -4 and no
+    # roots; every section is O + kE + w with k = -w.w/2.
+    x2 = build_X2()
+    for e_label in ("E1", "E2"):
+        cands = _bounded_sections(x2, e_label, 2)
+        e, o = x2.vec(e_label), cands[0]
+        w_lat, to_frame = _section_frame(x2.lattice, e, o)
+        assert (w_lat.rank, w_lat.det) == (7, -256)
+        assert len(vectors_of_norm(w_lat, -4)) == 126
+        assert vectors_of_norm(w_lat, -2) == []
+        basis = inv_unimodular(to_frame)
+        assert basis[-2:] == (e, o)
+        for v in cands:
+            c = vec_mat(v, to_frame)
+            assert vec_mat(c, basis) == v
+            assert c[-1] == 1
+            assert 2 * c[-2] == -w_lat.norm(c[:-2])
+
+
+def test_sections_are_disjoint_exactly_when_frame_parts_differ_by_a_norm_minus_4_vector():
+    # For both pencils at bounds 1-5: v.v' = 0 iff w - w' lies in R4.  Past
+    # 100 candidates about 40 evenly spaced rows are compared.
+    x2 = build_X2()
+    lat = x2.lattice
+    for e_label in ("E1", "E2"):
+        for bound in range(1, 6):
+            cands = _bounded_sections(x2, e_label, bound)
+            w_lat, to_frame = _section_frame(lat, x2.vec(e_label), cands[0])
+            ws = [vec_mat(v, to_frame)[:-2] for v in cands]
+            r4 = set(vectors_of_norm(w_lat, -4))
+            k = len(cands)
+            for i in range(0, k, 1 if k <= 100 else k // 40):
+                p = mat_vec(lat.gram, cands[i])
+                for j in range(k):
+                    disjoint = sum(x * y for x, y in zip(p, cands[j])) == 0
+                    assert disjoint == (vec_sub(ws[i], ws[j]) in r4), (e_label, bound, i, j)
+
+
+def test_translate_search_equals_the_clique_oracle_on_x2():
+    x2 = build_X2()
+    for e_label in ("E1", "E2"):
+        for bound in (3, 4, 5):
+            cands = _bounded_sections(x2, e_label, bound)
+            assert find_even_sets(x2, e_label, bound) == even_eight_cliques(
+                x2.lattice, cands), (e_label, bound)
+
+
+def count_eight_cliques(lat, cands):
+    """The number of pairwise orthogonal 8-subsets, of either parity."""
+    adj = packed_adjacency(lat, cands)
+
+    def count(allowed, need):
+        if need == 1:
+            return allowed.bit_count()
+        total = 0
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            total += count(allowed & adj[low.bit_length() - 1], need - 1)
+        return total
+
+    return count((1 << len(cands)) - 1, 8)
+
+
+def test_parity_is_a_property_of_the_shape_on_u_plus_e8_minus_2():
+    # On X2 every shape is even, so the parity rule needs a frame with odd
+    # shapes too: W = E8(-2) has 8640 even and 17280 odd ones.  At bound 2
+    # the candidates hold 3992 8-cliques, of which 1200 are even.
+    w = named("E8(-2)")
+    roots = [r for r in vectors_of_norm(w, -4) if r > vec_neg(r)]
+    pack = _packing(roots)
+    shapes = _translate_shapes([pack(r) for r in roots])
+    for shape in shapes[::50]:
+        members = [(0,) * 8] + [roots[j] for j in shape]
+        for a, b in itertools.combinations(members, 2):
+            assert w.norm(vec_sub(a, b)) == -4
+    even = [s for s in shapes
+            if all(sum(roots[j][t] for j in s) % 2 == 0 for t in range(8))]
+    assert (len(even), len(shapes) - len(even)) == (8640, 17280)
+
+    model = LabeledLattice(direct_sum(named("U"), w), {"E": _unit(10, 0)})
+    cands = _bounded_sections(model, "E", 2)
+    got = find_even_sets(model, "E", 2)
+    assert got == even_eight_cliques(model.lattice, cands)
+    assert len(got) == 1200
+    assert count_eight_cliques(model.lattice, cands) == 3992
+
+
+def test_even_set_search_rejects_frames_it_cannot_build():
+    # E.E = 2 in U + E8(-1): E = e + f meets f + r once for each of the 240
+    # roots r, so there are sections but no frame.
+    e8 = direct_sum(named("U"), named("E8(-1)"))
+    model = LabeledLattice(e8, {"E": (1, 1) + (0,) * 8})
+    assert len(_bounded_sections(model, "E", 1)) >= 8
+    with pytest.raises(ValueError, match="not isotropic"):
+        find_even_sets(model, "E", 1)
+    # U + U has signature (2, 2): W would be indefinite.
+    model = LabeledLattice(direct_sum(named("U"), named("U")), {"E": (1, 0, 0, 0)})
+    assert len(_bounded_sections(model, "E", 2)) >= 8
+    with pytest.raises(ValueError, match="not hyperbolic"):
+        find_even_sets(model, "E", 2)
 
 
 def test_even_set_counts_grow_with_the_bound():
@@ -598,6 +709,41 @@ def test_corrupt_isometry_certificate_is_rejected_under_python_O():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split() == ["rejected"]
+
+
+_CORRUPT_FRAME = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+from k3lat.intmat import vec_add, vec_scale
+x2 = nsgeometry.build_X2()
+e = x2.vec("E1")
+rows = nsgeometry._complement_rows
+for corrupt in (lambda r: (vec_scale(r[0], 2),) + r[1:],
+                lambda r: (vec_add(r[0], e),) + r[1:]):
+    nsgeometry._complement_rows = lambda lat, vs, c=corrupt: c(rows(lat, vs))
+    try:
+        nsgeometry.find_even_sets(x2, "E1", 3)
+    except ArithmeticError as exc:
+        print(exc)
+"""
+
+
+def test_corrupt_frame_is_rejected_under_python_O():
+    # A W basis of index 2, and one whose first row meets O, must each stop
+    # the search by a frame check that `python -O` keeps.
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_FRAME],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "the frame W + <E, O> is not a basis of the lattice",
+        "the frame Gram is not W + [[0, 1], [1, -2]]",
+    ]
 
 
 def test_simple_root_rows_give_a_unimodular_small_basis():
