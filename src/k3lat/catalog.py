@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
-    _value_table,
     cyclic_block,
     isotropic_subgroups,
     length,
@@ -346,57 +345,26 @@ def _scaled_rank1(d: int) -> IntegralLattice:
     return from_rows([[2 * d]], f"<{2 * d}>")
 
 
-def _transvection_orbits(
+def _isometry_orbits(
     qw: FiniteQuadraticForm, candidates: Sequence[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
-    """Orbit representatives of `candidates` under orthogonal transvections.
-
-    For a 2-elementary form with integer values, x -> x + 2b(x,v) v is an
-    isometry of the form whenever q(v) is odd; candidates related by such
-    maps give glue groups carried into each other by an isometry of the
-    glue form, hence overlattices in one genus.  Returns the first member
-    of each orbit, in candidate order.  Empty generator sets (no odd
-    vector, or fractional values) degrade to one orbit per candidate."""
+    """Orbit representatives of `candidates` under O(qw), the first of each
+    orbit in candidate order.  qw is a discriminant form, so non-degenerate;
+    when it is 2-elementary with integer values it is a quadratic space
+    over F_2, and by Witt's theorem O(qw) is transitive on the nonzero
+    elements of each q-value.  Any other form keeps every candidate.  Glue
+    groups related by an isometry of qw give overlattices in one genus."""
     cand = [tuple(x) for x in candidates]
-    if any(o > 2 for o in qw.orders):
+    # the level is 2, and q is integral on the group when it is on the
+    # generators, as 2b is integral
+    if any(o > 2 for o in qw.orders) or any(
+        row[i] % qw.level for i, row in enumerate(qw.table)
+    ):
         return cand
-    # the level N is 2 (or 1 on the trivial group): values are N*q mod 2N
-    values = {(0,) * qw.rank: 0}
-    values.update((x, v) for x, _, v in _value_table(qw))
-    if any(val % qw.level for val in values.values()):
-        return cand
-    gens = [v for v, val in values.items() if val == qw.level]  # q(v) odd
-    # everything lives mod 2 now, so the BFS can run on plain integers:
-    # 2b(e_i, e_j) = N*b(e_i, e_j) is the table entry mod 2 and y -> x + v
-    # is coordinatewise mod 2
-    two_b = [[t % 2 for t in row] for row in qw.table]
-    support = {v: tuple(i for i, c in enumerate(v) if c) for v in values}
-    pending = set(cand)
-    reps = []
-    for start in cand:
-        if start not in pending:
-            continue
-        reps.append(start)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            sx = support[x]
-            for v in gens:
-                c = 0
-                for i in sx:
-                    row = two_b[i]
-                    for j in support[v]:
-                        c ^= row[j]
-                if not c:
-                    continue
-                y = tuple((a + b) % 2 for a, b in zip(x, v))
-                require(values[y] == values[x], "a transvection changed a q-value")
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        pending -= orbit
-    return reps
+    reps: dict[tuple[bool, int], tuple[int, ...]] = {}
+    for x in cand:
+        reps.setdefault((any(x), qw._q_int(x)), x)
+    return list(reps.values())
 
 
 @lru_cache(maxsize=None)
@@ -405,8 +373,10 @@ def _primitive_index2_overlattice(
 ) -> IntegralLattice:
     """The even index-2 overlattice of <2d> + W in which both summands stay
     primitive: glue (g/2, eps) with eps a nonzero discriminant element of W
-    with q(eps) = -d/2 mod 2.  Candidates are deduplicated along explicit
-    form isometries and the remaining representatives certified genus-equal."""
+    with q(eps) = -d/2 mod 2.  On q_N and q_E8(-2), 2-elementary with
+    integer values, Witt's theorem puts all candidates in one O(q_W)-orbit
+    and only the first is glued; on other forms every candidate is, and the
+    overlattices are certified genus-equal."""
     if d % 2:
         raise ValueError("index-2 overlattice requires an even parameter")
     v = direct_sum(_scaled_rank1(d), w)
@@ -419,7 +389,7 @@ def _primitive_index2_overlattice(
         if qw.element_order(eps) == 2 and qw.q_value(eps) == target
     ]
     zs = []
-    for eps in _transvection_orbits(qw, candidates):
+    for eps in _isometry_orbits(qw, candidates):
         lift = (Fraction(1, 2),) + _lift_of(wdisc, eps)
         z, emb = _glue_overlattice(v, [lift])
         if not z.is_even:

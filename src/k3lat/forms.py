@@ -17,6 +17,15 @@ yields the run of the last coordinate in one piece.  The value table, the
 value multiset and the Gauss sums of the Milgram signature are built from
 it, and all three are cached per form (forms are frozen and hashable; a
 raised ArithmeticError is not cached).
+
+A subgroup H of A is L/diag(d)Z^k for exactly one lattice
+diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
+upper-triangular Hermite normal form basis: row i is (0, ..., 0, h_i,
+t_{i+1}, ..., t_{k-1}) with h_i | d_i and 0 <= t_j < h_j, and
+(d_i/h_i)*row_i lies in d_i*e_i + span(rows below).  `isotropic_subgroups`
+builds these bases bottom row first, pruning on the index left over and on
+isotropy row by row, so it meets each isotropic subgroup once, and lists
+its elements sum c_i*row_i mod d, 0 <= c_i < d_i/h_i, by one odometer.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -640,7 +649,9 @@ def forms_isomorphic(
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a finite quadratic form's group, listed element-wise."""
+    """A subgroup of a finite quadratic form's group, listed element-wise:
+    `elements` sorted, and `gens` any tuple that generates exactly them
+    (callers use only their span)."""
 
     form: FiniteQuadraticForm
     elements: tuple[Vec, ...]
@@ -651,60 +662,64 @@ class Subgroup:
         return len(self.elements)
 
 
-def _close_subgroup(q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int) -> frozenset[Vec] | None:
-    """Subgroup generated by gens, or None once it exceeds cap elements."""
-    zero = (0,) * q.rank
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = q.reduce(tuple(a + b for a, b in zip(x, g)))
-            if y not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+def _isotropic_hnf(
+    q: FiniteQuadraticForm, index: int, below: tuple[Vec, ...] = ()
+) -> Iterator[tuple[Vec, ...]]:
+    """HNF bases, rows top-down, of the isotropic lattices that end in the
+    rows `below` and whose rows above those have pivots multiplying to
+    `index` (see the module docstring)."""
+    i = q.rank - len(below) - 1
+    if i < 0:
+        yield below
+        return
+    d = q.orders[i]
+    room = prod(q.orders[:i])
+    for h in range(1, d + 1):
+        if d % h or index % h or room % (index // h):
+            continue
+        # (d/h)*row must lie in d*e_i + span(below): column by column, the
+        # entry left in column j must be a multiple of the pivot h_j, which
+        # fixes t_j mod h_j/gcd(d/h, h_j) and the coefficient c of row j
+        rows = [((0,) * i + (h,), (0,) * q.rank)]
+        for j, rj in enumerate(below, start=i + 1):
+            rows = [(row + (t,), tuple(a - c * b for a, b in zip(rest, rj)))
+                    for row, rest in rows for t in range(rj[j])
+                    for c, r in [divmod(d // h * t + rest[j], rj[j])] if not r]
+        for row, _ in rows:
+            # a row with h = d is d*e_i plus a vector of span(below); others
+            # must be isotropic and pair to zero with the rows below, as
+            # q(x + y) = q(x) + q(y) + 2b(x, y)
+            if h == d or (
+                q._q_int(row) == 0 and not any(q._b_int(row, r) for r in below)
+            ):
+                yield from _isotropic_hnf(q, index // h, (row,) + below)
 
 
 def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subgroup]:
-    """All subgroups H with |H| = order, q = 0 on H (hence b = 0 on HxH).
-
-    Enumerated in canonical order (sorted element tuples) and deduplicated.
-    """
-    if order == 1:
-        return [Subgroup(q, ((0,) * q.rank,), ())]
+    """All subgroups H with |H| = order, q = 0 on H (hence b = 0 on HxH),
+    once each, sorted by element tuples.  `gens` are the reduced HNF rows
+    with pivot h_i < d_i."""
+    if order < 1:
+        raise ValueError(f"subgroup order must be positive, got {order}")
     if q.group_order % order:
         return []
-    iso = [x for x, o, v in _value_table(q) if order % o == 0 and v == 0]
-    iso_set = set(iso)
-    zero = (0,) * q.rank
-    found: dict[tuple[Vec, ...], tuple[Vec, ...]] = {}
-
-    def grow(gens: list[Vec], members: frozenset[Vec], start: int) -> None:
-        if len(members) == order:
-            found.setdefault(tuple(sorted(members)), tuple(gens))
-            return
-        for idx in range(start, len(iso)):
-            g = iso[idx]
-            if g in members:
-                continue
-            grown = _close_subgroup(q, gens + [g], order)
-            if grown is None or order % len(grown) or len(grown) <= len(members):
-                continue
-            # every element of an isotropic subgroup must itself be isotropic
-            if not (grown - {zero}) <= iso_set:
-                continue
-            grow(gens + [g], grown, idx + 1)
-
-    grow([], frozenset({zero}), 0)
     out = []
-    for key in sorted(found):
+    for basis in _isotropic_hnf(q, q.group_order // order):
+        members = [(0,) * q.rank]
+        gens = []
+        for i, row in enumerate(basis):
+            m = q.orders[i] // row[i]
+            if m > 1:
+                g = q.reduce(row)
+                gens.append(g)
+                members = [q.reduce(tuple(a + c * b for a, b in zip(x, g)))
+                           for c in range(m) for x in members]
+        elements = tuple(sorted(members))
         # q = 0 elementwise forces b = 0 on H x H; check q again
-        for x in key:
+        for x in elements:
             require(q._q_int(x) == 0, f"subgroup element {x} is not isotropic")
-        out.append(Subgroup(q, key, found[key]))
+        out.append(Subgroup(q, elements, tuple(gens)))
+    out.sort(key=lambda s: s.elements)
     return out
 
 

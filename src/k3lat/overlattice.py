@@ -110,6 +110,8 @@ def overlattices(
     discriminant form; candidates that fail evenness are excluded silently.
     The list is empty when no isotropic subgroup of that order exists.
     """
+    if index < 1:
+        raise ValueError(f"overlattice index must be positive, got {index}")
     if not lat.is_even:
         raise ValueError("overlattice construction requires an even lattice")
     disc = discriminant_group(lat)

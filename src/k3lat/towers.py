@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, family_lattice, named
@@ -86,6 +87,14 @@ def cover_step(f: FamilyDescriptor) -> FamilyDescriptor:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _minus_ns_form(ns: FamilyDescriptor, t: IntegralLattice) -> bool:
+    """Whether q_t is minus the discriminant form of ns: cached, since
+    towers over d and 2d share all storeys but one."""
+    ns_disc = discriminant_form(family_lattice(ns))
+    return forms_isomorphic(discriminant_form(t), negate(ns_disc)) is not None
+
+
 @dataclass(frozen=True)
 class TowerNode:
     """One storey of a cover tower: the NS family, the transcendental
@@ -106,8 +115,7 @@ class TowerNode:
                 f"transcendental part has signature {t.signature}, "
                 "expected (2, 11)"
             )
-        ns_disc = discriminant_form(family_lattice(self.ns))
-        if forms_isomorphic(discriminant_form(t), negate(ns_disc)) is None:
+        if not _minus_ns_form(self.ns, t):
             raise ValueError(
                 f"transcendental discriminant form of storey {self.depth} "
                 f"is not minus the {self.ns.label} form"

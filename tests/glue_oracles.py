@@ -1,0 +1,123 @@
+"""The glue searches that k3lat used before isotropic subgroups came from
+Hermite normal forms and glue orbits from Witt's theorem, kept outside the
+package as oracles: a breadth-first closure search over generator tuples
+for the isotropic subgroups, and a breadth-first orbit search under
+orthogonal transvections for the index-2 glue.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from k3lat.forms import FiniteQuadraticForm, Subgroup, _value_table
+from k3lat.intmat import Vec, require
+
+
+def _close_subgroup(q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int) -> frozenset[Vec] | None:
+    """Subgroup generated by gens, or None once it exceeds cap elements."""
+    zero = (0,) * q.rank
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = q.reduce(tuple(a + b for a, b in zip(x, g)))
+            if y not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def closure_isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subgroup]:
+    """All subgroups H with |H| = order, q = 0 on H (hence b = 0 on HxH).
+
+    Enumerated in canonical order (sorted element tuples) and deduplicated.
+    """
+    if order == 1:
+        return [Subgroup(q, ((0,) * q.rank,), ())]
+    if q.group_order % order:
+        return []
+    iso = [x for x, o, v in _value_table(q) if order % o == 0 and v == 0]
+    iso_set = set(iso)
+    zero = (0,) * q.rank
+    found: dict[tuple[Vec, ...], tuple[Vec, ...]] = {}
+
+    def grow(gens: list[Vec], members: frozenset[Vec], start: int) -> None:
+        if len(members) == order:
+            found.setdefault(tuple(sorted(members)), tuple(gens))
+            return
+        for idx in range(start, len(iso)):
+            g = iso[idx]
+            if g in members:
+                continue
+            grown = _close_subgroup(q, gens + [g], order)
+            if grown is None or order % len(grown) or len(grown) <= len(members):
+                continue
+            # every element of an isotropic subgroup must itself be isotropic
+            if not (grown - {zero}) <= iso_set:
+                continue
+            grow(gens + [g], grown, idx + 1)
+
+    grow([], frozenset({zero}), 0)
+    out = []
+    for key in sorted(found):
+        # q = 0 elementwise forces b = 0 on H x H; check q again
+        for x in key:
+            require(q._q_int(x) == 0, f"subgroup element {x} is not isotropic")
+        out.append(Subgroup(q, key, found[key]))
+    return out
+
+
+def transvection_orbits(
+    qw: FiniteQuadraticForm, candidates: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Orbit representatives of `candidates` under orthogonal transvections.
+
+    For a 2-elementary form with integer values, x -> x + 2b(x,v) v is an
+    isometry of the form whenever q(v) is odd; candidates related by such
+    maps give glue groups carried into each other by an isometry of the
+    glue form, hence overlattices in one genus.  Returns the first member
+    of each orbit, in candidate order.  Empty generator sets (no odd
+    vector, or fractional values) degrade to one orbit per candidate."""
+    cand = [tuple(x) for x in candidates]
+    if any(o > 2 for o in qw.orders):
+        return cand
+    # the level N is 2 (or 1 on the trivial group): values are N*q mod 2N
+    values = {(0,) * qw.rank: 0}
+    values.update((x, v) for x, _, v in _value_table(qw))
+    if any(val % qw.level for val in values.values()):
+        return cand
+    gens = [v for v, val in values.items() if val == qw.level]  # q(v) odd
+    # everything lives mod 2 now, so the BFS can run on plain integers:
+    # 2b(e_i, e_j) = N*b(e_i, e_j) is the table entry mod 2 and y -> x + v
+    # is coordinatewise mod 2
+    two_b = [[t % 2 for t in row] for row in qw.table]
+    support = {v: tuple(i for i, c in enumerate(v) if c) for v in values}
+    pending = set(cand)
+    reps = []
+    for start in cand:
+        if start not in pending:
+            continue
+        reps.append(start)
+        orbit = {start}
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            sx = support[x]
+            for v in gens:
+                c = 0
+                for i in sx:
+                    row = two_b[i]
+                    for j in support[v]:
+                        c ^= row[j]
+                if not c:
+                    continue
+                y = tuple((a + b) % 2 for a, b in zip(x, v))
+                require(values[y] == values[x], "a transvection changed a q-value")
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        pending -= orbit
+    return reps

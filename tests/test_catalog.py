@@ -6,6 +6,7 @@ test_lattice; the M_n builders against frozen rank/length/determinant
 tables and a root-sublattice isometry check.
 """
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,8 @@ from k3lat.catalog import (
     MN_RANK,
     MN_ROOT_CONFIG,
     FamilyDescriptor,
+    _block_disc,
+    _isometry_orbits,
     build_Mn,
     family_genus,
     family_lattice,
@@ -37,6 +40,7 @@ from k3lat.lattice import (
     IntegralLattice,
     direct_sum,
     discriminant_form,
+    discriminant_group,
     from_rows,
     gram_in_basis,
     gram_invariants,
@@ -51,6 +55,8 @@ from k3lat.overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
+from glue_oracles import transvection_orbits
+from test_forms import assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
 
 
@@ -166,6 +172,134 @@ def test_mn_rejects_out_of_range():
         build_Mn(1)
     with pytest.raises(ValueError):
         build_Mn(9)
+
+
+MN_BUILD_REPORTS = {
+    2: ("cyclic", 2, 1),
+    3: ("cyclic", 2, 1),
+    4: ("cyclic", 3, 1),
+    5: ("cyclic", 2, 1),
+    6: ("cyclic", 5, 1),
+    7: ("cyclic", 1, 1),
+    8: ("cyclic", 1, 1),
+}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mn_build_report_is_pinned(n):
+    glue, reps, accepted = MN_BUILD_REPORTS[n]
+    assert mn_build_report(n) == {
+        "n": n, "glue": glue, "orbit_representatives": reps, "accepted": accepted,
+    }
+
+
+# ---------------------------------------------------------------------------
+# glue groups against the closure and transvection searches
+# ---------------------------------------------------------------------------
+
+
+def q_of(name):
+    return discriminant_group(named(name)).form
+
+
+@pytest.mark.parametrize(
+    "q,order",
+    [(_block_disc(MN_ROOT_CONFIG[n])[1].form, n) for n in range(2, 9)]
+    + [(q_of(name), order) for name in ("N", "E8(-2)") for order in (2, 4)],
+)
+def test_isotropic_subgroups_match_closure_search_on_glue_forms(q, order):
+    assert_matches_closure_search(q, order)
+
+
+# every 2-elementary form with integer values of rank at most 4
+WITT_FORMS = {
+    "u(2)": u_block(2),
+    "v(2)": v_block(2),
+    "u(2)+u(2)": sum_forms([u_block(2), u_block(2)]),
+    "u(2)+v(2)": sum_forms([u_block(2), v_block(2)]),
+    "v(2)+v(2)": sum_forms([v_block(2), v_block(2)]),
+}
+
+
+def brute_isometries(q):
+    """O(q) by brute force: every tuple of generator images that keeps q
+    and b and generates the group."""
+    nonzero = [x for x in q.elements() if any(x)]
+    cands = [[y for y in nonzero if q.q_value(y) == q.q_value(e)] for e in unit_vectors(q)]
+    out = []
+    for images in itertools.product(*cands):
+        if any(
+            q.b_value(images[i], images[j]) != q.q_gram[i][j]
+            for i in range(q.rank) for j in range(i)
+        ):
+            continue
+        if len({apply(q, images, x) for x in q.elements()}) == q.group_order:
+            out.append(images)
+    return out
+
+
+def unit_vectors(q):
+    return [tuple(int(i == j) for j in range(q.rank)) for i in range(q.rank)]
+
+
+def apply(q, images, x):
+    return q.reduce(tuple(sum(c * y[t] for c, y in zip(x, images)) for t in range(q.rank)))
+
+
+def orbits(q, group):
+    """Orbits of the group on the nonzero elements, in element order."""
+    out = []
+    seen = set()
+    for x in q.elements():
+        if any(x) and x not in seen:
+            orbit = {apply(q, g, x) for g in group}
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+def q_classes(q, elements):
+    classes = {}
+    for x in elements:
+        classes.setdefault(q.q_value(x), []).append(x)
+    return list(classes.values())
+
+
+@pytest.mark.parametrize("name", WITT_FORMS)
+def test_isometry_orbits_are_the_q_classes(name):
+    q = WITT_FORMS[name]
+    nonzero = [x for x in q.elements() if any(x)]
+    classes = q_classes(q, nonzero)
+    assert sorted(map(sorted, orbits(q, brute_isometries(q)))) == sorted(map(sorted, classes))
+    assert _isometry_orbits(q, nonzero) == [c[0] for c in classes]
+
+
+@pytest.mark.parametrize("q", [u_block(4), cyclic_block(2, F(1, 2)), sum_forms([u_block(2), cyclic_block(2, F(1, 2))])])
+def test_isometry_orbits_keep_every_candidate_off_the_witt_case(q):
+    nonzero = [x for x in q.elements() if any(x)]
+    assert _isometry_orbits(q, nonzero) == nonzero
+
+
+@pytest.mark.parametrize("name", [*WITT_FORMS, "N", "E8(-2)"])
+def test_transvection_orbits_lie_in_the_q_classes(name):
+    q = WITT_FORMS[name] if name in WITT_FORMS else q_of(name)
+    nonzero = [x for x in q.elements() if any(x)]
+    classes = q_classes(q, nonzero)
+    per_class = [transvection_orbits(q, c) for c in classes]
+    # an orbit that met two classes would get one representative in the
+    # whole list but one in each class
+    assert sum(map(len, per_class)) == len(transvection_orbits(q, nonzero))
+    if name in ("N", "E8(-2)"):
+        assert transvection_orbits(q, nonzero) == _isometry_orbits(q, nonzero)
+
+
+def test_transvections_are_not_transitive_on_u2_u2():
+    q = WITT_FORMS["u(2)+u(2)"]
+    nonzero = [x for x in q.elements() if any(x)]
+    group = brute_isometries(q)
+    assert len(group) == 72
+    assert len(orbits(q, group)) == 2
+    assert len(transvection_orbits(q, nonzero)) == 3
 
 
 # ---------------------------------------------------------------------------

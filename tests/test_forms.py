@@ -37,6 +37,7 @@ from k3lat.forms import (
     trivial_form,
     u_block,
 )
+from glue_oracles import _close_subgroup, closure_isotropic_subgroups
 from rational_oracles import group_invariants_snf
 
 # ---------------------------------------------------------------------------
@@ -587,6 +588,53 @@ def test_isotropic_subgroups_trivial_order():
     subs = isotropic_subgroups(q, 1)
     assert len(subs) == 1 and subs[0].elements == ((0, 0),)
     assert isotropic_subgroups(q, 3) == []
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_isotropic_subgroups_reject_order_below_one(order):
+    with pytest.raises(ValueError, match=f"got {order}"):
+        isotropic_subgroups(u_block(2), order)
+
+
+def assert_matches_closure_search(q, order):
+    """Same element tuples in the same order as the closure search, and
+    each `gens` generates its `elements`."""
+    subs = isotropic_subgroups(q, order)
+    assert [s.elements for s in subs] == [
+        s.elements for s in closure_isotropic_subgroups(q, order)
+    ]
+    for s in subs:
+        assert _close_subgroup(q, s.gens, q.group_order) == frozenset(s.elements)
+
+
+@st.composite
+def small_forms(draw):
+    """Sums of cyclic, u- and v-blocks of order at most 4, up to 64 elements."""
+    parts = []
+    size = 1
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["cyclic", "u", "v"]))
+        if kind == "cyclic":
+            n = draw(st.integers(2, 4))
+            a = draw(st.integers(0, 2 * n - 1).filter(lambda a: a * n % 2 == 0))
+            block = cyclic_block(n, F(a, n))
+        elif kind == "u":
+            block = u_block(draw(st.integers(2, 4)))
+        else:
+            block = v_block(draw(st.sampled_from([2, 4])))
+        if size * block.group_order > 64:
+            break
+        size *= block.group_order
+        parts.append(block)
+    return sum_forms(parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_forms(), st.data())
+def test_isotropic_subgroups_match_closure_search(q, data):
+    divisors = [m for m in range(1, q.group_order + 1) if q.group_order % m == 0]
+    assert_matches_closure_search(q, data.draw(st.sampled_from(divisors)))
+    assert_matches_closure_search(q, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,12 @@ def test_unimodular_input_has_no_overlattices():
     assert overlattices(U, 2) == []
 
 
+@pytest.mark.parametrize("index", [0, -2])
+def test_overlattices_reject_index_below_one(index):
+    with pytest.raises(ValueError, match=f"got {index}"):
+        overlattices(rescale(U, 2), index)
+
+
 def test_index2_overlattice_of_twisted_hyperbolic_is_unimodular():
     z2 = overlattices(rescale(U, 2), 2)
     assert len(z2) >= 1
