@@ -13,10 +13,11 @@ outside callers.
 Whatever needs every element of the group reads one walk, `_walk`: an
 odometer over all coordinates but the last, in itertools.product order,
 that carries the value, row sums and order of each prefix forward and
-yields the run of the last coordinate in one piece.  The value table, the
-value multiset and the Gauss sums of the Milgram signature are built from
-it, and all three are cached per form (forms are frozen and hashable; a
-raised ArithmeticError is not cached).
+yields the run of the last coordinate in one piece.  The elements of
+wanted value classes, the value multiset and the Gauss sums of the Milgram
+signature are built from it, and all three are cached per form, the first
+per form and set of classes (forms are frozen and hashable; a raised
+ArithmeticError is not cached).
 
 A subgroup H of A is L/diag(d)Z^k for exactly one lattice
 diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
@@ -514,18 +515,29 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
 
 
 @lru_cache(maxsize=None)
-def _value_table(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
-    """All elements with (coords, order, N*q mod 2N), skipping zero, in
-    itertools.product order."""
+def _value_classes(
+    q: FiniteQuadraticForm, classes: tuple[tuple[int, int], ...]
+) -> tuple[tuple[Vec, ...], ...]:
+    """For each (order, N*q mod 2N) class in `classes`, its elements in
+    itertools.product order (zero is the one element of class (1, 0)).
+    Which last coordinates hit a wanted class depends only on the run,
+    which `_walk` yields as one shared object kept alive while it walks, so
+    it is worked out once per run id.  Only the kept elements are held."""
     if q.rank == 0:
-        return ()
+        return tuple(((),) if c == (1, 0) else () for c in classes)
+    index = {c: i for i, c in enumerate(classes)}
+    found: list[list[Vec]] = [[] for _ in classes]
     lasts = [(t,) for t in range(q.orders[-1])]
-    elements = itertools.chain.from_iterable(
-        zip(map(prefix.__add__, lasts), ords, vals)
-        for prefix, ords, vals in _walk(q.table, q.orders, q.level)
-    )
-    next(elements)  # zero
-    return tuple(elements)
+    hits: dict[tuple[int, int], list[tuple[int, Vec]]] = {}
+    for prefix, ords, vals in _walk(q.table, q.orders, q.level):
+        run = hits.get((id(ords), id(vals)))
+        if run is None:
+            run = hits[id(ords), id(vals)] = [
+                (index[ov], lasts[t]) for t, ov in enumerate(zip(ords, vals)) if ov in index
+            ]
+        for i, last in run:
+            found[i].append(prefix + last)
+    return tuple(map(tuple, found))
 
 
 @lru_cache(maxsize=None)
@@ -585,12 +597,9 @@ def forms_isomorphic(
     gens1 = [(i, (o, q1.table[i][i])) for i, o in enumerate(q1.orders)]
     # equal group invariants give equal levels, so the integer values of
     # both forms are over the same N; only the generators' value classes
-    # need candidates
-    buckets: dict[tuple[int, int], list[Vec]] = {g[1]: [] for g in gens1}
-    for x, o, v in _value_table(q2):
-        bucket = buckets.get((o, v))
-        if bucket is not None:
-            bucket.append(x)
+    # need candidates (sorted, so that one class set is one cache entry)
+    wanted = tuple(sorted({g[1] for g in gens1}))
+    buckets = dict(zip(wanted, _value_classes(q2, wanted)))
     # larger order first, then the rarest value class
     gens1.sort(key=lambda g: (-g[1][0], len(buckets[g[1]]), g[0]))
 
@@ -755,7 +764,7 @@ def _quotient_structure(sup_rows: Mat, sub_rows: Mat) -> tuple[tuple[int, ...], 
         if x is None:
             raise ValueError("sub lattice is not contained in sup lattice")
         coords.append(x)
-    d, _, v = snf(coords)
+    d, v = snf(coords)
     vi = inv_unimodular(v)
     orders = []
     for i in range(k):
@@ -800,7 +809,7 @@ def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:
 
 def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     """Locate a hyperbolic u(m) pair inside q (first in canonical order)."""
-    cands = [x for x, o, v in _value_table(q) if o == m and v == 0]
+    (cands,) = _value_classes(q, ((m, 0),))
     target = q.level - q.level // m  # N*(-1/m) mod N
     for x in cands:
         for y in cands:

@@ -14,6 +14,7 @@ dataclasses.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -173,81 +174,55 @@ def kernel_int(a: Sequence[Sequence[int]]) -> Mat:
     return transpose(rows) if rows else tuple(() for _ in range(n))
 
 
-def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat, Mat]:
-    """Smith normal form: returns (D, U, V) with U*a*V == D diagonal,
-    d_1 | d_2 | ... nonnegative, U and V unimodular."""
+def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
+    """Smith normal form: returns (D, V) with U*a*V == D diagonal for some
+    unimodular U, d_1 | d_2 | ... nonnegative, V unimodular.  No caller
+    needs U, so the row operations act on D alone."""
     d = [list(map(int, row)) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
-    u = [list(row) for row in identity(m)]
     v = [list(row) for row in identity(n)]
-
-    def row_op(i: int, j: int, g: int, s: int, t: int, p: int, q: int) -> None:
-        d[i], d[j] = (
-            [s * x + t * y for x, y in zip(d[i], d[j])],
-            [p * y - q * x for x, y in zip(d[i], d[j])],
-        )
-        u[i], u[j] = (
-            [s * x + t * y for x, y in zip(u[i], u[j])],
-            [p * y - q * x for x, y in zip(u[i], u[j])],
-        )
-
-    def col_op(i: int, j: int, g: int, s: int, t: int, p: int, q: int) -> None:
-        for row in d:
-            row[i], row[j] = s * row[i] + t * row[j], p * row[j] - q * row[i]
-        for row in v:
-            row[i], row[j] = s * row[i] + t * row[j], p * row[j] - q * row[i]
-
     t0 = 0
     while t0 < min(m, n):
-        # move a nonzero entry of smallest magnitude into the corner
-        best = None
-        for i in range(t0, m):
-            for j in range(t0, n):
-                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # move the first nonzero entry of smallest magnitude, in row-major
+        # order, into the corner
+        rest = [row[t0:] for row in d[t0:]]
+        small = min(filter(None, map(abs, chain.from_iterable(rest))), default=0)
+        if not small:
             break
-        bi, bj = best
+        bi, r = next((i, r) for i, r in enumerate(rest, t0) if small in r or -small in r)
+        bj = t0 + min(r.index(x) for x in (small, -small) if x in r)
         d[t0], d[bi] = d[bi], d[t0]
-        u[t0], u[bi] = u[bi], u[t0]
-        if bj != t0:
-            for row in d:
-                row[t0], row[bj] = row[bj], row[t0]
-            for row in v:
-                row[t0], row[bj] = row[bj], row[t0]
+        for row in d + v:
+            row[t0], row[bj] = row[bj], row[t0]
         while True:
             for i in range(t0 + 1, m):
                 if d[i][t0]:
                     g, s, t = xgcd(d[t0][t0], d[i][t0])
-                    row_op(t0, i, g, s, t, d[t0][t0] // g, d[i][t0] // g)
-            if any(d[t0][j] for j in range(t0 + 1, n)):
-                for j in range(t0 + 1, n):
-                    if d[t0][j]:
-                        g, s, t = xgcd(d[t0][t0], d[t0][j])
-                        col_op(t0, j, g, s, t, d[t0][t0] // g, d[t0][j] // g)
-                continue
-            if any(d[i][t0] for i in range(t0 + 1, m)):
-                continue
-            break
-        # enforce divisibility of the remaining block by the corner entry
-        stray = None
-        for i in range(t0 + 1, m):
-            for j in range(t0 + 1, n):
-                if d[i][j] % d[t0][t0]:
-                    stray = i
-                    break
-            if stray is not None:
+                    p, q = d[t0][t0] // g, d[i][t0] // g
+                    d[t0], d[i] = (
+                        [s * x + t * y for x, y in zip(d[t0], d[i])],
+                        [p * y - q * x for x, y in zip(d[t0], d[i])],
+                    )
+            if not any(d[t0][t0 + 1:]):
                 break
+            for j in range(t0 + 1, n):
+                if d[t0][j]:
+                    g, s, t = xgcd(d[t0][t0], d[t0][j])
+                    p, q = d[t0][t0] // g, d[t0][j] // g
+                    for row in d + v:
+                        row[t0], row[j] = s * row[t0] + t * row[j], p * row[j] - q * row[t0]
+        # enforce divisibility of the remaining block by the corner entry
+        c = d[t0][t0]
+        stray = None if c in (1, -1) else next(
+            (i for i in range(t0 + 1, m) if any(x % c for x in d[i][t0 + 1:])), None)
         if stray is not None:
             d[t0] = [x + y for x, y in zip(d[t0], d[stray])]
-            u[t0] = [x + y for x, y in zip(u[t0], u[stray])]
             continue
         if d[t0][t0] < 0:
             d[t0] = [-x for x in d[t0]]
-            u[t0] = [-x for x in u[t0]]
         t0 += 1
-    return freeze(d), freeze(u), freeze(v)
+    return freeze(d), freeze(v)
 
 
 def rank_int(a: Sequence[Sequence[int]]) -> int:

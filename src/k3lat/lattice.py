@@ -252,7 +252,7 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
     n = lat.rank
     if n == 0:
         return DiscriminantData(FiniteQuadraticForm((), ()), ())
-    d, _, v = snf(lat.gram)
+    d, v = snf(lat.gram)
     orders = [d[i][i] for i in range(n)]
     keep = [i for i in range(n) if orders[i] > 1]
     vt = transpose(v)
@@ -335,7 +335,7 @@ def quotient_by_radical(lat: IntegralLattice) -> tuple[IntegralLattice, Mat]:
     n = lat.rank
     if not rad:
         return lat, identity(n)
-    _, _, v = snf(rad)
+    _, v = snf(rad)
     vi = inv_unimodular(v)
     # row span of rad = span of the first r rows of v^-1; the rest descend
     # to a basis of the quotient

@@ -23,7 +23,7 @@ from .forms import (
     milgram_signature,
     quotient_form,
 )
-from .intmat import Vec, adjugate, freeze, hnf_basis, require, transpose, vec_mat
+from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_mat
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -74,6 +74,23 @@ def _u_pair(
     return e1, e2
 
 
+def _scaled_inverse(b: Mat, den: int) -> Mat:
+    """den * b^-1 for a nonsingular upper-triangular integer matrix b, by
+    back-substitution; ArithmeticError unless it is integral."""
+    n = len(b)
+    out = []
+    for i in range(n):
+        # row i of X with X b = den * I: entry j is fixed by those before
+        # it, so the first non-integral entry shows as an inexact division
+        row = [0] * n
+        for j in range(i, n):
+            row[j], r = divmod(den * (i == j) - sum(row[k] * b[k][j] for k in range(i, j)), b[j][j])
+            if r:
+                raise ArithmeticError("original lattice does not embed")
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _glue_overlattice(
     lat: IntegralLattice,
     lifts: Sequence[Sequence[Fraction]],
@@ -93,11 +110,9 @@ def _glue_overlattice(
         raise ArithmeticError("glue lift does not pair integrally")
     z = IntegralLattice(freeze(tuple(x // den2 for x in row) for row in scaled))
     # basis vector i of L is den * e_i = y @ basis, so y is row i of
-    # den * basis^-1 = den * adj(basis) / det(basis): the embedding columns
-    det_b, adj_b = adjugate(basis)
-    if any(den * x % det_b for row in adj_b for x in row):
-        raise ArithmeticError("original lattice does not embed")
-    emb = freeze(tuple(den * x // det_b for x in row) for row in adj_b)
+    # den * basis^-1, and basis is upper triangular (full-rank HNF): the
+    # embedding columns
+    emb = _scaled_inverse(basis, den)
     return z, Embedding(z, lat, transpose(emb))
 
 

@@ -2,15 +2,23 @@
 Hermite normal forms and glue orbits from Witt's theorem, kept outside the
 package as oracles: a breadth-first closure search over generator tuples
 for the isotropic subgroups, and a breadth-first orbit search under
-orthogonal transvections for the index-2 glue.
+orthogonal transvections for the index-2 glue.  Both read the plain
+listing of a form's elements with their orders and values, itself the
+oracle for the package's walks.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from k3lat.forms import FiniteQuadraticForm, Subgroup, _value_table
+from k3lat.forms import FiniteQuadraticForm, Subgroup
 from k3lat.intmat import Vec, require
+
+
+def value_listing(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
+    """Every element x of q, zero included, as (x, order, N*q(x) mod 2N),
+    in itertools.product order, each computed on its own."""
+    return tuple((x, q.element_order(x), q._q_int(x)) for x in q.elements())
 
 
 def _close_subgroup(q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int) -> frozenset[Vec] | None:
@@ -39,7 +47,7 @@ def closure_isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subg
         return [Subgroup(q, ((0,) * q.rank,), ())]
     if q.group_order % order:
         return []
-    iso = [x for x, o, v in _value_table(q) if order % o == 0 and v == 0]
+    iso = [x for x, o, v in value_listing(q) if o > 1 and order % o == 0 and v == 0]
     iso_set = set(iso)
     zero = (0,) * q.rank
     found: dict[tuple[Vec, ...], tuple[Vec, ...]] = {}
@@ -85,8 +93,7 @@ def transvection_orbits(
     if any(o > 2 for o in qw.orders):
         return cand
     # the level N is 2 (or 1 on the trivial group): values are N*q mod 2N
-    values = {(0,) * qw.rank: 0}
-    values.update((x, v) for x, _, v in _value_table(qw))
+    values = {x: v for x, _, v in value_listing(qw)}
     if any(val % qw.level for val in values.values()):
         return cand
     gens = [v for v, val in values.items() if val == qw.level]  # q(v) odd

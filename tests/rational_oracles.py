@@ -1,10 +1,11 @@
 """Reference routines in `Fraction` arithmetic, and the Grams they run on.
 
 These are the rational Gaussian eliminations that k3lat used before its
-eliminations became fraction-free, and the entry-by-entry Gram loops,
+eliminations became fraction-free, the entry-by-entry Gram loops,
 per-vector solves and Smith forms it used before its Gram changes became
-matrix products.  They are kept here, outside the package, as oracles for
-k3lat's routines.
+matrix products, and the Smith form with both transforms that it used
+before its Smith form dropped the left one.  They are kept here, outside
+the package, as oracles for k3lat's routines.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from k3lat.intmat import hnf_basis, identity, mat_mul, snf, solve_int, transpose
+from k3lat.intmat import freeze, hnf_basis, identity, mat_mul, snf, solve_int, transpose, xgcd
 
 
 def signature_frac(gram):
@@ -137,6 +138,71 @@ def inv_gauss_jordan(a):
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def snf_with_transforms(a):
+    """Smith normal form with both transforms: (D, U, V) with U*a*V == D
+    diagonal, d_1 | d_2 | ... nonnegative, U and V unimodular.  The same
+    pivoting as `snf`, with U following every row operation."""
+    d = [list(map(int, row)) for row in a]
+    m = len(d)
+    n = len(d[0]) if m else 0
+    u = [list(row) for row in identity(m)]
+    v = [list(row) for row in identity(n)]
+
+    def row_op(i, j, s, t, p, q):
+        for w in (d, u):
+            w[i], w[j] = (
+                [s * x + t * y for x, y in zip(w[i], w[j])],
+                [p * y - q * x for x, y in zip(w[i], w[j])],
+            )
+
+    def col_op(i, j, s, t, p, q):
+        for w in (d, v):
+            for row in w:
+                row[i], row[j] = s * row[i] + t * row[j], p * row[j] - q * row[i]
+
+    t0 = 0
+    while t0 < min(m, n):
+        best = None
+        for i in range(t0, m):
+            for j in range(t0, n):
+                if d[i][j] and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        d[t0], d[bi] = d[bi], d[t0]
+        u[t0], u[bi] = u[bi], u[t0]
+        if bj != t0:
+            for w in (d, v):
+                for row in w:
+                    row[t0], row[bj] = row[bj], row[t0]
+        while True:
+            for i in range(t0 + 1, m):
+                if d[i][t0]:
+                    g, s, t = xgcd(d[t0][t0], d[i][t0])
+                    row_op(t0, i, s, t, d[t0][t0] // g, d[i][t0] // g)
+            if any(d[t0][j] for j in range(t0 + 1, n)):
+                for j in range(t0 + 1, n):
+                    if d[t0][j]:
+                        g, s, t = xgcd(d[t0][t0], d[t0][j])
+                        col_op(t0, j, s, t, d[t0][t0] // g, d[t0][j] // g)
+                continue
+            if any(d[i][t0] for i in range(t0 + 1, m)):
+                continue
+            break
+        stray = next((i for i in range(t0 + 1, m)
+                      if any(d[i][j] % d[t0][t0] for j in range(t0 + 1, n))), None)
+        if stray is not None:
+            for w in (d, u):
+                w[t0] = [x + y for x, y in zip(w[t0], w[stray])]
+            continue
+        if d[t0][t0] < 0:
+            for w in (d, u):
+                w[t0] = [-x for x in w[t0]]
+        t0 += 1
+    return freeze(d), freeze(u), freeze(v)
+
+
 @st.composite
 def unimodular_mats(draw, n):
     """A random n x n matrix in GL_n(Z), built from elementary row operations."""
@@ -212,7 +278,7 @@ def group_invariants_snf(orders):
     diag = tuple(
         tuple(orders[i] if i == j else 0 for j in range(k)) for i in range(k)
     )
-    d, _, _ = snf(diag)
+    d, _ = snf(diag)
     return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
 
 

@@ -243,11 +243,11 @@ def test_evenset_command_reports_missing_sets(capsys):
     assert data["pencils"]["E1"]["count"] == 280
 
 
-# The theorem-genus certificate with a corrupted value table: the values of
-# two elements of the M(4,2) form (the second form that check compares) swap,
-# so the value multiset still agrees but the candidates for a generator are
-# wrong.  Only the final re-check of forms_isomorphic can catch that, and it
-# must still run when `python -O` strips asserts.
+# The theorem-genus certificate with corrupted value classes: two elements
+# of the top order of the M(4,2) form (the second form that check compares)
+# trade value classes, so the value multiset still agrees but the candidates
+# for a generator are wrong.  Only the final re-check of forms_isomorphic can
+# catch that, and it must still run when `python -O` strips asserts.
 _CORRUPT_THEOREM = """
 import sys
 if __debug__:
@@ -256,22 +256,29 @@ from k3lat import cli, forms
 from k3lat.catalog import FamilyDescriptor, family_genus
 
 target = family_genus(FamilyDescriptor("M", 4, 2)).disc
-table = forms._value_table
+value_classes = forms._value_classes
 
 
-def corrupt(q):
-    out = list(table(q))
-    if q == target:
-        top = max(o for _, o, _ in out)
-        i = next(i for i, (_, o, _) in enumerate(out) if o == top)
-        j = next(j for j, (_, o, v) in enumerate(out)
-                 if o == top and v != out[i][2])
-        (x, o, v), (y, _, w) = out[i], out[j]
-        out[i], out[j] = (x, o, w), (y, o, v)
-    return tuple(out)
+def corrupt(q, classes):
+    lists = value_classes(q, classes)
+    if q != target:
+        return lists
+    # the first element of the top order, in product order, and the first
+    # one after it in another value class trade classes
+    top = max(o for o, _, _ in forms._value_multiset(q))
+    tops = tuple((o, v) for o, v, _ in forms._value_multiset(q) if o == top)
+    listing = sorted((x, c) for c, xs in zip(tops, value_classes(q, tops)) for x in xs)
+    x, c = listing[0]
+    y, d = next(e for e in listing if e[1] != c)
+    moved = {x: d, y: c}
+    return tuple(
+        tuple(sorted([e for e in xs if e not in moved]
+                     + [e for e, to in moved.items() if to == cls]))
+        for cls, xs in zip(classes, lists)
+    )
 
 
-forms._value_table = corrupt
+forms._value_classes = corrupt
 sys.exit(cli.main(["verify", "theorem", "--json"]))
 """
 

@@ -21,8 +21,8 @@ from k3lat.forms import (
     SearchBudgetExceeded,
     Subgroup,
     _gauss_counts,
+    _value_classes,
     _value_multiset,
-    _value_table,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -37,7 +37,7 @@ from k3lat.forms import (
     trivial_form,
     u_block,
 )
-from glue_oracles import _close_subgroup, closure_isotropic_subgroups
+from glue_oracles import _close_subgroup, closure_isotropic_subgroups, value_listing
 from rational_oracles import group_invariants_snf
 
 # ---------------------------------------------------------------------------
@@ -378,9 +378,7 @@ def check_value_path(q, pairs):
         assert q.b_value(x, y) == oracle_b(q, x, y)
     if q.group_order > 3000:
         return
-    table = _value_table(q)
-    assert [x for x, _, _ in table] == [x for x in q.elements() if any(x)]
-    for x, o, v in table:
+    for x, o, v in value_listing(q):
         assert o == oracle_order(q, x)
         assert isinstance(v, int) and 0 <= v < 2 * q.level
         assert F(v, q.level) == oracle_q(q, x)
@@ -442,11 +440,16 @@ def test_value_path_matches_fraction_oracle(data):
 
 
 def check_walk(q):
-    plain = tuple(
-        (x, q.element_order(x), q._q_int(x)) for x in q.elements() if any(x)
-    )
-    assert _value_table(q) == plain  # element for element, in product order
+    plain = value_listing(q)
     tally = Counter((o, v) for _, o, v in plain)
+    # element for element, in product order, for every class (zero's
+    # among them), in either order, with a class that is empty
+    classes = tuple(sorted(tally)) + ((0, 0),)
+    for wanted in (classes, classes[::-1]):
+        assert _value_classes(q, wanted) == tuple(
+            tuple(x for x, o, v in plain if (o, v) == c) for c in wanted
+        )
+    del tally[1, 0]  # zero
     assert _value_multiset(q) == tuple(sorted((o, v, n) for (o, v), n in tally.items()))
     if q.rank == 0:
         return

@@ -39,6 +39,7 @@ from rational_oracles import (
     inv_gauss_jordan,
     ldl_frac,
     signature_frac,
+    snf_with_transforms,
     solve_frac,
     unimodular_mats,
 )
@@ -165,7 +166,8 @@ def test_hnf_row_properties(a):
 @settings(max_examples=120)
 @given(small_mats)
 def test_snf_properties(a):
-    d, u, v = snf(a)
+    d, v = snf(a)
+    _, u, _ = snf_with_transforms(a)
     assert mat_mul(mat_mul(u, a), v) == d
     assert abs(det_gauss(u)) == 1
     assert abs(det_gauss(v)) == 1
@@ -180,6 +182,24 @@ def test_snf_properties(a):
             assert y % x == 0
         else:
             assert y == 0
+
+
+rect_mats = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.integers(-9, 9), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
+
+
+@settings(max_examples=150)
+@given(rect_mats)
+def test_snf_matches_transform_oracle(a):
+    # the left transform only followed the row operations: dropping it
+    # leaves D and V exactly as they were
+    d, _, v = snf_with_transforms(a)
+    assert snf(a) == (d, v)
 
 
 @settings(max_examples=120)
@@ -198,7 +218,7 @@ def test_kernel_is_exact_and_saturated(a):
         assert all(x == 0 for x in mat_vec(a, col))
     # saturation: SNF invariants of the kernel basis are all 1
     if ncols:
-        d, _, _ = snf(transpose(k))
+        d, _ = snf(transpose(k))
         assert all(d[i][i] == 1 for i in range(ncols))
 
 

@@ -385,7 +385,7 @@ def test_saturation_and_primitivity():
     # mixed: index-2 sublattice of a plane
     emb = embedding_of(Z3, [[1, 1, 0], [1, -1, 0]])
     sat = saturation(emb)
-    d, _, _ = snf(sat.vectors)
+    d, _ = snf(sat.vectors)
     assert [d[i][i] for i in range(2)] == [1, 1]
     for r in emb.vectors:
         assert solve_int(transpose(sat.vectors), r) is not None
@@ -407,7 +407,7 @@ def test_saturation_properties(rows):
     # same rational span: every input row solves in sat, ranks agree
     for r in rows:
         assert solve_int(transpose(sat.vectors), r) is not None
-    d, _, _ = snf(sat.vectors)
+    d, _ = snf(sat.vectors)
     assert all(d[i][i] == 1 for i in range(len(sat.vectors)))
     assert saturation(sat).vectors == sat.vectors
     assert is_primitive(sat)
@@ -592,15 +592,16 @@ if __debug__:
 from fractions import Fraction
 from k3lat import forms, lattice
 
-# A value table of the second form that swaps the elements 1 <-> 3 and
+# Value classes of the second form that swap the elements 1 <-> 3 and
 # 5 <-> 7 of Z/8 with q(x) = x^2/8, so q-values 1/8 and 9/8 trade places.
 q1 = forms.cyclic_block(8, Fraction(1, 8))
 q2 = forms.cyclic_block(8, Fraction(1, 8))
-table = forms._value_table
+value_classes = forms._value_classes
 swap = {1: 3, 3: 1, 5: 7, 7: 5}
-forms._value_table = lambda q: tuple(
-    ((swap[x[0]] if x[0] in swap else x[0],), o, v) for x, o, v in table(q)
-) if q is q2 else table(q)
+forms._value_classes = lambda q, classes: tuple(
+    tuple((swap[x[0]] if x[0] in swap else x[0],) for x in xs)
+    for xs in value_classes(q, classes)
+) if q is q2 else value_classes(q, classes)
 try:
     print("forms", forms.forms_isomorphic(q1, q2))
 except ArithmeticError:

@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat.forms import (
@@ -21,7 +21,7 @@ from k3lat.forms import (
     sum_forms,
     u_block,
 )
-from k3lat.intmat import freeze, mat_mul, transpose
+from k3lat.intmat import adjugate, det_int, freeze, mat_mul, transpose
 from k3lat.lattice import (
     IntegralLattice,
     direct_sum,
@@ -36,6 +36,7 @@ from k3lat.overlattice import (
     GenusDescriptor,
     _glue_overlattice,
     _lift_of,
+    _scaled_inverse,
     genus_equal,
     genus_lemma_quotient,
     genus_of,
@@ -170,6 +171,34 @@ def test_glue_overlattice_matches_per_vector_solves(case):
     z, emb = _glue_overlattice(lat, lifts)
     assert z.gram == gram
     assert emb.matrix == matrix and emb.sub == lat
+
+
+@st.composite
+def _upper_triangular(draw):
+    """A nonsingular upper-triangular integer matrix and a scale."""
+    n = draw(st.integers(1, 5))
+    b = [
+        [draw(st.integers(-9, 9).filter(bool)) if i == j
+         else draw(st.integers(-9, 9)) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return freeze(b), draw(st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_upper_triangular(), st.booleans())
+def test_scaled_inverse_matches_adjugate(case, integral):
+    b, den = case
+    det_b, adj_b = adjugate(b)
+    if integral:
+        den *= det_b  # den * b^-1 is then integral
+    if any(den * x % det_b for row in adj_b for x in row):
+        with pytest.raises(ArithmeticError, match="does not embed"):
+            _scaled_inverse(b, den)
+        return
+    assert _scaled_inverse(b, den) == tuple(
+        tuple(den * x // det_b for x in row) for row in adj_b
+    )
 
 
 def test_u2_plus_n_has_an_overlattice_isometric_to_u_plus_n():
@@ -319,6 +348,37 @@ def test_genus_equal_is_basis_invariant(ops):
         g = mat_mul(mat_mul(transpose(t), g), t)
     moved = IntegralLattice(freeze(g))
     assert genus_equal(genus_of(moved), genus_of(lat))
+
+
+@st.composite
+def _even_lattice_and_conjugate(draw):
+    """An even non-degenerate lattice with |A| <= 256 and U G U^T for a
+    random U in GL_n(Z)."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3)) * (2 if i == j else 1)
+    assume(0 < abs(det_int(g)) <= 256)
+    u = draw(unimodular_mats(n))
+    return IntegralLattice(freeze(g)), IntegralLattice(mat_mul(mat_mul(u, g), transpose(u)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_even_lattice_and_conjugate())
+def test_conjugate_discriminant_forms_are_isomorphic(case):
+    # the candidate buckets hold only the generators' value classes; they
+    # must still hold every image a certificate needs
+    lat, conj = case
+    q1, q2 = discriminant_form(lat), discriminant_form(conj)
+    images = forms_isomorphic(q1, q2)
+    assert images is not None
+    gens = [tuple(int(i == j) for j in range(q1.rank)) for i in range(q1.rank)]
+    for i, (g, x) in enumerate(zip(gens, images)):
+        assert q2.q_value(x) == q1.q_value(g)
+        for h, y in zip(gens[:i], images):
+            assert q2.b_value(x, y) == q1.b_value(g, h)
+    assert genus_equal(genus_of(lat), genus_of(conj))
 
 
 def test_unique_by_length_criterion():

@@ -31,7 +31,7 @@ def test_det_snf_hnf_match_sympy(case):
         n = len(a)
         m = sympy.Matrix(a)
         assert det_int(a) == m.det()
-        d, _, _ = snf(a)
+        d, _ = snf(a)
         s = smith_normal_form(m, domain=sympy.ZZ)
         assert [d[i][i] for i in range(n)] == [s[i, i] for i in range(n)]
         assert [list(row) for row in hnf_basis(a)] == sympy_hnf_basis(a)
