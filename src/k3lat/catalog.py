@@ -33,7 +33,6 @@ from .lattice import (
     discriminant_form,
     discriminant_group,
     from_rows,
-    is_isometric_definite,
     is_primitive,
     root_count,
 )
@@ -255,14 +254,10 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
                 continue
             accepted.append(z)
         if accepted:
-            first = accepted[0]
-            for other in accepted[1:]:
-                if is_isometric_definite(first, other) is None:
-                    raise RuntimeError(
-                        f"ambiguous construction for n={n}: "
-                        "non-isometric candidates both pass"
-                    )
-            return first.relabel(f"M({n})"), kind, len(reps), len(accepted)
+            require(len(accepted) == 1,
+                    f"ambiguous construction for n={n}: "
+                    "non-isometric candidates both pass")
+            return accepted[0].relabel(f"M({n})"), kind, len(reps), 1
     raise RuntimeError(
         f"no valid glue candidate for n={n}: seeded configuration is wrong"
     )

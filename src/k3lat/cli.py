@@ -4,8 +4,10 @@ verification suites, towers, relatedness, and the even-set search.
 Output is canonical JSON (sorted keys, compact separators, rationals as
 "p/q" strings) so identical invocations are byte-identical; wall times
 appear only in the human-readable listing.  Exit codes: 0 all pass, 1 any
-failed check (or golden mismatch), 2 inconclusive (search budget hit) or
-unusable parameters.
+failed check (or golden mismatch), 2 inconclusive (a budgeted isometry
+search of definite lattices ran out; the lemma and theorem suites decide
+discriminant forms by normal forms and have no budget) or unusable
+parameters.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from .overlattice import (
 from .towers import cover_step, mukai_twisted_check, quotient_step, tower, tower_related
 
 SUITES = ("lemma", "theorem", "table", "x2", "un", "ue8", "towers", "mukai")
-DEFAULT_BUDGET = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +228,10 @@ def _suite_lemma(args) -> Iterator[dict]:
         raise ValueError("the block parameter n must be at least 2")
     if d % (2 * n):
         raise ValueError(f"need d = 0 mod 2n, got d={d}, n={n}")
-    return _lemma_checks(n, d, args.budget)
+    return _lemma_checks(n, d)
 
 
-def _lemma_checks(n: int, d: int, budget: int) -> Iterator[dict]:
+def _lemma_checks(n: int, d: int) -> Iterator[dict]:
     demo_w = named(f"U({n})")
     z, emb = lemma_overlattice(d, n, demo_w, find_u_block(discriminant_form(demo_w), n))
     v_det = -2 * d * n * n  # det(<2d>) * det(U(n))
@@ -243,8 +244,7 @@ def _lemma_checks(n: int, d: int, budget: int) -> Iterator[dict]:
     yield _check(
         f"lemma-disc-form-un-d{d}",
         forms_isomorphic(
-            discriminant_form(z), cyclic_block(2 * d, Fraction(1, 2 * d)),
-            budget=budget) is not None,
+            discriminant_form(z), cyclic_block(2 * d, Fraction(1, 2 * d))) is not None,
         f"the glue quotient has cyclic discriminant form of order {2 * d} "
         f"and value 1/{2 * d}",
         "the glue quotient has the wrong discriminant form")
@@ -259,8 +259,7 @@ def _lemma_checks(n: int, d: int, budget: int) -> Iterator[dict]:
     block = (h,) + tuple((0,) + x for x in wb)
     yield _check(
         f"lemma-genus-crosscheck-un-d{d}",
-        genus_equal(genus_of(z), genus_lemma_quotient(gv, block, d, n),
-                    budget=budget),
+        genus_equal(genus_of(z), genus_lemma_quotient(gv, block, d, n)),
         "lattice-level and form-level constructions land in the same genus",
         "the two construction routes disagree")
 
@@ -277,16 +276,13 @@ def _lemma_checks(n: int, d: int, budget: int) -> Iterator[dict]:
             [cyclic_block(2 * d, Fraction(1, 2 * d))] + [u_block(2)] * 3)
         yield _check(
             f"lemma-disc-form-e8-d{d}",
-            forms_isomorphic(discriminant_form(z2), expected, budget=budget)
-            is not None,
+            forms_isomorphic(discriminant_form(z2), expected) is not None,
             f"discriminant form is cyclic(1/{2 * d}) plus three hyperbolic "
             "2-blocks",
             "rank-9 overlattice has the wrong discriminant form")
         yield _check(
             f"lemma-family-agreement-d{d}",
-            genus_equal(genus_of(z2),
-                        family_genus(FamilyDescriptor("Lp", d, 2)),
-                        budget=budget),
+            genus_equal(genus_of(z2), family_genus(FamilyDescriptor("Lp", d, 2))),
             f"the congruence construction lands in the Lp({d},2) genus",
             "the congruence construction misses the family genus")
 
@@ -296,17 +292,16 @@ def _suite_theorem(args) -> Iterator[dict]:
     n = args.n if args.n is not None else 2
     d = args.d if args.d is not None else 2 * n
     return _theorem_checks(
-        n, d, FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n),
-        args.budget)
+        n, d, FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n))
 
 
 def _theorem_checks(
-    n: int, d: int, lp: FamilyDescriptor, m: FamilyDescriptor, budget: int
+    n: int, d: int, lp: FamilyDescriptor, m: FamilyDescriptor
 ) -> Iterator[dict]:
     gm = family_genus(m)
     yield _check(
         f"theorem-genus-n{n}-d{d}",
-        genus_equal(family_genus(lp), gm, budget=budget),
+        genus_equal(family_genus(lp), gm),
         f"{lp.label} and {m.label} lie in the same genus",
         f"{lp.label} and {m.label} genera differ",
         {"rank": gm.sig_plus + gm.sig_minus, "length": length(gm.disc)})
@@ -574,9 +569,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--golden", metavar="DIR",
                    help="write the canonical JSON on first run, compare on "
                    "later runs (mismatch exits 1)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="search-step budget for the lemma/theorem genus "
-                   f"comparisons (default {DEFAULT_BUDGET})")
     p.add_argument("--bound", type=int,
                    help="coordinate bound for the even-set suites "
                    "(x2 default 5, ue8 default 3)")

@@ -10,14 +10,36 @@ mod N off it.  Every computation below reads only that integer table;
 `q_value` and `b_value` turn their result back into a fraction for
 outside callers.
 
-Whatever needs every element of the group reads one walk, `_walk`: an
+Isomorphism and the Milgram signature read one normal form per form
+(`_normal_form`, cached), computed on generators, so its cost does not
+grow with |A|:
+
+- Jordan splitting (Nikulin 1979, 1.8-1.16): split A into p-parts and in
+  each peel blocks from the top scale p^k down: a cyclic block <x> when
+  p^k*q(x) is a unit, otherwise a pair with a unit pairing (for odd p,
+  x + y is then cyclic; for p = 2 it becomes u(2^k) or v(2^k)), the other
+  generators projected off it.  No unit pairing at the top scale means a
+  degenerate form, and ArithmeticError.
+- Normal form (Miranda-Morrison, Embeddings of integral quadratic forms,
+  ch. IV; the sign walking and oddity fusion of Conway-Sloane's 2-adic
+  symbol): for odd p each scale becomes <1, ..., 1, d>, d = 1 or a
+  non-residue; for p = 2 each scale becomes u ... u, at most one v and at
+  most two w's, and then, from the top scale down, fixed moves of rank at
+  most 4 on two or three adjacent scales set each scale's oddity and sign
+  as far as the scales below allow.  Every move is a basis change applied
+  to rows and Gram matrix together, and the result is checked again on
+  the form's own table.
+- `milgram_signature` adds the blocks' Gauss-sum phases in closed form;
+  `forms_isomorphic` compares normal forms and composes one form's basis
+  change with the inverse of the other's.
+
+What needs every element of the group reads one walk, `_walk`: an
 odometer over all coordinates but the last, in itertools.product order,
 that carries the value, row sums and order of each prefix forward and
 yields the run of the last coordinate in one piece.  The elements of
-wanted value classes, the value multiset and the Gauss sums of the Milgram
-signature are built from it, and all three are cached per form, the first
-per form and set of classes (forms are frozen and hashable; a raised
-ArithmeticError is not cached).
+wanted value classes (`find_u_block`) and the value multiset (genus
+records) are built from it and cached per form, the first per form and
+set of classes (forms are frozen and hashable).
 
 A subgroup H of A is L/diag(d)Z^k for exactly one lattice
 diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
@@ -37,7 +59,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
-from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .intmat import (
@@ -231,118 +252,9 @@ def length(q: FiniteQuadraticForm) -> int:
     return len(group_invariants(q.orders))
 
 
-def is_degenerate(q: FiniteQuadraticForm) -> bool:
-    """True iff some nonzero element pairs integrally with the whole group.
-
-    The adjoint map A -> Hom(A, Q/Z) is bijective exactly when the index of
-    {x in Z^k : table*x = 0 mod N} in Z^k equals |A|.
-    """
-    k = q.rank
-    if k == 0:
-        return False
-    n = q.level
-    gens = [list(row) for row in q.table]  # the table is symmetric
-    for i in range(k):
-        e = [0] * k
-        e[i] = n
-        gens.append(e)
-    lam = hnf_basis(gens)
-    index = 1
-    for i, row in enumerate(lam):
-        index *= row[i]
-    # adjoint image size inside (Z/N)^k is N^k / [Z^k : table Z^k + N Z^k]
-    return n**k // index != q.group_order
-
-
 # ---------------------------------------------------------------------------
-# Milgram / Gauss-sum signature, exact cyclotomic arithmetic
+# Walks over the whole group
 # ---------------------------------------------------------------------------
-
-
-def _cyclotomic_reduce(poly: list[int], m: int) -> list[int]:
-    """Remainder of poly (coefficients, low degree first) mod Phi_m.
-
-    Only the shapes needed here are supported: m a power of two, or
-    m = 4 * p^a with p an odd prime.
-    """
-    if m & (m - 1) == 0:  # power of two: Phi_m = x^(m/2) + 1
-        half = m // 2
-        out = [0] * half
-        for e, c in enumerate(poly):
-            if c:
-                out[e % half] += -c if (e // half) % 2 else c
-        return out
-    # m = 4 * p^a: Phi_m(x) = Phi_{p^a}(-x^2), explicit coefficients
-    odd = m // 4
-    p = min(f for f in range(3, odd + 1, 2) if odd % f == 0)
-    a = 0
-    t = odd
-    while t % p == 0:
-        t //= p
-        a += 1
-    if t != 1 or m != 4 * p**a:
-        raise ValueError(f"unsupported cyclotomic modulus {m}")
-    step = 2 * p ** (a - 1)
-    phi = [0] * ((p - 1) * step + 1)
-    for i in range(p):
-        phi[i * step] = (-1) ** i
-    # polynomial remainder over Z (Phi is monic up to sign of leading coeff)
-    rem = list(poly)
-    dphi = len(phi) - 1
-    lead = phi[-1]
-    while len(rem) > dphi:
-        c = rem[-1]
-        if c:
-            if c % lead:
-                # leading coefficient is +-1 for these shapes
-                raise ArithmeticError("non-monic cyclotomic division")
-            f = c // lead
-            for i, pc in enumerate(phi):
-                rem[len(rem) - 1 - dphi + i] -= f * pc
-        rem.pop()
-    return rem
-
-
-def _cyclo_equal(counts: dict[int, int], other: dict[int, int], m: int) -> bool:
-    poly = [0] * m
-    for e, c in counts.items():
-        poly[e % m] += c
-    for e, c in other.items():
-        poly[e % m] -= c
-    return not any(_cyclotomic_reduce(poly, m))
-
-
-def _prime_part(
-    q: FiniteQuadraticForm, p: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Gram of the p-Sylow subgroup over its exponent P.
-
-    The subgroup is generated by the multiples m_i*e_i that kill the
-    prime-to-p part of each order.  Returns (gram, orders, P): entry (i, j)
-    of gram is an integer representative of P*b(g_i, g_j), of P*q(g_i) on
-    the diagonal; representatives are enough because q(x) is computed
-    mod 2 and off-diagonal terms enter doubled.
-    """
-    idx, mult, orders = [], [], []
-    for i, o in enumerate(q.orders):
-        t = o
-        while t % p == 0:
-            t //= p
-        if t != o:
-            idx.append(i)
-            mult.append(t)
-            orders.append(o // t)
-    exp = max(orders, default=1)
-    scale = q.level // exp  # N*q(g) and N*b(g, h) are multiples of N/P
-    gram = []
-    for a, i in enumerate(idx):
-        row = []
-        for b, j in enumerate(idx):
-            v = mult[a] * mult[b] * q.table[i][j]
-            require(v % scale == 0, f"the {p}-part has values outside (1/{exp})Z")
-            row.append(v // scale)
-        gram.append(row)
-    return gram, orders, exp
 
 
 def _walk(
@@ -400,120 +312,6 @@ def _walk(
             return
 
 
-def _gauss_counts(
-    gmat: list[list[int]], orders: list[int], d: int, m: int
-) -> dict[int, int]:
-    """Exponent histogram over the group of zeta_m^(q(x) * m/2), where
-    gmat holds d*q and d*b on generators of the given orders."""
-    if m % (2 * d):
-        raise ArithmeticError("modulus does not clear denominators")
-    f = m // (2 * d)
-    counts: dict[int, int] = {}
-    runs = Counter(vals for _, _, vals in _walk(gmat, orders, d))
-    for vals, n in runs.items():
-        for v in vals:
-            counts[v * f] = counts.get(v * f, 0) + n
-    return counts
-
-
-def _mul_counts(a: dict[int, int], b: dict[int, int], m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = (e1 + e2) % m
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
-
-
-def _scale_counts(a: dict[int, int], c: int) -> dict[int, int]:
-    return {e: v * c for e, v in a.items()}
-
-
-@lru_cache(maxsize=None)
-def milgram_signature(q: FiniteQuadraticForm) -> int:
-    """Signature invariant mod 8 via exact prime-split Gauss sums.
-
-    For each prime p the Gauss sum over the p-part equals
-    sqrt(|A_p|) * zeta_8^sigma_p; the eight candidate phases are compared
-    exactly in a cyclotomic ring (sqrt(2) and the odd quadratic Gauss sums
-    are themselves cyclotomic integers).  Raises ArithmeticError when no
-    phase matches, which signals a degenerate or corrupted form.  Cached
-    per form; a raise is not, so a degenerate form raises on every call.
-    """
-    if is_degenerate(q):
-        raise ArithmeticError("Milgram invariant requires a non-degenerate form")
-    n = q.group_order
-    sigma = 0
-    primes = []
-    rest = n
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            primes.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        primes.append(rest)
-    for p in primes:
-        gmat, orders, d = _prime_part(q, p)
-        size = 1
-        for o in orders:
-            size *= o
-        k = 0
-        t = size
-        while t > 1:
-            t //= p
-            k += 1
-        # cyclotomic modulus: the p-part has exponent d, and the sum lives
-        # in Z[zeta_{2d}]; enlarge to a supported shape.
-        if p == 2:
-            m = max(8, 2 * d)  # both are powers of two
-        else:
-            m = 4 * d  # d = p^a with a >= 1 for a non-degenerate p-part
-        s = _gauss_counts(gmat, orders, d, m)
-        matched = None
-        if p == 2:
-            root2 = {m // 8: 1, (7 * m) // 8: 1}  # zeta_8 + zeta_8^-1
-            base = {0: 2 ** (k // 2)}
-            if k % 2:
-                base = _mul_counts(_scale_counts(root2, 2 ** ((k - 1) // 2)), {0: 1}, m)
-            for sig8 in range(8):
-                cand = _mul_counts(base, {(sig8 * m // 8) % m: 1}, m)
-                if _cyclo_equal(s, cand, m):
-                    matched = sig8
-                    break
-        else:
-            gp = {}
-            step = m // p
-            for x in range(p):
-                e = (x * x * step) % m
-                gp[e] = gp.get(e, 0) + 1  # quadratic Gauss sum over Z/p
-            base = {0: p ** (k // 2)}
-            eps = k % 2
-            if eps:
-                base = _scale_counts(gp, p ** ((k - 1) // 2))
-            for tau in range(4):
-                cand = _mul_counts(base, {(tau * m // 4) % m: 1}, m)
-                if _cyclo_equal(s, cand, m):
-                    if eps and p % 4 == 3:
-                        matched = (2 * tau + 2) % 8
-                    else:
-                        matched = (2 * tau) % 8
-                    break
-        if matched is None:
-            raise ArithmeticError(
-                f"Gauss sum for p={p} matches no admissible phase (corrupted form?)"
-            )
-        sigma = (sigma + matched) % 8
-    return sigma % 8
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism testing
-# ---------------------------------------------------------------------------
-
-
 @lru_cache(maxsize=None)
 def _value_classes(
     q: FiniteQuadraticForm, classes: tuple[tuple[int, int], ...]
@@ -554,20 +352,529 @@ def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted((o, v, n) for (o, v), n in tally.items()))
 
 
-def _subgroup_size(q: FiniteQuadraticForm, vecs: Sequence[Vec]) -> int:
-    """Order of the subgroup generated by the given elements."""
-    k = q.rank
-    if k == 0:
-        return 1
-    rows = [list(v) for v in vecs]
-    rows += [
-        [q.orders[i] if i == j else 0 for j in range(k)] for i in range(k)
-    ]
-    h = hnf_basis(rows)
-    idx = 1
-    for i, row in enumerate(h):
-        idx *= row[i]
-    return q.group_order // idx
+# ---------------------------------------------------------------------------
+# Jordan splitting and normal form
+# ---------------------------------------------------------------------------
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def _poly(coeffs: Sequence[int], t: int) -> int:
+    s = 0
+    for c in reversed(coeffs):
+        s = s * t + c
+    return s
+
+
+def _lift_root(f: Sequence[int], x: int, p: int, m: int) -> int:
+    """A root mod p^m of the polynomial f (coefficients, lowest degree
+    first), by Newton's iteration from a root x mod p at which f' is a
+    unit; each step doubles the precision, so it takes about log2(m)."""
+    mod = p**m
+    df = [i * c for i, c in enumerate(f)][1:]
+    require(_poly(f, x) % p == 0 and _poly(df, x) % p != 0,
+            "no simple root to lift")
+    while _poly(f, x) % mod:
+        x = (x - _poly(f, x) * pow(_poly(df, x), -1, mod)) % mod
+    return x
+
+
+def _sqrt_unit(u: int, p: int, m: int) -> int:
+    """A square root mod p^m of a unit u that is a square mod p^m (for
+    p = 2 and m >= 3, u = 1 mod 8): a scan mod p, then Newton's iteration;
+    for p = 2, bit by bit, as (r + 2^(i-1))^2 = r^2 + 2^i mod 2^(i+1)."""
+    mod = p**m
+    if p == 2:
+        r = 1
+        for i in range(3, m):
+            if (r * r - u) >> i & 1:
+                r += 1 << (i - 1)
+        require((r * r - u) % mod == 0, f"{u} is not a square mod {mod}")
+        return r
+    r = next((t for t in range(1, p) if (t * t - u) % p == 0), None)
+    require(r is not None, f"{u} is not a square mod {p}")
+    return _lift_root((-u, 0, 1), r, p, m)
+
+
+class _Frame:
+    """Elements of the p-part of a form, in the form's coordinates, with
+    their Gram matrix over the exponent P of that part: g[i][j] is
+    P*b(x_i, x_j) mod P off the diagonal and P*q(x_i) mod 2P on it.  Every
+    basis change below is made of `add`, `scale` and `transform`, which
+    update rows and Gram matrix together."""
+
+    def __init__(self, q: FiniteQuadraticForm, p: int) -> None:
+        idx, mult, orders = [], [], []
+        for i, o in enumerate(q.orders):
+            t = o
+            while t % p == 0:
+                t //= p
+            if t != o:
+                idx.append(i)
+                mult.append(t)
+                orders.append(o // t)
+        self.q, self.p = q, p
+        self.P = max(orders, default=1)
+        s = q.level // self.P  # N*q(x) and N*b(x, y) are multiples of N/P
+        self.rows = [[m if j == i else 0 for j in range(q.rank)] for i, m in zip(idx, mult)]
+        self.g = []
+        for a, i in enumerate(idx):
+            row = []
+            for b, j in enumerate(idx):
+                v = mult[a] * mult[b] * q.table[i][j]
+                require(v % s == 0, f"the {p}-part has values outside (1/{self.P})Z")
+                row.append(v // s % (2 * self.P if a == b else self.P))
+            self.g.append(row)
+
+    def Q(self, i: int, k: int) -> int:
+        """p^k*q(x_i) mod 2p^k, for x_i of order at most p^k."""
+        return self.g[i][i] // (self.P // self.p**k) % (2 * self.p**k)
+
+    def B(self, i: int, j: int, k: int) -> int:
+        """p^k*b(x_i, x_j) mod p^k, for x_i or x_j of order at most p^k."""
+        return self.g[i][j] // (self.P // self.p**k) % self.p**k
+
+    def _reduce(self, row: list[int]) -> list[int]:
+        return [x % o for x, o in zip(row, self.q.orders)]
+
+    def add(self, i: int, j: int, c: int) -> None:
+        """x_i += c*x_j."""
+        if not c:
+            return
+        g, P = self.g, self.P
+        gi, gj = g[i], g[j]
+        diag = (gi[i] + 2 * c * gi[j] + c * c * gj[j]) % (2 * P)
+        for m in range(len(g)):
+            if m != i:
+                gi[m] = g[m][i] = (gi[m] + c * gj[m]) % P
+        gi[i] = diag
+        self.rows[i] = self._reduce([a + c * b for a, b in zip(self.rows[i], self.rows[j])])
+
+    def scale(self, i: int, c: int) -> None:
+        """x_i *= c."""
+        if c == 1:
+            return
+        g, P = self.g, self.P
+        gi = g[i]
+        for m in range(len(g)):
+            if m != i:
+                gi[m] = g[m][i] = c * gi[m] % P
+        gi[i] = c * c * gi[i] % (2 * P)
+        self.rows[i] = self._reduce([c * a for a in self.rows[i]])
+
+    def transform(self, idx: Sequence[int], mat: Sequence[Sequence[int]]) -> None:
+        """Rows idx -> mat @ rows idx."""
+        g, P = self.g, self.P
+        old = [g[a][:] for a in idx]
+        cross = [[sum(c * o[m] for c, o in zip(coeffs, old)) for m in range(len(g))]
+                 for coeffs in mat]
+        rows = [self._reduce([sum(c * self.rows[a][t] for c, a in zip(coeffs, idx))
+                              for t in range(self.q.rank)]) for coeffs in mat]
+        for r, i in enumerate(idx):
+            for m in range(len(g)):
+                if m not in idx:
+                    g[i][m] = g[m][i] = cross[r][m] % P
+            for s, j in enumerate(idx):
+                if s != r:
+                    g[i][j] = sum(c * cross[r][a] for c, a in zip(mat[s], idx)) % P
+            ci = mat[r]
+            g[i][i] = (sum(c * c * old[a][idx[a]] for a, c in enumerate(ci))
+                       + 2 * sum(ci[a] * ci[b] * old[a][idx[b]]
+                                 for a in range(len(idx)) for b in range(a + 1, len(idx)))
+                       ) % (2 * P)
+            self.rows[i] = rows[r]
+
+    def project(self, z: int, block: Sequence[int], k: int) -> None:
+        """Make x_z orthogonal to a block at scale p^k whose pairing
+        matrix times p^k is invertible mod p^k."""
+        mod = self.p**k
+        if len(block) == 1:
+            (x,) = block
+            self.add(z, x, -self.B(z, x, k) * pow(self.B(x, x, k), -1, mod) % mod)
+            return
+        x, y = block
+        bxx, bxy, byy = self.B(x, x, k), self.B(x, y, k), self.B(y, y, k)
+        inv = pow(bxx * byy - bxy * bxy, -1, mod)
+        bx, by = self.B(z, x, k), self.B(z, y, k)
+        self.add(z, x, -inv * (byy * bx - bxy * by) % mod)
+        self.add(z, y, -inv * (bxx * by - bxy * bx) % mod)
+
+    def plane(self, k: int, x: int, y: int) -> str:
+        """Turn an even unimodular pair at scale 2^k (Q even, B(x, y) odd)
+        into u(2^k) (Q = 0, 0) or v(2^k) (Q = 2, 2), with B(x, y) = 1; the
+        Arf invariant a*c mod 2 of Q = (2a, 2c) tells which."""
+        m = 2 << k
+        self.scale(y, pow(self.B(x, y, k), -1, m))
+        a, c = self.Q(x, k) // 2, self.Q(y, k) // 2
+        if a % 2 and c % 2:
+            # Q(x + t*y) = 2 needs c*t^2 + t + a - 1 = 0 mod 2^k
+            self.add(x, y, _lift_root((a - 1, 1, c), 0, 2, k))
+            self.scale(y, pow(self.B(x, y, k), -1, m))
+            # y' = X*x + (1 - 2X)*y has B(x, y') = 1 and Q(y') = 2 when
+            # (4c - 1)X^2 + (1 - 4c)X + c - 1 = 0 mod 2^k
+            c = self.Q(y, k) // 2
+            t = _lift_root((c - 1, 1 - 4 * c, 4 * c - 1), 0, 2, k)
+            self.scale(y, 1 - 2 * t)
+            self.add(y, x, t)
+            kind, want = "v", 2
+        else:
+            # an isotropic x: c*t^2 + t + a = 0 mod 2^k, then y -= (Q(y)/2)*x
+            self.add(x, y, _lift_root((a, 1, c), a % 2, 2, k))
+            self.scale(y, pow(self.B(x, y, k), -1, m))
+            self.add(y, x, -(self.Q(y, k) // 2))
+            kind, want = "u", 0
+        require(self.Q(x, k) == self.Q(y, k) == want and self.B(x, y, k) == 1 % (m // 2),
+                f"the pair at scale 2^{k} did not reduce to {kind}")
+        return kind
+
+
+Block = tuple[str, tuple[int, ...]]
+
+
+def _split(fr: _Frame) -> dict[int, list[Block]]:
+    """Jordan splitting of the p-part: {k: blocks at scale p^k}, each
+    ("w", (x,)) cyclic or, for p = 2, ("p", (x, y)) an even pair.  Blocks
+    are peeled from the top scale down: a cyclic block on a row whose
+    p^k*q is a unit, else an even pair with a unit pairing (for odd p,
+    x + y is then cyclic); the other rows are projected off it.  A p-part
+    with no unit pairing at its top scale is degenerate."""
+    q, p = fr.q, fr.p
+    levels: dict[int, list[Block]] = {}
+    active = [i for i, r in enumerate(fr.rows) if any(r)]
+    while active:
+        order = {i: q.element_order(fr.rows[i]) for i in active}
+        top = max(order.values())
+        k = 0
+        while p**k < top:
+            k += 1
+        tops = [i for i in active if order[i] == top]
+        x = next((i for i in tops if fr.Q(i, k) % p), None)
+        if x is not None:
+            block: Block = ("w", (x,))
+        else:
+            pair = next(((i, j) for a, i in enumerate(tops) for j in tops[a + 1:]
+                         if fr.B(i, j, k) % p), None)
+            if pair is None:
+                raise ArithmeticError(
+                    f"degenerate form: no unit pairing at scale {p}^{k}")
+            if p == 2:
+                block = ("p", pair)
+            else:
+                fr.add(pair[0], pair[1], 1)
+                block = ("w", pair[:1])
+        rest = [i for i in active if i not in block[1]]
+        for z in rest:
+            fr.project(z, block[1], k)
+        levels.setdefault(k, []).append(block)
+        active = [i for i in rest if any(fr.rows[i])]
+    return levels
+
+
+# pairs of w values (mod 8) that the move (a, b) -> (a + 4, b + 4) replaces
+_MOVED_PAIRS = {(3, 3), (3, 5), (5, 5), (5, 7)}
+
+
+def _hnf2(fr: _Frame, k: int, blocks: list[Block]) -> list[Block]:
+    """Homogeneous normal form of the scale-2^k blocks: u ... u, at most
+    one v, at most two w's, in that order.
+
+    - www -> w + even pair: (x, y, z) -> (x + y + z, e2*x - e1*y, e3*x - e1*z)
+      for values (e1, e2, e3);
+    - vv -> uu: x = e1 + e2 + d*f2 with d^2 + d + 2 = 0 mod 2^k is
+      isotropic, and the pair (x, f1) and its complement are both u;
+    - v + ww -> u + ww when the two w values agree mod 4 (`_trade_v`);
+    - w values to 1, 3, 5, 7 by a unit square, and the pairs in
+      _MOVED_PAIRS moved by (x, y) -> (x + 2y, -2*e2*x + e1*y), whose
+      values are (e1 + 4e2, e1*e2*(e1 + 4e2)) = (e1 + 4, e2 + 4) mod 8.
+
+    At k = 1 the w values are only defined mod 4 and the last move is the
+    identity."""
+    ws = [rows[0] for kind, rows in blocks if kind == "w"]
+    planes = {"u": [], "v": []}
+    for kind, rows in blocks:
+        if kind != "w":
+            planes[fr.plane(k, *rows)].append(rows)
+    while len(ws) >= 3:
+        x, y, z = ws[:3]
+        e1, e2, e3 = fr.Q(x, k), fr.Q(y, k), fr.Q(z, k)
+        fr.transform((x, y, z), ((1, 1, 1), (e2, -e1, 0), (e3, 0, -e1)))
+        planes[fr.plane(k, y, z)].append((y, z))
+        ws = [x] + ws[3:]
+    us, vs = planes["u"], planes["v"]
+    while len(vs) >= 2:
+        (e1, f1), (e2, f2) = vs.pop(), vs.pop()
+        fr.add(e1, e2, 1)
+        fr.add(e1, f2, _lift_root((2, 1, 1), 0, 2, k))
+        fr.project(e2, (e1, f1), k)
+        fr.project(f2, (e1, f1), k)
+        for pair in ((e1, f1), (e2, f2)):
+            require(fr.plane(k, *pair) == "u", "two v blocks did not give two u blocks")
+            us.append(pair)
+    if len(ws) == 2 and vs and (fr.Q(ws[0], k) - fr.Q(ws[1], k)) % 4 == 0:
+        ws = _trade_v(fr, k, vs.pop(), ws, us)
+    for x in ws:
+        _unit_w(fr, k, x)
+    if len(ws) == 2 and k >= 2 and tuple(sorted(fr.Q(x, k) for x in ws)) in _MOVED_PAIRS:
+        x, y = ws
+        fr.transform(ws, ((1, 2), (-2 * fr.Q(y, k), fr.Q(x, k))))
+        for x in ws:
+            _unit_w(fr, k, x)
+    ws.sort(key=lambda x: fr.Q(x, k))
+    return ([("u", b) for b in us] + [("v", b) for b in vs]
+            + [("w", (x,)) for x in ws])
+
+
+def _unit_w(fr: _Frame, k: int, x: int) -> None:
+    """Scale a cyclic block at scale 2^k to the value Q mod 8."""
+    if k >= 3:
+        m = 2 << k
+        e = fr.Q(x, k)
+        fr.scale(x, _sqrt_unit(e % 8 * pow(e, -1, m), 2, k + 1))
+
+
+def _trade_v(fr: _Frame, k: int, v: tuple[int, int], ws: list[int],
+             us: list) -> list[int]:
+    """v + w(e1) + w(e2) with e1 = e2 mod 4 -> u + ww.  x + e is odd and
+    of the other class mod 4, and the rest of v + w(e1) splits into two
+    w's; then (a, b, c) -> (a + b + c, e2*a - e1*b, e3*a - e1*c) on w's
+    with e1 + e2 = 0 mod 4 gives a u pair."""
+    e, f = v
+    x, y = ws
+    fr.add(x, e, 1)
+    fr.project(e, (x,), k)
+    fr.project(f, (x,), k)
+    fr.project(e, (f,), k)
+    require(fr.Q(e, k) % 2 == fr.Q(f, k) % 2 == 1, "v + w did not split into w's")
+    e1, e2, e3 = fr.Q(x, k), fr.Q(y, k), fr.Q(f, k)
+    require((e1 + e2) % 4 == 0, "v + w gave no w of the other class")
+    fr.transform((x, y, f), ((1, 1, 1), (e2, -e1, 0), (e3, 0, -e1)))
+    require(fr.plane(k, y, f) == "u", "v + ww did not give u + ww")
+    us.append((y, f))
+    return [x, e]
+
+
+def _sign_negative(fr: _Frame, k: int, blocks: list[Block]) -> bool:
+    """Whether the determinant of the scale-2^k constituent is 3 or 5 mod 8
+    (u counts -1, v 3, w its value)."""
+    d = 1
+    for kind, rows in blocks:
+        d *= {"u": -1, "v": 3}.get(kind) or fr.Q(rows[0], k)
+    return d % 8 in (3, 5)
+
+
+def _shear(fr: _Frame, k: int, h: int, g: int) -> None:
+    """h += g for a cyclic h at scale 2^k and a w row g at a lower scale,
+    then g is projected off h: for g at scale 2^(k-1) the values (a, b)
+    become a(1 + 2ab), b(1 + 2ab) mod 8, for g at 2^(k-2) (a + 4, b + 4)."""
+    fr.add(h, g, 1)
+    fr.project(g, (h,), k)
+
+
+def _normal2(fr: _Frame, levels: dict[int, list[Block]]) -> None:
+    """Normal form of the 2-part, in place: every scale in homogeneous
+    normal form, and from the top scale k down, with moves that change
+    only the scales below k:
+
+    - (b) if scale k-1 has a w, a v at k becomes u (its pair sheared by
+      that w: e += g, f += g flips the Arf invariant) and every w at k
+      is made 1 mod 4 (`_shear`);
+    - (c) if the constituent at k has w's and determinant 3 or 5 mod 8,
+      its last w is moved by +4 (sign walking) through a u or v at k-1
+      (h += e + f), a w at k-2 (`_shear`), or two w's at k-1 that agree
+      mod 4 (`_shear` twice), the first of these that exists."""
+    for k in levels:
+        levels[k] = _hnf2(fr, k, levels[k])
+    for k in sorted(levels, reverse=True):
+        below = levels.get(k - 1, [])
+        w1 = [rows[0] for kind, rows in below if kind == "w"]
+        here = levels[k]
+        if w1:
+            for kind, rows in here:
+                if kind == "v":
+                    e, f = rows
+                    fr.add(e, w1[0], 1)
+                    fr.add(f, w1[0], 1)
+                    fr.project(w1[0], rows, k)
+                elif kind == "w" and fr.Q(rows[0], k) % 4 == 3:
+                    _shear(fr, k, rows[0], w1[0])
+            here = _hnf2(fr, k, here)
+        ws = [rows[0] for kind, rows in here if kind == "w"]
+        if ws and _sign_negative(fr, k, here):
+            h = ws[-1]
+            uv1 = [rows for kind, rows in below if kind != "w"]
+            w2 = [rows[0] for kind, rows in levels.get(k - 2, []) if kind == "w"]
+            if uv1:
+                e, f = uv1[-1]
+                fr.add(h, e, 1)
+                fr.add(h, f, 1)
+                fr.project(e, (h,), k)
+                fr.project(f, (h,), k)
+            elif w2:
+                _shear(fr, k, h, w2[0])
+            elif len(w1) == 2 and (fr.Q(w1[0], k - 1) - fr.Q(w1[1], k - 1)) % 4 == 0:
+                _shear(fr, k, h, w1[0])
+                _shear(fr, k, h, w1[1])
+            here = _hnf2(fr, k, here)
+        levels[k] = here
+        for j in (k - 1, k - 2):
+            if j in levels:
+                levels[j] = _hnf2(fr, j, levels[j])
+
+
+def _normal_odd(fr: _Frame, levels: dict[int, list[Block]]) -> None:
+    """Normal form of an odd p-part, in place: at each scale p^k the
+    cyclic blocks <a_i> (p^k*q = 2a_i) become <1, ..., 1, d> with d = 1
+    or the least non-residue mod p, so that the rank and the Legendre
+    symbol of the determinant are the invariant.  Two non-residues a, b
+    become <1, ab> through x' = s*x + t*y, y' = -t*b*x + s*a*y, where
+    a*s^2 + b*t^2 = 1 mod p^k: s by a scan mod p, t by Newton's
+    iteration; then each block is scaled by a unit."""
+    p = fr.p
+    nu = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    for k, blocks in levels.items():
+        mod = p**k
+        xs = [rows[0] for _, rows in blocks]
+
+        def a(x: int) -> int:
+            return fr.Q(x, k) // 2
+
+        bad = [x for x in xs if pow(a(x), (p - 1) // 2, p) != 1]
+        for x, y in zip(bad[0::2], bad[1::2]):
+            ax, ay = a(x), a(y)
+            for s in range(1, p):
+                r = (1 - ax * s * s) * pow(ay, -1, p) % p
+                if pow(r, (p - 1) // 2, p) == 1:
+                    break
+            t = _lift_root((ax * s * s - 1, 0, ay), _sqrt_unit(r, p, 1), p, k)
+            fr.transform((x, y), ((s, t), (-t * ay, s * ax)))
+        last = bad[-1] if len(bad) % 2 else None
+        for x in xs:
+            target = nu if x == last else 1
+            fr.scale(x, _sqrt_unit(target * pow(a(x), -1, mod), p, k))
+        xs.sort(key=lambda x: x == last)
+        levels[k] = [("w", (x,)) for x in xs]
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    """A form's normal form: `key` lists its blocks (p, k, kind, p^k*q on
+    the first generator), primes ascending and scales descending; `basis`
+    holds the blocks' generators, elements of the form's group, in the
+    same order; `coords` row i holds the coordinates of generator e_i in
+    that basis, read off the pairings with it."""
+
+    key: tuple[tuple[int, int, str, int], ...]
+    basis: tuple[Vec, ...]
+    coords: tuple[Vec, ...]
+
+
+_BLOCK_VALUES = {"u": (0, 0), "v": (2, 2)}
+
+
+@lru_cache(maxsize=None)
+def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
+    """Jordan splitting and normal form of a non-degenerate form, checked
+    again on the form's own table: the basis Gram matrix must be the
+    block-diagonal matrix the key describes, and the blocks' orders must
+    multiply to |A|.  Raises ArithmeticError on a degenerate form.  Cached
+    per form; a raise is not, so a degenerate form raises on every call."""
+    key, basis, gram = [], [], []
+    for p in _prime_factors(q.group_order):
+        fr = _Frame(q, p)
+        levels = _split(fr)
+        (_normal2 if p == 2 else _normal_odd)(fr, levels)
+        for k in sorted(levels, reverse=True):
+            for kind, rows in levels[k]:
+                value = fr.Q(rows[0], k)
+                key.append((p, k, kind, value))
+                qs = _BLOCK_VALUES.get(kind, (value,))
+                gram.append((p**k, qs))
+                basis.extend(tuple(fr.rows[x]) for x in rows)
+    n = q.level
+    ords = [o for o, qs in gram for _ in qs]
+    require(prod(ords) == q.group_order,
+            "the normal form blocks do not multiply to the group order")
+    table = mat_mul(mat_mul(basis, q.table), transpose(basis))
+    at = 0
+    for o, qs in gram:
+        for i in range(at, at + len(qs)):
+            for j in range(len(basis)):
+                if i == j:
+                    ok = table[i][i] % (2 * n) == qs[i - at] * n // o
+                elif at <= j < at + len(qs):
+                    ok = table[i][j] % n == n // o
+                else:
+                    ok = table[i][j] % n == 0
+                require(ok, f"the normal form table is wrong at ({i}, {j})")
+            require(q.element_order(basis[i]) == o,
+                    f"normal form generator {i} does not have order {o}")
+        at += len(qs)
+    return NormalForm(tuple(key), tuple(basis), _coordinates(q, gram, basis))
+
+
+def _coordinates(q: FiniteQuadraticForm, gram: list, basis: list) -> tuple[Vec, ...]:
+    """Coordinates of each generator of q in an orthogonal basis of
+    unimodular blocks: for a block X at scale o, the coefficients c of e_i
+    solve (o*b(X, X)) c = o*b(e_i, X) mod o."""
+    n = q.level
+    cols: list[list[int]] = []
+    at = 0
+    for o, qs in gram:
+        s = n // o
+        xs = basis[at:at + len(qs)]
+        pair = [mat_vec(q.table, x) for x in xs]  # N*b(e_i, x) for every i
+        if len(xs) == 1:
+            inv = pow(q._q_int(xs[0]) // s, -1, o)
+            cols.append([t // s * inv % o for t in pair[0]])
+        else:
+            bxx, byy = q._q_int(xs[0]) // s, q._q_int(xs[1]) // s
+            bxy = q._b_int(xs[0], xs[1]) // s
+            inv = pow(bxx * byy - bxy * bxy, -1, o)
+            bx = [t // s for t in pair[0]]
+            by = [t // s for t in pair[1]]
+            cols.append([inv * (byy * u - bxy * w) % o for u, w in zip(bx, by)])
+            cols.append([inv * (bxx * w - bxy * u) % o for u, w in zip(bx, by)])
+        at += len(qs)
+    return tuple(zip(*cols)) if cols else ((),) * q.rank
+
+
+def _block_signature(p: int, k: int, kind: str, value: int) -> int:
+    """Milgram signature mod 8 of one normal-form block, from its Gauss
+    sum: w(e) at 2^k gives e, plus 4 when k is odd and e = 3, 5 mod 8; v
+    at odd k gives 4, u 0; a cyclic block <a> at odd p^k gives 0 for even
+    k, else 0 (p = 1 mod 4) or 2 (p = 3 mod 4), plus 4 when a is a
+    non-residue."""
+    if p == 2:
+        if kind == "w":
+            return value + (4 if k % 2 and value % 8 in (3, 5) else 0)
+        return 4 if kind == "v" and k % 2 else 0
+    if k % 2 == 0:
+        return 0
+    return (0 if p % 4 == 1 else 2) + (4 if pow(value // 2, (p - 1) // 2, p) != 1 else 0)
+
+
+@lru_cache(maxsize=None)
+def milgram_signature(q: FiniteQuadraticForm) -> int:
+    """Signature invariant mod 8: the Gauss sum over the group is
+    sqrt(|A|) * zeta_8^sigma, and it is the product of the blocks' Gauss
+    sums, each in closed form (`_block_signature`).  Raises
+    ArithmeticError on a degenerate form.  Cached per form; a raise is
+    not."""
+    return sum(_block_signature(*block) for block in _normal_form(q).key) % 8
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism
+# ---------------------------------------------------------------------------
 
 
 def forms_isomorphic(
@@ -575,13 +882,15 @@ def forms_isomorphic(
     q2: FiniteQuadraticForm,
     budget: int = 10**7,
 ) -> tuple[Vec, ...] | None:
-    """Search for an isomorphism of finite quadratic forms.
+    """An isomorphism of finite quadratic forms, or None when there is none.
 
-    Returns a tuple of images (coordinates in q2) for the generators of q1,
-    or None when the forms are provably non-isomorphic.  The search is a
-    backtracking match of generators ordered by descending order and then
-    by rarest q-value; exceeding the node budget raises
-    SearchBudgetExceeded rather than answering.
+    Returns a tuple of images (coordinates in q2) for the generators of
+    q1: T2^-1 . T1, with T1 the coordinates of q1's generators in its
+    normal basis and T2^-1 the normal basis of q2.  Equal normal forms are
+    the complete invariant, so no search runs; `budget` is accepted for
+    callers of the earlier search and ignored.  The images are checked
+    again on every generator's q and order and every pair's b.  Raises
+    ArithmeticError on a degenerate form.
     """
     if q1.group_order != q2.group_order:
         return None
@@ -589,65 +898,21 @@ def forms_isomorphic(
         return None
     if q1.rank == 0:
         return ()
-    if _value_multiset(q1) != _value_multiset(q2):
+    n1, n2 = _normal_form(q1), _normal_form(q2)
+    if n1.key != n2.key:
         return None
-    if milgram_signature(q1) != milgram_signature(q2):
-        return None
-
-    gens1 = [(i, (o, q1.table[i][i])) for i, o in enumerate(q1.orders)]
-    # equal group invariants give equal levels, so the integer values of
-    # both forms are over the same N; only the generators' value classes
-    # need candidates (sorted, so that one class set is one cache entry)
-    wanted = tuple(sorted({g[1] for g in gens1}))
-    buckets = dict(zip(wanted, _value_classes(q2, wanted)))
-    # larger order first, then the rarest value class
-    gens1.sort(key=lambda g: (-g[1][0], len(buckets[g[1]]), g[0]))
-
-    nodes = 0
-    chosen: list[Vec] = []
-    # table2 @ chosen[lv], so that N*b(chosen[lv], cand) is one dot product
-    paired: list[Vec] = []
-    level2 = q2.level
-
-    def extend(level: int) -> bool:
-        nonlocal nodes
-        if level == len(gens1):
-            return _subgroup_size(q2, chosen) == q2.group_order
-        i, ov = gens1[level]
-        # N*b of this generator with the earlier ones, which are distinct
-        # unit vectors: off-diagonal entries of q1's table
-        wants = [q1.table[gens1[lv][0]][i] for lv in range(level)]
-        for cand in buckets[ov]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"forms_isomorphic exceeded {budget} nodes"
-                )
-            if any(sum(map(mul, r, cand)) % level2 != w for r, w in zip(paired, wants)):
-                continue
-            chosen.append(cand)
-            paired.append(mat_vec(q2.table, cand))
-            if extend(level + 1):
-                return True
-            chosen.pop()
-            paired.pop()
-        return False
-
-    # A recursive closure is a reference cycle; break it on every exit,
-    # SearchBudgetExceeded included.
-    try:
-        if not extend(0):
-            return None
-    finally:
-        del extend
-    images = [None] * q1.rank
-    for (i, _), img in zip(gens1, chosen):
-        images[i] = img
-    out = tuple(images)  # type: ignore[arg-type]
-    # transporting q and b is guaranteed by the constraints; re-verify
-    for i in range(q1.rank):
-        require(q2._q_int(out[i]) == q1.table[i][i],
+    out = tuple(
+        q2.reduce([sum(c * v[t] for c, v in zip(row, n2.basis)) for t in range(q2.rank)])
+        for row in n1.coords)
+    # equal group invariants give equal levels, so both tables are over N
+    for i, x in enumerate(out):
+        require(q2._q_int(x) == q1.table[i][i],
                 f"the image of generator {i} does not keep its q-value")
+        require(q1.orders[i] % q2.element_order(x) == 0,
+                f"the image of generator {i} has the wrong order")
+        for j in range(i):
+            require(q2._b_int(x, out[j]) == q1.table[i][j],
+                    f"the images of generators {j} and {i} do not keep their pairing")
     return out
 
 

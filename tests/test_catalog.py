@@ -7,6 +7,7 @@ tables and a root-sublattice isometry check.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -28,10 +29,12 @@ from k3lat.catalog import (
     resolve_name,
 )
 from k3lat.forms import (
+    _normal_form,
     cyclic_block,
     forms_isomorphic,
     group_invariants,
     length,
+    milgram_signature,
     sum_forms,
     u_block,
 )
@@ -55,8 +58,9 @@ from k3lat.overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
+from form_oracles import gauss_milgram_signature
 from glue_oracles import transvection_orbits
-from test_forms import assert_matches_closure_search, v_block
+from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
 
 
@@ -209,6 +213,46 @@ def q_of(name):
 )
 def test_isotropic_subgroups_match_closure_search_on_glue_forms(q, order):
     assert_matches_closure_search(q, order)
+
+
+def _conjugate(lat, seed):
+    """U G U^T for a seeded U in GL_n(Z): row transvections, then a shuffle."""
+    rng = random.Random(seed)
+    n = lat.rank
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return IntegralLattice(mat_mul(mat_mul(u, lat.gram), transpose(u)))
+
+
+CATALOG_LATTICES = (
+    [named(name) for name in ("U(2)", "U(3)", "A(1)", "A(2)", "A(3)", "A(4)", "D4",
+                              "E8(-2)", "N")]
+    + [_block_disc(MN_ROOT_CONFIG[n])[0] for n in range(2, 9)]
+    + [family_lattice(FamilyDescriptor(kind, d, 2))
+       for kind, ds in (("L", (1, 2, 3)), ("M", (1, 2, 4)), ("Mp", (2, 4)), ("Lp", (2, 4)))
+       for d in ds]
+)
+
+
+def test_catalog_forms_against_the_oracles():
+    # every catalog form: closed-form Milgram against the Gauss-sum walk,
+    # one normal form for a GL_n(Z) conjugate, and, among forms on one
+    # group, equal normal forms exactly when the search finds an isomorphism
+    by_group = {}
+    for seed, lat in enumerate(CATALOG_LATTICES):
+        q = discriminant_form(lat)
+        assert milgram_signature(q) == gauss_milgram_signature(q)
+        conj = discriminant_form(_conjugate(lat, seed))
+        assert _normal_form(conj).key == _normal_form(q).key
+        assert forms_isomorphic(conj, q) is not None
+        by_group.setdefault(group_invariants(q.orders), []).append(q)
+    for qs in by_group.values():
+        for q1, q2 in itertools.combinations(qs, 2):
+            assert_decides_like_the_search(q1, q2)
 
 
 # every 2-elementary form with integer values of rank at most 4

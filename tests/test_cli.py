@@ -9,8 +9,9 @@ import sys
 import pytest
 
 import k3lat
-from k3lat import cli
+from k3lat import cli, lattice, nsgeometry
 from k3lat.cli import main
+from k3lat.forms import SearchBudgetExceeded
 
 
 def run(capsys, *argv):
@@ -145,12 +146,22 @@ def test_verify_exit_one_on_fail(capsys):
     assert "x2-even-set-search-E2" in failed
 
 
-def test_verify_exit_two_on_budget_exhaustion(capsys):
-    code, out, _ = run(capsys, "verify", "theorem", "--budget", "1", "--json")
-    assert code == 2
-    entries = json.loads(out)
-    assert entries[-1]["status"] == "inconclusive"
-    assert entries[-1]["check"] == "theorem-budget-exhausted"
+def test_lemma_and_theorem_have_no_inconclusive_path(capsys, monkeypatch):
+    # Their genus and form checks run no budgeted search: with every
+    # budgeted isometry search made to run out, both still decide, and
+    # there is no --budget to set.
+    def exhausted(*args, **kwargs):
+        raise SearchBudgetExceeded("planted")
+
+    for module in (lattice, nsgeometry):
+        monkeypatch.setattr(module, "is_isometric_definite", exhausted)
+    for suite in ("lemma", "theorem"):
+        code, out, _ = run(capsys, "verify", suite, "--json")
+        assert code == 0
+        entries = json.loads(out)
+        assert entries and all(e["status"] == "pass" for e in entries)
+        with pytest.raises(SystemExit):
+            main(["verify", suite, "--budget", "1"])
 
 
 def test_verify_rejects_bad_parameters(capsys):
@@ -243,42 +254,37 @@ def test_evenset_command_reports_missing_sets(capsys):
     assert data["pencils"]["E1"]["count"] == 280
 
 
-# The theorem-genus certificate with corrupted value classes: two elements
-# of the top order of the M(4,2) form (the second form that check compares)
-# trade value classes, so the value multiset still agrees but the candidates
-# for a generator are wrong.  Only the final re-check of forms_isomorphic can
-# catch that, and it must still run when `python -O` strips asserts.
+# The theorem-genus certificate with a corrupted basis change: in T1, the
+# coordinates of the Lp(4,2) form's generators in its normal basis (the
+# first form that check compares), two generators of one order but of
+# different q-values trade rows.  The normal forms still agree, so only the
+# final re-check of forms_isomorphic can catch the map, and it must still
+# run when `python -O` strips asserts.
 _CORRUPT_THEOREM = """
+import dataclasses
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
 from k3lat import cli, forms
 from k3lat.catalog import FamilyDescriptor, family_genus
 
-target = family_genus(FamilyDescriptor("M", 4, 2)).disc
-value_classes = forms._value_classes
+target = family_genus(FamilyDescriptor("Lp", 4, 2)).disc
+normal_form = forms._normal_form
+i, j = next((i, j) for j in range(target.rank) for i in range(j)
+            if target.orders[i] == target.orders[j]
+            and target.table[i][i] != target.table[j][j])
 
 
-def corrupt(q, classes):
-    lists = value_classes(q, classes)
+def corrupt(q):
+    nf = normal_form(q)
     if q != target:
-        return lists
-    # the first element of the top order, in product order, and the first
-    # one after it in another value class trade classes
-    top = max(o for o, _, _ in forms._value_multiset(q))
-    tops = tuple((o, v) for o, v, _ in forms._value_multiset(q) if o == top)
-    listing = sorted((x, c) for c, xs in zip(tops, value_classes(q, tops)) for x in xs)
-    x, c = listing[0]
-    y, d = next(e for e in listing if e[1] != c)
-    moved = {x: d, y: c}
-    return tuple(
-        tuple(sorted([e for e in xs if e not in moved]
-                     + [e for e, to in moved.items() if to == cls]))
-        for cls, xs in zip(classes, lists)
-    )
+        return nf
+    coords = list(nf.coords)
+    coords[i], coords[j] = coords[j], coords[i]
+    return dataclasses.replace(nf, coords=tuple(coords))
 
 
-forms._value_classes = corrupt
+forms._normal_form = corrupt
 sys.exit(cli.main(["verify", "theorem", "--json"]))
 """
 

@@ -1,7 +1,9 @@
 """Tests for finite quadratic forms.
 
 Oracles used here are deliberately independent of the implementation:
-the signature invariant is checked against a floating-point Gauss sum,
+the signature invariant is checked against a floating-point Gauss sum and
+the exact Gauss-sum walk, the normal form against the backtracking
+isomorphism search and Nikulin's classification of 2-elementary forms,
 subgroup/quotient routines against brute-force enumeration over all
 group elements, and degeneracy against a direct adjoint scan.
 """
@@ -20,14 +22,13 @@ from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
     Subgroup,
-    _gauss_counts,
+    _normal_form,
     _value_classes,
     _value_multiset,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
     group_invariants,
-    is_degenerate,
     isotropic_subgroups,
     length,
     milgram_signature,
@@ -36,6 +37,12 @@ from k3lat.forms import (
     sum_forms,
     trivial_form,
     u_block,
+)
+from form_oracles import (
+    _gauss_counts,
+    backtrack_isomorphism,
+    gauss_milgram_signature,
+    is_degenerate,
 )
 from glue_oracles import _close_subgroup, closure_isotropic_subgroups, value_listing
 from rational_oracles import group_invariants_snf
@@ -252,6 +259,12 @@ DEGENERACY_CASES = [
 @pytest.mark.parametrize("q", DEGENERACY_CASES)
 def test_is_degenerate_matches_brute_force(q):
     assert is_degenerate(q) == brute_is_degenerate(q)
+    # the Jordan splitting finds a unit pairing exactly on the others
+    if brute_is_degenerate(q):
+        with pytest.raises(ArithmeticError):
+            _normal_form(q)
+    else:
+        assert _normal_form(q).key
 
 
 # ---------------------------------------------------------------------------
@@ -526,24 +539,30 @@ def test_isomorphism_respects_block_permutation():
 
 
 def test_isomorphism_budget_is_enforced():
+    # the backtracking oracle keeps its budget; the package ignores it
     uu = sum_forms([u_block(2), u_block(2)])
     vv = sum_forms([v_block(2), v_block(2)])
     with pytest.raises(SearchBudgetExceeded):
-        forms_isomorphic(uu, vv, budget=2)
+        backtrack_isomorphism(uu, vv, budget=2)
+    assert forms_isomorphic(uu, vv, budget=2) is not None
 
 
 def test_isomorphism_search_leaves_no_cyclic_garbage():
     # The backtracking closure refers to itself; it must be freed when the
-    # search ends, also when it ends by running out of budget.
+    # search ends, also when it ends by running out of budget.  The normal
+    # form path builds no closure at all.
     uu = sum_forms([u_block(2), u_block(2)])
     vv = sum_forms([v_block(2), v_block(2)])
     gc.collect()
     gc.disable()
     try:
-        assert forms_isomorphic(uu, vv) is not None
+        assert backtrack_isomorphism(uu, vv) is not None
         assert gc.collect() == 0
         with pytest.raises(SearchBudgetExceeded):
-            forms_isomorphic(uu, vv, budget=2)
+            backtrack_isomorphism(uu, vv, budget=2)
+        assert gc.collect() == 0
+        assert forms_isomorphic(sum_forms([uu, cyclic_block(9, F(2, 9))]),
+                                sum_forms([vv, cyclic_block(9, F(2, 9))])) is not None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -691,3 +710,132 @@ def test_quotient_preserves_signature(case):
     q, order = case
     for h in isotropic_subgroups(q, order):
         assert milgram_signature(quotient_form(q, h)) == milgram_signature(q)
+
+
+# ---------------------------------------------------------------------------
+# Normal form against the backtracking search and the Gauss-sum walk
+# ---------------------------------------------------------------------------
+
+
+def assert_decides_like_the_search(q1, q2):
+    """Equal normal forms exactly when the oracle search finds an
+    isomorphism, and then forms_isomorphic returns one."""
+    same = _normal_form(q1).key == _normal_form(q2).key
+    assert same == (backtrack_isomorphism(q1, q2) is not None)
+    images = forms_isomorphic(q1, q2)
+    assert (images is not None) == same
+    if same:
+        for i, x in enumerate(images):
+            ei = tuple(int(i == j) for j in range(q1.rank))
+            assert q2.q_value(x) == q1.q_value(ei)
+            assert q1.orders[i] % q2.element_order(x) == 0
+            for j in range(i):
+                ej = tuple(int(j == t) for t in range(q1.rank))
+                assert q2.b_value(x, images[j]) == q1.b_value(ei, ej)
+
+
+def _atoms(scales):
+    """w, u and v blocks at the given powers of two (w values below 8)."""
+    out = []
+    for n in scales:
+        out += [cyclic_block(n, F(a, n)) for a in range(1, min(2 * n, 8), 2)]
+        out += [u_block(n), v_block(n)]
+    return out
+
+
+def _block_sums(atoms, limit, start=0, size=1, chosen=()):
+    if chosen:
+        yield chosen
+    for i in range(start, len(atoms)):
+        if size * atoms[i].group_order <= limit:
+            yield from _block_sums(atoms, limit, i, size * atoms[i].group_order,
+                                   chosen + (atoms[i],))
+
+
+def test_normal_form_classes_match_search_on_all_small_2_forms():
+    # every sum of w, u and v blocks at scales 2, 4, 8 with |A| <= 64:
+    # forms with one normal form are isomorphic, and representatives of
+    # different normal forms with one group, value multiset and Gauss-sum
+    # signature are not
+    classes = {}
+    for blocks in _block_sums(_atoms((2, 4, 8)), 64):
+        q = sum_forms(blocks)
+        classes.setdefault(_normal_form(q).key, []).append(q)
+    assert len(classes) > 100
+    reps = {}
+    for key, qs in classes.items():
+        assert milgram_signature(qs[0]) == gauss_milgram_signature(qs[0])
+        for q in qs[1:]:
+            assert backtrack_isomorphism(qs[0], q) is not None, key
+        bucket = (group_invariants(qs[0].orders), _value_multiset(qs[0]),
+                  gauss_milgram_signature(qs[0]))
+        for other in reps.get(bucket, []):
+            assert backtrack_isomorphism(other, qs[0]) is None, key
+        reps.setdefault(bucket, []).append(qs[0])
+
+
+def _two_elementary(u, v, a, b):
+    return sum_forms([u_block(2)] * u + [v_block(2)] * v
+                     + [cyclic_block(2, F(1, 2))] * a + [cyclic_block(2, F(3, 2))] * b)
+
+
+def test_normal_form_matches_nikulin_on_two_elementary_forms():
+    # Nikulin: a 2-elementary form is determined by its rank, its parity
+    # delta (0 when every q-value is an integer) and its signature mod 8
+    forms = [_two_elementary(u, v, a, b)
+             for u in range(4) for v in range(3) for a in range(5) for b in range(5)
+             if 0 < 2 * (u + v) + a + b <= 8]
+    invariants = {}
+    for q in forms:
+        delta = int(any(q.q_value(x).denominator == 2 for x in q.elements()))
+        nikulin = (q.rank, delta, gauss_milgram_signature(q))
+        invariants.setdefault(_normal_form(q).key, set()).add(nikulin)
+    assert all(len(v) == 1 for v in invariants.values())
+    seen = [v.pop() for v in invariants.values()]
+    assert len(seen) == len(set(seen))
+
+
+@st.composite
+def same_group_pairs(draw):
+    """Two block sums on one group, the second presented on a new basis:
+    each generator plus multiples of generators whose order divides its
+    own, which keeps the orders and generates the whole group."""
+    blocks = draw(st.lists(_block_strategy(), min_size=1, max_size=3))
+    swap = {2: [cyclic_block(2, F(1, 2)), cyclic_block(2, F(3, 2))],
+            4: [u_block(2), v_block(2)] + [cyclic_block(4, F(a, 4)) for a in (1, 3, 5, 7)],
+            8: [cyclic_block(8, F(a, 8)) for a in (1, 3, 5, 7)],
+            16: [u_block(4)] + [cyclic_block(16, F(a, 16)) for a in (1, 3, 5, 7)],
+            3: [cyclic_block(3, F(2, 3)), cyclic_block(3, F(4, 3))],
+            9: [u_block(3), cyclic_block(9, F(2, 9)), cyclic_block(9, F(4, 9))]}
+    other = [draw(st.sampled_from(swap[b.group_order])) if b.group_order in swap else b
+             for b in blocks]
+    q1, q2 = sum_forms(blocks), sum_forms(draw(st.permutations(other)))
+    k = q2.rank
+    gens = [[int(i == j) for j in range(k)] for i in range(k)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
+                                           st.integers(-3, 3)), max_size=3 * k)):
+        if i != j and q2.orders[i] % q2.orders[j] == 0:
+            gens[i] = [a + c * b for a, b in zip(gens[i], gens[j])]
+    return q1, regram(q2, [q2.reduce(g) for g in gens])
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_group_pairs())
+def test_normal_form_decides_like_the_search(pair):
+    q1, q2 = pair
+    if q1.group_order <= 256:
+        assert_decides_like_the_search(q1, q2)
+        assert_decides_like_the_search(q2, q1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(regrammed_forms(), small_forms()))
+def test_closed_form_milgram_matches_gauss_walk(q):
+    if q.group_order > 256:
+        return
+    if is_degenerate(q):
+        for f in (milgram_signature, gauss_milgram_signature):
+            with pytest.raises(ArithmeticError):
+                f(q)
+    else:
+        assert milgram_signature(q) == gauss_milgram_signature(q)

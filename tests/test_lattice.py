@@ -586,22 +586,22 @@ def test_isometry_search_leaves_no_cyclic_garbage():
 
 
 _CORRUPT_CERTIFICATES = """
+import dataclasses
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
 from fractions import Fraction
 from k3lat import forms, lattice
 
-# Value classes of the second form that swap the elements 1 <-> 3 and
-# 5 <-> 7 of Z/8 with q(x) = x^2/8, so q-values 1/8 and 9/8 trade places.
+# A basis change T1 for the first form that sends its generator to 3
+# times its normal-basis image: an element of the same order with q-value
+# 9/8, not 1/8.
 q1 = forms.cyclic_block(8, Fraction(1, 8))
 q2 = forms.cyclic_block(8, Fraction(1, 8))
-value_classes = forms._value_classes
-swap = {1: 3, 3: 1, 5: 7, 7: 5}
-forms._value_classes = lambda q, classes: tuple(
-    tuple((swap[x[0]] if x[0] in swap else x[0],) for x in xs)
-    for xs in value_classes(q, classes)
-) if q is q2 else value_classes(q, classes)
+normal_form = forms._normal_form
+forms._normal_form = lambda q: dataclasses.replace(
+    normal_form(q), coords=tuple(tuple(3 * c for c in row) for row in normal_form(q).coords)
+) if q is q1 else normal_form(q)
 try:
     print("forms", forms.forms_isomorphic(q1, q2))
 except ArithmeticError:

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3lat.forms import (
+    _normal_form,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -367,10 +368,11 @@ def _even_lattice_and_conjugate(draw):
 @settings(max_examples=100, deadline=None)
 @given(_even_lattice_and_conjugate())
 def test_conjugate_discriminant_forms_are_isomorphic(case):
-    # the candidate buckets hold only the generators' value classes; they
-    # must still hold every image a certificate needs
+    # GL_n(Z) conjugates have one normal form, and the certificate built
+    # from the two basis changes transports q and b
     lat, conj = case
     q1, q2 = discriminant_form(lat), discriminant_form(conj)
+    assert _normal_form(q1).key == _normal_form(q2).key
     images = forms_isomorphic(q1, q2)
     assert images is not None
     gens = [tuple(int(i == j) for j in range(q1.rank)) for i in range(q1.rank)]
