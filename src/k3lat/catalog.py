@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .forms import (
@@ -24,7 +25,7 @@ from .forms import (
     sum_forms,
     u_block,
 )
-from .intmat import freeze, inv_frac, require, transpose
+from .intmat import adjugate, freeze, require, transpose
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -144,25 +145,20 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     blocks = [IntegralLattice(_a_gram(m)) for m in config]
     lat = direct_sum(*blocks)
     n = lat.rank
-    orders = []
+    orders = [b.rank + 1 for b in blocks]
+    level = lcm(*orders)
     lifts = []
     qdiag = []
     off = 0
     for b in blocks:
-        inv = inv_frac(b.gram)
-        lift = [Fraction(0)] * n
-        for r in range(b.rank):
-            lift[off + r] = inv[r][0]
-        lifts.append(tuple(lift))
-        orders.append(b.rank + 1)
-        qdiag.append(inv[0][0] % 2)
+        det, adj = adjugate(b.gram)  # b.gram^-1 = adj / det, det = +-(m + 1)
+        lifts.append(tuple(Fraction(adj[r - off][0], det) if off <= r < off + b.rank
+                           else Fraction(0) for r in range(n)))
+        qdiag.append(adj[0][0] * level // det)
         off += b.rank
     k = len(blocks)
-    gram = freeze(
-        tuple(qdiag[i] if i == j else Fraction(0) for j in range(k))
-        for i in range(k)
-    )
-    form = FiniteQuadraticForm(tuple(orders), gram)
+    table = [[qdiag[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    form = FiniteQuadraticForm.from_table(orders, table, level)
     return lat, DiscriminantData(form, tuple(lifts))
 
 
@@ -377,11 +373,11 @@ def _primitive_index2_overlattice(
     v = direct_sum(_scaled_rank1(d), w)
     wdisc = discriminant_group(w)
     qw = wdisc.form
-    target = Fraction(-d, 2) % 2
+    target = -(d // 2) * qw.level % (2 * qw.level)  # N*(-d/2) mod 2N
     candidates = [
         eps
         for eps in qw.elements()
-        if qw.element_order(eps) == 2 and qw.q_value(eps) == target
+        if qw.element_order(eps) == 2 and qw._q_int(eps) == target
     ]
     zs = []
     for eps in _isometry_orbits(qw, candidates):

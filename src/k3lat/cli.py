@@ -3,11 +3,9 @@ verification suites, towers, relatedness, and the even-set search.
 
 Output is canonical JSON (sorted keys, compact separators, rationals as
 "p/q" strings) so identical invocations are byte-identical; wall times
-appear only in the human-readable listing.  Exit codes: 0 all pass, 1 any
-failed check (or golden mismatch), 2 inconclusive (a budgeted isometry
-search of definite lattices ran out; the lemma and theorem suites decide
-discriminant forms by normal forms and have no budget) or unusable
-parameters.
+appear only in the human-readable listing.  Exit codes: 0 no failed check
+(discrepancies included), 1 a failed check or golden mismatch, 2 unusable
+parameters.  No check runs a budgeted search, so none is inconclusive.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .catalog import (
 )
 from .forms import (
     FiniteQuadraticForm,
-    SearchBudgetExceeded,
     _value_multiset,
     cyclic_block,
     find_u_block,
@@ -158,52 +155,36 @@ def _genus_record(g: GenusDescriptor) -> dict:
 @dataclass(frozen=True)
 class VerificationReport:
     check: str
-    status: str  # pass | fail | discrepancy | inconclusive
+    status: str  # pass | fail | discrepancy
     detail: str
     witness: object
     seconds: float
 
     def record(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "detail": self.detail,
-            "witness": self.witness,
-        }
+        return {"check": self.check, "status": self.status,
+                "detail": self.detail, "witness": self.witness}
 
 
 def _run_suite(name: str, entries: Iterable[dict]) -> list[VerificationReport]:
     """Consume a suite, stamping each entry with the time since the last.
 
-    A search-budget overrun ends the suite with a single inconclusive
-    entry, and any other exception with a single fail entry that names
-    its type, instead of crashing the run: the next suite still runs."""
+    An exception ends the suite with a single fail entry that names its
+    type, instead of crashing the run: the next suite still runs."""
     out = []
     t0 = time.perf_counter()
-    it = iter(entries)
-    while True:
-        try:
-            e = next(it)
-        except StopIteration:
-            break
-        except SearchBudgetExceeded as exc:
+    try:
+        for e in entries:
             now = time.perf_counter()
             out.append(VerificationReport(
-                f"{name}-budget-exhausted", "inconclusive", str(exc),
-                None, now - t0))
-            break
-        except Exception as exc:
-            import traceback  # only a failing suite pays for the import
+                e["check"], e["status"], e["detail"], e["witness"], now - t0))
+            t0 = now
+    except Exception as exc:
+        import traceback  # only a failing suite pays for the import
 
-            traceback.print_exc()
-            out.append(VerificationReport(
-                f"{name}-error", "fail", f"{type(exc).__name__}: {exc}",
-                None, time.perf_counter() - t0))
-            break
-        now = time.perf_counter()
+        traceback.print_exc()
         out.append(VerificationReport(
-            e["check"], e["status"], e["detail"], e["witness"], now - t0))
-        t0 = now
+            f"{name}-error", "fail", f"{type(exc).__name__}: {exc}",
+            None, time.perf_counter() - t0))
     return out
 
 
@@ -456,18 +437,17 @@ def cmd_verify(args) -> int:
     for name, entries in suites:
         reports.extend(_run_suite(name, entries))
 
+    payload = _dumps([r.record() for r in reports])
     if args.json:
-        payload = _dumps([r.record() for r in reports])
         print(payload)
     else:
-        payload = _dumps([r.record() for r in reports])
         for r in reports:
             print(f"{r.status.upper():>12} {r.check}: {r.detail} "
                   f"({r.seconds:.2f}s)")
         counts = Counter(r.status for r in reports)
         print("summary: " + ", ".join(
             f"{counts[s]} {s}" for s in
-            ("pass", "discrepancy", "fail", "inconclusive") if counts[s]))
+            ("pass", "discrepancy", "fail") if counts[s]))
 
     golden_bad = False
     if args.golden is not None:
@@ -484,11 +464,7 @@ def cmd_verify(args) -> int:
             gpath.write_text(payload + "\n")
             print(f"golden written: {gpath}", file=sys.stderr)
 
-    if golden_bad or any(r.status == "fail" for r in reports):
-        return 1
-    if any(r.status == "inconclusive" for r in reports):
-        return 2
-    return 0
+    return 1 if golden_bad or any(r.status == "fail" for r in reports) else 0
 
 
 def cmd_tower(args) -> int:

@@ -1,13 +1,14 @@
 """Finite quadratic forms on finite abelian groups.
 
 A form lives on A = Z/d_1 x ... x Z/d_k and takes values q(x) in Q/2Z with
-associated pairing b(x, y) in Q/Z.  The public constructor takes the Gram
-data as exact fractions: the diagonal holds q-values reduced into [0, 2),
-off-diagonal entries hold pairing values reduced into [0, 1).  It converts
-them once into integers over the level N = lcm(d_1, ..., d_k), an
-isomorphism invariant: N*q(e_i) mod 2N on the diagonal and N*b(e_i, e_j)
-mod N off it.  Every computation below reads only that integer table;
-`q_value` and `b_value` turn their result back into a fraction for
+associated pairing b(x, y) in Q/Z.  It is stored as integers only: over
+the level N = lcm(d_1, ..., d_k), an isomorphism invariant, its table holds
+N*q(e_i) mod 2N on the diagonal and N*b(e_i, e_j) mod N off it, and
+equality and hashing read that table.  Gram data as exact fractions
+(q-values in [0, 2), pairings in [0, 1)) enters in one place,
+`FiniteQuadraticForm.from_gram`; builders that change the level pass
+integers through `from_table`, which checks that the division is exact.
+`q_value`, `b_value` and `q_gram` turn results back into fractions for
 outside callers.
 
 Isomorphism and the Milgram signature read one normal form per form
@@ -84,26 +85,25 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FiniteQuadraticForm:
-    """Finite quadratic form given by generator orders and a Gram table."""
+    """Finite quadratic form given by generator orders and its integer
+    table over the level N = lcm(orders): N*q(e_i) mod 2N on the diagonal,
+    N*b(e_i, e_j) mod N off it.  Fraction Gram data enters only through
+    `from_gram`."""
 
     orders: tuple[int, ...]
-    q_gram: tuple[tuple[Fraction, ...], ...]
+    table: Mat
     level: int = field(init=False, repr=False, compare=False)
-    table: Mat = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = len(self.orders)
         if any(o < 2 for o in self.orders):
             raise ValueError("generator orders must be >= 2")
-        if len(self.q_gram) != k or any(len(r) != k for r in self.q_gram):
+        table = freeze(self.table)
+        if len(table) != k or any(len(r) != k for r in table):
             raise ValueError("Gram table shape does not match orders")
+        if not all(type(t) is int for row in table for t in row):
+            raise TypeError("the table holds integers; use from_gram for a Fraction Gram")
         n = lcm(*self.orders)
-        table = []
-        for row in self.q_gram:
-            scaled = [x * n for x in row]
-            if any(v.denominator != 1 for v in scaled):
-                raise ValueError("Gram entry incompatible with generator orders")
-            table.append(tuple(int(v) for v in scaled))
         for i, di in enumerate(self.orders):
             t = table[i][i]
             if not 0 <= t < 2 * n:
@@ -120,8 +120,40 @@ class FiniteQuadraticForm:
                     raise ValueError("pairing entries must lie in [0, 1)")
                 if (s * di) % n or (s * self.orders[j]) % n:
                     raise ValueError("pairing incompatible with generator orders")
+        object.__setattr__(self, "table", table)
         object.__setattr__(self, "level", n)
-        object.__setattr__(self, "table", tuple(table))
+
+    @classmethod
+    def from_gram(
+        cls, orders: Sequence[int], gram: Sequence[Sequence[Fraction | int]]
+    ) -> FiniteQuadraticForm:
+        """The form with Gram data as exact fractions: q-values in [0, 2)
+        on the diagonal, pairing values in [0, 1) off it."""
+        n = lcm(*orders)
+        scaled = [[Fraction(x) * n for x in row] for row in gram]
+        if any(v.denominator != 1 for row in scaled for v in row):
+            raise ValueError("Gram entry incompatible with generator orders")
+        return cls(tuple(orders), tuple(tuple(v.numerator for v in row) for row in scaled))
+
+    @classmethod
+    def from_table(
+        cls, orders: Sequence[int], table: Sequence[Sequence[int]], level: int
+    ) -> FiniteQuadraticForm:
+        """The form whose q-values and pairings are table/level, rescaled to
+        N = lcm(orders) and reduced mod 2N on the diagonal, mod N off it.
+        ValueError when an entry is not a multiple of 1/N."""
+        n = lcm(*orders)
+        scaled = [[divmod(t * n, level) for t in row] for row in table]
+        if any(r for row in scaled for _, r in row):
+            raise ValueError("Gram entry incompatible with generator orders")
+        return cls(tuple(orders), tuple(
+            tuple(v % (2 * n if i == j else n) for j, (v, _) in enumerate(row))
+            for i, row in enumerate(scaled)))
+
+    @property
+    def q_gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The table as fractions: q-values on the diagonal, pairings off it."""
+        return tuple(tuple(Fraction(t, self.level) for t in row) for row in self.table)
 
     @property
     def rank(self) -> int:
@@ -129,10 +161,7 @@ class FiniteQuadraticForm:
 
     @property
     def group_order(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     def elements(self) -> Iterator[Vec]:
         return itertools.product(*(range(o) for o in self.orders))
@@ -171,10 +200,7 @@ class FiniteQuadraticForm:
         return total % self.level
 
     def element_order(self, x: Sequence[int]) -> int:
-        n = 1
-        for xi, oi in zip(x, self.orders):
-            n = lcm(n, oi // gcd(oi, xi))
-        return n
+        return lcm(*(oi // gcd(oi, xi) for xi, oi in zip(x, self.orders)))
 
     def reduce(self, x: Sequence[int]) -> Vec:
         return tuple(xi % oi for xi, oi in zip(x, self.orders))
@@ -193,7 +219,7 @@ def cyclic_block(order: int, value: Fraction | int) -> FiniteQuadraticForm:
         if value % 2:
             raise ValueError("nontrivial value on the trivial group")
         return trivial_form()
-    return FiniteQuadraticForm((order,), ((value,),))
+    return FiniteQuadraticForm.from_gram((order,), ((value,),))
 
 
 def u_block(n: int) -> FiniteQuadraticForm:
@@ -202,36 +228,27 @@ def u_block(n: int) -> FiniteQuadraticForm:
         raise ValueError("n must be positive")
     if n == 1:
         return trivial_form()
-    b = Fraction(-1, n) % 1
-    z = Fraction(0)
-    return FiniteQuadraticForm((n, n), ((z, b), (b, z)))
+    return FiniteQuadraticForm((n, n), ((0, n - 1), (n - 1, 0)))
 
 
 def sum_forms(parts: Iterable[FiniteQuadraticForm]) -> FiniteQuadraticForm:
+    """Orthogonal sum: each part's table rescaled to the common level."""
     parts = list(parts)
     orders = tuple(o for p in parts for o in p.orders)
-    k = len(orders)
-    gram = [[Fraction(0)] * k for _ in range(k)]
-    off = 0
+    n = lcm(*orders)
+    table: list[Vec] = []
     for p in parts:
-        r = p.rank
-        for i in range(r):
-            for j in range(r):
-                gram[off + i][off + j] = p.q_gram[i][j]
-        off += r
-    return FiniteQuadraticForm(orders, freeze(gram))
+        off, s = len(table), n // p.level
+        table += [(0,) * off + tuple(s * t for t in row) + (0,) * (len(orders) - off - p.rank)
+                  for row in p.table]
+    return FiniteQuadraticForm(orders, tuple(table))
 
 
 def negate(q: FiniteQuadraticForm) -> FiniteQuadraticForm:
-    k = q.rank
-    gram = [
-        [
-            (-q.q_gram[i][j]) % (2 if i == j else 1)
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    return FiniteQuadraticForm(q.orders, freeze(gram))
+    n = q.level
+    return FiniteQuadraticForm(q.orders, tuple(
+        tuple(-t % (2 * n if i == j else n) for j, t in enumerate(row))
+        for i, row in enumerate(q.table)))
 
 
 def group_invariants(orders: Sequence[int]) -> tuple[int, ...]:
@@ -1045,17 +1062,11 @@ def _form_on_subquotient(
     q: FiniteQuadraticForm, orders: Sequence[int], lifts: Mat
 ) -> FiniteQuadraticForm:
     keep = [i for i, o in enumerate(orders) if o > 1]
-    gram = [
-        [
-            Fraction(
-                q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]),
-                q.level,
-            )
-            for b in keep
-        ]
+    table = [
+        [q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]) for b in keep]
         for a in keep
     ]
-    return FiniteQuadraticForm(tuple(orders[i] for i in keep), freeze(gram))
+    return FiniteQuadraticForm.from_table([orders[i] for i in keep], table, q.level)
 
 
 def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:

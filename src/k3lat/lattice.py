@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .forms import FiniteQuadraticForm, SearchBudgetExceeded
@@ -249,24 +250,17 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
     """Structure of L*/L for a non-degenerate lattice L."""
     if lat.is_degenerate:
         raise ValueError("discriminant group requires a non-degenerate form")
-    n = lat.rank
-    if n == 0:
-        return DiscriminantData(FiniteQuadraticForm((), ()), ())
     d, v = snf(lat.gram)
-    orders = [d[i][i] for i in range(n)]
-    keep = [i for i in range(n) if orders[i] > 1]
+    orders = [d[i][i] for i in range(lat.rank)]
+    keep = [i for i in range(lat.rank) if orders[i] > 1]
     vt = transpose(v)
     lifts = tuple(tuple(Fraction(x, orders[i]) for x in vt[i]) for i in keep)
-    # lift i is column i of V over d_i: its pairings are (V^T G V)_ij / d_i d_j
-    vgv = gram_in_basis(lat, [vt[i] for i in keep])
-    gram = tuple(
-        tuple(
-            Fraction(vgv[a][b], orders[i] * orders[j]) % (2 if a == b else 1)
-            for b, j in enumerate(keep)
-        )
-        for a, i in enumerate(keep)
-    )
-    form = FiniteQuadraticForm(tuple(orders[i] for i in keep), gram)
+    # lift i is column i of V over d_i; times N = lcm(d_i) it is integral,
+    # so N^2 q and N^2 b on the lifts are the Gram of those columns
+    level = lcm(*(orders[i] for i in keep))
+    scaled = [tuple(level // orders[i] * x for x in vt[i]) for i in keep]
+    form = FiniteQuadraticForm.from_table(
+        [orders[i] for i in keep], gram_in_basis(lat, scaled), level * level)
     return DiscriminantData(form, lifts)
 
 

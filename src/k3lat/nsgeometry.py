@@ -72,7 +72,6 @@ from .lattice import (
     from_rows,
     gram_in_basis,
     invariant_split,
-    is_isometric_definite,
     is_primitive,
     orthogonal_complement,
     saturation,
@@ -690,8 +689,8 @@ def _simple_root_rows(lat: IntegralLattice) -> Mat:
 
     A root is positive when its first nonzero coordinate is, so the
     extraction is deterministic; the simple system of an irreducible
-    2-scaled root lattice is a lattice basis with small Gram entries,
-    which keeps later isometry searches cheap.
+    2-scaled root lattice is a lattice basis whose Gram matrix is its
+    Dynkin diagram, which `_e8_labelling` reads.
     """
     roots = vectors_of_norm(lat, -4)
     if not roots:
@@ -708,17 +707,41 @@ def _simple_root_rows(lat: IntegralLattice) -> Mat:
     return rows
 
 
+def _e8_labelling(g: Mat) -> list[int] | None:
+    """Simple roots with Gram g in the order of `_e8_gram`'s basis, or None
+    unless their diagram is E8: one branch node, arms of lengths 1, 2, 4.
+    E8 has no diagram automorphism, so walking out from the branch node
+    (e3) fixes the labels: the arms are e8; e2, e1; and e4..e7."""
+    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(g)]
+    branch = [i for i, ns in enumerate(nbrs) if len(ns) == 3]
+    if len(g) != 8 or len(branch) != 1:
+        return None
+    b = branch[0]
+    arms = {}
+    for start in nbrs[b]:
+        path = [b, start]
+        while len(nbrs[path[-1]]) == 2:
+            path.append(next(j for j in nbrs[path[-1]] if j != path[-2]))
+        if len(nbrs[path[-1]]) != 1:
+            return None
+        arms[len(path) - 1] = path[1:]
+    if sorted(arms) != [1, 2, 4]:
+        return None
+    return [arms[2][1], arms[2][0], b, *arms[4], arms[1][0]]
+
+
 def _certified_definite_isometry(
     l1: IntegralLattice, l2: IntegralLattice
 ) -> Mat | None:
-    """Explicit M with M^T G2 M = G1 for a 2-scaled root lattice l1 given
-    in an arbitrary basis: re-present l1 in simple roots, search there,
-    and conjugate the certificate back."""
+    """Explicit M with M^T G2 M = G1 for l1 a 2-scaled root lattice in an
+    arbitrary basis and l2 = E8(-2) in `_e8_gram`'s basis: l1's simple
+    roots, labelled along the E8 diagram, are rows R with R G1 R^T = G2,
+    and M = R^-T.  None when they do not form the E8 diagram."""
     s = _simple_root_rows(l1)
-    m2 = is_isometric_definite(from_rows(gram_in_basis(l1, s)), l2)
-    if m2 is None:
+    labels = _e8_labelling(gram_in_basis(l1, s))
+    if labels is None:
         return None
-    m = mat_mul(m2, transpose(inv_unimodular(s)))
+    m = transpose(inv_unimodular([s[i] for i in labels]))
     require(gram_in_basis(l2, transpose(m)) == l1.gram,
             "the isometry certificate does not carry one Gram to the other")
     return m

@@ -62,14 +62,14 @@ def _u_pair(
     to `orthogonal_to`)."""
     e1, e2 = tuple(e1), tuple(e2)
     for e in (e1, e2):
-        if q.element_order(e) != m or q.q_value(e) != 0:
+        if q.element_order(e) != m or q._q_int(e) != 0:
             raise ValueError("u(m) block not found at the supplied coordinates")
-        if orthogonal_to is not None and q.b_value(orthogonal_to, e) != 0:
+        if orthogonal_to is not None and q._b_int(orthogonal_to, e) != 0:
             raise ValueError("u(m) block is not orthogonal to the (1/2d) part")
-    b = q.b_value(e1, e2)
-    if b == Fraction(1, m) % 1:
+    b, unit = q._b_int(e1, e2), q.level // m
+    if b == unit % q.level:
         e2 = tuple(-c for c in e2)
-    elif b != Fraction(-1, m) % 1:
+    elif b != -unit % q.level:
         raise ValueError("u(m) block not found at the supplied coordinates")
     return e1, e2
 
@@ -97,10 +97,7 @@ def _glue_overlattice(
 ) -> tuple[IntegralLattice, Embedding]:
     """Lattice generated by L and the given rational glue vectors."""
     n = lat.rank
-    den = 1
-    for lift in lifts:
-        for c in lift:
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for lift in lifts for c in lift))
     rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
     rows += [[int(c * den) for c in lift] for lift in lifts]
     basis = hnf_basis(rows)
@@ -264,7 +261,7 @@ def genus_lemma_quotient(
     if not block:
         raise ValueError("block must designate at least the (1/2d) generator")
     h = tuple(block[0])
-    if q.element_order(h) != 2 * d or q.q_value(h) != Fraction(1, 2 * d):
+    if q.element_order(h) != 2 * d or q._q_int(h) != q.level // (2 * d):
         raise ValueError("designated generator does not carry (1/2d)")
     if m == 1:
         return gv
@@ -274,7 +271,7 @@ def genus_lemma_quotient(
     glue = q.reduce(
         tuple(4 * k * hc + a + 2 * k * b for hc, a, b in zip(h, e1, e2))
     )
-    require(q.q_value(glue) == 0 and q.element_order(glue) == m,
+    require(q._q_int(glue) == 0 and q.element_order(glue) == m,
             "glue is not isotropic of order m")
     elements = []
     x = (0,) * q.rank

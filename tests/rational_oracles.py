@@ -3,9 +3,10 @@
 These are the rational Gaussian eliminations that k3lat used before its
 eliminations became fraction-free, the entry-by-entry Gram loops,
 per-vector solves and Smith forms it used before its Gram changes became
-matrix products, and the Smith form with both transforms that it used
-before its Smith form dropped the left one.  They are kept here, outside
-the package, as oracles for k3lat's routines.
+matrix products, the Smith form with both transforms that it used
+before its Smith form dropped the left one, and the Fraction Gram of the
+discriminant form that it built before forms kept integer tables only.
+They are kept here, outside the package, as oracles for k3lat's routines.
 """
 
 from __future__ import annotations
@@ -242,6 +243,27 @@ def gram_in_basis_loops(gram, rows):
             for w in rows
         )
         for v in rows
+    )
+
+
+def discriminant_gram_frac(gram):
+    """(orders, Fraction Gram) of L*/L for a non-degenerate even Gram G:
+    with U G V = D the Smith form, generator i lifts to column i of V over
+    d_i, so q and b on the generators are (V^T G V)_ij / (d_i d_j),
+    reduced mod 2 on the diagonal and mod 1 off it; only the d_i > 1 are
+    kept."""
+    n = len(gram)
+    d, _, v = snf_with_transforms(gram)
+    orders = [d[i][i] for i in range(n)]
+    keep = [i for i in range(n) if orders[i] > 1]
+    vt = transpose(v)
+    vgv = gram_in_basis_loops(gram, [vt[i] for i in keep])
+    return tuple(orders[i] for i in keep), tuple(
+        tuple(
+            Fraction(vgv[a][b], orders[i] * orders[j]) % (2 if a == b else 1)
+            for b, j in enumerate(keep)
+        )
+        for a, i in enumerate(keep)
     )
 
 

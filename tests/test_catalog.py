@@ -29,6 +29,7 @@ from k3lat.catalog import (
     resolve_name,
 )
 from k3lat.forms import (
+    FiniteQuadraticForm,
     _normal_form,
     cyclic_block,
     forms_isomorphic,
@@ -60,6 +61,7 @@ from k3lat.overlattice import (
 )
 from form_oracles import gauss_milgram_signature
 from glue_oracles import transvection_orbits
+from rational_oracles import discriminant_gram_frac
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
 
@@ -253,6 +255,30 @@ def test_catalog_forms_against_the_oracles():
     for qs in by_group.values():
         for q1, q2 in itertools.combinations(qs, 2):
             assert_decides_like_the_search(q1, q2)
+
+
+def test_catalog_discriminant_forms_match_the_fraction_gram_oracle():
+    # the integer table against the Fraction Gram of the same Smith form,
+    # on each catalog lattice and on a GL_n(Z) conjugate of it
+    for seed, lat in enumerate(CATALOG_LATTICES):
+        for g in (lat.gram, _conjugate(lat, seed).gram):
+            orders, gram = discriminant_gram_frac(g)
+            q = discriminant_form(IntegralLattice(g))
+            assert q == FiniteQuadraticForm.from_gram(orders, gram)
+            assert q.q_gram == gram
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_root_sum_block_forms_match_their_lifts(n):
+    # the A_m blocks' form, built from adjugates, against q and b of the
+    # Fraction lifts (first dual basis vectors) computed in the lattice
+    lat, data = _block_disc(MN_ROOT_CONFIG[n])
+    k = data.form.rank
+    pair = [[sum(x * lat.gram[r][c] * y for r, x in enumerate(u) for c, y in enumerate(v))
+             for v in data.lifts] for u in data.lifts]
+    gram = tuple(tuple(pair[i][j] % (2 if i == j else 1) for j in range(k)) for i in range(k))
+    assert data.form.q_gram == gram
+    assert data.form == FiniteQuadraticForm.from_gram(data.form.orders, gram)
 
 
 # every 2-elementary form with integer values of rank at most 4

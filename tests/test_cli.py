@@ -9,9 +9,8 @@ import sys
 import pytest
 
 import k3lat
-from k3lat import cli, lattice, nsgeometry
+from k3lat import cli
 from k3lat.cli import main
-from k3lat.forms import SearchBudgetExceeded
 
 
 def run(capsys, *argv):
@@ -146,20 +145,46 @@ def test_verify_exit_one_on_fail(capsys):
     assert "x2-even-set-search-E2" in failed
 
 
-def test_lemma_and_theorem_have_no_inconclusive_path(capsys, monkeypatch):
-    # Their genus and form checks run no budgeted search: with every
-    # budgeted isometry search made to run out, both still decide, and
-    # there is no --budget to set.
-    def exhausted(*args, **kwargs):
-        raise SearchBudgetExceeded("planted")
+_EXHAUSTED_ISOMETRY_SEARCH = """
+import importlib
+import pkgutil
+import sys
+import k3lat
+from k3lat import cli, lattice
+from k3lat.forms import SearchBudgetExceeded
 
-    for module in (lattice, nsgeometry):
-        monkeypatch.setattr(module, "is_isometric_definite", exhausted)
-    for suite in ("lemma", "theorem"):
-        code, out, _ = run(capsys, "verify", suite, "--json")
-        assert code == 0
-        entries = json.loads(out)
-        assert entries and all(e["status"] == "pass" for e in entries)
+
+def exhausted(*args, **kwargs):
+    raise SearchBudgetExceeded("planted")
+
+
+# the one patch reaches every caller only if no module binds the name itself
+bound = [m for _, m, _ in pkgutil.iter_modules(k3lat.__path__) if m != "lattice"
+         and hasattr(importlib.import_module("k3lat." + m), "is_isometric_definite")]
+if bound:
+    sys.exit(f"is_isometric_definite is imported by {bound}")
+lattice.is_isometric_definite = exhausted
+sys.exit(cli.main(["verify", "all", "--json"]))
+"""
+
+
+def test_lemma_and_theorem_have_no_inconclusive_path():
+    # No check of `verify all` runs a budgeted search: with the definite
+    # isometry search made to run out in a fresh interpreter (so that no
+    # cached result stands in for a call), every check still decides, and
+    # there is no --budget to set.
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _EXHAUSTED_ISOMETRY_SEARCH],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    entries = json.loads(done.stdout)
+    assert entries
+    assert not any(e["status"] == "inconclusive" or e["check"].endswith("-error")
+                   for e in entries)
+    for suite in ("lemma", "theorem", "all"):
         with pytest.raises(SystemExit):
             main(["verify", suite, "--budget", "1"])
 

@@ -9,6 +9,7 @@ group elements, and degeneracy against a direct adjoint scan.
 """
 
 import cmath
+import dataclasses
 import gc
 import math
 from collections import Counter
@@ -38,6 +39,8 @@ from k3lat.forms import (
     trivial_form,
     u_block,
 )
+from k3lat.catalog import named
+from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from form_oracles import (
     _gauss_counts,
     backtrack_isomorphism,
@@ -167,13 +170,13 @@ def regram(q, new_gens):
         for j in range(i):
             gram[i][j] = gram[j][i] = q.b_value(new_gens[i], new_gens[j])
     orders = tuple(q.element_order(g) for g in new_gens)
-    return FiniteQuadraticForm(orders, tuple(tuple(r) for r in gram))
+    return FiniteQuadraticForm.from_gram(orders, tuple(tuple(r) for r in gram))
 
 
 # a diagonal q = 1 analogue of the hyperbolic two-by-two block
 def v_block(n):
     b = F(-1, n) % 1
-    return FiniteQuadraticForm((n, n), ((F(1), b), (b, F(1))))
+    return FiniteQuadraticForm.from_gram((n, n), ((F(1), b), (b, F(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +186,18 @@ def v_block(n):
 
 def test_validation_rejects_bad_data():
     with pytest.raises(ValueError):
-        FiniteQuadraticForm((2,), ((F(1, 3),),))  # denominator 3 on Z/2
+        FiniteQuadraticForm.from_gram((2,), ((F(1, 3),),))  # denominator 3 on Z/2
     with pytest.raises(ValueError):
-        FiniteQuadraticForm((2, 2), ((F(0), F(1, 3)), (F(1, 3), F(0))))
+        FiniteQuadraticForm.from_gram((2, 2), ((F(0), F(1, 3)), (F(1, 3), F(0))))
     with pytest.raises(ValueError):
-        FiniteQuadraticForm((2, 2), ((F(0), F(0)), (F(1, 2), F(0))))  # asym
+        FiniteQuadraticForm.from_gram((2, 2), ((F(0), F(0)), (F(1, 2), F(0))))  # asym
     with pytest.raises(ValueError):
         cyclic_block(3, F(1, 3))  # 9 * (1/3) = 3 is odd
     with pytest.raises(ValueError):
         cyclic_block(0, F(0))
     # q(1) = 1/8 but q(5) = 25/8 = 9/8 mod 2 although 5 = 1 mod 4
     with pytest.raises(ValueError):
-        FiniteQuadraticForm((4,), ((F(1, 8),),))
+        FiniteQuadraticForm.from_gram((4,), ((F(1, 8),),))
     with pytest.raises(ValueError):
         cyclic_block(4, F(1, 8))
 
@@ -250,9 +253,9 @@ DEGENERACY_CASES = [
     cyclic_block(2, F(1, 2)),
     cyclic_block(3, F(4, 3)),
     cyclic_block(8, F(3, 8)),
-    FiniteQuadraticForm((2,), ((F(0),),)),  # zero form: degenerate
+    FiniteQuadraticForm.from_gram((2,), ((F(0),),)),  # zero form: degenerate
     cyclic_block(4, F(1)),  # q integral: degenerate pairing
-    sum_forms([u_block(2), FiniteQuadraticForm((2,), ((F(0),),))]),
+    sum_forms([u_block(2), FiniteQuadraticForm.from_gram((2,), ((F(0),),))]),
 ]
 
 
@@ -308,7 +311,7 @@ def test_milgram_signature_matches_gauss_oracle(q, _):
 
 
 def test_milgram_rejects_degenerate():
-    q = FiniteQuadraticForm((2,), ((F(0),),))
+    q = FiniteQuadraticForm.from_gram((2,), ((F(0),),))
     # the signature is cached per form; a raise must not be
     for _ in range(2):
         with pytest.raises(ArithmeticError):
@@ -419,13 +422,13 @@ def regrammed_forms(draw):
         tuple(oracle_q(q, g) if i == j else oracle_b(q, g, h) for j, h in enumerate(gens))
         for i, g in enumerate(gens)
     )
-    return FiniteQuadraticForm(tuple(oracle_order(q, g) for g in gens), gram)
+    return FiniteQuadraticForm.from_gram(tuple(oracle_order(q, g) for g in gens), gram)
 
 
 LEVEL_CASES = [
     sum_forms([u_block(2), cyclic_block(9, F(2, 9))]),  # level 18, two primes
     # the level exceeds the lcm of the Gram denominators:
-    FiniteQuadraticForm((2,), ((F(0),),)),  # level 2, denominators 1
+    FiniteQuadraticForm.from_gram((2,), ((F(0),),)),  # level 2, denominators 1
     cyclic_block(4, F(1)),  # level 4, denominators 1
     sum_forms([cyclic_block(3, F(0)), u_block(2)]),  # level 6, denominators 2
     regram(cyclic_block(9, F(2, 9)), [(3,)]),  # order 3, q = 2 = 0 mod 2
@@ -445,6 +448,54 @@ def test_value_path_matches_fraction_oracle(data):
     vec = st.lists(st.integers(-20, 20), min_size=q.rank, max_size=q.rank).map(tuple)
     pairs = data.draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=8))
     check_value_path(q, pairs)
+
+
+# ---------------------------------------------------------------------------
+# One integer representation, one Fraction boundary
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.lists(_block_strategy(), min_size=1, max_size=3).map(sum_forms),
+                 regrammed_forms()))
+def test_from_gram_round_trip(q):
+    back = FiniteQuadraticForm.from_gram(q.orders, q.q_gram)
+    assert back == q
+    assert hash(back) == hash(q)
+    assert all(type(t) is int for row in back.table for t in row)
+
+
+def test_the_form_stores_integers_only():
+    q = sum_forms([u_block(2), cyclic_block(9, F(2, 9))])
+    assert [f.name for f in dataclasses.fields(q) if f.compare] == ["orders", "table"]
+    assert all(type(t) is int for row in q.table for t in row)
+    assert q.q_gram[2][2] == F(2, 9) and q.q_gram[0][1] == F(1, 2)
+    # a Fraction Gram goes through from_gram, never into the table
+    with pytest.raises(TypeError):
+        FiniteQuadraticForm((2,), ((F(1, 2),),))
+    assert FiniteQuadraticForm((2,), [[1]]) == cyclic_block(2, F(1, 2))
+    # a level change must divide exactly: 1/4 is no value of a form of level 2
+    assert FiniteQuadraticForm.from_table((2,), ((4,),), 8) == cyclic_block(2, F(1, 2))
+    with pytest.raises(ValueError):
+        FiniteQuadraticForm.from_table((2,), ((1,),), 4)
+
+
+def test_equal_forms_from_three_paths_share_one_cache_entry():
+    # u(2) + <1/4> as an orthogonal sum (levels 2 and 4), as the
+    # discriminant form of U(2) + <4> (level 4 from N^2 = 16), and as
+    # H-perp/H in u(2) + <1/36> for H of order 3 (level 36 down to 4)
+    by_sum = sum_forms([u_block(2), cyclic_block(4, F(1, 4))])
+    by_disc = discriminant_form(direct_sum(named("U(2)"), from_rows([[4]])))
+    big = sum_forms([u_block(2), cyclic_block(36, F(1, 36))])
+    (h,) = isotropic_subgroups(big, 3)
+    by_quotient = quotient_form(big, h)
+    assert by_sum == by_disc == by_quotient
+    assert hash(by_sum) == hash(by_disc) == hash(by_quotient)
+    before = milgram_signature.cache_info()
+    assert len({milgram_signature(q) for q in (by_sum, by_disc, by_quotient)}) == 1
+    after = milgram_signature.cache_info()
+    assert after.currsize - before.currsize <= 1
+    assert after.hits - before.hits >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import k3lat
 from k3lat.forms import (
+    FiniteQuadraticForm,
     cyclic_block,
     forms_isomorphic,
     milgram_signature,
@@ -59,7 +60,12 @@ from k3lat.lattice import (
     sublattice,
     vectors_of_norm,
 )
-from rational_oracles import gram_in_basis_loops, symmetric_grams
+from rational_oracles import (
+    discriminant_gram_frac,
+    gram_in_basis_loops,
+    symmetric_grams,
+    unimodular_mats,
+)
 
 U = from_rows([[0, 1], [1, 0]])
 A1 = from_rows([[2]])
@@ -308,6 +314,34 @@ DISC_CASES = [
 @pytest.mark.parametrize("lat", DISC_CASES)
 def test_discriminant_group_structure(lat):
     check_discriminant_data(lat)
+
+
+@st.composite
+def _even_conjugate_pairs(draw):
+    """A non-degenerate even Gram G and U G U^T for a random U in GL_n(Z)."""
+    g = draw(symmetric_grams(min_rank=1, max_rank=4))
+    n = len(g)
+    g = tuple(tuple(2 * x if i == j else x for j, x in enumerate(row))
+              for i, row in enumerate(g))
+    assume(det_int(g) != 0)
+    u = draw(unimodular_mats(n))
+    return g, mat_mul(mat_mul(u, g), transpose(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_even_conjugate_pairs())
+def test_discriminant_form_matches_fraction_gram_oracle(pair):
+    # the integer table equals the Fraction Gram (V^T G V)_ij / d_i d_j of
+    # the same Smith form, on G and on a GL_n(Z) conjugate; the two forms
+    # are isomorphic
+    forms = []
+    for g in pair:
+        orders, gram = discriminant_gram_frac(g)
+        q = discriminant_form(from_rows(g))
+        assert q == FiniteQuadraticForm.from_gram(orders, gram)
+        assert q.q_gram == gram
+        forms.append(q)
+    assert forms_isomorphic(*forms) is not None
 
 
 def test_discriminant_forms_known():

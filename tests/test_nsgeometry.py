@@ -50,6 +50,7 @@ from k3lat.nsgeometry import (
     LabeledLattice,
     _bounded_sections,
     _certified_definite_isometry,
+    _e8_labelling,
     _packing,
     _section_frame,
     _simple_root_rows,
@@ -687,10 +688,14 @@ if __debug__:
     sys.exit("asserts are enabled")
 from k3lat import nsgeometry
 from k3lat.catalog import named
-from k3lat.intmat import identity
 from k3lat.lattice import invariant_split
 _, anti = invariant_split(nsgeometry.build_UN_vgs()[1])
-nsgeometry.is_isometric_definite = lambda l1, l2: identity(8)
+labelling = nsgeometry._e8_labelling
+def swapped(g):
+    labels = labelling(g)
+    labels[0], labels[7] = labels[7], labels[0]  # e1 and e8 exchanged
+    return labels
+nsgeometry._e8_labelling = swapped
 try:
     nsgeometry._certified_definite_isometry(anti.sub, named("E8(-2)"))
 except ArithmeticError:
@@ -700,7 +705,7 @@ except ArithmeticError:
 
 def test_corrupt_isometry_certificate_is_rejected_under_python_O():
     # The re-check of the certificate must not be an assert, which
-    # `python -O` strips: a wrong matrix from the search has to raise.
+    # `python -O` strips: a matrix from a wrong labelling has to raise.
     src = os.path.dirname(os.path.dirname(k3lat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -744,6 +749,32 @@ def test_corrupt_frame_is_rejected_under_python_O():
         "the frame W + <E, O> is not a basis of the lattice",
         "the frame Gram is not W + [[0, 1], [1, -2]]",
     ]
+
+
+def _diagram_gram(n, edges):
+    g = [[-4 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 2
+    return g
+
+
+def test_e8_labelling_reads_the_diagram():
+    # the E8 diagram with its nodes shuffled is labelled back onto
+    # _e8_gram's basis; A8, D8, E7 + A1, E6 + A2 and a node of degree 4
+    # are not E8, nor is E7 on seven nodes
+    e8 = named("E8(-2)").gram
+    rng = random.Random(5)
+    for _ in range(20):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        g = [[e8[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
+        labels = _e8_labelling(g)
+        assert [[g[a][b] for b in labels] for a in labels] == [list(r) for r in e8]
+    chain = [(i, i + 1) for i in range(7)]
+    for edges in (chain, chain[:6] + [(5, 7)], chain[:5] + [(2, 6)],
+                  chain[:4] + [(2, 5), (6, 7)], chain[:3] + [(2, 4), (2, 5), (5, 6)]):
+        assert _e8_labelling(_diagram_gram(8, edges)) is None
+    assert _e8_labelling(_diagram_gram(7, chain[:5] + [(2, 6)])) is None
 
 
 def test_simple_root_rows_give_a_unimodular_small_basis():
