@@ -25,7 +25,7 @@ from .forms import (
     sum_forms,
     u_block,
 )
-from .intmat import adjugate, freeze, require, transpose
+from .intmat import adjugate, freeze, require, transpose, vec_scale
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -140,7 +140,8 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
 
     The generator of block A_m is the class of the first dual basis vector;
     its lift is the first column of the inverse Gram, padded into root-sum
-    coordinates.  Blocks are mutually orthogonal, so the form is diagonal.
+    coordinates and put over the level.  Blocks are mutually orthogonal, so
+    the form is diagonal.
     """
     blocks = [IntegralLattice(_a_gram(m)) for m in config]
     lat = direct_sum(*blocks)
@@ -152,8 +153,8 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     off = 0
     for b in blocks:
         det, adj = adjugate(b.gram)  # b.gram^-1 = adj / det, det = +-(m + 1)
-        lifts.append(tuple(Fraction(adj[r - off][0], det) if off <= r < off + b.rank
-                           else Fraction(0) for r in range(n)))
+        lifts.append(tuple(level // det * adj[r - off][0] if off <= r < off + b.rank
+                           else 0 for r in range(n)))
         qdiag.append(adj[0][0] * level // det)
         off += b.rank
     k = len(blocks)
@@ -238,7 +239,7 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
         accepted = []
         for s in reps:
             z, _ = _glue_overlattice(
-                root_sum, [_lift_of(disc, g) for g in s.gens]
+                root_sum, [_lift_of(disc, g) for g in s.gens], disc.form.level
             )
             if not z.is_even:
                 continue
@@ -380,9 +381,10 @@ def _primitive_index2_overlattice(
         if qw.element_order(eps) == 2 and qw._q_int(eps) == target
     ]
     zs = []
+    den = lcm(2, qw.level)  # the lifts are over the level
     for eps in _isometry_orbits(qw, candidates):
-        lift = (Fraction(1, 2),) + _lift_of(wdisc, eps)
-        z, emb = _glue_overlattice(v, [lift])
+        glue = (den // 2,) + vec_scale(_lift_of(wdisc, eps), den // qw.level)
+        z, emb = _glue_overlattice(v, [glue], den)
         if not z.is_even:
             continue
         require(z.det * 4 == v.det, "index-2 glue has the wrong determinant")

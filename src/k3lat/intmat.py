@@ -1,12 +1,13 @@
-"""Exact linear algebra over Z and Q for small dense matrices.
+"""Exact linear algebra over Z for small dense matrices.
 
 Everything in this package runs on arbitrary-precision integers and
 `fractions.Fraction`; there is deliberately no floating point anywhere.
 The eliminations here are fraction-free and run on integers: Hermite and
 Smith forms by extended gcds, and determinants, signatures, LDL^T and
-adjugates by Bareiss elimination.  A `Fraction` appears only in a
-returned rational value (`inv_frac`, the values and centre of
-`fp_enumerate`).  Matrices are plain sequences of row sequences.
+adjugates by Bareiss elimination.  A rational matrix is an integer matrix
+over one denominator (`adjugate` gives the inverse as adj over det); a
+`Fraction` appears only in the values and centre of `fp_enumerate`.
+Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
 """
@@ -21,7 +22,6 @@ from typing import Iterable, Sequence
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
-FracMat = tuple[tuple[Fraction, ...], ...]
 
 
 def require(ok: bool, message: str) -> None:
@@ -405,13 +405,6 @@ def solve_int(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vec | None:
     if any(res):
         return None
     return vec_mat(y, u)  # x = u^T @ y
-
-
-def inv_frac(a: Sequence[Sequence[int]]) -> FracMat:
-    """Exact inverse of a nonsingular integer matrix over Q: its adjugate
-    over its determinant."""
-    d, adj = adjugate(a)
-    return freeze(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def inv_unimodular(a: Sequence[Sequence[int]]) -> Mat:

@@ -5,21 +5,21 @@ coordinate tuple of length `rank` (any other length raises ValueError), and
 the pairing of v, w is v * G * w^T.  The Gram matrix of basis rows B is the
 matrix product B * G * B^T, so every change of basis, embedding check and
 isometry check is one `gram_in_basis`.  Embeddings store images of the
-sub-basis as matrix columns; isometries act on coordinate columns.  All
-computations are exact (integers and Fractions, no floating point).
+sub-basis as matrix columns; isometries act on coordinate columns.  The
+generator lifts of a discriminant group are integer rows over the level of
+its form, one denominator for all of them.  All computations are exact
+(no floating point).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
 from .forms import FiniteQuadraticForm, SearchBudgetExceeded
 from .intmat import (
-    FracMat,
     Mat,
     Vec,
     det_int,
@@ -239,28 +239,28 @@ class DiscriminantData:
     """Discriminant group L*/L with generator lifts.
 
     `form` lives on generators g_1, ..., g_k of orders d_1 | ... | d_k;
-    lift row i is a rational coordinate vector representing g_i inside L*.
+    `lifts` holds integer rows over N = `form.level`: row i over N is a
+    coordinate vector representing g_i inside L*.
     """
 
     form: FiniteQuadraticForm
-    lifts: FracMat
+    lifts: Mat
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
-    """Structure of L*/L for a non-degenerate lattice L."""
-    if lat.is_degenerate:
-        raise ValueError("discriminant group requires a non-degenerate form")
+    """Structure of L*/L; ValueError if L is degenerate (a zero invariant factor)."""
     d, v = snf(lat.gram)
     orders = [d[i][i] for i in range(lat.rank)]
+    if 0 in orders:
+        raise ValueError("discriminant group requires a non-degenerate form")
     keep = [i for i in range(lat.rank) if orders[i] > 1]
     vt = transpose(v)
-    lifts = tuple(tuple(Fraction(x, orders[i]) for x in vt[i]) for i in keep)
-    # lift i is column i of V over d_i; times N = lcm(d_i) it is integral,
-    # so N^2 q and N^2 b on the lifts are the Gram of those columns
+    # g_i lifts to column i of V over d_i, that is (N/d_i) column i over
+    # N = lcm(d_i); N^2 q and N^2 b on the lifts are the Gram of those rows
     level = lcm(*(orders[i] for i in keep))
-    scaled = [tuple(level // orders[i] * x for x in vt[i]) for i in keep]
+    lifts = tuple(tuple(level // orders[i] * x for x in vt[i]) for i in keep)
     form = FiniteQuadraticForm.from_table(
-        [orders[i] for i in keep], gram_in_basis(lat, scaled), level * level)
+        [orders[i] for i in keep], gram_in_basis(lat, lifts), level * level)
     return DiscriminantData(form, lifts)
 
 

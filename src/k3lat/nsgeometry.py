@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Callable, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, named
@@ -46,7 +47,6 @@ from .intmat import (
     freeze,
     hnf_basis,
     identity,
-    inv_frac,
     inv_unimodular,
     kernel_int,
     ldl_int,
@@ -443,26 +443,20 @@ def base_change_report() -> list[dict]:
         "the new Gram does not match <4> + N",
         [list(r) for r in g_new]))
 
+    # b is unimodular, so the inverse of its transpose is det * adj exactly
     bt = transpose(b)
-    conj = mat_mul(inv_frac(bt), mat_mul(sigma.matrix, bt))
-    integral = all(x.denominator == 1 for row in conj for x in row)
-    if integral:
-        conj_int = freeze(tuple(int(x) for x in row) for row in conj)
-        try:
-            action = IsometryAction(from_rows(g_new), conj_int, "sigma'")
-            ok = action.is_involution
-        except (ValueError, ArithmeticError):
-            ok = False
-        out.append(_check(
-            "x2-base-change-conjugation", ok,
-            "sigma conjugates to an integral involution of the <4> + N Gram",
-            "the conjugated action is not an isometric involution",
-            [list(r) for r in conj_int]))
-    else:
-        out.append(_entry(
-            "x2-base-change-conjugation", "fail",
-            "conjugated matrix is not integral",
-            [[str(x) for x in row] for row in conj]))
+    det, adj = adjugate(bt)
+    conj = freeze(vec_scale(row, det) for row in mat_mul(adj, mat_mul(sigma.matrix, bt)))
+    try:
+        action = IsometryAction(from_rows(g_new), conj, "sigma'")
+        ok = action.is_involution
+    except (ValueError, ArithmeticError):
+        ok = False
+    out.append(_check(
+        "x2-base-change-conjugation", ok,
+        "sigma conjugates to an integral involution of the <4> + N Gram",
+        "the conjugated action is not an isometric involution",
+        [list(r) for r in conj]))
 
     # pencil classes in inverse coordinates: E1 = H - S and, after
     # eliminating N8 = 2S - (N1 + .. + N7), E2 = 2H + 2(N1 + .. + N7) - 5S
@@ -861,9 +855,10 @@ def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     host = direct_sum(named("U(2)"), w)
     disc = discriminant_group(w)
     x, y = find_u_block(disc.form, 2)
-    lift = vec_add(_lift_of(disc, x), _lift_of(disc, y))
-    glue = (Fraction(1, 2), Fraction(1, 2)) + tuple(lift)
-    z, emb = _glue_overlattice(host, [glue])
+    den = lcm(2, disc.form.level)  # the lifts are over the level
+    lift = _lift_of(disc, vec_add(x, y))
+    glue = (den // 2, den // 2) + vec_scale(lift, den // disc.form.level)
+    z, emb = _glue_overlattice(host, [glue], den)
     if not z.is_even:
         raise ArithmeticError("glue produced an odd lattice")
     require(4 * z.det == host.det, "the glue does not have index 2")

@@ -10,7 +10,6 @@ rank-versus-length criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .forms import (
     milgram_signature,
     quotient_form,
 )
-from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_mat
+from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_mat, vec_scale
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -36,8 +35,8 @@ from .lattice import (
 )
 
 
-def _lift_of(disc: DiscriminantData, coords: Sequence[int]) -> tuple[Fraction, ...]:
-    """Rational ambient row for an element of the discriminant group."""
+def _lift_of(disc: DiscriminantData, coords: Sequence[int]) -> Vec:
+    """Ambient row, over `disc.form.level`, of a discriminant group element."""
     return vec_mat(coords, disc.lifts)
 
 
@@ -93,13 +92,15 @@ def _scaled_inverse(b: Mat, den: int) -> Mat:
 
 def _glue_overlattice(
     lat: IntegralLattice,
-    lifts: Sequence[Sequence[Fraction]],
+    glue: Sequence[Sequence[int]],
+    den: int,
 ) -> tuple[IntegralLattice, Embedding]:
-    """Lattice generated by L and the given rational glue vectors."""
+    """Lattice generated by L and the glue vectors row / den for the
+    integer rows of `glue`.  Any common denominator gives the same lattice
+    and embedding: scaling rows and den by c scales the HNF basis by c."""
     n = lat.rank
-    den = lcm(*(c.denominator for lift in lifts for c in lift))
     rows = [[den if i == j else 0 for j in range(n)] for i in range(n)]
-    rows += [[int(c * den) for c in lift] for lift in lifts]
+    rows += glue
     basis = hnf_basis(rows)
     scaled = gram_in_basis(lat, basis)
     den2 = den * den
@@ -129,7 +130,7 @@ def overlattices(
     disc = discriminant_group(lat)
     out = []
     for h in isotropic_subgroups(disc.form, index):
-        z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens])
+        z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens], disc.form.level)
         if not z.is_even:
             continue
         require(z.det * index * index == lat.det,
@@ -155,7 +156,7 @@ def lemma_overlattice(
     k = _congruence_quotient(d, m)
     v = direct_sum(from_rows([[2 * d]]), w)
     if m == 1:
-        lifts: list[tuple[Fraction, ...]] = []
+        glue, den = [], 1
     else:
         if len(block) != 2:
             raise ValueError("block must supply two generator coordinate rows")
@@ -163,20 +164,17 @@ def lemma_overlattice(
         qw = wdisc.form
         e1, e2 = _u_pair(qw, block[0], block[1], m)
         # glue = (4k) h + e1 + (2k) e2 where h is the dual generator of <2d>,
-        # whose rational lift is (1/(2d), 0, ..., 0) by construction of V
-        l1 = _lift_of(wdisc, e1)
-        l2 = _lift_of(wdisc, e2)
-        glue = (Fraction(4 * k, 2 * d),) + tuple(
-            a + 2 * k * c for a, c in zip(l1, l2)
-        )
+        # whose lift is (1/(2d), 0, ..., 0) by construction of V; the lifts
+        # of W's elements are over its level N, so the glue is over lcm(2d, N)
+        den = lcm(2 * d, qw.level)
+        lift = _lift_of(wdisc, [a + 2 * k * b for a, b in zip(e1, e2)])
+        row = (4 * k * (den // (2 * d)),) + vec_scale(lift, den // qw.level)
         # isotropic of order dividing m: m*glue is integral and its norm
-        # m^2 q(glue) lies in 2m^2 Z
-        mg = [m * c for c in glue]
-        require(all(c.denominator == 1 for c in mg), "glue order does not divide m")
-        mg = [int(c) for c in mg]
-        require(v.norm(mg) % (2 * m * m) == 0, "glue is not isotropic")
-        lifts = [glue]
-    z, emb = _glue_overlattice(v, lifts)
+        # lies in 2Z
+        require(all(m * c % den == 0 for c in row), "glue order does not divide m")
+        require(v.norm(row) % (2 * den * den) == 0, "glue is not isotropic")
+        glue = [row]
+    z, emb = _glue_overlattice(v, glue, den)
     if not z.is_even:
         raise ArithmeticError("glue produced an odd lattice")
     require(z.det * m * m == v.det, "glue changed the determinant by the wrong index")
@@ -218,8 +216,7 @@ class GenusDescriptor:
 
 
 def genus_of(lat: IntegralLattice) -> GenusDescriptor:
-    if lat.is_degenerate:
-        raise ValueError("genus requires a non-degenerate lattice")
+    """Genus of an even lattice; `discriminant_group` rejects a degenerate one."""
     if not lat.is_even:
         raise ValueError("genus descriptor is defined here for even lattices")
     pos, neg = lat.signature

@@ -5,8 +5,9 @@ eliminations became fraction-free, the entry-by-entry Gram loops,
 per-vector solves and Smith forms it used before its Gram changes became
 matrix products, the Smith form with both transforms that it used
 before its Smith form dropped the left one, and the Fraction Gram of the
-discriminant form that it built before forms kept integer tables only.
-They are kept here, outside the package, as oracles for k3lat's routines.
+discriminant form that it built before forms kept integer tables only,
+and the Fraction inverse it had before rational matrices became integer
+rows over one denominator.  They are kept here, outside the package, as oracles for k3lat's routines.
 """
 
 from __future__ import annotations
@@ -16,7 +17,17 @@ from math import lcm
 
 from hypothesis import strategies as st
 
-from k3lat.intmat import freeze, hnf_basis, identity, mat_mul, snf, solve_int, transpose, xgcd
+from k3lat.intmat import (
+    adjugate,
+    freeze,
+    hnf_basis,
+    identity,
+    mat_mul,
+    snf,
+    solve_int,
+    transpose,
+    xgcd,
+)
 
 
 def signature_frac(gram):
@@ -137,6 +148,13 @@ def inv_gauss_jordan(a):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def inv_frac(a):
+    """Exact inverse of a nonsingular integer matrix over Q: its adjugate
+    over its determinant."""
+    d, adj = adjugate(a)
+    return freeze(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def snf_with_transforms(a):

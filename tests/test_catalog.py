@@ -271,11 +271,14 @@ def test_catalog_discriminant_forms_match_the_fraction_gram_oracle():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_root_sum_block_forms_match_their_lifts(n):
     # the A_m blocks' form, built from adjugates, against q and b of the
-    # Fraction lifts (first dual basis vectors) computed in the lattice
+    # lifts (first dual basis vectors, integer rows over the level) computed
+    # in the lattice
     lat, data = _block_disc(MN_ROOT_CONFIG[n])
     k = data.form.rank
+    assert all(type(x) is int for lift in data.lifts for x in lift)
+    lifts = [[F(x, data.form.level) for x in lift] for lift in data.lifts]
     pair = [[sum(x * lat.gram[r][c] * y for r, x in enumerate(u) for c, y in enumerate(v))
-             for v in data.lifts] for u in data.lifts]
+             for v in lifts] for u in lifts]
     gram = tuple(tuple(pair[i][j] % (2 if i == j else 1) for j in range(k)) for i in range(k))
     assert data.form.q_gram == gram
     assert data.form == FiniteQuadraticForm.from_gram(data.form.orders, gram)

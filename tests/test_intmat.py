@@ -21,7 +21,6 @@ from k3lat.intmat import (
     hnf_basis,
     hnf_row,
     identity,
-    inv_frac,
     inv_unimodular,
     kernel_int,
     ldl_int,
@@ -36,6 +35,7 @@ from k3lat.intmat import (
 )
 from rational_oracles import (
     conjugated_grams,
+    inv_frac,
     inv_gauss_jordan,
     ldl_frac,
     signature_frac,

@@ -243,7 +243,10 @@ def test_degenerate_flags():
 def check_discriminant_data(lat):
     """Structural oracle: lifts generate L*/L with the stated orders."""
     data = discriminant_group(lat)
-    form, lifts = data.form, data.lifts
+    form = data.form
+    # the lifts are integer rows over the level
+    assert all(type(x) is int for lift in data.lifts for x in lift)
+    lifts = [[F(x, form.level) for x in lift] for lift in data.lifts]
     n = lat.rank
     total = 1
     for o in form.orders:

@@ -5,12 +5,16 @@ change search, so the HNF construction is validated independently.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import k3lat
 from k3lat.forms import (
     _normal_form,
     cyclic_block,
@@ -131,7 +135,8 @@ def test_overlattice_determinant_and_quotient_form(lat, index):
     disc = discriminant_group(lat)
     found = 0
     for h in isotropic_subgroups(disc.form, index):
-        z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens])
+        z, emb = _glue_overlattice(
+            lat, [_lift_of(disc, g) for g in h.gens], disc.form.level)
         if not z.is_even:
             continue
         found += 1
@@ -147,7 +152,8 @@ def test_overlattice_determinant_and_quotient_form(lat, index):
 @st.composite
 def _glue_case(draw):
     """A glue fixture in a random basis, with glue from its isotropic
-    subgroups or drawn from its whole discriminant group."""
+    subgroups or drawn from its whole discriminant group: integer rows over
+    the level of the form."""
     lat, index = draw(st.sampled_from(GLUE_CASES))
     u = draw(unimodular_mats(lat.rank))
     moved = IntegralLattice(mat_mul(mat_mul(u, lat.gram), transpose(u)))
@@ -157,21 +163,28 @@ def _glue_case(draw):
         tuple(draw(st.integers(0, d - 1)) for d in disc.form.orders)
         for _ in range(draw(st.integers(0, 2)))
     ))
-    return moved, [_lift_of(disc, g) for g in draw(st.sampled_from(gens))]
+    glue = [_lift_of(disc, g) for g in draw(st.sampled_from(gens))]
+    return moved, glue, disc.form.level
 
 
 @settings(max_examples=80, deadline=None)
 @given(_glue_case())
 def test_glue_overlattice_matches_per_vector_solves(case):
-    lat, lifts = case
+    # the oracle reads the glue as Fractions; the glue over c times the
+    # denominator must give the same lattice and embedding
+    lat, glue, den = case
+    lifts = [[F(x, den) for x in row] for row in glue]
     gram, matrix = glue_overlattice_by_solves(lat.gram, lifts)
-    if any(x.denominator != 1 for row in gram for x in row):
-        with pytest.raises(ArithmeticError):
-            _glue_overlattice(lat, lifts)
-        return
-    z, emb = _glue_overlattice(lat, lifts)
-    assert z.gram == gram
-    assert emb.matrix == matrix and emb.sub == lat
+    integral = all(x.denominator == 1 for row in gram for x in row)
+    for c in (1, 2, 3):
+        scaled = [[c * x for x in row] for row in glue]
+        if not integral:
+            with pytest.raises(ArithmeticError):
+                _glue_overlattice(lat, scaled, c * den)
+            continue
+        z, emb = _glue_overlattice(lat, scaled, c * den)
+        assert z.gram == gram
+        assert emb.matrix == matrix and emb.sub == lat
 
 
 @st.composite
@@ -265,6 +278,57 @@ def test_lemma_congruence_violation():
         lemma_overlattice(2, 2, w, block)
 
 
+_CORRUPT_GLUE = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import overlattice
+from k3lat.catalog import named
+from k3lat.forms import find_u_block
+from k3lat.lattice import direct_sum, discriminant_form
+
+lift_of = overlattice._lift_of
+
+
+def attempt(label, w, corrupt):
+    block = find_u_block(discriminant_form(w), 2)
+    overlattice._lift_of = corrupt
+    try:
+        overlattice.lemma_overlattice(4, 2, w, block)
+        print(label, "accepted")
+    except ArithmeticError as exc:
+        print(label, exc)
+    finally:
+        overlattice._lift_of = lift_of
+
+
+# every lift moved by 1/10 in each coordinate: the glue has order 10
+attempt("order", direct_sum(named("U(2)"), named("U(5)")),
+        lambda disc, coords: tuple(x + 1 for x in lift_of(disc, coords)))
+# both lifts replaced by that of an element of order 2 with q = 1: the
+# glue keeps order 2, but its q-value is 1
+qw = discriminant_form(named("E8(-2)"))
+odd = next(x for x in qw.elements() if qw._q_int(x) == qw.level)
+attempt("isotropy", named("E8(-2)"), lambda disc, coords: lift_of(disc, odd))
+"""
+
+
+def test_lemma_rejects_corrupt_glue_under_python_O():
+    # the glue checks of lemma_overlattice are `require` calls, which
+    # `python -O` keeps: a lift of the wrong order or q-value must raise
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_GLUE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "order glue order does not divide m",
+        "isotropy glue is not isotropic",
+    ]
+
+
 def test_lemma_rejects_bad_block():
     from k3lat.catalog import named
 
@@ -303,6 +367,8 @@ def test_genus_of_requires_even_nondegenerate():
         genus_of(from_rows([[1]]))
     with pytest.raises(ValueError):
         genus_of(from_rows([[0]]))
+    with pytest.raises(ValueError):
+        genus_of(from_rows([[2, 2], [2, 2]]))
 
 
 def test_rank10_genus_pair_agrees():
