@@ -60,6 +60,7 @@ from .lattice import (
     vectors_of_norm,
 )
 from .nsgeometry import (
+    EvenSets,
     LabeledLattice,
     base_change,
     base_change_report,

@@ -332,24 +332,42 @@ def _suite_table(args) -> Iterator[dict]:
             {"signature": [sp, sm]})
 
 
+def _lazily(report, *params) -> Iterator[dict]:
+    """The entries of report(*params), computed when the suite runs."""
+    yield from report(*params)
+
+
+def _bound_or_default(args, default: int) -> int:
+    bound = args.bound if args.bound is not None else default
+    if bound < 0:
+        raise ValueError("coefficient bound must be non-negative")
+    return bound
+
+
 def _suite_x2(args) -> Iterator[dict]:
-    bound = args.bound if args.bound is not None else 5
-    yield from x2_report(bound=bound)
+    return _lazily(x2_report, _bound_or_default(args, 5))
 
 
 def _suite_un(args) -> Iterator[dict]:
     e_values = (args.e,) if args.e is not None else (1, 2, 3, 4)
-    yield from un_report(e_values=e_values)
+    if min(e_values) < 1:
+        raise ValueError("polarization parameter must be positive")
+    return _lazily(un_report, e_values)
 
 
 def _suite_ue8(args) -> Iterator[dict]:
-    bound = args.bound if args.bound is not None else 3
-    yield from ue8_report(absence_bound=bound)
+    return _lazily(ue8_report, _bound_or_default(args, 3))
 
 
 def _suite_towers(args) -> Iterator[dict]:
     dmax = args.d if args.d is not None else 8
     depth = args.depth if args.depth is not None else 5
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    return _tower_checks(dmax, depth)
+
+
+def _tower_checks(dmax: int, depth: int) -> Iterator[dict]:
     for d in range(1, dmax + 1):
         try:
             nodes = tower(d, depth)

@@ -437,8 +437,11 @@ def fp_enumerate(
     ceil(lower D L^4), and each level of the recursion takes its range
     of x_i from s = isqrt(rem // a_i) and two floor divisions by L^2, so
     it forms no `Fraction`; a value becomes one only when its vector is
-    returned.  `center` may be a rational vector (defaults to 0).  Output
-    is sorted by (value, coordinates) so callers get byte-for-byte
+    returned.  `center` may be a rational vector.  With no `center`, Q is
+    even in x, so only one vector of each pair {x, -x} is returned: the
+    recursion keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate
+    above i is 0, so the last nonzero coordinate is positive.  Output is
+    sorted by (value, coordinates) so callers get byte-for-byte
     reproducible results.
     """
     n = len(gram_posdef)
@@ -468,11 +471,12 @@ def fp_enumerate(
     found: list[tuple[Vec, int]] = []
     x = [0] * n
 
-    def recurse(i: int, rem: int) -> None:
-        # rem = top minus the value of the levels above i, never negative
+    def recurse(i: int, rem: int, signed: bool) -> None:
+        # rem = top minus the value of the levels above i, never negative;
+        # unless `signed`, there is no centre and x_j = 0 for j > i, so k = 0
         k = k0[i] + big * sum(map(mul, ll[i], x[i + 1:]))
         s = isqrt(rem // a[i])
-        xs = range(-((s + k) // step), (s - k) // step + 1)
+        xs = range(-((s + k) // step) if signed else 0, (s - k) // step + 1)
         if i == 0:
             used = top - rem
             rest = tuple(x[1:])
@@ -485,13 +489,13 @@ def fp_enumerate(
         for xi in xs:
             z = step * xi + k
             x[i] = xi
-            recurse(i - 1, rem - a[i] * z * z)
+            recurse(i - 1, rem - a[i] * z * z, signed or xi != 0)
         x[i] = 0
 
     # The recursive closure is a reference cycle; breaking it frees the
     # closure at once instead of at the next garbage collection.
     try:
-        recurse(n - 1, top)
+        recurse(n - 1, top, center is not None)
     finally:
         del recurse
     found.sort(key=lambda pair: (pair[1], pair[0]))

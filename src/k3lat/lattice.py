@@ -368,10 +368,9 @@ def short_vectors(
     g = lat.gram if sign > 0 else freeze(
         tuple(-x for x in row) for row in lat.gram
     )
-    out = []
-    for vec, val in fp_enumerate(g, max_abs_norm, lower=min_abs_norm):
-        if vec >= tuple(-x for x in vec):
-            out.append((vec, sign * val))
+    # fp_enumerate gives one vector of each pair; keep the larger one
+    out = [(max(vec, tuple(-x for x in vec)), sign * val)
+           for vec, val in fp_enumerate(g, max_abs_norm, lower=min_abs_norm)]
     out.sort(key=lambda t: (abs(t[1]), t[0]))
     return out
 

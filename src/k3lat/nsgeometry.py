@@ -28,12 +28,13 @@ together with the corrected reading that the code verifies).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import lcm
-from typing import Callable, Sequence
+from operator import and_
+from typing import Callable, Iterator, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, named
 from .forms import find_u_block, length
@@ -579,7 +580,8 @@ def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattic
 def _packing(vectors: Sequence[Vec]) -> Callable[[Vec], int]:
     """Packs a vector into one integer, additively: its coordinates are the
     digits in a balanced base above 4 max|coordinate| of the given vectors,
-    so packing is one-to-one on their pairwise sums and differences."""
+    so packing is one-to-one on their pairwise sums and differences, and
+    keeps the sign of their first nonzero coordinate."""
     base = 4 * max((abs(c) for v in vectors for c in v), default=0) + 1
 
     def pack(v: Vec) -> int:
@@ -615,16 +617,132 @@ def _translate_shapes(packed: Sequence[int]) -> list[tuple[int, ...]]:
     return shapes
 
 
-def find_even_sets(
-    model: LabeledLattice, e_label: str, coeff_bound: int
-) -> list[tuple[Vec, ...]]:
+# bytes of 0/1 flags -> the ASCII digits that int(..., 2) reads
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@dataclass(frozen=True, eq=False)
+class EvenSets:
+    """The even sets of one bounded search, held as one anchor bit mask
+    per even shape.
+
+    Every set is a translate w + S of an even shape S (see
+    `find_even_sets`).  Its anchor is its member of least packed W-key;
+    `_packing` keeps the sign, so the other seven members sit at the
+    positive roots of S.  Bit i of `masks[s]` is set iff cands[i] +
+    shapes[s] are all sections, so `len()` is a sum of popcounts and `in`
+    reads one bit: neither builds a set.  A hit rebuilds its set from the
+    candidates and re-checks it from the definition, both with `require`,
+    so a wrong bit raises ArithmeticError, also under `python -O`, instead
+    of passing.  Iteration lists every set as a sorted tuple, in sorted
+    order, from a list built anew on each call.
+
+    `cands` are the sections within `bound`, `functional` reads a vector's
+    packed W-key as one dot product, `roots` are the packed positive roots
+    of W and `shapes` the even shapes as sorted indices into `roots`.
+    """
+
+    lattice: IntegralLattice
+    e: Vec
+    bound: int
+    cands: tuple[Vec, ...] = field(repr=False)
+    functional: Vec = field(repr=False)
+    roots: tuple[int, ...] = field(repr=False)
+    shapes: tuple[tuple[int, ...], ...] = field(repr=False)
+    masks: tuple[int, ...] = field(init=False, repr=False)
+    _keys: tuple[int, ...] = field(init=False, repr=False)
+    _at: dict[int, int] = field(init=False, repr=False)
+    _root_at: dict[int, int] = field(init=False, repr=False)
+    _shape_of: dict[tuple[int, ...], int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        keys = tuple(dot(v, self.functional) for v in self.cands)
+        at = {k: i for i, k in enumerate(keys)}
+        # bit i of fits[j]: cands[i] + roots[j] is a section; the flags are
+        # read most significant first, so from the last candidate down
+        rkeys = keys[::-1]
+        fits = []
+        for r in self.roots:
+            flags = bytes(map(at.__contains__, map(r.__add__, rkeys)))
+            fits.append(int(b"0" + flags.translate(_BIT_DIGITS), 2))
+        masks = tuple(reduce(and_, (fits[j] for j in shape)) for shape in self.shapes)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "_root_at", {r: j for j, r in enumerate(self.roots)})
+        object.__setattr__(self, "_shape_of", {sh: s for s, sh in enumerate(self.shapes)})
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self.masks)
+
+    def _members(self, i: int, s: int) -> tuple[Vec, ...]:
+        """The set of shape s anchored at cands[i], as a sorted tuple."""
+        key = self._keys[i]
+        at = [self._at.get(key + self.roots[j]) for j in self.shapes[s]]
+        require(None not in at,
+                f"the mask of shape {s} marks cands[{i}], where the shape "
+                "leaves the sections")
+        return tuple(sorted(self.cands[m] for m in [i, *at]))
+
+    def __iter__(self) -> Iterator[tuple[Vec, ...]]:
+        found = []
+        for s, mask in enumerate(self.masks):
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                found.append(self._members(low.bit_length() - 1, s))
+        found.sort()
+        return iter(found)
+
+    def _locate(self, item: object) -> tuple[int, int] | None:
+        """(anchor index, shape index) of `item` read off its packed keys, or
+        None when no set found here can have them."""
+        n = self.lattice.rank
+        if not (isinstance(item, tuple) and len(item) == 8
+                and all(isinstance(v, tuple) and len(v) == n for v in item)):
+            return None
+        keys = [dot(v, self.functional) for v in item]
+        anchor = min(keys)
+        i = self._at.get(anchor)
+        s = self._shape_of.get(tuple(sorted(
+            self._root_at.get(k - anchor, -1) for k in keys if k != anchor)))
+        return None if i is None or s is None else (i, s)
+
+    def __contains__(self, item: object) -> bool:
+        """Whether `item` is one of the sets, as iteration gives them."""
+        located = self._locate(item)
+        if located is None:
+            return False
+        i, s = located
+        # A set that only shares its packed keys with the one found here,
+        # such as one with a member v + E for v, is not found.
+        if not self.masks[s] >> i & 1 or self._members(i, s) != item:
+            return False
+        self._recheck(item)
+        return True
+
+    def _recheck(self, item: tuple[Vec, ...]) -> None:
+        """The definition of an even set of sections, checked directly."""
+        paired = [mat_vec(self.lattice.gram, v) for v in item]
+        bad = [v for v, p in zip(item, paired) if dot(v, p) != -2 or dot(p, self.e) != 1]
+        require(not bad, f"not sections (v.v = -2, v.E = 1): {bad}")
+        bad = [v for v in item if max(map(abs, v)) > self.bound]
+        require(not bad, f"outside the coefficient bound {self.bound}: {bad}")
+        bad = [(a, b) for (a, p), (b, _) in combinations(zip(item, paired), 2) if dot(p, b)]
+        require(not bad, f"sections that meet: {bad}")
+        require(all(sum(col) % 2 == 0 for col in zip(*item)),
+                "the sum of the set is not in 2L")
+
+
+def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> EvenSets:
     """Every even set of eight disjoint sections with bounded coordinates.
 
     A result is a sorted 8-tuple of vectors v with v.v = -2, v.E = 1,
-    pairwise orthogonal, whose sum is 2-divisible; the list is sorted, so
-    repeated runs are byte-identical.  A bound too small to see a
-    configuration (fewer than eight sections) yields an empty list, not an
-    error.
+    pairwise orthogonal, whose sum is 2-divisible; they come as an
+    `EvenSets`, whose `len()` and `in` cost one popcount per shape and one
+    bit, and whose iteration lists the sets in sorted order, so repeated
+    runs are byte-identical.  A bound too small to see a configuration
+    (fewer than eight sections) yields an empty result, not an error.
 
     The sections form a torsor of the frame lattice W (Shioda 1990): with
     O the first section, L = W + <E, O> and every section is
@@ -634,42 +752,34 @@ def find_even_sets(
     shape S: a set with least element 0 whose differences all have norm
     -4.  The sum of w + S lies in 2L exactly when the sum of S lies in 2W
     (the sum of the k is w.sum(S) mod 2), so parity is a property of the
-    shape alone: the search lists the even shapes once and then tests, for
-    each section, which of them fit at it.  E must be isotropic and the
-    lattice hyperbolic (so that W is negative definite); otherwise, given
-    eight sections, ValueError.
+    shape alone: the search lists the even shapes once, and for each root
+    r the sections w with w + r a section, as a bit mask; the AND of the
+    seven masks of a shape marks where it fits.  E must be isotropic and
+    the lattice hyperbolic (so that W is negative definite); otherwise,
+    given eight sections, ValueError.
     """
+    lat = model.lattice
+    e = model.vec(e_label)
     cands = _bounded_sections(model, e_label, coeff_bound)
     if len(cands) < 8:
-        return []
-    lat = model.lattice
-    if lat.norm(model.vec(e_label)) != 0:
+        return EvenSets(lat, e, coeff_bound, (), (), (), ())
+    if lat.norm(e) != 0:
         raise ValueError(f"pencil class {e_label!r} is not isotropic")
     if lat.signature != (1, lat.rank - 1):
         raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
-    w_lat, to_frame = _section_frame(lat, model.vec(e_label), cands[0])
-    ws = [vec_mat(v, to_frame)[:-2] for v in cands]
+    w_lat, to_frame = _section_frame(lat, e, cands[0])
     roots = [r for r in vectors_of_norm(w_lat, -4) if r > vec_neg(r)]
-    pack = _packing(ws + roots)
-    packed = [pack(r) for r in roots]
-    # each even shape as a bit mask over the positive roots and as indices
-    even = [
-        (sum(1 << j for j in shape), shape)
-        for shape in _translate_shapes(packed)
+    # |w_t| <= bound * sum_s |to_frame[s][t]| for the W-part w of a candidate
+    box = [coeff_bound * sum(map(abs, col)) for col in zip(*to_frame)][:-2]
+    pack = _packing(roots + [box])
+    shapes = tuple(
+        shape for shape in _translate_shapes([pack(r) for r in roots])
         if all(sum(col) % 2 == 0 for col in zip(*(roots[j] for j in shape)))
-    ]
-    section_at = {pack(w): v for w, v in zip(ws, cands)}
-    found: list[tuple[Vec, ...]] = []
-    for w, v in zip(ws, cands):
-        # the shapes that fit at w: w + r is a section for each of their roots
-        key = pack(w)
-        hits = [section_at.get(key + r) for r in packed]
-        fits = sum(1 << j for j, h in enumerate(hits) if h is not None)
-        for shape, members in even:
-            if shape & fits == shape:
-                found.append(tuple(sorted([v] + [hits[j] for j in members])))
-    found.sort()
-    return found
+    )
+    # pack is linear, so pack(w) = v . (pack of each row's W-part)
+    functional = tuple(pack(row[:-2]) for row in to_frame)
+    return EvenSets(lat, e, coeff_bound, tuple(cands), functional,
+                    tuple(pack(r) for r in roots), shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1204,7 @@ def ue8_report(absence_bound: int = 3) -> list[dict]:
     )
     sets = find_even_sets(surrogate, "E", absence_bound)
     out.append(_check(
-        "ue8-even-set-absence", sets == [],
+        "ue8-even-set-absence", not sets,
         f"the degree-2 surrogate has no even set within bound "
         f"{absence_bound} (no class meets E exactly once)",
         "unexpected even set on the degree-2 surrogate",

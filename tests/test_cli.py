@@ -201,6 +201,20 @@ def test_verify_rejects_bad_parameters(capsys):
         main(["verify", "nonsense"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("x2", "--bound", "-1"), "coefficient bound must be non-negative"),
+    (("ue8", "--bound", "-1"), "coefficient bound must be non-negative"),
+    (("un", "--e", "0"), "polarization parameter must be positive"),
+    (("towers", "--depth", "-1"), "depth must be nonnegative"),
+    (("all", "--bound", "-1"), "coefficient bound must be non-negative"),
+])
+def test_unusable_suite_parameters_exit_2_before_any_check(capsys, argv, message):
+    # no suite runs, so no fail entry reaches stdout
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_failing_suite_does_not_hide_the_rest(capsys, monkeypatch):
     def broken(args):
         yield {"check": "theorem-first", "status": "pass", "detail": "",

@@ -385,6 +385,12 @@ def brute_ellipsoid(g, lower, upper, box=8):
     return hits
 
 
+def sign_representatives(hits):
+    """The hits whose last nonzero coordinate is positive, and x = 0: one
+    vector of each pair {x, -x}."""
+    return [(x, v) for x, v in hits if not any(x) or [c for c in x if c][-1] > 0]
+
+
 def test_fp_enumerate_matches_brute_force():
     cases = [
         (((2,),), 1, 8),
@@ -393,7 +399,10 @@ def test_fp_enumerate_matches_brute_force():
         (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 1, 10),
     ]
     for g, lo, hi in cases:
-        assert fp_enumerate(g, hi, lo) == brute_ellipsoid(g, lo, hi)
+        brute = brute_ellipsoid(g, lo, hi)
+        assert fp_enumerate(g, hi, lo, center=(0,) * len(g)) == brute
+        # with no centre, one vector of each sign pair
+        assert fp_enumerate(g, hi, lo) == sign_representatives(brute)
 
 
 def test_fp_enumerate_with_center():
@@ -478,7 +487,7 @@ def test_fp_enumerate_against_box_scan(case):
     assert got == brute_shell(g, lower, upper, center)
     assert all(type(v) is Fraction for _, v in got)
     if not any(center):
-        assert fp_enumerate(g, upper, lower) == got
+        assert fp_enumerate(g, upper, lower) == sign_representatives(got)
 
 
 def test_fp_enumerate_leaves_no_cyclic_garbage():

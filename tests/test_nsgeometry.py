@@ -381,7 +381,7 @@ def test_even_set_search_against_combination_sweep():
     x2 = build_X2()
     for e_label in ("E1", "E2"):
         cands = _bounded_sections(x2, e_label, 1)
-        assert sweep_even_sets(x2.lattice, cands) == find_even_sets(x2, e_label, 1)
+        assert sweep_even_sets(x2.lattice, cands) == list(find_even_sets(x2, e_label, 1))
 
 
 def test_even_cliques_against_combination_sweep_with_odd_cliques():
@@ -498,7 +498,7 @@ def test_translate_search_equals_the_clique_oracle_on_x2():
     for e_label in ("E1", "E2"):
         for bound in (3, 4, 5):
             cands = _bounded_sections(x2, e_label, bound)
-            assert find_even_sets(x2, e_label, bound) == even_eight_cliques(
+            assert list(find_even_sets(x2, e_label, bound)) == even_eight_cliques(
                 x2.lattice, cands), (e_label, bound)
 
 
@@ -537,7 +537,7 @@ def test_parity_is_a_property_of_the_shape_on_u_plus_e8_minus_2():
 
     model = LabeledLattice(direct_sum(named("U"), w), {"E": _unit(10, 0)})
     cands = _bounded_sections(model, "E", 2)
-    got = find_even_sets(model, "E", 2)
+    got = list(find_even_sets(model, "E", 2))
     assert got == even_eight_cliques(model.lattice, cands)
     assert len(got) == 1200
     assert count_eight_cliques(model.lattice, cands) == 3992
@@ -562,7 +562,7 @@ def test_even_set_counts_grow_with_the_bound():
     # Regression pins from a verified run, plus the containment property:
     # enlarging the coordinate box can only add results.
     x2 = build_X2()
-    sets2 = find_even_sets(x2, "E1", 2)
+    sets2 = list(find_even_sets(x2, "E1", 2))
     sets3 = find_even_sets(x2, "E1", 3)
     sets4 = find_even_sets(x2, "E1", 4)
     assert sets2 == []
@@ -575,7 +575,7 @@ def test_even_set_search_output_properties():
     x2 = build_X2()
     lat = x2.lattice
     e1 = x2.vec("E1")
-    results = find_even_sets(x2, "E1", 3)
+    results = list(find_even_sets(x2, "E1", 3))
     assert results == sorted(set(results))
     for s in results:
         assert len(s) == 8
@@ -604,6 +604,117 @@ def test_even_set_search_recovers_both_displayed_sets_at_bound_5():
     assert known1 not in sets2
     assert len(sets1) == 10608
     assert len(sets2) == 8396
+
+
+def test_even_sets_len_membership_and_iteration_agree():
+    # len() counts mask bits and `in` reads one bit; both must agree with
+    # the listed sets, and the listed sets with the clique oracle.
+    x2 = build_X2()
+    surrogate = LabeledLattice(
+        direct_sum(from_rows([[2]]), named("E8(-2)")), {"E": _unit(9, 0)})
+    for model, e_label in ((x2, "E1"), (x2, "E2"), (surrogate, "E")):
+        for bound in (1, 2, 3):
+            sets = find_even_sets(model, e_label, bound)
+            listed = list(sets)
+            cands = _bounded_sections(model, e_label, bound)
+            assert listed == even_eight_cliques(model.lattice, cands)
+            assert list(sets) == listed
+            assert len(sets) == len(listed)
+            assert bool(sets) == bool(listed)
+            assert all(s in sets for s in listed)
+
+
+def test_even_set_counts_per_pencil_at_bounds_5_and_6():
+    x2 = build_X2()
+    sets = {(e, b): find_even_sets(x2, e, b) for e in ("E1", "E2") for b in (5, 6)}
+    assert {key: len(found) for key, found in sets.items()} == {
+        ("E1", 5): 10608, ("E2", 5): 8396, ("E1", 6): 12936, ("E2", 6): 12518}
+    # enlarging the box only adds sets
+    assert all(s in sets["E2", 6] for s in sets["E2", 5])
+
+
+def test_even_set_membership_rejects_non_members():
+    x2 = build_X2()
+    e1 = x2.vec("E1")
+    known1, known2 = known_even_sets()
+    sets1 = find_even_sets(x2, "E1", 5)
+    sets2 = find_even_sets(x2, "E2", 5)
+    assert known1 in sets1 and known2 in sets2
+    # a 7-set, and the set itself as a list, out of order or not a set
+    for item in (known1[:7], list(known1), tuple(reversed(known1)), None, ()):
+        assert item not in sets1
+    # one member swapped for a non-section: v + E1 has the packed W-key of
+    # v but square 0, and 0 is not a section at all
+    for v in (vec_add(known1[0], e1), (0,) * 9):
+        assert tuple(sorted(known1[1:] + (v,))) not in sets1
+    # each displayed set belongs to the other pencil's search only
+    assert known2 not in sets1 and known1 not in sets2
+
+
+def first_odd_clique(lat, cands):
+    """The first pairwise orthogonal 8-subset, in candidate order, whose sum
+    is not 2-divisible."""
+    adj = packed_adjacency(lat, cands)
+    stack = [((), (1 << len(cands)) - 1)]
+    while stack:
+        chosen, allowed = stack.pop()
+        if len(chosen) == 8:
+            clique = tuple(cands[i] for i in chosen)
+            if any(sum(col) % 2 for col in zip(*clique)):
+                return clique
+            continue
+        for i in reversed(range(allowed.bit_length())):
+            if allowed >> i & 1:
+                stack.append((chosen + (i,), allowed & adj[i] & ~((2 << i) - 1)))
+    return None
+
+
+def test_even_set_membership_rejects_an_odd_translate():
+    # On X2 every shape is even; U + E8(-2) has odd shapes, so its
+    # candidates hold 8-cliques of sections whose sum is odd.
+    model = LabeledLattice(direct_sum(named("U"), named("E8(-2)")), {"E": _unit(10, 0)})
+    cands = _bounded_sections(model, "E", 2)
+    sets = find_even_sets(model, "E", 2)
+    assert len(sets) == 1200 and all(s in sets for s in sets)
+    odd = first_odd_clique(model.lattice, cands)
+    for a, b in itertools.combinations(odd, 2):
+        assert model.lattice.pairing(a, b) == 0
+    assert odd not in sets
+
+
+# The E1 search at bound 4 misses {N1..N8} (N7 has a coordinate 5), though
+# its anchor is a candidate there; one wrong bit in an anchor mask marks it.
+# Membership must then raise, also when `python -O` strips asserts.
+_CORRUPT_MASK = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+known1 = nsgeometry.known_even_sets()[0]
+sets = nsgeometry.find_even_sets(nsgeometry.build_X2(), "E1", 4)
+print(known1 in sets)
+i, s = sets._locate(known1)
+masks = list(sets.masks)
+masks[s] |= 1 << i
+object.__setattr__(sets, "masks", tuple(masks))
+try:
+    known1 in sets
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_corrupt_anchor_mask_is_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_MASK],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[1].endswith("where the shape leaves the sections"), lines
 
 
 def test_bound_too_small_is_reported_not_silent():
@@ -877,5 +988,5 @@ def test_ue8_report_and_absence_example():
     surrogate = LabeledLattice(
         direct_sum(from_rows([[2]]), named("E8(-2)")), {"E": _unit(9, 0)}
     )
-    assert find_even_sets(surrogate, "E", 3) == []
+    assert list(find_even_sets(surrogate, "E", 3)) == []
     assert brute_candidates(surrogate, "E", 1) == []
