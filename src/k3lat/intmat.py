@@ -6,7 +6,9 @@ The eliminations here are fraction-free and run on integers: Hermite and
 Smith forms by extended gcds, and determinants, signatures, LDL^T and
 adjugates by Bareiss elimination.  A rational matrix is an integer matrix
 over one denominator (`adjugate` gives the inverse as adj over det); a
-`Fraction` appears only in the values and centre of `fp_enumerate`.
+`Fraction` appears only in the values and centre of `fp_enumerate`, whose
+Fincke-Pohst recursion also takes an integer coordinate box and cuts each
+level's range to it instead of filtering the shell afterwards.
 Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
@@ -422,6 +424,7 @@ def fp_enumerate(
     upper,
     lower=1,
     center: Sequence | None = None,
+    box: Sequence[tuple[int | None, int | None]] | None = None,
 ) -> list[tuple[Vec, Fraction]]:
     """All integer x with lower <= Q(x + center) <= upper, Q positive definite.
 
@@ -440,13 +443,20 @@ def fp_enumerate(
     returned.  `center` may be a rational vector.  With no `center`, Q is
     even in x, so only one vector of each pair {x, -x} is returned: the
     recursion keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate
-    above i is 0, so the last nonzero coordinate is positive.  Output is
+    above i is 0, so the last nonzero coordinate is positive.
+
+    `box`, if given, holds one inclusive (lo, hi) per coordinate, either
+    side None for no bound; each level intersects its range with it, so
+    the result is the unboxed result restricted to the box (with no
+    `center`, the sign representatives that lie in it).  Output is
     sorted by (value, coordinates) so callers get byte-for-byte
     reproducible results.
     """
     n = len(gram_posdef)
     upper = Fraction(upper)
     lower = Fraction(lower)
+    if box is not None and len(box) != n:
+        raise ValueError("box needs one (lo, hi) per coordinate")
     if n == 0:
         return [((), Fraction(0))] if lower <= 0 <= upper else []
     p, rows = ldl_int(gram_posdef)
@@ -468,6 +478,7 @@ def fp_enumerate(
     bottom = -(-lower.numerator * scale // lower.denominator)
     if top < 0:
         return []
+    box_lo, box_hi = zip(*box) if box is not None else ((None,) * n, (None,) * n)
     found: list[tuple[Vec, int]] = []
     x = [0] * n
 
@@ -476,17 +487,24 @@ def fp_enumerate(
         # unless `signed`, there is no centre and x_j = 0 for j > i, so k = 0
         k = k0[i] + big * sum(map(mul, ll[i], x[i + 1:]))
         s = isqrt(rem // a[i])
-        xs = range(-((s + k) // step) if signed else 0, (s - k) // step + 1)
+        lo = -((s + k) // step) if signed else 0
+        hi = (s - k) // step
+        b = box_lo[i]
+        if b is not None and b > lo:
+            lo = b
+        b = box_hi[i]
+        if b is not None and b < hi:
+            hi = b
         if i == 0:
             used = top - rem
             rest = tuple(x[1:])
-            for xi in xs:
+            for xi in range(lo, hi + 1):
                 z = step * xi + k
                 val = used + a[0] * z * z
                 if val >= bottom:
                     found.append(((xi,) + rest, val))
             return
-        for xi in xs:
+        for xi in range(lo, hi + 1):
             z = step * xi + k
             x[i] = xi
             recurse(i - 1, rem - a[i] * z * z, signed or xi != 0)

@@ -498,8 +498,12 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
 
     The coordinates split into a small indefinite prefix and a negative
     definite tail; for each prefix value the linear condition v.E = 1 cuts
-    out an affine sublattice of the tail, on which v.v = -2 becomes an
-    inhomogeneous positive definite shell enumerated exactly.
+    out an affine sublattice w = wr + z K of the tail, on which v.v = -2
+    becomes an inhomogeneous positive definite shell in z, enumerated
+    exactly.  A column of K that only row i moves turns |w_j| <= bound
+    into bounds on z_i, which `fp_enumerate` applies level by level as its
+    box; the coordinates that several rows move are bounded only in the
+    final filter.
     """
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
@@ -516,7 +520,11 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     f_pre, f_tail = f[:m], f[m:]
     tail_constrained = any(f_tail)
     if tail_constrained:
-        krows = hnf_basis(transpose(kernel_int((f_tail,))))
+        # The recursion fixes the last coordinate first.  Reversed, that is
+        # the HNF's first row, whose entries are the largest (on X2,
+        # (1, 2, 0, ...) puts 2 z in the box), so the tightest bound cuts
+        # the search nearest its root.
+        krows = hnf_basis(transpose(kernel_int((f_tail,))))[::-1]
     else:
         krows = identity(t)
     a_rows = gram_in_basis(IntegralLattice(dpos), krows)
@@ -525,6 +533,14 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         # prefix as beta = adj(A) b / det(A)
         det_a, adj_a = adjugate(a_rows)
         require(det_a > 0, "the shell form is not positive definite")
+    # the nonzero K_ij as (j, i, K_ij), column by column, and those of the
+    # columns j that row i alone moves
+    kterms = [(j, i, row[j]) for j in range(t) for i, row in enumerate(krows) if row[j]]
+    cols = [j for j, _, _ in kterms]
+    owned = [term for term in kterms if cols.count(term[0]) == 1]
+    # v.v as a sum over the nonzero Gram entries on and above the diagonal
+    gterms = [(i, j, g[i][j] * (1 if i == j else 2))
+              for i in range(n) for j in range(i, n) if g[i][j]]
 
     out: set[Vec] = set()
     for pre in product(range(-bound, bound + 1), repeat=m):
@@ -549,14 +565,28 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             tau = rhs + dot(beta, b_vec)
             if tau < 0:
                 continue
-            shell = fp_enumerate(a_rows, tau, tau, center=vec_neg(beta))
+            lows, highs = [[] for _ in krows], [[] for _ in krows]
+            for j, i, k in owned:
+                # |wr_j + k z_i| <= bound: |k| z_i lies within bound of -u
+                u = wr[j] if k > 0 else -wr[j]
+                lows[i].append(-((bound + u) // abs(k)))
+                highs[i].append((bound - u) // abs(k))
+            box = [(max(lo, default=None), min(hi, default=None))
+                   for lo, hi in zip(lows, highs)]
+            shell = fp_enumerate(a_rows, tau, tau, center=vec_neg(beta), box=box)
         else:
             shell = [((), Fraction(0))] if rhs == 0 else []
         for z, _ in shell:
-            v = tuple(pre) + (vec_add(wr, vec_mat(z, krows)) if z else wr)
-            if any(abs(cd) > bound for cd in v):
+            tail = list(wr)
+            for j, i, k in kterms:
+                tail[j] += k * z[i]
+            v = pre + tuple(tail)
+            if max(v) > bound or min(v) < -bound:
                 continue
-            require(lat.norm(v) == -2 and dot(f, v) == 1,
+            norm = 0
+            for i, j, gij in gterms:
+                norm += gij * v[i] * v[j]
+            require(norm == -2 and dot(f, v) == 1,
                     f"candidate {v} does not satisfy v.v = -2, v.E = 1")
             out.add(v)
     return sorted(out)

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: JSON records, suite runs, golden
 files, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -283,6 +284,21 @@ def test_evenset_command_finds_both_sets_at_bound_five(capsys):
     assert data["pencils"]["E2"]["count"] == 8396
     assert data["pencils"]["E1"]["displayed_set_found"] is True
     assert data["pencils"]["E2"]["displayed_set_found"] is True
+
+
+def test_evenset_command_at_bound_seven_is_pinned(capsys):
+    # Past the benchmark's bound 6, and more of its shell vectors leave the
+    # coordinate box; the stdout bytes are pinned.
+    code, out, _ = run(capsys, "evenset", "--bound", "7")
+    assert code == 0
+    data = json.loads(out)
+    assert data["missing"] == []
+    assert data["pencils"] == {
+        "E1": {"count": 55606, "displayed_set_found": True},
+        "E2": {"count": 42761, "displayed_set_found": True},
+    }
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ec9b667ae625ad6f8d4cc82c6c2426b3e0254733c902fdcd9c5338bc745260f")
 
 
 def test_evenset_command_reports_missing_sets(capsys):

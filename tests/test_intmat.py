@@ -490,6 +490,69 @@ def test_fp_enumerate_against_box_scan(case):
         assert fp_enumerate(g, upper, lower) == sign_representatives(got)
 
 
+@st.composite
+def coordinate_boxes(draw, n, reach):
+    """One inclusive (lo, hi) per coordinate: open, open on one side, a
+    finite range, an empty range (lo > hi), or [-reach, reach]."""
+    box = []
+    for _ in range(n):
+        lo, hi = sorted(draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2)))
+        kind = draw(st.sampled_from(["open", "lower", "upper", "both", "empty", "wide"]))
+        box.append({"open": (None, None), "lower": (lo, None), "upper": (None, hi),
+                    "both": (lo, hi), "empty": (hi, lo - 1), "wide": (-reach, reach)}[kind])
+    return box
+
+
+def inside(hits, box):
+    return [(x, v) for x, v in hits
+            if all((lo is None or lo <= c) and (hi is None or c <= hi)
+                   for c, (lo, hi) in zip(x, box))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_cases(), st.data())
+def test_fp_enumerate_box_restricts_the_shell(case, data):
+    # A box is a filter: with a centre and without one (sign
+    # representatives), the result is the unboxed shell cut to the box.
+    # `reach` lies past every scanned range, so a "wide" side holds the
+    # whole shell.
+    g, lower, upper, center = case
+    zero = (Fraction(0),) * len(g)
+    scans = [scan_box(g, upper, c) for c in (center, zero)] if upper >= 0 else []
+    assume(all(prod(map(len, scan)) <= 4000 for scan in scans))
+    reach = 1 + max((max(-r.start, r.stop) for scan in scans for r in scan), default=0)
+    box = data.draw(coordinate_boxes(len(g), reach))
+    got = fp_enumerate(g, upper, lower, center=center, box=box)
+    assert got == inside(brute_shell(g, lower, upper, center), box)
+    got = fp_enumerate(g, upper, lower, box=box)
+    assert got == inside(sign_representatives(brute_shell(g, lower, upper, zero)), box)
+
+
+def test_fp_enumerate_box_on_sign_representatives():
+    # The drawn shells above seldom hold a lattice point when the centre is
+    # dropped, so every box here is tried on full ellipsoids with no centre:
+    # lower bounds above 0 where the recursion starts a sign representative
+    # at 0, None sides, an empty range and a box wider than the ellipsoid.
+    cases = [
+        (((2,),), 0, 8),
+        (((2, 1), (1, 2)), 1, 6),
+        (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 0, 10),
+    ]
+    for g, lo, hi in cases:
+        reps = sign_representatives(brute_ellipsoid(g, lo, hi))
+        n = len(g)
+        for box in ([(1, None)] * n, [(None, -1)] * n, [(None, None)] * (n - 1) + [(1, 2)],
+                    [(-1, 0)] * n, [(2, 1)] + [(None, None)] * (n - 1), [(-9, 9)] * n):
+            assert fp_enumerate(g, hi, lo, box=box) == inside(reps, box), (g, box)
+            assert fp_enumerate(g, hi, lo, center=(0,) * n, box=box) == inside(
+                brute_ellipsoid(g, lo, hi), box), (g, box)
+
+
+def test_fp_enumerate_box_needs_one_range_per_coordinate():
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) per coordinate"):
+        fp_enumerate(((2, 1), (1, 2)), 6, box=[(0, 1)])
+
+
 def test_fp_enumerate_leaves_no_cyclic_garbage():
     # The recursion is a closure that refers to itself; it must be freed
     # when the enumeration ends.

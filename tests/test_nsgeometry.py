@@ -26,6 +26,7 @@ from k3lat.intmat import (
     freeze,
     identity,
     inv_unimodular,
+    kernel_int,
     mat_mul,
     mat_vec,
     solve_int,
@@ -347,14 +348,47 @@ def brute_candidates(model, e_label, bound):
 
 def test_bounded_sections_against_box_scan():
     x2 = build_X2()
-    assert _bounded_sections(x2, "E1", 0) == []
-    got = _bounded_sections(x2, "E1", 1)
-    assert got == brute_candidates(x2, "E1", 1)
-    assert len(got) == 22
-    for v in got:
-        assert x2.lattice.norm(v) == -2
-        assert x2.lattice.pairing(v, x2.vec("E1")) == 1
-        assert all(abs(c) <= 1 for c in v)
+    for e_label in ("E1", "E2"):
+        assert _bounded_sections(x2, e_label, 0) == []
+        got = _bounded_sections(x2, e_label, 1)
+        assert got == brute_candidates(x2, e_label, 1)
+        assert len(got) == 22
+        for v in got:
+            assert x2.lattice.norm(v) == -2
+            assert x2.lattice.pairing(v, x2.vec(e_label)) == 1
+            assert all(abs(c) <= 1 for c in v)
+
+
+def hyperbolic_model(tail_norm, e):
+    """U + <tail_norm>^3, which splits into the prefix U and a negative
+    definite tail, with one vector E."""
+    g = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0]] + [
+        [0, 0] + [tail_norm * (i == j) for j in range(3)] for i in range(3)]
+    return LabeledLattice(from_rows(g), {"E": e})
+
+
+def test_bounded_sections_with_a_kernel_column_of_two_rows():
+    # E = (1, 0, -2, -3, -5) pairs with the tail as (2, 3, 5), whose kernel
+    # has the HNF basis (1, 1, -1), (0, 5, -3): both rows move columns 1
+    # and 2, so only the final filter bounds those coordinates, and at
+    # bound 3 it drops a shell vector that the box keeps.
+    model = hyperbolic_model(-1, (1, 0, -2, -3, -5))
+    assert mat_vec(model.lattice.gram, model.vec("E"))[2:] == (2, 3, 5)
+    assert hnf_basis(transpose(kernel_int(((2, 3, 5),)))) == ((1, 1, -1), (0, 5, -3))
+    for bound in (1, 2, 3):
+        got = _bounded_sections(model, "E", bound)
+        assert got == brute_candidates(model, "E", bound), bound
+    assert len(got) == 23
+
+
+def test_bounded_sections_with_an_unconstrained_tail():
+    # E = (1, 0, 0, 0, 0) pairs with the tail as 0, so v.E = 1 fixes the
+    # prefix alone and the tail coordinates are bounded by the box only.
+    model = hyperbolic_model(-2, (1, 0, 0, 0, 0))
+    assert mat_vec(model.lattice.gram, model.vec("E"))[2:] == (0, 0, 0)
+    for bound in (1, 2):
+        got = _bounded_sections(model, "E", bound)
+        assert got and got == brute_candidates(model, "E", bound), bound
 
 
 def sweep_even_sets(lat, cands):
@@ -715,6 +749,42 @@ def test_corrupt_anchor_mask_is_rejected_under_python_O():
     lines = done.stdout.splitlines()
     assert lines[0] == "False"
     assert lines[1].endswith("where the shape leaves the sections"), lines
+
+
+# A shell enumeration that hands back a vector off the shell: z = 0, whose
+# value Q(0 + centre) is not the level asked for.  The section search must
+# re-check each candidate, also when `python -O` strips asserts.
+_OFF_SHELL = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+from k3lat.intmat import dot, mat_vec
+planted = []
+def off_shell(gram, upper, lower=1, center=None, box=None):
+    value = dot(center, mat_vec(gram, center))
+    planted.append(value != upper)
+    return [((0,) * len(gram), value)]
+nsgeometry.fp_enumerate = off_shell
+try:
+    nsgeometry._bounded_sections(nsgeometry.build_X2(), "E1", 2)
+except ArithmeticError as exc:
+    print(planted[-1])
+    print(exc)
+"""
+
+
+def test_off_shell_candidate_is_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _OFF_SHELL],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert lines[0] == "True"
+    assert lines[1].endswith("does not satisfy v.v = -2, v.E = 1"), lines
 
 
 def test_bound_too_small_is_reported_not_silent():
