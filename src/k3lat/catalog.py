@@ -2,10 +2,13 @@
 
 The fixed lattices (U, U(n), A-chains, D4, the two E8 rescalings, N) carry
 the Gram conventions used throughout: negative-definite blocks have -2 on
-the diagonal and +1 on diagram edges.  M_n lattices are built as index-n
-glue overlattices of seeded A-type root sums and validated against frozen
-rank/length tables; the L/Lp/M/Mp families and the rank-9 membership test
-sit on top.
+the diagonal and +1 on diagram edges.  M_n lattices are index-n glue
+overlattices of seeded A-type root sums.  The candidate glue codes are
+judged on the code, against frozen rank/length tables and the seeded root
+count: the length is that of H-perp/H, and the roots come from the glue
+words of coset minimum 2 (Conway-Sloane, SPLAG ch. 4).  Only the accepted
+code is glued, and the lattice is checked again.  The L/Lp/M/Mp families
+and the rank-9 membership test sit on top.
 """
 
 from __future__ import annotations
@@ -14,18 +17,20 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
+    Subgroup,
     cyclic_block,
     isotropic_subgroups,
     length,
+    quotient_form,
     sum_forms,
     u_block,
 )
-from .intmat import adjugate, freeze, require, transpose, vec_scale
+from .intmat import Vec, adjugate, freeze, require, transpose, vec_scale
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -163,48 +168,48 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     return lat, DiscriminantData(form, tuple(lifts))
 
 
-def _subgroup_orbit(elements: tuple, config: Sequence[int], orders: Sequence[int]):
-    """Orbit of an isotropic subgroup under the obvious root-sum symmetries:
-    swaps of equal-size blocks and the per-block diagram flip (negation of
-    the discriminant generator)."""
-    k = len(config)
-    swaps = [
-        (i, j)
-        for i in range(k)
-        for j in range(i + 1, k)
-        if config[i] == config[j]
-    ]
-    start = tuple(sorted(elements))
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        images = []
-        for i, j in swaps:
-            images.append(
-                tuple(
-                    sorted(
-                        tuple(
-                            x[j] if c == i else (x[i] if c == j else x[c])
-                            for c in range(k)
-                        )
-                        for x in cur
-                    )
-                )
-            )
-        for i in range(k):
-            images.append(
-                tuple(
-                    sorted(
-                        x[:i] + ((-x[i]) % orders[i],) + x[i + 1 :] for x in cur
-                    )
-                )
-            )
-        for img in images:
-            if img not in seen:
-                seen.add(img)
-                queue.append(img)
-    return seen
+def _orbit_key(config: Sequence[int], h: Subgroup) -> tuple:
+    """Orbit key of a cyclic glue group under the root-sum symmetries.
+
+    A flip negates one coordinate and a swap permutes the coordinates of
+    equal-size blocks, so per block size the sorted min(y_j, -y_j mod
+    (m_j + 1)) is a complete invariant of one generator y.  The least of
+    these over the generators of h is one for h: two cyclic groups have
+    one key exactly when a symmetry carries one onto the other."""
+    sizes = sorted(set(config))
+    return min(
+        tuple(
+            tuple(sorted(min(y[j], -y[j] % (s + 1)) for j, m in enumerate(config) if m == s))
+            for s in sizes
+        )
+        for y in h.elements
+        if h.form.element_order(y) == h.order
+    )
+
+
+def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
+    """Root count of the overlattice glued onto the A_m root sum by the
+    glue code `elements` (SPLAG ch. 4).  The glue class [i] of A_m has
+    minimal norm i(m + 1 - i)/(m + 1), reached by binom(m + 1, i) vectors.
+    So a glue word x adds prod binom(m_j + 1, x_j) roots when its coset
+    minimum sum x_j(m_j + 1 - x_j)/(m_j + 1) is 2, and none otherwise."""
+    level = lcm(*(m + 1 for m in config))
+    count = sum(m * (m + 1) for m in config)
+    for x in elements:
+        scaled = sum(i * (m + 1 - i) * (level // (m + 1)) for i, m in zip(x, config))
+        if scaled == 2 * level:
+            count += prod(comb(m + 1, i) for i, m in zip(x, config))
+    return count
+
+
+def _glue_accepted(n: int, config: Sequence[int], q: FiniteQuadraticForm, h: Subgroup) -> bool:
+    """Whether the glue code h on the root sum's form q gives M_n: the
+    seeded root count and the tabled length, the latter of H-perp/H
+    (Nikulin 1979, 1.4).  Evenness and rank hold for any isotropic h."""
+    return (
+        _glue_root_count(config, h.elements) == sum(m * (m + 1) for m in config)
+        and length(quotient_form(q, h)) == MN_LENGTH[n]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -219,50 +224,36 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
     require(root_count(root_sum) == target_roots,
             f"seeded configuration for n={n} has the wrong root count")
 
-    subs = isotropic_subgroups(disc.form, n)
-    cyclic = [
-        s for s in subs if any(disc.form.element_order(x) == n for x in s.elements)
-    ]
-    general = [s for s in subs if s not in cyclic]
-
-    for pool, kind in ((cyclic, "cyclic"), (general, "general")):
-        # orbit deduplication: candidates related by a root-sum isometry
-        # produce isometric overlattices, so test one representative each
-        reps = []
-        seen: set = set()
-        for s in pool:
-            key = tuple(sorted(s.elements))
-            if key in seen:
-                continue
-            seen |= _subgroup_orbit(s.elements, config, disc.form.orders)
-            reps.append(s)
-        accepted = []
-        for s in reps:
-            z, _ = _glue_overlattice(
-                root_sum, [_lift_of(disc, g) for g in s.gens], disc.form.level
-            )
-            if not z.is_even:
-                continue
-            if z.rank != MN_RANK[n]:
-                continue
-            if length(discriminant_form(z)) != MN_LENGTH[n]:
-                continue
-            if root_count(z) != target_roots:
-                continue
-            accepted.append(z)
-        if accepted:
-            require(len(accepted) == 1,
-                    f"ambiguous construction for n={n}: "
-                    "non-isometric candidates both pass")
-            return accepted[0].relabel(f"M({n})"), kind, len(reps), 1
-    raise RuntimeError(
-        f"no valid glue candidate for n={n}: seeded configuration is wrong"
+    # orbit deduplication: candidates related by a root-sum isometry
+    # produce isometric overlattices, so judge one representative each
+    reps: dict[tuple, Subgroup] = {}
+    for s in isotropic_subgroups(disc.form, n):
+        if any(disc.form.element_order(x) == n for x in s.elements):
+            reps.setdefault(_orbit_key(config, s), s)
+    accepted = [s for s in reps.values() if _glue_accepted(n, config, disc.form, s)]
+    if not accepted:
+        raise RuntimeError(
+            f"no valid glue candidate for n={n}: seeded configuration is wrong"
+        )
+    require(len(accepted) == 1,
+            f"ambiguous construction for n={n}: "
+            "non-isometric candidates both pass")
+    # glue the one accepted code and check the judgement on the lattice
+    z, _ = _glue_overlattice(
+        root_sum, [_lift_of(disc, g) for g in accepted[0].gens], disc.form.level
     )
+    require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
+            f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
+    require(root_count(z) == target_roots,
+            f"the glue for n={n} does not have {target_roots} roots")
+    return z.relabel(f"M({n})"), "cyclic", len(reps), 1
 
 
 def build_Mn(n: int) -> IntegralLattice:
     """The unique index-n glue overlattice of the seeded root sum whose
-    rank, length and root count match the frozen tables (2 <= n <= 8)."""
+    rank, length and root count match the frozen tables (2 <= n <= 8).
+    Candidates are judged on their glue code; the accepted one is glued
+    and checked again on the lattice."""
     return _build_mn(n)[0]
 
 

@@ -1,8 +1,10 @@
 """The glue searches that k3lat used before isotropic subgroups came from
-Hermite normal forms and glue orbits from Witt's theorem, kept outside the
-package as oracles: a breadth-first closure search over generator tuples
-for the isotropic subgroups, and a breadth-first orbit search under
-orthogonal transvections for the index-2 glue.  Both read the plain
+Hermite normal forms, glue orbits from Witt's theorem and M_n from its glue
+code, kept outside the package as oracles: a breadth-first closure search
+over generator tuples for the isotropic subgroups, a breadth-first orbit
+search under orthogonal transvections for the index-2 glue, and for M_n a
+breadth-first orbit search under the root-sum symmetries with a filter that
+glues every candidate and tests the lattice.  The first two read the plain
 listing of a form's elements with their orders and values, itself the
 oracle for the package's walks.
 """
@@ -11,8 +13,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from k3lat.forms import FiniteQuadraticForm, Subgroup
+from k3lat.forms import FiniteQuadraticForm, Subgroup, length
 from k3lat.intmat import Vec, require
+from k3lat.lattice import DiscriminantData, IntegralLattice, discriminant_form, root_count
+from k3lat.overlattice import _glue_overlattice, _lift_of
 
 
 def value_listing(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
@@ -128,3 +132,92 @@ def transvection_orbits(
                     queue.append(y)
         pending -= orbit
     return reps
+
+
+def _subgroup_orbit(elements: tuple, config: Sequence[int], orders: Sequence[int]):
+    """Orbit of an isotropic subgroup under the obvious root-sum symmetries:
+    swaps of equal-size blocks and the per-block diagram flip (negation of
+    the discriminant generator)."""
+    k = len(config)
+    swaps = [
+        (i, j)
+        for i in range(k)
+        for j in range(i + 1, k)
+        if config[i] == config[j]
+    ]
+    start = tuple(sorted(elements))
+    seen = {start}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        images = []
+        for i, j in swaps:
+            images.append(
+                tuple(
+                    sorted(
+                        tuple(
+                            x[j] if c == i else (x[i] if c == j else x[c])
+                            for c in range(k)
+                        )
+                        for x in cur
+                    )
+                )
+            )
+        for i in range(k):
+            images.append(
+                tuple(
+                    sorted(
+                        x[:i] + ((-x[i]) % orders[i],) + x[i + 1 :] for x in cur
+                    )
+                )
+            )
+        for img in images:
+            if img not in seen:
+                seen.add(img)
+                queue.append(img)
+    return seen
+
+
+def orbit_classes(pool: Sequence[Subgroup], config: Sequence[int]) -> list[list[Subgroup]]:
+    """`pool` split into root-sum symmetry orbits by the BFS, each class in
+    pool order and the classes in the order of their first members."""
+    classes: list[list[Subgroup]] = []
+    where: dict[tuple[Vec, ...], int] = {}
+    for s in pool:
+        if s.elements not in where:
+            for key in _subgroup_orbit(s.elements, config, s.form.orders):
+                where[key] = len(classes)
+            classes.append([])
+        classes[where[s.elements]].append(s)
+    return classes
+
+
+def glue_candidate(root_sum: IntegralLattice, disc: DiscriminantData, h: Subgroup) -> IntegralLattice:
+    """The overlattice of the root sum glued along h."""
+    z, _ = _glue_overlattice(root_sum, [_lift_of(disc, g) for g in h.gens], disc.form.level)
+    return z
+
+
+def lattice_filter(
+    root_sum: IntegralLattice,
+    disc: DiscriminantData,
+    reps: Sequence[Subgroup],
+    rank: int,
+    length_: int,
+    roots: int,
+) -> list[Subgroup]:
+    """The candidates whose glued lattice is even, of the given rank and
+    length, and has the given root count, each tested on the lattice."""
+    accepted = []
+    for s in reps:
+        z = glue_candidate(root_sum, disc, s)
+        if not z.is_even:
+            continue
+        if z.rank != rank:
+            continue
+        if length(discriminant_form(z)) != length_:
+            continue
+        if root_count(z) != roots:
+            continue
+        accepted.append(s)
+    return accepted

@@ -7,18 +7,30 @@ tables and a root-sublattice isometry check.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import k3lat
+from k3lat import catalog
 from k3lat.catalog import (
     MN_LENGTH,
     MN_RANK,
     MN_ROOT_CONFIG,
     FamilyDescriptor,
     _block_disc,
+    _build_mn,
+    _glue_accepted,
+    _glue_root_count,
     _isometry_orbits,
+    _orbit_key,
     build_Mn,
     family_genus,
     family_lattice,
@@ -34,8 +46,10 @@ from k3lat.forms import (
     cyclic_block,
     forms_isomorphic,
     group_invariants,
+    isotropic_subgroups,
     length,
     milgram_signature,
+    quotient_form,
     sum_forms,
     u_block,
 )
@@ -60,7 +74,7 @@ from k3lat.overlattice import (
     unique_in_genus_by_length,
 )
 from form_oracles import gauss_milgram_signature
-from glue_oracles import transvection_orbits
+from glue_oracles import glue_candidate, lattice_filter, orbit_classes, transvection_orbits
 from rational_oracles import discriminant_gram_frac
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
@@ -197,6 +211,126 @@ def test_mn_build_report_is_pinned(n):
     assert mn_build_report(n) == {
         "n": n, "glue": glue, "orbit_representatives": reps, "accepted": accepted,
     }
+
+
+# ---------------------------------------------------------------------------
+# M_n glue codes against the BFS orbits and the glued lattices
+# ---------------------------------------------------------------------------
+
+
+def assert_glue_code_matches_the_lattices(config, n):
+    """On the A_m root sum of `config` and its isotropic glue of order n:
+    the orbit keys split the cyclic glue like the BFS orbits, and on one
+    glue of each BFS orbit the code-level root count and length are those
+    of the glued lattice.  Returns the root sum, its discriminant data and
+    the cyclic glue."""
+    lat, disc = _block_disc(config)
+    q = disc.form
+    subs = isotropic_subgroups(q, n)
+    cyclic = [s for s in subs if any(q.element_order(x) == n for x in s.elements)]
+    by_key = {}
+    for s in cyclic:
+        by_key.setdefault(_orbit_key(config, s), []).append(s)
+    assert list(by_key.values()) == orbit_classes(cyclic, config)
+    for h, *_ in orbit_classes(subs, config):
+        z = glue_candidate(lat, disc, h)
+        assert z.is_even and z.rank == lat.rank
+        assert _glue_root_count(config, h.elements) == root_count(z)
+        assert length(quotient_form(q, h)) == length(discriminant_form(z))
+    return lat, disc, cyclic
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mn_glue_code_judgement_matches_the_lattice_filter(n):
+    config = MN_ROOT_CONFIG[n]
+    lat, disc, cyclic = assert_glue_code_matches_the_lattices(config, n)
+    reps = [cls[0] for cls in orbit_classes(cyclic, config)]
+    assert len(reps) == mn_build_report(n)["orbit_representatives"]
+    roots = sum(m * (m + 1) for m in config)
+    accepted = lattice_filter(lat, disc, reps, MN_RANK[n], MN_LENGTH[n], roots)
+    assert accepted == [s for s in reps if _glue_accepted(n, config, disc.form, s)]
+    assert len(accepted) == 1
+    assert glue_candidate(lat, disc, accepted[0]).gram == build_Mn(n).gram
+
+
+@st.composite
+def a_sums_with_glue_order(draw):
+    """A shuffled sum of A_m blocks, m <= 4, |A| <= 1000, with one block
+    size repeated so that some order n > 1 has n^2 dividing |A|, and such
+    an n."""
+    m = draw(st.integers(1, 4))
+    c = draw(st.integers(2, max(k for k in range(2, 10) if (m + 1) ** k <= 1000)))
+    rest = draw(st.lists(st.integers(1, 4), max_size=3).filter(
+        lambda r: (m + 1) ** c * prod(k + 1 for k in r) <= 1000))
+    config = draw(st.permutations([m] * c + rest))
+    size = prod(k + 1 for k in config)
+    n = draw(st.sampled_from([d for d in range(2, 32) if size % (d * d) == 0]))
+    return tuple(config), n
+
+
+@settings(max_examples=25, deadline=None)
+@given(a_sums_with_glue_order())
+def test_glue_code_matches_the_lattices_on_small_a_sums(case):
+    assert_glue_code_matches_the_lattices(*case)
+
+
+@pytest.mark.parametrize("table,n,value,error,message", [
+    (MN_LENGTH, 2, 5, RuntimeError, "no valid glue candidate for n=2"),
+    (MN_ROOT_CONFIG, 3, (2,) * 5, RuntimeError, "seeded configuration for n=3 has the wrong rank"),
+])
+def test_build_mn_rejects_a_wrong_table(monkeypatch, table, n, value, error, message):
+    monkeypatch.setitem(table, n, value)
+    with pytest.raises(error, match=message):
+        _build_mn.__wrapped__(n)
+
+
+def test_build_mn_rejects_two_accepted_glue_codes(monkeypatch):
+    monkeypatch.setattr(catalog, "_glue_accepted", lambda n, config, q, h: True)
+    with pytest.raises(ArithmeticError, match="ambiguous construction for n=2"):
+        _build_mn.__wrapped__(2)
+
+
+def test_build_mn_checks_the_root_count_of_the_seeded_sum(monkeypatch):
+    # an A_m sum always has sum m(m + 1) roots, so no seeded table can make
+    # this check fail; a root count that is off by one pair does
+    monkeypatch.setattr(catalog, "root_count", lambda lat: root_count(lat) + 2)
+    with pytest.raises(ArithmeticError, match="seeded configuration for n=2 has the wrong root count"):
+        _build_mn.__wrapped__(2)
+
+
+# The code-level judgement turned round for n = 2 accepts the glue of weight
+# 4, which has the tabled length but 32 roots.  The glued lattice is checked
+# again, so build_Mn must raise, also when `python -O` strips asserts.
+_WRONG_M2 = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import catalog
+judge = catalog._glue_accepted
+accepted = []
+def wrong(n, config, q, h):
+    ok = not judge(n, config, q, h)
+    if ok:
+        accepted.append(catalog._glue_root_count(config, h.elements))
+    return ok
+catalog._glue_accepted = wrong
+try:
+    catalog.build_Mn(2)
+except ArithmeticError as exc:
+    print(accepted)
+    print(exc)
+"""
+
+
+def test_wrong_m2_glue_is_rejected_on_the_lattice_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_M2],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["[32]", "the glue for n=2 does not have 16 roots"]
 
 
 # ---------------------------------------------------------------------------
