@@ -3,12 +3,14 @@
 The fixed lattices (U, U(n), A-chains, D4, the two E8 rescalings, N) carry
 the Gram conventions used throughout: negative-definite blocks have -2 on
 the diagonal and +1 on diagram edges.  M_n lattices are index-n glue
-overlattices of seeded A-type root sums.  The candidate glue codes are
-judged on the code, against frozen rank/length tables and the seeded root
-count: the length is that of H-perp/H, and the roots come from the glue
-words of coset minimum 2 (Conway-Sloane, SPLAG ch. 4).  Only the accepted
-code is glued, and the lattice is checked again.  The L/Lp/M/Mp families
-and the rank-9 membership test sit on top.
+overlattices of seeded A-type root sums.  The candidate glue codes are the
+cyclic ones, listed one per orbit of the root-sum symmetries by their orbit
+keys, per-size multisets of glue classes [i] of A_m (Conway-Sloane, SPLAG
+ch. 4).  They are judged on the code, against frozen rank/length tables and
+the seeded root count: the length is that of H-perp/H, and the roots come
+from the glue words of coset minimum 2.  Only the accepted code is glued,
+as the least member of its orbit, and the lattice is checked again.  The
+L/Lp/M/Mp families and the rank-9 membership test sit on top.
 """
 
 from __future__ import annotations
@@ -17,14 +19,14 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .forms import (
     FiniteQuadraticForm,
     Subgroup,
     cyclic_block,
-    isotropic_subgroups,
     length,
     quotient_form,
     sum_forms,
@@ -168,23 +170,85 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     return lat, DiscriminantData(form, tuple(lifts))
 
 
-def _orbit_key(config: Sequence[int], h: Subgroup) -> tuple:
-    """Orbit key of a cyclic glue group under the root-sum symmetries.
-
-    A flip negates one coordinate and a swap permutes the coordinates of
-    equal-size blocks, so per block size the sorted min(y_j, -y_j mod
-    (m_j + 1)) is a complete invariant of one generator y.  The least of
-    these over the generators of h is one for h: two cyclic groups have
-    one key exactly when a symmetry carries one onto the other."""
-    sizes = sorted(set(config))
-    return min(
-        tuple(
-            tuple(sorted(min(y[j], -y[j] % (s + 1)) for j, m in enumerate(config) if m == s))
-            for s in sizes
-        )
-        for y in h.elements
-        if h.form.element_order(y) == h.order
+def _fold(config: Sequence[int], y: Sequence[int]) -> tuple:
+    """Per block size, the sorted min(y_j, -y_j mod (m_j + 1)) of a glue
+    word y.  A flip negates one coordinate and a swap permutes the
+    coordinates of equal-size blocks, so this is a complete invariant of y
+    under the root-sum symmetries."""
+    return tuple(
+        tuple(sorted(min(y[j], -y[j] % (s + 1)) for j, m in enumerate(config) if m == s))
+        for s in sorted(set(config))
     )
+
+
+def _orbit_key(config: Sequence[int], h: Subgroup) -> tuple:
+    """Orbit key of a cyclic glue group under the root-sum symmetries: the
+    least fold over its generators k*y, gcd(k, |h|) = 1.  Two cyclic groups
+    have one key exactly when a symmetry carries one onto the other, so
+    `_cyclic_glue_codes` lists one group per key."""
+    return min(_fold(config, y) for y in h.elements if h.form.element_order(y) == h.order)
+
+
+def _cyclic(q: FiniteQuadraticForm, y: Vec) -> Subgroup:
+    """The cyclic subgroup of q generated by y."""
+    return Subgroup(
+        q, tuple(sorted(q.reduce(vec_scale(y, c)) for c in range(q.element_order(y)))), (y,)
+    )
+
+
+def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
+    """The glue word whose coordinates in the blocks of the i-th least
+    size, in config order, are words[i]."""
+    y = [0] * len(config)
+    for s, word in zip(sorted(set(config)), words):
+        for j, c in zip((j for j, m in enumerate(config) if m == s), word):
+            y[j] = c
+    return tuple(y)
+
+
+def _cyclic_glue_codes(
+    config: Sequence[int], q: FiniteQuadraticForm, n: int
+) -> dict[tuple, Subgroup]:
+    """One cyclic isotropic glue group of order n per orbit key, on the
+    diagonal form q of the A_m root sum `config`.
+
+    The keys are listed directly: per block size, each multiset of folded
+    glue classes min(i, m + 1 - i) of A_m (SPLAG ch. 4) is placed in the
+    blocks of that size.  A word y of order n with q(y) = 0 generates an
+    isotropic group, as q(ky) = k^2 q(y); folds that generate one group
+    share its key, and the first is kept."""
+    out: dict[tuple, Subgroup] = {}
+    for parts in product(*(combinations_with_replacement(range((s + 1) // 2 + 1), config.count(s))
+                           for s in sorted(set(config)))):
+        y = _place(config, parts)
+        if q.element_order(y) == n and q._q_int(y) == 0:
+            h = _cyclic(q, y)
+            out.setdefault(_orbit_key(config, h), h)
+    return out
+
+
+def _arrangements(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of the multiset `values`."""
+    if not values:
+        yield ()
+        return
+    for v in set(values):
+        i = values.index(v)
+        for rest in _arrangements(values[:i] + values[i + 1:]):
+            yield (v,) + rest
+
+
+def _least_member(config: Sequence[int], h: Subgroup) -> Subgroup:
+    """The group of h's orbit under the root-sum symmetries whose sorted
+    element tuple is least, which is the first of the orbit in
+    `isotropic_subgroups` order.  Walks the images of h's generator: per
+    block size, each arrangement of its folds with each choice of signs."""
+    per_size = [
+        [w for arr in _arrangements(part) for w in product(*({f, -f % (s + 1)} for f in arr))]
+        for s, part in zip(sorted(set(config)), _fold(config, h.gens[0]))
+    ]
+    return min((_cyclic(h.form, _place(config, words)) for words in product(*per_size)),
+               key=lambda g: g.elements)
 
 
 def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
@@ -221,16 +285,15 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
         raise RuntimeError(f"seeded configuration for n={n} has the wrong rank")
     root_sum, disc = _block_disc(config)
     target_roots = sum(m * (m + 1) for m in config)
-    require(root_count(root_sum) == target_roots,
+    # the roots of an orthogonal sum of definite lattices are those of its
+    # summands, and root_count counts each distinct A_m once
+    require(sum(root_count(named(f"A({m})")) for m in config) == target_roots,
             f"seeded configuration for n={n} has the wrong root count")
 
-    # orbit deduplication: candidates related by a root-sum isometry
-    # produce isometric overlattices, so judge one representative each
-    reps: dict[tuple, Subgroup] = {}
-    for s in isotropic_subgroups(disc.form, n):
-        if any(disc.form.element_order(x) == n for x in s.elements):
-            reps.setdefault(_orbit_key(config, s), s)
-    accepted = [s for s in reps.values() if _glue_accepted(n, config, disc.form, s)]
+    # candidates related by a root-sum isometry produce isometric
+    # overlattices, so judge one cyclic glue code per orbit key
+    reps = _cyclic_glue_codes(config, disc.form, n)
+    accepted = [h for h in reps.values() if _glue_accepted(n, config, disc.form, h)]
     if not accepted:
         raise RuntimeError(
             f"no valid glue candidate for n={n}: seeded configuration is wrong"
@@ -238,9 +301,11 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
     require(len(accepted) == 1,
             f"ambiguous construction for n={n}: "
             "non-isometric candidates both pass")
-    # glue the one accepted code and check the judgement on the lattice
+    # glue the least member of the accepted orbit and check the judgement
+    # on the lattice
+    glue = _least_member(config, accepted[0])
     z, _ = _glue_overlattice(
-        root_sum, [_lift_of(disc, g) for g in accepted[0].gens], disc.form.level
+        root_sum, [_lift_of(disc, g) for g in glue.gens], disc.form.level
     )
     require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
             f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
@@ -252,8 +317,9 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
 def build_Mn(n: int) -> IntegralLattice:
     """The unique index-n glue overlattice of the seeded root sum whose
     rank, length and root count match the frozen tables (2 <= n <= 8).
-    Candidates are judged on their glue code; the accepted one is glued
-    and checked again on the lattice."""
+    The cyclic glue codes are listed by orbit key and judged on the code;
+    the least member of the accepted orbit is glued and checked again on
+    the lattice."""
     return _build_mn(n)[0]
 
 

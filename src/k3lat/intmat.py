@@ -439,8 +439,8 @@ def fp_enumerate(
     are integers.  The bounds become floor(upper D L^4) and
     ceil(lower D L^4), and each level of the recursion takes its range
     of x_i from s = isqrt(rem // a_i) and two floor divisions by L^2, so
-    it forms no `Fraction`; a value becomes one only when its vector is
-    returned.  `center` may be a rational vector.  With no `center`, Q is
+    it forms no `Fraction`; the results share one per distinct value.
+    `center` may be a rational vector.  With no `center`, Q is
     even in x, so only one vector of each pair {x, -x} is returned: the
     recursion keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate
     above i is 0, so the last nonzero coordinate is positive.
@@ -517,4 +517,5 @@ def fp_enumerate(
     finally:
         del recurse
     found.sort(key=lambda pair: (pair[1], pair[0]))
-    return [(vec, Fraction(val, scale)) for vec, val in found]
+    frac = {val: Fraction(val, scale) for val in {val for _, val in found}}
+    return [(vec, frac[val]) for vec, val in found]

@@ -368,8 +368,9 @@ def short_vectors(
     g = lat.gram if sign > 0 else freeze(
         tuple(-x for x in row) for row in lat.gram
     )
-    # fp_enumerate gives one vector of each pair; keep the larger one
-    out = [(max(vec, tuple(-x for x in vec)), sign * val)
+    # fp_enumerate gives one vector of each pair; keep the larger one.  An
+    # integer Gram takes integer values, so each value is a whole Fraction
+    out = [(max(vec, tuple(-x for x in vec)), sign * val.numerator)
            for vec, val in fp_enumerate(g, max_abs_norm, lower=min_abs_norm)]
     out.sort(key=lambda t: (abs(t[1]), t[0]))
     return out
@@ -388,8 +389,10 @@ def vectors_of_norm(lat: IntegralLattice, norm: int) -> list[Vec]:
     return out
 
 
+@lru_cache(maxsize=None)
 def root_count(lat: IntegralLattice) -> int:
-    """Number of vectors of squared length +-2, counting both signs."""
+    """Number of vectors of squared length +-2, counting both signs.
+    Cached by Gram, so a lattice met again is not enumerated again."""
     return 2 * len(short_vectors(lat, 2, 2))
 
 

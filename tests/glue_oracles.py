@@ -3,8 +3,9 @@ Hermite normal forms, glue orbits from Witt's theorem and M_n from its glue
 code, kept outside the package as oracles: a breadth-first closure search
 over generator tuples for the isotropic subgroups, a breadth-first orbit
 search under orthogonal transvections for the index-2 glue, and for M_n a
-breadth-first orbit search under the root-sum symmetries with a filter that
-glues every candidate and tests the lattice.  The first two read the plain
+breadth-first orbit search under the root-sum symmetries, over the cyclic
+isotropic subgroups of order n, with a filter that glues every candidate and
+tests the lattice.  The first two read the plain
 listing of a form's elements with their orders and values, itself the
 oracle for the package's walks.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from k3lat.forms import FiniteQuadraticForm, Subgroup, length
+from k3lat.forms import FiniteQuadraticForm, Subgroup, isotropic_subgroups, length
 from k3lat.intmat import Vec, require
 from k3lat.lattice import DiscriminantData, IntegralLattice, discriminant_form, root_count
 from k3lat.overlattice import _glue_overlattice, _lift_of
@@ -176,6 +177,13 @@ def _subgroup_orbit(elements: tuple, config: Sequence[int], orders: Sequence[int
                 seen.add(img)
                 queue.append(img)
     return seen
+
+
+def cyclic_isotropic_subgroups(q: FiniteQuadraticForm, n: int) -> list[Subgroup]:
+    """The cyclic isotropic subgroups of order n, in `isotropic_subgroups`
+    order: the pool that M_n's glue codes were once picked from."""
+    return [s for s in isotropic_subgroups(q, n)
+            if any(q.element_order(x) == n for x in s.elements)]
 
 
 def orbit_classes(pool: Sequence[Subgroup], config: Sequence[int]) -> list[list[Subgroup]]:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3lat
-from k3lat import catalog
+from k3lat import catalog, forms
 from k3lat.catalog import (
     MN_LENGTH,
     MN_RANK,
@@ -27,9 +27,11 @@ from k3lat.catalog import (
     FamilyDescriptor,
     _block_disc,
     _build_mn,
+    _cyclic_glue_codes,
     _glue_accepted,
     _glue_root_count,
     _isometry_orbits,
+    _least_member,
     _orbit_key,
     build_Mn,
     family_genus,
@@ -74,7 +76,13 @@ from k3lat.overlattice import (
     unique_in_genus_by_length,
 )
 from form_oracles import gauss_milgram_signature
-from glue_oracles import glue_candidate, lattice_filter, orbit_classes, transvection_orbits
+from glue_oracles import (
+    cyclic_isotropic_subgroups,
+    glue_candidate,
+    lattice_filter,
+    orbit_classes,
+    transvection_orbits,
+)
 from rational_oracles import discriminant_gram_frac
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
@@ -272,6 +280,44 @@ def a_sums_with_glue_order(draw):
 @given(a_sums_with_glue_order())
 def test_glue_code_matches_the_lattices_on_small_a_sums(case):
     assert_glue_code_matches_the_lattices(*case)
+
+
+def assert_keys_list_the_cyclic_glue(config, n):
+    """The glue codes listed from their keys: one isotropic cyclic group of
+    order n for each orbit key of the cyclic isotropic subgroups, and no
+    other key; the least member of each listed group's orbit is the first
+    member of its BFS orbit in `isotropic_subgroups` order."""
+    _, disc = _block_disc(config)
+    q = disc.form
+    cyclic = cyclic_isotropic_subgroups(q, n)
+    listed = _cyclic_glue_codes(config, q, n)
+    assert set(listed) == {_orbit_key(config, s) for s in cyclic}
+    for h in listed.values():
+        assert h.order == n and h.elements in {s.elements for s in cyclic}
+    for first, *_ in orbit_classes(cyclic, config):
+        h = listed[_orbit_key(config, first)]
+        assert _least_member(config, h).elements == first.elements
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mn_glue_keys_are_those_of_the_cyclic_isotropic_subgroups(n):
+    assert_keys_list_the_cyclic_glue(MN_ROOT_CONFIG[n], n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a_sums_with_glue_order())
+def test_glue_keys_are_those_of_the_cyclic_isotropic_subgroups_on_small_a_sums(case):
+    assert_keys_list_the_cyclic_glue(*case)
+
+
+def test_build_mn_lists_no_isotropic_subgroups(monkeypatch):
+    def refuse(q, order):
+        raise AssertionError("isotropic_subgroups was called")
+
+    monkeypatch.setattr(forms, "isotropic_subgroups", refuse)
+    monkeypatch.setattr(catalog, "isotropic_subgroups", refuse, raising=False)
+    for n in range(2, 9):
+        assert _build_mn.__wrapped__(n)[0].gram == build_Mn(n).gram
 
 
 @pytest.mark.parametrize("table,n,value,error,message", [
