@@ -3,12 +3,15 @@
 Everything in this package runs on arbitrary-precision integers and
 `fractions.Fraction`; there is deliberately no floating point anywhere.
 The eliminations here are fraction-free and run on integers: Hermite and
-Smith forms by extended gcds, and determinants, signatures, LDL^T and
-adjugates by Bareiss elimination.  A rational matrix is an integer matrix
-over one denominator (`adjugate` gives the inverse as adj over det); a
-`Fraction` appears only in the values and centre of `fp_enumerate`, whose
-Fincke-Pohst recursion also takes an integer coordinate box and cuts each
-level's range to it instead of filtering the shell afterwards.
+Smith forms by extended gcds (a Smith step whose positive pivot divides
+the entry is a plain subtraction of a multiple of the pivot row or column,
+the same step without its identity half), and determinants, signatures,
+LDL^T and adjugates by Bareiss elimination.  A rational matrix is an
+integer matrix over one denominator (`adjugate` gives the inverse as adj
+over det); a `Fraction` appears only in the values and centre of
+`fp_enumerate`, whose Fincke-Pohst recursion also takes an integer
+coordinate box and cuts each level's range to it instead of filtering the
+shell afterwards.
 Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
@@ -179,7 +182,13 @@ def kernel_int(a: Sequence[Sequence[int]]) -> Mat:
 def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     """Smith normal form: returns (D, V) with U*a*V == D diagonal for some
     unimodular U, d_1 | d_2 | ... nonnegative, V unimodular.  No caller
-    needs U, so the row operations act on D alone."""
+    needs U, so the row operations act on D alone.
+
+    Each step clears one entry b against the corner a by the xgcd pair
+    (g, s, t) = xgcd(a, b).  When a > 0 divides b that pair is (a, 1, 0),
+    so the step only subtracts (b // a) times the pivot row from row i, or
+    the pivot column from column j of D and V; that exact-division step
+    leaves D and V as the full xgcd step would."""
     d = [list(map(int, row)) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
@@ -199,21 +208,35 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
             row[t0], row[bj] = row[bj], row[t0]
         while True:
             for i in range(t0 + 1, m):
-                if d[i][t0]:
-                    g, s, t = xgcd(d[t0][t0], d[i][t0])
-                    p, q = d[t0][t0] // g, d[i][t0] // g
-                    d[t0], d[i] = (
-                        [s * x + t * y for x, y in zip(d[t0], d[i])],
-                        [p * y - q * x for x, y in zip(d[t0], d[i])],
-                    )
+                a, b = d[t0][t0], d[i][t0]
+                if not b:
+                    continue
+                if a > 0 and not b % a:
+                    # xgcd(a, b) = (a, 1, 0): the pivot row stays as it is
+                    q = b // a
+                    d[i] = [y - q * x for x, y in zip(d[t0], d[i])]
+                    continue
+                g, s, t = xgcd(a, b)
+                p, q = a // g, b // g
+                d[t0], d[i] = (
+                    [s * x + t * y for x, y in zip(d[t0], d[i])],
+                    [p * y - q * x for x, y in zip(d[t0], d[i])],
+                )
             if not any(d[t0][t0 + 1:]):
                 break
             for j in range(t0 + 1, n):
-                if d[t0][j]:
-                    g, s, t = xgcd(d[t0][t0], d[t0][j])
-                    p, q = d[t0][t0] // g, d[t0][j] // g
+                a, b = d[t0][t0], d[t0][j]
+                if not b:
+                    continue
+                if a > 0 and not b % a:
+                    q = b // a
                     for row in d + v:
-                        row[t0], row[j] = s * row[t0] + t * row[j], p * row[j] - q * row[t0]
+                        row[j] -= q * row[t0]
+                    continue
+                g, s, t = xgcd(a, b)
+                p, q = a // g, b // g
+                for row in d + v:
+                    row[t0], row[j] = s * row[t0] + t * row[j], p * row[j] - q * row[t0]
         # enforce divisibility of the remaining block by the corner entry
         c = d[t0][t0]
         stray = None if c in (1, -1) else next(

@@ -240,7 +240,8 @@ class DiscriminantData:
 
     `form` lives on generators g_1, ..., g_k of orders d_1 | ... | d_k;
     `lifts` holds integer rows over N = `form.level`: row i over N is a
-    coordinate vector representing g_i inside L*.
+    coordinate vector representing g_i inside L*, with every entry in
+    [0, N).
     """
 
     form: FiniteQuadraticForm
@@ -248,19 +249,33 @@ class DiscriminantData:
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
-    """Structure of L*/L; ValueError if L is degenerate (a zero invariant factor)."""
-    d, v = snf(lat.gram)
-    orders = [d[i][i] for i in range(lat.rank)]
+    """Structure of L*/L, computed once per Gram matrix (lattices with equal
+    Grams share one result).  ValueError if L is odd, where q is not
+    defined on L*/L, or degenerate (a zero invariant factor)."""
+    if not lat.is_even:
+        raise ValueError("discriminant form requires an even lattice")
+    return _discriminant_cached(lat.gram)
+
+
+@lru_cache(maxsize=None)
+def _discriminant_cached(gram: Mat) -> DiscriminantData:
+    n = len(gram)
+    d, v = snf(gram)
+    orders = [d[i][i] for i in range(n)]
     if 0 in orders:
         raise ValueError("discriminant group requires a non-degenerate form")
-    keep = [i for i in range(lat.rank) if orders[i] > 1]
+    keep = [i for i in range(n) if orders[i] > 1]
     vt = transpose(v)
-    # g_i lifts to column i of V over d_i, that is (N/d_i) column i over
-    # N = lcm(d_i); N^2 q and N^2 b on the lifts are the Gram of those rows
+    # g_i lifts to column i of V over d_i, reduced mod d_i: a change by a
+    # vector of L leaves q mod 2 and b mod 1 as they are on an even lattice.
+    # Over N = lcm(d_i) that is (N/d_i) (column i mod d_i), entries in
+    # [0, N); N^2 q and N^2 b on the lifts are the Gram of those rows
     level = lcm(*(orders[i] for i in keep))
-    lifts = tuple(tuple(level // orders[i] * x for x in vt[i]) for i in keep)
+    lifts = tuple(tuple(level // orders[i] * (x % orders[i]) for x in vt[i])
+                  for i in keep)
     form = FiniteQuadraticForm.from_table(
-        [orders[i] for i in keep], gram_in_basis(lat, lifts), level * level)
+        [orders[i] for i in keep], gram_in_basis(IntegralLattice(gram), lifts),
+        level * level)
     return DiscriminantData(form, lifts)
 
 

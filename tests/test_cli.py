@@ -79,6 +79,15 @@ def test_disc_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_disc_refuses_an_odd_gram_file(capsys, tmp_path):
+    f = tmp_path / "odd.json"
+    f.write_text("[[2, 1], [1, 3]]")
+    code, out, err = run(capsys, "disc", str(f))
+    assert code == 2
+    assert out == ""
+    assert "even lattice" in err
+
+
 def test_genus_records_of_equal_genera_are_byte_identical(capsys):
     code1, out1, _ = run(capsys, "genus", "Lp(4,2)")
     code2, out2, _ = run(capsys, "genus", "M(4,2)")

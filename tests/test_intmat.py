@@ -6,6 +6,7 @@ import ast
 import gc
 import itertools
 import pathlib
+import random
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 
@@ -198,6 +199,52 @@ rect_mats = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
 def test_snf_matches_transform_oracle(a):
     # the left transform only followed the row operations: dropping it
     # leaves D and V exactly as they were
+    d, _, v = snf_with_transforms(a)
+    assert snf(a) == (d, v)
+
+
+def _gl_conjugate(rng, gram, steps=40):
+    """U G U^T for a random U in GL_n(Z): row transvections, then a row
+    shuffle."""
+    n = len(gram)
+    u = [list(row) for row in identity(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rng.shuffle(u)
+    return mat_mul(mat_mul(u, gram), transpose(u))
+
+
+@pytest.mark.parametrize("kind, d", [("L", 4), ("M", 8), ("Mp", 16), ("Lp", 16)])
+@pytest.mark.parametrize("seed", range(3))
+def test_snf_matches_transform_oracle_on_family_conjugates(kind, d, seed):
+    # 9x9 conjugates of the rank-9 family Grams, whose V entries run to
+    # hundreds of bits: the exact-division steps give the oracle's D and V
+    rng = random.Random(f"snf:{kind}:{d}:{seed}")
+    gram = k3lat.family_lattice(k3lat.FamilyDescriptor(kind, d, 2)).gram
+    a = _gl_conjugate(rng, gram)
+    dd, _, v = snf_with_transforms(a)
+    assert snf(a) == (dd, v)
+
+
+@st.composite
+def wide_mats(draw):
+    """Matrices up to 6x6 with entries up to 10^4 in absolute value: on
+    some draws all multiples of a common factor, on some mostly zeros, so
+    that corners go negative, the corner fails to divide an entry, and a
+    non-unit corner meets a stray row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.sampled_from((1, 2, 6, 30)))
+    entry = st.integers(-(10**4 // k), 10**4 // k).map(lambda x: k * x)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), entry)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_mats())
+def test_snf_matches_transform_oracle_on_wide_entries(a):
     d, _, v = snf_with_transforms(a)
     assert snf(a) == (d, v)
 

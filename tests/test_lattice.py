@@ -319,6 +319,33 @@ def test_discriminant_group_structure(lat):
     check_discriminant_data(lat)
 
 
+@pytest.mark.parametrize("gram", [[[2, 1], [1, 3]], [[3, 1], [1, 3]], [[3]]])
+def test_discriminant_group_refuses_odd_lattices(gram):
+    # q on L*/L is only defined when L is even; the refusal is not cached
+    # away, so it holds on every call
+    lat = from_rows(gram)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="even lattice"):
+            discriminant_group(lat)
+
+
+def test_discriminant_group_is_shared_by_equal_grams():
+    g = [[2, 1], [1, 4]]
+    assert discriminant_group(from_rows(g, "a")) is discriminant_group(from_rows(g, "b"))
+
+
+@pytest.mark.parametrize("lat", DISC_CASES)
+def test_discriminant_lifts_are_columns_of_v_mod_their_order(lat):
+    data = discriminant_group(lat)
+    level = data.form.level
+    d, v = snf(lat.gram)
+    keep = [i for i in range(lat.rank) if d[i][i] > 1]
+    assert len(keep) == len(data.lifts)
+    for i, lift in zip(keep, data.lifts):
+        assert all(0 <= x < level for x in lift)
+        assert lift == tuple(level // d[i][i] * row[i] % level for row in v)
+
+
 @st.composite
 def _even_conjugate_pairs(draw):
     """A non-degenerate even Gram G and U G U^T for a random U in GL_n(Z)."""
