@@ -31,7 +31,6 @@ from .catalog import (
 )
 from .forms import (
     FiniteQuadraticForm,
-    _value_multiset,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -40,6 +39,7 @@ from .forms import (
     milgram_signature,
     sum_forms,
     u_block,
+    value_counts,
 )
 from .lattice import (
     IntegralLattice,
@@ -132,10 +132,8 @@ def _genus_record(g: GenusDescriptor) -> dict:
     """Canonical isomorphism-invariant genus data: two genus-equal inputs
     print the same bytes."""
     q = g.disc
-    if q.group_order > 10 ** 6:
-        raise ValueError("discriminant group too large to tabulate")
     tally: Counter[int] = Counter()
-    for _, v, n in _value_multiset(q):
+    for _, v, n in value_counts(q):
         tally[v] += n
     return {
         "sig": [g.sig_plus, g.sig_minus],

@@ -34,13 +34,12 @@ grow with |A|:
   `forms_isomorphic` compares normal forms and composes one form's basis
   change with the inverse of the other's.
 
-What needs every element of the group reads one walk, `_walk`: an
-odometer over all coordinates but the last, in itertools.product order,
-that carries the value, row sums and order of each prefix forward and
-yields the run of the last coordinate in one piece.  The elements of
-wanted value classes (`find_u_block`) and the value multiset (genus
-records) are built from it and cached per form, the first per form and
-set of classes (forms are frozen and hashable).
+Value counts and u(m) pairs are read off the normal form too, not off a
+walk over the group.  `_block_form` turns one entry of its key back into a
+form; `value_counts` (genus records) convolves the blocks' own counts of
+(order, value), and `find_u_block` reads the complement of a u(m) off the
+key and lets `forms_isomorphic` map u(m) plus that complement onto the
+form.
 
 A subgroup H of A is L/diag(d)Z^k for exactly one lattice
 diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
@@ -267,106 +266,6 @@ def group_invariants(orders: Sequence[int]) -> tuple[int, ...]:
 def length(q: FiniteQuadraticForm) -> int:
     """Minimal number of generators of the underlying group."""
     return len(group_invariants(q.orders))
-
-
-# ---------------------------------------------------------------------------
-# Walks over the whole group
-# ---------------------------------------------------------------------------
-
-
-def _walk(
-    gram: Sequence[Sequence[int]], orders: Sequence[int], c: int
-) -> Iterator[tuple[Vec, tuple[int, ...], tuple[int, ...]]]:
-    """Walk Z/o_1 x ... x Z/o_s (s >= 1) in itertools.product order, one run
-    of the last coordinate at a time.
-
-    gram is symmetric and holds integer representatives of c*b on the
-    generators, of c*q on the diagonal.  Yields (prefix, ords, vals) for
-    each prefix of the first s-1 coordinates: the element prefix + (t,)
-    has order ords[t] and value c*q mod 2c equal to vals[t].  An odometer
-    over the prefix carries its value, its row sums (gram @ prefix mod c)
-    and the lcm of its coordinates' orders; a run depends only on the
-    value, the last row sum and that lcm, so equal runs are one object.
-    """
-    k = len(orders) - 1
-    mod = 2 * c
-    last = orders[k]
-    ord_last = [last // gcd(last, t) for t in range(last)]
-    squares = [gram[k][k] * t * t for t in range(last)]
-    ord_prefix = [[o // gcd(o, x) for x in range(o)] for o in orders[:k]]
-    ord_runs: dict[int, tuple[int, ...]] = {}
-    val_runs: dict[tuple[int, int], tuple[int, ...]] = {}
-    coords = [0] * k
-    pre = [1] * k  # pre[j]: lcm of the orders of coords[0..j]
-    row = [0] * (k + 1)
-    val, order = 0, 1
-    while True:
-        ords = ord_runs.get(order)
-        if ords is None:
-            ords = ord_runs[order] = tuple(lcm(order, o) for o in ord_last)
-        lin = 2 * row[k]
-        vals = val_runs.get((val, lin))
-        if vals is None:
-            vals = val_runs[val, lin] = tuple(
-                [(val + lin * t + sq) % mod for t, sq in enumerate(squares)])
-        yield tuple(coords), ords, vals
-        # odometer increment, last prefix coordinate fastest; a wrap back
-        # to 0 is one more step, as values depend on coords mod the orders
-        j = k - 1
-        while j >= 0:
-            col = gram[j]
-            val = (val + 2 * row[j] + col[j]) % mod
-            row = [(r + g) % c for r, g in zip(row, col)]
-            x = coords[j] + 1
-            if x < orders[j]:
-                coords[j] = x
-                order = lcm(pre[j - 1] if j else 1, ord_prefix[j][x])
-                pre[j:] = [order] * (k - j)
-                break
-            coords[j] = 0
-            j -= 1
-        else:
-            return
-
-
-@lru_cache(maxsize=None)
-def _value_classes(
-    q: FiniteQuadraticForm, classes: tuple[tuple[int, int], ...]
-) -> tuple[tuple[Vec, ...], ...]:
-    """For each (order, N*q mod 2N) class in `classes`, its elements in
-    itertools.product order (zero is the one element of class (1, 0)).
-    Which last coordinates hit a wanted class depends only on the run,
-    which `_walk` yields as one shared object kept alive while it walks, so
-    it is worked out once per run id.  Only the kept elements are held."""
-    if q.rank == 0:
-        return tuple(((),) if c == (1, 0) else () for c in classes)
-    index = {c: i for i, c in enumerate(classes)}
-    found: list[list[Vec]] = [[] for _ in classes]
-    lasts = [(t,) for t in range(q.orders[-1])]
-    hits: dict[tuple[int, int], list[tuple[int, Vec]]] = {}
-    for prefix, ords, vals in _walk(q.table, q.orders, q.level):
-        run = hits.get((id(ords), id(vals)))
-        if run is None:
-            run = hits[id(ords), id(vals)] = [
-                (index[ov], lasts[t]) for t, ov in enumerate(zip(ords, vals)) if ov in index
-            ]
-        for i, last in run:
-            found[i].append(prefix + last)
-    return tuple(map(tuple, found))
-
-
-@lru_cache(maxsize=None)
-def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
-    """Sorted (order, N*q mod 2N, count) over the nonzero elements."""
-    if q.rank == 0:
-        return ()
-    tally: Counter[tuple[int, int]] = Counter()
-    runs = Counter((ords, vals) for _, ords, vals in _walk(q.table, q.orders, q.level))
-    for (ords, vals), n in runs.items():
-        for key in zip(ords, vals):
-            tally[key] += n
-    del tally[1, 0]  # zero, the only element of order 1
-    return tuple(sorted((o, v, n) for (o, v), n in tally.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -797,6 +696,15 @@ class NormalForm:
 _BLOCK_VALUES = {"u": (0, 0), "v": (2, 2)}
 
 
+def _block_form(p: int, k: int, kind: str, value: int) -> FiniteQuadraticForm:
+    """One normal-form block, an entry of `NormalForm.key`, as a form over
+    its level p^k: the cyclic table (value,) for "w", `_BLOCK_VALUES` on
+    the diagonal and pairing 1 for "u" and "v"."""
+    qs = _BLOCK_VALUES.get(kind, (value,))
+    return FiniteQuadraticForm((p**k,) * len(qs), tuple(
+        tuple(t if i == j else 1 for j in range(len(qs))) for i, t in enumerate(qs)))
+
+
 @lru_cache(maxsize=None)
 def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
     """Jordan splitting and normal form of a non-degenerate form, checked
@@ -887,6 +795,27 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
     ArithmeticError on a degenerate form.  Cached per form; a raise is
     not."""
     return sum(_block_signature(*block) for block in _normal_form(q).key) % 8
+
+
+def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (order, N*q mod 2N, count) over the nonzero elements.  The
+    counts of an orthogonal sum are its blocks' own counts of (order,
+    value) convolved under (lcm, + mod 2N), so the cost grows with the
+    blocks' sizes times the number of distinct values, not with |A|.
+    Raises ArithmeticError on a degenerate form."""
+    n = q.level
+    counts = Counter({(1, 0): 1})
+    for block in _normal_form(q).key:
+        b = _block_form(*block)
+        s = n // b.level
+        own = Counter((b.element_order(x), b._q_int(x) * s) for x in b.elements())
+        step: Counter[tuple[int, int]] = Counter()
+        for (o1, v1), c1 in counts.items():
+            for (o2, v2), c2 in own.items():
+                step[lcm(o1, o2), (v1 + v2) % (2 * n)] += c1 * c2
+        counts = step
+    del counts[1, 0]  # zero, the only element of order 1
+    return tuple(sorted((o, v, c) for (o, v), c in counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -1084,11 +1013,49 @@ def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:
 
 
 def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
-    """Locate a hyperbolic u(m) pair inside q (first in canonical order)."""
-    (cands,) = _value_classes(q, ((m, 0),))
-    target = q.level - q.level // m  # N*(-1/m) mod N
-    for x in cands:
-        for y in cands:
-            if y != x and q._b_int(x, y) == target:
-                return x, y
-    raise ValueError(f"no u({m}) block found")
+    """A hyperbolic u(m) pair (x, y) in q: q(x) = q(y) = 0, both of order
+    m, and b(x, y) = -1/m.
+
+    The complement A' of u(m) is read off the normal-form key, one
+    p^k || m at a time.  At p = 2 a u block at 2^k is dropped; failing
+    that, a v at 2^k is, and 4 is added to the value of a w at 2^(k+1), as
+    v + w(e) = u + w(e + 4) there (sign walking upward, the mirror of
+    `_normal2` move (b)).  At odd p the scale-p^k blocks <a_1>, ...,
+    <a_r> need r >= 2: two are dropped and the next, if any, is scaled by
+    -a_1*a_2, which divides the determinant by that of u, -1.
+    `forms_isomorphic` then maps u(m) + A' onto q, or finds that q has no
+    u(m) summand (for r = 2 exactly when -a_1*a_2 is not a square mod p),
+    and the pair is the image of u(m)'s generators.  ValueError for m < 2
+    or when q has no u(m) summand; ArithmeticError on a degenerate form."""
+    if m < 2:
+        raise ValueError(f"u({m}) needs m >= 2")
+    blocks = list(_normal_form(q).key)
+    for p in _prime_factors(m):
+        k = 0
+        while m % p**(k + 1) == 0:
+            k += 1
+        at = [i for i, b in enumerate(blocks) if b[:2] == (p, k)]
+        kinds = [blocks[i][2] for i in at]
+        up = [i for i, b in enumerate(blocks) if b[:3] == (p, k + 1, "w")]
+        if p == 2 and "u" in kinds:
+            drop = [at[kinds.index("u")]]
+        elif p == 2 and "v" in kinds and up:
+            drop = [at[kinds.index("v")]]
+            value = blocks[up[0]][3]
+            blocks[up[0]] = (p, k + 1, "w", (value + 4) % (4 << k))
+        elif p > 2 and len(at) >= 2:
+            if len(at) > 2:
+                c = -(blocks[at[0]][3] // 2) * (blocks[at[1]][3] // 2)
+                blocks[at[2]] = (p, k, "w", c * blocks[at[2]][3] % (2 * p**k))
+            drop = at[:2]
+        else:
+            raise ValueError(f"no u({m}) block found")
+        blocks = [b for i, b in enumerate(blocks) if i not in drop]
+    images = forms_isomorphic(sum_forms([u_block(m)] + [_block_form(*b) for b in blocks]), q)
+    if images is None:
+        raise ValueError(f"no u({m}) block found")
+    x, y = images[:2]
+    require(q._q_int(x) == q._q_int(y) == 0 and q._b_int(x, y) == q.level - q.level // m
+            and q.element_order(x) == q.element_order(y) == m,
+            f"the u({m}) pair is not hyperbolic of order {m}")
+    return x, y

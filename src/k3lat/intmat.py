@@ -471,9 +471,9 @@ def fp_enumerate(
     `box`, if given, holds one inclusive (lo, hi) per coordinate, either
     side None for no bound; each level intersects its range with it, so
     the result is the unboxed result restricted to the box (with no
-    `center`, the sign representatives that lie in it).  Output is
-    sorted by (value, coordinates) so callers get byte-for-byte
-    reproducible results.
+    `center`, the sign representatives that lie in it).  Results come in
+    the order of the recursion, unsorted: x_{n-1} outermost, each range
+    ascending, so two calls give the same list.
     """
     n = len(gram_posdef)
     upper = Fraction(upper)
@@ -539,6 +539,5 @@ def fp_enumerate(
         recurse(n - 1, top, center is not None)
     finally:
         del recurse
-    found.sort(key=lambda pair: (pair[1], pair[0]))
     frac = {val: Fraction(val, scale) for val in {val for _, val in found}}
     return [(vec, frac[val]) for vec, val in found]

@@ -2,27 +2,134 @@
 normal form, kept outside the package as oracles: the degeneracy test by
 the index of the adjoint lattice, the Milgram signature from exact Gauss
 sums over the whole group, compared phase by phase in a cyclotomic ring,
-and the budgeted backtracking search for an isomorphism, which matches
-generators to elements of the same order and value.  The last two read the
-package's walk over the group, not its normal form.
+the budgeted backtracking search for an isomorphism, which matches
+generators to elements of the same order and value, and the search for a
+u(m) pair among the isotropic elements of order m.  The last three read
+`_walk`, an odometer over the whole group, not the normal form.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
-    _value_classes,
-    _value_multiset,
-    _walk,
     group_invariants,
 )
 from k3lat.intmat import Vec, hnf_basis, mat_vec, require
+
+
+def _walk(
+    gram: Sequence[Sequence[int]], orders: Sequence[int], c: int
+) -> Iterator[tuple[Vec, tuple[int, ...], tuple[int, ...]]]:
+    """Walk Z/o_1 x ... x Z/o_s (s >= 1) in itertools.product order, one run
+    of the last coordinate at a time.
+
+    gram is symmetric and holds integer representatives of c*b on the
+    generators, of c*q on the diagonal.  Yields (prefix, ords, vals) for
+    each prefix of the first s-1 coordinates: the element prefix + (t,)
+    has order ords[t] and value c*q mod 2c equal to vals[t].  An odometer
+    over the prefix carries its value, its row sums (gram @ prefix mod c)
+    and the lcm of its coordinates' orders; a run depends only on the
+    value, the last row sum and that lcm, so equal runs are one object.
+    """
+    k = len(orders) - 1
+    mod = 2 * c
+    last = orders[k]
+    ord_last = [last // gcd(last, t) for t in range(last)]
+    squares = [gram[k][k] * t * t for t in range(last)]
+    ord_prefix = [[o // gcd(o, x) for x in range(o)] for o in orders[:k]]
+    ord_runs: dict[int, tuple[int, ...]] = {}
+    val_runs: dict[tuple[int, int], tuple[int, ...]] = {}
+    coords = [0] * k
+    pre = [1] * k  # pre[j]: lcm of the orders of coords[0..j]
+    row = [0] * (k + 1)
+    val, order = 0, 1
+    while True:
+        ords = ord_runs.get(order)
+        if ords is None:
+            ords = ord_runs[order] = tuple(lcm(order, o) for o in ord_last)
+        lin = 2 * row[k]
+        vals = val_runs.get((val, lin))
+        if vals is None:
+            vals = val_runs[val, lin] = tuple(
+                [(val + lin * t + sq) % mod for t, sq in enumerate(squares)])
+        yield tuple(coords), ords, vals
+        # odometer increment, last prefix coordinate fastest; a wrap back
+        # to 0 is one more step, as values depend on coords mod the orders
+        j = k - 1
+        while j >= 0:
+            col = gram[j]
+            val = (val + 2 * row[j] + col[j]) % mod
+            row = [(r + g) % c for r, g in zip(row, col)]
+            x = coords[j] + 1
+            if x < orders[j]:
+                coords[j] = x
+                order = lcm(pre[j - 1] if j else 1, ord_prefix[j][x])
+                pre[j:] = [order] * (k - j)
+                break
+            coords[j] = 0
+            j -= 1
+        else:
+            return
+
+
+@lru_cache(maxsize=None)
+def _value_classes(
+    q: FiniteQuadraticForm, classes: tuple[tuple[int, int], ...]
+) -> tuple[tuple[Vec, ...], ...]:
+    """For each (order, N*q mod 2N) class in `classes`, its elements in
+    itertools.product order (zero is the one element of class (1, 0)).
+    Which last coordinates hit a wanted class depends only on the run,
+    which `_walk` yields as one shared object kept alive while it walks, so
+    it is worked out once per run id.  Only the kept elements are held."""
+    if q.rank == 0:
+        return tuple(((),) if c == (1, 0) else () for c in classes)
+    index = {c: i for i, c in enumerate(classes)}
+    found: list[list[Vec]] = [[] for _ in classes]
+    lasts = [(t,) for t in range(q.orders[-1])]
+    hits: dict[tuple[int, int], list[tuple[int, Vec]]] = {}
+    for prefix, ords, vals in _walk(q.table, q.orders, q.level):
+        run = hits.get((id(ords), id(vals)))
+        if run is None:
+            run = hits[id(ords), id(vals)] = [
+                (index[ov], lasts[t]) for t, ov in enumerate(zip(ords, vals)) if ov in index
+            ]
+        for i, last in run:
+            found[i].append(prefix + last)
+    return tuple(map(tuple, found))
+
+
+@lru_cache(maxsize=None)
+def _value_multiset(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
+    """Sorted (order, N*q mod 2N, count) over the nonzero elements."""
+    if q.rank == 0:
+        return ()
+    tally: Counter[tuple[int, int]] = Counter()
+    runs = Counter((ords, vals) for _, ords, vals in _walk(q.table, q.orders, q.level))
+    for (ords, vals), n in runs.items():
+        for key in zip(ords, vals):
+            tally[key] += n
+    del tally[1, 0]  # zero, the only element of order 1
+    return tuple(sorted((o, v, n) for (o, v), n in tally.items()))
+
+
+def walk_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
+    """The first hyperbolic u(m) pair of q in itertools.product order:
+    two isotropic elements of order m with b = -1/m.  ValueError when there
+    is none."""
+    (cands,) = _value_classes(q, ((m, 0),))
+    target = q.level - q.level // m  # N*(-1/m) mod N
+    for x in cands:
+        for y in cands:
+            if y != x and q._b_int(x, y) == target:
+                return x, y
+    raise ValueError(f"no u({m}) block found")
 
 
 def is_degenerate(q: FiniteQuadraticForm) -> bool:

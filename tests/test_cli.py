@@ -11,7 +11,9 @@ import pytest
 
 import k3lat
 from k3lat import cli
+from k3lat.catalog import FamilyDescriptor, family_lattice
 from k3lat.cli import main
+from k3lat.intmat import det_int, mat_mul, transpose
 
 
 def run(capsys, *argv):
@@ -116,6 +118,30 @@ GENUS_LP42 = (
 def test_disc_and_genus_stdout_bytes_are_pinned(capsys):
     assert run(capsys, "disc", "M(4,2)") == (0, DISC_M42, "")
     assert run(capsys, "genus", "Lp(4,2)") == (0, GENUS_LP42, "")
+
+
+# a storey of the M tower above the old tabulation cap of 10^6 elements
+GENUS_M8192_SHA256 = "47ce22effa40727d5810ad5067d14c6cbf9508a0975bc116e5098a3594e9fd0f"
+
+
+def test_genus_of_a_high_tower_storey_is_pinned(capsys, tmp_path):
+    code, out, err = run(capsys, "genus", "M(8192,2)")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GENUS_M8192_SHA256
+    data = json.loads(out)
+    assert data["form"]["group"] == [2, 2, 2, 2, 2, 2, 16384]
+    assert sum(n for _, n in data["form"]["values"]) == 2**20 - 1
+    # the same lattice in another basis: u is unimodular (transvections)
+    gram = family_lattice(FamilyDescriptor("M", 8192, 2)).gram
+    u = [[int(i == j) for j in range(9)] for i in range(9)]
+    for i in range(9):
+        for j in range(9):
+            if i != j and (i * 7 + j * 3) % 5 == 0:
+                u[i] = [a + (j - i) * b for a, b in zip(u[i], u[j])]
+    assert det_int(u) == 1
+    moved = tmp_path / "m8192.json"
+    moved.write_text(json.dumps([list(r) for r in mat_mul(mat_mul(u, gram), transpose(u))]))
+    assert run(capsys, "genus", str(moved)) == (0, out, "")
 
 
 def test_genus_of_degenerate_input_rejected(capsys, tmp_path):

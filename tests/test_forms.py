@@ -24,8 +24,6 @@ from k3lat.forms import (
     SearchBudgetExceeded,
     Subgroup,
     _normal_form,
-    _value_classes,
-    _value_multiset,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -38,14 +36,18 @@ from k3lat.forms import (
     sum_forms,
     trivial_form,
     u_block,
+    value_counts,
 )
 from k3lat.catalog import named
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from form_oracles import (
     _gauss_counts,
+    _value_classes,
+    _value_multiset,
     backtrack_isomorphism,
     gauss_milgram_signature,
     is_degenerate,
+    walk_u_block,
 )
 from glue_oracles import _close_subgroup, closure_isotropic_subgroups, value_listing
 from rational_oracles import group_invariants_snf
@@ -515,6 +517,12 @@ def check_walk(q):
         )
     del tally[1, 0]  # zero
     assert _value_multiset(q) == tuple(sorted((o, v, n) for (o, v), n in tally.items()))
+    # the tally from the normal form's blocks; it needs a non-degenerate form
+    if is_degenerate(q):
+        with pytest.raises(ArithmeticError):
+            value_counts(q)
+    else:
+        assert value_counts(q) == _value_multiset(q)
     if q.rank == 0:
         return
     histogram = Counter(q._q_int(x) for x in q.elements())
@@ -753,6 +761,65 @@ def test_find_u_block_u_pair():
 def test_find_u_block_absent():
     with pytest.raises(ValueError):
         find_u_block(cyclic_block(2, F(1, 2)), 2)
+
+
+def test_find_u_block_needs_m_at_least_two():
+    q = sum_forms([u_block(2), cyclic_block(3, F(2, 3))])
+    for m in (0, 1, -2):
+        with pytest.raises(ValueError, match="needs m >= 2"):
+            find_u_block(q, m)
+
+
+def check_u_pair(q, m):
+    """find_u_block finds a pair exactly when the walk does, and the pair
+    is hyperbolic of order m."""
+    try:
+        walk_u_block(q, m)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"no u\\({m}\\) block"):
+            find_u_block(q, m)
+        return False
+    x, y = find_u_block(q, m)
+    assert q.q_value(x) == q.q_value(y) == 0
+    assert q.b_value(x, y) == F(-1, m) % 1
+    assert q.element_order(x) == q.element_order(y) == m
+    return True
+
+
+@pytest.mark.parametrize("blocks, m, found", [
+    # v(2) + <1/4> = u(2) + <5/4>: the v/w move
+    ([v_block(2), cyclic_block(4, F(1, 4))], 2, True),
+    ([v_block(2), cyclic_block(2, F(1, 2))], 2, False),
+    # <2a/3> + <2b/3> is u(3) when -ab is a square mod 3: -(1*2) = 1 is, -(1*1) = 2 is not
+    ([cyclic_block(3, F(2, 3)), cyclic_block(3, F(4, 3))], 3, True),
+    ([cyclic_block(3, F(2, 3)), cyclic_block(3, F(2, 3))], 3, False),
+])
+def test_find_u_block_named_cases(blocks, m, found):
+    assert check_u_pair(sum_forms(blocks), m) is found
+
+
+def _odd_atoms(p, scales):
+    """Cyclic blocks <2a/p^k> for every unit a mod p at the given k."""
+    return [cyclic_block(p**k, F(2 * a, p**k)) for k in scales for a in range(1, p)]
+
+
+def test_find_u_block_matches_walk_on_small_forms():
+    # every sum of w, u and v blocks at 2, 4, 8 with |A| <= 128 for m = 2,
+    # 4, 8; sums of cyclic blocks at 3, 9, 5 and 7 for m = 3, 9, 5 and 7;
+    # sums of both at 2, 4, 3, 9 with |A| <= 324 for m = 6, 12, 18
+    sweeps = [(_block_sums(_atoms((2, 4, 8)), 128), (2, 4, 8)),
+              (_block_sums(_odd_atoms(3, (1, 2)), 243), (3, 9)),
+              (_block_sums(_odd_atoms(5, (1,)), 125), (5,)),
+              (_block_sums(_odd_atoms(7, (1,)), 343), (7,)),
+              (_block_sums(_atoms((2, 4)) + _odd_atoms(3, (1, 2)), 324), (6, 12, 18))]
+    found = Counter()
+    for sums, ms in sweeps:
+        for blocks in sums:
+            q = sum_forms(blocks)
+            for m in ms:
+                found[m, check_u_pair(q, m)] += 1
+    # both answers occur for every m
+    assert all(found[m, True] and found[m, False] for m in (2, 3, 4, 5, 6, 7, 8, 9, 12, 18))
 
 
 @settings(max_examples=20, deadline=None)

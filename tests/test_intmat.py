@@ -438,6 +438,12 @@ def sign_representatives(hits):
     return [(x, v) for x, v in hits if not any(x) or [c for c in x if c][-1] > 0]
 
 
+def by_value(hits):
+    """The hits sorted by (value, coordinates): fp_enumerate returns them
+    in its recursion order, so lists are compared in this order."""
+    return sorted(hits, key=lambda p: (p[1], p[0]))
+
+
 def test_fp_enumerate_matches_brute_force():
     cases = [
         (((2,),), 1, 8),
@@ -447,9 +453,9 @@ def test_fp_enumerate_matches_brute_force():
     ]
     for g, lo, hi in cases:
         brute = brute_ellipsoid(g, lo, hi)
-        assert fp_enumerate(g, hi, lo, center=(0,) * len(g)) == brute
+        assert by_value(fp_enumerate(g, hi, lo, center=(0,) * len(g))) == by_value(brute)
         # with no centre, one vector of each sign pair
-        assert fp_enumerate(g, hi, lo) == sign_representatives(brute)
+        assert by_value(fp_enumerate(g, hi, lo)) == by_value(sign_representatives(brute))
 
 
 def test_fp_enumerate_with_center():
@@ -462,8 +468,7 @@ def test_fp_enumerate_with_center():
         v = quad_value(g, y)
         if 0 <= v <= 3:
             want.append((x, v))
-    want.sort(key=lambda p: (p[1], p[0]))
-    assert got == want
+    assert by_value(got) == by_value(want)
 
 
 def test_fp_enumerate_rejects_indefinite():
@@ -531,10 +536,10 @@ def test_fp_enumerate_against_box_scan(case):
     g, lower, upper, center = case
     assume(upper < 0 or prod(map(len, scan_box(g, upper, center))) <= 4000)
     got = fp_enumerate(g, upper, lower, center=center)
-    assert got == brute_shell(g, lower, upper, center)
+    assert by_value(got) == by_value(brute_shell(g, lower, upper, center))
     assert all(type(v) is Fraction for _, v in got)
     if not any(center):
-        assert fp_enumerate(g, upper, lower) == sign_representatives(got)
+        assert by_value(fp_enumerate(g, upper, lower)) == by_value(sign_representatives(got))
 
 
 @st.composite
@@ -570,9 +575,10 @@ def test_fp_enumerate_box_restricts_the_shell(case, data):
     reach = 1 + max((max(-r.start, r.stop) for scan in scans for r in scan), default=0)
     box = data.draw(coordinate_boxes(len(g), reach))
     got = fp_enumerate(g, upper, lower, center=center, box=box)
-    assert got == inside(brute_shell(g, lower, upper, center), box)
+    assert by_value(got) == by_value(inside(brute_shell(g, lower, upper, center), box))
     got = fp_enumerate(g, upper, lower, box=box)
-    assert got == inside(sign_representatives(brute_shell(g, lower, upper, zero)), box)
+    assert by_value(got) == by_value(
+        inside(sign_representatives(brute_shell(g, lower, upper, zero)), box))
 
 
 def test_fp_enumerate_box_on_sign_representatives():
@@ -590,9 +596,19 @@ def test_fp_enumerate_box_on_sign_representatives():
         n = len(g)
         for box in ([(1, None)] * n, [(None, -1)] * n, [(None, None)] * (n - 1) + [(1, 2)],
                     [(-1, 0)] * n, [(2, 1)] + [(None, None)] * (n - 1), [(-9, 9)] * n):
-            assert fp_enumerate(g, hi, lo, box=box) == inside(reps, box), (g, box)
-            assert fp_enumerate(g, hi, lo, center=(0,) * n, box=box) == inside(
-                brute_ellipsoid(g, lo, hi), box), (g, box)
+            assert by_value(fp_enumerate(g, hi, lo, box=box)) == by_value(
+                inside(reps, box)), (g, box)
+            assert by_value(fp_enumerate(g, hi, lo, center=(0,) * n, box=box)) == by_value(
+                inside(brute_ellipsoid(g, lo, hi), box)), (g, box)
+
+
+def test_fp_enumerate_order_is_reproducible():
+    # unsorted, in the recursion's order, which two calls repeat exactly
+    g = ((4, 2, 0), (2, 3, 1), (0, 1, 5))
+    for center in (None, (Fraction(1, 2), 0, Fraction(-1, 3))):
+        first = fp_enumerate(g, 12, 1, center=center)
+        assert len(first) > 10
+        assert fp_enumerate(g, 12, 1, center=center) == first
 
 
 def test_fp_enumerate_box_needs_one_range_per_coordinate():
