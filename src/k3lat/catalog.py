@@ -27,25 +27,25 @@ from .forms import (
     FiniteQuadraticForm,
     Subgroup,
     cyclic_block,
+    cyclic_subgroup,
     length,
     quotient_form,
     sum_forms,
     u_block,
 )
-from .intmat import Vec, adjugate, freeze, require, transpose, vec_scale
+from .intmat import Vec, adjugate, freeze, require
 from .lattice import (
     DiscriminantData,
-    Embedding,
     IntegralLattice,
     direct_sum,
     discriminant_form,
     discriminant_group,
     from_rows,
-    is_primitive,
     root_count,
 )
 from .overlattice import (
     GenusDescriptor,
+    _glue_one,
     _glue_overlattice,
     _lift_of,
     genus_equal,
@@ -189,13 +189,6 @@ def _orbit_key(config: Sequence[int], h: Subgroup) -> tuple:
     return min(_fold(config, y) for y in h.elements if h.form.element_order(y) == h.order)
 
 
-def _cyclic(q: FiniteQuadraticForm, y: Vec) -> Subgroup:
-    """The cyclic subgroup of q generated by y."""
-    return Subgroup(
-        q, tuple(sorted(q.reduce(vec_scale(y, c)) for c in range(q.element_order(y)))), (y,)
-    )
-
-
 def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
     """The glue word whose coordinates in the blocks of the i-th least
     size, in config order, are words[i]."""
@@ -222,7 +215,7 @@ def _cyclic_glue_codes(
                            for s in sorted(set(config)))):
         y = _place(config, parts)
         if q.element_order(y) == n and q._q_int(y) == 0:
-            h = _cyclic(q, y)
+            h = cyclic_subgroup(q, y)
             out.setdefault(_orbit_key(config, h), h)
     return out
 
@@ -247,7 +240,7 @@ def _least_member(config: Sequence[int], h: Subgroup) -> Subgroup:
         [w for arr in _arrangements(part) for w in product(*({f, -f % (s + 1)} for f in arr))]
         for s, part in zip(sorted(set(config)), _fold(config, h.gens[0]))
     ]
-    return min((_cyclic(h.form, _place(config, words)) for words in product(*per_size)),
+    return min((cyclic_subgroup(h.form, _place(config, words)) for words in product(*per_size)),
                key=lambda g: g.elements)
 
 
@@ -394,71 +387,33 @@ def _scaled_rank1(d: int) -> IntegralLattice:
     return from_rows([[2 * d]], f"<{2 * d}>")
 
 
-def _isometry_orbits(
-    qw: FiniteQuadraticForm, candidates: Sequence[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Orbit representatives of `candidates` under O(qw), the first of each
-    orbit in candidate order.  qw is a discriminant form, so non-degenerate;
-    when it is 2-elementary with integer values it is a quadratic space
-    over F_2, and by Witt's theorem O(qw) is transitive on the nonzero
-    elements of each q-value.  Any other form keeps every candidate.  Glue
-    groups related by an isometry of qw give overlattices in one genus."""
-    cand = [tuple(x) for x in candidates]
-    # the level is 2, and q is integral on the group when it is on the
-    # generators, as 2b is integral
-    if any(o > 2 for o in qw.orders) or any(
-        row[i] % qw.level for i, row in enumerate(qw.table)
-    ):
-        return cand
-    reps: dict[tuple[bool, int], tuple[int, ...]] = {}
-    for x in cand:
-        reps.setdefault((any(x), qw._q_int(x)), x)
-    return list(reps.values())
-
-
 @lru_cache(maxsize=None)
 def _primitive_index2_overlattice(
     d: int, w: IntegralLattice, label: str
 ) -> IntegralLattice:
     """The even index-2 overlattice of <2d> + W in which both summands stay
-    primitive: glue (g/2, eps) with eps a nonzero discriminant element of W
-    with q(eps) = -d/2 mod 2.  On q_N and q_E8(-2), 2-elementary with
-    integer values, Witt's theorem puts all candidates in one O(q_W)-orbit
-    and only the first is glued; on other forms every candidate is, and the
-    overlattices are certified genus-equal."""
+    primitive: glue g/2 + eps with eps a nonzero discriminant element of W
+    with q(eps) = -d/2 mod 2, the first in element order.
+
+    q_W must be 2-elementary with integer values, as q_N and q_E8(-2) are,
+    and any other form is refused.  Such a form is a quadratic space over
+    F_2, and by Witt's theorem O(q_W) is transitive on the nonzero elements
+    of each q-value.  So every eps gives the same overlattice up to an
+    isometry of <2d> + W, and gluing the first one loses nothing."""
     if d % 2:
         raise ValueError("index-2 overlattice requires an even parameter")
-    v = direct_sum(_scaled_rank1(d), w)
-    wdisc = discriminant_group(w)
-    qw = wdisc.form
+    qw = discriminant_group(w).form
+    # the level is 2, and q is integral on the group when it is on the
+    # generators, as 2b is integral
+    require(all(o == 2 for o in qw.orders)
+            and not any(row[i] % qw.level for i, row in enumerate(qw.table)),
+            "the index-2 glue needs a 2-elementary W with integer q-values")
     target = -(d // 2) * qw.level % (2 * qw.level)  # N*(-d/2) mod 2N
-    candidates = [
-        eps
-        for eps in qw.elements()
-        if qw.element_order(eps) == 2 and qw._q_int(eps) == target
-    ]
-    zs = []
-    den = lcm(2, qw.level)  # the lifts are over the level
-    for eps in _isometry_orbits(qw, candidates):
-        glue = (den // 2,) + vec_scale(_lift_of(wdisc, eps), den // qw.level)
-        z, emb = _glue_overlattice(v, [glue], den)
-        if not z.is_even:
-            continue
-        require(z.det * 4 == v.det, "index-2 glue has the wrong determinant")
-        w_emb = Embedding(z, w, transpose(emb.vectors[1:]))
-        require(is_primitive(w_emb), "index-2 glue leaves W imprimitive")
-        zs.append(z)
-    if not zs:
-        raise ArithmeticError("no glue candidate produced an even overlattice")
-    first = zs[0]
-    g0 = genus_of(first)
-    for other in zs[1:]:
-        if not genus_equal(g0, genus_of(other)):
-            raise RuntimeError(
-                "glue candidates fall into different genera; "
-                "construction is ambiguous"
-            )
-    return first.relabel(label)
+    eps = next((x for x in qw.elements() if any(x) and qw._q_int(x) == target), None)
+    if eps is None:
+        raise ArithmeticError("no glue candidate has the needed q-value")
+    z, _ = _glue_one(_scaled_rank1(d), (1,), w, eps, 2)
+    return z.relabel(label)
 
 
 @lru_cache(maxsize=None)

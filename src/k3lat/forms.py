@@ -882,6 +882,13 @@ class Subgroup:
         return len(self.elements)
 
 
+def cyclic_subgroup(q: FiniteQuadraticForm, y: Vec) -> Subgroup:
+    """The cyclic subgroup <y> of q, generated by y."""
+    return Subgroup(
+        q, tuple(sorted(q.reduce([c * a for a in y]) for c in range(q.element_order(y)))), (y,)
+    )
+
+
 def _isotropic_hnf(
     q: FiniteQuadraticForm, index: int, below: tuple[Vec, ...] = ()
 ) -> Iterator[tuple[Vec, ...]]:

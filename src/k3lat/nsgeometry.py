@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, product
-from math import lcm
 from operator import and_
 from typing import Callable, Iterator, Sequence
 
@@ -80,8 +79,7 @@ from .lattice import (
 )
 from .overlattice import (
     GenusDescriptor,
-    _glue_overlattice,
-    _lift_of,
+    _glue_one,
     genus_equal,
     genus_of,
     unique_in_genus_by_length,
@@ -990,19 +988,10 @@ def vgs_polarized_complement(e: int) -> GenusDescriptor:
 
 def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     """The index-2 even overlattice of U(2) + W glued along
-    (u1 + u2 + w1 + w2)/2, where (w1/2, w2/2) generate a u(2) block of the
-    discriminant form of W."""
-    host = direct_sum(named("U(2)"), w)
-    disc = discriminant_group(w)
-    x, y = find_u_block(disc.form, 2)
-    den = lcm(2, disc.form.level)  # the lifts are over the level
-    lift = _lift_of(disc, vec_add(x, y))
-    glue = (den // 2, den // 2) + vec_scale(lift, den // disc.form.level)
-    z, emb = _glue_overlattice(host, [glue], den)
-    if not z.is_even:
-        raise ArithmeticError("glue produced an odd lattice")
-    require(4 * z.det == host.det, "the glue does not have index 2")
-    return z, emb
+    (u1 + u2)/2 + x + y, where (x, y) is a u(2) pair of the discriminant
+    form of W, with the embedding of U(2) + W."""
+    x, y = find_u_block(discriminant_group(w).form, 2)
+    return _glue_one(named("U(2)"), (1, 1), w, vec_add(x, y), 2)
 
 
 def glue_constructions() -> list[dict]:

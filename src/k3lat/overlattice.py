@@ -2,9 +2,13 @@
 
 An even overlattice of L of index m corresponds to an isotropic subgroup H
 of the discriminant form of L with |H| = m: the overlattice is generated by
-L together with dual lifts of H.  Genus data (signature plus discriminant
-form) suffices to identify many indefinite lattices up to isometry via the
-rank-versus-length criterion.
+L together with dual lifts of H.  `_glue_one` is the one single-vector
+glue: the index-m overlattice of head + W along head/m + eps, eps of
+order m in the discriminant form of W, with both summands primitive
+(Nikulin 1979, 1.4).  The congruence lemma, the Mp/Lp(d,2) families and
+the primed rank-10 models are all built by it.  Genus data (signature
+plus discriminant form) suffices to identify many indefinite lattices up
+to isometry via the rank-versus-length criterion.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
-    Subgroup,
+    cyclic_subgroup,
     forms_isomorphic,
     isotropic_subgroups,
     length,
@@ -139,49 +143,66 @@ def overlattices(
     return out
 
 
+def _glue_one(
+    head: IntegralLattice,
+    head_coords: Sequence[int],
+    w: IntegralLattice,
+    eps: Sequence[int],
+    m: int,
+) -> tuple[IntegralLattice, Embedding]:
+    """Index-m even overlattice of head + W glued along head_coords/m + eps,
+    with eps given by its coordinates in the discriminant group of W.
+
+    The glue row is over lcm(m, N), N the level of W.  It must have order
+    dividing m and be isotropic, and the result must be even of index m
+    with W primitive in it (Nikulin 1979, 1.4).  Returns the overlattice
+    and the embedding of head + W.
+    """
+    v = direct_sum(head, w)
+    wdisc = discriminant_group(w)
+    level = wdisc.form.level
+    den = lcm(m, level)
+    row = vec_scale(head_coords, den // m) + vec_scale(_lift_of(wdisc, eps), den // level)
+    # isotropic of order dividing m: m*glue is integral and its norm lies
+    # in 2Z
+    require(all(m * c % den == 0 for c in row), "glue order does not divide m")
+    require(v.norm(row) % (2 * den * den) == 0, "glue is not isotropic")
+    z, emb = _glue_overlattice(v, [row], den)
+    if not z.is_even:
+        raise ArithmeticError("glue produced an odd lattice")
+    require(z.det * m * m == v.det, "glue changed the determinant by the wrong index")
+    # W is primitively embedded: its image spans a saturated sublattice
+    w_emb = Embedding(z, w, transpose(emb.vectors[head.rank:]))
+    require(is_primitive(w_emb), "W is not primitively embedded")
+    return z, emb
+
+
 def lemma_overlattice(
     d: int,
     m: int,
     w: IntegralLattice,
     block: Sequence[Sequence[int]],
 ) -> tuple[IntegralLattice, Embedding]:
-    """Index-m even overlattice of <2d> + W from the congruence d = 0 mod 2m.
+    """Index-m even overlattice of <2d> + W from the congruence d = 0 mod 2m,
+    with the embedding of W.
 
     `block` gives the coordinates (in the discriminant group of W) of a
     hyperbolic pair spanning a u(m) block: two elements of order m with
     q = 0 and mutual pairing -1/m.  Writing 2d = 4km, the glue group is
-    generated by (4k)h + e1 + (2k)e2 where h generates the dual of <2d>.
-    For m = 1 the glue is trivial and the direct sum itself is returned.
+    generated by (4k)h + e1 + (2k)e2 where h generates the dual of <2d>,
+    and (4k)h is the basis vector over m.  For m = 1, eps = 0 and the
+    glue gives the direct sum itself (`block` is not read).
     """
     k = _congruence_quotient(d, m)
-    v = direct_sum(from_rows([[2 * d]]), w)
-    if m == 1:
-        glue, den = [], 1
-    else:
+    qw = discriminant_group(w).form
+    eps = (0,) * qw.rank
+    if m > 1:
         if len(block) != 2:
             raise ValueError("block must supply two generator coordinate rows")
-        wdisc = discriminant_group(w)
-        qw = wdisc.form
         e1, e2 = _u_pair(qw, block[0], block[1], m)
-        # glue = (4k) h + e1 + (2k) e2 where h is the dual generator of <2d>,
-        # whose lift is (1/(2d), 0, ..., 0) by construction of V; the lifts
-        # of W's elements are over its level N, so the glue is over lcm(2d, N)
-        den = lcm(2 * d, qw.level)
-        lift = _lift_of(wdisc, [a + 2 * k * b for a, b in zip(e1, e2)])
-        row = (4 * k * (den // (2 * d)),) + vec_scale(lift, den // qw.level)
-        # isotropic of order dividing m: m*glue is integral and its norm
-        # lies in 2Z
-        require(all(m * c % den == 0 for c in row), "glue order does not divide m")
-        require(v.norm(row) % (2 * den * den) == 0, "glue is not isotropic")
-        glue = [row]
-    z, emb = _glue_overlattice(v, glue, den)
-    if not z.is_even:
-        raise ArithmeticError("glue produced an odd lattice")
-    require(z.det * m * m == v.det, "glue changed the determinant by the wrong index")
-    # W is primitively embedded: its image spans a saturated sublattice
-    w_emb = Embedding(z, w, transpose(emb.vectors[1:]))
-    require(is_primitive(w_emb), "W is not primitively embedded")
-    return z, w_emb
+        eps = tuple(a + 2 * k * b for a, b in zip(e1, e2))
+    z, emb = _glue_one(from_rows([[2 * d]]), (1,), w, eps, m)
+    return z, Embedding(z, w, transpose(emb.vectors[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +291,4 @@ def genus_lemma_quotient(
     )
     require(q._q_int(glue) == 0 and q.element_order(glue) == m,
             "glue is not isotropic of order m")
-    elements = []
-    x = (0,) * q.rank
-    for _ in range(m):
-        elements.append(x)
-        x = q.reduce(tuple(a + b for a, b in zip(x, glue)))
-    sub = Subgroup(q, tuple(sorted(elements)), (glue,))
-    return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, sub))
+    return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, cyclic_subgroup(q, glue)))

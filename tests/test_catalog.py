@@ -30,7 +30,6 @@ from k3lat.catalog import (
     _cyclic_glue_codes,
     _glue_accepted,
     _glue_root_count,
-    _isometry_orbits,
     _least_member,
     _orbit_key,
     build_Mn,
@@ -524,13 +523,6 @@ def test_isometry_orbits_are_the_q_classes(name):
     nonzero = [x for x in q.elements() if any(x)]
     classes = q_classes(q, nonzero)
     assert sorted(map(sorted, orbits(q, brute_isometries(q)))) == sorted(map(sorted, classes))
-    assert _isometry_orbits(q, nonzero) == [c[0] for c in classes]
-
-
-@pytest.mark.parametrize("q", [u_block(4), cyclic_block(2, F(1, 2)), sum_forms([u_block(2), cyclic_block(2, F(1, 2))])])
-def test_isometry_orbits_keep_every_candidate_off_the_witt_case(q):
-    nonzero = [x for x in q.elements() if any(x)]
-    assert _isometry_orbits(q, nonzero) == nonzero
 
 
 @pytest.mark.parametrize("name", [*WITT_FORMS, "N", "E8(-2)"])
@@ -543,7 +535,9 @@ def test_transvection_orbits_lie_in_the_q_classes(name):
     # whole list but one in each class
     assert sum(map(len, per_class)) == len(transvection_orbits(q, nonzero))
     if name in ("N", "E8(-2)"):
-        assert transvection_orbits(q, nonzero) == _isometry_orbits(q, nonzero)
+        # each nonzero q-class is one orbit (Witt), which is why the Mp/Lp
+        # index-2 glue may take the first element of its q-class
+        assert len(transvection_orbits(q, nonzero)) == len(classes)
 
 
 def test_transvections_are_not_transitive_on_u2_u2():
@@ -632,6 +626,12 @@ def test_index2_families_keep_the_definite_part_primitive():
         lat = family_lattice(FamilyDescriptor(kind, d, 2))
         split = 512 * d if kind == "Lp" else 128 * d
         assert lat.det * 4 == split
+
+
+def test_index2_glue_refuses_a_w_that_is_not_2_elementary():
+    # q_A2(-1) is cyclic of order 3: Witt's theorem does not apply
+    with pytest.raises(ArithmeticError, match="2-elementary"):
+        catalog._primitive_index2_overlattice.__wrapped__(2, named("A(2)"), "Mp(2,2)")
 
 
 def test_mp_needs_even_parameter():

@@ -321,6 +321,27 @@ def test_evenset_command_finds_both_sets_at_bound_five(capsys):
     assert data["pencils"]["E2"]["displayed_set_found"] is True
 
 
+# stdout of `catalog` and `disc` on the index-2 families: which glue
+# element `_primitive_index2_overlattice` takes decides the printed Gram
+FAMILY_SHA256 = {
+    "catalog Mp(4,2)": "7e0e8039d5e388d01d2e6aecadae2b38c2142af41fca95f0b6de95f39c024e6f",
+    "catalog Lp(4,2)": "fdc42378a8b8df2bb0b641555593bc00d47ccc1b4e7c5303a8646a635c61931e",
+    "catalog Mp(6,2)": "2692517948cc2738583aa14946357658374894a90e09e4a2cc9501994d5402cf",
+    "catalog Lp(6,2)": "f22150a9d15c682472fc6a872125e3d996bb8525fe36b2551017e8bf0ff64746",
+    "disc Mp(4,2)": "a5877e8881782014b60a9ec067e2b19e2a11ad3b25874cad4a4ad3bbaa64ad1a",
+    "disc Lp(4,2)": "d0eb828ae57ec5dfe608ace301fc81be916f5b6189f4b359d329ee97a263adb5",
+    "disc Mp(6,2)": "22d4d8075df6ce24abe9a0e09ab4b3b302ce2ba4c7735c7b5cffde6a35e52726",
+    "disc Lp(6,2)": "f607c5f8aafb742ad1f59176fc5c2f0f94a91790183f26440a364b39b901fe98",
+}
+
+
+@pytest.mark.parametrize("command", FAMILY_SHA256)
+def test_index2_family_stdout_bytes_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_SHA256[command]
+
+
 def test_evenset_command_at_bound_seven_is_pinned(capsys):
     # Past the benchmark's bound 6, and more of its shell vectors leave the
     # coordinate box; the stdout bytes are pinned.

@@ -28,6 +28,7 @@ from k3lat.forms import (
 )
 from k3lat.intmat import adjugate, det_int, freeze, mat_mul, transpose
 from k3lat.lattice import (
+    Embedding,
     IntegralLattice,
     direct_sum,
     discriminant_form,
@@ -39,6 +40,7 @@ from k3lat.lattice import (
 )
 from k3lat.overlattice import (
     GenusDescriptor,
+    _glue_one,
     _glue_overlattice,
     _lift_of,
     _scaled_inverse,
@@ -282,19 +284,25 @@ _CORRUPT_GLUE = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
+from fractions import Fraction
 from k3lat import overlattice
-from k3lat.catalog import named
+from k3lat.catalog import _primitive_index2_overlattice, named
 from k3lat.forms import find_u_block
 from k3lat.lattice import direct_sum, discriminant_form
+from k3lat.nsgeometry import _primed_model
 
 lift_of = overlattice._lift_of
 
 
-def attempt(label, w, corrupt):
+def lemma(w):
     block = find_u_block(discriminant_form(w), 2)
+    return lambda: overlattice.lemma_overlattice(4, 2, w, block)
+
+
+def attempt(label, build, corrupt):
     overlattice._lift_of = corrupt
     try:
-        overlattice.lemma_overlattice(4, 2, w, block)
+        build()
         print(label, "accepted")
     except ArithmeticError as exc:
         print(label, exc)
@@ -302,20 +310,29 @@ def attempt(label, w, corrupt):
         overlattice._lift_of = lift_of
 
 
-# every lift moved by 1/10 in each coordinate: the glue has order 10
-attempt("order", direct_sum(named("U(2)"), named("U(5)")),
-        lambda disc, coords: tuple(x + 1 for x in lift_of(disc, coords)))
+def order_10(disc, coords):
+    # every lift moved by 1/10 in each coordinate: the glue has order 10
+    return tuple(x + Fraction(disc.form.level, 10) for x in lift_of(disc, coords))
+
+
+attempt("order", lemma(direct_sum(named("U(2)"), named("U(5)"))), order_10)
+# the Mp/Lp(d,2) families and the primed rank-10 models share the lemma's
+# glue, and so its checks
+attempt("index-2", lambda: _primitive_index2_overlattice.__wrapped__(4, named("N"), "Mp(4,2)"),
+        order_10)
+attempt("primed", lambda: _primed_model(named("N")), order_10)
 # both lifts replaced by that of an element of order 2 with q = 1: the
 # glue keeps order 2, but its q-value is 1
 qw = discriminant_form(named("E8(-2)"))
 odd = next(x for x in qw.elements() if qw._q_int(x) == qw.level)
-attempt("isotropy", named("E8(-2)"), lambda disc, coords: lift_of(disc, odd))
+attempt("isotropy", lemma(named("E8(-2)")), lambda disc, coords: lift_of(disc, odd))
 """
 
 
 def test_lemma_rejects_corrupt_glue_under_python_O():
-    # the glue checks of lemma_overlattice are `require` calls, which
-    # `python -O` keeps: a lift of the wrong order or q-value must raise
+    # the glue checks of _glue_one are `require` calls, which `python -O`
+    # keeps: a lift of the wrong order or q-value must raise in each of the
+    # three builders that glue through it
     src = os.path.dirname(os.path.dirname(k3lat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -325,8 +342,31 @@ def test_lemma_rejects_corrupt_glue_under_python_O():
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == [
         "order glue order does not divide m",
+        "index-2 glue order does not divide m",
+        "primed glue order does not divide m",
         "isotropy glue is not isotropic",
     ]
+
+
+def test_glue_of_the_wrong_order_is_refused():
+    from k3lat.catalog import named
+
+    w = named("E8(-2)")
+    qw = discriminant_form(w)
+    eps = next(x for x in qw.elements() if any(x))
+    with pytest.raises(ArithmeticError, match="glue order does not divide m"):
+        _glue_one(from_rows([[2]]), (1,), w, eps, 3)
+
+
+@pytest.mark.parametrize("name", ["N", "E8(-2)"])
+def test_primed_model_keeps_w_primitive(name):
+    from k3lat.catalog import named
+    from k3lat.nsgeometry import _primed_model
+
+    w = named(name)
+    z, emb = _primed_model(w)
+    assert 4 * z.det == direct_sum(named("U(2)"), w).det
+    assert is_primitive(Embedding(z, w, transpose(emb.vectors[2:])))
 
 
 def test_lemma_rejects_bad_block():
