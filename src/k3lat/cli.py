@@ -3,9 +3,11 @@ verification suites, towers, relatedness, and the even-set search.
 
 Output is canonical JSON (sorted keys, compact separators, rationals as
 "p/q" strings) so identical invocations are byte-identical; wall times
-appear only in the human-readable listing.  Exit codes: 0 no failed check
-(discrepancies included), 1 a failed check or golden mismatch, 2 unusable
-parameters.  No check runs a budgeted search, so none is inconclusive.
+appear only in the human-readable listing.  The suites are lists of named
+checks, run by k3lat.report: a check that raises becomes one fail entry
+and the next check runs.  Exit codes: 0 no failed check (discrepancies
+included), 1 a failed check or golden mismatch, 2 unusable parameters.  No
+check runs a budgeted search, so none is inconclusive.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable
 
 from .catalog import (
     FamilyDescriptor,
@@ -49,14 +50,12 @@ from .lattice import (
     is_primitive,
 )
 from .nsgeometry import (
-    _check,
-    _entry,
     build_X2,
     find_even_sets,
     known_even_sets,
-    ue8_report,
-    un_report,
-    x2_report,
+    ue8_checks,
+    un_checks,
+    x2_checks,
 )
 from .overlattice import (
     GenusDescriptor,
@@ -66,6 +65,7 @@ from .overlattice import (
     lemma_overlattice,
     unique_in_genus_by_length,
 )
+from .report import Check, check, entry, run
 from .towers import cover_step, mukai_twisted_check, quotient_step, tower, tower_related
 
 SUITES = ("lemma", "theorem", "table", "x2", "un", "ue8", "towers", "mukai")
@@ -146,81 +146,42 @@ def _genus_record(g: GenusDescriptor) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Verification reports
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    check: str
-    status: str  # pass | fail | discrepancy
-    detail: str
-    witness: object
-    seconds: float
-
-    def record(self) -> dict:
-        return {"check": self.check, "status": self.status,
-                "detail": self.detail, "witness": self.witness}
-
-
-def _run_suite(name: str, entries: Iterable[dict]) -> list[VerificationReport]:
-    """Consume a suite, stamping each entry with the time since the last.
-
-    An exception ends the suite with a single fail entry that names its
-    type, instead of crashing the run: the next suite still runs."""
-    out = []
-    t0 = time.perf_counter()
-    try:
-        for e in entries:
-            now = time.perf_counter()
-            out.append(VerificationReport(
-                e["check"], e["status"], e["detail"], e["witness"], now - t0))
-            t0 = now
-    except Exception as exc:
-        import traceback  # only a failing suite pays for the import
-
-        traceback.print_exc()
-        out.append(VerificationReport(
-            f"{name}-error", "fail", f"{type(exc).__name__}: {exc}",
-            None, time.perf_counter() - t0))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
 
 
-# A suite that takes parameters checks them when its _suite_* function is
-# called, and returns the iterator of its checks.  cmd_verify calls every
-# suite function before it runs any, so unusable parameters stop the
-# command with exit code 2, while an exception raised by a running check
-# becomes a fail entry (_run_suite).
+# A suite function checks its parameters and returns its named checks.
+# cmd_verify calls every suite function before any check runs, so unusable
+# parameters exit 2 with nothing printed.
 
 
-def _suite_lemma(args) -> Iterator[dict]:
+def _suite_lemma(args) -> list[Check]:
     """Congruence overlattice of <2d> + W: the U(n) demonstration for the
     requested n, and the rank-9 case W = E8(-2) when n = 2."""
     n = args.n if args.n is not None else 2
     d = args.d if args.d is not None else 2 * n
     if n < 2:
         raise ValueError("the block parameter n must be at least 2")
+    if d < 1:
+        raise ValueError(f"the lemma parameter d must be positive, got d={d}")
     if d % (2 * n):
         raise ValueError(f"need d = 0 mod 2n, got d={d}, n={n}")
-    return _lemma_checks(n, d)
+    checks = [(f"lemma-un-d{d}", partial(_lemma_un, n, d))]
+    if n == 2:
+        checks.append((f"lemma-e8-d{d}", partial(_lemma_e8, d)))
+    return checks
 
 
-def _lemma_checks(n: int, d: int) -> Iterator[dict]:
+def _lemma_un(n: int, d: int) -> list[dict]:
     demo_w = named(f"U({n})")
     z, emb = lemma_overlattice(d, n, demo_w, find_u_block(discriminant_form(demo_w), n))
     v_det = -2 * d * n * n  # det(<2d>) * det(U(n))
-    yield _check(
-        f"lemma-construction-un-d{d}", z.det * n * n == v_det
-        and is_primitive(emb),
+    first = check(
+        f"lemma-construction-un-d{d}", z.det * n * n == v_det and is_primitive(emb),
         f"index-{n} even overlattice of <2d> + U({n}) built; U({n}) stays primitive",
         "overlattice construction violated index or primitivity",
         {"det": z.det})
-    yield _check(
+    second = check(
         f"lemma-disc-form-un-d{d}",
         forms_isomorphic(
             discriminant_form(z), cyclic_block(2 * d, Fraction(1, 2 * d))) is not None,
@@ -236,71 +197,87 @@ def _lemma_checks(n: int, d: int) -> Iterator[dict]:
     h = tuple(int(i == 0) for i in range(gv.disc.rank))
     wb = find_u_block(discriminant_form(demo_w), n)
     block = (h,) + tuple((0,) + x for x in wb)
-    yield _check(
+    return [first, second, check(
         f"lemma-genus-crosscheck-un-d{d}",
         genus_equal(genus_of(z), genus_lemma_quotient(gv, block, d, n)),
         "lattice-level and form-level constructions land in the same genus",
-        "the two construction routes disagree")
-
-    if n == 2:
-        w = named("E8(-2)")
-        z2, emb2 = lemma_overlattice(d, 2, w, find_u_block(discriminant_form(w), 2))
-        yield _check(
-            f"lemma-construction-e8-d{d}",
-            4 * z2.det == 2 * d * w.det and is_primitive(emb2),
-            f"index-2 even overlattice of <2d> + E8(-2) built for d={d}",
-            "rank-9 overlattice construction violated index or primitivity",
-            {"det": z2.det})
-        expected = sum_forms(
-            [cyclic_block(2 * d, Fraction(1, 2 * d))] + [u_block(2)] * 3)
-        yield _check(
-            f"lemma-disc-form-e8-d{d}",
-            forms_isomorphic(discriminant_form(z2), expected) is not None,
-            f"discriminant form is cyclic(1/{2 * d}) plus three hyperbolic "
-            "2-blocks",
-            "rank-9 overlattice has the wrong discriminant form")
-        yield _check(
-            f"lemma-family-agreement-d{d}",
-            genus_equal(genus_of(z2), family_genus(FamilyDescriptor("Lp", d, 2))),
-            f"the congruence construction lands in the Lp({d},2) genus",
-            "the congruence construction misses the family genus")
+        "the two construction routes disagree")]
 
 
-def _suite_theorem(args) -> Iterator[dict]:
-    """Certify Lp(d,n) = M(d,n): same genus plus the length criterion."""
+def _lemma_e8(d: int) -> list[dict]:
+    w = named("E8(-2)")
+    z2, emb2 = lemma_overlattice(d, 2, w, find_u_block(discriminant_form(w), 2))
+    first = check(
+        f"lemma-construction-e8-d{d}",
+        4 * z2.det == 2 * d * w.det and is_primitive(emb2),
+        f"index-2 even overlattice of <2d> + E8(-2) built for d={d}",
+        "rank-9 overlattice construction violated index or primitivity",
+        {"det": z2.det})
+    expected = sum_forms(
+        [cyclic_block(2 * d, Fraction(1, 2 * d))] + [u_block(2)] * 3)
+    return [first, check(
+        f"lemma-disc-form-e8-d{d}",
+        forms_isomorphic(discriminant_form(z2), expected) is not None,
+        f"discriminant form is cyclic(1/{2 * d}) plus three hyperbolic "
+        "2-blocks",
+        "rank-9 overlattice has the wrong discriminant form"), check(
+        f"lemma-family-agreement-d{d}",
+        genus_equal(genus_of(z2), family_genus(FamilyDescriptor("Lp", d, 2))),
+        f"the congruence construction lands in the Lp({d},2) genus",
+        "the congruence construction misses the family genus")]
+
+
+def _suite_theorem(args) -> list[Check]:
+    """Certify Lp(d,n) = M(d,n): same genus plus the length criterion, two
+    checks that share the M(d,n) genus."""
     n = args.n if args.n is not None else 2
     d = args.d if args.d is not None else 2 * n
-    return _theorem_checks(
-        n, d, FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n))
+    lp, m = FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n)
+    genus_m = lru_cache(maxsize=None)(partial(family_genus, m))
 
+    def same_genus() -> list[dict]:
+        gm = genus_m()
+        return [check(
+            f"theorem-genus-n{n}-d{d}",
+            genus_equal(family_genus(lp), gm),
+            f"{lp.label} and {m.label} lie in the same genus",
+            f"{lp.label} and {m.label} genera differ",
+            {"rank": gm.sig_plus + gm.sig_minus, "length": length(gm.disc)})]
 
-def _theorem_checks(
-    n: int, d: int, lp: FamilyDescriptor, m: FamilyDescriptor
-) -> Iterator[dict]:
-    gm = family_genus(m)
-    yield _check(
-        f"theorem-genus-n{n}-d{d}",
-        genus_equal(family_genus(lp), gm),
-        f"{lp.label} and {m.label} lie in the same genus",
-        f"{lp.label} and {m.label} genera differ",
-        {"rank": gm.sig_plus + gm.sig_minus, "length": length(gm.disc)})
-    yield _check(
-        f"theorem-unique-n{n}-d{d}",
-        unique_in_genus_by_length(gm),
-        f"the {m.label} genus contains a single class (length criterion)",
-        f"the length criterion is inconclusive for {m.label}")
+    def unique() -> list[dict]:
+        return [check(
+            f"theorem-unique-n{n}-d{d}",
+            unique_in_genus_by_length(genus_m()),
+            f"the {m.label} genus contains a single class (length criterion)",
+            f"the length criterion is inconclusive for {m.label}")]
+
+    return [(f"theorem-genus-n{n}-d{d}", same_genus),
+            (f"theorem-unique-n{n}-d{d}", unique)]
 
 
 _MN_TABLE = {2: (8, 6), 3: (12, 4), 4: (14, 4), 5: (16, 2),
              6: (16, 2), 7: (18, 1), 8: (18, 2)}
 
 
-def _catalog_lattices() -> list[IntegralLattice]:
-    out = [named(s) for s in (
+def _table_mn(n: int) -> list[dict]:
+    lat = build_Mn(n)
+    got = (lat.rank, length(discriminant_form(lat)))
+    rep = mn_build_report(n)
+    return [check(
+        f"table-mn-{n}", got == _MN_TABLE[n],
+        f"M_{n}: rank {got[0]}, length {got[1]}",
+        f"M_{n}: got (rank, length) = {got}, expected {_MN_TABLE[n]}",
+        {"glue": rep["glue"], "accepted": rep["accepted"]})]
+
+
+def _catalog_builders() -> list[tuple[str, Callable[[], IntegralLattice]]]:
+    """(label, builder) of every catalog lattice."""
+    out = [(s, partial(named, s)) for s in (
         "U", "U(2)", "U(3)", "U(4)", "A(1)", "A(2)", "A(3)", "A(4)",
         "D4", "E8(-1)", "E8(-2)", "N")]
-    out.extend(build_Mn(n).relabel(f"M({n})") for n in range(2, 9))
-    out.extend(family_lattice(f) for f in (
+    out.extend((f"M({n})", lambda n=n: build_Mn(n).relabel(f"M({n})"))
+               for n in range(2, 9))
+    out.extend((f.label, partial(family_lattice, f)) for f in (
         FamilyDescriptor("M", 1, 2), FamilyDescriptor("M", 2, 2),
         FamilyDescriptor("Mp", 2, 2), FamilyDescriptor("L", 1, 2),
         FamilyDescriptor("Lp", 2, 2), FamilyDescriptor("UN"),
@@ -308,75 +285,63 @@ def _catalog_lattices() -> list[IntegralLattice]:
     return out
 
 
-def _suite_table(args) -> Iterator[dict]:
+def _catalog_lattices() -> list[IntegralLattice]:
+    return [build() for _, build in _catalog_builders()]
+
+
+def _table_milgram(build: Callable[[], IntegralLattice]) -> list[dict]:
+    lat = build()
+    sp, sm = lat.signature
+    sig = milgram_signature(discriminant_form(lat))
+    return [check(
+        f"table-milgram-{lat.label}", (sig - (sp - sm)) % 8 == 0,
+        f"Gauss-sum signature {sig} = {sp}-{sm} mod 8",
+        f"Gauss-sum signature {sig} does not match ({sp},{sm})",
+        {"signature": [sp, sm]})]
+
+
+def _suite_table(args) -> list[Check]:
     """The quotient-lattice table (rank and length for n = 2..8) and the
     Gauss-sum signature congruence over the whole catalog."""
-    for n in range(2, 9):
-        lat = build_Mn(n)
-        got = (lat.rank, length(discriminant_form(lat)))
-        rep = mn_build_report(n)
-        yield _check(
-            f"table-mn-{n}", got == _MN_TABLE[n],
-            f"M_{n}: rank {got[0]}, length {got[1]}",
-            f"M_{n}: got (rank, length) = {got}, expected {_MN_TABLE[n]}",
-            {"glue": rep["glue"], "accepted": rep["accepted"]})
-    for lat in _catalog_lattices():
-        sp, sm = lat.signature
-        sig = milgram_signature(discriminant_form(lat))
-        yield _check(
-            f"table-milgram-{lat.label}", (sig - (sp - sm)) % 8 == 0,
-            f"Gauss-sum signature {sig} = {sp}-{sm} mod 8",
-            f"Gauss-sum signature {sig} does not match ({sp},{sm})",
-            {"signature": [sp, sm]})
+    return ([(f"table-mn-{n}", partial(_table_mn, n)) for n in range(2, 9)]
+            + [(f"table-milgram-{label}", partial(_table_milgram, build))
+               for label, build in _catalog_builders()])
 
 
-def _lazily(report, *params) -> Iterator[dict]:
-    """The entries of report(*params), computed when the suite runs."""
-    yield from report(*params)
+def _suite_x2(args) -> list[Check]:
+    return x2_checks() if args.bound is None else x2_checks(args.bound)
 
 
-def _bound_or_default(args, default: int) -> int:
-    bound = args.bound if args.bound is not None else default
-    if bound < 0:
-        raise ValueError("coefficient bound must be non-negative")
-    return bound
+def _suite_un(args) -> list[Check]:
+    return un_checks() if args.e is None else un_checks((args.e,))
 
 
-def _suite_x2(args) -> Iterator[dict]:
-    return _lazily(x2_report, _bound_or_default(args, 5))
+def _suite_ue8(args) -> list[Check]:
+    return ue8_checks() if args.bound is None else ue8_checks(args.bound)
 
 
-def _suite_un(args) -> Iterator[dict]:
-    e_values = (args.e,) if args.e is not None else (1, 2, 3, 4)
-    if min(e_values) < 1:
-        raise ValueError("polarization parameter must be positive")
-    return _lazily(un_report, e_values)
-
-
-def _suite_ue8(args) -> Iterator[dict]:
-    return _lazily(ue8_report, _bound_or_default(args, 3))
-
-
-def _suite_towers(args) -> Iterator[dict]:
+def _suite_towers(args) -> list[Check]:
     dmax = args.d if args.d is not None else 8
     depth = args.depth if args.depth is not None else 5
+    if dmax < 1:
+        raise ValueError(f"the largest tower parameter d must be positive, got d={dmax}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return _tower_checks(dmax, depth)
+    return [*((f"towers-invariants-d{d}", partial(_tower_invariants, d, depth))
+              for d in range(1, dmax + 1)),
+            ("towers-step-laws", _step_laws), ("towers-related-probes", _related_probes)]
 
 
-def _tower_checks(dmax: int, depth: int) -> Iterator[dict]:
-    for d in range(1, dmax + 1):
-        try:
-            nodes = tower(d, depth)
-        except ValueError as exc:
-            yield _entry(f"towers-invariants-d{d}", "fail", str(exc), None)
-            continue
-        yield _entry(
-            f"towers-invariants-d{d}", "pass",
-            f"all {depth + 1} storeys over d={d} verified "
-            "(rank 13, signature (2,11), negated discriminant form)",
-            {"storeys": [n.ns.label for n in nodes]})
+def _tower_invariants(d: int, depth: int) -> list[dict]:
+    nodes = tower(d, depth)
+    return [entry(
+        f"towers-invariants-d{d}", "pass",
+        f"all {depth + 1} storeys over d={d} verified "
+        "(rank 13, signature (2,11), negated discriminant form)",
+        {"storeys": [n.ns.label for n in nodes]})]
+
+
+def _step_laws() -> list[dict]:
     laws_ok = all(
         cover_step(quotient_step(f)) == f
         for e in range(1, 7)
@@ -386,35 +351,28 @@ def _tower_checks(dmax: int, depth: int) -> Iterator[dict]:
         for e in range(1, 7)
         for f in (FamilyDescriptor("M", e, 2), FamilyDescriptor("Mp", 2 * e, 2))
     )
-    yield _check(
+    return [check(
         "towers-step-laws", laws_ok,
         "cover_step and quotient_step invert each other on both kinds",
-        "a step composition failed to return to its start")
+        "a step composition failed to return to its start")]
+
+
+def _related_probes() -> list[dict]:
     probes = (((3, 24), 3), ((5, 7), None), ((4, 4), 0), ((64, 2), 5))
-    yield _check(
+    return [check(
         "towers-related-probes",
         all(tower_related(*pair) == want for pair, want in probes),
         "power-of-two relatedness matches on the probe pairs",
         "a relatedness probe returned the wrong exponent",
-        {"probes": [[list(p), w] for p, w in probes]})
+        {"probes": [[list(p), w] for p, w in probes]})]
 
 
-def _suite_mukai(args) -> Iterator[dict]:
-    for m in (0, 1):
-        for d in (1, 2):
-            yield from mukai_twisted_check(m, d)
+def _suite_mukai(args) -> list[Check]:
+    return [(f"twisted-m{m}-d{d}", partial(mukai_twisted_check, m, d))
+            for m in (0, 1) for d in (1, 2)]
 
 
-_SUITE_FN = {
-    "lemma": _suite_lemma,
-    "theorem": _suite_theorem,
-    "table": _suite_table,
-    "x2": _suite_x2,
-    "un": _suite_un,
-    "ue8": _suite_ue8,
-    "towers": _suite_towers,
-    "mukai": _suite_mukai,
-}
+_SUITE_FN = {name: globals()[f"_suite_{name}"] for name in SUITES}
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +406,17 @@ def cmd_genus(args) -> int:
 
 def cmd_verify(args) -> int:
     names = SUITES if args.suite == "all" else (args.suite,)
-    suites = [(name, _SUITE_FN[name](args)) for name in names]
-    reports: list[VerificationReport] = []
-    for name, entries in suites:
-        reports.extend(_run_suite(name, entries))
+    checks = [c for name in names for c in _SUITE_FN[name](args)]
+    reports = run(checks)
 
-    payload = _dumps([r.record() for r in reports])
+    payload = _dumps([e for e, _ in reports])
     if args.json:
         print(payload)
     else:
-        for r in reports:
-            print(f"{r.status.upper():>12} {r.check}: {r.detail} "
-                  f"({r.seconds:.2f}s)")
-        counts = Counter(r.status for r in reports)
+        for e, seconds in reports:
+            print(f"{e['status'].upper():>12} {e['check']}: {e['detail']} "
+                  f"({seconds:.2f}s)")
+        counts = Counter(e["status"] for e, _ in reports)
         print("summary: " + ", ".join(
             f"{counts[s]} {s}" for s in
             ("pass", "discrepancy", "fail") if counts[s]))
@@ -480,13 +436,11 @@ def cmd_verify(args) -> int:
             gpath.write_text(payload + "\n")
             print(f"golden written: {gpath}", file=sys.stderr)
 
-    return 1 if golden_bad or any(r.status == "fail" for r in reports) else 0
+    return 1 if golden_bad or any(e["status"] == "fail" for e, _ in reports) else 0
 
 
 def cmd_tower(args) -> int:
-    d = args.d if args.d is not None else 1
-    depth = args.depth if args.depth is not None else 3
-    nodes = tower(d, depth)
+    nodes = tower(args.d, args.depth)
     print(_dumps([
         {
             "m": node.depth,
@@ -512,12 +466,11 @@ def cmd_related(args) -> int:
 
 
 def cmd_evenset(args) -> int:
-    bound = args.bound if args.bound is not None else 5
     x2 = build_X2()
     known = dict(zip(("E1", "E2"), known_even_sets()))
-    out = {"bound": bound, "pencils": {}, "sets": [], "missing": []}
+    out = {"bound": args.bound, "pencils": {}, "sets": [], "missing": []}
     for label, want in known.items():
-        results = find_even_sets(x2, label, bound)
+        results = find_even_sets(x2, label, args.bound)
         found = want in results
         out["pencils"][label] = {"count": len(results),
                                  "displayed_set_found": found}

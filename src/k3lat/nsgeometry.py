@@ -19,18 +19,17 @@ U(2) and whose anti-invariant part is E8(-2).  Orthogonal complements of
 invariant polarizations, and index-2 glue between the scaled and unscaled
 models, tie the rank-9 families from the catalog to these rank-10 models.
 
-All computations are exact (integers and fractions); report-producing
-functions return JSON-ready dicts with keys check/status/detail/witness,
-where status is "pass", "fail" or "discrepancy" (the last one marks a
-statement whose customary formulation disagrees with direct arithmetic,
-together with the corrected reading that the code verifies).
+All computations are exact (integers and fractions).  x2_checks,
+un_checks and ue8_checks are the verification suites of the two models, as
+lists of named checks, and the *_report functions their entries; both in
+the vocabulary of k3lat.report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from operator import and_
 from typing import Callable, Iterator, Sequence
@@ -56,7 +55,6 @@ from .intmat import (
     solve_int,
     transpose,
     vec_add,
-    vec_mat,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -84,16 +82,7 @@ from .overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
-
-
-def _entry(check: str, status: str, detail: str, witness=None) -> dict:
-    return {"check": check, "status": status, "detail": detail, "witness": witness}
-
-
-def _check(check: str, ok: bool, detail_pass: str, detail_fail: str, witness=None) -> dict:
-    if ok:
-        return _entry(check, "pass", detail_pass, witness)
-    return _entry(check, "fail", detail_fail, witness)
+from .report import Check, check, entries, entry
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +240,7 @@ def verify_sections() -> list[dict]:
     out = []
 
     bad = [n for n in names if x2.norm(n) != -2]
-    out.append(_check(
+    out.append(check(
         "x2-section-norms", not bad,
         "N1..N8 all have square -2",
         f"sections with wrong square: {bad}", bad or None))
@@ -260,13 +249,13 @@ def verify_sections() -> list[dict]:
         (a, b) for i, a in enumerate(names) for b in names[i + 1:]
         if x2.pairing(a, b) != 0
     ]
-    out.append(_check(
+    out.append(check(
         "x2-section-disjoint", not bad_pairs,
         "the eight sections are pairwise orthogonal",
         f"intersecting pairs: {bad_pairs}", bad_pairs or None))
 
     bad_deg = [n for n in names if x2.pairing(n, "E1") != 1]
-    out.append(_check(
+    out.append(check(
         "x2-section-degree", not bad_deg,
         "each section meets the pencil class E1 once",
         f"sections with N.E1 != 1: {bad_deg}", bad_deg or None))
@@ -275,14 +264,14 @@ def verify_sections() -> list[dict]:
     for n in names[1:]:
         total = vec_add(total, x2.vec(n))
     halves = tuple(Fraction(c, 2) for c in total)
-    out.append(_check(
+    out.append(check(
         "x2-even-set-halfsum", all(h.denominator == 1 for h in halves),
         "(N1 + ... + N8)/2 is an integral class",
         "the section sum is not 2-divisible",
         [str(h) for h in halves]))
 
     bad_h = [n for n in names if x2.pairing("H", n) != 0]
-    out.append(_check(
+    out.append(check(
         "x2-polarization", x2.norm("H") == 4 and not bad_h,
         "H has square 4 and is orthogonal to all eight sections",
         f"H.H = {x2.norm('H')}, sections meeting H: {bad_h}",
@@ -294,14 +283,14 @@ def verify_sections() -> list[dict]:
         vec_sub(vec_scale(x2.vec("H"), 2), s),
         vec_scale(x2.vec("N8"), 2),
     ) == x2.vec("E2")
-    out.append(_check(
+    out.append(check(
         "x2-pencil-from-sections", ok1 and ok2,
         "E1 = H - S and E2 = 2H - S - 2 N8 with S the half-sum",
         f"pencil identities broken: E1 {'ok' if ok1 else 'bad'}, "
         f"E2 {'ok' if ok2 else 'bad'}", list(s)))
 
     deg1, deg2 = x2.pairing("N8''", "E1"), x2.pairing("N8''", "E2")
-    out.append(_check(
+    out.append(check(
         "x2-orbit-section-degrees", (deg1, deg2) == (5, 1),
         "N8'' meets E1 five times and E2 once",
         f"N8''.E1 = {deg1}, N8''.E2 = {deg2}", [deg1, deg2]))
@@ -309,7 +298,7 @@ def verify_sections() -> list[dict]:
     alt = x2.vec("N8''")
     for n in names[:-1]:
         alt = vec_add(alt, x2.vec(n))
-    out.append(_check(
+    out.append(check(
         "x2-even-set-alternate", all(c % 2 == 0 for c in alt),
         "(N1 + ... + N7 + N8'')/2 is an integral class",
         "the alternate section sum is not 2-divisible",
@@ -346,7 +335,7 @@ def orbit_and_even_sets() -> list[dict]:
     n8 = x2.vec("N8")
     orbit = {n8} | {g.apply(n8) for g in actions}
     expected = {n8, x2.vec("N8'"), x2.vec("N8''"), x2.vec("N8'''")}
-    out.append(_check(
+    out.append(check(
         "x2-orbit-of-N8", orbit == expected,
         "the orbit of N8 is {N8, N8', N8'', N8'''}",
         f"unexpected orbit: {sorted(orbit)}",
@@ -356,7 +345,7 @@ def orbit_and_even_sets() -> list[dict]:
     for v in sorted(orbit):
         total = vec_add(total, v)
     six_l = vec_scale(x2.vec("L"), 6)
-    out.append(_check(
+    out.append(check(
         "x2-orbit-sum", total == six_l,
         "the four orbit classes sum to 6L",
         f"orbit sum {total} differs from 6L = {six_l}", list(total)))
@@ -368,7 +357,7 @@ def orbit_and_even_sets() -> list[dict]:
         imgs = {v} | {g.apply(v) for g in actions}
         if imgs != {v, sigma.apply(v)} or len(imgs) != 2:
             bad_orbit.append(name)
-    out.append(_check(
+    out.append(check(
         "x2-section-orbits", not bad_orbit,
         "N1..N7 each have orbit {N_i, sigma(N_i)} of size two",
         f"sections with unexpected orbits: {bad_orbit}", bad_orbit or None))
@@ -376,7 +365,7 @@ def orbit_and_even_sets() -> list[dict]:
     dp_fixes = all(iota_dp.apply(x2.vec(n)) == x2.vec(n) for n in names)
     q_fixes = all(iota_q.apply(x2.vec(n)) == x2.vec(n) for n in names)
     if dp_fixes and not q_fixes:
-        out.append(_entry(
+        out.append(entry(
             "x2-fixing-involution-attribution", "discrepancy",
             "direct arithmetic: iota_dP fixes each of N1..N7 while iota_Q "
             "moves them (iota_Q agrees with sigma on the sections); the "
@@ -385,7 +374,7 @@ def orbit_and_even_sets() -> list[dict]:
             {"iota_dP_fixes": True, "iota_Q_fixes": False,
              "iota_Q_N1": list(iota_q.apply(x2.vec("N1")))}))
     else:
-        out.append(_entry(
+        out.append(entry(
             "x2-fixing-involution-attribution", "fail",
             f"unexpected fixing pattern: iota_dP {dp_fixes}, iota_Q {q_fixes}",
             {"iota_dP_fixes": dp_fixes, "iota_Q_fixes": q_fixes}))
@@ -393,7 +382,7 @@ def orbit_and_even_sets() -> list[dict]:
     even = [x2.vec(f"N{i}") for i in range(1, 9)]
     image = sorted(iota_dp.apply(v) for v in even)
     target = sorted([x2.vec(f"N{i}") for i in range(1, 8)] + [x2.vec("N8''")])
-    out.append(_check(
+    out.append(check(
         "x2-even-set-image", image == target,
         "iota_dP carries {N1..N8} to the even set {N1..N7, N8''}",
         "the image of the even set is not {N1..N7, N8''}",
@@ -424,7 +413,7 @@ def base_change_report() -> list[dict]:
     sigma, _, _ = involutions_X2()
     out = []
     b = base_change()
-    out.append(_entry(
+    out.append(entry(
         "x2-base-change-unimodular", "pass",
         f"det of the [H, N1..N7, S] basis matrix is {det_int(b)}",
         [list(r) for r in b]))
@@ -436,7 +425,7 @@ def base_change_report() -> list[dict]:
         expected[i][i] = -2
         expected[i][8] = expected[8][i] = -1
     expected[8][8] = -4
-    out.append(_check(
+    out.append(check(
         "x2-base-change-gram", g_new == freeze(expected),
         "the new Gram is <4> + N (with the norm -4 vector listed last)",
         "the new Gram does not match <4> + N",
@@ -451,7 +440,7 @@ def base_change_report() -> list[dict]:
         ok = action.is_involution
     except (ValueError, ArithmeticError):
         ok = False
-    out.append(_check(
+    out.append(check(
         "x2-base-change-conjugation", ok,
         "sigma conjugates to an integral involution of the <4> + N Gram",
         "the conjugated action is not an isometric involution",
@@ -463,7 +452,7 @@ def base_change_report() -> list[dict]:
     y2 = solve_int(transpose(b), x2.vec("E2"))
     want1 = (1,) + (0,) * 7 + (-1,)
     want2 = (2,) + (2,) * 7 + (-5,)
-    out.append(_check(
+    out.append(check(
         "x2-base-change-inverse", y1 == want1 and y2 == want2,
         "the inverse basis matrix expresses E1 as H - S and E2 as "
         "2H - S - 2 N8 in the new frame",
@@ -986,160 +975,147 @@ def vgs_polarized_complement(e: int) -> GenusDescriptor:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     """The index-2 even overlattice of U(2) + W glued along
     (u1 + u2)/2 + x + y, where (x, y) is a u(2) pair of the discriminant
-    form of W, with the embedding of U(2) + W."""
+    form of W, with the embedding of U(2) + W.  Cached: the overlattice
+    check and the saturation checks of one W share it."""
     x, y = find_u_block(discriminant_group(w).form, 2)
     return _glue_one(named("U(2)"), (1, 1), w, vec_add(x, y), 2)
 
 
-def glue_constructions() -> list[dict]:
-    """Certify the index-2 glue statements and the family embeddings.
+def _primed_overlattice(key: str, w: IntegralLattice, tlen: int) -> list[dict]:
+    """(U(2) + W)' = U + W via genus plus the length criterion."""
+    target = direct_sum(named("U"), w)
+    z, _ = _primed_model(w)
+    gz, gt = genus_of(z), genus_of(target)
+    ok = genus_equal(gz, gt) and unique_in_genus_by_length(gt) and length(gz.disc) == tlen
+    return [check(
+        f"{key}-overlattice", ok,
+        f"the glued overlattice is even of index 2, length {tlen}, and "
+        f"the length criterion pins it to {target.label}",
+        "the glued overlattice does not match the unscaled model",
+        {"det": z.det, "length": length(gz.disc)})]
 
-    Covers: (U(2)+N)' = U+N and (U(2)+E8(-2))' = U+E8(-2) via genus plus
-    the length criterion; primitive embeddings of the M and L families into
-    the unscaled models; saturation of the scaled embeddings producing the
-    Mp and Lp families (odd parameter; for even parameter the image is
-    already saturated); and the rank-10 genus coincidence/distinction.
-    """
-    return [dict(e) for e in _glue_constructions_cached()]
+
+def _unscaled_embedding(kind: str, w: IntegralLattice, d: int) -> list[dict]:
+    """The M (W = N) or L (W = E8(-2)) family embeds primitively into U + W."""
+    host = direct_sum(named("U"), w)
+    rows = [(1, d) + (0,) * 8] + [_unit(10, i) for i in range(2, 10)]
+    emb = embedding_of(host, rows)
+    fam = FamilyDescriptor(kind, d, 2)
+    expected = direct_sum(from_rows([[2 * d]]), w)
+    ok = emb.sub.gram == expected.gram and is_primitive(emb)
+    return [check(
+        f"{kind.lower()}-embedding-d{d}", ok,
+        f"(1, d) + W embeds {fam.label} primitively into {host.label}",
+        f"embedding of {fam.label} failed",
+        {"sub_det": emb.sub.det})]
 
 
-@lru_cache(maxsize=None)
-def _glue_constructions_cached() -> tuple[dict, ...]:
-    out = []
+def _saturation(kind: str, w: IntegralLattice, d: int) -> list[dict]:
+    """Saturating <4d> + W inside (U(2) + W)' yields Mp(2d,2) or Lp(2d,2)."""
+    z, emb = _primed_model(w)
+    x_row = vec_add(emb.vectors[0], vec_scale(emb.vectors[1], d))
+    rows = (x_row,) + tuple(emb.vectors[2:])
+    sub_emb = embedding_of(z, rows)
+    sat = saturation(sub_emb)
+    fam = FamilyDescriptor(kind, 2 * d, 2)
+    g_sat = genus_of(sat.sub)
+    ok = (sub_emb.sub.det == 4 * sat.sub.det and genus_equal(g_sat, family_genus(fam))
+          and unique_in_genus_by_length(family_genus(fam)))
+    return [check(
+        f"{kind.lower()}-saturation-d{d}", ok,
+        f"saturating <4d> + W inside the glued model yields "
+        f"{fam.label} (index 2, genus and length criterion agree)",
+        f"saturation does not produce {fam.label}",
+        {"index_sq": sub_emb.sub.det // sat.sub.det
+         if sat.sub.det else None})]
 
-    # (U(2) + N)' and (U(2) + E8(-2))'
-    primed = {}
-    for key, w, target, tlen in (
-        ("u2n", named("N"), direct_sum(named("U"), named("N")), 6),
-        ("u2e8", named("E8(-2)"),
-         direct_sum(named("U"), named("E8(-2)")), 8),
-    ):
-        z, emb = _primed_model(w)
-        primed[key] = (z, emb)
-        gz, gt = genus_of(z), genus_of(target)
-        ok = (
-            genus_equal(gz, gt)
-            and unique_in_genus_by_length(gt)
-            and length(gz.disc) == tlen
-        )
-        out.append(_check(
-            f"{key}-overlattice", ok,
-            f"the glued overlattice is even of index 2, length {tlen}, and "
-            f"the length criterion pins it to {target.label}",
-            "the glued overlattice does not match the unscaled model",
-            {"det": z.det, "length": length(gz.disc)}))
 
-    # M(d,2) and L(e,2) embed primitively into the unscaled models
-    for kind, w, host in (
-        ("m", named("N"), direct_sum(named("U"), named("N"))),
-        ("l", named("E8(-2)"), direct_sum(named("U"), named("E8(-2)"))),
-    ):
-        for d in (1, 2, 3):
-            rows = [(1, d) + (0,) * 8] + [_unit(10, i) for i in range(2, 10)]
-            emb = embedding_of(host, rows)
-            fam = FamilyDescriptor("M" if kind == "m" else "L", d, 2)
-            expected = direct_sum(from_rows([[2 * d]]), w)
-            ok = emb.sub.gram == expected.gram and is_primitive(emb)
-            out.append(_check(
-                f"{kind}-embedding-d{d}", ok,
-                f"(1, d) + W embeds {fam.label} primitively into {host.label}",
-                f"embedding of {fam.label} failed",
-                {"sub_det": emb.sub.det}))
-
-    # saturating the scaled embeddings produces the index-2 families
-    for kind, key, fam_kind in (("mp", "u2n", "Mp"), ("lp", "u2e8", "Lp")):
-        z, emb = primed[key]
-        for d in (1, 3):
-            x_row = vec_add(emb.vectors[0], vec_scale(emb.vectors[1], d))
-            rows = (x_row,) + tuple(emb.vectors[2:])
-            sub_emb = embedding_of(z, rows)
-            sat = saturation(sub_emb)
-            fam = FamilyDescriptor(fam_kind, 2 * d, 2)
-            g_sat = genus_of(sat.sub)
-            ok = (
-                sub_emb.sub.det == 4 * sat.sub.det
-                and genus_equal(g_sat, family_genus(fam))
-                and unique_in_genus_by_length(family_genus(fam))
-            )
-            out.append(_check(
-                f"{kind}-saturation-d{d}", ok,
-                f"saturating <4d> + W inside the glued model yields "
-                f"{fam.label} (index 2, genus and length criterion agree)",
-                f"saturation does not produce {fam.label}",
-                {"index_sq": sub_emb.sub.det // sat.sub.det
-                 if sat.sub.det else None}))
-
-    # rank-10 coincidence and distinction
+def _rank10_genera() -> list[dict]:
+    """The rank-10 genus coincidence and distinction (sharing U + E8(-2))."""
     u2n = direct_sum(named("U(2)"), named("N"))
     ue8 = direct_sum(named("U"), named("E8(-2)"))
     g1, g2 = genus_of(u2n), genus_of(ue8)
     ok = genus_equal(g1, g2) and unique_in_genus_by_length(g2)
-    out.append(_check(
+    udd = direct_sum(named("U"), named("D4"), named("D4"))
+    gd = genus_of(udd)
+    return [check(
         "rank10-genus-pair", ok,
         "U(2) + N and U + E8(-2) share their genus, and the length "
         "criterion makes them isometric",
         "the two scaled rank-10 models do not share a genus",
-        {"dets": [u2n.det, ue8.det]}))
-
-    udd = direct_sum(named("U"), named("D4"), named("D4"))
-    gd = genus_of(udd)
-    out.append(_check(
+        {"dets": [u2n.det, ue8.det]}), check(
         "rank10-genus-distinct", not genus_equal(gd, g2),
         "U + D4 + D4 is not in the genus of U + E8(-2) (discriminant "
         "groups of different order)",
         "U + D4 + D4 unexpectedly matches the genus of U + E8(-2)",
-        {"dets": [udd.det, ue8.det]}))
-    return tuple(out)
+        {"dets": [udd.det, ue8.det]})]
+
+
+def _glue_checks(w_name: str) -> list[Check]:
+    """The index-2 glue checks of W = N or E8(-2): the glued model (U(2) + W)',
+    the unscaled family embedded primitively into U + W, and the saturations
+    giving the primed family (odd d; for even d the image is saturated)."""
+    key, tlen, kind = {"N": ("u2n", 6, "M"), "E8(-2)": ("u2e8", 8, "L")}[w_name]
+    w = named(w_name)
+    return [(f"{key}-overlattice", partial(_primed_overlattice, key, w, tlen)),
+            *((f"{kind.lower()}-embedding-d{d}", partial(_unscaled_embedding, kind, w, d))
+              for d in (1, 2, 3)),
+            *((f"{kind.lower()}p-saturation-d{d}", partial(_saturation, kind + "p", w, d))
+              for d in (1, 3))]
+
+
+def glue_constructions() -> list[dict]:
+    """Every index-2 glue statement and the rank-10 genus comparisons."""
+    return entries(
+        _glue_checks("N") + _glue_checks("E8(-2)") + [("rank10-genus", _rank10_genera)])
 
 
 # ---------------------------------------------------------------------------
-# Suite builders
+# Suites
 # ---------------------------------------------------------------------------
 
 
-def x2_report(bound: int = 5) -> list[dict]:
-    """Full verification of the degree-4 model: genus, sections, fibers,
-    orbits, base change and the bounded even-set search."""
+def _x2_genus() -> list[dict]:
     x2 = build_X2()
-    out = [
-        _check(
-            "x2-genus",
-            genus_equal(genus_of(x2.lattice), family_genus(FamilyDescriptor("M", 2, 2))),
-            "the pencil-basis Gram lies in the genus of M(2,2) = <4> + N",
-            "the model is not in the genus of <4> + N",
-            {"det": x2.lattice.det}),
-    ]
-    out.extend(verify_sections())
-    for e_label in ("E1", "E2"):
-        out.append(_check(
-            f"x2-irreducible-fibers-{e_label}",
-            no_reducible_fibers(x2, e_label),
-            f"the {e_label}-pencil has irreducible fibers only",
-            f"the {e_label}-pencil has a reducible fiber"))
-    out.extend(orbit_and_even_sets())
-    out.extend(base_change_report())
+    return [check(
+        "x2-genus",
+        genus_equal(genus_of(x2.lattice), family_genus(FamilyDescriptor("M", 2, 2))),
+        "the pencil-basis Gram lies in the genus of M(2,2) = <4> + N",
+        "the model is not in the genus of <4> + N",
+        {"det": x2.lattice.det})]
 
+
+def _irreducible_fibers(e_label: str) -> list[dict]:
+    return [check(
+        f"x2-irreducible-fibers-{e_label}",
+        no_reducible_fibers(build_X2(), e_label),
+        f"the {e_label}-pencil has irreducible fibers only",
+        f"the {e_label}-pencil has a reducible fiber")]
+
+
+def _even_set_searches(bound: int) -> list[dict]:
+    """Both pencil searches, and the pencil attribution they settle."""
+    x2 = build_X2()
     known1, known2 = known_even_sets()
     sets1 = find_even_sets(x2, "E1", bound)
     sets2 = find_even_sets(x2, "E2", bound)
-    out.append(_check(
+    return [check(
         "x2-even-set-search-E1", known1 in sets1,
         f"the E1-pencil search at bound {bound} recovers {{N1..N8}} "
         f"({len(sets1)} even sets in total, every one a translate)",
         f"the E1-pencil search at bound {bound} misses {{N1..N8}}; "
         "the bound is too small",
-        {"count": len(sets1), "recovered": known1 in sets1}))
-    out.append(_check(
+        {"count": len(sets1), "recovered": known1 in sets1}), check(
         "x2-even-set-search-E2", known2 in sets2,
         f"the E2-pencil search at bound {bound} recovers {{N1..N7, N8''}} "
         f"({len(sets2)} even sets in total)",
         f"the E2-pencil search at bound {bound} misses {{N1..N7, N8''}}; "
         "the bound is too small",
-        {"count": len(sets2), "recovered": known2 in sets2}))
-    out.append(_entry(
+        {"count": len(sets2), "recovered": known2 in sets2}), entry(
         "x2-even-set-pencil-attribution", "discrepancy",
         "the second even set {N1..N7, N8''} meets E1 in degree 5 through "
         "N8'' and so belongs to the E2-pencil search (every member meets "
@@ -1148,8 +1124,23 @@ def x2_report(bound: int = 5) -> list[dict]:
         {"N8''.E1": x2.pairing("N8''", "E1"),
          "N8''.E2": x2.pairing("N8''", "E2"),
          "set2_in_E1_results": known2 in sets1,
-         "set2_in_E2_results": known2 in sets2}))
-    return out
+         "set2_in_E2_results": known2 in sets2})]
+
+
+def x2_checks(bound: int = 5) -> list[Check]:
+    """Full verification of the degree-4 model: genus, sections, fibers,
+    orbits, base change and the bounded even-set search."""
+    if bound < 0:
+        raise ValueError("coefficient bound must be non-negative")
+    return [("x2-genus", _x2_genus), ("x2-sections", verify_sections),
+            *((f"x2-irreducible-fibers-{e}", partial(_irreducible_fibers, e))
+              for e in ("E1", "E2")),
+            ("x2-orbits", orbit_and_even_sets), ("x2-base-change", base_change_report),
+            ("x2-even-set-searches", partial(_even_set_searches, bound))]
+
+
+def x2_report(bound: int = 5) -> list[dict]:
+    return entries(x2_checks(bound))
 
 
 def known_even_sets() -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
@@ -1163,69 +1154,77 @@ def known_even_sets() -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     return known1, known2
 
 
-def un_report(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[dict]:
-    """Verification of the eight-I2 model: involution split, polarized
-    complements, and the N-side glue constructions."""
-    model, sigma = build_UN_vgs()
+def _un_model() -> list[dict]:
+    """The verified eight-I2 basis and the polarization reading it fixes."""
+    model, _ = build_UN_vgs()
     lat = model.lattice
-    out = [
-        _entry(
+    f, o, t = (model.vec(k) for k in "FOt")
+    return [
+        entry(
             "un-model", "pass",
             "eight-I2 basis verified: torsion translation is an involution "
             "with fixed part U(2) on {F, F+O+t} and anti-invariant part "
             "E8(-2); the lattice lies in the genus of U + N",
             {"det": lat.det}),
-        _entry(
+        entry(
             "un-polarization-reading", "discrepancy",
             "the invariant polarization must be F - e(F + O + t) "
             "(square -4e); reading the fixed-part generator as O + t "
             "gives F - e(O + t) of square -4e(1+e), which fails for "
             "every e >= 1",
             {"e": 1,
-             "literal_square": lat.norm(vec_sub(
-                 model.vec("F"),
-                 vec_add(model.vec("O"), model.vec("t")))),
-             "corrected_square": lat.norm(vec_sub(
-                 model.vec("F"),
-                 vec_add(vec_add(model.vec("F"), model.vec("O")),
-                         model.vec("t"))))}),
+             "literal_square": lat.norm(vec_sub(f, vec_add(o, t))),
+             "corrected_square": lat.norm(vec_sub(f, vec_add(vec_add(f, o), t)))}),
     ]
-    for e in e_values:
-        g = vgs_polarized_complement(e)
-        fam = FamilyDescriptor("Lp", 2 * e, 2)
-        ok = genus_equal(g, family_genus(fam)) and unique_in_genus_by_length(g)
-        out.append(_check(
-            f"un-polarized-complement-e{e}", ok,
-            f"the complement of the square -4e polarization is {fam.label} "
-            "(genus plus length criterion)",
-            f"the complement does not match {fam.label}",
-            {"sig": [g.sig_plus, g.sig_minus]}))
-    wanted = ("u2n-overlattice", "m-embedding", "mp-saturation")
-    out.extend(
-        e for e in glue_constructions()
-        if any(e["check"].startswith(w) for w in wanted)
-    )
-    return out
+
+
+def _polarized_complement(e: int) -> list[dict]:
+    g = vgs_polarized_complement(e)
+    fam = FamilyDescriptor("Lp", 2 * e, 2)
+    ok = genus_equal(g, family_genus(fam)) and unique_in_genus_by_length(g)
+    return [check(
+        f"un-polarized-complement-e{e}", ok,
+        f"the complement of the square -4e polarization is {fam.label} "
+        "(genus plus length criterion)",
+        f"the complement does not match {fam.label}",
+        {"sig": [g.sig_plus, g.sig_minus]})]
+
+
+def un_checks(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[Check]:
+    """Verification of the eight-I2 model: involution split, polarized
+    complements, and the N-side glue constructions."""
+    if min(e_values) < 1:
+        raise ValueError("polarization parameter must be positive")
+    return [("un-model", _un_model),
+            *((f"un-polarized-complement-e{e}", partial(_polarized_complement, e))
+              for e in e_values),
+            *_glue_checks("N")]
+
+
+def un_report(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[dict]:
+    return entries(un_checks(e_values))
+
+
+def _even_set_absence(bound: int) -> list[dict]:
+    lat = direct_sum(from_rows([[2]]), named("E8(-2)")).relabel("<2>+E8(-2)")
+    surrogate = LabeledLattice(lat, {"E": _unit(9, 0)})
+    sets = find_even_sets(surrogate, "E", bound)
+    return [check(
+        "ue8-even-set-absence", not sets,
+        f"the degree-2 surrogate has no even set within bound "
+        f"{bound} (no class meets E exactly once)",
+        "unexpected even set on the degree-2 surrogate",
+        {"count": len(sets)})]
+
+
+def ue8_checks(absence_bound: int = 3) -> list[Check]:
+    """Verification of the E8(-2)-side glue, the rank-10 genera and the
+    even-set absence example on the degree-2 surrogate <2> + E8(-2)."""
+    if absence_bound < 0:
+        raise ValueError("coefficient bound must be non-negative")
+    return [*_glue_checks("E8(-2)"), ("rank10-genus", _rank10_genera),
+            ("ue8-even-set-absence", partial(_even_set_absence, absence_bound))]
 
 
 def ue8_report(absence_bound: int = 3) -> list[dict]:
-    """Verification of the E8(-2)-side glue and the even-set absence
-    example on the degree-2 surrogate <2> + E8(-2)."""
-    wanted = ("u2e8-overlattice", "l-embedding", "lp-saturation",
-              "rank10-genus")
-    out = [
-        e for e in glue_constructions()
-        if any(e["check"].startswith(w) for w in wanted)
-    ]
-    surrogate = LabeledLattice(
-        direct_sum(from_rows([[2]]), named("E8(-2)")).relabel("<2>+E8(-2)"),
-        {"E": _unit(9, 0)},
-    )
-    sets = find_even_sets(surrogate, "E", absence_bound)
-    out.append(_check(
-        "ue8-even-set-absence", not sets,
-        f"the degree-2 surrogate has no even set within bound "
-        f"{absence_bound} (no class meets E exactly once)",
-        "unexpected even set on the degree-2 surrogate",
-        {"count": len(sets)}))
-    return out
+    return entries(ue8_checks(absence_bound))

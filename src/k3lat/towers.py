@@ -31,8 +31,8 @@ from .lattice import (
     quotient_by_radical,
     radical,
 )
-from .nsgeometry import _check
 from .overlattice import genus_equal, genus_of
+from .report import check
 
 __all__ = [
     "TowerNode",
@@ -176,7 +176,7 @@ def mukai_twisted_check(m: int, d: int) -> list[dict]:
     )
     lat = direct_sum(top, named("N"))
     v = (0, (2 ** m) * d, -1) + (0,) * 8
-    out = [_check(
+    out = [check(
         f"twisted-isotropic-{tag}", lat.norm(v) == 0,
         "the twisting class v is isotropic",
         f"v has square {lat.norm(v)}, expected 0",
@@ -185,7 +185,7 @@ def mukai_twisted_check(m: int, d: int) -> list[dict]:
     perp = orthogonal_complement(embedding_of(lat, [v]))
     rad = radical(perp.sub)
     rad_in_host = hnf_basis(mat_mul(freeze(rad), freeze(perp.vectors)))
-    out.append(_check(
+    out.append(check(
         f"twisted-radical-{tag}", rad_in_host == hnf_basis(freeze([v])),
         "the radical of v-perp is spanned by v itself",
         "the radical of v-perp is not Zv",
@@ -193,7 +193,7 @@ def mukai_twisted_check(m: int, d: int) -> list[dict]:
 
     quot, _ = quotient_by_radical(perp.sub)
     partner = FamilyDescriptor("M", (2 ** (m + 2)) * d, 2)
-    out.append(_check(
+    out.append(check(
         f"twisted-quotient-genus-{tag}",
         genus_equal(genus_of(quot), family_genus(partner)),
         f"v-perp/Zv lies in the genus of {partner.label}",

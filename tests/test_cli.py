@@ -243,6 +243,9 @@ def test_verify_rejects_bad_parameters(capsys):
     (("un", "--e", "0"), "polarization parameter must be positive"),
     (("towers", "--depth", "-1"), "depth must be nonnegative"),
     (("all", "--bound", "-1"), "coefficient bound must be non-negative"),
+    (("lemma", "--d", "0"), "the lemma parameter d must be positive"),
+    (("lemma", "--d", "-4"), "the lemma parameter d must be positive"),
+    (("towers", "--d", "0"), "the largest tower parameter d must be positive"),
 ])
 def test_unusable_suite_parameters_exit_2_before_any_check(capsys, argv, message):
     # no suite runs, so no fail entry reaches stdout
@@ -251,20 +254,22 @@ def test_unusable_suite_parameters_exit_2_before_any_check(capsys, argv, message
     assert message in err
 
 
-def test_failing_suite_does_not_hide_the_rest(capsys, monkeypatch):
-    def broken(args):
-        yield {"check": "theorem-first", "status": "pass", "detail": "",
-               "witness": None}
+def test_failing_check_does_not_hide_the_rest(capsys, monkeypatch):
+    # the genus check raises; the uniqueness check of the same suite and
+    # the later suite still run
+    def broken(*args):
         raise ArithmeticError("planted")
 
     monkeypatch.setattr(cli, "SUITES", ("theorem", "mukai"))
-    monkeypatch.setitem(cli._SUITE_FN, "theorem", broken)
+    monkeypatch.setattr(cli, "genus_equal", broken)
     code, out, err = run(capsys, "verify", "all", "--json")
     assert code == 1
     entries = json.loads(out)
-    assert [e["check"] for e in entries[:2]] == ["theorem-first", "theorem-error"]
-    assert entries[1]["status"] == "fail"
-    assert entries[1]["detail"] == "ArithmeticError: planted"
+    assert [e["check"] for e in entries[:2]] == [
+        "theorem-genus-n2-d4", "theorem-unique-n2-d4"]
+    assert entries[0]["status"] == "fail"
+    assert entries[0]["detail"] == "ArithmeticError: planted"
+    assert entries[1]["status"] == "pass"
     assert "Traceback" in err
     rest = entries[2:]
     assert len(rest) == 12
@@ -411,5 +416,8 @@ def test_corrupt_theorem_certificate_fails_under_python_O():
     entries = json.loads(done.stdout)
     assert not any(e["check"].startswith("theorem-genus") and e["status"] == "pass"
                    for e in entries)
-    assert entries[0]["check"] == "theorem-error"
+    assert entries[0]["check"] == "theorem-genus-n2-d4"
+    assert entries[0]["status"] == "fail"
     assert entries[0]["detail"].startswith("ArithmeticError")
+    # the genus certificate no longer hides the uniqueness check
+    assert "theorem-unique-n2-d4" in [e["check"] for e in entries]
