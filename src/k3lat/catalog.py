@@ -9,8 +9,11 @@ keys, per-size multisets of glue classes [i] of A_m (Conway-Sloane, SPLAG
 ch. 4).  They are judged on the code, against frozen rank/length tables and
 the seeded root count: the length is that of H-perp/H, and the roots come
 from the glue words of coset minimum 2.  Only the accepted code is glued,
-as the least member of its orbit, and the lattice is checked again.  The
-L/Lp/M/Mp families and the rank-9 membership test sit on top.
+as the group listed for its key, and the lattice is checked again.  The
+L/Lp/M/Mp families and the rank-9 membership test sit on top.  The
+index-2 families Mp/Lp(d,2) follow the one glue rule of `overlattice`:
+they are the congruence lemma's glue at m = 2, g/2 + x + (d/2)y for the
+u(2) pair (x, y) of q_W that `find_u_block` gives.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
@@ -48,6 +51,7 @@ from .overlattice import (
     _glue_one,
     _glue_overlattice,
     _lift_of,
+    _u_glue,
     genus_equal,
     genus_of,
     genus_lemma_quotient,
@@ -220,30 +224,6 @@ def _cyclic_glue_codes(
     return out
 
 
-def _arrangements(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of the multiset `values`."""
-    if not values:
-        yield ()
-        return
-    for v in set(values):
-        i = values.index(v)
-        for rest in _arrangements(values[:i] + values[i + 1:]):
-            yield (v,) + rest
-
-
-def _least_member(config: Sequence[int], h: Subgroup) -> Subgroup:
-    """The group of h's orbit under the root-sum symmetries whose sorted
-    element tuple is least, which is the first of the orbit in
-    `isotropic_subgroups` order.  Walks the images of h's generator: per
-    block size, each arrangement of its folds with each choice of signs."""
-    per_size = [
-        [w for arr in _arrangements(part) for w in product(*({f, -f % (s + 1)} for f in arr))]
-        for s, part in zip(sorted(set(config)), _fold(config, h.gens[0]))
-    ]
-    return min((cyclic_subgroup(h.form, _place(config, words)) for words in product(*per_size)),
-               key=lambda g: g.elements)
-
-
 def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
     """Root count of the overlattice glued onto the A_m root sum by the
     glue code `elements` (SPLAG ch. 4).  The glue class [i] of A_m has
@@ -270,7 +250,7 @@ def _glue_accepted(n: int, config: Sequence[int], q: FiniteQuadraticForm, h: Sub
 
 
 @lru_cache(maxsize=None)
-def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
+def _build_mn(n: int) -> tuple[IntegralLattice, int]:
     if n not in MN_ROOT_CONFIG:
         raise ValueError("n must be between 2 and 8")
     config = MN_ROOT_CONFIG[n]
@@ -294,36 +274,36 @@ def _build_mn(n: int) -> tuple[IntegralLattice, str, int, int]:
     require(len(accepted) == 1,
             f"ambiguous construction for n={n}: "
             "non-isometric candidates both pass")
-    # glue the least member of the accepted orbit and check the judgement
-    # on the lattice
-    glue = _least_member(config, accepted[0])
+    # glue the accepted representative and check the judgement on the
+    # lattice
     z, _ = _glue_overlattice(
-        root_sum, [_lift_of(disc, g) for g in glue.gens], disc.form.level
+        root_sum, [_lift_of(disc, g) for g in accepted[0].gens], disc.form.level
     )
     require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
             f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
     require(root_count(z) == target_roots,
             f"the glue for n={n} does not have {target_roots} roots")
-    return z.relabel(f"M({n})"), "cyclic", len(reps), 1
+    return z.relabel(f"M({n})"), len(reps)
 
 
 def build_Mn(n: int) -> IntegralLattice:
     """The unique index-n glue overlattice of the seeded root sum whose
     rank, length and root count match the frozen tables (2 <= n <= 8).
     The cyclic glue codes are listed by orbit key and judged on the code;
-    the least member of the accepted orbit is glued and checked again on
-    the lattice."""
+    the accepted representative is glued and checked again on the
+    lattice."""
     return _build_mn(n)[0]
 
 
 def mn_build_report(n: int) -> dict:
-    """How build_Mn(n) succeeded: glue subgroup shape and candidate counts."""
-    _, kind, reps, accepted = _build_mn(n)
+    """How build_Mn(n) succeeded: glue subgroup shape and candidate counts.
+    The glue is cyclic and exactly one code is accepted, as `_build_mn`
+    requires."""
     return {
         "n": n,
-        "glue": kind,
-        "orbit_representatives": reps,
-        "accepted": accepted,
+        "glue": "cyclic",
+        "orbit_representatives": _build_mn(n)[1],
+        "accepted": 1,
     }
 
 
@@ -392,14 +372,15 @@ def _primitive_index2_overlattice(
     d: int, w: IntegralLattice, label: str
 ) -> IntegralLattice:
     """The even index-2 overlattice of <2d> + W in which both summands stay
-    primitive: glue g/2 + eps with eps a nonzero discriminant element of W
-    with q(eps) = -d/2 mod 2, the first in element order.
+    primitive: glue g/2 + eps with eps = x + (d/2)y for the u(2) pair
+    (x, y) of `find_u_block`, the lemma's glue at m = 2.  eps is nonzero
+    and q(eps) = -d/2 mod 2.
 
     q_W must be 2-elementary with integer values, as q_N and q_E8(-2) are,
     and any other form is refused.  Such a form is a quadratic space over
     F_2, and by Witt's theorem O(q_W) is transitive on the nonzero elements
-    of each q-value.  So every eps gives the same overlattice up to an
-    isometry of <2d> + W, and gluing the first one loses nothing."""
+    of each q-value.  So every such eps gives the same overlattice up to an
+    isometry of <2d> + W, and gluing this one loses nothing."""
     if d % 2:
         raise ValueError("index-2 overlattice requires an even parameter")
     qw = discriminant_group(w).form
@@ -408,11 +389,7 @@ def _primitive_index2_overlattice(
     require(all(o == 2 for o in qw.orders)
             and not any(row[i] % qw.level for i, row in enumerate(qw.table)),
             "the index-2 glue needs a 2-elementary W with integer q-values")
-    target = -(d // 2) * qw.level % (2 * qw.level)  # N*(-d/2) mod 2N
-    eps = next((x for x in qw.elements() if any(x) and qw._q_int(x) == target), None)
-    if eps is None:
-        raise ArithmeticError("no glue candidate has the needed q-value")
-    z, _ = _glue_one(_scaled_rank1(d), (1,), w, eps, 2)
+    z, _ = _glue_one(_scaled_rank1(d), (1,), w, _u_glue(qw, 2, d // 2), 2)
     return z.relabel(label)
 
 
@@ -436,20 +413,12 @@ def family_lattice(f: FamilyDescriptor):
         return _primitive_index2_overlattice(f.d, named("E8(-2)"), f.label)
     # n >= 3: genus level only
     og = omega_genus(f.n)
-    gl = GenusDescriptor(
-        1,
-        og.sig_minus,
-        sum_forms([cyclic_block(2 * f.d, Fraction(1, 2 * f.d)), og.disc]),
-    )
     if f.kind == "L":
-        return gl
-    # Lp: quotient by the Lemma glue; h, e1, e2 sit at the first three
-    # generator slots of the form just assembled
-    k = gl.disc.rank
-    h = tuple(int(i == 0) for i in range(k))
-    e1 = tuple(int(i == 1) for i in range(k))
-    e2 = tuple(int(i == 2) for i in range(k))
-    return genus_lemma_quotient(gl, (h, e1, e2), f.d, f.n)
+        return GenusDescriptor(
+            1, og.sig_minus, sum_forms([cyclic_block(2 * f.d, Fraction(1, 2 * f.d)), og.disc])
+        )
+    # Lp: quotient by the Lemma glue
+    return genus_lemma_quotient(f.d, f.n, og)
 
 
 def family_genus(f: FamilyDescriptor) -> GenusDescriptor:

@@ -22,6 +22,8 @@ from pathlib import Path
 from typing import Callable
 
 from .catalog import (
+    MN_LENGTH,
+    MN_RANK,
     FamilyDescriptor,
     build_Mn,
     family_genus,
@@ -33,7 +35,6 @@ from .catalog import (
 from .forms import (
     FiniteQuadraticForm,
     cyclic_block,
-    find_u_block,
     forms_isomorphic,
     group_invariants,
     length,
@@ -44,7 +45,6 @@ from .forms import (
 )
 from .lattice import (
     IntegralLattice,
-    direct_sum,
     discriminant_form,
     from_rows,
     is_primitive,
@@ -174,7 +174,7 @@ def _suite_lemma(args) -> list[Check]:
 
 def _lemma_un(n: int, d: int) -> list[dict]:
     demo_w = named(f"U({n})")
-    z, emb = lemma_overlattice(d, n, demo_w, find_u_block(discriminant_form(demo_w), n))
+    z, emb = lemma_overlattice(d, n, demo_w)
     v_det = -2 * d * n * n  # det(<2d>) * det(U(n))
     first = check(
         f"lemma-construction-un-d{d}", z.det * n * n == v_det and is_primitive(emb),
@@ -189,24 +189,16 @@ def _lemma_un(n: int, d: int) -> list[dict]:
         f"and value 1/{2 * d}",
         "the glue quotient has the wrong discriminant form")
     # Form-level quotient agrees with the lattice-level construction.
-    v_lat = direct_sum(from_rows([[2 * d]]), demo_w)
-    gv = GenusDescriptor(
-        *v_lat.signature,
-        sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)),
-                   discriminant_form(demo_w)]))
-    h = tuple(int(i == 0) for i in range(gv.disc.rank))
-    wb = find_u_block(discriminant_form(demo_w), n)
-    block = (h,) + tuple((0,) + x for x in wb)
     return [first, second, check(
         f"lemma-genus-crosscheck-un-d{d}",
-        genus_equal(genus_of(z), genus_lemma_quotient(gv, block, d, n)),
+        genus_equal(genus_of(z), genus_lemma_quotient(d, n, genus_of(demo_w))),
         "lattice-level and form-level constructions land in the same genus",
         "the two construction routes disagree")]
 
 
 def _lemma_e8(d: int) -> list[dict]:
     w = named("E8(-2)")
-    z2, emb2 = lemma_overlattice(d, 2, w, find_u_block(discriminant_form(w), 2))
+    z2, emb2 = lemma_overlattice(d, 2, w)
     first = check(
         f"lemma-construction-e8-d{d}",
         4 * z2.det == 2 * d * w.det and is_primitive(emb2),
@@ -255,18 +247,15 @@ def _suite_theorem(args) -> list[Check]:
             (f"theorem-unique-n{n}-d{d}", unique)]
 
 
-_MN_TABLE = {2: (8, 6), 3: (12, 4), 4: (14, 4), 5: (16, 2),
-             6: (16, 2), 7: (18, 1), 8: (18, 2)}
-
-
 def _table_mn(n: int) -> list[dict]:
     lat = build_Mn(n)
     got = (lat.rank, length(discriminant_form(lat)))
+    want = (MN_RANK[n], MN_LENGTH[n])
     rep = mn_build_report(n)
     return [check(
-        f"table-mn-{n}", got == _MN_TABLE[n],
+        f"table-mn-{n}", got == want,
         f"M_{n}: rank {got[0]}, length {got[1]}",
-        f"M_{n}: got (rank, length) = {got}, expected {_MN_TABLE[n]}",
+        f"M_{n}: got (rank, length) = {got}, expected {want}",
         {"glue": rep["glue"], "accepted": rep["accepted"]})]
 
 

@@ -35,7 +35,7 @@ from operator import and_
 from typing import Callable, Iterator, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, named
-from .forms import find_u_block, length
+from .forms import length
 from .intmat import (
     Mat,
     Vec,
@@ -78,6 +78,7 @@ from .lattice import (
 from .overlattice import (
     GenusDescriptor,
     _glue_one,
+    _u_glue,
     genus_equal,
     genus_of,
     unique_in_genus_by_length,
@@ -978,11 +979,12 @@ def vgs_polarized_complement(e: int) -> GenusDescriptor:
 @lru_cache(maxsize=None)
 def _primed_model(w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     """The index-2 even overlattice of U(2) + W glued along
-    (u1 + u2)/2 + x + y, where (x, y) is a u(2) pair of the discriminant
-    form of W, with the embedding of U(2) + W.  Cached: the overlattice
-    check and the saturation checks of one W share it."""
-    x, y = find_u_block(discriminant_group(w).form, 2)
-    return _glue_one(named("U(2)"), (1, 1), w, vec_add(x, y), 2)
+    (u1 + u2)/2 + x + y, with the embedding of U(2) + W.  (x, y) is the
+    u(2) pair of q_W that `find_u_block` gives, so this is the lemma's glue
+    rule with c = 1 (`overlattice._u_glue`): q((u1 + u2)/2) = 1 cancels
+    q(x + y) = -1.  Cached: the overlattice check and the saturation checks
+    of one W share it."""
+    return _glue_one(named("U(2)"), (1, 1), w, _u_glue(discriminant_group(w).form, 2, 1), 2)
 
 
 def _primed_overlattice(key: str, w: IntegralLattice, tlen: int) -> list[dict]:

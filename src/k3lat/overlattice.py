@@ -6,27 +6,34 @@ L together with dual lifts of H.  `_glue_one` is the one single-vector
 glue: the index-m overlattice of head + W along head/m + eps, eps of
 order m in the discriminant form of W, with both summands primitive
 (Nikulin 1979, 1.4).  The congruence lemma, the Mp/Lp(d,2) families and
-the primed rank-10 models are all built by it.  Genus data (signature
-plus discriminant form) suffices to identify many indefinite lattices up
-to isometry via the rank-versus-length criterion.
+the primed rank-10 models are all built by it, and all by one rule:
+eps = x + c*y for the u(m) pair (x, y) of q_W that `find_u_block` gives
+(`_u_glue`), with c = d/m for the lemma, d/2 for Mp/Lp(d,2) and 1 for
+the primed models.  Genus data (signature plus discriminant form)
+suffices to identify many indefinite lattices up to isometry via the
+rank-versus-length criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
+    cyclic_block,
     cyclic_subgroup,
+    find_u_block,
     forms_isomorphic,
     isotropic_subgroups,
     length,
     milgram_signature,
     quotient_form,
+    sum_forms,
 )
-from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_mat, vec_scale
+from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_add, vec_mat, vec_scale
 from .lattice import (
     DiscriminantData,
     Embedding,
@@ -44,37 +51,14 @@ def _lift_of(disc: DiscriminantData, coords: Sequence[int]) -> Vec:
     return vec_mat(coords, disc.lifts)
 
 
-def _congruence_quotient(d: int, m: int) -> int:
-    """k with d = 2km, the congruence d = 0 mod 2m that the glue needs."""
+def _lemma_c(d: int, m: int) -> int:
+    """c = d/m of the lemma's glue x + c*y, once the congruence d = 0 mod 2m
+    that the glue needs is checked."""
     if d <= 0 or m <= 0:
         raise ValueError("d and m must be positive")
     if d % (2 * m):
         raise ValueError(f"congruence violated: {d} is not 0 mod {2 * m}")
-    return d // (2 * m)
-
-
-def _u_pair(
-    q: FiniteQuadraticForm,
-    e1: Sequence[int],
-    e2: Sequence[int],
-    m: int,
-    orthogonal_to: Sequence[int] | None = None,
-) -> tuple[Vec, Vec]:
-    """The u(m) pair (e1, e2) of q, with e2 negated if need be so that
-    b(e1, e2) = -1/m: both of order m with q = 0 (and, if given, orthogonal
-    to `orthogonal_to`)."""
-    e1, e2 = tuple(e1), tuple(e2)
-    for e in (e1, e2):
-        if q.element_order(e) != m or q._q_int(e) != 0:
-            raise ValueError("u(m) block not found at the supplied coordinates")
-        if orthogonal_to is not None and q._b_int(orthogonal_to, e) != 0:
-            raise ValueError("u(m) block is not orthogonal to the (1/2d) part")
-    b, unit = q._b_int(e1, e2), q.level // m
-    if b == unit % q.level:
-        e2 = tuple(-c for c in e2)
-    elif b != -unit % q.level:
-        raise ValueError("u(m) block not found at the supplied coordinates")
-    return e1, e2
+    return d // m
 
 
 def _scaled_inverse(b: Mat, den: int) -> Mat:
@@ -177,30 +161,25 @@ def _glue_one(
     return z, emb
 
 
-def lemma_overlattice(
-    d: int,
-    m: int,
-    w: IntegralLattice,
-    block: Sequence[Sequence[int]],
-) -> tuple[IntegralLattice, Embedding]:
+def _u_glue(q: FiniteQuadraticForm, m: int, c: int) -> Vec:
+    """The glue element eps = x + c*y of q, where (x, y) is the u(m) pair
+    of `find_u_block`: its order divides m and q(eps) = -2c/m mod 2.  It
+    is 0 for m = 1, where there is nothing to glue."""
+    if m == 1:
+        return (0,) * q.rank
+    x, y = find_u_block(q, m)
+    return vec_add(x, vec_scale(y, c))
+
+
+def lemma_overlattice(d: int, m: int, w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     """Index-m even overlattice of <2d> + W from the congruence d = 0 mod 2m,
     with the embedding of W.
 
-    `block` gives the coordinates (in the discriminant group of W) of a
-    hyperbolic pair spanning a u(m) block: two elements of order m with
-    q = 0 and mutual pairing -1/m.  Writing 2d = 4km, the glue group is
-    generated by (4k)h + e1 + (2k)e2 where h generates the dual of <2d>,
-    and (4k)h is the basis vector over m.  For m = 1, eps = 0 and the
-    glue gives the direct sum itself (`block` is not read).
+    The glue is h/m + eps, h the basis vector of <2d> and eps = x + (d/m)y
+    (`_u_glue`): q(h/m) = 2d/m^2 cancels q(eps) = -2d/m^2.  For m = 1,
+    eps = 0 and the glue gives the direct sum itself.
     """
-    k = _congruence_quotient(d, m)
-    qw = discriminant_group(w).form
-    eps = (0,) * qw.rank
-    if m > 1:
-        if len(block) != 2:
-            raise ValueError("block must supply two generator coordinate rows")
-        e1, e2 = _u_pair(qw, block[0], block[1], m)
-        eps = tuple(a + 2 * k * b for a, b in zip(e1, e2))
+    eps = _u_glue(discriminant_group(w).form, m, _lemma_c(d, m))
     z, emb = _glue_one(from_rows([[2 * d]]), (1,), w, eps, m)
     return z, Embedding(z, w, transpose(emb.vectors[1:]))
 
@@ -261,34 +240,20 @@ def unique_in_genus_by_length(g: GenusDescriptor) -> bool:
     return g.is_indefinite and g.rank >= 2 + length(g.disc)
 
 
-def genus_lemma_quotient(
-    gv: GenusDescriptor,
-    block: Sequence[Sequence[int]],
-    d: int,
-    m: int,
-) -> GenusDescriptor:
-    """Form-level version of the congruence overlattice: quotient the genus.
+def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescriptor:
+    """Form-level version of the congruence overlattice: the genus of
+    `lemma_overlattice(d, m, W)` from the genus of W.
 
-    `block` designates generators inside gv.disc: (h,) for m = 1, or
-    (h, e1, e2) with h the order-2d element of q-value 1/(2d) and (e1, e2)
-    a u(m) pair orthogonal to h.  Returns the genus with the glue group
-    quotiented out of the discriminant form; the signature is unchanged.
+    The genus of <2d> + W has form <1/2d> + q_W, and the glue (2d/m)h + eps,
+    h the generator of <1/2d> and eps = x + (d/m)y (`_u_glue`), is
+    quotiented out of it; the signature is unchanged.
     """
-    k = _congruence_quotient(d, m)
-    q = gv.disc
-    if not block:
-        raise ValueError("block must designate at least the (1/2d) generator")
-    h = tuple(block[0])
-    if q.element_order(h) != 2 * d or q._q_int(h) != q.level // (2 * d):
-        raise ValueError("designated generator does not carry (1/2d)")
+    c = _lemma_c(d, m)
+    q = sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), g_w.disc])
+    gv = GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus, q)
     if m == 1:
         return gv
-    if len(block) != 3:
-        raise ValueError("block must be (h, e1, e2) when m > 1")
-    e1, e2 = _u_pair(q, block[1], block[2], m, orthogonal_to=h)
-    glue = q.reduce(
-        tuple(4 * k * hc + a + 2 * k * b for hc, a, b in zip(h, e1, e2))
-    )
+    glue = q.reduce((2 * c,) + _u_glue(g_w.disc, m, c))
     require(q._q_int(glue) == 0 and q.element_order(glue) == m,
             "glue is not isotropic of order m")
     return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, cyclic_subgroup(q, glue)))

@@ -12,7 +12,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from fractions import Fraction
 from itertools import combinations, product
 
 from k3lat.catalog import (
@@ -26,8 +25,6 @@ from k3lat.catalog import (
 )
 from k3lat.cli import _catalog_lattices
 from k3lat.forms import (
-    cyclic_block,
-    find_u_block,
     forms_isomorphic,
     isotropic_subgroups,
     length,
@@ -46,7 +43,6 @@ from k3lat.nsgeometry import (
     x2_report,
 )
 from k3lat.overlattice import (
-    GenusDescriptor,
     genus_equal,
     genus_lemma_quotient,
     genus_of,
@@ -119,21 +115,9 @@ def _glue_route_genus(d, n):
     built from the congruence d = 0 mod 2n -- at lattice level for n = 2
     (explicit Gram available) and at form level otherwise."""
     if n == 2:
-        w = named("E8(-2)")
-        pair = find_u_block(discriminant_form(w), 2)
-        z, _ = lemma_overlattice(d, 2, w, pair)
+        z, _ = lemma_overlattice(d, 2, named("E8(-2)"))
         return genus_of(z)
-    og = omega_genus(n)
-    gv = GenusDescriptor(
-        1,
-        og.sig_minus,
-        sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), og.disc]),
-    )
-    k = gv.disc.rank
-    h = tuple(int(i == 0) for i in range(k))
-    pair = find_u_block(og.disc, n)
-    block = (h,) + tuple((0,) + tuple(x) for x in pair)
-    return genus_lemma_quotient(gv, block, d, n)
+    return genus_lemma_quotient(d, n, omega_genus(n))
 
 
 def test_criterion_03_overlattice_genus_certification():

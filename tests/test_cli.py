@@ -326,17 +326,17 @@ def test_evenset_command_finds_both_sets_at_bound_five(capsys):
     assert data["pencils"]["E2"]["displayed_set_found"] is True
 
 
-# stdout of `catalog` and `disc` on the index-2 families: which glue
-# element `_primitive_index2_overlattice` takes decides the printed Gram
+# stdout of `catalog` and `disc` on the index-2 families: the glue element
+# that `find_u_block` gives for q_W decides the printed Gram
 FAMILY_SHA256 = {
-    "catalog Mp(4,2)": "7e0e8039d5e388d01d2e6aecadae2b38c2142af41fca95f0b6de95f39c024e6f",
-    "catalog Lp(4,2)": "fdc42378a8b8df2bb0b641555593bc00d47ccc1b4e7c5303a8646a635c61931e",
-    "catalog Mp(6,2)": "2692517948cc2738583aa14946357658374894a90e09e4a2cc9501994d5402cf",
-    "catalog Lp(6,2)": "f22150a9d15c682472fc6a872125e3d996bb8525fe36b2551017e8bf0ff64746",
+    "catalog Mp(4,2)": "fff34a55318ff271a92c9d30675799850c08a5f7da9efd9d80c7d7d1a7dbffe2",
+    "catalog Lp(4,2)": "14cda41f921394f6ff035e24a725741214b57da8aff72eb69663da829949bef8",
+    "catalog Mp(6,2)": "c1b7e3d3b415a1d5cb97b6b50090ad68027e8f5be1b6be45e8e080393240e78d",
+    "catalog Lp(6,2)": "4980dd0746a4874e5b7bf80e0d495ced1115700afddc7a539959fb0dca3eaf64",
     "disc Mp(4,2)": "a5877e8881782014b60a9ec067e2b19e2a11ad3b25874cad4a4ad3bbaa64ad1a",
-    "disc Lp(4,2)": "d0eb828ae57ec5dfe608ace301fc81be916f5b6189f4b359d329ee97a263adb5",
-    "disc Mp(6,2)": "22d4d8075df6ce24abe9a0e09ab4b3b302ce2ba4c7735c7b5cffde6a35e52726",
-    "disc Lp(6,2)": "f607c5f8aafb742ad1f59176fc5c2f0f94a91790183f26440a364b39b901fe98",
+    "disc Lp(4,2)": "ce419bf64f4a95edb0a48be60cef8b6a3722bf6d3735ebcf5a8673141a078eb3",
+    "disc Mp(6,2)": "e30d5afc99f94ab695fda90f3a08e48338cb62e5dfdfda82c967ad6e1debe177",
+    "disc Lp(6,2)": "389030846f73fb901b8072b27d5ef254016cdec4ae06259b04860f0bd7fc62f8",
 }
 
 
@@ -345,6 +345,27 @@ def test_index2_family_stdout_bytes_are_pinned(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_SHA256[command]
+
+
+# stdout of `catalog` on M(n): the glue code representative that
+# `catalog._cyclic_glue_codes` lists for the accepted orbit decides the
+# printed Gram
+MN_SHA256 = {
+    "catalog M(2)": "c9ea47aad79dc5c0f28bf6315df788da486e0d88d974557913b09acbfa5f1d24",
+    "catalog M(3)": "e05208a4f6ebafc0ac0cf4eb731d5c889d243c5b3cac569e9f4aa3d0f08896ff",
+    "catalog M(4)": "b70ab5b033d97aced22063adee18a2b654ddf78e277b9eb41728aab1be8547b2",
+    "catalog M(5)": "74ee2184c060167a390f67e75e9e8f3059da6fad232bc6b0d759c3df6d6c9ed5",
+    "catalog M(6)": "af163dc61d1a5bb8e703a18fef777d9027f413c0a35a47712273e74deac4a030",
+    "catalog M(7)": "d0ac6040fee9d6851973df1b90ba4da66f0388740d45ee6cb6ad862f82297b2c",
+    "catalog M(8)": "3b1dfcae7c236e5d00a7c3b5986d24314f1ac13e0aaf70bbbea881ac5a345017",
+}
+
+
+@pytest.mark.parametrize("command", MN_SHA256)
+def test_mn_catalog_stdout_bytes_are_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MN_SHA256[command]
 
 
 def test_evenset_command_at_bound_seven_is_pinned(capsys):

@@ -18,7 +18,6 @@ import k3lat
 from k3lat.forms import (
     _normal_form,
     cyclic_block,
-    find_u_block,
     forms_isomorphic,
     isotropic_subgroups,
     length,
@@ -237,8 +236,7 @@ def test_lemma_glue_over_e8_minus_2():
     from k3lat.catalog import named
 
     w = named("E8(-2)")
-    block = find_u_block(discriminant_form(w), 2)
-    z, emb = lemma_overlattice(4, 2, w, block)
+    z, emb = lemma_overlattice(4, 2, w)
     assert z.rank == 9
     assert z.signature == (1, 8)
     assert z.det == 512
@@ -254,8 +252,7 @@ def test_lemma_glue_order_3():
     # disc of A2 + A2(-1) is a hyperbolic u(3) pair, so the glue removes
     # the whole form except the rank-one part
     w = direct_sum(A2, neg(A2))
-    block = find_u_block(discriminant_form(w), 3)
-    z, emb = lemma_overlattice(6, 3, w, block)
+    z, emb = lemma_overlattice(6, 3, w)
     assert z.rank == 5
     assert z.det * 9 == 12 * 9
     assert forms_isomorphic(
@@ -266,7 +263,7 @@ def test_lemma_glue_order_3():
 
 def test_lemma_identity_when_m_is_1():
     w = neg(A2)
-    z, emb = lemma_overlattice(2, 1, w, ())
+    z, emb = lemma_overlattice(2, 1, w)
     assert z.gram == direct_sum(from_rows([[4]]), w).gram
     assert emb.sub == w
 
@@ -275,9 +272,18 @@ def test_lemma_congruence_violation():
     from k3lat.catalog import named
 
     w = named("E8(-2)")
-    block = find_u_block(discriminant_form(w), 2)
     with pytest.raises(ValueError):
-        lemma_overlattice(2, 2, w, block)
+        lemma_overlattice(2, 2, w)
+
+
+@pytest.mark.parametrize("d", [4, 8, 12])
+def test_lemma_glue_is_the_lp_family_glue(d):
+    # one glue rule: the lemma at m = 2 on E8(-2) and the Lp(d,2) family
+    # take the same eps from find_u_block, so they give one Gram
+    from k3lat.catalog import FamilyDescriptor, family_lattice, named
+
+    z, _ = lemma_overlattice(d, 2, named("E8(-2)"))
+    assert z.gram == family_lattice(FamilyDescriptor("Lp", d, 2)).gram
 
 
 _CORRUPT_GLUE = """
@@ -287,7 +293,6 @@ if __debug__:
 from fractions import Fraction
 from k3lat import overlattice
 from k3lat.catalog import _primitive_index2_overlattice, named
-from k3lat.forms import find_u_block
 from k3lat.lattice import direct_sum, discriminant_form
 from k3lat.nsgeometry import _primed_model
 
@@ -295,8 +300,7 @@ lift_of = overlattice._lift_of
 
 
 def lemma(w):
-    block = find_u_block(discriminant_form(w), 2)
-    return lambda: overlattice.lemma_overlattice(4, 2, w, block)
+    return lambda: overlattice.lemma_overlattice(4, 2, w)
 
 
 def attempt(label, build, corrupt):
@@ -367,22 +371,6 @@ def test_primed_model_keeps_w_primitive(name):
     z, emb = _primed_model(w)
     assert 4 * z.det == direct_sum(named("U(2)"), w).det
     assert is_primitive(Embedding(z, w, transpose(emb.vectors[2:])))
-
-
-def test_lemma_rejects_bad_block():
-    from k3lat.catalog import named
-
-    w = named("E8(-2)")
-    qw = discriminant_form(w)
-    # a non-isotropic element cannot serve as a hyperbolic generator
-    bad = next(x for x in qw.elements() if qw.q_value(x) != 0)
-    iso = next(
-        x for x in qw.elements() if any(x) and qw.q_value(x) == 0
-    )
-    with pytest.raises(ValueError):
-        lemma_overlattice(4, 2, w, (bad, iso))
-    with pytest.raises(ValueError):
-        lemma_overlattice(4, 2, w, (iso,))
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +480,7 @@ def test_conjugate_discriminant_forms_are_isomorphic(case):
 def test_unique_by_length_criterion():
     from k3lat.catalog import named
 
-    w = named("E8(-2)")
-    block = find_u_block(discriminant_form(w), 2)
-    z, _ = lemma_overlattice(4, 2, w, block)
+    z, _ = lemma_overlattice(4, 2, named("E8(-2)"))
     g = genus_of(z)
     assert g.rank == 9
     assert length(g.disc) == 7
@@ -512,48 +498,43 @@ def test_unique_by_length_criterion():
 # ---------------------------------------------------------------------------
 
 
-def _unit(k, i):
-    return tuple(int(j == i) for j in range(k))
-
-
 def test_genus_quotient_matches_lattice_level_glue():
+    # the form-level quotient of <1/2d> + q_W and the glued lattice take
+    # the same eps from find_u_block, and land in one genus
     from k3lat.catalog import named
 
-    w = named("E8(-2)")
-    z, _ = lemma_overlattice(4, 2, w, find_u_block(discriminant_form(w), 2))
-    disc_v = sum_forms([cyclic_block(8, F(1, 8))] + [u_block(2)] * 4)
-    gv = GenusDescriptor(1, 8, disc_v)
-    out = genus_lemma_quotient(
-        gv, (_unit(9, 0), _unit(9, 1), _unit(9, 2)), 4, 2
-    )
-    assert (out.sig_plus, out.sig_minus) == (1, 8)
-    assert genus_equal(out, genus_of(z))
+    for name, m in [(f"U({m})", m) for m in range(2, 7)] + [("E8(-2)", 2)]:
+        w = named(name)
+        for d in (2 * m, 4 * m):
+            z, _ = lemma_overlattice(d, m, w)
+            out = genus_lemma_quotient(d, m, genus_of(w))
+            assert (out.sig_plus, out.sig_minus) == z.signature
+            assert genus_equal(out, genus_of(z)), (name, d)
 
 
 def test_genus_quotient_order_3():
-    disc_v = sum_forms([cyclic_block(12, F(1, 12)), u_block(3)])
-    gv = GenusDescriptor(3, 2, disc_v)
-    out = genus_lemma_quotient(
-        gv, (_unit(3, 0), _unit(3, 1), _unit(3, 2)), 6, 3
-    )
-    assert forms_isomorphic(out.disc, cyclic_block(12, F(1, 12))) is not None
     w = direct_sum(A2, neg(A2))
-    z, _ = lemma_overlattice(6, 3, w, find_u_block(discriminant_form(w), 3))
+    out = genus_lemma_quotient(6, 3, genus_of(w))
+    assert (out.sig_plus, out.sig_minus) == (3, 2)
+    assert forms_isomorphic(out.disc, cyclic_block(12, F(1, 12))) is not None
+    z, _ = lemma_overlattice(6, 3, w)
     assert genus_equal(out, genus_of(z))
 
 
 def test_genus_quotient_m1_is_identity():
-    gv = GenusDescriptor(1, 0, cyclic_block(4, F(1, 4)))
-    assert genus_lemma_quotient(gv, (_unit(1, 0),), 2, 1) == gv
+    # m = 1 glues nothing: the genus of <2d> + W itself
+    g_w = genus_of(neg(A2))
+    out = genus_lemma_quotient(2, 1, g_w)
+    assert out == GenusDescriptor(1, 2, sum_forms([cyclic_block(4, F(1, 4)), g_w.disc]))
+    assert genus_equal(out, genus_of(direct_sum(from_rows([[4]]), neg(A2))))
 
 
 def test_genus_quotient_error_cases():
-    disc_v = sum_forms([cyclic_block(8, F(1, 8)), u_block(2)])
-    gv = GenusDescriptor(5, 4, disc_v)
-    with pytest.raises(ValueError):
-        genus_lemma_quotient(gv, (_unit(3, 0), _unit(3, 1), _unit(3, 2)), 2, 2)
-    with pytest.raises(ValueError):
-        # h coordinate does not carry the (1/2d) value
-        genus_lemma_quotient(gv, (_unit(3, 1), _unit(3, 0), _unit(3, 2)), 4, 2)
-    with pytest.raises(ValueError):
-        genus_lemma_quotient(gv, (_unit(3, 0), _unit(3, 1)), 4, 2)
+    g_w = GenusDescriptor(4, 4, u_block(2))
+    with pytest.raises(ValueError, match="congruence violated"):
+        genus_lemma_quotient(2, 2, g_w)
+    with pytest.raises(ValueError, match="must be positive"):
+        genus_lemma_quotient(0, 2, g_w)
+    with pytest.raises(ValueError, match="no u"):
+        # q_W has no u(3) summand
+        genus_lemma_quotient(6, 3, g_w)
