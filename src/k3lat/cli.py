@@ -281,7 +281,7 @@ def _catalog_lattices() -> list[IntegralLattice]:
 def _table_milgram(build: Callable[[], IntegralLattice]) -> list[dict]:
     lat = build()
     sp, sm = lat.signature
-    sig = milgram_signature(discriminant_form(lat))
+    sig = milgram_signature(genus_of(lat).disc)
     return [check(
         f"table-milgram-{lat.label}", (sig - (sp - sm)) % 8 == 0,
         f"Gauss-sum signature {sig} = {sp}-{sm} mod 8",

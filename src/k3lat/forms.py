@@ -32,7 +32,9 @@ grow with |A|:
   the form's own table.
 - `milgram_signature` adds the blocks' Gauss-sum phases in closed form;
   `forms_isomorphic` compares normal forms and composes one form's basis
-  change with the inverse of the other's.
+  change with the inverse of the other's.  Both read the normal forms of
+  a form's orthogonal components (`_components`) where they can, so a sum
+  whose summands were met before builds no new normal form.
 
 Value counts and u(m) pairs are read off the normal form too, not off a
 walk over the group.  `_block_form` turns one entry of its key back into a
@@ -75,6 +77,7 @@ from .intmat import (
     snf,
     solve_int,
     transpose,
+    vec_mat,
 )
 
 
@@ -231,8 +234,11 @@ def u_block(n: int) -> FiniteQuadraticForm:
 
 
 def sum_forms(parts: Iterable[FiniteQuadraticForm]) -> FiniteQuadraticForm:
-    """Orthogonal sum: each part's table rescaled to the common level."""
+    """Orthogonal sum: each part's table rescaled to the common level; a
+    single part is its own sum."""
     parts = list(parts)
+    if len(parts) == 1:
+        return parts[0]
     orders = tuple(o for p in parts for o in p.orders)
     n = lcm(*orders)
     table: list[Vec] = []
@@ -254,8 +260,13 @@ def group_invariants(orders: Sequence[int]) -> tuple[int, ...]:
     """Invariant factors d_1 | d_2 | ... of the product of cyclic groups.
 
     Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); applied to every pair i < j in
-    turn, it leaves d_i dividing every later entry.
+    turn, it leaves d_i dividing every later entry.  Cached per orders.
     """
+    return _group_invariants(tuple(orders))
+
+
+@lru_cache(maxsize=None)
+def _group_invariants(orders: tuple[int, ...]) -> tuple[int, ...]:
     d = list(orders)
     for i in range(len(d)):
         for j in range(i + 1, len(d)):
@@ -467,7 +478,9 @@ def _split(fr: _Frame) -> dict[int, list[Block]]:
     levels: dict[int, list[Block]] = {}
     active = [i for i, r in enumerate(fr.rows) if any(r)]
     while active:
-        order = {i: q.element_order(fr.rows[i]) for i in active}
+        # the entries' orders are powers of p, so their lcm is their max
+        order = {i: max(o // gcd(o, x) for o, x in zip(q.orders, fr.rows[i]))
+                 for i in active}
         top = max(order.values())
         k = 0
         while p**k < top:
@@ -728,22 +741,26 @@ def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
     ords = [o for o, qs in gram for _ in qs]
     require(prod(ords) == q.group_order,
             "the normal form blocks do not multiply to the group order")
-    table = mat_mul(mat_mul(basis, q.table), transpose(basis))
+    want = [[0] * len(basis) for _ in basis]
     at = 0
     for o, qs in gram:
-        for i in range(at, at + len(qs)):
-            for j in range(len(basis)):
-                if i == j:
-                    ok = table[i][i] % (2 * n) == qs[i - at] * n // o
-                elif at <= j < at + len(qs):
-                    ok = table[i][j] % n == n // o
-                else:
-                    ok = table[i][j] % n == 0
-                require(ok, f"the normal form table is wrong at ({i}, {j})")
-            require(q.element_order(basis[i]) == o,
-                    f"normal form generator {i} does not have order {o}")
+        for i, t in enumerate(qs, start=at):
+            for j in range(at, at + len(qs)):
+                want[i][j] = t * n // o if i == j else n // o
         at += len(qs)
+    bad = _first_bad(mat_mul(mat_mul(basis, q.table), transpose(basis)), want, n)
+    require(bad is None, f"the normal form table is wrong at {bad}")
+    for i, (x, o) in enumerate(zip(basis, ords)):
+        require(q.element_order(x) == o, f"normal form generator {i} does not have order {o}")
     return NormalForm(tuple(key), tuple(basis), _coordinates(q, gram, basis))
+
+
+def _first_bad(gram: Mat, table: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:
+    """The first entry (i, j), row by row with j <= i, where an integer
+    Gram over the level n differs from a form table over n: mod 2n on the
+    diagonal, mod n off it.  None when they agree."""
+    return next(((i, j) for i, (g, t) in enumerate(zip(gram, table)) for j in range(i + 1)
+                 if (g[j] - t[j]) % (2 * n if i == j else n)), None)
 
 
 def _coordinates(q: FiniteQuadraticForm, gram: list, basis: list) -> tuple[Vec, ...]:
@@ -788,13 +805,43 @@ def _block_signature(p: int, k: int, kind: str, value: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _components(q: FiniteQuadraticForm) -> tuple[tuple[tuple[int, ...], FiniteQuadraticForm], ...]:
+    """The orthogonal components of q, the connected components of the
+    nonzero entries of its table, in the order of their first generator:
+    each as its generator indices and the form on those generators.  A
+    form with one component is its own.  Cached per form."""
+    seen: set[int] = set()
+    parts = []
+    for s in range(q.rank):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, stack = [], [s]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, t in enumerate(q.table[i]):
+                if t and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        parts.append(tuple(sorted(comp)))
+    if len(parts) == 1:
+        return ((parts[0], q),)
+    return tuple((idx, FiniteQuadraticForm.from_table(
+        [q.orders[i] for i in idx], [[q.table[i][j] for j in idx] for i in idx], q.level))
+        for idx in parts)
+
+
+@lru_cache(maxsize=None)
 def milgram_signature(q: FiniteQuadraticForm) -> int:
     """Signature invariant mod 8: the Gauss sum over the group is
     sqrt(|A|) * zeta_8^sigma, and it is the product of the blocks' Gauss
-    sums, each in closed form (`_block_signature`).  Raises
-    ArithmeticError on a degenerate form.  Cached per form; a raise is
-    not."""
-    return sum(_block_signature(*block) for block in _normal_form(q).key) % 8
+    sums, each in closed form (`_block_signature`); over q's orthogonal
+    components (`_components`) these multiply too, so each component reads
+    its own normal form.  Raises ArithmeticError on a degenerate form.
+    Cached per form; a raise is not."""
+    return sum(_block_signature(*block)
+               for _, c in _components(q) for block in _normal_form(c).key) % 8
 
 
 def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
@@ -834,9 +881,13 @@ def forms_isomorphic(
     q1: T2^-1 . T1, with T1 the coordinates of q1's generators in its
     normal basis and T2^-1 the normal basis of q2.  Equal normal forms are
     the complete invariant, so no search runs; `budget` is accepted for
-    callers of the earlier search and ignored.  The images are checked
-    again on every generator's q and order and every pair's b.  Raises
-    ArithmeticError on a degenerate form.
+    callers of the earlier search and ignored.  When both forms split into
+    orthogonal components whose normal forms pair up, the map is
+    assembled component by component (`_component_images`); otherwise,
+    since a sum can be isomorphic when its components are not
+    (<5/4> + <5/4> = <1/4> + <1/4>), the whole normal forms decide.  The
+    images are checked again on every generator's q and order and every
+    pair's b.  Raises ArithmeticError on a degenerate form.
     """
     if q1.group_order != q2.group_order:
         return None
@@ -844,22 +895,55 @@ def forms_isomorphic(
         return None
     if q1.rank == 0:
         return ()
-    n1, n2 = _normal_form(q1), _normal_form(q2)
-    if n1.key != n2.key:
-        return None
-    out = tuple(
-        q2.reduce([sum(c * v[t] for c, v in zip(row, n2.basis)) for t in range(q2.rank)])
-        for row in n1.coords)
+    out = _component_images(q1, q2)
+    if out is None:
+        n1, n2 = _normal_form(q1), _normal_form(q2)
+        if n1.key != n2.key:
+            return None
+        out = _images(n1, n2, q2)
     # equal group invariants give equal levels, so both tables are over N
+    bad = _first_bad(mat_mul(mat_mul(out, q2.table), transpose(out)), q1.table, q1.level)
+    if bad is not None:
+        i, j = bad
+        require(i != j, f"the image of generator {i} does not keep its q-value")
+        require(False, f"the images of generators {j} and {i} do not keep their pairing")
     for i, x in enumerate(out):
-        require(q2._q_int(x) == q1.table[i][i],
-                f"the image of generator {i} does not keep its q-value")
         require(q1.orders[i] % q2.element_order(x) == 0,
                 f"the image of generator {i} has the wrong order")
-        for j in range(i):
-            require(q2._b_int(x, out[j]) == q1.table[i][j],
-                    f"the images of generators {j} and {i} do not keep their pairing")
     return out
+
+
+def _images(n1: NormalForm, n2: NormalForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...]:
+    """Images in q2 of the generators of the form with normal form n1,
+    through q2's normal form n2 with the same key."""
+    return tuple(q2.reduce(vec_mat(row, n2.basis)) for row in n1.coords)
+
+
+def _component_images(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...] | None:
+    """Images of q1's generators that map each orthogonal component of q1
+    onto a component of q2 with the same normal-form key, or None when
+    either form is a single component or the components do not pair up.
+    The components' group orders are compared as multisets before any
+    normal form is built."""
+    c1, c2 = _components(q1), _components(q2)
+    if (len(c1) == 1 or len(c2) == 1
+            or sorted(c.group_order for _, c in c1) != sorted(c.group_order for _, c in c2)):
+        return None
+    free = list(c2)
+    out: list[Vec] = [()] * q1.rank
+    for idx1, f1 in c1:
+        n1 = _normal_form(f1)
+        at = next((a for a, (_, f2) in enumerate(free) if f2.group_order == f1.group_order
+                   and _normal_form(f2).key == n1.key), None)
+        if at is None:
+            return None
+        idx2, f2 = free.pop(at)
+        for i, image in zip(idx1, _images(n1, _normal_form(f2), f2)):
+            row = [0] * q2.rank
+            for j, x in zip(idx2, image):
+                row[j] = x
+            out[i] = tuple(row)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,6 +1103,7 @@ def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:
     return out
 
 
+@lru_cache(maxsize=None)
 def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     """A hyperbolic u(m) pair (x, y) in q: q(x) = q(y) = 0, both of order
     m, and b(x, y) = -1/m.
@@ -1033,7 +1118,8 @@ def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     `forms_isomorphic` then maps u(m) + A' onto q, or finds that q has no
     u(m) summand (for r = 2 exactly when -a_1*a_2 is not a square mod p),
     and the pair is the image of u(m)'s generators.  ValueError for m < 2
-    or when q has no u(m) summand; ArithmeticError on a degenerate form."""
+    or when q has no u(m) summand; ArithmeticError on a degenerate form.
+    Cached per (q, m); a raise is not."""
     if m < 2:
         raise ValueError(f"u({m}) needs m >= 2")
     blocks = list(_normal_form(q).key)

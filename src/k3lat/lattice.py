@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 from .forms import FiniteQuadraticForm, SearchBudgetExceeded
@@ -90,13 +90,40 @@ class IntegralLattice:
         return IntegralLattice(self.gram, label)
 
 
+def diagonal_blocks(gram: Mat) -> tuple[Mat, ...]:
+    """Gram matrices of the contiguous diagonal blocks of a Gram: the finest
+    split of its indices into consecutive runs with no nonzero entry
+    between two runs.  These are the summands that `direct_sum` lays out;
+    a Gram that is no such sum is its own single block."""
+    n = len(gram)
+    out, start, reach = [], 0, 0
+    for i, row in enumerate(gram):
+        # the last nonzero entry of the row beyond the block's reach so far
+        reach = max(i, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
+        if reach == n - 1:
+            # the block reaches the last index: the rest is one block
+            return tuple(out) + (tuple(r[start:] for r in gram[start:]),)
+        if reach == i:
+            out.append(tuple(r[start:i + 1] for r in gram[start:i + 1]))
+            start = i + 1
+    return ()
+
+
 @lru_cache(maxsize=None)
 def _det_cached(gram: Mat) -> int:
+    """The product of the blocks' determinants, each cached."""
+    blocks = diagonal_blocks(gram)
+    if len(blocks) > 1:
+        return prod(map(_det_cached, blocks))
     return det_int(gram)
 
 
 @lru_cache(maxsize=None)
 def _signature_cached(gram: Mat) -> tuple[int, int, int]:
+    """The sum of the blocks' inertia indices, each cached."""
+    blocks = diagonal_blocks(gram)
+    if len(blocks) > 1:
+        return tuple(map(sum, zip(*map(_signature_cached, blocks))))
     return signature(gram)
 
 

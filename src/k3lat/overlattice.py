@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -38,6 +39,7 @@ from .lattice import (
     DiscriminantData,
     Embedding,
     IntegralLattice,
+    diagonal_blocks,
     direct_sum,
     discriminant_group,
     from_rows,
@@ -215,12 +217,20 @@ class GenusDescriptor:
         return self.sig_plus >= 1 and self.sig_minus >= 1
 
 
+@lru_cache(maxsize=None)
 def genus_of(lat: IntegralLattice) -> GenusDescriptor:
-    """Genus of an even lattice; `discriminant_group` rejects a degenerate one."""
+    """Genus of an even lattice.  Its form is the orthogonal sum of the
+    discriminant forms of its diagonal blocks (Nikulin 1979, section 1), each
+    through the Gram-keyed `discriminant_group`, so a form found up to
+    isomorphism does not eliminate on the whole Gram; `disc` prints the
+    whole Gram's form instead.  Cached per Gram; a raise is not, so an odd
+    lattice, or a degenerate one that `discriminant_group` rejects, raises
+    on every call."""
     if not lat.is_even:
         raise ValueError("genus descriptor is defined here for even lattices")
     pos, neg = lat.signature
-    return GenusDescriptor(pos, neg, discriminant_group(lat).form)
+    return GenusDescriptor(pos, neg, sum_forms(
+        discriminant_group(IntegralLattice(b)).form for b in diagonal_blocks(lat.gram)))
 
 
 def genus_equal(

@@ -18,13 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .catalog import FamilyDescriptor, family_genus, family_lattice, named
+from .catalog import FamilyDescriptor, family_genus, named
 from .forms import forms_isomorphic, negate
 from .intmat import freeze, hnf_basis, mat_mul, require
 from .lattice import (
     IntegralLattice,
     direct_sum,
-    discriminant_form,
     embedding_of,
     from_rows,
     orthogonal_complement,
@@ -89,10 +88,10 @@ def cover_step(f: FamilyDescriptor) -> FamilyDescriptor:
 
 @lru_cache(maxsize=None)
 def _minus_ns_form(ns: FamilyDescriptor, t: IntegralLattice) -> bool:
-    """Whether q_t is minus the discriminant form of ns: cached, since
+    """Whether q_t is minus the discriminant form of ns, both read off
+    their genus (the forms of their diagonal blocks, summed): cached, since
     towers over d and 2d share all storeys but one."""
-    ns_disc = discriminant_form(family_lattice(ns))
-    return forms_isomorphic(discriminant_form(t), negate(ns_disc)) is not None
+    return forms_isomorphic(genus_of(t).disc, negate(family_genus(ns).disc)) is not None
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
     Subgroup,
+    _block_signature,
+    _component_images,
+    _components,
     _normal_form,
     cyclic_block,
     find_u_block,
@@ -913,21 +916,31 @@ def test_normal_form_matches_nikulin_on_two_elementary_forms():
     assert len(seen) == len(set(seen))
 
 
+# blocks of one group order that a block may trade places with
+_SWAPS = {2: [cyclic_block(2, F(1, 2)), cyclic_block(2, F(3, 2))],
+          4: [u_block(2), v_block(2)] + [cyclic_block(4, F(a, 4)) for a in (1, 3, 5, 7)],
+          8: [cyclic_block(8, F(a, 8)) for a in (1, 3, 5, 7)],
+          16: [u_block(4)] + [cyclic_block(16, F(a, 16)) for a in (1, 3, 5, 7)],
+          3: [cyclic_block(3, F(2, 3)), cyclic_block(3, F(4, 3))],
+          9: [u_block(3), cyclic_block(9, F(2, 9)), cyclic_block(9, F(4, 9))]}
+
+
+@st.composite
+def block_sum_pairs(draw, min_size=1):
+    """Two block sums on one group: the second trades each block for one
+    of the same group order, in a shuffled order."""
+    blocks = draw(st.lists(_block_strategy(), min_size=min_size, max_size=3))
+    other = [draw(st.sampled_from(_SWAPS[b.group_order])) if b.group_order in _SWAPS else b
+             for b in blocks]
+    return sum_forms(blocks), sum_forms(draw(st.permutations(other)))
+
+
 @st.composite
 def same_group_pairs(draw):
     """Two block sums on one group, the second presented on a new basis:
     each generator plus multiples of generators whose order divides its
     own, which keeps the orders and generates the whole group."""
-    blocks = draw(st.lists(_block_strategy(), min_size=1, max_size=3))
-    swap = {2: [cyclic_block(2, F(1, 2)), cyclic_block(2, F(3, 2))],
-            4: [u_block(2), v_block(2)] + [cyclic_block(4, F(a, 4)) for a in (1, 3, 5, 7)],
-            8: [cyclic_block(8, F(a, 8)) for a in (1, 3, 5, 7)],
-            16: [u_block(4)] + [cyclic_block(16, F(a, 16)) for a in (1, 3, 5, 7)],
-            3: [cyclic_block(3, F(2, 3)), cyclic_block(3, F(4, 3))],
-            9: [u_block(3), cyclic_block(9, F(2, 9)), cyclic_block(9, F(4, 9))]}
-    other = [draw(st.sampled_from(swap[b.group_order])) if b.group_order in swap else b
-             for b in blocks]
-    q1, q2 = sum_forms(blocks), sum_forms(draw(st.permutations(other)))
+    q1, q2 = draw(block_sum_pairs())
     k = q2.rank
     gens = [[int(i == j) for j in range(k)] for i in range(k)]
     for i, j, c in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1),
@@ -957,3 +970,103 @@ def test_closed_form_milgram_matches_gauss_walk(q):
                 f(q)
     else:
         assert milgram_signature(q) == gauss_milgram_signature(q)
+
+
+# ---------------------------------------------------------------------------
+# Orthogonal components
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_block_strategy(), regrammed_forms()), min_size=1, max_size=4))
+def test_components_rebuild_the_form(parts):
+    # the components partition the generators, no table entry joins two of
+    # them, and each is the form on its generators
+    q = sum_forms(parts)
+    comps = _components(q)
+    assert sorted(i for idx, _ in comps for i in idx) == list(range(q.rank))
+    for idx, c in comps:
+        assert c.orders == tuple(q.orders[i] for i in idx)
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                assert F(c.table[a][b], c.level) == F(q.table[i][j], q.level)
+            assert not any(q.table[i][j] for j in range(q.rank) if j not in idx)
+    if len(comps) == 1:
+        assert comps[0][1] == q
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(_block_strategy(), regrammed_forms()), min_size=1, max_size=4))
+def test_milgram_signature_of_a_sum_is_its_whole_form_value(parts):
+    # Gauss sums multiply over the components; the whole form's normal
+    # form gives the same phase, and so do the parts
+    q = sum_forms(parts)
+    try:
+        whole = sum(_block_signature(*b) for b in _normal_form(q).key) % 8
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            milgram_signature(q)
+        return
+    assert milgram_signature(q) == whole == sum(map(milgram_signature, parts)) % 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sum_pairs(min_size=2))
+def test_component_isomorphisms_agree_with_the_whole_normal_form(pair):
+    q1, q2 = pair
+    same = _normal_form(q1).key == _normal_form(q2).key
+    paired = _component_images(q1, q2)
+    images = forms_isomorphic(q1, q2)
+    assert (images is not None) == same
+    if paired is not None:
+        assert same and images == paired
+    if q1.group_order <= 256:
+        assert_decides_like_the_search(q1, q2)
+
+
+@pytest.mark.parametrize("order, a, b", [(4, F(5, 4), F(1, 4)), (3, F(4, 3), F(2, 3))])
+def test_sums_of_non_isomorphic_components_fall_back_to_the_whole_form(order, a, b):
+    # <a> + <a> = <b> + <b> although <a> and <b> are not isomorphic: the
+    # components do not pair up, and the whole normal forms decide
+    assert forms_isomorphic(cyclic_block(order, a), cyclic_block(order, b)) is None
+    q1, q2 = (sum_forms([cyclic_block(order, v)] * 2) for v in (a, b))
+    assert _component_images(q1, q2) is None
+    assert_decides_like_the_search(q1, q2)
+    assert forms_isomorphic(q1, q2) is not None
+
+
+def test_component_path_needs_two_components_on_each_side():
+    q = sum_forms([u_block(2), cyclic_block(4, F(1, 4))])
+    one = regram(q, [(1, 0, 0), (0, 1, 0), (1, 0, 1)])
+    assert len(_components(q)) == 2 and len(_components(one)) == 1
+    assert _component_images(q, one) is None and _component_images(one, q) is None
+    assert_decides_like_the_search(q, one)
+    # group orders that differ as multisets are refused before any normal
+    # form is built
+    three = sum_forms([cyclic_block(2, F(1, 2)), cyclic_block(2, F(1, 2)),
+                       cyclic_block(4, F(1, 4))])
+    assert _component_images(q, three) is None
+
+
+def test_find_u_block_is_cached_and_absence_raises_every_time():
+    q = sum_forms([u_block(4), cyclic_block(3, F(2, 3))])
+    assert find_u_block(q, 4) is find_u_block(q, 4)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            find_u_block(cyclic_block(2, F(1, 2)), 2)
+
+
+def test_witness_check_names_the_first_bad_entry(monkeypatch):
+    # images that keep every q-value but not a pairing must be refused,
+    # with the pair named
+    import k3lat.forms as forms_module
+
+    q = sum_forms([u_block(2), u_block(2)])
+    nf = _normal_form(q)
+    # the normal basis is the identity; trading the coordinates of
+    # generators 1 and 2 across the blocks keeps q = 0 and breaks b(e0, e1)
+    bad = dataclasses.replace(nf, coords=(nf.coords[0], nf.coords[2], nf.coords[1], nf.coords[3]))
+    monkeypatch.setattr(forms_module, "_normal_form", lambda f: bad if f == q else nf)
+    monkeypatch.setattr(forms_module, "_component_images", lambda q1, q2: None)
+    with pytest.raises(ArithmeticError, match="generators 0 and 1 do not keep their pairing"):
+        forms_isomorphic(q, q)

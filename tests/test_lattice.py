@@ -31,6 +31,7 @@ from k3lat.intmat import (
     hnf_basis,
     mat_mul,
     rank_int,
+    signature,
     snf,
     solve_int,
     transpose,
@@ -39,6 +40,7 @@ from k3lat.lattice import (
     IntegralLattice,
     IsometryAction,
     SearchBudgetExceeded,
+    diagonal_blocks,
     direct_sum,
     discriminant_form,
     discriminant_group,
@@ -397,6 +399,21 @@ def test_discriminant_form_of_doubled_even_unimodular():
     q = discriminant_form(rescale(E8, -2))
     assert q.orders == (2,) * 8
     assert forms_isomorphic(q, sum_forms([u_block(2)] * 4)) is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(symmetric_grams(max_rank=3), min_size=1, max_size=4))
+def test_block_sum_det_and_signature_match_the_whole_gram(grams):
+    # the blocks rebuild the Gram and split no further, and their cached
+    # det and signature, multiplied and summed, equal elimination on the
+    # whole Gram
+    lat = direct_sum(*map(from_rows, grams))
+    blocks = diagonal_blocks(lat.gram)
+    assert direct_sum(*map(IntegralLattice, blocks)).gram == lat.gram
+    assert all(len(diagonal_blocks(b)) == 1 for b in blocks)
+    assert len(blocks) >= sum(1 for g in grams if g)
+    assert lat.det == det_int(lat.gram)
+    assert lat.signature == signature(lat.gram)[:2]
 
 
 @settings(max_examples=60, deadline=None)

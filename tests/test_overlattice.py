@@ -21,11 +21,12 @@ from k3lat.forms import (
     forms_isomorphic,
     isotropic_subgroups,
     length,
+    milgram_signature,
     quotient_form,
     sum_forms,
     u_block,
 )
-from k3lat.intmat import adjugate, det_int, freeze, mat_mul, transpose
+from k3lat.intmat import adjugate, det_int, freeze, mat_mul, signature, transpose
 from k3lat.lattice import (
     Embedding,
     IntegralLattice,
@@ -399,6 +400,18 @@ def test_genus_of_requires_even_nondegenerate():
         genus_of(from_rows([[2, 2], [2, 2]]))
 
 
+def test_genus_of_is_cached_per_gram_and_raises_every_time():
+    # equal Grams share one genus, labels aside; an odd lattice, or one
+    # with a degenerate block, raises on every call, not once
+    a = direct_sum(U, from_rows([[4]]))
+    assert genus_of(a) is genus_of(a.relabel("again"))
+    for bad in (from_rows([[2, 0], [0, 1]]), direct_sum(U, from_rows([[0]])),
+                direct_sum(from_rows([[2, 2], [2, 2]]), U)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                genus_of(bad)
+
+
 def test_rank10_genus_pair_agrees():
     from k3lat.catalog import named
 
@@ -457,6 +470,20 @@ def _even_lattice_and_conjugate(draw):
     assume(0 < abs(det_int(g)) <= 256)
     u = draw(unimodular_mats(n))
     return IntegralLattice(freeze(g)), IntegralLattice(mat_mul(mat_mul(u, g), transpose(u)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_even_lattice_and_conjugate(), min_size=1, max_size=3))
+def test_genus_of_a_block_sum_matches_the_whole_gram(cases):
+    # the summed forms of the blocks against the discriminant form of the
+    # whole block-diagonal Gram, up to isomorphism, with the signature and
+    # Gauss-sum invariant of the whole Gram
+    lat = direct_sum(*(conj for _, conj in cases))
+    g, whole = genus_of(lat), discriminant_group(lat).form
+    assert (g.sig_plus, g.sig_minus, 0) == signature(lat.gram)
+    assert forms_isomorphic(g.disc, whole) is not None
+    assert milgram_signature(g.disc) == milgram_signature(whole)
+    assert g.disc.group_order == abs(det_int(lat.gram))
 
 
 @settings(max_examples=100, deadline=None)
