@@ -33,8 +33,12 @@ grow with |A|:
 - `milgram_signature` adds the blocks' Gauss-sum phases in closed form;
   `forms_isomorphic` compares normal forms and composes one form's basis
   change with the inverse of the other's.  Both read the normal forms of
-  a form's orthogonal components (`_components`) where they can, so a sum
-  whose summands were met before builds no new normal form.
+  a form's orthogonal components where they can, so a sum whose summands
+  were met before builds no new normal form.  `_components` takes them to
+  be the contiguous diagonal blocks of the table (`diagonal_blocks`, the
+  splitter of lattice Grams too), the layout `sum_forms` and `negate`
+  give; components that are not contiguous, as in a conjugated basis,
+  stay joined in one block, which its own normal form decides.
 
 Value counts and u(m) pairs are read off the normal form too, not off a
 walk over the group.  `_block_form` turns one entry of its key back into a
@@ -66,6 +70,7 @@ from typing import Iterable, Iterator, Sequence
 from .intmat import (
     Mat,
     Vec,
+    diagonal_blocks,
     freeze,
     hnf_basis,
     identity,
@@ -805,31 +810,19 @@ def _block_signature(p: int, k: int, kind: str, value: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _components(q: FiniteQuadraticForm) -> tuple[tuple[tuple[int, ...], FiniteQuadraticForm], ...]:
-    """The orthogonal components of q, the connected components of the
-    nonzero entries of its table, in the order of their first generator:
-    each as its generator indices and the form on those generators.  A
-    form with one component is its own.  Cached per form."""
-    seen: set[int] = set()
-    parts = []
-    for s in range(q.rank):
-        if s in seen:
-            continue
-        seen.add(s)
-        comp, stack = [], [s]
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j, t in enumerate(q.table[i]):
-                if t and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        parts.append(tuple(sorted(comp)))
-    if len(parts) == 1:
-        return ((parts[0], q),)
-    return tuple((idx, FiniteQuadraticForm.from_table(
-        [q.orders[i] for i in idx], [[q.table[i][j] for j in idx] for i in idx], q.level))
-        for idx in parts)
+def _components(q: FiniteQuadraticForm) -> tuple[tuple[int, FiniteQuadraticForm], ...]:
+    """The orthogonal components of q, the contiguous diagonal blocks of its
+    table (`diagonal_blocks`), as `sum_forms` and `negate` lay them out:
+    each as the index of its first generator and the form on its
+    generators.  A form with one block is its own.  Cached per form."""
+    blocks = diagonal_blocks(q.table)
+    if len(blocks) == 1:
+        return ((0, q),)
+    out, at = [], 0
+    for b in blocks:
+        out.append((at, FiniteQuadraticForm.from_table(q.orders[at:at + len(b)], b, q.level)))
+        at += len(b)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -870,24 +863,19 @@ def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
 # ---------------------------------------------------------------------------
 
 
-def forms_isomorphic(
-    q1: FiniteQuadraticForm,
-    q2: FiniteQuadraticForm,
-    budget: int = 10**7,
-) -> tuple[Vec, ...] | None:
+def forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...] | None:
     """An isomorphism of finite quadratic forms, or None when there is none.
 
     Returns a tuple of images (coordinates in q2) for the generators of
     q1: T2^-1 . T1, with T1 the coordinates of q1's generators in its
     normal basis and T2^-1 the normal basis of q2.  Equal normal forms are
-    the complete invariant, so no search runs; `budget` is accepted for
-    callers of the earlier search and ignored.  When both forms split into
-    orthogonal components whose normal forms pair up, the map is
-    assembled component by component (`_component_images`); otherwise,
-    since a sum can be isomorphic when its components are not
-    (<5/4> + <5/4> = <1/4> + <1/4>), the whole normal forms decide.  The
-    images are checked again on every generator's q and order and every
-    pair's b.  Raises ArithmeticError on a degenerate form.
+    the complete invariant, so no search runs.  When both tables split
+    into diagonal blocks (`_components`) whose normal forms pair up, the
+    map is assembled block by block (`_component_images`); otherwise, as
+    when one table is a single block or a sum is isomorphic although its
+    components are not (<5/4> + <5/4> = <1/4> + <1/4>), the whole normal
+    forms decide.  The images are checked again on every generator's q and
+    order and every pair's b.  Raises ArithmeticError on a degenerate form.
     """
     if q1.group_order != q2.group_order:
         return None
@@ -921,28 +909,26 @@ def _images(n1: NormalForm, n2: NormalForm, q2: FiniteQuadraticForm) -> tuple[Ve
 
 def _component_images(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...] | None:
     """Images of q1's generators that map each orthogonal component of q1
-    onto a component of q2 with the same normal-form key, or None when
-    either form is a single component or the components do not pair up.
-    The components' group orders are compared as multisets before any
-    normal form is built."""
+    onto a component of q2 with the same normal-form key, each image
+    written at its component's offset in q2, or None when either form is
+    a single component or the components do not pair up.  The components'
+    group orders are compared as multisets before any normal form is
+    built."""
     c1, c2 = _components(q1), _components(q2)
     if (len(c1) == 1 or len(c2) == 1
             or sorted(c.group_order for _, c in c1) != sorted(c.group_order for _, c in c2)):
         return None
     free = list(c2)
-    out: list[Vec] = [()] * q1.rank
-    for idx1, f1 in c1:
+    out: list[Vec] = []
+    for _, f1 in c1:
         n1 = _normal_form(f1)
         at = next((a for a, (_, f2) in enumerate(free) if f2.group_order == f1.group_order
                    and _normal_form(f2).key == n1.key), None)
         if at is None:
             return None
-        idx2, f2 = free.pop(at)
-        for i, image in zip(idx1, _images(n1, _normal_form(f2), f2)):
-            row = [0] * q2.rank
-            for j, x in zip(idx2, image):
-                row[j] = x
-            out[i] = tuple(row)
+        off, f2 = free.pop(at)
+        pad = (0,) * (q2.rank - off - f2.rank)
+        out += [(0,) * off + image + pad for image in _images(n1, _normal_form(f2), f2)]
     return tuple(out)
 
 

@@ -5,8 +5,9 @@ Everything in this package runs on arbitrary-precision integers and
 The eliminations here are fraction-free and run on integers: Hermite and
 Smith forms by extended gcds (a Smith step whose positive pivot divides
 the entry is a plain subtraction of a multiple of the pivot row or column,
-the same step without its identity half), and determinants, signatures,
-LDL^T and adjugates by Bareiss elimination.  A rational matrix is an
+the same step without its identity half), and determinants, LDL^T and
+adjugates by Bareiss elimination; a symmetric matrix gets its signature
+and determinant from one symmetric pass.  A rational matrix is an
 integer matrix over one denominator (`adjugate` gives the inverse as adj
 over det); a `Fraction` appears only in the values and centre of
 `fp_enumerate`, whose Fincke-Pohst recursion also takes an integer
@@ -79,6 +80,26 @@ def vec_scale(v: Sequence, c) -> tuple:
 
 def vec_neg(v: Sequence) -> tuple:
     return tuple(-x for x in v)
+
+
+def diagonal_blocks(a: Mat) -> tuple[Mat, ...]:
+    """The contiguous diagonal blocks of a symmetric matrix: the finest split
+    of its indices into consecutive runs with no nonzero entry between two
+    runs.  These are the summands of a block-diagonal orthogonal sum, as
+    `lattice.direct_sum` and `forms.sum_forms` lay them out; a matrix that
+    is no such sum is its own single block, and the empty matrix has none."""
+    n = len(a)
+    out, start, reach = [], 0, 0
+    for i, row in enumerate(a):
+        # the last nonzero entry of the row beyond the block's reach so far
+        reach = max(i, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
+        if reach == n - 1:
+            # the block reaches the last index: the rest is one block
+            return tuple(out) + (tuple(r[start:] for r in a[start:]),)
+        if reach == i:
+            out.append(tuple(r[start:i + 1] for r in a[start:i + 1]))
+            start = i + 1
+    return ()
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -332,8 +353,9 @@ def adjugate(a: Sequence[Sequence[int]]) -> tuple[int, Mat]:
     return sign * prev, freeze(tuple(sign * x for x in row[n:]) for row in m)
 
 
-def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Exact signature (n_plus, n_minus, n_zero) of a symmetric integer matrix.
+def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int, int]:
+    """Exact signature and determinant (n_plus, n_minus, n_zero, det) of a
+    symmetric integer matrix, from one elimination.
 
     Symmetric Bareiss elimination: each pivot is a nonzero diagonal entry
     of the remaining block, moved to the front by a symmetric permutation.
@@ -342,6 +364,8 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     The pivots p_1, p_2, ... are the leading principal minors of the
     permuted and transformed matrix, so the i-th diagonal entry of its
     LDL^T is p_i / p_{i-1} and has the sign of p_i * p_{i-1} (p_0 = 1).
+    Both moves keep the determinant, so it is the last pivot, or 0 when an
+    identically zero block is left.
     """
     a = [list(map(int, row)) for row in gram]
     n = len(a)
@@ -353,7 +377,7 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
         if t is None:
             pair = next(((i, j) for i in range(k) for j in range(i + 1, k) if a[i][j]), None)
             if pair is None:
-                break  # the remaining block is identically zero
+                return pos, neg, n - pos - neg, 0  # the remaining block is identically zero
             t, j = pair
             a[t] = [x + y for x, y in zip(a[t], a[j])]
             for row in a:
@@ -368,7 +392,7 @@ def signature(gram: Sequence[Sequence[int]]) -> tuple[int, int, int]:
             neg += 1
         a = _bareiss_step(a, prev)
         prev = p
-    return pos, neg, n - pos - neg
+    return pos, neg, 0, prev
 
 
 def ldl_int(gram: Sequence[Sequence[int]]) -> tuple[Vec, Mat]:

@@ -7,8 +7,11 @@ matrix product B * G * B^T, so every change of basis, embedding check and
 isometry check is one `gram_in_basis`.  Embeddings store images of the
 sub-basis as matrix columns; isometries act on coordinate columns.  The
 generator lifts of a discriminant group are integer rows over the level of
-its form, one denominator for all of them.  All computations are exact
-(no floating point).
+its form, one denominator for all of them.  A Gram's determinant and
+signature come from one symmetric elimination (`intmat.signature`),
+cached per Gram; an orthogonal sum laid out by `direct_sum` is first
+split into its diagonal blocks (`diagonal_blocks`), whose cached results
+multiply and add.  All computations are exact (no floating point).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .intmat import (
     Mat,
     Vec,
     det_int,
+    diagonal_blocks,
     dot,
     fp_enumerate,
     freeze,
@@ -63,12 +67,12 @@ class IntegralLattice:
 
     @property
     def det(self) -> int:
-        return _det_cached(self.gram)
+        return _invariants_cached(self.gram)[0]
 
     @property
     def signature(self) -> tuple[int, int]:
         """(positive, negative) inertia indices of the form."""
-        pos, neg, _ = _signature_cached(self.gram)
+        _, pos, neg = _invariants_cached(self.gram)
         return pos, neg
 
     @property
@@ -90,41 +94,17 @@ class IntegralLattice:
         return IntegralLattice(self.gram, label)
 
 
-def diagonal_blocks(gram: Mat) -> tuple[Mat, ...]:
-    """Gram matrices of the contiguous diagonal blocks of a Gram: the finest
-    split of its indices into consecutive runs with no nonzero entry
-    between two runs.  These are the summands that `direct_sum` lays out;
-    a Gram that is no such sum is its own single block."""
-    n = len(gram)
-    out, start, reach = [], 0, 0
-    for i, row in enumerate(gram):
-        # the last nonzero entry of the row beyond the block's reach so far
-        reach = max(i, next((j for j in range(n - 1, reach, -1) if row[j]), reach))
-        if reach == n - 1:
-            # the block reaches the last index: the rest is one block
-            return tuple(out) + (tuple(r[start:] for r in gram[start:]),)
-        if reach == i:
-            out.append(tuple(r[start:i + 1] for r in gram[start:i + 1]))
-            start = i + 1
-    return ()
-
-
 @lru_cache(maxsize=None)
-def _det_cached(gram: Mat) -> int:
-    """The product of the blocks' determinants, each cached."""
+def _invariants_cached(gram: Mat) -> tuple[int, int, int]:
+    """(det, positive, negative inertia index) of a Gram from one symmetric
+    elimination; over its diagonal blocks the dets multiply and the indices
+    add, each block cached."""
     blocks = diagonal_blocks(gram)
     if len(blocks) > 1:
-        return prod(map(_det_cached, blocks))
-    return det_int(gram)
-
-
-@lru_cache(maxsize=None)
-def _signature_cached(gram: Mat) -> tuple[int, int, int]:
-    """The sum of the blocks' inertia indices, each cached."""
-    blocks = diagonal_blocks(gram)
-    if len(blocks) > 1:
-        return tuple(map(sum, zip(*map(_signature_cached, blocks))))
-    return signature(gram)
+        dets, pos, neg = zip(*map(_invariants_cached, blocks))
+        return prod(dets), sum(pos), sum(neg)
+    pos, neg, _, det = signature(gram)
+    return det, pos, neg
 
 
 def from_rows(

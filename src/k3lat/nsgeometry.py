@@ -73,7 +73,7 @@ from .lattice import (
     is_primitive,
     orthogonal_complement,
     saturation,
-    vectors_of_norm,
+    short_vectors,
 )
 from .overlattice import (
     GenusDescriptor,
@@ -506,21 +506,16 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     g_tail_pre = [row[:m] for row in g[m:]]
     dpos = freeze(tuple(-x for x in row[m:]) for row in g[m:])
     f_pre, f_tail = f[:m], f[m:]
-    tail_constrained = any(f_tail)
-    if tail_constrained:
-        # The recursion fixes the last coordinate first.  Reversed, that is
-        # the HNF's first row, whose entries are the largest (on X2,
-        # (1, 2, 0, ...) puts 2 z in the box), so the tightest bound cuts
-        # the search nearest its root.
-        krows = hnf_basis(transpose(kernel_int((f_tail,))))[::-1]
-    else:
-        krows = identity(t)
+    # The recursion fixes the last coordinate first.  Reversed, that is the
+    # HNF's first row, whose entries are the largest (on X2, (1, 2, 0, ...)
+    # puts 2 z in the box), so the tightest bound cuts the search nearest
+    # its root.  With f_tail = 0 the kernel is all of Z^t.
+    krows = hnf_basis(transpose(kernel_int((f_tail,))))[::-1]
     a_rows = gram_in_basis(IntegralLattice(dpos), krows)
-    if a_rows:
-        # the shell form is fixed for the pencil: solve A beta = b for each
-        # prefix as beta = adj(A) b / det(A)
-        det_a, adj_a = adjugate(a_rows)
-        require(det_a > 0, "the shell form is not positive definite")
+    # the shell form is fixed for the pencil: solve A beta = b for each
+    # prefix as beta = adj(A) b / det(A); an empty shell has det 1
+    det_a, adj_a = adjugate(a_rows)
+    require(det_a > 0, "the shell form is not positive definite")
     # the nonzero K_ij as (j, i, K_ij), column by column, and those of the
     # columns j that row i alone moves
     kterms = [(j, i, row[j]) for j in range(t) for i, row in enumerate(krows) if row[j]]
@@ -532,15 +527,9 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
 
     out: set[Vec] = set()
     for pre in product(range(-bound, bound + 1), repeat=m):
-        r = 1 - dot(f_pre, pre)
-        if tail_constrained:
-            wr = solve_int((f_tail,), (r,))
-            if wr is None:
-                continue
-        else:
-            if r != 0:
-                continue
-            wr = (0,) * t
+        wr = solve_int((f_tail,), (1 - dot(f_pre, pre),))
+        if wr is None:
+            continue
         c = mat_vec(g_tail_pre, pre)
         q_pre = dot(pre, mat_vec(g_pre, pre))
         # target: 2 c.w - w Dpos w = -2 - q_pre on the affine slice w = wr + z K
@@ -548,22 +537,19 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         rhs = n_wr + 2 + q_pre  # z A z - 2 b.z = rhs
         lin = vec_sub(c, mat_vec(dpos, wr))
         b_vec = mat_vec(krows, lin)
-        if a_rows:
-            beta = tuple(Fraction(x, det_a) for x in mat_vec(adj_a, b_vec))
-            tau = rhs + dot(beta, b_vec)
-            if tau < 0:
-                continue
-            lows, highs = [[] for _ in krows], [[] for _ in krows]
-            for j, i, k in owned:
-                # |wr_j + k z_i| <= bound: |k| z_i lies within bound of -u
-                u = wr[j] if k > 0 else -wr[j]
-                lows[i].append(-((bound + u) // abs(k)))
-                highs[i].append((bound - u) // abs(k))
-            box = [(max(lo, default=None), min(hi, default=None))
-                   for lo, hi in zip(lows, highs)]
-            shell = fp_enumerate(a_rows, tau, tau, center=vec_neg(beta), box=box)
-        else:
-            shell = [((), Fraction(0))] if rhs == 0 else []
+        beta = tuple(Fraction(x, det_a) for x in mat_vec(adj_a, b_vec))
+        tau = rhs + dot(beta, b_vec)
+        if tau < 0:
+            continue
+        lows, highs = [[] for _ in krows], [[] for _ in krows]
+        for j, i, k in owned:
+            # |wr_j + k z_i| <= bound: |k| z_i lies within bound of -u
+            u = wr[j] if k > 0 else -wr[j]
+            lows[i].append(-((bound + u) // abs(k)))
+            highs[i].append((bound - u) // abs(k))
+        box = [(max(lo, default=None), min(hi, default=None))
+               for lo, hi in zip(lows, highs)]
+        shell = fp_enumerate(a_rows, tau, tau, center=vec_neg(beta), box=box)
         for z, _ in shell:
             tail = list(wr)
             for j, i, k in kterms:
@@ -786,7 +772,8 @@ def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> Eve
     if lat.signature != (1, lat.rank - 1):
         raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
     w_lat, to_frame = _section_frame(lat, e, cands[0])
-    roots = [r for r in vectors_of_norm(w_lat, -4) if r > vec_neg(r)]
+    # W is negative definite: its norm -4 vectors, one of each sign pair
+    roots = [r for r, _ in short_vectors(w_lat, 4, 4)]
     # |w_t| <= bound * sum_s |to_frame[s][t]| for the W-part w of a candidate
     box = [coeff_bound * sum(map(abs, col)) for col in zip(*to_frame)][:-2]
     pack = _packing(roots + [box])
@@ -809,15 +796,15 @@ def _simple_root_rows(lat: IntegralLattice) -> Mat:
     """A simple-root basis (rows) of a negative-definite lattice generated
     by its norm -4 vectors.
 
-    A root is positive when its first nonzero coordinate is, so the
-    extraction is deterministic; the simple system of an irreducible
+    A root is positive when its first nonzero coordinate is, the sign
+    representative `short_vectors` keeps, so the extraction is
+    deterministic; the simple system of an irreducible
     2-scaled root lattice is a lattice basis whose Gram matrix is its
     Dynkin diagram, which `_e8_labelling` reads.
     """
-    roots = vectors_of_norm(lat, -4)
-    if not roots:
+    pos = [v for v, _ in short_vectors(lat, 4, 4)]
+    if not pos:
         raise ArithmeticError("minimal vectors do not yield a root basis")
-    pos = sorted(v for v in roots if v > vec_neg(v))
     pset = set(pos)
     simple = [
         v for v in pos

@@ -34,12 +34,22 @@ from .forms import (
     quotient_form,
     sum_forms,
 )
-from .intmat import Mat, Vec, freeze, hnf_basis, require, transpose, vec_add, vec_mat, vec_scale
+from .intmat import (
+    Mat,
+    Vec,
+    diagonal_blocks,
+    freeze,
+    hnf_basis,
+    require,
+    transpose,
+    vec_add,
+    vec_mat,
+    vec_scale,
+)
 from .lattice import (
     DiscriminantData,
     Embedding,
     IntegralLattice,
-    diagonal_blocks,
     direct_sum,
     discriminant_group,
     from_rows,
@@ -236,9 +246,11 @@ def genus_of(lat: IntegralLattice) -> GenusDescriptor:
 def genus_equal(
     g1: GenusDescriptor, g2: GenusDescriptor, budget: int = 10**7
 ) -> bool:
+    """Equal signatures and isomorphic forms.  No search runs, so `budget`
+    is accepted for callers of the earlier search and ignored."""
     if (g1.sig_plus, g1.sig_minus) != (g2.sig_plus, g2.sig_minus):
         return False
-    return forms_isomorphic(g1.disc, g2.disc, budget=budget) is not None
+    return forms_isomorphic(g1.disc, g2.disc) is not None
 
 
 def unique_in_genus_by_length(g: GenusDescriptor) -> bool:

@@ -42,6 +42,7 @@ from k3lat.forms import (
     value_counts,
 )
 from k3lat.catalog import named
+from k3lat.intmat import diagonal_blocks
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from form_oracles import (
     _gauss_counts,
@@ -601,12 +602,15 @@ def test_isomorphism_respects_block_permutation():
 
 
 def test_isomorphism_budget_is_enforced():
-    # the backtracking oracle keeps its budget; the package ignores it
+    # the backtracking oracle keeps its budget; the package runs no search,
+    # so it has no budget to take and decides the pair all the same
     uu = sum_forms([u_block(2), u_block(2)])
     vv = sum_forms([v_block(2), v_block(2)])
     with pytest.raises(SearchBudgetExceeded):
         backtrack_isomorphism(uu, vv, budget=2)
-    assert forms_isomorphic(uu, vv, budget=2) is not None
+    assert forms_isomorphic(uu, vv) is not None
+    with pytest.raises(TypeError):
+        forms_isomorphic(uu, vv, budget=2)
 
 
 def test_isomorphism_search_leaves_no_cyclic_garbage():
@@ -980,19 +984,43 @@ def test_closed_form_milgram_matches_gauss_walk(q):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(_block_strategy(), regrammed_forms()), min_size=1, max_size=4))
 def test_components_rebuild_the_form(parts):
-    # the components partition the generators, no table entry joins two of
-    # them, and each is the form on its generators
+    # the components are the contiguous diagonal blocks of the table: their
+    # offsets run through the generators in order, each block splits no
+    # further, no table entry joins two of them, each is the form on its
+    # generators, and their sum is the form again
     q = sum_forms(parts)
     comps = _components(q)
-    assert sorted(i for idx, _ in comps for i in idx) == list(range(q.rank))
-    for idx, c in comps:
-        assert c.orders == tuple(q.orders[i] for i in idx)
+    assert len(comps) >= sum(1 for p in parts if p.rank)
+    at = 0
+    for off, c in comps:
+        assert off == at
+        idx = range(off, off + c.rank)
+        assert c.orders == q.orders[off:off + c.rank]
+        assert len(diagonal_blocks(c.table)) == 1
         for a, i in enumerate(idx):
             for b, j in enumerate(idx):
                 assert F(c.table[a][b], c.level) == F(q.table[i][j], q.level)
             assert not any(q.table[i][j] for j in range(q.rank) if j not in idx)
+        at += c.rank
+    assert at == q.rank
+    assert sum_forms(c for _, c in comps) == q
+    assert [off for off, _ in _components(negate(q))] == [off for off, _ in comps]
     if len(comps) == 1:
-        assert comps[0][1] == q
+        assert comps[0] == (0, q)
+
+
+def test_components_that_are_not_contiguous_stay_one_block():
+    # u(2) + <1/4> with the cyclic generator moved between the u(2) pair:
+    # the u(2) block reaches past it, so the table is one block, and the
+    # whole normal forms decide what the paired components decided before
+    q = sum_forms([u_block(2), cyclic_block(4, F(1, 4))])
+    perm = (0, 2, 1)
+    moved = FiniteQuadraticForm(tuple(q.orders[i] for i in perm),
+                                tuple(tuple(q.table[i][j] for j in perm) for i in perm))
+    assert len(_components(q)) == 2 and _components(moved) == ((0, moved),)
+    assert _component_images(moved, q) is None
+    assert milgram_signature(moved) == milgram_signature(q)
+    assert_decides_like_the_search(moved, q)
 
 
 @settings(max_examples=100, deadline=None)

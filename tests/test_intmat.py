@@ -9,6 +9,7 @@ import pathlib
 import random
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +19,7 @@ import k3lat
 from k3lat.intmat import (
     adjugate,
     det_int,
+    diagonal_blocks,
     fp_enumerate,
     hnf_basis,
     hnf_row,
@@ -273,7 +275,8 @@ def test_kernel_is_exact_and_saturated(a):
 @given(small_mats)
 def test_signature_matches_charpoly_oracle(a):
     s = symmetrize(a)
-    assert signature(s) == signature_oracle(s)
+    assert signature(s)[:3] == signature_oracle(s)
+    assert signature(s)[3] == det_gauss(s)
 
 
 @settings(max_examples=80)
@@ -361,9 +364,47 @@ def posdef_of(a):
 @settings(max_examples=200, deadline=None)
 @given(conjugated_grams())
 def test_bareiss_signature_matches_rational_oracle(case):
+    # h = U g U^T with det U = +-1 keeps the inertia and the determinant
     g, h = case
-    assert signature(g) == signature_frac(g)
-    assert signature(h) == signature_frac(h) == signature(g)
+    assert signature(g)[:3] == signature_frac(g)
+    assert signature(h)[:3] == signature_frac(h) == signature(g)[:3]
+    assert signature(h)[3] == signature(g)[3] == det_int(g)
+
+
+def test_diagonal_blocks_is_the_one_splitter():
+    # lattice Grams and form tables split by the same function; the empty
+    # matrix has no block and the empty elimination gives det 1
+    from k3lat import forms, lattice, overlattice
+
+    assert lattice.diagonal_blocks is forms.diagonal_blocks is diagonal_blocks
+    assert overlattice.diagonal_blocks is diagonal_blocks
+    assert diagonal_blocks(()) == () and signature(()) == (0, 0, 0, 1)
+    g = ((2, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, -2))
+    assert diagonal_blocks(g) == (((2,),), ((0, 1), (1, 0)), ((-2,),))
+    # an entry that joins the first and last index makes one block
+    h = ((2, 0, 1), (0, 2, 0), (1, 0, 2))
+    assert diagonal_blocks(h) == (h,)
+
+
+def with_dependent_vector(g, c):
+    """The Gram of e_1, ..., e_n and v = sum c_i e_i, degenerate."""
+    col = mat_vec(g, c)
+    return tuple(row + (x,) for row, x in zip(g, col)) + (col + (sum(map(mul, c, col)),),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugated_grams(), st.booleans(), st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_one_elimination_gives_det_and_inertia(case, degenerate, c):
+    # the symmetric pass's last pivot is the determinant, 0 when it is left
+    # with a zero block, on Grams with a zero diagonal (the first of the
+    # case, half the time) and on degenerate ones alike
+    for g in case:
+        if degenerate:
+            g = with_dependent_vector(g, c[:len(g)])
+        pos, neg, zero, det = signature(g)
+        assert (pos, neg, zero) == signature_frac(g)
+        assert det == det_int(g) == det_gauss(g)
+        assert (det == 0) == (zero > 0)
 
 
 @settings(max_examples=150, deadline=None)

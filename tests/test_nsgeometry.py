@@ -391,6 +391,25 @@ def test_bounded_sections_with_an_unconstrained_tail():
         assert got and got == brute_candidates(model, "E", bound), bound
 
 
+def test_bounded_sections_where_the_pencil_pairs_only_with_the_prefix():
+    # U + A2(-1) with E = e1 pairs with the tail as 0: the kernel of f_tail
+    # is all of Z^2, and solving f_tail w = 1 - f_pre . pre refuses every
+    # prefix but those with f_pre . pre = 1.
+    a2 = from_rows([[-2, 1], [1, -2]])
+    model = LabeledLattice(direct_sum(named("U"), a2), {"E": (1, 0, 0, 0)})
+    assert mat_vec(model.lattice.gram, model.vec("E"))[2:] == (0, 0)
+    for bound in (1, 2, 3):
+        got = _bounded_sections(model, "E", bound)
+        assert got and got == brute_candidates(model, "E", bound), bound
+    # Rank-0 shells: U has no tail at all, and in U + <-2> with
+    # E = (1, 0, 1) the tail pairs with E as -2, whose kernel in Z is 0.
+    for lat, e in ((named("U"), (1, 0)), (direct_sum(named("U"), from_rows([[-2]])), (1, 0, 1))):
+        model = LabeledLattice(lat, {"E": e})
+        for bound in (1, 2, 3):
+            got = _bounded_sections(model, "E", bound)
+            assert got and got == brute_candidates(model, "E", bound), (e, bound)
+
+
 def sweep_even_sets(lat, cands):
     """Every even 8-subset of the candidates, by a sweep over all of them."""
     paired = [mat_vec(lat.gram, v) for v in cands]

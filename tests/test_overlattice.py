@@ -480,7 +480,7 @@ def test_genus_of_a_block_sum_matches_the_whole_gram(cases):
     # Gauss-sum invariant of the whole Gram
     lat = direct_sum(*(conj for _, conj in cases))
     g, whole = genus_of(lat), discriminant_group(lat).form
-    assert (g.sig_plus, g.sig_minus, 0) == signature(lat.gram)
+    assert (g.sig_plus, g.sig_minus, 0, lat.det) == signature(lat.gram)
     assert forms_isomorphic(g.disc, whole) is not None
     assert milgram_signature(g.disc) == milgram_signature(whole)
     assert g.disc.group_order == abs(det_int(lat.gram))
