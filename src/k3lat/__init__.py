@@ -57,7 +57,6 @@ from .lattice import (
     saturation,
     short_vectors,
     sublattice,
-    vectors_of_norm,
 )
 from .nsgeometry import (
     EvenSets,

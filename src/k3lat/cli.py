@@ -100,11 +100,16 @@ def _dumps(obj) -> str:
 
 def _load(target: str):
     """IntegralLattice or GenusDescriptor for a display name or JSON file
-    (either {"gram": rows} or bare rows)."""
+    (either {"gram": rows} or bare rows).  ValueError unless the rows are
+    lists of integers (a JSON true or false is not one)."""
     path = Path(target)
     if path.exists():
         data = json.loads(path.read_text())
         rows = data["gram"] if isinstance(data, dict) else data
+        if not (isinstance(rows, list) and all(
+                isinstance(row, list) and all(type(x) is int for x in row)
+                for row in rows)):
+            raise ValueError(f"{path.name}: the Gram must be a list of lists of integers")
         return from_rows(rows, path.name)
     return resolve_name(target)
 

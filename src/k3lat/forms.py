@@ -1033,8 +1033,7 @@ def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:
         mat_vec(q.table, g) + tuple(n if t == j else 0 for t in range(s))
         for j, g in enumerate(gens)
     ]
-    ker = kernel_int(amat)
-    rows = [tuple(col[:k]) for col in transpose(ker)]
+    rows = [x[:k] for x in kernel_int(amat)]
     rows += [tuple(q.orders[i] if i == j else 0 for j in range(k)) for i in range(k)]
     return hnf_basis(rows)
 

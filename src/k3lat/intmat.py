@@ -188,16 +188,14 @@ def hnf_basis(a: Sequence[Sequence[int]]) -> Mat:
 
 
 def kernel_int(a: Sequence[Sequence[int]]) -> Mat:
-    """Basis of {x in Z^n : a @ x = 0}, returned as columns (n x k).
+    """Basis rows of {x in Z^n : a @ x = 0}, or () when the kernel is 0.
 
     The kernel of an integer matrix is saturated by construction.
     """
-    n = len(a[0]) if a else 0
     if not a:
-        return identity(n)
+        return ()
     h, u = hnf_row(transpose(a))
-    rows = [u[i] for i in range(len(h)) if not any(h[i])]
-    return transpose(rows) if rows else tuple(() for _ in range(n))
+    return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
 def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:

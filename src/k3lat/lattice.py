@@ -4,8 +4,10 @@ A lattice is stored as an integer Gram matrix G; a vector is an integer
 coordinate tuple of length `rank` (any other length raises ValueError), and
 the pairing of v, w is v * G * w^T.  The Gram matrix of basis rows B is the
 matrix product B * G * B^T, so every change of basis, embedding check and
-isometry check is one `gram_in_basis`.  Embeddings store images of the
-sub-basis as matrix columns; isometries act on coordinate columns.  The
+isometry check is one `gram_in_basis`.  A lattice basis is always rows:
+row i is the i-th basis vector in ambient coordinates, for kernels,
+saturations, complements and the image of an `Embedding`.  Operators act
+on coordinate columns (`IsometryAction`: x -> M x).  The
 generator lifts of a discriminant group are integer rows over the level of
 its form, one denominator for all of them.  A Gram's determinant and
 signature come from one symmetric elimination (`intmat.signature`),
@@ -168,29 +170,23 @@ def sublattice(lat: IntegralLattice, rows: Sequence[Sequence[int]]) -> IntegralL
 
 @dataclass(frozen=True)
 class Embedding:
-    """Sublattice of a host: column j of `matrix` is the image of the j-th
+    """Sublattice of a host: row j of `vectors` is the image of the j-th
     basis vector of `sub` in host coordinates."""
 
     host: IntegralLattice
     sub: IntegralLattice
-    matrix: Mat
+    vectors: Mat
 
     def __post_init__(self) -> None:
         n, k = self.host.rank, self.sub.rank
-        if len(self.matrix) != n or any(len(r) != k for r in self.matrix):
-            raise ValueError("embedding matrix has the wrong shape")
-        rows = self.vectors
-        if gram_in_basis(self.host, rows) != self.sub.gram:
+        if len(self.vectors) != k or any(len(r) != n for r in self.vectors):
+            raise ValueError("embedding rows have the wrong shape")
+        if gram_in_basis(self.host, self.vectors) != self.sub.gram:
             raise ValueError("embedding does not transport the form")
-        # A nonsingular transported Gram already proves the columns
+        # A nonsingular transported Gram already proves the rows
         # independent; only a degenerate one needs the rank.
-        if k and self.sub.det == 0 and rank_int(self.matrix) != k:
-            raise ValueError("embedding columns are dependent")
-
-    @property
-    def vectors(self) -> Mat:
-        """Images of the sub-basis as coordinate tuples (matrix columns)."""
-        return transpose(self.matrix)
+        if k and self.sub.det == 0 and rank_int(self.vectors) != k:
+            raise ValueError("embedding rows are dependent")
 
 
 def embedding_of(
@@ -199,11 +195,7 @@ def embedding_of(
     """Embedding of the abstract lattice spanned by the given coordinate
     vectors (one vector per row)."""
     rows = freeze(vectors)
-    if rows:
-        matrix = transpose(rows)
-    else:
-        matrix = freeze(() for _ in range(host.rank))
-    return Embedding(host, sublattice(host, rows), matrix)
+    return Embedding(host, sublattice(host, rows), rows)
 
 
 @dataclass(frozen=True)
@@ -299,12 +291,10 @@ def _saturation_rows(rows: Sequence[Sequence[int]]) -> Mat:
     """Basis (HNF rows) of (span_Q of rows) intersected with Z^n."""
     if not rows:
         return ()
-    ker = kernel_int(rows)  # columns spanning {x : rows @ x = 0}
-    n = len(rows[0])
-    if not any(ker):
-        return identity(n)
-    sat_cols = kernel_int(transpose(ker))
-    return hnf_basis(transpose(sat_cols))
+    # the vectors orthogonal to every x with rows @ x = 0; all of Z^n when
+    # there is no such x
+    ker = kernel_int(rows)
+    return hnf_basis(kernel_int(ker)) if ker else identity(len(rows[0]))
 
 
 def saturation(emb: Embedding) -> Embedding:
@@ -322,11 +312,7 @@ def _complement_rows(
 ) -> Mat:
     if not rows:
         return identity(lat.rank)
-    a = mat_mul(freeze(rows), lat.gram)
-    ker = kernel_int(a)
-    if not any(ker):
-        return ()
-    return hnf_basis(transpose(ker))
+    return hnf_basis(kernel_int(mat_mul(rows, lat.gram)))
 
 
 def orthogonal_complement(emb: Embedding) -> Embedding:
@@ -338,10 +324,7 @@ def orthogonal_complement(emb: Embedding) -> Embedding:
 
 def radical(lat: IntegralLattice) -> Mat:
     """Basis rows of the kernel of the bilinear form."""
-    ker = kernel_int(lat.gram)
-    if not any(ker):
-        return ()
-    return hnf_basis(transpose(ker))
+    return _complement_rows(lat, identity(lat.rank))
 
 
 def quotient_by_radical(lat: IntegralLattice) -> tuple[IntegralLattice, Mat]:
@@ -398,19 +381,6 @@ def short_vectors(
     return out
 
 
-def vectors_of_norm(lat: IntegralLattice, norm: int) -> list[Vec]:
-    """All vectors of the given norm (both signs), definite lattices only."""
-    if norm == 0:
-        raise ValueError("norm must be nonzero")
-    reps = short_vectors(lat, abs(norm), abs(norm))
-    out = []
-    for vec, val in reps:
-        if val == norm:
-            out.append(vec)
-            out.append(tuple(-x for x in vec))
-    return out
-
-
 @lru_cache(maxsize=None)
 def root_count(lat: IntegralLattice) -> int:
     """Number of vectors of squared length +-2, counting both signs.
@@ -439,10 +409,11 @@ def is_isometric_definite(
 ) -> Mat | None:
     """Search for an isometry between definite lattices.
 
-    Returns a matrix M with M^T * G2 * M == G1 (column j = image of the
-    j-th basis vector of l1 in l2 coordinates), or None if no isometry
-    exists.  Exceeding the node budget raises SearchBudgetExceeded instead
-    of answering.
+    Returns a matrix M with M^T * G2 * M == G1, or None if no isometry
+    exists.  M is a map x -> M x, so it keeps the column convention of
+    operators: column j is the image of the j-th basis vector of l1 in l2
+    coordinates (transpose it for the image rows).  Exceeding the node
+    budget raises SearchBudgetExceeded instead of answering.
     """
     n = l1.rank
     if n != l2.rank or l1.det != l2.det or l1.signature != l2.signature:
@@ -531,7 +502,6 @@ def invariant_split(g: IsometryAction) -> tuple[Embedding, Embedding]:
             tuple(g.matrix[i][j] - (sign if i == j else 0) for j in range(n))
             for i in range(n)
         )
-        ker = kernel_int(a)  # columns fixed (sign=1) or negated (sign=-1)
-        rows = hnf_basis(transpose(ker)) if any(ker) else ()
-        out.append(embedding_of(lat, rows))
+        # rows x with g x = x (sign=1) or g x = -x (sign=-1)
+        out.append(embedding_of(lat, hnf_basis(kernel_int(a))))
     return out[0], out[1]

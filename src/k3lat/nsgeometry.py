@@ -55,6 +55,7 @@ from .intmat import (
     solve_int,
     transpose,
     vec_add,
+    vec_mat,
     vec_neg,
     vec_scale,
     vec_sub,
@@ -432,10 +433,10 @@ def base_change_report() -> list[dict]:
         "the new Gram does not match <4> + N",
         [list(r) for r in g_new]))
 
-    # b is unimodular, so the inverse of its transpose is det * adj exactly
-    bt = transpose(b)
-    det, adj = adjugate(bt)
-    conj = freeze(vec_scale(row, det) for row in mat_mul(adj, mat_mul(sigma.matrix, bt)))
+    # sigma acts on columns, and b is unimodular: in the new frame it is
+    # (b^-1)^T sigma b^T, and a row v has new coordinates v b^-1
+    b_inv = inv_unimodular(b)
+    conj = mat_mul(transpose(b_inv), mat_mul(sigma.matrix, transpose(b)))
     try:
         action = IsometryAction(from_rows(g_new), conj, "sigma'")
         ok = action.is_involution
@@ -449,8 +450,8 @@ def base_change_report() -> list[dict]:
 
     # pencil classes in inverse coordinates: E1 = H - S and, after
     # eliminating N8 = 2S - (N1 + .. + N7), E2 = 2H + 2(N1 + .. + N7) - 5S
-    y1 = solve_int(transpose(b), x2.vec("E1"))
-    y2 = solve_int(transpose(b), x2.vec("E2"))
+    y1 = vec_mat(x2.vec("E1"), b_inv)
+    y2 = vec_mat(x2.vec("E2"), b_inv)
     want1 = (1,) + (0,) * 7 + (-1,)
     want2 = (2,) + (2,) * 7 + (-5,)
     out.append(check(
@@ -458,7 +459,7 @@ def base_change_report() -> list[dict]:
         "the inverse basis matrix expresses E1 as H - S and E2 as "
         "2H - S - 2 N8 in the new frame",
         f"inverse coordinates wrong: E1 -> {y1}, E2 -> {y2}",
-        {"E1": list(y1 or ()), "E2": list(y2 or ())}))
+        {"E1": list(y1), "E2": list(y2)}))
     return out
 
 
@@ -510,7 +511,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     # HNF's first row, whose entries are the largest (on X2, (1, 2, 0, ...)
     # puts 2 z in the box), so the tightest bound cuts the search nearest
     # its root.  With f_tail = 0 the kernel is all of Z^t.
-    krows = hnf_basis(transpose(kernel_int((f_tail,))))[::-1]
+    krows = hnf_basis(kernel_int((f_tail,)))[::-1]
     a_rows = gram_in_basis(IntegralLattice(dpos), krows)
     # the shell form is fixed for the pencil: solve A beta = b for each
     # prefix as beta = adj(A) b / det(A); an empty shell has det 1
@@ -842,18 +843,19 @@ def _e8_labelling(g: Mat) -> list[int] | None:
 def _certified_definite_isometry(
     l1: IntegralLattice, l2: IntegralLattice
 ) -> Mat | None:
-    """Explicit M with M^T G2 M = G1 for l1 a 2-scaled root lattice in an
-    arbitrary basis and l2 = E8(-2) in `_e8_gram`'s basis: l1's simple
-    roots, labelled along the E8 diagram, are rows R with R G1 R^T = G2,
-    and M = R^-T.  None when they do not form the E8 diagram."""
+    """Rows B with B G2 B^T = G1, row i the image in l2 of l1's i-th basis
+    vector, for l1 a 2-scaled root lattice in an arbitrary basis and
+    l2 = E8(-2) in `_e8_gram`'s basis: l1's simple roots, labelled along
+    the E8 diagram, are rows R with R G1 R^T = G2, and B = R^-1.  None
+    when they do not form the E8 diagram."""
     s = _simple_root_rows(l1)
     labels = _e8_labelling(gram_in_basis(l1, s))
     if labels is None:
         return None
-    m = transpose(inv_unimodular([s[i] for i in labels]))
-    require(gram_in_basis(l2, transpose(m)) == l1.gram,
+    rows = inv_unimodular([s[i] for i in labels])
+    require(gram_in_basis(l2, rows) == l1.gram,
             "the isometry certificate does not carry one Gram to the other")
-    return m
+    return rows
 
 
 def _un_vgs_gram() -> Mat:
@@ -949,13 +951,7 @@ def vgs_polarized_complement(e: int) -> GenusDescriptor:
     emb = embedding_of(lat, (v,))
     if not is_primitive(emb):
         raise ArithmeticError("polarization is not primitive")
-    comp = orthogonal_complement(emb)
-    g = genus_of(comp.sub)
-    if not genus_equal(g, family_genus(FamilyDescriptor("Lp", 2 * e, 2))):
-        raise ArithmeticError(
-            f"complement of the -4e polarization is not in the Lp({2 * e},2) genus"
-        )
-    return g
+    return genus_of(orthogonal_complement(emb).sub)
 
 
 # ---------------------------------------------------------------------------

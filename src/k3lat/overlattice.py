@@ -41,7 +41,6 @@ from .intmat import (
     freeze,
     hnf_basis,
     require,
-    transpose,
     vec_add,
     vec_mat,
     vec_scale,
@@ -109,9 +108,8 @@ def _glue_overlattice(
     z = IntegralLattice(freeze(tuple(x // den2 for x in row) for row in scaled))
     # basis vector i of L is den * e_i = y @ basis, so y is row i of
     # den * basis^-1, and basis is upper triangular (full-rank HNF): the
-    # embedding columns
-    emb = _scaled_inverse(basis, den)
-    return z, Embedding(z, lat, transpose(emb))
+    # embedding rows
+    return z, Embedding(z, lat, _scaled_inverse(basis, den))
 
 
 def overlattices(
@@ -168,7 +166,7 @@ def _glue_one(
         raise ArithmeticError("glue produced an odd lattice")
     require(z.det * m * m == v.det, "glue changed the determinant by the wrong index")
     # W is primitively embedded: its image spans a saturated sublattice
-    w_emb = Embedding(z, w, transpose(emb.vectors[head.rank:]))
+    w_emb = Embedding(z, w, emb.vectors[head.rank:])
     require(is_primitive(w_emb), "W is not primitively embedded")
     return z, emb
 
@@ -193,7 +191,7 @@ def lemma_overlattice(d: int, m: int, w: IntegralLattice) -> tuple[IntegralLatti
     """
     eps = _u_glue(discriminant_group(w).form, m, _lemma_c(d, m))
     z, emb = _glue_one(from_rows([[2 * d]]), (1,), w, eps, m)
-    return z, Embedding(z, w, transpose(emb.vectors[1:]))
+    return z, Embedding(z, w, emb.vectors[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -286,9 +286,9 @@ def discriminant_gram_frac(gram):
 
 
 def glue_overlattice_by_solves(gram, lifts):
-    """(Gram, embedding matrix) of the lattice generated by L = (Z^n, gram)
+    """(Gram, embedding rows) of the lattice generated by L = (Z^n, gram)
     and rational glue rows, the Gram in Fractions (integral exactly when the
-    glue pairs integrally), and column i of the embedding the solution y of
+    glue pairs integrally), and row i of the embedding the solution y of
     basis^T y = den * e_i, one `solve_int` per basis vector of L."""
     n = len(gram)
     den = 1
@@ -306,7 +306,7 @@ def glue_overlattice_by_solves(gram, lifts):
         solve_int(transpose(basis), tuple(den if i == j else 0 for j in range(n)))
         for i in range(n)
     ]
-    return z, transpose(emb_rows)
+    return z, tuple(emb_rows)
 
 
 def group_invariants_snf(orders):

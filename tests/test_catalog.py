@@ -53,7 +53,7 @@ from k3lat.forms import (
     sum_forms,
     u_block,
 )
-from k3lat.intmat import freeze, hnf_basis, mat_mul, transpose
+from k3lat.intmat import freeze, hnf_basis, mat_mul, transpose, vec_neg
 from k3lat.lattice import (
     IntegralLattice,
     direct_sum,
@@ -65,7 +65,7 @@ from k3lat.lattice import (
     is_isometric_definite,
     rescale,
     root_count,
-    vectors_of_norm,
+    short_vectors,
 )
 from k3lat.overlattice import (
     GenusDescriptor,
@@ -155,7 +155,7 @@ def test_mn_tables(n):
 def _simple_roots(lat):
     """A base of the (-2)-root system: indecomposable positive roots with
     respect to a functional that is nonzero on every root."""
-    roots = vectors_of_norm(lat, -2)
+    roots = [v for r, _ in short_vectors(lat, 2, 2) for v in (r, vec_neg(r))]
     base = 2 * max(abs(c) for r in roots for c in r) + 1
     weights = [base ** i for i in range(lat.rank)]
     positive = [
@@ -178,7 +178,7 @@ def test_mn_root_sublattice_is_the_seeded_sum(n):
     assert len(simple) == m.rank
     # the base spans the same sublattice as the full root set
     assert hnf_basis([list(r) for r in simple]) == hnf_basis(
-        [list(r) for r in vectors_of_norm(m, -2)]
+        [list(r) for r, _ in short_vectors(m, 2, 2)]
     )
     sub = IntegralLattice(gram_in_basis(m, simple))
     seed = direct_sum(*(named(f"A({k})") for k in MN_ROOT_CONFIG[n]))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,23 @@ def test_disc_refuses_an_odd_gram_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "even lattice" in err
+
+
+@pytest.mark.parametrize("text", [
+    '[["2", 1], [1, 2]]',
+    "[[2, 1], [1, 2.0]]",
+    "[[true, 0], [0, 2]]",
+    "5",
+])
+@pytest.mark.parametrize("command", ["catalog", "disc", "genus"])
+def test_gram_files_that_do_not_hold_integers_exit_2(capsys, tmp_path, command, text):
+    # a string, a float or a bool entry, or no rows at all, is refused
+    # before anything is printed
+    f = tmp_path / "gram.json"
+    f.write_text(text)
+    code, out, err = run(capsys, command, str(f))
+    assert (code, out) == (2, "")
+    assert "list of lists of integers" in err
 
 
 def test_genus_records_of_equal_genera_are_byte_identical(capsys):
@@ -381,6 +399,20 @@ def test_evenset_command_at_bound_seven_is_pinned(capsys):
     }
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "7ec9b667ae625ad6f8d4cc82c6c2426b3e0254733c902fdcd9c5338bc745260f")
+
+
+def test_evenset_command_at_bound_six_prints_the_benchmark_golden(capsys):
+    golden = Path(__file__).resolve().parent.parent / "k3bench" / "golden.json"
+    want = json.loads(golden.read_text())["evenset_b6"]["sha256"]
+    code, out, err = run(capsys, "evenset", "--bound", "6")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+def test_evenset_command_refuses_a_negative_bound(capsys):
+    code, out, err = run(capsys, "evenset", "--bound", "-1")
+    assert (code, out) == (2, "")
+    assert "coefficient bound must be non-negative" in err
 
 
 def test_evenset_command_reports_missing_sets(capsys):

@@ -260,15 +260,15 @@ def test_det_matches_gauss_oracle(a):
 @settings(max_examples=120)
 @given(small_mats)
 def test_kernel_is_exact_and_saturated(a):
-    k = kernel_int(a)
-    ncols = len(k[0]) if k and k[0] else 0
-    assert rank_int(a) + ncols == len(a[0])
-    for col in transpose(k) if ncols else ():
-        assert all(x == 0 for x in mat_vec(a, col))
+    k = kernel_int(a)  # basis rows, () when the kernel is 0
+    assert rank_int(a) + len(k) == len(a[0])
+    for row in k:
+        assert len(row) == len(a[0])
+        assert all(x == 0 for x in mat_vec(a, row))
     # saturation: SNF invariants of the kernel basis are all 1
-    if ncols:
-        d, _ = snf(transpose(k))
-        assert all(d[i][i] == 1 for i in range(ncols))
+    if k:
+        d, _ = snf(k)
+        assert all(d[i][i] == 1 for i in range(len(k)))
 
 
 @settings(max_examples=100)

@@ -60,7 +60,6 @@ from k3lat.lattice import (
     saturation,
     short_vectors,
     sublattice,
-    vectors_of_norm,
 )
 from rational_oracles import (
     discriminant_gram_frac,
@@ -138,9 +137,9 @@ def test_e8_root_count_matches_coordinate_model():
 
 
 def test_e8_has_no_odd_norm_vectors():
-    assert vectors_of_norm(E8, 1) == []
-    assert vectors_of_norm(E8, 3) == []
-    assert len(vectors_of_norm(E8, 4)) == 2160
+    assert short_vectors(E8, 1, 1) == []
+    assert short_vectors(E8, 3, 3) == []
+    assert [val for _, val in short_vectors(E8, 4, 4)] == [4] * 1080
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +443,17 @@ def test_embedding_validation():
     emb = embedding_of(direct_sum(U, A1), [(1, 0, 0), (0, 0, 1)])
     assert emb.sub.gram == ((0, 0), (0, 2))
     assert emb.vectors == ((1, 0, 0), (0, 0, 1))
-    with pytest.raises(ValueError):
-        embedding_of(Z3, [(1, 0, 0), (2, 0, 0)])  # dependent columns
+    with pytest.raises(ValueError, match="rows are dependent"):
+        embedding_of(Z3, [(1, 0, 0), (2, 0, 0)])
     from k3lat.lattice import Embedding
 
-    with pytest.raises(ValueError):
-        # columns give diag(2, 2), not the hyperbolic plane
-        Embedding(Z3, U, ((1, 0), (0, 1), (0, 0)))
-    with pytest.raises(ValueError):
-        Embedding(Z3, A1, ((1,), (0,)))  # wrong shape
+    with pytest.raises(ValueError, match="does not transport the form"):
+        # the rows give diag(2, 2), not the hyperbolic plane
+        Embedding(Z3, U, ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match="wrong shape"):
+        Embedding(Z3, A1, ((1, 0),))  # a row of length 2 in a rank-3 host
+    with pytest.raises(ValueError, match="wrong shape"):
+        Embedding(Z3, A1, ((1, 0, 0), (0, 1, 0)))  # two rows for a rank-1 sub
 
 
 def test_saturation_and_primitivity():
@@ -596,15 +597,6 @@ def test_short_vectors_rejects_indefinite():
         short_vectors(U, 2)
     with pytest.raises(ValueError):
         short_vectors(from_rows([[2, 2], [2, 2]]), 2)
-
-
-def test_vectors_of_norm_signs():
-    vs = vectors_of_norm(A2, 2)
-    assert len(vs) == 6
-    assert vectors_of_norm(neg(A2), -2) == [
-        (v[0], v[1]) for v in vs
-    ] or len(vectors_of_norm(neg(A2), -2)) == 6
-    assert vectors_of_norm(A2, -2) == []
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from k3lat.lattice import (
     gram_in_basis,
     hnf_basis,
     invariant_split,
-    vectors_of_norm,
+    short_vectors,
 )
 from k3lat.nsgeometry import (
     LabeledLattice,
@@ -222,7 +222,8 @@ def test_invariant_splits_of_the_three_involutions():
     assert anti.sub.rank == 8
     m = _certified_definite_isometry(anti.sub, named("E8(-2)"))
     assert m is not None
-    assert mat_mul(mat_mul(transpose(m), named("E8(-2)").gram), m) == anti.sub.gram
+    # m holds image rows: row i is anti's i-th basis vector in E8(-2)
+    assert gram_in_basis(named("E8(-2)"), m) == anti.sub.gram
 
     fixed_q, anti_q = invariant_split(iota_q)
     pencil = freeze([x2.vec("E1"), x2.vec("E2")])
@@ -374,7 +375,7 @@ def test_bounded_sections_with_a_kernel_column_of_two_rows():
     # bound 3 it drops a shell vector that the box keeps.
     model = hyperbolic_model(-1, (1, 0, -2, -3, -5))
     assert mat_vec(model.lattice.gram, model.vec("E"))[2:] == (2, 3, 5)
-    assert hnf_basis(transpose(kernel_int(((2, 3, 5),)))) == ((1, 1, -1), (0, 5, -3))
+    assert hnf_basis(kernel_int(((2, 3, 5),))) == ((1, 1, -1), (0, 5, -3))
     for bound in (1, 2, 3):
         got = _bounded_sections(model, "E", bound)
         assert got == brute_candidates(model, "E", bound), bound
@@ -516,8 +517,8 @@ def test_frame_of_the_x2_pencils_is_e7_minus_2():
         e, o = x2.vec(e_label), cands[0]
         w_lat, to_frame = _section_frame(x2.lattice, e, o)
         assert (w_lat.rank, w_lat.det) == (7, -256)
-        assert len(vectors_of_norm(w_lat, -4)) == 126
-        assert vectors_of_norm(w_lat, -2) == []
+        assert [val for _, val in short_vectors(w_lat, 4, 4)] == [-4] * 63
+        assert short_vectors(w_lat, 2, 2) == []
         basis = inv_unimodular(to_frame)
         assert basis[-2:] == (e, o)
         for v in cands:
@@ -537,7 +538,7 @@ def test_sections_are_disjoint_exactly_when_frame_parts_differ_by_a_norm_minus_4
             cands = _bounded_sections(x2, e_label, bound)
             w_lat, to_frame = _section_frame(lat, x2.vec(e_label), cands[0])
             ws = [vec_mat(v, to_frame)[:-2] for v in cands]
-            r4 = set(vectors_of_norm(w_lat, -4))
+            r4 = {v for r, _ in short_vectors(w_lat, 4, 4) for v in (r, vec_neg(r))}
             k = len(cands)
             for i in range(0, k, 1 if k <= 100 else k // 40):
                 p = mat_vec(lat.gram, cands[i])
@@ -577,7 +578,7 @@ def test_parity_is_a_property_of_the_shape_on_u_plus_e8_minus_2():
     # shapes too: W = E8(-2) has 8640 even and 17280 odd ones.  At bound 2
     # the candidates hold 3992 8-cliques, of which 1200 are even.
     w = named("E8(-2)")
-    roots = [r for r in vectors_of_norm(w, -4) if r > vec_neg(r)]
+    roots = [r for r, _ in short_vectors(w, 4, 4)]
     pack = _packing(roots)
     shapes = _translate_shapes([pack(r) for r in roots])
     for shape in shapes[::50]:
@@ -876,7 +877,8 @@ def test_torsion_translation_invariant_split():
     assert anti.sub.rank == 8
     m = _certified_definite_isometry(anti.sub, named("E8(-2)"))
     assert m is not None
-    assert mat_mul(mat_mul(transpose(m), named("E8(-2)").gram), m) == anti.sub.gram
+    # m holds image rows: row i is anti's i-th basis vector in E8(-2)
+    assert gram_in_basis(named("E8(-2)"), m) == anti.sub.gram
     assert genus_equal(
         genus_of(model.lattice), genus_of(direct_sum(named("U"), named("N")))
     )

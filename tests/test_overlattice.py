@@ -176,7 +176,7 @@ def test_glue_overlattice_matches_per_vector_solves(case):
     # denominator must give the same lattice and embedding
     lat, glue, den = case
     lifts = [[F(x, den) for x in row] for row in glue]
-    gram, matrix = glue_overlattice_by_solves(lat.gram, lifts)
+    gram, rows = glue_overlattice_by_solves(lat.gram, lifts)
     integral = all(x.denominator == 1 for row in gram for x in row)
     for c in (1, 2, 3):
         scaled = [[c * x for x in row] for row in glue]
@@ -186,7 +186,7 @@ def test_glue_overlattice_matches_per_vector_solves(case):
             continue
         z, emb = _glue_overlattice(lat, scaled, c * den)
         assert z.gram == gram
-        assert emb.matrix == matrix and emb.sub == lat
+        assert emb.vectors == rows and emb.sub == lat
 
 
 @st.composite
@@ -371,7 +371,7 @@ def test_primed_model_keeps_w_primitive(name):
     w = named(name)
     z, emb = _primed_model(w)
     assert 4 * z.det == direct_sum(named("U(2)"), w).det
-    assert is_primitive(Embedding(z, w, transpose(emb.vectors[2:])))
+    assert is_primitive(Embedding(z, w, emb.vectors[2:]))
 
 
 # ---------------------------------------------------------------------------
