@@ -1,8 +1,9 @@
 """Named lattices and the rank-9-family constructors.
 
-The fixed lattices (U, U(n), A-chains, D4, the two E8 rescalings, N) carry
-the Gram conventions used throughout: negative-definite blocks have -2 on
-the diagonal and +1 on diagram edges.  M_n lattices are index-n glue
+The fixed lattices (U, U(n), A-chains, D4, the two E8 rescalings, N, and
+the rank-10 models UN = U + N and UE8 = U + E8(-2)) carry the Gram
+conventions used throughout: negative-definite blocks have -2 on the
+diagonal and +1 on diagram edges.  M_n lattices are index-n glue
 overlattices of seeded A-type root sums.  The candidate glue codes are the
 cyclic ones, listed one per orbit of the root-sum symmetries by their orbit
 keys, per-size multisets of glue classes [i] of A_m (Conway-Sloane, SPLAG
@@ -10,7 +11,9 @@ ch. 4).  They are judged on the code, against frozen rank/length tables and
 the seeded root count: the length is that of H-perp/H, and the roots come
 from the glue words of coset minimum 2.  Only the accepted code is glued,
 as the group listed for its key, and the lattice is checked again.  The
-L/Lp/M/Mp families and the rank-9 membership test sit on top.  The
+L/Lp/M/Mp families and the rank-9 membership test sit on top, one return
+shape each: `family_lattice` gives a lattice and refuses L/Lp with n >= 3,
+which have only a genus; `family_genus` gives every family's genus.  The
 index-2 families Mp/Lp(d,2) follow the one glue rule of `overlattice`:
 they are the congruence lemma's glue at m = 2, g/2 + x + (d/2)y for the
 u(2) pair (x, y) of q_W that `find_u_block` gives.
@@ -119,7 +122,12 @@ _NAME_RE = re.compile(r"^(U|A)\((\d+)\)$")
 
 @lru_cache(maxsize=None)
 def named(name: str) -> IntegralLattice:
-    """Fixed lattice by display name: U, U(n), A(m), D4, E8(-1), E8(-2), N."""
+    """Fixed lattice by display name: U, U(n), A(m), D4, E8(-1), E8(-2), N,
+    and the rank-10 models UN = U + N and UE8 = U + E8(-2)."""
+    if name == "UN":
+        return direct_sum(named("U"), named("N")).relabel("UN")
+    if name == "UE8":
+        return direct_sum(named("U"), named("E8(-2)")).relabel("UE8")
     if name == "U":
         return from_rows([[0, 1], [1, 0]], "U")
     if name == "D4":
@@ -332,16 +340,15 @@ class FamilyDescriptor:
     """One of the rank-(1 + rank M_n) family classes.
 
     kind L = <2d> + (negative partner of M_n); Lp = its index-n overlattice;
-    kind M = <2d> + M_n; Mp = the index-2 overlattice of M (n = 2 only);
-    UN / UE8 = the fixed rank-10 models U+N and U+E8(-2) (d, n unused).
+    kind M = <2d> + M_n; Mp = the index-2 overlattice of M (n = 2 only).
     """
 
     kind: str
-    d: int = 1
-    n: int = 2
+    d: int
+    n: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("L", "Lp", "M", "Mp", "UN", "UE8"):
+        if self.kind not in ("L", "Lp", "M", "Mp"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.d < 1:
             raise ValueError("parameter d must be positive")
@@ -358,9 +365,13 @@ class FamilyDescriptor:
 
     @property
     def label(self) -> str:
-        if self.kind in ("UN", "UE8"):
-            return self.kind
         return f"{self.kind}({self.d},{self.n})"
+
+    @property
+    def has_gram(self) -> bool:
+        """False for L and Lp with n >= 3: the partner of M_n in them is
+        known only by its genus (`omega_genus`)."""
+        return self.kind in ("M", "Mp") or self.n == 2
 
 
 def _scaled_rank1(d: int) -> IntegralLattice:
@@ -394,39 +405,31 @@ def _primitive_index2_overlattice(
 
 
 @lru_cache(maxsize=None)
-def family_lattice(f: FamilyDescriptor):
-    """Lattice of the family class, or its genus when no explicit Gram for
-    the negative-definite partner of M_n is available (kind L/Lp, n >= 3)."""
-    if f.kind == "UN":
-        return direct_sum(named("U"), named("N")).relabel("UN")
-    if f.kind == "UE8":
-        return direct_sum(named("U"), named("E8(-2)")).relabel("UE8")
+def family_lattice(f: FamilyDescriptor) -> IntegralLattice:
+    """Lattice of a family class; ValueError for a genus-level class (see
+    `FamilyDescriptor.has_gram`), whose genus `family_genus` gives."""
+    if not f.has_gram:
+        raise ValueError(f"{f.label!r} is a genus-level family with no canonical Gram matrix")
     if f.kind == "M":
         return direct_sum(_scaled_rank1(f.d), build_Mn(f.n)).relabel(f.label)
     if f.kind == "Mp":
         return _primitive_index2_overlattice(f.d, named("N"), f.label)
-    if f.n == 2:
-        if f.kind == "L":
-            return direct_sum(_scaled_rank1(f.d), named("E8(-2)")).relabel(
-                f.label
-            )
-        return _primitive_index2_overlattice(f.d, named("E8(-2)"), f.label)
-    # n >= 3: genus level only
+    if f.kind == "L":
+        return direct_sum(_scaled_rank1(f.d), named("E8(-2)")).relabel(f.label)
+    return _primitive_index2_overlattice(f.d, named("E8(-2)"), f.label)
+
+
+def family_genus(f: FamilyDescriptor) -> GenusDescriptor:
+    """Genus of any family class.  A genus-level class takes the genus of
+    the partner of M_n: <2d> plus it for L, its lemma quotient for Lp."""
+    if f.has_gram:
+        return genus_of(family_lattice(f))
     og = omega_genus(f.n)
     if f.kind == "L":
         return GenusDescriptor(
             1, og.sig_minus, sum_forms([cyclic_block(2 * f.d, Fraction(1, 2 * f.d)), og.disc])
         )
-    # Lp: quotient by the Lemma glue
     return genus_lemma_quotient(f.d, f.n, og)
-
-
-def family_genus(f: FamilyDescriptor) -> GenusDescriptor:
-    """Genus descriptor of the family class, whatever the return shape."""
-    out = family_lattice(f)
-    if isinstance(out, GenusDescriptor):
-        return out
-    return genus_of(out)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +483,17 @@ _FAMILY_RE = re.compile(r"^(L|Lp|M|Mp)\((\d+),(\d+)\)$")
 _MN_RE = re.compile(r"^M\((\d+)\)$")
 
 
-def resolve_name(text: str):
-    """Lattice or genus for a display name: fixed names, M(n), or families
-    like Lp(4,2)."""
+def parse_family(text: str) -> FamilyDescriptor | None:
+    """The family class a display name like Lp(4,2) names, else None."""
+    m = _FAMILY_RE.match(text)
+    return FamilyDescriptor(m.group(1), int(m.group(2)), int(m.group(3))) if m else None
+
+
+def resolve_name(text: str) -> IntegralLattice:
+    """Lattice for a display name: fixed names, M(n), or families like
+    Lp(4,2).  A genus-level family raises ValueError, as in `family_lattice`."""
     m = _MN_RE.match(text)
     if m:
         return build_Mn(int(m.group(1)))
-    m = _FAMILY_RE.match(text)
-    if m:
-        return family_lattice(
-            FamilyDescriptor(m.group(1), int(m.group(2)), int(m.group(3)))
-        )
-    return named(text)
+    f = parse_family(text)
+    return named(text) if f is None else family_lattice(f)

@@ -6,7 +6,7 @@ Output is canonical JSON (sorted keys, compact separators, rationals as
 appear only in the human-readable listing.  The suites are lists of named
 checks, run by k3lat.report: a check that raises becomes one fail entry
 and the next check runs.  Exit codes: 0 no failed check (discrepancies
-included), 1 a failed check or golden mismatch, 2 unusable parameters.  No
+included), 1 a failed check, 2 unusable parameters.  No
 check runs a budgeted search, so none is inconclusive.
 """
 
@@ -17,7 +17,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -30,6 +30,7 @@ from .catalog import (
     family_lattice,
     mn_build_report,
     named,
+    parse_family,
     resolve_name,
 )
 from .forms import (
@@ -98,10 +99,10 @@ def _dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _load(target: str):
-    """IntegralLattice or GenusDescriptor for a display name or JSON file
-    (either {"gram": rows} or bare rows).  ValueError unless the rows are
-    lists of integers (a JSON true or false is not one)."""
+def _load(target: str) -> IntegralLattice:
+    """Lattice for a display name or JSON file (either {"gram": rows} or bare
+    rows).  ValueError unless the rows are lists of integers (a JSON true or
+    false is not one), and for a genus-level family name."""
     path = Path(target)
     if path.exists():
         data = json.loads(path.read_text())
@@ -112,6 +113,11 @@ def _load(target: str):
             raise ValueError(f"{path.name}: the Gram must be a list of lists of integers")
         return from_rows(rows, path.name)
     return resolve_name(target)
+
+
+def _family(target: str) -> FamilyDescriptor | None:
+    """The family class a target names; None for a file or another name."""
+    return None if Path(target).exists() else parse_family(target)
 
 
 def _lattice_record(lat: IntegralLattice) -> dict:
@@ -230,10 +236,9 @@ def _suite_theorem(args) -> list[Check]:
     n = args.n if args.n is not None else 2
     d = args.d if args.d is not None else 2 * n
     lp, m = FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n)
-    genus_m = lru_cache(maxsize=None)(partial(family_genus, m))
 
     def same_genus() -> list[dict]:
-        gm = genus_m()
+        gm = family_genus(m)
         return [check(
             f"theorem-genus-n{n}-d{d}",
             genus_equal(family_genus(lp), gm),
@@ -244,7 +249,7 @@ def _suite_theorem(args) -> list[Check]:
     def unique() -> list[dict]:
         return [check(
             f"theorem-unique-n{n}-d{d}",
-            unique_in_genus_by_length(genus_m()),
+            unique_in_genus_by_length(family_genus(m)),
             f"the {m.label} genus contains a single class (length criterion)",
             f"the length criterion is inconclusive for {m.label}")]
 
@@ -274,8 +279,8 @@ def _catalog_builders() -> list[tuple[str, Callable[[], IntegralLattice]]]:
     out.extend((f.label, partial(family_lattice, f)) for f in (
         FamilyDescriptor("M", 1, 2), FamilyDescriptor("M", 2, 2),
         FamilyDescriptor("Mp", 2, 2), FamilyDescriptor("L", 1, 2),
-        FamilyDescriptor("Lp", 2, 2), FamilyDescriptor("UN"),
-        FamilyDescriptor("UE8")))
+        FamilyDescriptor("Lp", 2, 2)))
+    out.extend((s, partial(named, s)) for s in ("UN", "UE8"))
     return out
 
 
@@ -375,25 +380,20 @@ _SUITE_FN = {name: globals()[f"_suite_{name}"] for name in SUITES}
 
 
 def cmd_catalog(args) -> int:
-    obj = _load(args.name)
-    if isinstance(obj, GenusDescriptor):
-        print(f"error: {args.name!r} is a genus-level family with no "
-              "canonical Gram matrix", file=sys.stderr)
-        return 1
-    print(_dumps(_lattice_record(obj)))
+    print(_dumps(_lattice_record(_load(args.name))))
     return 0
 
 
 def cmd_disc(args) -> int:
-    obj = _load(args.target)
-    q = obj.disc if isinstance(obj, GenusDescriptor) else discriminant_form(obj)
+    f = _family(args.target)
+    q = discriminant_form(_load(args.target)) if f is None or f.has_gram else family_genus(f).disc
     print(_dumps(_form_record(q)))
     return 0
 
 
 def cmd_genus(args) -> int:
-    obj = _load(args.target)
-    g = obj if isinstance(obj, GenusDescriptor) else genus_of(obj)
+    f = _family(args.target)
+    g = genus_of(_load(args.target)) if f is None else family_genus(f)
     print(_dumps(_genus_record(g)))
     return 0
 
@@ -403,9 +403,8 @@ def cmd_verify(args) -> int:
     checks = [c for name in names for c in _SUITE_FN[name](args)]
     reports = run(checks)
 
-    payload = _dumps([e for e, _ in reports])
     if args.json:
-        print(payload)
+        print(_dumps([e for e, _ in reports]))
     else:
         for e, seconds in reports:
             print(f"{e['status'].upper():>12} {e['check']}: {e['detail']} "
@@ -414,23 +413,7 @@ def cmd_verify(args) -> int:
         print("summary: " + ", ".join(
             f"{counts[s]} {s}" for s in
             ("pass", "discrepancy", "fail") if counts[s]))
-
-    golden_bad = False
-    if args.golden is not None:
-        gdir = Path(args.golden)
-        gdir.mkdir(parents=True, exist_ok=True)
-        gpath = gdir / f"{args.suite}.json"
-        if gpath.exists():
-            if gpath.read_text() != payload + "\n":
-                print(f"golden mismatch: {gpath}", file=sys.stderr)
-                golden_bad = True
-            else:
-                print(f"golden matched: {gpath}", file=sys.stderr)
-        else:
-            gpath.write_text(payload + "\n")
-            print(f"golden written: {gpath}", file=sys.stderr)
-
-    return 1 if golden_bad or any(e["status"] == "fail" for e, _ in reports) else 0
+    return 1 if any(e["status"] == "fail" for e, _ in reports) else 0
 
 
 def cmd_tower(args) -> int:
@@ -505,9 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--json", action="store_true",
                    help="canonical JSON instead of the human listing")
-    p.add_argument("--golden", metavar="DIR",
-                   help="write the canonical JSON on first run, compare on "
-                   "later runs (mismatch exits 1)")
     p.add_argument("--bound", type=int,
                    help="coordinate bound for the even-set suites "
                    "(x2 default 5, ue8 default 3)")

@@ -70,6 +70,7 @@ from typing import Iterable, Iterator, Sequence
 from .intmat import (
     Mat,
     Vec,
+    adjugate,
     diagonal_blocks,
     freeze,
     hnf_basis,
@@ -80,7 +81,6 @@ from .intmat import (
     mat_vec,
     require,
     snf,
-    solve_int,
     transpose,
     vec_mat,
 )
@@ -1043,14 +1043,16 @@ def _quotient_structure(sup_rows: Mat, sub_rows: Mat) -> tuple[tuple[int, ...], 
 
     Returns invariant factor orders (including 1s) and lift rows: row i
     generates the Z/orders[i] factor, expressed in ambient coordinates.
+    sup is square and nonsingular: a sub row's coordinates are row.adj/det.
     """
     k = len(sup_rows)
+    det, adj = adjugate(sup_rows)
     coords = []
     for row in sub_rows:
-        x = solve_int(transpose(sup_rows), row)
-        if x is None:
+        x = vec_mat(row, adj)
+        if any(c % det for c in x):
             raise ValueError("sub lattice is not contained in sup lattice")
-        coords.append(x)
+        coords.append(tuple(c // det for c in x))
     d, v = snf(coords)
     vi = inv_unimodular(v)
     orders = []

@@ -68,7 +68,6 @@ from k3lat.lattice import (
     short_vectors,
 )
 from k3lat.overlattice import (
-    GenusDescriptor,
     genus_equal,
     genus_of,
     unique_in_genus_by_length,
@@ -580,8 +579,14 @@ def test_omega_genus_shapes():
 
 def test_descriptor_validation():
     assert FamilyDescriptor("L", 5, 3).label == "L(5,3)"
-    assert FamilyDescriptor("UN").label == "UN"
+    # only L and Lp past n = 2 lack a Gram
+    assert [f.has_gram for f in (
+        FamilyDescriptor("L", 1, 2), FamilyDescriptor("Lp", 2, 2),
+        FamilyDescriptor("M", 1, 3), FamilyDescriptor("Mp", 2, 2),
+        FamilyDescriptor("L", 1, 3), FamilyDescriptor("Lp", 6, 3))] == [True] * 4 + [False] * 2
     for bad in [
+        ("UN", 1, 2),
+        ("UE8", 1, 2),
         ("Mp", 3, 2),
         ("Mp", 2, 3),
         ("Lp", 3, 2),
@@ -643,15 +648,19 @@ def test_mp_needs_even_parameter():
 
 
 def test_family_genus_level_for_higher_order():
-    g = family_lattice(FamilyDescriptor("L", 6, 3))
-    assert isinstance(g, GenusDescriptor)
+    for kind in ("L", "Lp"):
+        f = FamilyDescriptor(kind, 6, 3)
+        assert not f.has_gram
+        with pytest.raises(ValueError, match="no canonical Gram"):
+            family_lattice(f)
+    g = family_genus(FamilyDescriptor("L", 6, 3))
     assert (g.sig_plus, g.sig_minus) == (1, 12)
     target = sum_forms(
         [cyclic_block(12, F(1, 12)), u_block(3), discriminant_form(build_Mn(3))]
     )
     assert forms_isomorphic(g.disc, target) is not None
-    gp = family_lattice(FamilyDescriptor("Lp", 6, 3))
-    assert isinstance(gp, GenusDescriptor)
+    gp = family_genus(FamilyDescriptor("Lp", 6, 3))
+    assert (gp.sig_plus, gp.sig_minus) == (1, 12)
     reduced = sum_forms(
         [cyclic_block(12, F(1, 12)), discriminant_form(build_Mn(3))]
     )
@@ -689,8 +698,8 @@ def test_even_parameter_family_coincidence():
 
 
 def test_rank10_models():
-    un = family_lattice(FamilyDescriptor("UN"))
-    ue8 = family_lattice(FamilyDescriptor("UE8"))
+    un, ue8 = named("UN"), named("UE8")
+    assert (un.label, ue8.label) == ("UN", "UE8")
     assert un.gram == direct_sum(named("U"), named("N")).gram
     assert ue8.gram == direct_sum(named("U"), named("E8(-2)")).gram
     assert genus_equal(genus_of(un), genus_of(ue8)) is False
@@ -755,6 +764,10 @@ def test_resolve_name_dispatch():
     assert resolve_name("M(3,2)").gram == direct_sum(
         from_rows([[6]]), build_Mn(2)
     ).gram
-    assert isinstance(resolve_name("Lp(6,3)"), GenusDescriptor)
+    assert resolve_name("UE8") == named("UE8")
+    with pytest.raises(ValueError, match="no canonical Gram"):
+        resolve_name("Lp(6,3)")
+    g = family_genus(FamilyDescriptor("Lp", 6, 3))
+    assert genus_equal(g, family_genus(FamilyDescriptor("M", 6, 3)))
     with pytest.raises(ValueError):
         resolve_name("Q(1,2)")

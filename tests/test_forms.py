@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
-    Subgroup,
     _block_signature,
+    _quotient_structure,
     _component_images,
     _components,
     _normal_form,
@@ -756,6 +756,15 @@ def test_quotient_by_full_isotropic_is_trivial():
     q = sum_forms([u_block(2), u_block(2)])
     for h in isotropic_subgroups(q, 4):
         assert quotient_form(q, h).rank == 0
+
+
+def test_quotient_structure_reads_coordinates_from_one_inverse():
+    # sup = Z(1, 1) + Z(0, 2) and sub = 2Z + 4Z: the quotient is Z/4,
+    # generated by (1, 1); a row outside sup is refused
+    sup = ((1, 1), (0, 2))
+    assert _quotient_structure(sup, ((2, 0), (0, 4))) == ((1, 4), ((-2, 0), (1, 1)))
+    with pytest.raises(ValueError, match="not contained"):
+        _quotient_structure(sup, ((1, 0),))
 
 
 def test_find_u_block_u_pair():

@@ -38,7 +38,6 @@ from k3lat.intmat import (
     vec_sub,
 )
 from k3lat.lattice import (
-    IntegralLattice,
     IsometryAction,
     direct_sum,
     from_rows,

@@ -36,7 +36,6 @@ from k3lat.lattice import (
     from_rows,
     is_primitive,
     rescale,
-    root_count,
 )
 from k3lat.overlattice import (
     GenusDescriptor,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from k3lat.catalog import FamilyDescriptor, family_genus, family_lattice, named
 from k3lat.forms import forms_isomorphic, negate
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
-from k3lat.overlattice import genus_equal, genus_of
+from k3lat.overlattice import genus_equal
 from k3lat.towers import (
     GaloisInvariants,
     TowerNode,
