@@ -47,12 +47,10 @@ from .lattice import (
     gram_in_basis,
     invariant_split,
     is_isometric_definite,
-    is_isometry,
     is_primitive,
     orthogonal_complement,
     quotient_by_radical,
     radical,
-    rescale,
     root_count,
     saturation,
     short_vectors,
@@ -66,16 +64,12 @@ from .nsgeometry import (
     build_UN_vgs,
     build_X2,
     find_even_sets,
-    glue_constructions,
     involutions_X2,
     known_even_sets,
     no_reducible_fibers,
     orbit_and_even_sets,
-    ue8_report,
-    un_report,
     verify_sections,
     vgs_polarized_complement,
-    x2_report,
 )
 from .overlattice import (
     GenusDescriptor,
@@ -83,7 +77,6 @@ from .overlattice import (
     genus_lemma_quotient,
     genus_of,
     lemma_overlattice,
-    overlattices,
     unique_in_genus_by_length,
 )
 from .towers import (

@@ -6,8 +6,9 @@ Output is canonical JSON (sorted keys, compact separators, rationals as
 appear only in the human-readable listing.  The suites are lists of named
 checks, run by k3lat.report: a check that raises becomes one fail entry
 and the next check runs.  Exit codes: 0 no failed check (discrepancies
-included), 1 a failed check, 2 unusable parameters.  No
-check runs a budgeted search, so none is inconclusive.
+included), 1 a failed check, 2 unusable parameters (a Gram file that
+cannot be read among them).  No check runs a budgeted search, so none is
+inconclusive.
 """
 
 from __future__ import annotations
@@ -143,15 +144,12 @@ def _genus_record(g: GenusDescriptor) -> dict:
     """Canonical isomorphism-invariant genus data: two genus-equal inputs
     print the same bytes."""
     q = g.disc
-    tally: Counter[int] = Counter()
-    for _, v, n in value_counts(q):
-        tally[v] += n
     return {
         "sig": [g.sig_plus, g.sig_minus],
         "form": {
             "group": list(group_invariants(q.orders)),
             "milgram": milgram_signature(q),
-            "values": [[str(Fraction(v, q.level)), tally[v]] for v in sorted(tally)],
+            "values": [[str(Fraction(v, q.level)), n] for v, n in value_counts(q)],
         },
     }
 
@@ -282,10 +280,6 @@ def _catalog_builders() -> list[tuple[str, Callable[[], IntegralLattice]]]:
         FamilyDescriptor("Lp", 2, 2)))
     out.extend((s, partial(named, s)) for s in ("UN", "UE8"))
     return out
-
-
-def _catalog_lattices() -> list[IntegralLattice]:
-    return [build() for _, build in _catalog_builders()]
 
 
 def _table_milgram(build: Callable[[], IntegralLattice]) -> list[dict]:
@@ -519,7 +513,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

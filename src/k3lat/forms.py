@@ -42,10 +42,9 @@ grow with |A|:
 
 Value counts and u(m) pairs are read off the normal form too, not off a
 walk over the group.  `_block_form` turns one entry of its key back into a
-form; `value_counts` (genus records) convolves the blocks' own counts of
-(order, value), and `find_u_block` reads the complement of a u(m) off the
-key and lets `forms_isomorphic` map u(m) plus that complement onto the
-form.
+form; `value_counts` (genus records) convolves the blocks' own value
+counts, and `find_u_block` reads the complement of a u(m) off the key and
+lets `forms_isomorphic` map u(m) plus that complement onto the form.
 
 A subgroup H of A is L/diag(d)Z^k for exactly one lattice
 diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
@@ -837,25 +836,25 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
                for _, c in _components(q) for block in _normal_form(c).key) % 8
 
 
-def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int, int], ...]:
-    """Sorted (order, N*q mod 2N, count) over the nonzero elements.  The
-    counts of an orthogonal sum are its blocks' own counts of (order,
-    value) convolved under (lcm, + mod 2N), so the cost grows with the
-    blocks' sizes times the number of distinct values, not with |A|.
-    Raises ArithmeticError on a degenerate form."""
+def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int], ...]:
+    """Sorted (N*q mod 2N, count) over the nonzero elements.  The counts
+    of an orthogonal sum are its blocks' own value counts convolved under
+    + mod 2N, so the cost grows with the blocks' sizes times the number of
+    distinct values, not with |A|.  Raises ArithmeticError on a degenerate
+    form."""
     n = q.level
-    counts = Counter({(1, 0): 1})
+    counts = Counter({0: 1})
     for block in _normal_form(q).key:
         b = _block_form(*block)
         s = n // b.level
-        own = Counter((b.element_order(x), b._q_int(x) * s) for x in b.elements())
-        step: Counter[tuple[int, int]] = Counter()
-        for (o1, v1), c1 in counts.items():
-            for (o2, v2), c2 in own.items():
-                step[lcm(o1, o2), (v1 + v2) % (2 * n)] += c1 * c2
+        own = Counter(b._q_int(x) * s for x in b.elements())
+        step: Counter[int] = Counter()
+        for v1, c1 in counts.items():
+            for v2, c2 in own.items():
+                step[(v1 + v2) % (2 * n)] += c1 * c2
         counts = step
-    del counts[1, 0]  # zero, the only element of order 1
-    return tuple(sorted((o, v, c) for (o, v), c in counts.items()))
+    counts[0] -= 1  # zero
+    return tuple(sorted((v, c) for v, c in counts.items() if c))
 
 
 # ---------------------------------------------------------------------------

@@ -115,11 +115,6 @@ def from_rows(
     return IntegralLattice(freeze(gram_rows), label)
 
 
-def gram_invariants(lat: IntegralLattice) -> tuple[int, int, tuple[int, int]]:
-    """(rank, determinant, (positive, negative) signature)."""
-    return lat.rank, lat.det, lat.signature
-
-
 def direct_sum(*parts: IntegralLattice) -> IntegralLattice:
     n = sum(p.rank for p in parts)
     g = [[0] * n for _ in range(n)]
@@ -131,17 +126,6 @@ def direct_sum(*parts: IntegralLattice) -> IntegralLattice:
                 g[off + i][off + j] = p.gram[i][j]
         off += r
     return IntegralLattice(freeze(g))
-
-
-def rescale(lat: IntegralLattice, n: int) -> IntegralLattice:
-    """Same module with the form multiplied by n; must remain even."""
-    if n == 0:
-        raise ValueError("rescaling factor must be nonzero")
-    if any((n * lat.gram[i][i]) % 2 for i in range(lat.rank)):
-        raise ValueError("rescaling would produce an odd lattice")
-    return IntegralLattice(
-        freeze(tuple(n * x for x in row) for row in lat.gram)
-    )
 
 
 def _check_lengths(lat: IntegralLattice, vectors: Sequence[Sequence[int]]) -> None:
@@ -391,15 +375,6 @@ def root_count(lat: IntegralLattice) -> int:
 # ---------------------------------------------------------------------------
 # Isometry testing (definite lattices)
 # ---------------------------------------------------------------------------
-
-
-def is_isometry(lat: IntegralLattice, m: Sequence[Sequence[int]]) -> bool:
-    """True when x -> m @ x preserves the form and is invertible over Z."""
-    try:
-        IsometryAction(lat, freeze(m))
-    except ValueError:
-        return False
-    return True
 
 
 def is_isometric_definite(

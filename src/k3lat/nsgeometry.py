@@ -21,8 +21,7 @@ models, tie the rank-9 families from the catalog to these rank-10 models.
 
 All computations are exact (integers and fractions).  x2_checks,
 un_checks and ue8_checks are the verification suites of the two models, as
-lists of named checks, and the *_report functions their entries; both in
-the vocabulary of k3lat.report.
+lists of named checks in the vocabulary of k3lat.report.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ from .overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
-from .report import Check, check, entries, entry
+from .report import Check, check, entry
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +135,17 @@ def _unit(n: int, i: int) -> Vec:
 def _x2_gram() -> Mat:
     """<4> + N rewritten in the pencil basis {E1, e1..e8}.
 
-    The e-block is the E8 diagram Gram scaled by -2 (e_i.e_{i+1} = 2 for
-    i = 1..6 and e3.e8 = 2, squares -4); E1 is isotropic with E1.e1 = -2,
-    E1.e2 = 1 and E1 orthogonal to e3..e8."""
-    e_block = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        e_block[i][i] = -4
-    for i in range(6):
-        e_block[i][i + 1] = e_block[i + 1][i] = 2
-    e_block[2][7] = e_block[7][2] = 2
+    The e-block is E8(-2) (e_i.e_{i+1} = 2 for i = 1..6 and e3.e8 = 2,
+    squares -4); E1 is isotropic with E1.e1 = -2, E1.e2 = 1 and E1
+    orthogonal to e3..e8."""
     top = (0, -2, 1, 0, 0, 0, 0, 0, 0)
-    rows = [top]
-    for i in range(8):
-        rows.append((top[i + 1],) + tuple(e_block[i]))
-    return freeze(rows)
+    return (top,) + tuple((t,) + row for t, row in zip(top[1:], named("E8(-2)").gram))
+
+
+def _n_half_sum_last() -> IntegralLattice:
+    """N in the basis {C_1..C_7, S}: its first basis vector, the half-sum S
+    of the eight components, moved last (S.S = -4, S.C_j = -1)."""
+    return from_rows(gram_in_basis(named("N"), identity(8)[1:] + identity(8)[:1]))
 
 
 _X2_SECTIONS = {
@@ -421,14 +417,9 @@ def base_change_report() -> list[dict]:
         [list(r) for r in b]))
 
     g_new = gram_in_basis(x2.lattice, b)
-    expected = [[0] * 9 for _ in range(9)]
-    expected[0][0] = 4
-    for i in range(1, 8):
-        expected[i][i] = -2
-        expected[i][8] = expected[8][i] = -1
-    expected[8][8] = -4
     out.append(check(
-        "x2-base-change-gram", g_new == freeze(expected),
+        "x2-base-change-gram",
+        g_new == direct_sum(from_rows([[4]]), _n_half_sum_last()).gram,
         "the new Gram is <4> + N (with the norm -4 vector listed last)",
         "the new Gram does not match <4> + N",
         [list(r) for r in g_new]))
@@ -858,22 +849,14 @@ def _certified_definite_isometry(
     return rows
 
 
-def _un_vgs_gram() -> Mat:
-    """U + N in the basis {F, F+O, C1_1..C1_7, S}: F the fiber, O the zero
-    section, C1_j one component of the j-th I2 fiber, S the half-sum of all
-    eight chosen components (an integral class; C1_8 = 2S - sum C1_j)."""
-    rows = [[0] * 10 for _ in range(10)]
-    rows[0][1] = rows[1][0] = 1
-    for j in range(2, 9):
-        rows[j][j] = -2
-        rows[j][9] = rows[9][j] = -1
-    rows[9][9] = -4
-    return freeze(rows)
-
-
 @lru_cache(maxsize=None)
 def build_UN_vgs() -> tuple[LabeledLattice, IsometryAction]:
     """The eight-I2 elliptic model and translation by its 2-torsion section.
+
+    The lattice is U + N in the basis {F, F+O, C1_1..C1_7, S}: F the fiber,
+    O the zero section, C1_j one component of the j-th I2 fiber, S the
+    half-sum of all eight chosen components (an integral class;
+    C1_8 = 2S - sum C1_j).
 
     Returns the labeled lattice and the involution; construction verifies
     that the fixed part is U(2) (spanned by F and F + O + t with t the
@@ -881,7 +864,7 @@ def build_UN_vgs() -> tuple[LabeledLattice, IsometryAction]:
     by an explicit matrix, and that the model lies in the genus of U + N.
     The result is cached; treat the labels as read-only.
     """
-    lat = from_rows(_un_vgs_gram(), "UN-I2")
+    lat = direct_sum(named("U"), _n_half_sum_last()).relabel("UN-I2")
     n = 10
     labels: dict[str, Vec] = {
         "F": _unit(n, 0),
@@ -1053,12 +1036,6 @@ def _glue_checks(w_name: str) -> list[Check]:
               for d in (1, 3))]
 
 
-def glue_constructions() -> list[dict]:
-    """Every index-2 glue statement and the rank-10 genus comparisons."""
-    return entries(
-        _glue_checks("N") + _glue_checks("E8(-2)") + [("rank10-genus", _rank10_genera)])
-
-
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -1124,10 +1101,6 @@ def x2_checks(bound: int = 5) -> list[Check]:
             ("x2-even-set-searches", partial(_even_set_searches, bound))]
 
 
-def x2_report(bound: int = 5) -> list[dict]:
-    return entries(x2_checks(bound))
-
-
 def known_even_sets() -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """The two even sets of eight disjoint rational curves: the E1-pencil
     sections {N1..N8} and their iota_dP image {N1..N7, N8''} (sections of
@@ -1186,10 +1159,6 @@ def un_checks(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[Check]:
             *_glue_checks("N")]
 
 
-def un_report(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[dict]:
-    return entries(un_checks(e_values))
-
-
 def _even_set_absence(bound: int) -> list[dict]:
     lat = direct_sum(from_rows([[2]]), named("E8(-2)")).relabel("<2>+E8(-2)")
     surrogate = LabeledLattice(lat, {"E": _unit(9, 0)})
@@ -1209,7 +1178,3 @@ def ue8_checks(absence_bound: int = 3) -> list[Check]:
         raise ValueError("coefficient bound must be non-negative")
     return [*_glue_checks("E8(-2)"), ("rank10-genus", _rank10_genera),
             ("ue8-even-set-absence", partial(_even_set_absence, absence_bound))]
-
-
-def ue8_report(absence_bound: int = 3) -> list[dict]:
-    return entries(ue8_checks(absence_bound))

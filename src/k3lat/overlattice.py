@@ -1,17 +1,18 @@
-"""Even overlattices from glue groups, and genus-level machinery.
+"""Even overlattices from glue vectors, and genus-level machinery.
 
 An even overlattice of L of index m corresponds to an isotropic subgroup H
 of the discriminant form of L with |H| = m: the overlattice is generated by
-L together with dual lifts of H.  `_glue_one` is the one single-vector
-glue: the index-m overlattice of head + W along head/m + eps, eps of
-order m in the discriminant form of W, with both summands primitive
-(Nikulin 1979, 1.4).  The congruence lemma, the Mp/Lp(d,2) families and
-the primed rank-10 models are all built by it, and all by one rule:
-eps = x + c*y for the u(m) pair (x, y) of q_W that `find_u_block` gives
-(`_u_glue`), with c = d/m for the lemma, d/2 for Mp/Lp(d,2) and 1 for
-the primed models.  Genus data (signature plus discriminant form)
-suffices to identify many indefinite lattices up to isometry via the
-rank-versus-length criterion.
+L together with dual lifts of H.  Every glue in the package is one vector,
+the cyclic codes of M_n in `catalog` included, so H is cyclic.
+`_glue_one` is the one single-vector glue: the index-m overlattice of
+head + W along head/m + eps, eps of order m in the discriminant form of W,
+with both summands primitive (Nikulin 1979, 1.4).  The congruence lemma,
+the Mp/Lp(d,2) families and the primed rank-10 models are all built by it,
+and all by one rule: eps = x + c*y for the u(m) pair (x, y) of q_W that
+`find_u_block` gives (`_u_glue`), with c = d/m for the lemma, d/2 for
+Mp/Lp(d,2) and 1 for the primed models.  Genus data (signature plus
+discriminant form) suffices to identify many indefinite lattices up to
+isometry via the rank-versus-length criterion.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .forms import (
     cyclic_subgroup,
     find_u_block,
     forms_isomorphic,
-    isotropic_subgroups,
     length,
     milgram_signature,
     quotient_form,
@@ -110,31 +110,6 @@ def _glue_overlattice(
     # den * basis^-1, and basis is upper triangular (full-rank HNF): the
     # embedding rows
     return z, Embedding(z, lat, _scaled_inverse(basis, den))
-
-
-def overlattices(
-    lat: IntegralLattice, index: int
-) -> list[tuple[IntegralLattice, Embedding]]:
-    """All even overlattices of the given index, with the embedding of L.
-
-    One overlattice per isotropic subgroup of order `index` in the
-    discriminant form; candidates that fail evenness are excluded silently.
-    The list is empty when no isotropic subgroup of that order exists.
-    """
-    if index < 1:
-        raise ValueError(f"overlattice index must be positive, got {index}")
-    if not lat.is_even:
-        raise ValueError("overlattice construction requires an even lattice")
-    disc = discriminant_group(lat)
-    out = []
-    for h in isotropic_subgroups(disc.form, index):
-        z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens], disc.form.level)
-        if not z.is_even:
-            continue
-        require(z.det * index * index == lat.det,
-                "overlattice determinant does not match its index")
-        out.append((z, emb))
-    return out
 
 
 def _glue_one(

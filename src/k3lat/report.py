@@ -41,8 +41,3 @@ def run(checks: Iterable[Check]) -> list[tuple[dict, float]]:
         seconds = time.perf_counter() - t0
         out.extend((e, seconds if i == 0 else 0.0) for i, e in enumerate(entries))
     return out
-
-
-def entries(checks: Iterable[Check]) -> list[dict]:
-    """The entries of run(checks), without their times."""
-    return [e for e, _ in run(checks)]

@@ -23,7 +23,7 @@ from k3lat.catalog import (
     named,
     omega_genus,
 )
-from k3lat.cli import _catalog_lattices
+from k3lat.cli import _catalog_builders
 from k3lat.forms import (
     forms_isomorphic,
     isotropic_subgroups,
@@ -37,10 +37,10 @@ from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from k3lat.nsgeometry import (
     build_X2,
     find_even_sets,
-    glue_constructions,
     known_even_sets,
-    un_report,
-    x2_report,
+    ue8_checks,
+    un_checks,
+    x2_checks,
 )
 from k3lat.overlattice import (
     genus_equal,
@@ -49,6 +49,7 @@ from k3lat.overlattice import (
     lemma_overlattice,
     unique_in_genus_by_length,
 )
+from k3lat.report import run
 from k3lat.towers import cover_step, mukai_twisted_check, tower, tower_related
 
 
@@ -172,7 +173,7 @@ def test_criterion_05_degree4_model_report_and_even_sets():
     with criterion(
         5, 60, "degree-4 model report clean; both even sets found at bound 5"
     ):
-        report = x2_report(bound=5)
+        report = [e for e, _ in run(x2_checks(5))]
         assert report and all(e["status"] != "fail" for e in report)
         by_name = {e["check"]: e["status"] for e in report}
         must_pass = [
@@ -222,7 +223,8 @@ def test_criterion_06_eight_i2_model_certificates():
     with criterion(
         6, 120, "eight-I2 split = E8(-2); glue certificates; complements"
     ):
-        glue = glue_constructions()
+        glue = [e for e, _ in run(c for c in un_checks() + ue8_checks()
+                                  if not c[0].startswith(("un-", "ue8-")))]
         assert glue and all(e["status"] == "pass" for e in glue)
         names = {e["check"] for e in glue}
         assert {
@@ -232,7 +234,7 @@ def test_criterion_06_eight_i2_model_certificates():
             "rank10-genus-distinct",
         } <= names
 
-        report = un_report(e_values=(1, 2, 3, 4))
+        report = [e for e, _ in run(un_checks((1, 2, 3, 4)))]
         by_name = {e["check"]: e["status"] for e in report}
         assert by_name["un-model"] == "pass"
         for e in (1, 2, 3, 4):
@@ -291,7 +293,7 @@ def test_criterion_07_towers_and_twisted_partners():
 
 def test_criterion_08_milgram_matches_signature_everywhere():
     with criterion(8, 10, "Milgram invariant = signature mod 8, full catalog"):
-        lattices = _catalog_lattices()
+        lattices = [build() for _, build in _catalog_builders()]
         assert lattices
         for lat in lattices:
             sp, sm = lat.signature

@@ -61,9 +61,7 @@ from k3lat.lattice import (
     discriminant_group,
     from_rows,
     gram_in_basis,
-    gram_invariants,
     is_isometric_definite,
-    rescale,
     root_count,
     short_vectors,
 )
@@ -80,6 +78,7 @@ from glue_oracles import (
     orbit_classes,
     transvection_orbits,
 )
+from lattice_builders import rescale
 from rational_oracles import discriminant_gram_frac
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
@@ -94,14 +93,14 @@ def test_named_n_lattice():
     n = named("N")
     assert n.gram[0] == (-4, -1, -1, -1, -1, -1, -1, -1)
     assert all(n.gram[i][i] == -2 for i in range(1, 8))
-    assert gram_invariants(n) == (8, 64, (0, 8))
+    assert (n.rank, n.det, n.signature) == (8, 64, (0, 8))
     assert root_count(n) == 16
     assert n.is_even
 
 
 def test_named_e8_rescalings_match_coordinate_model():
     e81 = named("E8(-1)")
-    assert gram_invariants(e81) == (8, 1, (0, 8))
+    assert (e81.rank, e81.det, e81.signature) == (8, 1, (0, 8))
     assert root_count(e81) == 240
     assert is_isometric_definite(e81, rescale(E8, -1)) is not None
     e82 = named("E8(-2)")
@@ -118,7 +117,7 @@ def test_named_small_entries():
     a3 = named("A(3)")
     assert a3.det == -4 and a3.signature == (0, 3)
     d4 = named("D4")
-    assert gram_invariants(d4) == (4, 4, (0, 4))
+    assert (d4.rank, d4.det, d4.signature) == (4, 4, (0, 4))
     assert root_count(d4) == 24
     for bad in ("E7", "A(0)", "U(0)", "M", ""):
         with pytest.raises(ValueError):
@@ -605,8 +604,8 @@ def test_rank9_family_grams():
     assert l12.gram == direct_sum(from_rows([[2]]), named("E8(-2)")).gram
     m32 = family_lattice(FamilyDescriptor("M", 3, 2))
     assert m32.gram == direct_sum(from_rows([[6]]), build_Mn(2)).gram
-    assert gram_invariants(l12) == (9, 512, (1, 8))
-    assert gram_invariants(m32) == (9, 128 * 3, (1, 8))
+    assert (l12.rank, l12.det, l12.signature) == (9, 512, (1, 8))
+    assert (m32.rank, m32.det, m32.signature) == (9, 128 * 3, (1, 8))
 
 
 def test_rank9_family_lengths_and_determinants():

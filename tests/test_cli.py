@@ -109,6 +109,15 @@ def test_gram_files_that_do_not_hold_integers_exit_2(capsys, tmp_path, command, 
     assert "list of lists of integers" in err
 
 
+@pytest.mark.parametrize("command", ["catalog", "disc", "genus"])
+def test_a_directory_target_exits_2(capsys, tmp_path, command):
+    # a target that exists but cannot be read as a file is an unusable
+    # parameter, not a failed check
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
 def test_genus_records_of_equal_genera_are_byte_identical(capsys):
     code1, out1, _ = run(capsys, "genus", "Lp(4,2)")
     code2, out2, _ = run(capsys, "genus", "M(4,2)")

