@@ -6,14 +6,15 @@ Output is canonical JSON (sorted keys, compact separators, rationals as
 appear only in the human-readable listing.  The suites are lists of named
 checks, run by k3lat.report: a check that raises becomes one fail entry
 and the next check runs.  Exit codes: 0 no failed check (discrepancies
-included), 1 a failed check, 2 unusable parameters (a Gram file that
-cannot be read among them).  No check runs a budgeted search, so none is
-inconclusive.
+included), 1 a failed check, 2 unusable parameters (among them a Gram
+file that cannot be read and a verify option the suite does not read).
+No check runs a budgeted search, so none is inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from collections import Counter
@@ -107,7 +108,7 @@ def _load(target: str) -> IntegralLattice:
     path = Path(target)
     if path.exists():
         data = json.loads(path.read_text())
-        rows = data["gram"] if isinstance(data, dict) else data
+        rows = data.get("gram") if isinstance(data, dict) else data
         if not (isinstance(rows, list) and all(
                 isinstance(row, list) and all(type(x) is int for x in row)
                 for row in rows)):
@@ -159,16 +160,18 @@ def _genus_record(g: GenusDescriptor) -> dict:
 # ---------------------------------------------------------------------------
 
 
-# A suite function checks its parameters and returns its named checks.
-# cmd_verify calls every suite function before any check runs, so unusable
-# parameters exit 2 with nothing printed.
+# A suite function checks its parameters and returns its named checks; its
+# keyword parameters are the verify options it reads.  cmd_verify calls every
+# suite function before any check runs, so unusable parameters exit 2 with
+# nothing printed.  Each docstring gives the suite's row of the README table:
+# the claim and, after "all:", what `verify all` runs, all of it or a sample.
 
 
-def _suite_lemma(args) -> list[Check]:
+def _suite_lemma(*, n: int = 2, d: int | None = None) -> list[Check]:
     """Congruence overlattice of <2d> + W: the U(n) demonstration for the
-    requested n, and the rank-9 case W = E8(-2) when n = 2."""
-    n = args.n if args.n is not None else 2
-    d = args.d if args.d is not None else 2 * n
+    requested n, and the rank-9 case W = E8(-2) when n = 2.  Claim: quotient
+    families with a symplectic automorphism; all: (n, d) = (2, 4), a sample."""
+    d = 2 * n if d is None else d
     if n < 2:
         raise ValueError("the block parameter n must be at least 2")
     if d < 1:
@@ -228,11 +231,11 @@ def _lemma_e8(d: int) -> list[dict]:
         "the congruence construction misses the family genus")]
 
 
-def _suite_theorem(args) -> list[Check]:
+def _suite_theorem(*, n: int = 2, d: int | None = None) -> list[Check]:
     """Certify Lp(d,n) = M(d,n): same genus plus the length criterion, two
-    checks that share the M(d,n) genus."""
-    n = args.n if args.n is not None else 2
-    d = args.d if args.d is not None else 2 * n
+    checks that share the M(d,n) genus.  Claim: quotient families with a
+    symplectic automorphism; all: (n, d) = (2, 4), a sample."""
+    d = 2 * n if d is None else d
     lp, m = FamilyDescriptor("Lp", d, n), FamilyDescriptor("M", d, n)
 
     def same_genus() -> list[dict]:
@@ -293,35 +296,42 @@ def _table_milgram(build: Callable[[], IntegralLattice]) -> list[dict]:
         {"signature": [sp, sm]})]
 
 
-def _suite_table(args) -> list[Check]:
+def _suite_table() -> list[Check]:
     """The quotient-lattice table (rank and length for n = 2..8) and the
-    Gauss-sum signature congruence over the whole catalog."""
+    Gauss-sum signature congruence over the whole catalog.  Claim: quotient
+    families with a symplectic automorphism; all: every parameter."""
     return ([(f"table-mn-{n}", partial(_table_mn, n)) for n in range(2, 9)]
             + [(f"table-milgram-{label}", partial(_table_milgram, build))
                for label, build in _catalog_builders()])
 
 
-def _suite_x2(args) -> list[Check]:
-    return x2_checks() if args.bound is None else x2_checks(args.bound)
+def _suite_x2(*, bound: int | None = None) -> list[Check]:
+    """The degree-4 model X2.  Claim: the explicit example; all: the
+    even-set search at bound 5, a sample."""
+    return x2_checks() if bound is None else x2_checks(bound)
 
 
-def _suite_un(args) -> list[Check]:
-    return un_checks() if args.e is None else un_checks((args.e,))
+def _suite_un(*, e: int | None = None) -> list[Check]:
+    """The eight-I2 model U + N.  Claim: quotient families with a symplectic
+    automorphism; all: polarizations e = 1..4, a sample."""
+    return un_checks() if e is None else un_checks((e,))
 
 
-def _suite_ue8(args) -> list[Check]:
-    return ue8_checks() if args.bound is None else ue8_checks(args.bound)
+def _suite_ue8(*, bound: int | None = None) -> list[Check]:
+    """The E8(-2) side.  Claim: quotient families with a symplectic
+    automorphism; all: the absence example at bound 3, a sample."""
+    return ue8_checks() if bound is None else ue8_checks(bound)
 
 
-def _suite_towers(args) -> list[Check]:
-    dmax = args.d if args.d is not None else 8
-    depth = args.depth if args.depth is not None else 5
-    if dmax < 1:
-        raise ValueError(f"the largest tower parameter d must be positive, got d={dmax}")
+def _suite_towers(*, d: int = 8, depth: int = 5) -> list[Check]:
+    """The cover towers.  Claim: the transcendental lattices of 2^n:1
+    isogenous K3 surfaces; all: d = 1..8 at depth 5, a sample."""
+    if d < 1:
+        raise ValueError(f"the largest tower parameter d must be positive, got d={d}")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return [*((f"towers-invariants-d{d}", partial(_tower_invariants, d, depth))
-              for d in range(1, dmax + 1)),
+    return [*((f"towers-invariants-d{e}", partial(_tower_invariants, e, depth))
+              for e in range(1, d + 1)),
             ("towers-step-laws", _step_laws), ("towers-related-probes", _related_probes)]
 
 
@@ -360,7 +370,9 @@ def _related_probes() -> list[dict]:
         {"probes": [[list(p), w] for p, w in probes]})]
 
 
-def _suite_mukai(args) -> list[Check]:
+def _suite_mukai() -> list[Check]:
+    """The twisted partners.  Claim: the transcendental lattices of 2^n:1
+    isogenous K3 surfaces; all: m in {0, 1}, d in {1, 2}, a sample."""
     return [(f"twisted-m{m}-d{d}", partial(mukai_twisted_check, m, d))
             for m in (0, 1) for d in (1, 2)]
 
@@ -393,8 +405,17 @@ def cmd_genus(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    given = {opt: v for fn in _SUITE_FN.values() for opt in inspect.signature(fn).parameters
+             if (v := getattr(args, opt)) is not None}
     names = SUITES if args.suite == "all" else (args.suite,)
-    checks = [c for name in names for c in _SUITE_FN[name](args)]
+    checks = []
+    for name in names:
+        # `all` hands each suite the options it reads; one named suite reads all
+        reads = inspect.signature(_SUITE_FN[name]).parameters
+        unread = [f"--{opt}" for opt in given if opt not in reads]
+        if unread and args.suite != "all":
+            raise ValueError(f"verify {name} does not read {', '.join(unread)}")
+        checks += _SUITE_FN[name](**{opt: v for opt, v in given.items() if opt in reads})
     reports = run(checks)
 
     if args.json:

@@ -1,18 +1,18 @@
 """Exact linear algebra over Z for small dense matrices.
 
-Everything in this package runs on arbitrary-precision integers and
-`fractions.Fraction`; there is deliberately no floating point anywhere.
-The eliminations here are fraction-free and run on integers: Hermite and
+Everything here runs on arbitrary-precision integers; there is
+deliberately no floating point anywhere, and no `Fraction` either.
+The eliminations are fraction-free: Hermite and
 Smith forms by extended gcds (a Smith step whose positive pivot divides
 the entry is a plain subtraction of a multiple of the pivot row or column,
 the same step without its identity half), and determinants, LDL^T and
 adjugates by Bareiss elimination; a symmetric matrix gets its signature
-and determinant from one symmetric pass.  A rational matrix is an
-integer matrix over one denominator (`adjugate` gives the inverse as adj
-over det); a `Fraction` appears only in the values and centre of
-`fp_enumerate`, whose Fincke-Pohst recursion also takes an integer
-coordinate box and cuts each level's range to it instead of filtering the
-shell afterwards.
+and determinant from one symmetric pass.  A rational matrix or vector is
+an integer one over one denominator: `adjugate` gives the inverse as adj
+over det, and `fp_enumerate` takes the centre of its shell as an integer
+vector over `den`.  Its Fincke-Pohst recursion returns the vectors of one
+exact value, and takes an integer coordinate box and cuts each level's
+range to it instead of filtering the shell afterwards.
 Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
@@ -20,7 +20,6 @@ dataclasses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -62,7 +61,7 @@ def vec_mat(v: Sequence, a: Sequence[Sequence]) -> tuple:
     return tuple(sum(map(mul, v, col)) for col in zip(*a))
 
 
-def dot(u: Sequence, v: Sequence) -> int | Fraction:
+def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
@@ -466,29 +465,29 @@ def inv_unimodular(a: Sequence[Sequence[int]]) -> Mat:
 
 def fp_enumerate(
     gram_posdef: Sequence[Sequence[int]],
-    upper,
-    lower=1,
-    center: Sequence | None = None,
+    value: int,
+    center: Sequence[int] | None = None,
+    den: int = 1,
     box: Sequence[tuple[int | None, int | None]] | None = None,
-) -> list[tuple[Vec, Fraction]]:
-    """All integer x with lower <= Q(x + center) <= upper, Q positive definite.
+) -> list[Vec]:
+    """All integer x with Q(den x + center) = value, Q positive definite:
+    the shell Q(x + center / den) = value / den^2, for an integer vector
+    `center` (0 when None) and den >= 1.
 
     Fincke-Pohst over the integers.  The LDL^T data d_i = p_i / p_{i-1}
     and l_ij = r_ij / p_i are read off the Bareiss minors p_i and rows r_i
     of `ldl_int` and scaled once to common denominators: with L the lcm of
-    the denominators of the l_ij and of `center`, and D that of the d_i,
+    the denominators of the l_ij, D that of the d_i and y = den x + center,
 
-        Q(x + center) * D L^4 = sum_i a_i (L^2 x_i + K_i)^2,
+        Q(y) D L^2 = sum_i a_i z_i^2,   z_i = L y_i + sum_{j>i} (L l_ij) y_j,
 
-    where a_i = D d_i and K_i = L (L c_i) + sum_{j>i} (L l_ij)(L x_j + L c_j)
-    are integers.  The bounds become floor(upper D L^4) and
-    ceil(lower D L^4), and each level of the recursion takes its range
-    of x_i from s = isqrt(rem // a_i) and two floor divisions by L^2, so
-    it forms no `Fraction`; the results share one per distinct value.
-    `center` may be a rational vector.  With no `center`, Q is
-    even in x, so only one vector of each pair {x, -x} is returned: the
-    recursion keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate
-    above i is 0, so the last nonzero coordinate is positive.
+    where a_i = D d_i and L l_ij are integers, so z_i = L den x_i + K_i.
+    From the last coordinate down, each level takes its range of x_i from
+    s = isqrt(rem // a_i) and two floor divisions by L den, and x_0 solves
+    a_0 z_0^2 = rem, at most two roots.  With no `center`, Q is even in x,
+    so only one vector of each pair {x, -x} is returned: the recursion
+    keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate above i is 0,
+    so the last nonzero coordinate is positive.
 
     `box`, if given, holds one inclusive (lo, hi) per coordinate, either
     side None for no bound; each level intersects its range with it, so
@@ -498,58 +497,55 @@ def fp_enumerate(
     ascending, so two calls give the same list.
     """
     n = len(gram_posdef)
-    upper = Fraction(upper)
-    lower = Fraction(lower)
     if box is not None and len(box) != n:
         raise ValueError("box needs one (lo, hi) per coordinate")
+    if den < 1:
+        raise ValueError("den must be positive")
     if n == 0:
-        return [((), Fraction(0))] if lower <= 0 <= upper else []
+        return [()] if value == 0 else []
     p, rows = ldl_int(gram_posdef)
     if len(p) < n:
         raise ValueError("matrix is not positive definite")
     prev = (1,) + p[:-1]
-    cen = [Fraction(c) for c in center] if center is not None else [Fraction(0)] * n
-    den = lcm(*(pm // gcd(pi, pm) for pi, pm in zip(p, prev)))
-    big = lcm(*(c.denominator for c in cen),
-              *(pi // gcd(r, pi) for pi, row in zip(p, rows) for r in row[1:]))
-    scale = den * big**4
-    step = big * big
-    a = [_div_exact(pi * den, pm) for pi, pm in zip(p, prev)]
-    lc = [int(c * big) for c in cen]
-    # K_i = k0[i] + L * sum_{j>i} ll[i][j - i - 1] * x_j
+    cen = tuple(center) if center is not None else (0,) * n
+    scale = lcm(*(pm // gcd(pi, pm) for pi, pm in zip(p, prev)))
+    big = lcm(*(pi // gcd(r, pi) for pi, row in zip(p, rows) for r in row[1:]))
+    step = big * den
+    a = [_div_exact(pi * scale, pm) for pi, pm in zip(p, prev)]
+    # K_i = k0[i] + den * sum_{j>i} ll[i][j - i - 1] * x_j
     ll = [[_div_exact(r * big, pi) for r in row[1:]] for pi, row in zip(p, rows)]
-    k0 = [big * lc[i] + sum(map(mul, ll[i], lc[i + 1:])) for i in range(n)]
-    top = upper.numerator * scale // upper.denominator
-    bottom = -(-lower.numerator * scale // lower.denominator)
+    k0 = [big * cen[i] + sum(map(mul, ll[i], cen[i + 1:])) for i in range(n)]
+    top = value * scale * big * big
     if top < 0:
         return []
     box_lo, box_hi = zip(*box) if box is not None else ((None,) * n, (None,) * n)
-    found: list[tuple[Vec, int]] = []
+    found: list[Vec] = []
     x = [0] * n
 
     def recurse(i: int, rem: int, signed: bool) -> None:
         # rem = top minus the value of the levels above i, never negative;
         # unless `signed`, there is no centre and x_j = 0 for j > i, so k = 0
-        k = k0[i] + big * sum(map(mul, ll[i], x[i + 1:]))
-        s = isqrt(rem // a[i])
-        lo = -((s + k) // step) if signed else 0
-        hi = (s - k) // step
-        b = box_lo[i]
-        if b is not None and b > lo:
-            lo = b
-        b = box_hi[i]
-        if b is not None and b < hi:
-            hi = b
+        k = k0[i] + den * sum(map(mul, ll[i], x[i + 1:]))
+        lo, hi = box_lo[i], box_hi[i]
         if i == 0:
-            used = top - rem
+            q, r = divmod(rem, a[0])
+            s = isqrt(q)
+            if r or s * s != q:
+                return
             rest = tuple(x[1:])
-            for xi in range(lo, hi + 1):
-                z = step * xi + k
-                val = used + a[0] * z * z
-                if val >= bottom:
-                    found.append(((xi,) + rest, val))
+            for z in ((-s, s) if signed and s else (s,)):
+                xi, r = divmod(z - k, step)
+                if not r and (lo is None or lo <= xi) and (hi is None or xi <= hi):
+                    found.append((xi,) + rest)
             return
-        for xi in range(lo, hi + 1):
+        s = isqrt(rem // a[i])
+        first = -((s + k) // step) if signed else 0
+        last = (s - k) // step
+        if lo is not None and lo > first:
+            first = lo
+        if hi is not None and hi < last:
+            last = hi
+        for xi in range(first, last + 1):
             z = step * xi + k
             x[i] = xi
             recurse(i - 1, rem - a[i] * z * z, signed or xi != 0)
@@ -561,5 +557,4 @@ def fp_enumerate(
         recurse(n - 1, top, center is not None)
     finally:
         del recurse
-    frac = {val: Fraction(val, scale) for val in {val for _, val in found}}
-    return [(vec, frac[val]) for vec, val in found]
+    return found

@@ -43,6 +43,7 @@ from .intmat import (
     signature,
     snf,
     transpose,
+    vec_neg,
 )
 
 
@@ -342,34 +343,22 @@ def _definite_sign(lat: IntegralLattice) -> int:
     raise ValueError("short vectors require a definite lattice")
 
 
-def short_vectors(
-    lat: IntegralLattice, max_abs_norm: int, min_abs_norm: int = 1
-) -> list[tuple[Vec, int]]:
-    """Sign representatives of vectors with min <= |v.v| <= max.
+def short_vectors(lat: IntegralLattice, norm: int) -> list[Vec]:
+    """Sign representatives of the vectors with |v.v| = norm, sorted.
 
-    One vector per pair {v, -v} (the lexicographically larger), sorted by
-    |norm| then coordinates, so equal-norm vectors appear consecutively.
-    Only definite lattices are supported.
+    One vector per pair {v, -v} (the lexicographically larger).  Only
+    definite lattices are supported.
     """
-    if lat.rank == 0 or max_abs_norm < min_abs_norm:
-        return []
-    sign = _definite_sign(lat)
-    g = lat.gram if sign > 0 else freeze(
-        tuple(-x for x in row) for row in lat.gram
-    )
-    # fp_enumerate gives one vector of each pair; keep the larger one.  An
-    # integer Gram takes integer values, so each value is a whole Fraction
-    out = [(max(vec, tuple(-x for x in vec)), sign * val.numerator)
-           for vec, val in fp_enumerate(g, max_abs_norm, lower=min_abs_norm)]
-    out.sort(key=lambda t: (abs(t[1]), t[0]))
-    return out
+    g = lat.gram if _definite_sign(lat) > 0 else freeze(map(vec_neg, lat.gram))
+    # fp_enumerate gives one vector of each pair; keep the larger one
+    return sorted(max(vec, vec_neg(vec)) for vec in fp_enumerate(g, norm))
 
 
 @lru_cache(maxsize=None)
 def root_count(lat: IntegralLattice) -> int:
     """Number of vectors of squared length +-2, counting both signs.
     Cached by Gram, so a lattice met again is not enumerated again."""
-    return 2 * len(short_vectors(lat, 2, 2))
+    return 2 * len(short_vectors(lat, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +387,14 @@ def is_isometric_definite(
     if _definite_sign(l1) != _definite_sign(l2):
         return None
 
-    norms = sorted({abs(l1.gram[i][i]) for i in range(n)})
-    cands: dict[int, list[Vec]] = {m: [] for m in norms}
-    hist1: dict[int, int] = {}
-    for _, val in short_vectors(l1, norms[-1]):
-        hist1[abs(val)] = hist1.get(abs(val), 0) + 1
-    hist2: dict[int, int] = {}
-    for vec, val in short_vectors(l2, norms[-1]):
-        hist2[abs(val)] = hist2.get(abs(val), 0) + 1
-        if abs(val) in cands:
-            cands[abs(val)].append(vec)
-            cands[abs(val)].append(tuple(-x for x in vec))
-    # cheap obstruction: short-vector norm histograms must agree
-    if hist1 != hist2:
-        return None
+    # both signs of each sign representative, shell by shell up to the
+    # largest basis norm; shells of different sizes are a cheap obstruction
+    cands: dict[int, list[Vec]] = {}
+    for m in range(1, max(abs(l1.gram[i][i]) for i in range(n)) + 1):
+        shell = short_vectors(l2, m)
+        if len(short_vectors(l1, m)) != len(shell):
+            return None
+        cands[m] = [w for vec in shell for w in (vec, vec_neg(vec))]
 
     # most-constrained basis vector first
     order = sorted(range(n), key=lambda i: (len(cands[abs(l1.gram[i][i])]), i))

@@ -504,8 +504,8 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     # its root.  With f_tail = 0 the kernel is all of Z^t.
     krows = hnf_basis(kernel_int((f_tail,)))[::-1]
     a_rows = gram_in_basis(IntegralLattice(dpos), krows)
-    # the shell form is fixed for the pencil: solve A beta = b for each
-    # prefix as beta = adj(A) b / det(A); an empty shell has det 1
+    # the shell form is fixed for the pencil: its centre beta = A^-1 b is
+    # adj(A) b / det(A) for each prefix; an empty shell has det 1
     det_a, adj_a = adjugate(a_rows)
     require(det_a > 0, "the shell form is not positive definite")
     # the nonzero K_ij as (j, i, K_ij), column by column, and those of the
@@ -529,9 +529,10 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
         rhs = n_wr + 2 + q_pre  # z A z - 2 b.z = rhs
         lin = vec_sub(c, mat_vec(dpos, wr))
         b_vec = mat_vec(krows, lin)
-        beta = tuple(Fraction(x, det_a) for x in mat_vec(adj_a, b_vec))
-        tau = rhs + dot(beta, b_vec)
-        if tau < 0:
+        # (z - beta) A (z - beta) = rhs + beta.b, times det(A)^2 in integers
+        adj_b = mat_vec(adj_a, b_vec)
+        level = det_a * (det_a * rhs + dot(adj_b, b_vec))
+        if level < 0:
             continue
         lows, highs = [[] for _ in krows], [[] for _ in krows]
         for j, i, k in owned:
@@ -541,8 +542,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             highs[i].append((bound - u) // abs(k))
         box = [(max(lo, default=None), min(hi, default=None))
                for lo, hi in zip(lows, highs)]
-        shell = fp_enumerate(a_rows, tau, tau, center=vec_neg(beta), box=box)
-        for z, _ in shell:
+        for z in fp_enumerate(a_rows, level, center=vec_neg(adj_b), den=det_a, box=box):
             tail = list(wr)
             for j, i, k in kterms:
                 tail[j] += k * z[i]
@@ -765,7 +765,7 @@ def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> Eve
         raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
     w_lat, to_frame = _section_frame(lat, e, cands[0])
     # W is negative definite: its norm -4 vectors, one of each sign pair
-    roots = [r for r, _ in short_vectors(w_lat, 4, 4)]
+    roots = short_vectors(w_lat, 4)
     # |w_t| <= bound * sum_s |to_frame[s][t]| for the W-part w of a candidate
     box = [coeff_bound * sum(map(abs, col)) for col in zip(*to_frame)][:-2]
     pack = _packing(roots + [box])
@@ -794,7 +794,7 @@ def _simple_root_rows(lat: IntegralLattice) -> Mat:
     2-scaled root lattice is a lattice basis whose Gram matrix is its
     Dynkin diagram, which `_e8_labelling` reads.
     """
-    pos = [v for v, _ in short_vectors(lat, 4, 4)]
+    pos = short_vectors(lat, 4)
     if not pos:
         raise ArithmeticError("minimal vectors do not yield a root basis")
     pset = set(pos)

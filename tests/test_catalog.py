@@ -153,7 +153,7 @@ def test_mn_tables(n):
 def _simple_roots(lat):
     """A base of the (-2)-root system: indecomposable positive roots with
     respect to a functional that is nonzero on every root."""
-    roots = [v for r, _ in short_vectors(lat, 2, 2) for v in (r, vec_neg(r))]
+    roots = [v for r in short_vectors(lat, 2) for v in (r, vec_neg(r))]
     base = 2 * max(abs(c) for r in roots for c in r) + 1
     weights = [base ** i for i in range(lat.rank)]
     positive = [
@@ -176,7 +176,7 @@ def test_mn_root_sublattice_is_the_seeded_sum(n):
     assert len(simple) == m.rank
     # the base spans the same sublattice as the full root set
     assert hnf_basis([list(r) for r in simple]) == hnf_basis(
-        [list(r) for r, _ in short_vectors(m, 2, 2)]
+        [list(r) for r in short_vectors(m, 2)]
     )
     sub = IntegralLattice(gram_in_basis(m, simple))
     seed = direct_sum(*(named(f"A({k})") for k in MN_ROOT_CONFIG[n]))

@@ -97,11 +97,12 @@ def test_disc_refuses_an_odd_gram_file(capsys, tmp_path):
     "[[2, 1], [1, 2.0]]",
     "[[true, 0], [0, 2]]",
     "5",
+    '{"rows": [[2]]}',
 ])
 @pytest.mark.parametrize("command", ["catalog", "disc", "genus"])
 def test_gram_files_that_do_not_hold_integers_exit_2(capsys, tmp_path, command, text):
-    # a string, a float or a bool entry, or no rows at all, is refused
-    # before anything is printed
+    # a string, a float or a bool entry, or no rows at all (a bare number,
+    # an object with no "gram" key), is refused before anything is printed
     f = tmp_path / "gram.json"
     f.write_text(text)
     code, out, err = run(capsys, command, str(f))
@@ -280,6 +281,30 @@ def test_unusable_suite_parameters_exit_2_before_any_check(capsys, argv, message
     code, out, err = run(capsys, "verify", *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+# the verify options each suite reads; `all` reads every one
+_SUITE_READS = {
+    "lemma": ("n", "d"), "theorem": ("n", "d"), "table": (), "x2": ("bound",),
+    "un": ("e",), "ue8": ("bound",), "towers": ("d", "depth"), "mukai": (),
+}
+
+
+@pytest.mark.parametrize("suite, option", [
+    (suite, option) for suite, reads in _SUITE_READS.items()
+    for option in ("bound", "n", "d", "e", "depth") if option not in reads
+])
+def test_a_suite_refuses_an_option_it_does_not_read(capsys, suite, option):
+    # 3 is a usable value for every option, so only the suite can refuse it
+    code, out, err = run(capsys, "verify", suite, f"--{option}", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: verify {suite} does not read --{option}\n"
+
+
+def test_a_suite_names_every_option_it_does_not_read(capsys):
+    code, out, err = run(capsys, "verify", "x2", "--e", "3", "--n", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: verify x2 does not read --n, --e\n"
 
 
 def test_failing_check_does_not_hide_the_rest(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import itertools
 import pathlib
 import random
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm, prod
+from math import isqrt, prod
 from operator import mul
 
 import pytest
@@ -462,54 +462,41 @@ def test_inv_unimodular_matches_rational_oracle(case):
         assert inv_unimodular(a) == inv_gauss_jordan(a)
 
 
-def brute_ellipsoid(g, lower, upper, box=8):
-    n = len(g)
-    hits = []
-    for x in itertools.product(range(-box, box + 1), repeat=n):
-        v = quad_value(g, x)
-        if lower <= v <= upper:
-            hits.append((tuple(x), Fraction(v)))
-    hits.sort(key=lambda p: (p[1], p[0]))
-    return hits
+def brute_ellipsoid(g, value, box=8):
+    """Every x in the box [-box, box]^n with Q(x) = value, sorted (oracle)."""
+    return [x for x in itertools.product(range(-box, box + 1), repeat=len(g))
+            if quad_value(g, x) == value]
 
 
 def sign_representatives(hits):
     """The hits whose last nonzero coordinate is positive, and x = 0: one
     vector of each pair {x, -x}."""
-    return [(x, v) for x, v in hits if not any(x) or [c for c in x if c][-1] > 0]
-
-
-def by_value(hits):
-    """The hits sorted by (value, coordinates): fp_enumerate returns them
-    in its recursion order, so lists are compared in this order."""
-    return sorted(hits, key=lambda p: (p[1], p[0]))
+    return [x for x in hits if not any(x) or [c for c in x if c][-1] > 0]
 
 
 def test_fp_enumerate_matches_brute_force():
     cases = [
-        (((2,),), 1, 8),
-        (((2, 1), (1, 2)), 1, 6),
-        (((2, 0), (0, 6)), 1, 12),
-        (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 1, 10),
+        (((2,),), 8),
+        (((2, 1), (1, 2)), 6),
+        (((2, 0), (0, 6)), 12),
+        (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 10),
     ]
-    for g, lo, hi in cases:
-        brute = brute_ellipsoid(g, lo, hi)
-        assert by_value(fp_enumerate(g, hi, lo, center=(0,) * len(g))) == by_value(brute)
-        # with no centre, one vector of each sign pair
-        assert by_value(fp_enumerate(g, hi, lo)) == by_value(sign_representatives(brute))
+    for g, top in cases:
+        for value in range(-1, top + 1):
+            brute = brute_ellipsoid(g, value)
+            assert sorted(fp_enumerate(g, value, center=(0,) * len(g))) == brute
+            # with no centre, one vector of each sign pair
+            assert sorted(fp_enumerate(g, value)) == sign_representatives(brute)
 
 
 def test_fp_enumerate_with_center():
+    # the centre (1/2, 0) as (1, 0) over den = 2
     g = ((2, 1), (1, 2))
-    center = (Fraction(1, 2), Fraction(0))
-    got = fp_enumerate(g, 3, 0, center=center)
-    want = []
-    for x in itertools.product(range(-8, 9), repeat=2):
-        y = (x[0] + center[0], x[1] + center[1])
-        v = quad_value(g, y)
-        if 0 <= v <= 3:
-            want.append((x, v))
-    assert by_value(got) == by_value(want)
+    for value in range(13):
+        got = fp_enumerate(g, value, center=(1, 0), den=2)
+        want = [x for x in itertools.product(range(-8, 9), repeat=2)
+                if quad_value(g, (2 * x[0] + 1, 2 * x[1])) == value]
+        assert sorted(got) == want, value
 
 
 def test_fp_enumerate_rejects_indefinite():
@@ -521,66 +508,115 @@ def test_fp_enumerate_rejects_indefinite():
         raise AssertionError("expected ValueError on indefinite input")
 
 
-def scan_box(g, upper, center):
-    """Integer ranges that hold every x with Q(x + center) <= upper >= 0:
-    |x_i + center_i| <= sqrt(upper (G^-1)_ii)."""
+def test_fp_enumerate_rejects_a_den_below_one():
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="den must be positive"):
+            fp_enumerate(((2,),), 2, center=(1,), den=den)
+
+
+def test_fp_enumerate_leaf_roots_on_either_side_of_a_box_bound():
+    # (2 x + 1)^2 = 9 at x = -2 and x = 1: a box bound between the two
+    # keeps one root, and a box around both keeps both, in ascending order
+    g = ((1,),)
+    for box, want in (((None, None), [(-2,), (1,)]), ((-1, None), [(1,)]),
+                      ((None, 0), [(-2,)]), ((-2, 1), [(-2,), (1,)]),
+                      ((-1, 0), [])):
+        assert fp_enumerate(g, 9, center=(1,), den=2, box=[box]) == want, box
+    # (3 x + 1)^2 = 4: 3 x + 1 = 2 has no integer root, 3 x + 1 = -2 has x = -1
+    assert fp_enumerate(g, 4, center=(1,), den=3) == [(-1,)]
+    # in rank 2 the last level sees both roots of each row x_1
+    g = ((2, 1), (1, 2))
+    shell = brute_ellipsoid(g, 14)
+    assert sorted(fp_enumerate(g, 14, center=(0, 0))) == shell
+    for lo in range(-3, 4):
+        want = [x for x in shell if lo <= x[0]]
+        got = fp_enumerate(g, 14, center=(0, 0), box=[(lo, None), (None, None)])
+        assert sorted(got) == want, lo
+
+
+def test_fp_enumerate_leaf_remainder_that_is_not_a_square_multiple():
+    # 2 z^2 = rem at the leaf: rem odd (3), rem / 2 not a square (4, 6),
+    # and rem / 2 a square (8) for comparison
+    g = ((2,),)
+    assert fp_enumerate(g, 3) == []
+    assert fp_enumerate(g, 4) == []
+    assert fp_enumerate(g, 6, center=(0,)) == []
+    assert fp_enumerate(g, 8) == [(2,)]
+    assert fp_enumerate(g, 8, center=(0,)) == [(-2,), (2,)]
+    # on diag(2, 6) the rows x_1 = +-1 leave 2 z^2 = 8 - 6 = 2 (z = +-1) and
+    # the row x_1 = 0 leaves 2 z^2 = 8 (z = +-2); level 10 leaves 4 and 10
+    g = ((2, 0), (0, 6))
+    assert sorted(fp_enumerate(g, 8, center=(0, 0))) == [
+        (-2, 0), (-1, -1), (-1, 1), (1, -1), (1, 1), (2, 0)]
+    assert fp_enumerate(g, 10, center=(0, 0)) == []
+
+
+def test_fp_enumerate_level_below_zero_is_empty():
+    g = ((4, 2, 0), (2, 3, 1), (0, 1, 5))
+    for value in (-1, -7):
+        assert fp_enumerate(g, value) == []
+        assert fp_enumerate(g, value, center=(1, 0, -1), den=3) == []
+        assert fp_enumerate((), value) == []
+
+
+def test_fp_enumerate_rank_0():
+    # the only vector of Z^0 is (), of value 0
+    assert fp_enumerate((), 0) == [()]
+    assert fp_enumerate((), 0, center=(), den=5, box=[]) == [()]
+    assert fp_enumerate((), 2) == []
+    with pytest.raises(ValueError, match="one \\(lo, hi\\) per coordinate"):
+        fp_enumerate((), 0, box=[(0, 1)])
+
+
+def scan_box(g, value, center, den):
+    """Integer ranges that hold every x with Q(den x + center) = value >= 0:
+    |den x_i + center_i| <= sqrt(value (G^-1)_ii)."""
     ginv = inv_frac(g) if g else ()
     box = []
     for i in range(len(g)):
-        r = isqrt(int(upper * ginv[i][i])) + 1
-        box.append(range(-ceil(center[i]) - r, -floor(center[i]) + r + 1))
+        r = isqrt(int(value * ginv[i][i])) + 1
+        box.append(range((-center[i] - r) // den, (r - center[i]) // den + 1))
     return box
 
 
-def brute_shell(g, lower, upper, center):
-    """Every x with lower <= Q(x + center) <= upper, by a box scan (oracle)."""
-    if upper < 0:
+def brute_shell(g, value, center, den):
+    """Every x with Q(den x + center) = value, sorted, by a box scan (oracle)."""
+    if value < 0:
         return []
-    # scale by the centre's denominator so that the scan runs on integers
-    den = lcm(*(c.denominator for c in center))
-    shift = [int(c * den) for c in center]
-    hits = []
-    for x in itertools.product(*scan_box(g, upper, center)):
-        v = Fraction(quad_value(g, [den * xi + s for xi, s in zip(x, shift)]), den * den)
-        if lower <= v <= upper:
-            hits.append((tuple(x), v))
-    hits.sort(key=lambda p: (p[1], p[0]))
-    return hits
+    return [x for x in itertools.product(*scan_box(g, value, center, den))
+            if quad_value(g, [den * xi + c for xi, c in zip(x, center)]) == value]
 
 
 @st.composite
 def fp_cases(draw):
-    """A Gram B^T B with det B != 0, a rational centre and rational bounds:
-    a shell through a lattice point, a shell at a random level, or an
-    interval that may be empty."""
+    """A Gram B^T B with det B != 0, an integer centre over a denominator
+    and one level: a shell through a lattice point or a shell at a random
+    level, which may lie below 0."""
     n = draw(st.integers(0, 4))
     b = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                       min_size=n, max_size=n))
     assume(det_int(b) != 0)
     g = mat_mul(transpose(b), b)
-    center = tuple(draw(st.lists(st.fractions(-3, 3, max_denominator=12),
-                                 min_size=n, max_size=n)))
-    kind = draw(st.sampled_from(["hit", "shell", "interval"]))
-    if kind == "hit":
+    den = draw(st.integers(1, 12))
+    center = tuple(draw(st.lists(st.integers(-3 * den, 3 * den), min_size=n, max_size=n)))
+    if draw(st.sampled_from(["hit", "shell"])) == "hit":
         x = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        lower = upper = quad_value(g, [xi + c for xi, c in zip(x, center)])
+        value = quad_value(g, [den * xi + c for xi, c in zip(x, center)])
     else:
-        upper = draw(st.fractions(-2, 14, max_denominator=6))
-        lower = upper if kind == "shell" else draw(
-            st.fractions(-2, 16, max_denominator=6))
-    return g, Fraction(lower), Fraction(upper), center
+        value = draw(st.integers(-2 * den * den, 14 * den * den))
+    return g, value, center, den
 
 
 @settings(max_examples=300, deadline=None)
 @given(fp_cases())
 def test_fp_enumerate_against_box_scan(case):
-    g, lower, upper, center = case
-    assume(upper < 0 or prod(map(len, scan_box(g, upper, center))) <= 4000)
-    got = fp_enumerate(g, upper, lower, center=center)
-    assert by_value(got) == by_value(brute_shell(g, lower, upper, center))
-    assert all(type(v) is Fraction for _, v in got)
+    g, value, center, den = case
+    assume(value < 0 or prod(map(len, scan_box(g, value, center, den))) <= 4000)
+    got = fp_enumerate(g, value, center=center, den=den)
+    assert sorted(got) == brute_shell(g, value, center, den)
+    assert all(type(c) is int for x in got for c in x)
     if not any(center):
-        assert by_value(fp_enumerate(g, upper, lower)) == by_value(sign_representatives(got))
+        assert sorted(fp_enumerate(g, value, den=den)) == sign_representatives(sorted(got))
 
 
 @st.composite
@@ -597,7 +633,7 @@ def coordinate_boxes(draw, n, reach):
 
 
 def inside(hits, box):
-    return [(x, v) for x, v in hits
+    return [x for x in hits
             if all((lo is None or lo <= c) and (hi is None or c <= hi)
                    for c, (lo, hi) in zip(x, box))]
 
@@ -609,47 +645,47 @@ def test_fp_enumerate_box_restricts_the_shell(case, data):
     # representatives), the result is the unboxed shell cut to the box.
     # `reach` lies past every scanned range, so a "wide" side holds the
     # whole shell.
-    g, lower, upper, center = case
-    zero = (Fraction(0),) * len(g)
-    scans = [scan_box(g, upper, c) for c in (center, zero)] if upper >= 0 else []
+    g, value, center, den = case
+    zero = (0,) * len(g)
+    scans = [scan_box(g, value, c, den) for c in (center, zero)] if value >= 0 else []
     assume(all(prod(map(len, scan)) <= 4000 for scan in scans))
     reach = 1 + max((max(-r.start, r.stop) for scan in scans for r in scan), default=0)
     box = data.draw(coordinate_boxes(len(g), reach))
-    got = fp_enumerate(g, upper, lower, center=center, box=box)
-    assert by_value(got) == by_value(inside(brute_shell(g, lower, upper, center), box))
-    got = fp_enumerate(g, upper, lower, box=box)
-    assert by_value(got) == by_value(
-        inside(sign_representatives(brute_shell(g, lower, upper, zero)), box))
+    got = fp_enumerate(g, value, center=center, den=den, box=box)
+    assert sorted(got) == inside(brute_shell(g, value, center, den), box)
+    got = fp_enumerate(g, value, den=den, box=box)
+    assert sorted(got) == inside(sign_representatives(brute_shell(g, value, zero, den)), box)
 
 
 def test_fp_enumerate_box_on_sign_representatives():
     # The drawn shells above seldom hold a lattice point when the centre is
-    # dropped, so every box here is tried on full ellipsoids with no centre:
-    # lower bounds above 0 where the recursion starts a sign representative
-    # at 0, None sides, an empty range and a box wider than the ellipsoid.
+    # dropped, so every box here is tried on whole shells with no centre:
+    # levels 0 and above, where the recursion starts a sign representative
+    # at 0, None sides, an empty range and a box wider than the shell.
     cases = [
-        (((2,),), 0, 8),
-        (((2, 1), (1, 2)), 1, 6),
-        (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 0, 10),
+        (((2,),), 8),
+        (((2, 1), (1, 2)), 6),
+        (((4, 2, 0), (2, 3, 1), (0, 1, 5)), 10),
     ]
-    for g, lo, hi in cases:
-        reps = sign_representatives(brute_ellipsoid(g, lo, hi))
+    for g, top in cases:
         n = len(g)
-        for box in ([(1, None)] * n, [(None, -1)] * n, [(None, None)] * (n - 1) + [(1, 2)],
-                    [(-1, 0)] * n, [(2, 1)] + [(None, None)] * (n - 1), [(-9, 9)] * n):
-            assert by_value(fp_enumerate(g, hi, lo, box=box)) == by_value(
-                inside(reps, box)), (g, box)
-            assert by_value(fp_enumerate(g, hi, lo, center=(0,) * n, box=box)) == by_value(
-                inside(brute_ellipsoid(g, lo, hi), box)), (g, box)
+        for value in range(top + 1):
+            shell = brute_ellipsoid(g, value)
+            for box in ([(1, None)] * n, [(None, -1)] * n, [(None, None)] * (n - 1) + [(1, 2)],
+                        [(-1, 0)] * n, [(2, 1)] + [(None, None)] * (n - 1), [(-9, 9)] * n):
+                assert sorted(fp_enumerate(g, value, box=box)) == inside(
+                    sign_representatives(shell), box), (g, value, box)
+                assert sorted(fp_enumerate(g, value, center=(0,) * n, box=box)) == inside(
+                    shell, box), (g, value, box)
 
 
 def test_fp_enumerate_order_is_reproducible():
     # unsorted, in the recursion's order, which two calls repeat exactly
     g = ((4, 2, 0), (2, 3, 1), (0, 1, 5))
-    for center in (None, (Fraction(1, 2), 0, Fraction(-1, 3))):
-        first = fp_enumerate(g, 12, 1, center=center)
+    for center, den, value in ((None, 1, 51), ((3, 0, -2), 6, 2084)):
+        first = fp_enumerate(g, value, center=center, den=den)
         assert len(first) > 10
-        assert fp_enumerate(g, 12, 1, center=center) == first
+        assert fp_enumerate(g, value, center=center, den=den) == first
 
 
 def test_fp_enumerate_box_needs_one_range_per_coordinate():
@@ -663,7 +699,7 @@ def test_fp_enumerate_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        got = fp_enumerate(((2, 1), (1, 2)), 6, center=(Fraction(1, 2), 0))
+        got = fp_enumerate(((2, 1), (1, 2)), 6, center=(1, 0), den=2)
         assert got
         assert gc.collect() == 0
     finally:

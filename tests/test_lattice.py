@@ -135,9 +135,9 @@ def test_e8_root_count_matches_coordinate_model():
 
 
 def test_e8_has_no_odd_norm_vectors():
-    assert short_vectors(E8, 1, 1) == []
-    assert short_vectors(E8, 3, 3) == []
-    assert [val for _, val in short_vectors(E8, 4, 4)] == [4] * 1080
+    assert short_vectors(E8, 1) == []
+    assert short_vectors(E8, 3) == []
+    assert [E8.norm(v) for v in short_vectors(E8, 4)] == [4] * 1080
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +524,7 @@ def test_orthogonal_complement_properties():
 
 
 def test_e8_complement_of_root_is_e7_like():
-    root = short_vectors(E8, 2)[0][0]
+    root = short_vectors(E8, 2)[0]
     comp = orthogonal_complement(embedding_of(E8, [root]))
     sub = comp.sub
     assert sub.rank == 7
@@ -551,16 +551,15 @@ def test_radical_and_quotient():
 
 
 def brute_short(lat, bound):
-    """Box-search oracle for all vectors with 1 <= |norm| <= bound."""
+    """Box-search oracle: {norm: sign representatives} for every |norm| <= bound."""
     n = lat.rank
     # crude box: diagonal dominance bound on coordinates
     box = 8
-    found = []
+    found = {m: set() for m in range(bound + 1)}
     for v in itertools.product(range(-box, box + 1), repeat=n):
-        if any(v):
-            val = lat.norm(v)
-            if 1 <= abs(val) <= bound:
-                found.append((v, val))
+        val = abs(lat.norm(v))
+        if val <= bound:
+            found[val].add(max(v, tuple(-x for x in v)))
     return found
 
 
@@ -575,20 +574,11 @@ def brute_short(lat, bound):
     ],
 )
 def test_short_vectors_match_brute_force(lat, bound):
-    reps = short_vectors(lat, bound)
-    brute = brute_short(lat, bound)
-    # brute box is wide enough for these cases; compare as +- classes
-    expect = {}
-    for v, val in brute:
-        key = max(v, tuple(-x for x in v))
-        expect[key] = val
-    assert dict(reps) == expect
-    # canonical representative and ordering contract
-    assert all(v >= tuple(-x for x in v) for v, _ in reps)
-    assert reps == sorted(reps, key=lambda t: (abs(t[1]), t[0]))
-    # min_abs_norm filters from below
-    tail = short_vectors(lat, bound, 3)
-    assert tail == [t for t in reps if abs(t[1]) >= 3]
+    # brute box is wide enough for these cases; every norm up to the bound,
+    # 0 (the zero vector) included, as sorted +- class representatives
+    for norm, expect in brute_short(lat, bound).items():
+        assert short_vectors(lat, norm) == sorted(expect), norm
+    assert short_vectors(lat, -2) == []
 
 
 def test_short_vectors_rejects_indefinite():

@@ -516,8 +516,8 @@ def test_frame_of_the_x2_pencils_is_e7_minus_2():
         e, o = x2.vec(e_label), cands[0]
         w_lat, to_frame = _section_frame(x2.lattice, e, o)
         assert (w_lat.rank, w_lat.det) == (7, -256)
-        assert [val for _, val in short_vectors(w_lat, 4, 4)] == [-4] * 63
-        assert short_vectors(w_lat, 2, 2) == []
+        assert [w_lat.norm(r) for r in short_vectors(w_lat, 4)] == [-4] * 63
+        assert short_vectors(w_lat, 2) == []
         basis = inv_unimodular(to_frame)
         assert basis[-2:] == (e, o)
         for v in cands:
@@ -537,7 +537,7 @@ def test_sections_are_disjoint_exactly_when_frame_parts_differ_by_a_norm_minus_4
             cands = _bounded_sections(x2, e_label, bound)
             w_lat, to_frame = _section_frame(lat, x2.vec(e_label), cands[0])
             ws = [vec_mat(v, to_frame)[:-2] for v in cands]
-            r4 = {v for r, _ in short_vectors(w_lat, 4, 4) for v in (r, vec_neg(r))}
+            r4 = {v for r in short_vectors(w_lat, 4) for v in (r, vec_neg(r))}
             k = len(cands)
             for i in range(0, k, 1 if k <= 100 else k // 40):
                 p = mat_vec(lat.gram, cands[i])
@@ -577,7 +577,7 @@ def test_parity_is_a_property_of_the_shape_on_u_plus_e8_minus_2():
     # shapes too: W = E8(-2) has 8640 even and 17280 odd ones.  At bound 2
     # the candidates hold 3992 8-cliques, of which 1200 are even.
     w = named("E8(-2)")
-    roots = [r for r, _ in short_vectors(w, 4, 4)]
+    roots = short_vectors(w, 4)
     pack = _packing(roots)
     shapes = _translate_shapes([pack(r) for r in roots])
     for shape in shapes[::50]:
@@ -771,8 +771,8 @@ def test_corrupt_anchor_mask_is_rejected_under_python_O():
 
 
 # A shell enumeration that hands back a vector off the shell: z = 0, whose
-# value Q(0 + centre) is not the level asked for.  The section search must
-# re-check each candidate, also when `python -O` strips asserts.
+# value Q(den 0 + centre) is not the level asked for.  The section search
+# must re-check each candidate, also when `python -O` strips asserts.
 _OFF_SHELL = """
 import sys
 if __debug__:
@@ -780,10 +780,9 @@ if __debug__:
 from k3lat import nsgeometry
 from k3lat.intmat import dot, mat_vec
 planted = []
-def off_shell(gram, upper, lower=1, center=None, box=None):
-    value = dot(center, mat_vec(gram, center))
-    planted.append(value != upper)
-    return [((0,) * len(gram), value)]
+def off_shell(gram, value, center=None, den=1, box=None):
+    planted.append(dot(center, mat_vec(gram, center)) != value)
+    return [(0,) * len(gram)]
 nsgeometry.fp_enumerate = off_shell
 try:
     nsgeometry._bounded_sections(nsgeometry.build_X2(), "E1", 2)
