@@ -407,6 +407,9 @@ def cmd_genus(args) -> int:
 def cmd_verify(args) -> int:
     given = {opt: v for fn in _SUITE_FN.values() for opt in inspect.signature(fn).parameters
              if (v := getattr(args, opt)) is not None}
+    if args.suite == "all" and "d" in given:
+        raise ValueError("verify all does not read --d: lemma and theorem read it as "
+                         "their d, towers as its largest d; run those suites one at a time")
     names = SUITES if args.suite == "all" else (args.suite,)
     checks = []
     for name in names:
@@ -508,7 +511,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    "(x2 default 5, ue8 default 3)")
     p.add_argument("--n", type=int, help="block parameter for lemma/theorem")
     p.add_argument("--d", type=int,
-                   help="lemma/theorem parameter, or maximum d for towers")
+                   help="lemma/theorem parameter, or maximum d for towers; "
+                   "not for all, as these suites read it differently")
     p.add_argument("--e", type=int, help="single polarization for the un suite")
     p.add_argument("--depth", type=int, help="tower depth (towers suite)")
     p.set_defaults(fn=cmd_verify)

@@ -482,19 +482,26 @@ def fp_enumerate(
         Q(y) D L^2 = sum_i a_i z_i^2,   z_i = L y_i + sum_{j>i} (L l_ij) y_j,
 
     where a_i = D d_i and L l_ij are integers, so z_i = L den x_i + K_i.
-    From the last coordinate down, each level takes its range of x_i from
-    s = isqrt(rem // a_i) and two floor divisions by L den, and x_0 solves
-    a_0 z_0^2 = rem, at most two roots.  With no `center`, Q is even in x,
-    so only one vector of each pair {x, -x} is returned: the recursion
-    keeps x_{n-1} >= 0, and x_i >= 0 while every coordinate above i is 0,
-    so the last nonzero coordinate is positive.
+    Q(den x + center) is a polynomial in x with integer coefficients, so a
+    value outside Q(center) + m Z, m the gcd of those coefficients, has an
+    empty shell, returned as [] before any search.  From the last
+    coordinate down, each level takes its range of x_i from
+    s = isqrt(rem // a_i) and two floor divisions by L den.  The last two
+    levels are one loop: for each x_1 in its range, x_0 solves
+    a_0 z_0^2 = rem - a_1 z_1^2, at most two roots, with no call per x_1;
+    a rank 1 shell runs the same loop under a unit level x_1 = 0.  With
+    no `center`, Q is even in x, so only one vector of each pair {x, -x}
+    is returned: the recursion keeps x_{n-1} >= 0, and x_i >= 0 while
+    every coordinate above i is 0, so the last nonzero coordinate is
+    positive.
 
     `box`, if given, holds one inclusive (lo, hi) per coordinate, either
     side None for no bound; each level intersects its range with it, so
     the result is the unboxed result restricted to the box (with no
     `center`, the sign representatives that lie in it).  Results come in
     the order of the recursion, unsorted: x_{n-1} outermost, each range
-    ascending, so two calls give the same list.
+    ascending, the roots x_0 of one x_1 ascending, so two calls give the
+    same list.
     """
     n = len(gram_posdef)
     if box is not None and len(box) != n:
@@ -503,41 +510,47 @@ def fp_enumerate(
         raise ValueError("den must be positive")
     if n == 0:
         return [()] if value == 0 else []
+    if n == 1:
+        # x_1 = 0 on the unit level: the results are (x_0, 0), cut below
+        gram_posdef = ((gram_posdef[0][0], 0), (0, 1))
+        center = None if center is None else (center[0], 0)
+        box = ((None, None) if box is None else box[0], (0, 0))
     p, rows = ldl_int(gram_posdef)
-    if len(p) < n:
+    if len(p) < len(gram_posdef):
         raise ValueError("matrix is not positive definite")
+    cen = tuple(center) if center is not None else (0,) * len(p)
+    # the coefficients of Q(den x + c) = Q(c) + 2 den (G c).x + den^2 Q(x)
+    # on the n given coordinates (a unit level stays 0) have gcd m
+    gc = mat_vec(gram_posdef, cen)
+    m = den * gcd(*(den * gram_posdef[i][i] for i in range(n)),
+                  *(2 * den * gram_posdef[i][j] for i in range(n) for j in range(i + 1, n)),
+                  *(2 * gc[i] for i in range(n)))
+    if (value - dot(cen, gc)) % m:
+        return []
     prev = (1,) + p[:-1]
-    cen = tuple(center) if center is not None else (0,) * n
     scale = lcm(*(pm // gcd(pi, pm) for pi, pm in zip(p, prev)))
     big = lcm(*(pi // gcd(r, pi) for pi, row in zip(p, rows) for r in row[1:]))
     step = big * den
     a = [_div_exact(pi * scale, pm) for pi, pm in zip(p, prev)]
     # K_i = k0[i] + den * sum_{j>i} ll[i][j - i - 1] * x_j
     ll = [[_div_exact(r * big, pi) for r in row[1:]] for pi, row in zip(p, rows)]
-    k0 = [big * cen[i] + sum(map(mul, ll[i], cen[i + 1:])) for i in range(n)]
+    k0 = [big * c + sum(map(mul, ll[i], cen[i + 1:])) for i, c in enumerate(cen)]
     top = value * scale * big * big
     if top < 0:
         return []
-    box_lo, box_hi = zip(*box) if box is not None else ((None,) * n, (None,) * n)
+    box_lo, box_hi = zip(*box) if box is not None else ((None,) * len(p), (None,) * len(p))
+    a0, a1 = a[0], a[1]
+    lo0, hi0 = box_lo[0], box_hi[0]
+    # K_0 moves by d0 per unit of x_1
+    d0 = den * ll[0][0]
     found: list[Vec] = []
-    x = [0] * n
+    x = [0] * len(p)
 
     def recurse(i: int, rem: int, signed: bool) -> None:
         # rem = top minus the value of the levels above i, never negative;
         # unless `signed`, there is no centre and x_j = 0 for j > i, so k = 0
         k = k0[i] + den * sum(map(mul, ll[i], x[i + 1:]))
         lo, hi = box_lo[i], box_hi[i]
-        if i == 0:
-            q, r = divmod(rem, a[0])
-            s = isqrt(q)
-            if r or s * s != q:
-                return
-            rest = tuple(x[1:])
-            for z in ((-s, s) if signed and s else (s,)):
-                xi, r = divmod(z - k, step)
-                if not r and (lo is None or lo <= xi) and (hi is None or xi <= hi):
-                    found.append((xi,) + rest)
-            return
         s = isqrt(rem // a[i])
         first = -((s + k) // step) if signed else 0
         last = (s - k) // step
@@ -545,16 +558,34 @@ def fp_enumerate(
             first = lo
         if hi is not None and hi < last:
             last = hi
-        for xi in range(first, last + 1):
-            z = step * xi + k
-            x[i] = xi
-            recurse(i - 1, rem - a[i] * z * z, signed or xi != 0)
-        x[i] = 0
+        if i > 1:
+            for xi in range(first, last + 1):
+                z = step * xi + k
+                x[i] = xi
+                recurse(i - 1, rem - a[i] * z * z, signed or xi != 0)
+            x[i] = 0
+            return
+        rest = tuple(x[2:])
+        # K_0 at x_1 = 0
+        k_base = k0[0] + den * sum(map(mul, ll[0][1:], x[2:]))
+        for x1 in range(first, last + 1):
+            z1 = step * x1 + k
+            q, r = divmod(rem - a1 * z1 * z1, a0)
+            if r:
+                continue
+            s0 = isqrt(q)
+            if s0 * s0 != q:
+                continue
+            k_0 = k_base + d0 * x1
+            for z0 in ((-s0, s0) if (signed or x1) and s0 else (s0,)):
+                x0, r = divmod(z0 - k_0, step)
+                if not r and (lo0 is None or lo0 <= x0) and (hi0 is None or x0 <= hi0):
+                    found.append((x0, x1) + rest)
 
     # The recursive closure is a reference cycle; breaking it frees the
     # closure at once instead of at the next garbage collection.
     try:
-        recurse(n - 1, top, center is not None)
+        recurse(len(p) - 1, top, center is not None)
     finally:
         del recurse
-    return found
+    return found if n > 1 else [v[:1] for v in found]

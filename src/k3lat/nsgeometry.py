@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import and_
 from typing import Callable, Iterator, Sequence
 
@@ -483,7 +483,9 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     exactly.  A column of K that only row i moves turns |w_j| <= bound
     into bounds on z_i, which `fp_enumerate` applies level by level as its
     box; the coordinates that several rows move are bounded only in the
-    final filter.
+    final filter.  Each candidate is re-checked against v.v = -2 and
+    v.E = 1, and the result is the sorted list of candidates, checked to be
+    distinct; a failed check raises ArithmeticError, also under `python -O`.
     """
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
@@ -517,7 +519,7 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
     gterms = [(i, j, g[i][j] * (1 if i == j else 2))
               for i in range(n) for j in range(i, n) if g[i][j]]
 
-    out: set[Vec] = set()
+    out: list[Vec] = []
     for pre in product(range(-bound, bound + 1), repeat=m):
         wr = solve_int((f_tail,), (1 - dot(f_pre, pre),))
         if wr is None:
@@ -552,10 +554,17 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
             norm = 0
             for i, j, gij in gterms:
                 norm += gij * v[i] * v[j]
-            require(norm == -2 and dot(f, v) == 1,
-                    f"candidate {v} does not satisfy v.v = -2, v.E = 1")
-            out.add(v)
-    return sorted(out)
+            # the message is built only when the check fails
+            if norm != -2 or dot(f, v) != 1:
+                raise ArithmeticError(f"candidate {v} does not satisfy v.v = -2, v.E = 1")
+            out.append(v)
+    out.sort()
+    # (prefix, z) -> v is one-to-one, so only a faulty enumeration repeats
+    # a candidate, and a repeat would count some even sets twice
+    for u, v in zip(out, out[1:]):
+        if u == v:
+            raise ArithmeticError(f"candidate {v} was enumerated twice")
+    return out
 
 
 def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattice, Mat]:
@@ -654,13 +663,14 @@ class EvenSets:
     def __post_init__(self) -> None:
         keys = tuple(dot(v, self.functional) for v in self.cands)
         at = {k: i for i, k in enumerate(keys)}
-        # bit i of fits[j]: cands[i] + roots[j] is a section; the flags are
-        # read most significant first, so from the last candidate down
+        # bit i of fits[j]: cands[i] + roots[j] is a section, for the roots
+        # j that some shape uses; the flags are read most significant first,
+        # so from the last candidate down
         rkeys = keys[::-1]
-        fits = []
-        for r in self.roots:
-            flags = bytes(map(at.__contains__, map(r.__add__, rkeys)))
-            fits.append(int(b"0" + flags.translate(_BIT_DIGITS), 2))
+        fits = {}
+        for j in set(chain.from_iterable(self.shapes)):
+            flags = bytes(map(at.__contains__, map(self.roots[j].__add__, rkeys)))
+            fits[j] = int(b"0" + flags.translate(_BIT_DIGITS), 2)
         masks = tuple(reduce(and_, (fits[j] for j in shape)) for shape in self.shapes)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "_keys", keys)

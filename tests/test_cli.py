@@ -307,6 +307,17 @@ def test_a_suite_names_every_option_it_does_not_read(capsys):
     assert err == "error: verify x2 does not read --n, --e\n"
 
 
+@pytest.mark.parametrize("d", ["3", "8"])
+def test_verify_all_refuses_d(capsys, d):
+    # lemma/theorem and towers read --d differently, so `all` cannot hand
+    # one value to both; d = 3 is one towers reads and the lemma refuses
+    code, out, err = run(capsys, "verify", "all", "--d", d, "--json")
+    assert (code, out) == (2, "")
+    assert err == ("error: verify all does not read --d: lemma and theorem read "
+                   "it as their d, towers as its largest d; run those suites "
+                   "one at a time\n")
+
+
 def test_failing_check_does_not_hide_the_rest(capsys, monkeypatch):
     # the genus check raises; the uniqueness check of the same suite and
     # the later suite still run

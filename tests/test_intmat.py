@@ -559,6 +559,22 @@ def test_fp_enumerate_level_below_zero_is_empty():
         assert fp_enumerate((), value) == []
 
 
+def test_fp_enumerate_value_off_the_class_of_the_centre_is_empty():
+    # Q(2x + (1, 0)) = 2 + 4 (2 x_0 + x_1) + 4 Q(x) takes only values
+    # 2 mod 4, so every other value has an empty shell, found without a
+    # search; the values in the class still match the box scan
+    g, center, den = ((2, 1), (1, 2)), (1, 0), 2
+    for value in range(0, 80):
+        got = fp_enumerate(g, value, center=center, den=den)
+        assert sorted(got) == brute_shell(g, value, center, den), value
+        if value % 4 != 2:
+            assert got == [], value
+    # rank 1, on its unit level: Q(3x + 1) = 5 + 30 x + 45 x^2 is 5 mod 15
+    for value in range(0, 200):
+        got = fp_enumerate(((5,),), value, center=(1,), den=3)
+        assert sorted(got) == brute_shell(((5,),), value, (1,), 3), value
+
+
 def test_fp_enumerate_rank_0():
     # the only vector of Z^0 is (), of value 0
     assert fp_enumerate((), 0) == [()]
@@ -686,6 +702,21 @@ def test_fp_enumerate_order_is_reproducible():
         first = fp_enumerate(g, value, center=center, den=den)
         assert len(first) > 10
         assert fp_enumerate(g, value, center=center, den=den) == first
+
+
+def test_fp_enumerate_order_is_the_documented_one():
+    # x_{n-1} outermost, each range ascending, the roots x_0 of one x_1
+    # ascending: the unsorted lists of two shells, as recorded before the
+    # last two levels became one loop
+    assert fp_enumerate(((4, 2, 0), (2, 3, 1), (0, 1, 5)), 54) == [
+        (1, -5, 1), (4, -5, 1), (-3, -1, 1), (4, -1, 1), (-4, 3, 1),
+        (1, 3, 1), (0, -3, 3), (3, -3, 3), (-1, 1, 3), (0, 1, 3)]
+    g = ((2, 1), (1, 3))
+    assert fp_enumerate(g, 138, center=(1, 0), den=2) == [
+        (-3, -2), (4, -2), (-4, -1), (4, -1), (-5, 1), (3, 1), (-5, 2), (2, 2)]
+    # -4 <= x_0 <= 3 keeps one of the two roots x_0 of each x_1
+    assert fp_enumerate(g, 138, center=(1, 0), den=2, box=[(-4, 3), (None, None)]) == [
+        (-3, -2), (-4, -1), (3, 1), (2, 2)]
 
 
 def test_fp_enumerate_box_needs_one_range_per_coordinate():

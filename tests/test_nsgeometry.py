@@ -805,6 +805,39 @@ def test_off_shell_candidate_is_rejected_under_python_O():
     assert lines[1].endswith("does not satisfy v.v = -2, v.E = 1"), lines
 
 
+# A shell enumeration that hands back its first vector twice.  The map
+# (prefix, z) -> v is one-to-one, so the section search would keep the
+# repeat and count some even sets twice; it must refuse it, also when
+# `python -O` strips asserts.
+_DUPLICATE = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+real = nsgeometry.fp_enumerate
+def duplicate(*args, **kwargs):
+    shell = real(*args, **kwargs)
+    return shell + shell[:1]
+nsgeometry.fp_enumerate = duplicate
+try:
+    nsgeometry._bounded_sections(nsgeometry.build_X2(), "E1", 2)
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_duplicate_candidate_is_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _DUPLICATE],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].endswith("was enumerated twice"), lines
+
+
 def test_bound_too_small_is_reported_not_silent():
     # N7 has a coordinate of absolute value 5, so bound 4 misses both
     # displayed sets; the report entries flag this as failures.
