@@ -13,7 +13,6 @@ from .catalog import (
     family_genus,
     family_lattice,
     membership_classification,
-    mn_build_report,
     named,
     omega_genus,
     resolve_name,

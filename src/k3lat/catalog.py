@@ -9,8 +9,9 @@ cyclic ones, listed one per orbit of the root-sum symmetries by their orbit
 keys, per-size multisets of glue classes [i] of A_m (Conway-Sloane, SPLAG
 ch. 4).  They are judged on the code, against frozen rank/length tables and
 the seeded root count: the length is that of H-perp/H, and the roots come
-from the glue words of coset minimum 2.  Only the accepted code is glued,
-as the group listed for its key, and the lattice is checked again.  The
+from the glue words of coset minimum 2.  A code is carried as the one glue
+word y listed for its key, never as a list of its elements; only the
+accepted word is glued, and the lattice is checked again.  The
 L/Lp/M/Mp families and the rank-9 membership test sit on top, one return
 shape each: `family_lattice` gives a lattice and refuses L/Lp with n >= 3,
 which have only a genus; `family_genus` gives every family's genus.  The
@@ -23,23 +24,19 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
-    Subgroup,
-    cyclic_block,
-    cyclic_subgroup,
     length,
     quotient_form,
     sum_forms,
     u_block,
 )
-from .intmat import Vec, adjugate, freeze, require
+from .intmat import Vec, adjugate, freeze, require, vec_scale
 from .lattice import (
     DiscriminantData,
     IntegralLattice,
@@ -54,6 +51,7 @@ from .overlattice import (
     _glue_one,
     _glue_overlattice,
     _lift_of,
+    _rank1_sum_genus,
     _u_glue,
     genus_equal,
     genus_of,
@@ -193,12 +191,13 @@ def _fold(config: Sequence[int], y: Sequence[int]) -> tuple:
     )
 
 
-def _orbit_key(config: Sequence[int], h: Subgroup) -> tuple:
-    """Orbit key of a cyclic glue group under the root-sum symmetries: the
-    least fold over its generators k*y, gcd(k, |h|) = 1.  Two cyclic groups
-    have one key exactly when a symmetry carries one onto the other, so
-    `_cyclic_glue_codes` lists one group per key."""
-    return min(_fold(config, y) for y in h.elements if h.form.element_order(y) == h.order)
+def _orbit_key(config: Sequence[int], q: FiniteQuadraticForm, y: Vec) -> tuple:
+    """Orbit key of the cyclic glue <y> under the root-sum symmetries: the
+    least fold over its generators k*y, gcd(k, n) = 1, n the order of y.
+    Two cyclic groups have one key exactly when a symmetry carries one onto
+    the other, so `_cyclic_glue_codes` lists one word per key."""
+    n = q.element_order(y)
+    return min(_fold(config, q.reduce(vec_scale(y, k))) for k in range(n) if gcd(k, n) == 1)
 
 
 def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
@@ -213,22 +212,21 @@ def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
 
 def _cyclic_glue_codes(
     config: Sequence[int], q: FiniteQuadraticForm, n: int
-) -> dict[tuple, Subgroup]:
-    """One cyclic isotropic glue group of order n per orbit key, on the
-    diagonal form q of the A_m root sum `config`.
+) -> dict[tuple, Vec]:
+    """A generator y of one cyclic isotropic glue group of order n per
+    orbit key, on the diagonal form q of the A_m root sum `config`.
 
     The keys are listed directly: per block size, each multiset of folded
     glue classes min(i, m + 1 - i) of A_m (SPLAG ch. 4) is placed in the
     blocks of that size.  A word y of order n with q(y) = 0 generates an
     isotropic group, as q(ky) = k^2 q(y); folds that generate one group
     share its key, and the first is kept."""
-    out: dict[tuple, Subgroup] = {}
+    out: dict[tuple, Vec] = {}
     for parts in product(*(combinations_with_replacement(range((s + 1) // 2 + 1), config.count(s))
                            for s in sorted(set(config)))):
         y = _place(config, parts)
         if q.element_order(y) == n and q._q_int(y) == 0:
-            h = cyclic_subgroup(q, y)
-            out.setdefault(_orbit_key(config, h), h)
+            out.setdefault(_orbit_key(config, q, y), y)
     return out
 
 
@@ -247,18 +245,23 @@ def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
     return count
 
 
-def _glue_accepted(n: int, config: Sequence[int], q: FiniteQuadraticForm, h: Subgroup) -> bool:
-    """Whether the glue code h on the root sum's form q gives M_n: the
-    seeded root count and the tabled length, the latter of H-perp/H
-    (Nikulin 1979, 1.4).  Evenness and rank hold for any isotropic h."""
+def _glue_accepted(n: int, config: Sequence[int], q: FiniteQuadraticForm, y: Vec) -> bool:
+    """Whether the glue code <y>, y of order n, on the root sum's form q
+    gives M_n: the seeded root count and the tabled length, the latter of
+    H-perp/H (Nikulin 1979, 1.4).  Evenness and rank hold for isotropic y."""
+    code = [q.reduce(vec_scale(y, k)) for k in range(n)]
     return (
-        _glue_root_count(config, h.elements) == sum(m * (m + 1) for m in config)
-        and length(quotient_form(q, h)) == MN_LENGTH[n]
+        _glue_root_count(config, code) == sum(m * (m + 1) for m in config)
+        and length(quotient_form(q, (y,))) == MN_LENGTH[n]
     )
 
 
 @lru_cache(maxsize=None)
-def _build_mn(n: int) -> tuple[IntegralLattice, int]:
+def build_Mn(n: int) -> IntegralLattice:
+    """The unique index-n glue overlattice of the seeded root sum whose
+    rank, length and root count match the frozen tables (2 <= n <= 8).
+    The cyclic glue codes are listed by orbit key and judged on the code;
+    the accepted glue word is glued and checked again on the lattice."""
     if n not in MN_ROOT_CONFIG:
         raise ValueError("n must be between 2 and 8")
     config = MN_ROOT_CONFIG[n]
@@ -274,7 +277,7 @@ def _build_mn(n: int) -> tuple[IntegralLattice, int]:
     # candidates related by a root-sum isometry produce isometric
     # overlattices, so judge one cyclic glue code per orbit key
     reps = _cyclic_glue_codes(config, disc.form, n)
-    accepted = [h for h in reps.values() if _glue_accepted(n, config, disc.form, h)]
+    accepted = [y for y in reps.values() if _glue_accepted(n, config, disc.form, y)]
     if not accepted:
         raise RuntimeError(
             f"no valid glue candidate for n={n}: seeded configuration is wrong"
@@ -282,37 +285,13 @@ def _build_mn(n: int) -> tuple[IntegralLattice, int]:
     require(len(accepted) == 1,
             f"ambiguous construction for n={n}: "
             "non-isometric candidates both pass")
-    # glue the accepted representative and check the judgement on the
-    # lattice
-    z, _ = _glue_overlattice(
-        root_sum, [_lift_of(disc, g) for g in accepted[0].gens], disc.form.level
-    )
+    # glue the accepted word and check the judgement on the lattice
+    z, _ = _glue_overlattice(root_sum, [_lift_of(disc, accepted[0])], disc.form.level)
     require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
             f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
     require(root_count(z) == target_roots,
             f"the glue for n={n} does not have {target_roots} roots")
-    return z.relabel(f"M({n})"), len(reps)
-
-
-def build_Mn(n: int) -> IntegralLattice:
-    """The unique index-n glue overlattice of the seeded root sum whose
-    rank, length and root count match the frozen tables (2 <= n <= 8).
-    The cyclic glue codes are listed by orbit key and judged on the code;
-    the accepted representative is glued and checked again on the
-    lattice."""
-    return _build_mn(n)[0]
-
-
-def mn_build_report(n: int) -> dict:
-    """How build_Mn(n) succeeded: glue subgroup shape and candidate counts.
-    The glue is cyclic and exactly one code is accepted, as `_build_mn`
-    requires."""
-    return {
-        "n": n,
-        "glue": "cyclic",
-        "orbit_representatives": _build_mn(n)[1],
-        "accepted": 1,
-    }
+    return z.relabel(f"M({n})")
 
 
 @lru_cache(maxsize=None)
@@ -378,7 +357,6 @@ def _scaled_rank1(d: int) -> IntegralLattice:
     return from_rows([[2 * d]], f"<{2 * d}>")
 
 
-@lru_cache(maxsize=None)
 def _primitive_index2_overlattice(
     d: int, w: IntegralLattice, label: str
 ) -> IntegralLattice:
@@ -426,9 +404,7 @@ def family_genus(f: FamilyDescriptor) -> GenusDescriptor:
         return genus_of(family_lattice(f))
     og = omega_genus(f.n)
     if f.kind == "L":
-        return GenusDescriptor(
-            1, og.sig_minus, sum_forms([cyclic_block(2 * f.d, Fraction(1, 2 * f.d)), og.disc])
-        )
+        return _rank1_sum_genus(f.d, og)
     return genus_lemma_quotient(f.d, f.n, og)
 
 

@@ -54,6 +54,8 @@ t_{i+1}, ..., t_{k-1}) with h_i | d_i and 0 <= t_j < h_j, and
 builds these bases bottom row first, pruning on the index left over and on
 isotropy row by row, so it meets each isotropic subgroup once, and lists
 its elements sum c_i*row_i mod d, 0 <= c_i < d_i/h_i, by one odometer.
+`quotient_form` takes H by generator rows alone, a cyclic glue's one word
+included, and reads |H| = |A|/(h_1 ... h_k) off their HNF with diag(d).
 """
 
 from __future__ import annotations
@@ -938,9 +940,9 @@ def _component_images(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a finite quadratic form's group, listed element-wise:
-    `elements` sorted, and `gens` any tuple that generates exactly them
-    (callers use only their span)."""
+    """A subgroup of a finite quadratic form's group as `isotropic_subgroups`
+    lists it, element-wise: `elements` sorted, and `gens` any tuple that
+    generates exactly them (callers use only their span)."""
 
     form: FiniteQuadraticForm
     elements: tuple[Vec, ...]
@@ -949,13 +951,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-
-def cyclic_subgroup(q: FiniteQuadraticForm, y: Vec) -> Subgroup:
-    """The cyclic subgroup <y> of q, generated by y."""
-    return Subgroup(
-        q, tuple(sorted(q.reduce([c * a for a in y]) for c in range(q.element_order(y)))), (y,)
-    )
 
 
 def _isotropic_hnf(
@@ -1075,17 +1070,22 @@ def _form_on_subquotient(
     return FiniteQuadraticForm.from_table([orders[i] for i in keep], table, q.level)
 
 
-def quotient_form(q: FiniteQuadraticForm, h: Subgroup) -> FiniteQuadraticForm:
-    """Induced form on H-perp / H for an isotropic subgroup H."""
-    perp = _orthogonal_lattice(q, h.gens)
+def quotient_form(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> FiniteQuadraticForm:
+    """Induced form on H-perp / H for the subgroup H generated by the rows
+    `gens`, which must be isotropic: q = 0 on each row and b = 0 on each
+    pair, or ArithmeticError (q(x + y) = q(x) + q(y) + 2b(x, y))."""
+    require(all(q._q_int(g) == 0 for g in gens)
+            and not any(q._b_int(g, h) for g, h in itertools.combinations(gens, 2)),
+            "the subgroup is not isotropic")
+    perp = _orthogonal_lattice(q, gens)
     k = q.rank
-    sub_rows = [list(g) for g in h.gens]
+    sub_rows = [list(g) for g in gens]
     sub_rows += [[q.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
     sub = hnf_basis(sub_rows)
+    order = q.group_order // prod(sub[i][i] for i in range(k))
     orders, lifts = _quotient_structure(perp, sub)
     out = _form_on_subquotient(q, orders, lifts)
-    if out.group_order * h.order * h.order != q.group_order:
-        raise ArithmeticError("quotient size mismatch: subgroup not isotropic?")
+    require(out.group_order * order * order == q.group_order, "quotient size mismatch")
     return out
 
 

@@ -3,7 +3,8 @@
 An even overlattice of L of index m corresponds to an isotropic subgroup H
 of the discriminant form of L with |H| = m: the overlattice is generated by
 L together with dual lifts of H.  Every glue in the package is one vector,
-the cyclic codes of M_n in `catalog` included, so H is cyclic.
+the cyclic codes of M_n in `catalog` included, so H is cyclic and is
+passed on as that vector.
 `_glue_one` is the one single-vector glue: the index-m overlattice of
 head + W along head/m + eps, eps of order m in the discriminant form of W,
 with both summands primitive (Nikulin 1979, 1.4).  The congruence lemma,
@@ -12,7 +13,8 @@ and all by one rule: eps = x + c*y for the u(m) pair (x, y) of q_W that
 `find_u_block` gives (`_u_glue`), with c = d/m for the lemma, d/2 for
 Mp/Lp(d,2) and 1 for the primed models.  Genus data (signature plus
 discriminant form) suffices to identify many indefinite lattices up to
-isometry via the rank-versus-length criterion.
+isometry via the rank-versus-length criterion; the genus of <2d> + W has
+one builder, `_rank1_sum_genus`, for the L family and the lemma alike.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Sequence
 from .forms import (
     FiniteQuadraticForm,
     cyclic_block,
-    cyclic_subgroup,
     find_u_block,
     forms_isomorphic,
     length,
@@ -235,20 +236,27 @@ def unique_in_genus_by_length(g: GenusDescriptor) -> bool:
     return g.is_indefinite and g.rank >= 2 + length(g.disc)
 
 
+def _rank1_sum_genus(d: int, g_w: GenusDescriptor) -> GenusDescriptor:
+    """Genus of <2d> + W from the genus of W: one more positive direction,
+    and the form <1/2d> + q_W, in that order."""
+    return GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus,
+                           sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), g_w.disc]))
+
+
 def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescriptor:
     """Form-level version of the congruence overlattice: the genus of
     `lemma_overlattice(d, m, W)` from the genus of W.
 
     The genus of <2d> + W has form <1/2d> + q_W, and the glue (2d/m)h + eps,
     h the generator of <1/2d> and eps = x + (d/m)y (`_u_glue`), is
-    quotiented out of it; the signature is unchanged.
+    quotiented out of it (`quotient_form` checks that it is isotropic);
+    the signature is unchanged.
     """
     c = _lemma_c(d, m)
-    q = sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), g_w.disc])
-    gv = GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus, q)
+    gv = _rank1_sum_genus(d, g_w)
     if m == 1:
         return gv
+    q = gv.disc
     glue = q.reduce((2 * c,) + _u_glue(g_w.disc, m, c))
-    require(q._q_int(glue) == 0 and q.element_order(glue) == m,
-            "glue is not isotropic of order m")
-    return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, cyclic_subgroup(q, glue)))
+    require(q.element_order(glue) == m, "glue is not of order m")
+    return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, (glue,)))

@@ -359,7 +359,7 @@ def _coset_order(q, x, h_elements):
 
 def _check_quotient(q, sub):
     """Validate quotient_form(q, sub) coset by coset."""
-    qq = quotient_form(q, sub)
+    qq = quotient_form(q, sub.gens)
     h_set = set(sub.elements)
     perp = [
         x

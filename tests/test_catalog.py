@@ -26,7 +26,6 @@ from k3lat.catalog import (
     MN_ROOT_CONFIG,
     FamilyDescriptor,
     _block_disc,
-    _build_mn,
     _cyclic_glue_codes,
     _glue_accepted,
     _glue_root_count,
@@ -35,7 +34,6 @@ from k3lat.catalog import (
     family_genus,
     family_lattice,
     membership_classification,
-    mn_build_report,
     named,
     omega_genus,
     resolve_name,
@@ -67,6 +65,7 @@ from k3lat.lattice import (
 )
 from k3lat.overlattice import (
     genus_equal,
+    genus_lemma_quotient,
     genus_of,
     unique_in_genus_by_length,
 )
@@ -184,11 +183,13 @@ def test_mn_root_sublattice_is_the_seeded_sum(n):
 
 
 def test_mn_build_reports_cyclic_glue():
+    # each listed code is one isotropic glue word of order n
     for n in range(2, 9):
-        rep = mn_build_report(n)
-        assert rep["glue"] == "cyclic"
-        assert rep["accepted"] >= 1
-        assert rep["orbit_representatives"] >= rep["accepted"]
+        config = MN_ROOT_CONFIG[n]
+        q = _block_disc(config)[1].form
+        codes = _cyclic_glue_codes(config, q, n)
+        assert codes
+        assert all(q.element_order(y) == n and q._q_int(y) == 0 for y in codes.values())
 
 
 def test_mn_rejects_out_of_range():
@@ -198,28 +199,37 @@ def test_mn_rejects_out_of_range():
         build_Mn(9)
 
 
+# per n: the cyclic glue codes listed, one per orbit key, and the codes
+# accepted among them
 MN_BUILD_REPORTS = {
-    2: ("cyclic", 2, 1),
-    3: ("cyclic", 2, 1),
-    4: ("cyclic", 3, 1),
-    5: ("cyclic", 2, 1),
-    6: ("cyclic", 5, 1),
-    7: ("cyclic", 1, 1),
-    8: ("cyclic", 1, 1),
+    2: (2, 1),
+    3: (2, 1),
+    4: (3, 1),
+    5: (2, 1),
+    6: (5, 1),
+    7: (1, 1),
+    8: (1, 1),
 }
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mn_build_report_is_pinned(n):
-    glue, reps, accepted = MN_BUILD_REPORTS[n]
-    assert mn_build_report(n) == {
-        "n": n, "glue": glue, "orbit_representatives": reps, "accepted": accepted,
-    }
+    reps, accepted = MN_BUILD_REPORTS[n]
+    config = MN_ROOT_CONFIG[n]
+    q = _block_disc(config)[1].form
+    codes = _cyclic_glue_codes(config, q, n)
+    assert len(codes) == reps
+    assert sum(_glue_accepted(n, config, q, y) for y in codes.values()) == accepted
 
 
 # ---------------------------------------------------------------------------
 # M_n glue codes against the BFS orbits and the glued lattices
 # ---------------------------------------------------------------------------
+
+
+def generator(s):
+    """An element of the cyclic subgroup s that generates it."""
+    return next(x for x in s.elements if s.form.element_order(x) == s.order)
 
 
 def assert_glue_code_matches_the_lattices(config, n):
@@ -234,13 +244,13 @@ def assert_glue_code_matches_the_lattices(config, n):
     cyclic = [s for s in subs if any(q.element_order(x) == n for x in s.elements)]
     by_key = {}
     for s in cyclic:
-        by_key.setdefault(_orbit_key(config, s), []).append(s)
+        by_key.setdefault(_orbit_key(config, q, generator(s)), []).append(s)
     assert list(by_key.values()) == orbit_classes(cyclic, config)
     for h, *_ in orbit_classes(subs, config):
         z = glue_candidate(lat, disc, h)
         assert z.is_even and z.rank == lat.rank
         assert _glue_root_count(config, h.elements) == root_count(z)
-        assert length(quotient_form(q, h)) == length(discriminant_form(z))
+        assert length(quotient_form(q, h.gens)) == length(discriminant_form(z))
     return lat, disc, cyclic
 
 
@@ -250,15 +260,17 @@ def test_mn_glue_code_judgement_matches_the_lattice_filter(n):
     lat, disc, cyclic = assert_glue_code_matches_the_lattices(config, n)
     classes = orbit_classes(cyclic, config)
     reps = [cls[0] for cls in classes]
-    assert len(reps) == mn_build_report(n)["orbit_representatives"]
+    q = disc.form
+    codes = _cyclic_glue_codes(config, q, n)
+    assert len(reps) == len(codes) == MN_BUILD_REPORTS[n][0]
     roots = sum(m * (m + 1) for m in config)
     accepted = lattice_filter(lat, disc, reps, MN_RANK[n], MN_LENGTH[n], roots)
-    assert accepted == [s for s in reps if _glue_accepted(n, config, disc.form, s)]
+    assert accepted == [s for s in reps if _glue_accepted(n, config, q, generator(s))]
     assert len(accepted) == 1
-    # build_Mn glues the listed representative of the accepted key, which
-    # lies in the accepted BFS orbit but need not be its first member
-    glue = _cyclic_glue_codes(config, disc.form, n)[_orbit_key(config, accepted[0])]
-    assert glue.elements in {s.elements for s in classes[reps.index(accepted[0])]}
+    # build_Mn glues the word listed for the accepted key, which generates
+    # a group of the accepted BFS orbit but need not be its first member
+    y = codes[_orbit_key(config, q, generator(accepted[0]))]
+    (glue,) = [s for s in classes[reps.index(accepted[0])] if y in s.elements]
     assert glue_candidate(lat, disc, glue).gram == build_Mn(n).gram
 
 
@@ -291,12 +303,14 @@ def assert_keys_list_the_cyclic_glue(config, n):
     q = disc.form
     cyclic = cyclic_isotropic_subgroups(q, n)
     listed = _cyclic_glue_codes(config, q, n)
-    assert set(listed) == {_orbit_key(config, s) for s in cyclic}
-    for h in listed.values():
-        assert h.order == n and h.elements in {s.elements for s in cyclic}
+    assert set(listed) == {_orbit_key(config, q, generator(s)) for s in cyclic}
+    # a word of order n lies in a cyclic group of order n exactly when it
+    # generates it
+    for y in listed.values():
+        assert q.element_order(y) == n and any(y in s.elements for s in cyclic)
     for cls in orbit_classes(cyclic, config):
-        h = listed[_orbit_key(config, cls[0])]
-        assert h.elements in {s.elements for s in cls}
+        y = listed[_orbit_key(config, q, generator(cls[0]))]
+        assert any(y in s.elements for s in cls)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -317,7 +331,27 @@ def test_build_mn_lists_no_isotropic_subgroups(monkeypatch):
     monkeypatch.setattr(forms, "isotropic_subgroups", refuse)
     monkeypatch.setattr(catalog, "isotropic_subgroups", refuse, raising=False)
     for n in range(2, 9):
-        assert _build_mn.__wrapped__(n)[0].gram == build_Mn(n).gram
+        assert build_Mn.__wrapped__(n).gram == build_Mn(n).gram
+
+
+def test_build_mn_and_the_lemma_quotient_build_no_subgroup(monkeypatch):
+    # the glue path carries the glue word alone: no `Subgroup` listing its
+    # elements is built for M_n or for a lemma quotient
+    grams = {n: build_Mn(n).gram for n in range(2, 9)}
+
+    def genera():
+        return [family_genus(FamilyDescriptor("Lp", 6, 3)),
+                family_genus(FamilyDescriptor("Lp", 8, 4)),
+                genus_lemma_quotient(4, 2, genus_of(named("U(2)")))]
+    before = genera()
+
+    def refuse(*args):
+        raise AssertionError("a Subgroup was built")
+
+    monkeypatch.setattr(forms, "Subgroup", refuse)
+    assert genera() == before
+    for n in range(2, 9):
+        assert build_Mn.__wrapped__(n).gram == grams[n]
 
 
 @pytest.mark.parametrize("table,n,value,error,message", [
@@ -327,13 +361,13 @@ def test_build_mn_lists_no_isotropic_subgroups(monkeypatch):
 def test_build_mn_rejects_a_wrong_table(monkeypatch, table, n, value, error, message):
     monkeypatch.setitem(table, n, value)
     with pytest.raises(error, match=message):
-        _build_mn.__wrapped__(n)
+        build_Mn.__wrapped__(n)
 
 
 def test_build_mn_rejects_two_accepted_glue_codes(monkeypatch):
-    monkeypatch.setattr(catalog, "_glue_accepted", lambda n, config, q, h: True)
+    monkeypatch.setattr(catalog, "_glue_accepted", lambda n, config, q, y: True)
     with pytest.raises(ArithmeticError, match="ambiguous construction for n=2"):
-        _build_mn.__wrapped__(2)
+        build_Mn.__wrapped__(2)
 
 
 def test_build_mn_checks_the_root_count_of_the_seeded_sum(monkeypatch):
@@ -341,7 +375,7 @@ def test_build_mn_checks_the_root_count_of_the_seeded_sum(monkeypatch):
     # this check fail; a root count that is off by one pair does
     monkeypatch.setattr(catalog, "root_count", lambda lat: root_count(lat) + 2)
     with pytest.raises(ArithmeticError, match="seeded configuration for n=2 has the wrong root count"):
-        _build_mn.__wrapped__(2)
+        build_Mn.__wrapped__(2)
 
 
 # The code-level judgement turned round for n = 2 accepts the glue of weight
@@ -354,10 +388,11 @@ if __debug__:
 from k3lat import catalog
 judge = catalog._glue_accepted
 accepted = []
-def wrong(n, config, q, h):
-    ok = not judge(n, config, q, h)
+def wrong(n, config, q, y):
+    ok = not judge(n, config, q, y)
     if ok:
-        accepted.append(catalog._glue_root_count(config, h.elements))
+        code = [q.reduce([k * a for a in y]) for k in range(n)]
+        accepted.append(catalog._glue_root_count(config, code))
     return ok
 catalog._glue_accepted = wrong
 try:
@@ -638,7 +673,7 @@ def test_index2_families_keep_the_definite_part_primitive():
 def test_index2_glue_refuses_a_w_that_is_not_2_elementary():
     # q_A2(-1) is cyclic of order 3: Witt's theorem does not apply
     with pytest.raises(ArithmeticError, match="2-elementary"):
-        catalog._primitive_index2_overlattice.__wrapped__(2, named("A(2)"), "Mp(2,2)")
+        catalog._primitive_index2_overlattice(2, named("A(2)"), "Mp(2,2)")
 
 
 def test_mp_needs_even_parameter():

@@ -494,7 +494,7 @@ def test_equal_forms_from_three_paths_share_one_cache_entry():
     by_disc = discriminant_form(direct_sum(named("U(2)"), from_rows([[4]])))
     big = sum_forms([u_block(2), cyclic_block(36, F(1, 36))])
     (h,) = isotropic_subgroups(big, 3)
-    by_quotient = quotient_form(big, h)
+    by_quotient = quotient_form(big, h.gens)
     assert by_sum == by_disc == by_quotient
     assert hash(by_sum) == hash(by_disc) == hash(by_quotient)
     before = milgram_signature.cache_info()
@@ -748,7 +748,7 @@ QUOTIENT_CASES = [
 @pytest.mark.parametrize("q,order", QUOTIENT_CASES)
 def test_quotient_form_matches_coset_oracle(q, order):
     for h in isotropic_subgroups(q, order):
-        out = quotient_form(q, h)
+        out = quotient_form(q, h.gens)
         assert out.group_order * order * order == q.group_order
         assert form_profile(out) == coset_profile(q, h.elements)
         if not is_degenerate(q):
@@ -758,7 +758,18 @@ def test_quotient_form_matches_coset_oracle(q, order):
 def test_quotient_by_full_isotropic_is_trivial():
     q = sum_forms([u_block(2), u_block(2)])
     for h in isotropic_subgroups(q, 4):
-        assert quotient_form(q, h).rank == 0
+        assert quotient_form(q, h.gens).rank == 0
+
+
+def test_quotient_form_refuses_a_subgroup_that_is_not_isotropic():
+    # in u(2) = <x, y>: x + y has q = 1, although <x + y> is orthogonal to
+    # itself and so passes a count of H-perp/H; x and y are isotropic but
+    # pair to 1/2
+    q = u_block(2)
+    with pytest.raises(ArithmeticError, match="not isotropic"):
+        quotient_form(q, ((1, 1),))
+    with pytest.raises(ArithmeticError, match="not isotropic"):
+        quotient_form(q, ((1, 0), (0, 1)))
 
 
 def test_quotient_structure_reads_coordinates_from_one_inverse():
@@ -846,7 +857,7 @@ def test_find_u_block_matches_walk_on_small_forms():
 def test_quotient_preserves_signature(case):
     q, order = case
     for h in isotropic_subgroups(q, order):
-        assert milgram_signature(quotient_form(q, h)) == milgram_signature(q)
+        assert milgram_signature(quotient_form(q, h.gens)) == milgram_signature(q)
 
 
 # ---------------------------------------------------------------------------

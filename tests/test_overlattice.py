@@ -130,7 +130,7 @@ def test_overlattice_determinant_and_quotient_form(lat, index):
     for h, z, emb in even_glues(lat, index):
         assert z.det * index * index == lat.det
         assert (
-            forms_isomorphic(discriminant_form(z), quotient_form(disc.form, h))
+            forms_isomorphic(discriminant_form(z), quotient_form(disc.form, h.gens))
             is not None
         )
         assert emb.sub == lat
@@ -309,7 +309,7 @@ def order_10(disc, coords):
 attempt("order", lemma(direct_sum(named("U(2)"), named("U(5)"))), order_10)
 # the Mp/Lp(d,2) families and the primed rank-10 models share the lemma's
 # glue, and so its checks
-attempt("index-2", lambda: _primitive_index2_overlattice.__wrapped__(4, named("N"), "Mp(4,2)"),
+attempt("index-2", lambda: _primitive_index2_overlattice(4, named("N"), "Mp(4,2)"),
         order_10)
 attempt("primed", lambda: _primed_model(named("N")), order_10)
 # both lifts replaced by that of an element of order 2 with q = 1: the
