@@ -8,18 +8,22 @@ power-of-two answer is checked against the chain it summarizes.
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lat.catalog import FamilyDescriptor, family_genus, family_lattice, named
-from k3lat.forms import forms_isomorphic, negate
+from k3lat import towers
+from k3lat.catalog import FamilyDescriptor, build_Mn, family_genus, family_lattice, named
+from k3lat.forms import cyclic_block, forms_isomorphic, negate
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
-from k3lat.overlattice import genus_equal
+from k3lat.overlattice import genus_equal, genus_of
 from k3lat.towers import (
     GaloisInvariants,
     TowerNode,
+    _minus_ns_form,
+    _storey_free_facts,
     cover_step,
     galois_cover_invariants,
     mukai_twisted_check,
@@ -126,6 +130,63 @@ def test_tower_node_validation():
         tower(0, 1)
     with pytest.raises(ValueError):
         tower(1, -1)
+
+
+def _genus_oracle(ns, t):
+    """The storey check by normal forms: q_t isomorphic to minus the NS
+    genus form, found by search rather than read off the blocks."""
+    return forms_isomorphic(genus_of(t).disc, negate(family_genus(ns).disc)) is not None
+
+
+def test_block_witness_agrees_with_genus_oracle_on_every_storey():
+    storeys = {(n.ns, n.transcendental) for d in range(1, 17) for n in tower(d, 8)}
+    assert len(storeys) == 80
+    for ns, t in storeys:
+        assert _minus_ns_form(ns, t) is True
+        assert _genus_oracle(ns, t), ns.label
+
+
+def test_storey_free_facts_hold():
+    q_n = discriminant_form(named("N"))
+    assert q_n.orders == (2,) * 6
+    assert negate(q_n).table == q_n.table
+    assert named("U").det == -1
+    assert build_Mn(2).gram == named("N").gram
+    assert _storey_free_facts() is True
+
+
+def test_q_n_that_is_not_its_own_negative_is_refused(monkeypatch):
+    # <1/4> on Z/4: its negative has q = 7/4, another table
+    monkeypatch.setattr(towers, "genus_of",
+                        lambda lat: SimpleNamespace(disc=cyclic_block(4, Fraction(1, 4))))
+    assert towers._storey_free_facts.__wrapped__() is False
+    monkeypatch.setattr(towers, "_storey_free_facts", lambda: False)
+    node = tower(1, 0)[0]
+    assert towers._minus_ns_form.__wrapped__(node.ns, node.transcendental) is False
+
+
+def _storey(names, c):
+    """The orthogonal sum of the named lattices and <c>, in that order."""
+    return direct_sum(*map(named, names), from_rows([[c]]))
+
+
+# a wrong cyclic entry is planted in test_tower_node_validation
+@pytest.mark.parametrize("ns,t,oracle", [
+    # an N block replaced by another rank-8 even lattice
+    (FamilyDescriptor("M", 1, 2), _storey(("U", "U", "E8(-2)"), -2), False),
+    # the right blocks in another order: the same genus, refused all the same
+    (FamilyDescriptor("M", 2, 2), _storey(("U", "N", "U"), -4), True),
+    # NS families of another kind, refused by kind; Lp(2,2) has the genus
+    # of M(2,2)
+    (FamilyDescriptor("Mp", 2, 2), _storey(("U", "U", "N"), -4), False),
+    (FamilyDescriptor("Lp", 2, 2), _storey(("U", "U", "N"), -4), True),
+])
+def test_planted_storeys_are_refused(ns, t, oracle):
+    assert t.rank == 13 and t.signature == (2, 11)
+    with pytest.raises(ValueError, match="do not certify"):
+        TowerNode(ns, t, 0)
+    assert _minus_ns_form(ns, t) is False
+    assert _genus_oracle(ns, t) is oracle
 
 
 def chain_distances(d, cap):
