@@ -32,13 +32,10 @@ grow with |A|:
   the form's own table.
 - `milgram_signature` adds the blocks' Gauss-sum phases in closed form;
   `forms_isomorphic` compares normal forms and composes one form's basis
-  change with the inverse of the other's.  Both read the normal forms of
-  a form's orthogonal components where they can, so a sum whose summands
-  were met before builds no new normal form.  `_components` takes them to
-  be the contiguous diagonal blocks of the table (`diagonal_blocks`, the
-  splitter of lattice Grams too), the layout `sum_forms` and `negate`
-  give; components that are not contiguous, as in a conjugated basis,
-  stay joined in one block, which its own normal form decides.
+  change with the inverse of the other's.  Both read the whole form's
+  normal form, also for an orthogonal sum: its blocks' forms add up to it
+  (Nikulin 1979, sec. 1), but they need not pair up with another sum's
+  blocks for the sums to be isomorphic.
 
 Value counts and u(m) pairs are read off the normal form too, not off a
 walk over the group.  `_block_form` turns one entry of its key back into a
@@ -72,7 +69,6 @@ from .intmat import (
     Mat,
     Vec,
     adjugate,
-    diagonal_blocks,
     freeze,
     hnf_basis,
     identity,
@@ -811,31 +807,13 @@ def _block_signature(p: int, k: int, kind: str, value: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _components(q: FiniteQuadraticForm) -> tuple[tuple[int, FiniteQuadraticForm], ...]:
-    """The orthogonal components of q, the contiguous diagonal blocks of its
-    table (`diagonal_blocks`), as `sum_forms` and `negate` lay them out:
-    each as the index of its first generator and the form on its
-    generators.  A form with one block is its own.  Cached per form."""
-    blocks = diagonal_blocks(q.table)
-    if len(blocks) == 1:
-        return ((0, q),)
-    out, at = [], 0
-    for b in blocks:
-        out.append((at, FiniteQuadraticForm.from_table(q.orders[at:at + len(b)], b, q.level)))
-        at += len(b)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def milgram_signature(q: FiniteQuadraticForm) -> int:
     """Signature invariant mod 8: the Gauss sum over the group is
     sqrt(|A|) * zeta_8^sigma, and it is the product of the blocks' Gauss
-    sums, each in closed form (`_block_signature`); over q's orthogonal
-    components (`_components`) these multiply too, so each component reads
-    its own normal form.  Raises ArithmeticError on a degenerate form.
-    Cached per form; a raise is not."""
-    return sum(_block_signature(*block)
-               for _, c in _components(q) for block in _normal_form(c).key) % 8
+    sums, each in closed form (`_block_signature`), read off q's normal
+    form.  Raises ArithmeticError on a degenerate form.  Cached per form; a
+    raise is not."""
+    return sum(_block_signature(*block) for block in _normal_form(q).key) % 8
 
 
 def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int], ...]:
@@ -870,13 +848,15 @@ def forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[
     Returns a tuple of images (coordinates in q2) for the generators of
     q1: T2^-1 . T1, with T1 the coordinates of q1's generators in its
     normal basis and T2^-1 the normal basis of q2.  Equal normal forms are
-    the complete invariant, so no search runs.  When both tables split
-    into diagonal blocks (`_components`) whose normal forms pair up, the
-    map is assembled block by block (`_component_images`); otherwise, as
-    when one table is a single block or a sum is isomorphic although its
-    components are not (<5/4> + <5/4> = <1/4> + <1/4>), the whole normal
-    forms decide.  The images are checked again on every generator's q and
-    order and every pair's b.  Raises ArithmeticError on a degenerate form.
+    the complete invariant, so no search runs.  The whole forms decide,
+    not their orthogonal summands: a sum can be isomorphic although its
+    summands are not (<5/4> + <5/4> = <1/4> + <1/4>).  The images are
+    checked again on every generator's q and every pair's b, and that
+    check fixes their orders too: the images x_i pair like the e_i, so
+    sum c_i x_i = 0 forces sum c_i e_i = 0 (q1 is non-degenerate), the x_i
+    generate all of q2 (|A1| = |A2|), and d_i x_i, pairing to 0 with every
+    x_j, is 0 (q2 is non-degenerate).  Raises ArithmeticError on a
+    degenerate form.
     """
     if q1.group_order != q2.group_order:
         return None
@@ -884,53 +864,17 @@ def forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[
         return None
     if q1.rank == 0:
         return ()
-    out = _component_images(q1, q2)
-    if out is None:
-        n1, n2 = _normal_form(q1), _normal_form(q2)
-        if n1.key != n2.key:
-            return None
-        out = _images(n1, n2, q2)
+    n1, n2 = _normal_form(q1), _normal_form(q2)
+    if n1.key != n2.key:
+        return None
+    out = tuple(q2.reduce(vec_mat(row, n2.basis)) for row in n1.coords)
     # equal group invariants give equal levels, so both tables are over N
     bad = _first_bad(mat_mul(mat_mul(out, q2.table), transpose(out)), q1.table, q1.level)
     if bad is not None:
         i, j = bad
         require(i != j, f"the image of generator {i} does not keep its q-value")
         require(False, f"the images of generators {j} and {i} do not keep their pairing")
-    for i, x in enumerate(out):
-        require(q1.orders[i] % q2.element_order(x) == 0,
-                f"the image of generator {i} has the wrong order")
     return out
-
-
-def _images(n1: NormalForm, n2: NormalForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...]:
-    """Images in q2 of the generators of the form with normal form n1,
-    through q2's normal form n2 with the same key."""
-    return tuple(q2.reduce(vec_mat(row, n2.basis)) for row in n1.coords)
-
-
-def _component_images(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[Vec, ...] | None:
-    """Images of q1's generators that map each orthogonal component of q1
-    onto a component of q2 with the same normal-form key, each image
-    written at its component's offset in q2, or None when either form is
-    a single component or the components do not pair up.  The components'
-    group orders are compared as multisets before any normal form is
-    built."""
-    c1, c2 = _components(q1), _components(q2)
-    if (len(c1) == 1 or len(c2) == 1
-            or sorted(c.group_order for _, c in c1) != sorted(c.group_order for _, c in c2)):
-        return None
-    free = list(c2)
-    out: list[Vec] = []
-    for _, f1 in c1:
-        n1 = _normal_form(f1)
-        at = next((a for a, (_, f2) in enumerate(free) if f2.group_order == f1.group_order
-                   and _normal_form(f2).key == n1.key), None)
-        if at is None:
-            return None
-        off, f2 = free.pop(at)
-        pad = (0,) * (q2.rank - off - f2.rank)
-        out += [(0,) * off + image + pad for image in _images(n1, _normal_form(f2), f2)]
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -472,15 +472,11 @@ def test_evenset_command_reports_missing_sets(capsys):
 
 
 # The theorem-genus certificate with a corrupted basis change: in T1, the
-# coordinates of the Lp(2n,n) form's generators in the normal basis that
-# builds the witness (the first form that check compares), two generators of
-# one order but of different q-values trade rows.  For n = 2 the Lp and M
-# forms split into components that pair up, so the witness is assembled
-# from the components' normal forms and the corrupted one is the component
-# with more than one generator; for n = 3 the components' group orders
-# differ, and the whole form's normal form builds it.  The normal forms
-# still agree, so only the final re-check of forms_isomorphic can catch the
-# map, and it must still run when `python -O` strips asserts.
+# coordinates of the Lp(2n,n) form's generators in its normal basis (the
+# first form that check compares), two generators of one order but of
+# different q-values trade rows.  The normal forms still agree, so only the
+# final re-check of forms_isomorphic can catch the map, and it must still
+# run when `python -O` strips asserts.
 _CORRUPT_THEOREM = """
 import dataclasses
 import sys
@@ -489,10 +485,8 @@ if __debug__:
 from k3lat import cli, forms
 from k3lat.catalog import FamilyDescriptor, family_genus
 
-n, part = int(sys.argv[1]), sys.argv[2]
+n = int(sys.argv[1])
 target = family_genus(FamilyDescriptor("Lp", 2 * n, n)).disc
-if part == "component":
-    target = next(c for _, c in forms._components(target) if c.rank > 1)
 normal_form = forms._normal_form
 i, j = next((i, j) for j in range(target.rank) for i in range(j)
             if target.orders[i] == target.orders[j]
@@ -513,11 +507,11 @@ sys.exit(cli.main(["verify", "theorem", "--n", str(n), "--json"]))
 """
 
 
-def assert_corrupt_theorem_fails(n, part):
+def assert_corrupt_theorem_fails(n):
     src = os.path.dirname(os.path.dirname(k3lat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_THEOREM, str(n), part],
+        [sys.executable, "-O", "-c", _CORRUPT_THEOREM, str(n)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode != 0, done.stderr[-2000:]
@@ -532,8 +526,8 @@ def assert_corrupt_theorem_fails(n, part):
 
 
 def test_corrupt_theorem_certificate_fails_under_python_O():
-    assert_corrupt_theorem_fails(2, "component")
+    assert_corrupt_theorem_fails(2)
 
 
 def test_corrupt_whole_form_theorem_certificate_fails_under_python_O():
-    assert_corrupt_theorem_fails(3, "whole")
+    assert_corrupt_theorem_fails(3)

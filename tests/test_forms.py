@@ -11,6 +11,7 @@ group elements, and degeneracy against a direct adjoint scan.
 import cmath
 import dataclasses
 import gc
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -23,9 +24,8 @@ from k3lat.forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
     _block_signature,
+    _first_bad,
     _quotient_structure,
-    _component_images,
-    _components,
     _normal_form,
     cyclic_block,
     find_u_block,
@@ -42,7 +42,7 @@ from k3lat.forms import (
     value_counts,
 )
 from k3lat.catalog import named
-from k3lat.intmat import diagonal_blocks
+from k3lat.intmat import mat_mul, transpose
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from form_oracles import (
     _gauss_counts,
@@ -100,8 +100,6 @@ def brute_subgroups(q, order):
         return frozenset(seen)
 
     found = set()
-    import itertools
-
     for r in range(0, 4):
         for gens in itertools.combinations(elems, r):
             sub = close(gens)
@@ -1000,48 +998,17 @@ def test_closed_form_milgram_matches_gauss_walk(q):
 
 
 # ---------------------------------------------------------------------------
-# Orthogonal components
+# Orthogonal sums
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.one_of(_block_strategy(), regrammed_forms()), min_size=1, max_size=4))
-def test_components_rebuild_the_form(parts):
-    # the components are the contiguous diagonal blocks of the table: their
-    # offsets run through the generators in order, each block splits no
-    # further, no table entry joins two of them, each is the form on its
-    # generators, and their sum is the form again
-    q = sum_forms(parts)
-    comps = _components(q)
-    assert len(comps) >= sum(1 for p in parts if p.rank)
-    at = 0
-    for off, c in comps:
-        assert off == at
-        idx = range(off, off + c.rank)
-        assert c.orders == q.orders[off:off + c.rank]
-        assert len(diagonal_blocks(c.table)) == 1
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
-                assert F(c.table[a][b], c.level) == F(q.table[i][j], q.level)
-            assert not any(q.table[i][j] for j in range(q.rank) if j not in idx)
-        at += c.rank
-    assert at == q.rank
-    assert sum_forms(c for _, c in comps) == q
-    assert [off for off, _ in _components(negate(q))] == [off for off, _ in comps]
-    if len(comps) == 1:
-        assert comps[0] == (0, q)
-
-
-def test_components_that_are_not_contiguous_stay_one_block():
+def test_a_sum_with_interleaved_summands_decides_like_the_search():
     # u(2) + <1/4> with the cyclic generator moved between the u(2) pair:
-    # the u(2) block reaches past it, so the table is one block, and the
-    # whole normal forms decide what the paired components decided before
+    # the whole normal form decides it like the laid-out sum
     q = sum_forms([u_block(2), cyclic_block(4, F(1, 4))])
     perm = (0, 2, 1)
     moved = FiniteQuadraticForm(tuple(q.orders[i] for i in perm),
                                 tuple(tuple(q.table[i][j] for j in perm) for i in perm))
-    assert len(_components(q)) == 2 and _components(moved) == ((0, moved),)
-    assert _component_images(moved, q) is None
     assert milgram_signature(moved) == milgram_signature(q)
     assert_decides_like_the_search(moved, q)
 
@@ -1049,8 +1016,8 @@ def test_components_that_are_not_contiguous_stay_one_block():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(_block_strategy(), regrammed_forms()), min_size=1, max_size=4))
 def test_milgram_signature_of_a_sum_is_its_whole_form_value(parts):
-    # Gauss sums multiply over the components; the whole form's normal
-    # form gives the same phase, and so do the parts
+    # Gauss sums multiply over the summands; the whole form's normal form
+    # gives the same phase as the parts
     q = sum_forms(parts)
     try:
         whole = sum(_block_signature(*b) for b in _normal_form(q).key) % 8
@@ -1066,11 +1033,7 @@ def test_milgram_signature_of_a_sum_is_its_whole_form_value(parts):
 def test_component_isomorphisms_agree_with_the_whole_normal_form(pair):
     q1, q2 = pair
     same = _normal_form(q1).key == _normal_form(q2).key
-    paired = _component_images(q1, q2)
-    images = forms_isomorphic(q1, q2)
-    assert (images is not None) == same
-    if paired is not None:
-        assert same and images == paired
+    assert (forms_isomorphic(q1, q2) is not None) == same
     if q1.group_order <= 256:
         assert_decides_like_the_search(q1, q2)
 
@@ -1078,25 +1041,22 @@ def test_component_isomorphisms_agree_with_the_whole_normal_form(pair):
 @pytest.mark.parametrize("order, a, b", [(4, F(5, 4), F(1, 4)), (3, F(4, 3), F(2, 3))])
 def test_sums_of_non_isomorphic_components_fall_back_to_the_whole_form(order, a, b):
     # <a> + <a> = <b> + <b> although <a> and <b> are not isomorphic: the
-    # components do not pair up, and the whole normal forms decide
+    # summands do not pair up, and the whole normal forms decide
     assert forms_isomorphic(cyclic_block(order, a), cyclic_block(order, b)) is None
     q1, q2 = (sum_forms([cyclic_block(order, v)] * 2) for v in (a, b))
-    assert _component_images(q1, q2) is None
     assert_decides_like_the_search(q1, q2)
     assert forms_isomorphic(q1, q2) is not None
 
 
-def test_component_path_needs_two_components_on_each_side():
+def test_a_sum_against_one_block_decides_like_the_search():
+    # the same sum on a basis whose table is one block, and a sum on the
+    # same group whose summands have other orders
     q = sum_forms([u_block(2), cyclic_block(4, F(1, 4))])
     one = regram(q, [(1, 0, 0), (0, 1, 0), (1, 0, 1)])
-    assert len(_components(q)) == 2 and len(_components(one)) == 1
-    assert _component_images(q, one) is None and _component_images(one, q) is None
     assert_decides_like_the_search(q, one)
-    # group orders that differ as multisets are refused before any normal
-    # form is built
     three = sum_forms([cyclic_block(2, F(1, 2)), cyclic_block(2, F(1, 2)),
                        cyclic_block(4, F(1, 4))])
-    assert _component_images(q, three) is None
+    assert_decides_like_the_search(q, three)
 
 
 def test_find_u_block_is_cached_and_absence_raises_every_time():
@@ -1118,6 +1078,40 @@ def test_witness_check_names_the_first_bad_entry(monkeypatch):
     # generators 1 and 2 across the blocks keeps q = 0 and breaks b(e0, e1)
     bad = dataclasses.replace(nf, coords=(nf.coords[0], nf.coords[2], nf.coords[1], nf.coords[3]))
     monkeypatch.setattr(forms_module, "_normal_form", lambda f: bad if f == q else nf)
-    monkeypatch.setattr(forms_module, "_component_images", lambda q1, q2: None)
     with pytest.raises(ArithmeticError, match="generators 0 and 1 do not keep their pairing"):
         forms_isomorphic(q, q)
+
+
+def test_witness_check_names_a_lost_q_value(monkeypatch):
+    # images whose first generator lands on x + y of the first u(2), where
+    # q = 1, not 0, must be refused, with the generator named
+    import k3lat.forms as forms_module
+
+    q = sum_forms([u_block(2), u_block(2)])
+    nf = _normal_form(q)
+    bad = dataclasses.replace(nf, coords=((1, 1, 0, 0),) + nf.coords[1:])
+    monkeypatch.setattr(forms_module, "_normal_form", lambda f: bad if f == q else nf)
+    with pytest.raises(ArithmeticError, match="image of generator 0 does not keep its q-value"):
+        forms_isomorphic(q, q)
+
+
+@pytest.mark.parametrize("q", [
+    sum_forms([cyclic_block(2, F(3, 2)), cyclic_block(8, F(3, 8))]),
+    sum_forms([cyclic_block(2, F(1, 2)), u_block(4)]),
+])
+def test_images_that_keep_the_table_keep_the_orders(q):
+    # forms_isomorphic checks no image order: on a non-degenerate form,
+    # every tuple of images that keeps the table (q on the diagonal, b off
+    # it) has each image's order dividing its generator's.  On these forms
+    # the q-values alone let some images of the wrong order through, so
+    # the pairings do the work
+    n = q.level
+    kept = q_only = 0
+    for out in itertools.product(list(q.elements()), repeat=q.rank):
+        right = all(o % q.element_order(x) == 0 for o, x in zip(q.orders, out))
+        if _first_bad(mat_mul(mat_mul(out, q.table), transpose(out)), q.table, n) is None:
+            kept += 1
+            assert right
+        elif not right and all(q._q_int(x) % (2 * n) == q.table[i][i] for i, x in enumerate(out)):
+            q_only += 1
+    assert kept > 1 and q_only > 0

@@ -372,12 +372,12 @@ def test_bareiss_signature_matches_rational_oracle(case):
 
 
 def test_diagonal_blocks_is_the_one_splitter():
-    # lattice Grams and form tables split by the same function; the empty
-    # matrix has no block and the empty elimination gives det 1
-    from k3lat import forms, lattice, overlattice
+    # lattice, genus and tower-storey Grams split by the same function;
+    # the empty matrix has no block and the empty elimination gives det 1
+    from k3lat import lattice, overlattice, towers
 
-    assert lattice.diagonal_blocks is forms.diagonal_blocks is diagonal_blocks
-    assert overlattice.diagonal_blocks is diagonal_blocks
+    assert lattice.diagonal_blocks is diagonal_blocks
+    assert overlattice.diagonal_blocks is towers.diagonal_blocks is diagonal_blocks
     assert diagonal_blocks(()) == () and signature(()) == (0, 0, 0, 1)
     g = ((2, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, -2))
     assert diagonal_blocks(g) == (((2,),), ((0, 1), (1, 0)), ((-2,),))
