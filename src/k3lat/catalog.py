@@ -5,19 +5,18 @@ the rank-10 models UN = U + N and UE8 = U + E8(-2)) carry the Gram
 conventions used throughout: negative-definite blocks have -2 on the
 diagonal and +1 on diagram edges.  M_n lattices are index-n glue
 overlattices of seeded A-type root sums.  The candidate glue codes are the
-cyclic ones, listed one per orbit of the root-sum symmetries by their orbit
-keys, per-size multisets of glue classes [i] of A_m (Conway-Sloane, SPLAG
-ch. 4).  They are judged on the code, against frozen rank/length tables and
-the seeded root count: the length is that of H-perp/H, and the roots come
-from the glue words of coset minimum 2.  A code is carried as the one glue
-word y listed for its key, never as a list of its elements; only the
-accepted word is glued, and the lattice is checked again.  The
-L/Lp/M/Mp families and the rank-9 membership test sit on top, one return
-shape each: `family_lattice` gives a lattice and refuses L/Lp with n >= 3,
-which have only a genus; `family_genus` gives every family's genus.  The
-index-2 families Mp/Lp(d,2) follow the one glue rule of `overlattice`:
-they are the congruence lemma's glue at m = 2, g/2 + x + (d/2)y for the
-u(2) pair (x, y) of q_W that `find_u_block` gives.
+cyclic ones, each carried as one glue word y that generates it: per block
+size, a multiset of folded glue classes [i] of A_m (Conway-Sloane, SPLAG
+ch. 4), so that every orbit of the root-sum symmetries has a listed word.
+They are judged on the code by their root count alone, which comes from
+the glue words of coset minimum 2.  Only the accepted word is glued, and
+the glued lattice is checked again for evenness, rank, length and roots.
+The L/Lp/M/Mp families and the rank-9 membership test sit on top, one
+return shape each: `family_lattice` gives a lattice and refuses L/Lp with
+n >= 3, which have only a genus; `family_genus` gives every family's
+genus.  The index-2 families Mp/Lp(d,2) follow the one glue rule of
+`overlattice`: they are the congruence lemma's glue at m = 2,
+g/2 + x + (d/2)y for the u(2) pair (x, y) of q_W that `find_u_block` gives.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .forms import (
     FiniteQuadraticForm,
     length,
-    quotient_form,
     sum_forms,
     u_block,
 )
@@ -180,26 +178,6 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     return lat, DiscriminantData(form, tuple(lifts))
 
 
-def _fold(config: Sequence[int], y: Sequence[int]) -> tuple:
-    """Per block size, the sorted min(y_j, -y_j mod (m_j + 1)) of a glue
-    word y.  A flip negates one coordinate and a swap permutes the
-    coordinates of equal-size blocks, so this is a complete invariant of y
-    under the root-sum symmetries."""
-    return tuple(
-        tuple(sorted(min(y[j], -y[j] % (s + 1)) for j, m in enumerate(config) if m == s))
-        for s in sorted(set(config))
-    )
-
-
-def _orbit_key(config: Sequence[int], q: FiniteQuadraticForm, y: Vec) -> tuple:
-    """Orbit key of the cyclic glue <y> under the root-sum symmetries: the
-    least fold over its generators k*y, gcd(k, n) = 1, n the order of y.
-    Two cyclic groups have one key exactly when a symmetry carries one onto
-    the other, so `_cyclic_glue_codes` lists one word per key."""
-    n = q.element_order(y)
-    return min(_fold(config, q.reduce(vec_scale(y, k))) for k in range(n) if gcd(k, n) == 1)
-
-
 def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
     """The glue word whose coordinates in the blocks of the i-th least
     size, in config order, are words[i]."""
@@ -210,24 +188,20 @@ def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:
     return tuple(y)
 
 
-def _cyclic_glue_codes(
-    config: Sequence[int], q: FiniteQuadraticForm, n: int
-) -> dict[tuple, Vec]:
-    """A generator y of one cyclic isotropic glue group of order n per
-    orbit key, on the diagonal form q of the A_m root sum `config`.
-
-    The keys are listed directly: per block size, each multiset of folded
-    glue classes min(i, m + 1 - i) of A_m (SPLAG ch. 4) is placed in the
-    blocks of that size.  A word y of order n with q(y) = 0 generates an
-    isotropic group, as q(ky) = k^2 q(y); folds that generate one group
-    share its key, and the first is kept."""
-    out: dict[tuple, Vec] = {}
-    for parts in product(*(combinations_with_replacement(range((s + 1) // 2 + 1), config.count(s))
-                           for s in sorted(set(config)))):
-        y = _place(config, parts)
-        if q.element_order(y) == n and q._q_int(y) == 0:
-            out.setdefault(_orbit_key(config, q, y), y)
-    return out
+def _cyclic_glue_codes(config: Sequence[int], q: FiniteQuadraticForm, n: int) -> list[Vec]:
+    """The placed fold-words y of order n with q(y) = 0 on the diagonal form
+    q of the A_m root sum `config`: per block size, each multiset of folded
+    glue classes min(i, m + 1 - i) of A_m (SPLAG ch. 4) placed in the blocks
+    of that size.  Each y generates a cyclic isotropic glue group of order
+    n, as q(ky) = k^2 q(y).  A flip negates one coordinate and a swap
+    permutes the coordinates of equal-size blocks, so folding any generator
+    of a cyclic glue group gives a listed word: every orbit of the root-sum
+    symmetries on that glue has a listed word."""
+    words = (_place(config, parts)
+             for parts in product(*(combinations_with_replacement(range((s + 1) // 2 + 1),
+                                                                  config.count(s))
+                                    for s in sorted(set(config)))))
+    return [y for y in words if q.element_order(y) == n and q._q_int(y) == 0]
 
 
 def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
@@ -245,23 +219,14 @@ def _glue_root_count(config: Sequence[int], elements: Sequence[Vec]) -> int:
     return count
 
 
-def _glue_accepted(n: int, config: Sequence[int], q: FiniteQuadraticForm, y: Vec) -> bool:
-    """Whether the glue code <y>, y of order n, on the root sum's form q
-    gives M_n: the seeded root count and the tabled length, the latter of
-    H-perp/H (Nikulin 1979, 1.4).  Evenness and rank hold for isotropic y."""
-    code = [q.reduce(vec_scale(y, k)) for k in range(n)]
-    return (
-        _glue_root_count(config, code) == sum(m * (m + 1) for m in config)
-        and length(quotient_form(q, (y,))) == MN_LENGTH[n]
-    )
-
-
 @lru_cache(maxsize=None)
 def build_Mn(n: int) -> IntegralLattice:
     """The unique index-n glue overlattice of the seeded root sum whose
     rank, length and root count match the frozen tables (2 <= n <= 8).
-    The cyclic glue codes are listed by orbit key and judged on the code;
-    the accepted glue word is glued and checked again on the lattice."""
+    Each listed glue word is judged on the code by its root count; the one
+    accepted word is glued, and the lattice is checked again for evenness,
+    rank, length and roots.  A word with the seeded root count but another
+    length is refused by that check."""
     if n not in MN_ROOT_CONFIG:
         raise ValueError("n must be between 2 and 8")
     config = MN_ROOT_CONFIG[n]
@@ -274,19 +239,20 @@ def build_Mn(n: int) -> IntegralLattice:
     require(sum(root_count(named(f"A({m})")) for m in config) == target_roots,
             f"seeded configuration for n={n} has the wrong root count")
 
-    # candidates related by a root-sum isometry produce isometric
-    # overlattices, so judge one cyclic glue code per orbit key
-    reps = _cyclic_glue_codes(config, disc.form, n)
-    accepted = [y for y in reps.values() if _glue_accepted(n, config, disc.form, y)]
+    # every orbit of cyclic glue has a listed word, so exactly one accepted
+    # word means exactly one accepted orbit
+    q = disc.form
+    accepted = [y for y in _cyclic_glue_codes(config, q, n)
+                if _glue_root_count(config, [q.reduce(vec_scale(y, k)) for k in range(n)])
+                == target_roots]
     if not accepted:
         raise RuntimeError(
             f"no valid glue candidate for n={n}: seeded configuration is wrong"
         )
     require(len(accepted) == 1,
-            f"ambiguous construction for n={n}: "
-            "non-isometric candidates both pass")
+            f"ambiguous construction for n={n}: two glue words pass")
     # glue the accepted word and check the judgement on the lattice
-    z, _ = _glue_overlattice(root_sum, [_lift_of(disc, accepted[0])], disc.form.level)
+    z, _ = _glue_overlattice(root_sum, [_lift_of(disc, accepted[0])], q.level)
     require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
             f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
     require(root_count(z) == target_roots,

@@ -78,21 +78,8 @@ SUITES = ("lemma", "theorem", "table", "x2", "un", "ue8", "towers", "mukai")
 # ---------------------------------------------------------------------------
 
 
-def _plain(obj):
-    """Recursively rewrite to JSON-encodable data with rationals as strings."""
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _dumps(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

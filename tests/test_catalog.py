@@ -27,9 +27,7 @@ from k3lat.catalog import (
     FamilyDescriptor,
     _block_disc,
     _cyclic_glue_codes,
-    _glue_accepted,
     _glue_root_count,
-    _orbit_key,
     build_Mn,
     family_genus,
     family_lattice,
@@ -51,7 +49,7 @@ from k3lat.forms import (
     sum_forms,
     u_block,
 )
-from k3lat.intmat import freeze, hnf_basis, mat_mul, transpose, vec_neg
+from k3lat.intmat import freeze, hnf_basis, mat_mul, transpose, vec_neg, vec_scale
 from k3lat.lattice import (
     IntegralLattice,
     direct_sum,
@@ -189,7 +187,7 @@ def test_mn_build_reports_cyclic_glue():
         q = _block_disc(config)[1].form
         codes = _cyclic_glue_codes(config, q, n)
         assert codes
-        assert all(q.element_order(y) == n and q._q_int(y) == 0 for y in codes.values())
+        assert all(q.element_order(y) == n and q._q_int(y) == 0 for y in codes)
 
 
 def test_mn_rejects_out_of_range():
@@ -199,8 +197,7 @@ def test_mn_rejects_out_of_range():
         build_Mn(9)
 
 
-# per n: the cyclic glue codes listed, one per orbit key, and the codes
-# accepted among them
+# per n: the cyclic glue words listed, and the words accepted among them
 MN_BUILD_REPORTS = {
     2: (2, 1),
     3: (2, 1),
@@ -212,6 +209,13 @@ MN_BUILD_REPORTS = {
 }
 
 
+def root_count_accepts(config, q, n, y):
+    """Whether the code-level judgement of `build_Mn` accepts the glue
+    <y>, y of order n: the seeded root count."""
+    code = [q.reduce(vec_scale(y, k)) for k in range(n)]
+    return _glue_root_count(config, code) == sum(m * (m + 1) for m in config)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mn_build_report_is_pinned(n):
     reps, accepted = MN_BUILD_REPORTS[n]
@@ -219,7 +223,7 @@ def test_mn_build_report_is_pinned(n):
     q = _block_disc(config)[1].form
     codes = _cyclic_glue_codes(config, q, n)
     assert len(codes) == reps
-    assert sum(_glue_accepted(n, config, q, y) for y in codes.values()) == accepted
+    assert sum(root_count_accepts(config, q, n, y) for y in codes) == accepted
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +238,13 @@ def generator(s):
 
 def assert_glue_code_matches_the_lattices(config, n):
     """On the A_m root sum of `config` and its isotropic glue of order n:
-    the orbit keys split the cyclic glue like the BFS orbits, and on one
-    glue of each BFS orbit the code-level root count and length are those
-    of the glued lattice.  Returns the root sum, its discriminant data and
-    the cyclic glue."""
+    on one glue of each BFS orbit the code-level root count and length are
+    those of the glued lattice.  Returns the root sum, its discriminant data
+    and the cyclic glue."""
     lat, disc = _block_disc(config)
     q = disc.form
     subs = isotropic_subgroups(q, n)
     cyclic = [s for s in subs if any(q.element_order(x) == n for x in s.elements)]
-    by_key = {}
-    for s in cyclic:
-        by_key.setdefault(_orbit_key(config, q, generator(s)), []).append(s)
-    assert list(by_key.values()) == orbit_classes(cyclic, config)
     for h, *_ in orbit_classes(subs, config):
         z = glue_candidate(lat, disc, h)
         assert z.is_even and z.rank == lat.rank
@@ -264,12 +263,15 @@ def test_mn_glue_code_judgement_matches_the_lattice_filter(n):
     codes = _cyclic_glue_codes(config, q, n)
     assert len(reps) == len(codes) == MN_BUILD_REPORTS[n][0]
     roots = sum(m * (m + 1) for m in config)
+    # the lattice filter also tests the length, and it accepts what the
+    # root count alone accepts
     accepted = lattice_filter(lat, disc, reps, MN_RANK[n], MN_LENGTH[n], roots)
-    assert accepted == [s for s in reps if _glue_accepted(n, config, q, generator(s))]
+    assert accepted == [s for s in reps if root_count_accepts(config, q, n, generator(s))]
     assert len(accepted) == 1
-    # build_Mn glues the word listed for the accepted key, which generates
-    # a group of the accepted BFS orbit but need not be its first member
-    y = codes[_orbit_key(config, q, generator(accepted[0]))]
+    # build_Mn glues the one listed word the root count accepts, which
+    # generates a group of the accepted BFS orbit but need not be its first
+    # member
+    (y,) = [y for y in codes if root_count_accepts(config, q, n, y)]
     (glue,) = [s for s in classes[reps.index(accepted[0])] if y in s.elements]
     assert glue_candidate(lat, disc, glue).gram == build_Mn(n).gram
 
@@ -295,33 +297,46 @@ def test_glue_code_matches_the_lattices_on_small_a_sums(case):
     assert_glue_code_matches_the_lattices(*case)
 
 
-def assert_keys_list_the_cyclic_glue(config, n):
-    """The glue codes listed from their keys: one isotropic cyclic group of
-    order n for each orbit key of the cyclic isotropic subgroups, and no
-    other key; the group listed for a BFS orbit's key lies in that orbit."""
+def assert_listed_words_meet_every_orbit(config, n):
+    """The listed glue words are complete: each generates a cyclic isotropic
+    group of order n, and every BFS orbit of those groups has a group that
+    holds a listed word."""
     _, disc = _block_disc(config)
     q = disc.form
     cyclic = cyclic_isotropic_subgroups(q, n)
     listed = _cyclic_glue_codes(config, q, n)
-    assert set(listed) == {_orbit_key(config, q, generator(s)) for s in cyclic}
     # a word of order n lies in a cyclic group of order n exactly when it
     # generates it
-    for y in listed.values():
+    for y in listed:
         assert q.element_order(y) == n and any(y in s.elements for s in cyclic)
     for cls in orbit_classes(cyclic, config):
-        y = listed[_orbit_key(config, q, generator(cls[0]))]
-        assert any(y in s.elements for s in cls)
+        assert any(y in s.elements for s in cls for y in listed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mn_listed_words_have_the_tabled_length_and_distinct_orbits(n):
+    # on M_n's root sums no listed word has another length than the table,
+    # so a length judgement on the code would refuse none, and no two
+    # listed words share a BFS orbit, so merging them by orbit merges none
+    config = MN_ROOT_CONFIG[n]
+    q = _block_disc(config)[1].form
+    listed = _cyclic_glue_codes(config, q, n)
+    assert all(length(quotient_form(q, (y,))) == MN_LENGTH[n] for y in listed)
+    classes = orbit_classes(cyclic_isotropic_subgroups(q, n), config)
+    orbit_of = [next(i for i, cls in enumerate(classes) for s in cls if y in s.elements)
+                for y in listed]
+    assert len(set(orbit_of)) == len(listed)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mn_glue_keys_are_those_of_the_cyclic_isotropic_subgroups(n):
-    assert_keys_list_the_cyclic_glue(MN_ROOT_CONFIG[n], n)
+    assert_listed_words_meet_every_orbit(MN_ROOT_CONFIG[n], n)
 
 
 @settings(max_examples=25, deadline=None)
 @given(a_sums_with_glue_order())
 def test_glue_keys_are_those_of_the_cyclic_isotropic_subgroups_on_small_a_sums(case):
-    assert_keys_list_the_cyclic_glue(*case)
+    assert_listed_words_meet_every_orbit(*case)
 
 
 def test_build_mn_lists_no_isotropic_subgroups(monkeypatch):
@@ -355,7 +370,7 @@ def test_build_mn_and_the_lemma_quotient_build_no_subgroup(monkeypatch):
 
 
 @pytest.mark.parametrize("table,n,value,error,message", [
-    (MN_LENGTH, 2, 5, RuntimeError, "no valid glue candidate for n=2"),
+    (MN_LENGTH, 2, 5, ArithmeticError, "the glue for n=2 is not even of rank 8 and length 5"),
     (MN_ROOT_CONFIG, 3, (2,) * 5, RuntimeError, "seeded configuration for n=3 has the wrong rank"),
 ])
 def test_build_mn_rejects_a_wrong_table(monkeypatch, table, n, value, error, message):
@@ -365,8 +380,15 @@ def test_build_mn_rejects_a_wrong_table(monkeypatch, table, n, value, error, mes
 
 
 def test_build_mn_rejects_two_accepted_glue_codes(monkeypatch):
-    monkeypatch.setattr(catalog, "_glue_accepted", lambda n, config, q, y: True)
+    monkeypatch.setattr(catalog, "_glue_root_count",
+                        lambda config, elements: sum(m * (m + 1) for m in config))
     with pytest.raises(ArithmeticError, match="ambiguous construction for n=2"):
+        build_Mn.__wrapped__(2)
+
+
+def test_build_mn_rejects_a_root_count_that_no_glue_code_has(monkeypatch):
+    monkeypatch.setattr(catalog, "_glue_root_count", lambda config, elements: 0)
+    with pytest.raises(RuntimeError, match="no valid glue candidate for n=2"):
         build_Mn.__wrapped__(2)
 
 
@@ -378,23 +400,25 @@ def test_build_mn_checks_the_root_count_of_the_seeded_sum(monkeypatch):
         build_Mn.__wrapped__(2)
 
 
-# The code-level judgement turned round for n = 2 accepts the glue of weight
-# 4, which has the tabled length but 32 roots.  The glued lattice is checked
-# again, so build_Mn must raise, also when `python -O` strips asserts.
+# The code-level root count turned round for n = 2 accepts the glue of
+# weight 4, which has the tabled length but 32 roots.  The glued lattice is
+# checked again, so build_Mn must raise, also when `python -O` strips
+# asserts.
 _WRONG_M2 = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
 from k3lat import catalog
-judge = catalog._glue_accepted
+count = catalog._glue_root_count
 accepted = []
-def wrong(n, config, q, y):
-    ok = not judge(n, config, q, y)
-    if ok:
-        code = [q.reduce([k * a for a in y]) for k in range(n)]
-        accepted.append(catalog._glue_root_count(config, code))
-    return ok
-catalog._glue_accepted = wrong
+def wrong(config, elements):
+    seeded = sum(m * (m + 1) for m in config)
+    roots = count(config, elements)
+    if roots == seeded:
+        return seeded + 1
+    accepted.append(roots)
+    return seeded
+catalog._glue_root_count = wrong
 try:
     catalog.build_Mn(2)
 except ArithmeticError as exc:

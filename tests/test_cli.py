@@ -413,8 +413,8 @@ def test_genus_level_family_stdout_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GENUS_LEVEL_SHA256[command]
 
 
-# stdout of `catalog` on M(n): the glue code representative that
-# `catalog._cyclic_glue_codes` lists for the accepted orbit decides the
+# stdout of `catalog` on M(n): the one glue word that
+# `catalog._cyclic_glue_codes` lists and the root count accepts decides the
 # printed Gram
 MN_SHA256 = {
     "catalog M(2)": "c9ea47aad79dc5c0f28bf6315df788da486e0d88d974557913b09acbfa5f1d24",

@@ -810,7 +810,7 @@ def check_u_pair(q, m):
     x, y = find_u_block(q, m)
     assert q.q_value(x) == q.q_value(y) == 0
     assert q.b_value(x, y) == F(-1, m) % 1
-    assert q.element_order(x) == q.element_order(y) == m
+    assert oracle_order(q, x) == oracle_order(q, y) == m
     return True
 
 
@@ -941,6 +941,33 @@ def test_normal_form_matches_nikulin_on_two_elementary_forms():
     assert len(seen) == len(set(seen))
 
 
+def assert_normal_basis_has_the_block_orders(q):
+    """Each row of the normal-form basis has, by brute force, the order
+    p^k of its block: `_normal_form` checks only the rows' table and that
+    the block orders multiply to |A|, which imply it."""
+    nf = _normal_form(q)
+    orders = [p**k for p, k, kind, _ in nf.key for _ in range(2 if kind in ("u", "v") else 1)]
+    assert [oracle_order(q, x) for x in nf.basis] == orders
+
+
+def test_normal_basis_has_the_block_orders_on_small_sums():
+    # every sum of w, u and v blocks at 2, 4, 8 with |A| <= 64, of cyclic
+    # blocks at 3 and 9 with |A| <= 243, and of both at 2, 4, 3 with
+    # |A| <= 144
+    for sums in (_block_sums(_atoms((2, 4, 8)), 64),
+                 _block_sums(_odd_atoms(3, (1, 2)), 243),
+                 _block_sums(_atoms((2, 4)) + _odd_atoms(3, (1,)), 144)):
+        for blocks in sums:
+            assert_normal_basis_has_the_block_orders(sum_forms(blocks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(regrammed_forms())
+def test_normal_basis_has_the_block_orders_on_a_new_basis(q):
+    if q.group_order <= 4096 and not is_degenerate(q):
+        assert_normal_basis_has_the_block_orders(q)
+
+
 # blocks of one group order that a block may trade places with
 _SWAPS = {2: [cyclic_block(2, F(1, 2)), cyclic_block(2, F(3, 2))],
           4: [u_block(2), v_block(2)] + [cyclic_block(4, F(a, 4)) for a in (1, 3, 5, 7)],
@@ -975,13 +1002,27 @@ def same_group_pairs(draw):
     return q1, regram(q2, [q2.reduce(g) for g in gens])
 
 
-@settings(max_examples=200, deadline=None)
-@given(same_group_pairs())
-def test_normal_form_decides_like_the_search(pair):
-    q1, q2 = pair
+def assert_decides_by_the_key(q1, q2):
+    """forms_isomorphic decides by the normal-form keys at every group
+    order; the search oracle runs, both ways, on the smaller groups."""
+    same = _normal_form(q1).key == _normal_form(q2).key
+    assert (forms_isomorphic(q1, q2) is not None) == same
     if q1.group_order <= 256:
         assert_decides_like_the_search(q1, q2)
         assert_decides_like_the_search(q2, q1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_group_pairs())
+def test_normal_form_decides_like_the_search(pair):
+    assert_decides_by_the_key(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_sum_pairs(min_size=2))
+def test_component_isomorphisms_agree_with_the_whole_normal_form(pair):
+    # sums of at least two blocks on the laid-out basis
+    assert_decides_by_the_key(*pair)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1026,16 +1067,6 @@ def test_milgram_signature_of_a_sum_is_its_whole_form_value(parts):
             milgram_signature(q)
         return
     assert milgram_signature(q) == whole == sum(map(milgram_signature, parts)) % 8
-
-
-@settings(max_examples=200, deadline=None)
-@given(block_sum_pairs(min_size=2))
-def test_component_isomorphisms_agree_with_the_whole_normal_form(pair):
-    q1, q2 = pair
-    same = _normal_form(q1).key == _normal_form(q2).key
-    assert (forms_isomorphic(q1, q2) is not None) == same
-    if q1.group_order <= 256:
-        assert_decides_like_the_search(q1, q2)
 
 
 @pytest.mark.parametrize("order, a, b", [(4, F(5, 4), F(1, 4)), (3, F(4, 3), F(2, 3))])
