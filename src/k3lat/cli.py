@@ -261,8 +261,7 @@ def _catalog_builders() -> list[tuple[str, Callable[[], IntegralLattice]]]:
     out = [(s, partial(named, s)) for s in (
         "U", "U(2)", "U(3)", "U(4)", "A(1)", "A(2)", "A(3)", "A(4)",
         "D4", "E8(-1)", "E8(-2)", "N")]
-    out.extend((f"M({n})", lambda n=n: build_Mn(n).relabel(f"M({n})"))
-               for n in range(2, 9))
+    out.extend((f"M({n})", partial(build_Mn, n)) for n in range(2, 9))
     out.extend((f.label, partial(family_lattice, f)) for f in (
         FamilyDescriptor("M", 1, 2), FamilyDescriptor("M", 2, 2),
         FamilyDescriptor("Mp", 2, 2), FamilyDescriptor("L", 1, 2),
@@ -291,10 +290,10 @@ def _suite_table() -> list[Check]:
                for label, build in _catalog_builders()])
 
 
-def _suite_x2(*, bound: int | None = None) -> list[Check]:
+def _suite_x2(*, bound: int = 5) -> list[Check]:
     """The degree-4 model X2.  Claim: the explicit example; all: the
     even-set search at bound 5, a sample."""
-    return x2_checks() if bound is None else x2_checks(bound)
+    return x2_checks(bound)
 
 
 def _suite_un(*, e: int | None = None) -> list[Check]:
@@ -303,10 +302,10 @@ def _suite_un(*, e: int | None = None) -> list[Check]:
     return un_checks() if e is None else un_checks((e,))
 
 
-def _suite_ue8(*, bound: int | None = None) -> list[Check]:
+def _suite_ue8(*, bound: int = 3) -> list[Check]:
     """The E8(-2) side.  Claim: quotient families with a symplectic
     automorphism; all: the absence example at bound 3, a sample."""
-    return ue8_checks() if bound is None else ue8_checks(bound)
+    return ue8_checks(bound)
 
 
 def _suite_towers(*, d: int = 8, depth: int = 5) -> list[Check]:
@@ -451,7 +450,7 @@ def cmd_evenset(args) -> int:
     known = dict(zip(("E1", "E2"), known_even_sets()))
     out = {"bound": args.bound, "pencils": {}, "sets": [], "missing": []}
     for label, want in known.items():
-        results = find_even_sets(x2, label, args.bound)
+        results = find_even_sets(x2.lattice, x2.vec(label), args.bound)
         found = want in results
         out["pencils"][label] = {"count": len(results),
                                  "displayed_set_found": found}

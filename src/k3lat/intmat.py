@@ -268,10 +268,6 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
     return freeze(d), freeze(v)
 
 
-def rank_int(a: Sequence[Sequence[int]]) -> int:
-    return len(hnf_basis(a)) if a else 0
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free (Bareiss) elimination
 # ---------------------------------------------------------------------------
@@ -426,31 +422,8 @@ def _div_exact(num: int, den: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Solving and inverting
+# Inverting
 # ---------------------------------------------------------------------------
-
-
-def solve_int(a: Sequence[Sequence[int]], b: Sequence[int]) -> Vec | None:
-    """One integer solution of a @ x = b, or None if there is none."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    h, u = hnf_row(transpose(a))  # a @ u^T = h^T, columns of h^T triangular
-    ht = transpose(h)  # m x n, column j has pivot at increasing row
-    res = list(map(int, b))
-    y = [0] * n
-    for j in range(n):
-        piv = next((i for i in range(m) if ht[i][j]), None)
-        if piv is None:
-            continue
-        if res[piv] % ht[piv][j]:
-            return None
-        y[j] = res[piv] // ht[piv][j]
-        if y[j]:
-            for i in range(m):
-                res[i] -= y[j] * ht[i][j]
-    if any(res):
-        return None
-    return vec_mat(y, u)  # x = u^T @ y
 
 
 def inv_unimodular(a: Sequence[Sequence[int]]) -> Mat:

@@ -38,7 +38,6 @@ from .intmat import (
     kernel_int,
     mat_mul,
     mat_vec,
-    rank_int,
     require,
     signature,
     snf,
@@ -170,7 +169,7 @@ class Embedding:
             raise ValueError("embedding does not transport the form")
         # A nonsingular transported Gram already proves the rows
         # independent; only a degenerate one needs the rank.
-        if k and self.sub.det == 0 and rank_int(self.vectors) != k:
+        if k and self.sub.det == 0 and len(hnf_basis(self.vectors)) != k:
             raise ValueError("embedding rows are dependent")
 
 

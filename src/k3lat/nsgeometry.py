@@ -44,14 +44,13 @@ from .intmat import (
     fp_enumerate,
     freeze,
     hnf_basis,
+    hnf_row,
     identity,
     inv_unimodular,
-    kernel_int,
     ldl_int,
     mat_mul,
     mat_vec,
     require,
-    solve_int,
     transpose,
     vec_add,
     vec_mat,
@@ -473,43 +472,49 @@ def _negdef_tail_start(g: Mat) -> int:
     return n - len(ldl_int(rev)[0])
 
 
-def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[Vec]:
-    """All v with v.v = -2, v.E = 1 and every coordinate in [-bound, bound].
+def _bounded_sections(lat: IntegralLattice, e: Vec, bound: int) -> list[Vec]:
+    """All v with v.v = -2, v.E = 1 and every coordinate in [-bound, bound],
+    for a pencil class E of `lat`.
 
     The coordinates split into a small indefinite prefix and a negative
-    definite tail; for each prefix value the linear condition v.E = 1 cuts
-    out an affine sublattice w = wr + z K of the tail, on which v.v = -2
-    becomes an inhomogeneous positive definite shell in z, enumerated
-    exactly.  A column of K that only row i moves turns |w_j| <= bound
-    into bounds on z_i, which `fp_enumerate` applies level by level as its
-    box; the coordinates that several rows move are bounded only in the
-    final filter.  Each candidate is re-checked against v.v = -2 and
-    v.E = 1, and the result is the sorted list of candidates, checked to be
-    distinct; a failed check raises ArithmeticError, also under `python -O`.
+    definite tail.  One Hermite form U f_tail = (g, 0, ..., 0) of the
+    tail's pairings f_tail with E gives the slice: g = gcd(f_tail), and
+    the rows of U after the first span the kernel K.  For each prefix,
+    v.E = 1 reads w.f_tail = r, solved by wr = (r / g) U[0] when g divides
+    r, so the tail is w = wr + z K.  With v0 the prefix followed by wr,
+    v.v = -2 is the positive definite shell z A z - 2 b.z = v0.v0 + 2,
+    with A = K Dpos K^T and b = K (G v0)_tail, enumerated exactly.  A
+    column of K that only row i moves turns |w_j| <= bound into bounds on
+    z_i, which `fp_enumerate` applies level by level as its box; the
+    coordinates that several rows move are bounded only in the final
+    filter.  Each candidate is re-checked against v.v = -2 and v.E = 1,
+    and the result is the sorted list of candidates, checked to be
+    distinct; a failed check raises ArithmeticError, also under
+    `python -O`.
     """
     if bound < 0:
         raise ValueError("coefficient bound must be non-negative")
-    lat = model.lattice
-    e = model.vec(e_label)
     g = lat.gram
     n = lat.rank
     f = mat_vec(g, e)
     m = _negdef_tail_start(g)
     t = n - m
-    g_pre = [row[:m] for row in g[:m]]
-    g_tail_pre = [row[:m] for row in g[m:]]
     dpos = freeze(tuple(-x for x in row[m:]) for row in g[m:])
     f_pre, f_tail = f[:m], f[m:]
+    hcol, urows = hnf_row(transpose((f_tail,)))
+    # with f_tail = 0 there is no pivot and the kernel is all of Z^t
+    gcd_tail = hcol[0][0] if t else 0
     # The recursion fixes the last coordinate first.  Reversed, that is the
     # HNF's first row, whose entries are the largest (on X2, (1, 2, 0, ...)
     # puts 2 z in the box), so the tightest bound cuts the search nearest
-    # its root.  With f_tail = 0 the kernel is all of Z^t.
-    krows = hnf_basis(kernel_int((f_tail,)))[::-1]
+    # its root.
+    krows = hnf_basis(urows[1:] if gcd_tail else urows)[::-1]
     a_rows = gram_in_basis(IntegralLattice(dpos), krows)
     # the shell form is fixed for the pencil: its centre beta = A^-1 b is
-    # adj(A) b / det(A) for each prefix; an empty shell has det 1
+    # adj(A) b / det(A) for each prefix; an empty shell has det 1.  A is
+    # positive definite, as Dpos is and K has full row rank, so det(A) > 0
+    # (and `fp_enumerate` refuses a form that is not definite).
     det_a, adj_a = adjugate(a_rows)
-    require(det_a > 0, "the shell form is not positive definite")
     # the nonzero K_ij as (j, i, K_ij), column by column, and those of the
     # columns j that row i alone moves
     kterms = [(j, i, row[j]) for j in range(t) for i, row in enumerate(krows) if row[j]]
@@ -521,19 +526,16 @@ def _bounded_sections(model: LabeledLattice, e_label: str, bound: int) -> list[V
 
     out: list[Vec] = []
     for pre in product(range(-bound, bound + 1), repeat=m):
-        wr = solve_int((f_tail,), (1 - dot(f_pre, pre),))
-        if wr is None:
+        r = 1 - dot(f_pre, pre)
+        if (r % gcd_tail) if gcd_tail else r:
             continue
-        c = mat_vec(g_tail_pre, pre)
-        q_pre = dot(pre, mat_vec(g_pre, pre))
-        # target: 2 c.w - w Dpos w = -2 - q_pre on the affine slice w = wr + z K
-        n_wr = 2 * dot(c, wr) - dot(wr, mat_vec(dpos, wr))
-        rhs = n_wr + 2 + q_pre  # z A z - 2 b.z = rhs
-        lin = vec_sub(c, mat_vec(dpos, wr))
-        b_vec = mat_vec(krows, lin)
-        # (z - beta) A (z - beta) = rhs + beta.b, times det(A)^2 in integers
+        wr = vec_scale(urows[0], r // gcd_tail) if gcd_tail else (0,) * t
+        v0 = pre + wr
+        g_v0 = mat_vec(g, v0)
+        b_vec = mat_vec(krows, g_v0[m:])
+        # (z - beta) A (z - beta) = v0.v0 + 2 + beta.b, times det(A)^2 in integers
         adj_b = mat_vec(adj_a, b_vec)
-        level = det_a * (det_a * rhs + dot(adj_b, b_vec))
+        level = det_a * (det_a * (dot(v0, g_v0) + 2) + dot(adj_b, b_vec))
         if level < 0:
             continue
         lows, highs = [[] for _ in krows], [[] for _ in krows]
@@ -740,11 +742,13 @@ class EvenSets:
                 "the sum of the set is not in 2L")
 
 
-def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> EvenSets:
-    """Every even set of eight disjoint sections with bounded coordinates.
+def find_even_sets(lat: IntegralLattice, e: Vec, bound: int) -> EvenSets:
+    """Every even set of eight disjoint sections of the pencil class E, a
+    vector of `lat`, with every coordinate in [-bound, bound].
 
     A result is a sorted 8-tuple of vectors v with v.v = -2, v.E = 1,
-    pairwise orthogonal, whose sum is 2-divisible; they come as an
+    pairwise orthogonal, whose sum is 2-divisible; the sections are those
+    of `_bounded_sections`, and the sets come as an
     `EvenSets`, whose `len()` and `in` cost one popcount per shape and one
     bit, and whose iteration lists the sets in sorted order, so repeated
     runs are byte-identical.  A bound too small to see a configuration
@@ -764,20 +768,18 @@ def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> Eve
     the lattice hyperbolic (so that W is negative definite); otherwise,
     given eight sections, ValueError.
     """
-    lat = model.lattice
-    e = model.vec(e_label)
-    cands = _bounded_sections(model, e_label, coeff_bound)
+    cands = _bounded_sections(lat, e, bound)
     if len(cands) < 8:
-        return EvenSets(lat, e, coeff_bound, (), (), (), ())
+        return EvenSets(lat, e, bound, (), (), (), ())
     if lat.norm(e) != 0:
-        raise ValueError(f"pencil class {e_label!r} is not isotropic")
+        raise ValueError(f"pencil class {e} is not isotropic")
     if lat.signature != (1, lat.rank - 1):
         raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
     w_lat, to_frame = _section_frame(lat, e, cands[0])
     # W is negative definite: its norm -4 vectors, one of each sign pair
     roots = short_vectors(w_lat, 4)
     # |w_t| <= bound * sum_s |to_frame[s][t]| for the W-part w of a candidate
-    box = [coeff_bound * sum(map(abs, col)) for col in zip(*to_frame)][:-2]
+    box = [bound * sum(map(abs, col)) for col in zip(*to_frame)][:-2]
     pack = _packing(roots + [box])
     shapes = tuple(
         shape for shape in _translate_shapes([pack(r) for r in roots])
@@ -785,7 +787,7 @@ def find_even_sets(model: LabeledLattice, e_label: str, coeff_bound: int) -> Eve
     )
     # pack is linear, so pack(w) = v . (pack of each row's W-part)
     functional = tuple(pack(row[:-2]) for row in to_frame)
-    return EvenSets(lat, e, coeff_bound, tuple(cands), functional,
+    return EvenSets(lat, e, bound, tuple(cands), functional,
                     tuple(pack(r) for r in roots), shapes)
 
 
@@ -1073,8 +1075,8 @@ def _even_set_searches(bound: int) -> list[dict]:
     """Both pencil searches, and the pencil attribution they settle."""
     x2 = build_X2()
     known1, known2 = known_even_sets()
-    sets1 = find_even_sets(x2, "E1", bound)
-    sets2 = find_even_sets(x2, "E2", bound)
+    sets1 = find_even_sets(x2.lattice, x2.vec("E1"), bound)
+    sets2 = find_even_sets(x2.lattice, x2.vec("E2"), bound)
     return [check(
         "x2-even-set-search-E1", known1 in sets1,
         f"the E1-pencil search at bound {bound} recovers {{N1..N8}} "
@@ -1099,7 +1101,7 @@ def _even_set_searches(bound: int) -> list[dict]:
          "set2_in_E2_results": known2 in sets2})]
 
 
-def x2_checks(bound: int = 5) -> list[Check]:
+def x2_checks(bound: int) -> list[Check]:
     """Full verification of the degree-4 model: genus, sections, fibers,
     orbits, base change and the bounded even-set search."""
     if bound < 0:
@@ -1171,8 +1173,7 @@ def un_checks(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[Check]:
 
 def _even_set_absence(bound: int) -> list[dict]:
     lat = direct_sum(from_rows([[2]]), named("E8(-2)")).relabel("<2>+E8(-2)")
-    surrogate = LabeledLattice(lat, {"E": _unit(9, 0)})
-    sets = find_even_sets(surrogate, "E", bound)
+    sets = find_even_sets(lat, _unit(9, 0), bound)
     return [check(
         "ue8-even-set-absence", not sets,
         f"the degree-2 surrogate has no even set within bound "
@@ -1181,7 +1182,7 @@ def _even_set_absence(bound: int) -> list[dict]:
         {"count": len(sets)})]
 
 
-def ue8_checks(absence_bound: int = 3) -> list[Check]:
+def ue8_checks(absence_bound: int) -> list[Check]:
     """Verification of the E8(-2)-side glue, the rank-10 genera and the
     even-set absence example on the degree-2 surrogate <2> + E8(-2)."""
     if absence_bound < 0:

@@ -24,7 +24,6 @@ from k3lat.intmat import (
     identity,
     mat_mul,
     snf,
-    solve_int,
     transpose,
     xgcd,
 )
@@ -127,6 +126,16 @@ def solve_frac(a, b):
     for r, c in pivots:
         x[c] = aug[r][n]
     return tuple(x)
+
+
+def solve_integral(a, b):
+    """The solution of a @ x = b for `a` of full column rank, as integers:
+    the unique solution of `solve_frac`, or None when there is none or it
+    is not integral."""
+    x = solve_frac(a, b)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return tuple(int(c) for c in x)
 
 
 def inv_gauss_jordan(a):
@@ -289,7 +298,9 @@ def glue_overlattice_by_solves(gram, lifts):
     """(Gram, embedding rows) of the lattice generated by L = (Z^n, gram)
     and rational glue rows, the Gram in Fractions (integral exactly when the
     glue pairs integrally), and row i of the embedding the solution y of
-    basis^T y = den * e_i, one `solve_int` per basis vector of L."""
+    basis^T y = den * e_i, one rational elimination per basis vector of L
+    (`solve_integral`), so the oracle runs none of the k3lat eliminations
+    it checks."""
     n = len(gram)
     den = 1
     for lift in lifts:
@@ -303,7 +314,7 @@ def glue_overlattice_by_solves(gram, lifts):
         for row in gram_in_basis_loops(gram, basis)
     )
     emb_rows = [
-        solve_int(transpose(basis), tuple(den if i == j else 0 for j in range(n)))
+        solve_integral(transpose(basis), tuple(den if i == j else 0 for j in range(n)))
         for i in range(n)
     ]
     return z, tuple(emb_rows)

@@ -208,8 +208,8 @@ def test_criterion_05_degree4_model_report_and_even_sets():
 
         x2 = build_X2()
         known1, known2 = known_even_sets()
-        sets1 = find_even_sets(x2, "E1", 5)
-        sets2 = find_even_sets(x2, "E2", 5)
+        sets1 = find_even_sets(x2.lattice, x2.vec("E1"), 5)
+        sets2 = find_even_sets(x2.lattice, x2.vec("E2"), 5)
         assert known1 in sets1 and known1 not in sets2
         assert known2 in sets2 and known2 not in sets1
 
@@ -223,7 +223,7 @@ def test_criterion_06_eight_i2_model_certificates():
     with criterion(
         6, 120, "eight-I2 split = E8(-2); glue certificates; complements"
     ):
-        glue = [e for e, _ in run(c for c in un_checks() + ue8_checks()
+        glue = [e for e, _ in run(c for c in un_checks() + ue8_checks(3)
                                   if not c[0].startswith(("un-", "ue8-")))]
         assert glue and all(e["status"] == "pass" for e in glue)
         names = {e["check"] for e in glue}

@@ -30,10 +30,8 @@ from k3lat.intmat import (
     freeze,
     hnf_basis,
     mat_mul,
-    rank_int,
     signature,
     snf,
-    solve_int,
     transpose,
 )
 from k3lat.lattice import (
@@ -62,6 +60,7 @@ from lattice_builders import rescale
 from rational_oracles import (
     discriminant_gram_frac,
     gram_in_basis_loops,
+    solve_integral,
     symmetric_grams,
     unimodular_mats,
 )
@@ -129,7 +128,7 @@ def test_e8_root_count_matches_coordinate_model():
     # every model root lies in the lattice (doubled coordinates)
     for v in roots:
         assert sum(x * x for x in v) == 8  # norm 2, doubled
-        assert solve_int(transpose(E8_BASIS2), v) is not None
+        assert solve_integral(transpose(E8_BASIS2), v) is not None
     assert root_count(E8) == 240
     assert root_count(neg(E8)) == 240
 
@@ -469,7 +468,7 @@ def test_saturation_and_primitivity():
     d, _ = snf(sat.vectors)
     assert [d[i][i] for i in range(2)] == [1, 1]
     for r in emb.vectors:
-        assert solve_int(transpose(sat.vectors), r) is not None
+        assert solve_integral(transpose(sat.vectors), r) is not None
 
 
 @settings(max_examples=50, deadline=None)
@@ -481,13 +480,13 @@ def test_saturation_and_primitivity():
     )
 )
 def test_saturation_properties(rows):
-    if rank_int(rows) != len(rows):
+    if len(hnf_basis(rows)) != len(rows):
         return  # embeddings require independent images
     emb = embedding_of(Z3, rows)
     sat = saturation(emb)
     # same rational span: every input row solves in sat, ranks agree
     for r in rows:
-        assert solve_int(transpose(sat.vectors), r) is not None
+        assert solve_integral(transpose(sat.vectors), r) is not None
     d, _ = snf(sat.vectors)
     assert all(d[i][i] == 1 for i in range(len(sat.vectors)))
     assert saturation(sat).vectors == sat.vectors

@@ -6,9 +6,8 @@ skipped when sympy is not installed.
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from k3lat.intmat import det_int, hnf_basis, ldl_int, mat_mul, snf, solve_int, transpose
+from k3lat.intmat import det_int, hnf_basis, ldl_int, mat_mul, snf, transpose
 from rational_oracles import conjugated_grams
 
 sympy = pytest.importorskip("sympy")
@@ -57,38 +56,3 @@ def test_ldl_int_matches_sympy_ldl(case):
             assert d[i, i] == sympy.Rational(p[i], prev[i])
             for j in range(i + 1, n):
                 assert lo[j, i] == sympy.Rational(rows[i][j - i], p[i])
-
-
-def sympy_solvable(a, b):
-    """Whether a @ x = b has an integer solution: exactly when a and [a | b]
-    have the same nonzero invariant factors (Smith normal forms by sympy)."""
-    def factors(m):
-        s = smith_normal_form(sympy.Matrix(m), domain=sympy.ZZ)
-        return sorted(abs(s[i, i]) for i in range(min(s.shape)) if s[i, i])
-    return factors(a) == factors([list(row) + [x] for row, x in zip(a, b)])
-
-
-@st.composite
-def linear_systems(draw):
-    """An integer m x n system a @ x = b: b = a @ x for an integer x, or a
-    random b, which is often insolvable over Z when a is not unimodular."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 4))
-    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-                      min_size=m, max_size=m))
-    if draw(st.booleans()):
-        x = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-        b = [sum(r * xi for r, xi in zip(row, x)) for row in a]
-    else:
-        b = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
-    return a, b
-
-
-@settings(max_examples=200, deadline=None)
-@given(linear_systems())
-def test_solve_int_matches_sympy_solvability(case):
-    a, b = case
-    x = solve_int(a, b)
-    assert (x is not None) == sympy_solvable(a, b)
-    if x is not None:
-        assert [sum(r * xi for r, xi in zip(row, x)) for row in a] == b
