@@ -299,7 +299,7 @@ def _suite_x2(*, bound: int = 5) -> list[Check]:
 def _suite_un(*, e: int | None = None) -> list[Check]:
     """The eight-I2 model U + N.  Claim: quotient families with a symplectic
     automorphism; all: polarizations e = 1..4, a sample."""
-    return un_checks() if e is None else un_checks((e,))
+    return un_checks((1, 2, 3, 4) if e is None else (e,))
 
 
 def _suite_ue8(*, bound: int = 3) -> list[Check]:

@@ -26,6 +26,7 @@ lists of named checks in the vocabulary of k3lat.report.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -569,19 +570,20 @@ def _bounded_sections(lat: IntegralLattice, e: Vec, bound: int) -> list[Vec]:
     return out
 
 
-def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattice, Mat]:
+def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattice, Mat, Mat]:
     """The frame L = W + <E, O> of a pencil class E and a section O, which
     <E, O> (Gram [[0, 1], [1, -2]], unimodular) splits off: W, on the basis
-    `_complement_rows` gives it, and the inverse of the basis (W rows, E, O),
-    which takes a vector to its W-coordinates and its E and O coefficients."""
-    basis = _complement_rows(lat, (e, o)) + (e, o)
+    `_complement_rows` gives it, the basis (W rows, E, O) itself, and its
+    inverse, which takes a vector to its W-coordinates and its E and O
+    coefficients."""
+    basis = freeze(_complement_rows(lat, (e, o)) + (e, o))
     require(len(basis) == lat.rank and det_int(basis) in (1, -1),
             "the frame W + <E, O> is not a basis of the lattice")
     g = gram_in_basis(lat, basis)
     w = IntegralLattice(freeze(row[:-2] for row in g[:-2]))
     require(g == direct_sum(w, from_rows(((0, 1), (1, -2)))).gram,
             "the frame Gram is not W + [[0, 1], [1, -2]]")
-    return w, inv_unimodular(basis)
+    return w, basis, inv_unimodular(basis)
 
 
 def _packing(vectors: Sequence[Vec]) -> Callable[[Vec], int]:
@@ -624,8 +626,78 @@ def _translate_shapes(packed: Sequence[int]) -> list[tuple[int, ...]]:
     return shapes
 
 
-# bytes of 0/1 flags -> the ASCII digits that int(..., 2) reads
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# The width of one candidate's field in the packed columns of `_box_fits`,
+# and the struct format of an unsigned integer of each width it may take.
+_FIELD_BITS = 16
+_UNSIGNED = {8: "B", 16: "H", 32: "I", 64: "Q"}
+# the top byte of a field after the range tests, 0x80 or 0 -> the ASCII
+# digit that int(..., 2) reads
+_GUARD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
+def _box_fits(gram: Mat, e: Vec, bound: int, cands: Sequence[Vec],
+              roots: Sequence[Vec]) -> list[int]:
+    """For each root r of the frame, as a lattice vector, the candidates v
+    with T_r(v) = v + r + (2 - v.r)E inside [-bound, bound]^n, as a bit
+    mask: bit i stands for cands[i].
+
+    T_r(v) is the section whose W-part is that of v plus r (see
+    `find_even_sets`), so when `cands` holds every section in the box, bit
+    i is set exactly when cands[i] + r is a candidate.  The candidates are
+    packed by column, one `_FIELD_BITS` field each, so v.r for all of them
+    is one integer combination sum_u (G r)_u col_u, and coordinate t of
+    T_r(v) is col_t + r_t + 2 E_t - E_t (v.r), field by field.  With h =
+    2^(_FIELD_BITS - 1), the guard (top) bit of a field of T_t + bound + h
+    is set iff T_t >= -bound, and that of bound - T_t + h iff T_t <= bound;
+    one AND over both tests and every coordinate leaves the guards set
+    exactly where T_r(v) lies in the box, and one stride slice of the bytes
+    reads them off.  Where E_t = 0, T_t = v_t + r_t, so that coordinate's
+    test is made once per value of r_t and shared by the roots.
+
+    No field carries into the next while |T_t| + bound < h.  With s the
+    largest |coordinate| of a candidate (at most bound, for the sections
+    within it), |T_t| is at most s + |r_t + 2 E_t| + |E_t| s sum_u |(G r)_u|;
+    an input where that plus bound reaches h raises ArithmeticError, also
+    under `python -O`, instead of reading wrong bits.
+    """
+    k = len(cands)
+    h = 1 << (_FIELD_BITS - 1)
+    columns = list(zip(*cands))
+    s = max((max(max(col), -min(col)) for col in columns), default=0)
+    paired = [mat_vec(gram, r) for r in roots]
+    reach = s + max((abs(r[t] + 2 * e[t]) + abs(e[t]) * s * sum(map(abs, p))
+                     for r, p in zip(roots, paired) for t in range(len(e))), default=0)
+    require(reach + bound < h,
+            f"|T_r(v)| + bound may reach {reach + bound}, past the "
+            f"{_FIELD_BITS}-bit fields of the box test")
+    ones = ((1 << (_FIELD_BITS * k)) - 1) // ((1 << _FIELD_BITS) - 1)
+    # field i of cols[t] is cands[i][t] + s, so a packed combination of the
+    # columns carries s times its coefficient sum in every field
+    fmt = f"<{k}{_UNSIGNED[_FIELD_BITS]}"
+    cols = [int.from_bytes(struct.pack(fmt, *[c + s for c in col]), "little")
+            for col in columns]
+    # with fields T_t + bound + h in lo, those of top - lo are bound - T_t + h
+    top = (2 * bound + 2 * h) * ones
+    lift = h + bound - s
+
+    def test(lo: int) -> int:
+        return lo & (top - lo)
+
+    flat = [t for t, et in enumerate(e) if not et]
+    moved = [t for t, et in enumerate(e) if et]
+    plain = {(t, c): test(cols[t] + (c + lift) * ones)
+             for t in flat for c in {r[t] for r in roots}}
+    stride = _FIELD_BITS // 8
+    fits = []
+    for r, p in zip(roots, paired):
+        vr = sum(pu * col for pu, col in zip(p, cols) if pu)
+        shift = 2 + s * sum(p)
+        ok = reduce(and_, (plain[t, r[t]] for t in flat), ones << (_FIELD_BITS - 1))
+        for t in moved:
+            ok &= test(cols[t] + (r[t] + e[t] * shift + lift) * ones - e[t] * vr)
+        flags = ok.to_bytes(stride * k, "big")[::stride]
+        fits.append(int(b"0" + flags.translate(_GUARD_DIGITS), 2))
+    return fits
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,16 +709,20 @@ class EvenSets:
     `find_even_sets`).  Its anchor is its member of least packed W-key;
     `_packing` keeps the sign, so the other seven members sit at the
     positive roots of S.  Bit i of `masks[s]` is set iff cands[i] +
-    shapes[s] are all sections, so `len()` is a sum of popcounts and `in`
-    reads one bit: neither builds a set.  A hit rebuilds its set from the
-    candidates and re-checks it from the definition, both with `require`,
-    so a wrong bit raises ArithmeticError, also under `python -O`, instead
-    of passing.  Iteration lists every set as a sorted tuple, in sorted
-    order, from a list built anew on each call.
+    shapes[s] are all sections: the AND of one mask per root r of the
+    shape, which `_box_fits` reads off one box test on the section
+    T_r(v) = v + r + (2 - v.r)E for all candidates v at once.  So `len()`
+    is a sum of popcounts and `in` reads one bit: neither builds a set.  A
+    hit rebuilds its set from the candidates by packed W-keys and
+    re-checks it from the definition, both with `require`, so a wrong bit
+    raises ArithmeticError, also under `python -O`, instead of passing.
+    Iteration lists every set as a sorted tuple, in sorted order, from a
+    list built anew on each call.
 
     `cands` are the sections within `bound`, `functional` reads a vector's
-    packed W-key as one dot product, `roots` are the packed positive roots
-    of W and `shapes` the even shapes as sorted indices into `roots`.
+    packed W-key as one dot product, `roots` are the positive roots of W as
+    vectors of the lattice (W-part the root, no E or O part) and `shapes`
+    the even shapes as sorted indices into `roots`.
     """
 
     lattice: IntegralLattice
@@ -654,30 +730,29 @@ class EvenSets:
     bound: int
     cands: tuple[Vec, ...] = field(repr=False)
     functional: Vec = field(repr=False)
-    roots: tuple[int, ...] = field(repr=False)
+    roots: tuple[Vec, ...] = field(repr=False)
     shapes: tuple[tuple[int, ...], ...] = field(repr=False)
     masks: tuple[int, ...] = field(init=False, repr=False)
     _keys: tuple[int, ...] = field(init=False, repr=False)
     _at: dict[int, int] = field(init=False, repr=False)
+    _root_keys: tuple[int, ...] = field(init=False, repr=False)
     _root_at: dict[int, int] = field(init=False, repr=False)
     _shape_of: dict[tuple[int, ...], int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         keys = tuple(dot(v, self.functional) for v in self.cands)
-        at = {k: i for i, k in enumerate(keys)}
+        root_keys = tuple(dot(r, self.functional) for r in self.roots)
         # bit i of fits[j]: cands[i] + roots[j] is a section, for the roots
-        # j that some shape uses; the flags are read most significant first,
-        # so from the last candidate down
-        rkeys = keys[::-1]
-        fits = {}
-        for j in set(chain.from_iterable(self.shapes)):
-            flags = bytes(map(at.__contains__, map(self.roots[j].__add__, rkeys)))
-            fits[j] = int(b"0" + flags.translate(_BIT_DIGITS), 2)
+        # j that some shape uses
+        used = sorted(set(chain.from_iterable(self.shapes)))
+        fits = dict(zip(used, _box_fits(self.lattice.gram, self.e, self.bound, self.cands,
+                                        [self.roots[j] for j in used])))
         masks = tuple(reduce(and_, (fits[j] for j in shape)) for shape in self.shapes)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "_keys", keys)
-        object.__setattr__(self, "_at", at)
-        object.__setattr__(self, "_root_at", {r: j for j, r in enumerate(self.roots)})
+        object.__setattr__(self, "_at", {k: i for i, k in enumerate(keys)})
+        object.__setattr__(self, "_root_keys", root_keys)
+        object.__setattr__(self, "_root_at", {r: j for j, r in enumerate(root_keys)})
         object.__setattr__(self, "_shape_of", {sh: s for s, sh in enumerate(self.shapes)})
 
     def __len__(self) -> int:
@@ -686,7 +761,7 @@ class EvenSets:
     def _members(self, i: int, s: int) -> tuple[Vec, ...]:
         """The set of shape s anchored at cands[i], as a sorted tuple."""
         key = self._keys[i]
-        at = [self._at.get(key + self.roots[j]) for j in self.shapes[s]]
+        at = [self._at.get(key + self._root_keys[j]) for j in self.shapes[s]]
         require(None not in at,
                 f"the mask of shape {s} marks cands[{i}], where the shape "
                 "leaves the sections")
@@ -764,9 +839,17 @@ def find_even_sets(lat: IntegralLattice, e: Vec, bound: int) -> EvenSets:
     (the sum of the k is w.sum(S) mod 2), so parity is a property of the
     shape alone: the search lists the even shapes once, and for each root
     r the sections w with w + r a section, as a bit mask; the AND of the
-    seven masks of a shape marks where it fits.  E must be isotropic and
-    the lattice hyperbolic (so that W is negative definite); otherwise,
-    given eight sections, ValueError.
+    seven masks of a shape marks where it fits.
+
+    The mask of a root needs no lookup.  With r also read as the lattice
+    vector of W-part r, T_r(v) = v + r + (2 - v.r)E is a section for every
+    section v: its square is -2 - 4 + 2 v.r + 2(2 - v.r) = -2, T_r(v).E =
+    v.E = 1 as r.E = E.E = 0, and its W-part is w + r.  As the candidates
+    are every section in the box, w + r is a candidate exactly when every
+    coordinate of T_r(v) lies in [-bound, bound], which `_box_fits` tests
+    for all candidates at once on their packed columns.  E must be
+    isotropic and the lattice hyperbolic (so that W is negative definite);
+    otherwise, given eight sections, ValueError.
     """
     cands = _bounded_sections(lat, e, bound)
     if len(cands) < 8:
@@ -775,7 +858,7 @@ def find_even_sets(lat: IntegralLattice, e: Vec, bound: int) -> EvenSets:
         raise ValueError(f"pencil class {e} is not isotropic")
     if lat.signature != (1, lat.rank - 1):
         raise ValueError(f"a lattice of signature {lat.signature} is not hyperbolic")
-    w_lat, to_frame = _section_frame(lat, e, cands[0])
+    w_lat, basis, to_frame = _section_frame(lat, e, cands[0])
     # W is negative definite: its norm -4 vectors, one of each sign pair
     roots = short_vectors(w_lat, 4)
     # |w_t| <= bound * sum_s |to_frame[s][t]| for the W-part w of a candidate
@@ -787,8 +870,9 @@ def find_even_sets(lat: IntegralLattice, e: Vec, bound: int) -> EvenSets:
     )
     # pack is linear, so pack(w) = v . (pack of each row's W-part)
     functional = tuple(pack(row[:-2]) for row in to_frame)
-    return EvenSets(lat, e, bound, tuple(cands), functional,
-                    tuple(pack(r) for r in roots), shapes)
+    # the lattice vector of W-part r, whose packed W-key is pack(r)
+    lifted = tuple(vec_mat(r, basis[:-2]) for r in roots)
+    return EvenSets(lat, e, bound, tuple(cands), functional, lifted, shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -1160,7 +1244,7 @@ def _polarized_complement(e: int) -> list[dict]:
         {"sig": [g.sig_plus, g.sig_minus]})]
 
 
-def un_checks(e_values: Sequence[int] = (1, 2, 3, 4)) -> list[Check]:
+def un_checks(e_values: Sequence[int]) -> list[Check]:
     """Verification of the eight-I2 model: involution split, polarized
     complements, and the N-side glue constructions."""
     if min(e_values) < 1:

@@ -2,13 +2,17 @@
 a translate search in the frame lattice, kept outside the package as an
 oracle: packed-column orthogonality rows and a bit-set clique recursion
 over every candidate section, with the parity of the sum carried down.
+Beside it, the dict lookups that built the translate search's masks
+before its box test.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Sequence
 
-from k3lat.intmat import Vec, mat_vec
+from k3lat.intmat import Vec, dot, mat_vec
 from k3lat.lattice import IntegralLattice
 
 
@@ -113,3 +117,17 @@ def even_eight_cliques(
     del extend
     found.sort()
     return found
+
+
+def lookup_masks(sets) -> tuple[int, ...]:
+    """The anchor masks of an `EvenSets`, built as the package built them
+    before its box test: bit i of the fits of root j is set iff the packed
+    W-key of cands[i] plus that of roots[j] is the key of a candidate, one
+    dict lookup per candidate and root, and a shape's mask is the AND of
+    the fits of its roots."""
+    keys = [dot(v, sets.functional) for v in sets.cands]
+    at = {key: i for i, key in enumerate(keys)}
+    root_keys = [dot(r, sets.functional) for r in sets.roots]
+    fits = {j: sum(1 << i for i, key in enumerate(keys) if key + root_keys[j] in at)
+            for j in set().union(*sets.shapes)}
+    return tuple(reduce(and_, (fits[j] for j in shape)) for shape in sets.shapes)

@@ -223,7 +223,7 @@ def test_criterion_06_eight_i2_model_certificates():
     with criterion(
         6, 120, "eight-I2 split = E8(-2); glue certificates; complements"
     ):
-        glue = [e for e, _ in run(c for c in un_checks() + ue8_checks(3)
+        glue = [e for e, _ in run(c for c in un_checks((1, 2, 3, 4)) + ue8_checks(3)
                                   if not c[0].startswith(("un-", "ue8-")))]
         assert glue and all(e["status"] == "pass" for e in glue)
         names = {e["check"] for e in glue}

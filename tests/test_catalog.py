@@ -329,13 +329,13 @@ def test_mn_listed_words_have_the_tabled_length_and_distinct_orbits(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_mn_glue_keys_are_those_of_the_cyclic_isotropic_subgroups(n):
+def test_mn_listed_words_meet_every_orbit(n):
     assert_listed_words_meet_every_orbit(MN_ROOT_CONFIG[n], n)
 
 
 @settings(max_examples=25, deadline=None)
 @given(a_sums_with_glue_order())
-def test_glue_keys_are_those_of_the_cyclic_isotropic_subgroups_on_small_a_sums(case):
+def test_listed_words_meet_every_orbit_on_small_a_sums(case):
     assert_listed_words_meet_every_orbit(*case)
 
 

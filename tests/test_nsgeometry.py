@@ -8,7 +8,8 @@ bounded vector enumeration is cross-checked against a full box scan at
 bound 1.  The translate search is cross-checked against the 8-clique
 search it replaced (`clique_oracles`), whose packed adjacency is checked
 against plain pairings and whose cliques are checked against an
-itertools.combinations sweep over the same candidates.
+itertools.combinations sweep over the same candidates; its box-test masks
+are checked against the packed-key lookups they replaced.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -23,6 +25,7 @@ import k3lat
 from k3lat.catalog import FamilyDescriptor, family_genus, named
 from k3lat.intmat import (
     det_int,
+    dot,
     freeze,
     identity,
     inv_unimodular,
@@ -73,7 +76,7 @@ from k3lat.nsgeometry import (
 from k3lat.overlattice import genus_equal, genus_of
 from k3lat.report import run
 
-from clique_oracles import even_eight_cliques, packed_adjacency
+from clique_oracles import even_eight_cliques, lookup_masks, packed_adjacency
 
 
 def statuses(report):
@@ -516,11 +519,11 @@ def test_frame_of_the_x2_pencils_is_e7_minus_2():
         e = x2.vec(e_label)
         cands = _bounded_sections(x2.lattice, e, 2)
         o = cands[0]
-        w_lat, to_frame = _section_frame(x2.lattice, e, o)
+        w_lat, basis, to_frame = _section_frame(x2.lattice, e, o)
         assert (w_lat.rank, w_lat.det) == (7, -256)
         assert [w_lat.norm(r) for r in short_vectors(w_lat, 4)] == [-4] * 63
         assert short_vectors(w_lat, 2) == []
-        basis = inv_unimodular(to_frame)
+        assert mat_mul(basis, to_frame) == identity(9)
         assert basis[-2:] == (e, o)
         for v in cands:
             c = vec_mat(v, to_frame)
@@ -537,7 +540,7 @@ def test_sections_are_disjoint_exactly_when_frame_parts_differ_by_a_norm_minus_4
     for e_label in ("E1", "E2"):
         for bound in range(1, 6):
             cands = _bounded_sections(lat, x2.vec(e_label), bound)
-            w_lat, to_frame = _section_frame(lat, x2.vec(e_label), cands[0])
+            w_lat, _, to_frame = _section_frame(lat, x2.vec(e_label), cands[0])
             ws = [vec_mat(v, to_frame)[:-2] for v in cands]
             r4 = {v for r in short_vectors(w_lat, 4) for v in (r, vec_neg(r))}
             k = len(cands)
@@ -556,6 +559,56 @@ def test_translate_search_equals_the_clique_oracle_on_x2():
             cands = _bounded_sections(x2.lattice, e, bound)
             assert list(find_even_sets(x2.lattice, e, bound)) == even_eight_cliques(
                 x2.lattice, cands), (e_label, bound)
+
+
+def test_box_test_masks_equal_the_lookup_oracle():
+    # The fits of a root come from one box test on T_r(v) = v + r + (2 - v.r)E
+    # for all candidates v; the oracle looks each v + r up by its packed
+    # W-key.  Both X2 pencils at bounds 1-6, and U + E8(-2) at bound 2 with
+    # its odd shapes put back in, so that every one of its roots is used.
+    x2 = build_X2()
+    for e_label in ("E1", "E2"):
+        for bound in range(1, 7):
+            sets = find_even_sets(x2.lattice, x2.vec(e_label), bound)
+            assert sets.masks == lookup_masks(sets), (e_label, bound)
+    sets = find_even_sets(direct_sum(named("U"), named("E8(-2)")), _unit(10, 0), 2)
+    keys = [dot(r, sets.functional) for r in sets.roots]
+    every = replace(sets, shapes=tuple(_translate_shapes(keys)))
+    assert (len(every.roots), len(every.shapes)) == (120, 25920)
+    assert every.masks == lookup_masks(every)
+    assert sum(map(int.bit_count, every.masks)) == 3992
+
+
+# The box test packs each candidate's coordinates into fields of
+# `_FIELD_BITS` bits.  At 8 bits the E1 fields at bound 6 still fit (at most
+# 112 of 128) and give the full count; the E2 ones (137) must be refused,
+# also when `python -O` strips asserts, rather than read off carried bits.
+_NARROW_FIELDS = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import nsgeometry
+nsgeometry._FIELD_BITS = 8
+x2 = nsgeometry.build_X2()
+print(len(nsgeometry.find_even_sets(x2.lattice, x2.vec("E1"), 6)))
+try:
+    nsgeometry.find_even_sets(x2.lattice, x2.vec("E2"), 6)
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_fields_too_narrow_for_the_box_test_are_refused_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NARROW_FIELDS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "12936",
+        "|T_r(v)| + bound may reach 137, past the 8-bit fields of the box test"]
 
 
 def count_eight_cliques(lat, cands):
@@ -778,7 +831,9 @@ def test_corrupt_anchor_mask_is_rejected_under_python_O():
 # Each clause of the re-check that `in` runs on a hit, planted one at a time
 # in an `EvenSets` built around a known set, must raise, also under
 # `python -O`.  The planted data pass the bit and the rebuilt members, so
-# only the re-check can refuse them.
+# only the re-check can refuse them.  The masks come from a box test on
+# each root's T_r(v), so a smaller bound would clear the bit: the "bound"
+# case keeps the masks of the bound-5 search.
 _PLANTED_RECHECK = """
 import sys
 if __debug__:
@@ -786,7 +841,7 @@ if __debug__:
 from dataclasses import replace
 from k3lat import nsgeometry
 from k3lat.catalog import named
-from k3lat.intmat import dot, vec_add
+from k3lat.intmat import dot, vec_add, vec_scale, vec_sub
 from k3lat.lattice import direct_sum
 x2 = nsgeometry.build_X2()
 lat, e1 = x2.lattice, x2.vec("E1")
@@ -803,22 +858,34 @@ if case == "sections":
 elif case == "bound":
     # N7 has a coordinate 5
     planted, item = replace(sets, bound=4), known1
+    object.__setattr__(planted, "masks", sets.masks)
 elif case == "meet":
-    # the root that leads from the anchor to member m is swapped for one
-    # that leads to a section c meeting another member
+    # the root that leads from the anchor to member m is swapped for
+    # d = c - anchor, where the section c meets another member and
+    # T_d(anchor) = c + (2 - anchor.d)E lies in the box: the box test sets
+    # the bit, and the W-keys rebuild c
     m = next(v for v in known1 if v != anchor)
     rest = [v for v in known1 if v != m]
+    root_keys = [dot(r, sets.functional) for r in sets.roots]
+
+    def image(c):
+        return vec_add(c, vec_scale(e1, 2 - lat.pairing(anchor, vec_sub(c, anchor))))
+
     c = next(c for c in sets.cands
              if c not in known1 and key[c] > key[anchor]
-             and key[c] - key[anchor] not in sets.roots
-             and any(lat.pairing(c, v) for v in rest))
-    roots = tuple(key[c] - key[anchor] if r == key[m] - key[anchor] else r for r in sets.roots)
+             and key[c] - key[anchor] not in root_keys
+             and any(lat.pairing(c, v) for v in rest)
+             and max(map(abs, image(c))) <= 5)
+    d = vec_sub(c, anchor)
+    roots = tuple(d if dot(r, sets.functional) == key[m] - key[anchor] else r
+                  for r in sets.roots)
     planted, item = replace(sets, roots=roots), tuple(sorted(rest + [c]))
 else:
     # U + E8(-2) has odd shapes, which the search leaves out
     u_e8 = direct_sum(named("U"), named("E8(-2)"))
     sets = nsgeometry.find_even_sets(u_e8, (1,) + (0,) * 9, 2)
-    planted = replace(sets, shapes=tuple(nsgeometry._translate_shapes(list(sets.roots))))
+    root_keys = [dot(r, sets.functional) for r in sets.roots]
+    planted = replace(sets, shapes=tuple(nsgeometry._translate_shapes(root_keys)))
     item = next(s for s in planted if any(sum(col) % 2 for col in zip(*s)))
 try:
     print(item in planted)
@@ -1138,7 +1205,7 @@ def test_polarization_literal_reading_square():
 def test_glue_constructions_all_pass():
     # the glue checks of both rank-10 models and the rank-10 genera: every
     # check of un and ue8 but the models' own
-    report = [e for e, _ in run(c for c in un_checks() + ue8_checks(3)
+    report = [e for e, _ in run(c for c in un_checks((1, 2, 3, 4)) + ue8_checks(3)
                                 if not c[0].startswith(("un-", "ue8-")))]
     assert set(statuses(report).values()) == {"pass"}
     names = [e["check"] for e in report]
