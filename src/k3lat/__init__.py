@@ -20,12 +20,10 @@ from .catalog import (
 from .forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
-    Subgroup,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
     group_invariants,
-    isotropic_subgroups,
     length,
     milgram_signature,
     negate,
@@ -45,7 +43,6 @@ from .lattice import (
     from_rows,
     gram_in_basis,
     invariant_split,
-    is_isometric_definite,
     is_primitive,
     orthogonal_complement,
     quotient_by_radical,

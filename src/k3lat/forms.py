@@ -43,16 +43,10 @@ form; `value_counts` (genus records) convolves the blocks' own value
 counts, and `find_u_block` reads the complement of a u(m) off the key and
 lets `forms_isomorphic` map u(m) plus that complement onto the form.
 
-A subgroup H of A is L/diag(d)Z^k for exactly one lattice
-diag(d)Z^k <= L <= Z^k, of index |A|/|H|, and L has exactly one
-upper-triangular Hermite normal form basis: row i is (0, ..., 0, h_i,
-t_{i+1}, ..., t_{k-1}) with h_i | d_i and 0 <= t_j < h_j, and
-(d_i/h_i)*row_i lies in d_i*e_i + span(rows below).  `isotropic_subgroups`
-builds these bases bottom row first, pruning on the index left over and on
-isotropy row by row, so it meets each isotropic subgroup once, and lists
-its elements sum c_i*row_i mod d, 0 <= c_i < d_i/h_i, by one odometer.
-`quotient_form` takes H by generator rows alone, a cyclic glue's one word
-included, and reads |H| = |A|/(h_1 ... h_k) off their HNF with diag(d).
+`quotient_form` takes a subgroup H by generator rows alone, a cyclic glue's
+one word included: H is L/diag(d)Z^k for the lattice L that those rows
+span with diag(d)Z^k, so |H| = |A|/(h_1 ... h_k) for the diagonal h_i of
+the Hermite normal form of L.
 """
 
 from __future__ import annotations
@@ -84,7 +78,9 @@ from .intmat import (
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A bounded backtracking search ran out of nodes before deciding."""
+    """A bounded backtracking search ran out of nodes before deciding.  The
+    package runs no such search; the oracles in tests/ raise it, and the
+    benchmark worker (k3bench/worker.py) still imports it."""
 
 
 @dataclass(frozen=True)
@@ -881,85 +877,15 @@ def forms_isomorphic(q1: FiniteQuadraticForm, q2: FiniteQuadraticForm) -> tuple[
     return out
 
 
+# The subgroup enumeration is a test oracle now; the name stays because the
+# benchmark (k3bench/spans.py) wraps it, and a call fails loudly.
+def isotropic_subgroups(*args, **kwargs):
+    raise RuntimeError("isotropic_subgroups has moved to tests/search_oracles.py")
+
+
 # ---------------------------------------------------------------------------
-# Isotropic subgroups and quotients
+# Quotients
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a finite quadratic form's group as `isotropic_subgroups`
-    lists it, element-wise: `elements` sorted, and `gens` any tuple that
-    generates exactly them (callers use only their span)."""
-
-    form: FiniteQuadraticForm
-    elements: tuple[Vec, ...]
-    gens: tuple[Vec, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def _isotropic_hnf(
-    q: FiniteQuadraticForm, index: int, below: tuple[Vec, ...] = ()
-) -> Iterator[tuple[Vec, ...]]:
-    """HNF bases, rows top-down, of the isotropic lattices that end in the
-    rows `below` and whose rows above those have pivots multiplying to
-    `index` (see the module docstring)."""
-    i = q.rank - len(below) - 1
-    if i < 0:
-        yield below
-        return
-    d = q.orders[i]
-    room = prod(q.orders[:i])
-    for h in range(1, d + 1):
-        if d % h or index % h or room % (index // h):
-            continue
-        # (d/h)*row must lie in d*e_i + span(below): column by column, the
-        # entry left in column j must be a multiple of the pivot h_j, which
-        # fixes t_j mod h_j/gcd(d/h, h_j) and the coefficient c of row j
-        rows = [((0,) * i + (h,), (0,) * q.rank)]
-        for j, rj in enumerate(below, start=i + 1):
-            rows = [(row + (t,), tuple(a - c * b for a, b in zip(rest, rj)))
-                    for row, rest in rows for t in range(rj[j])
-                    for c, r in [divmod(d // h * t + rest[j], rj[j])] if not r]
-        for row, _ in rows:
-            # a row with h = d is d*e_i plus a vector of span(below); others
-            # must be isotropic and pair to zero with the rows below, as
-            # q(x + y) = q(x) + q(y) + 2b(x, y)
-            if h == d or (
-                q._q_int(row) == 0 and not any(q._b_int(row, r) for r in below)
-            ):
-                yield from _isotropic_hnf(q, index // h, (row,) + below)
-
-
-def isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subgroup]:
-    """All subgroups H with |H| = order, q = 0 on H (hence b = 0 on HxH),
-    once each, sorted by element tuples.  `gens` are the reduced HNF rows
-    with pivot h_i < d_i."""
-    if order < 1:
-        raise ValueError(f"subgroup order must be positive, got {order}")
-    if q.group_order % order:
-        return []
-    out = []
-    for basis in _isotropic_hnf(q, q.group_order // order):
-        members = [(0,) * q.rank]
-        gens = []
-        for i, row in enumerate(basis):
-            m = q.orders[i] // row[i]
-            if m > 1:
-                g = q.reduce(row)
-                gens.append(g)
-                members = [q.reduce(tuple(a + c * b for a, b in zip(x, g)))
-                           for c in range(m) for x in members]
-        elements = tuple(sorted(members))
-        # q = 0 elementwise forces b = 0 on H x H; check q again
-        for x in elements:
-            require(q._q_int(x) == 0, f"subgroup element {x} is not isotropic")
-        out.append(Subgroup(q, elements, tuple(gens)))
-    out.sort(key=lambda s: s.elements)
-    return out
 
 
 def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:

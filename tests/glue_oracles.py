@@ -1,23 +1,24 @@
 """The glue searches that k3lat used before isotropic subgroups came from
-Hermite normal forms, glue orbits from Witt's theorem and M_n from its glue
-code, kept outside the package as oracles: a breadth-first closure search
-over generator tuples for the isotropic subgroups, a breadth-first orbit
-search under orthogonal transvections for the index-2 glue, and for M_n a
-breadth-first orbit search under the root-sum symmetries, over the cyclic
-isotropic subgroups of order n, with a filter that glues every candidate and
-tests the lattice.  The first two read the plain
-listing of a form's elements with their orders and values, itself the
-oracle for the package's walks.
+Hermite normal forms (`search_oracles`, itself an oracle now), glue orbits
+from Witt's theorem and M_n from its glue code, kept outside the package
+as oracles: a breadth-first closure search over generator tuples for the
+isotropic subgroups, a breadth-first orbit search under orthogonal
+transvections for the index-2 glue, and for M_n a breadth-first orbit
+search under the root-sum symmetries, over the cyclic isotropic subgroups
+of order n, with a filter that glues every candidate and tests the
+lattice.  The first two read the plain listing of a form's elements with
+their orders and values, itself the oracle for the package's walks.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from k3lat.forms import FiniteQuadraticForm, Subgroup, isotropic_subgroups, length
+from k3lat.forms import FiniteQuadraticForm, length
 from k3lat.intmat import Vec, require
 from k3lat.lattice import DiscriminantData, IntegralLattice, discriminant_form, root_count
 from k3lat.overlattice import _glue_overlattice, _lift_of
+from search_oracles import Subgroup, isotropic_subgroups
 
 
 def value_listing(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:

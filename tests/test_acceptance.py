@@ -12,10 +12,13 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 from k3lat.catalog import (
     FamilyDescriptor,
+    _block_disc,
+    _cyclic_glue_codes,
     build_Mn,
     family_genus,
     family_lattice,
@@ -26,7 +29,6 @@ from k3lat.catalog import (
 from k3lat.cli import _catalog_builders
 from k3lat.forms import (
     forms_isomorphic,
-    isotropic_subgroups,
     length,
     milgram_signature,
     quotient_form,
@@ -51,6 +53,7 @@ from k3lat.overlattice import (
 )
 from k3lat.report import run
 from k3lat.towers import cover_step, mukai_twisted_check, tower, tower_related
+from search_oracles import isotropic_subgroups
 
 
 @contextmanager
@@ -302,7 +305,8 @@ def test_criterion_08_milgram_matches_signature_everywhere():
 
 
 # ---------------------------------------------------------------------------
-# 9. Isotropic subgroups and quotient forms against exhaustive brute force
+# 9. Isotropic subgroups, quotient forms and M_n glue words against
+#    exhaustive brute force
 # ---------------------------------------------------------------------------
 
 
@@ -383,6 +387,39 @@ def _check_quotient(q, sub):
     assert milgram_signature(qq) == milgram_signature(q)
 
 
+def _fold(config, x):
+    """x with each coordinate i of an A_m block folded to min(i, m + 1 - i),
+    and the folded coordinates of equal-size blocks sorted in config order:
+    the one word of its class under the flips and swaps of the root sum."""
+    folded = [min(c, m + 1 - c) for c, m in zip(x, config)]
+    out = list(folded)
+    for size in set(config):
+        at = [j for j, m in enumerate(config) if m == size]
+        for j, c in zip(at, sorted(folded[j] for j in at)):
+            out[j] = c
+    return tuple(out)
+
+
+# every A_m root sum, m <= 7 (the block sizes of M_n), with |A| <= 64, in
+# ascending block order and, where the sizes differ, reversed
+_A_SUMS = [c for k in range(1, 7) for c in combinations_with_replacement(range(1, 8), k)
+           if prod(m + 1 for m in c) <= 64]
+_A_SUMS += [c[::-1] for c in _A_SUMS if len(set(c)) > 1]
+
+
+def _check_glue_words(config, n):
+    """The words `build_Mn` judges on the root sum `config`: each listed
+    word has order n and q = 0, and every cyclic isotropic subgroup of
+    order n has a generator that folds onto a listed word."""
+    q = _block_disc(config)[1].form
+    listed = _cyclic_glue_codes(config, q, n)
+    for y in listed:
+        assert q.element_order(y) == n and q.q_value(y) == 0
+    for h in _brute_isotropic(q, n):
+        gens = [x for x in h if q.element_order(x) == n]
+        assert not gens or any(_fold(config, x) in listed for x in gens), (config, n)
+
+
 def test_criterion_09_subgroup_machinery_vs_brute_force():
     fixtures = [
         discriminant_form(named("A(1)")),
@@ -400,7 +437,7 @@ def test_criterion_09_subgroup_machinery_vs_brute_force():
         discriminant_form(named("N")),
     ]
     with criterion(
-        9, 30, "isotropic subgroups and quotients match brute force, |A| <= 64"
+        9, 30, "isotropic subgroups, quotients and M_n glue words match brute force, |A| <= 64"
     ):
         for q in fixtures:
             assert q.group_order <= 64
@@ -418,6 +455,11 @@ def test_criterion_09_subgroup_machinery_vs_brute_force():
                 assert keys == _brute_isotropic(q, order)
                 for h in mine:
                     _check_quotient(q, h)
+        # the subgroup enumeration above is a test oracle; build_Mn lists
+        # its glue with _cyclic_glue_codes, checked here on every small A_m sum
+        for config in _A_SUMS:
+            for n in range(2, 9):
+                _check_glue_words(config, n)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,16 @@ def test_worker_import_exists(name):
     assert hasattr(k3lat, name)
 
 
+@pytest.mark.parametrize("module, name", [
+    ("lattice", "is_isometric_definite"), ("forms", "isotropic_subgroups"),
+])
+def test_retired_search_names_raise_and_name_their_oracle(module, name):
+    # the searches moved to tests/search_oracles.py; the traced names stay,
+    # and a call from anywhere fails loudly
+    with pytest.raises(RuntimeError, match=f"{name} has moved to tests/search_oracles.py"):
+        getattr(importlib.import_module(f"k3lat.{module}"), name)()
+
+
 def test_worker_cli_names_exist():
     assert callable(cli.main)
     assert cli.SUITES and all(isinstance(s, str) for s in cli.SUITES)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import k3lat
-from k3lat import catalog, forms
+from k3lat import catalog
 from k3lat.catalog import (
     MN_LENGTH,
     MN_RANK,
@@ -42,7 +42,6 @@ from k3lat.forms import (
     cyclic_block,
     forms_isomorphic,
     group_invariants,
-    isotropic_subgroups,
     length,
     milgram_signature,
     quotient_form,
@@ -57,7 +56,6 @@ from k3lat.lattice import (
     discriminant_group,
     from_rows,
     gram_in_basis,
-    is_isometric_definite,
     root_count,
     short_vectors,
 )
@@ -77,6 +75,8 @@ from glue_oracles import (
 )
 from lattice_builders import rescale
 from rational_oracles import discriminant_gram_frac
+import search_oracles
+from search_oracles import is_isometric_definite, isotropic_subgroups
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
 from test_lattice import E8  # coordinate-model oracle
 
@@ -339,19 +339,11 @@ def test_listed_words_meet_every_orbit_on_small_a_sums(case):
     assert_listed_words_meet_every_orbit(*case)
 
 
-def test_build_mn_lists_no_isotropic_subgroups(monkeypatch):
-    def refuse(q, order):
-        raise AssertionError("isotropic_subgroups was called")
-
-    monkeypatch.setattr(forms, "isotropic_subgroups", refuse)
-    monkeypatch.setattr(catalog, "isotropic_subgroups", refuse, raising=False)
-    for n in range(2, 9):
-        assert build_Mn.__wrapped__(n).gram == build_Mn(n).gram
-
-
 def test_build_mn_and_the_lemma_quotient_build_no_subgroup(monkeypatch):
-    # the glue path carries the glue word alone: no `Subgroup` listing its
-    # elements is built for M_n or for a lemma quotient
+    # the glue path carries the glue word alone: no subgroup listing its
+    # elements is built for M_n or for a lemma quotient.  The package's
+    # `isotropic_subgroups` only raises, so the plain calls below show that
+    # nothing enumerates subgroups; the oracle's `Subgroup` is refused too
     grams = {n: build_Mn(n).gram for n in range(2, 9)}
 
     def genera():
@@ -363,7 +355,7 @@ def test_build_mn_and_the_lemma_quotient_build_no_subgroup(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Subgroup was built")
 
-    monkeypatch.setattr(forms, "Subgroup", refuse)
+    monkeypatch.setattr(search_oracles, "Subgroup", refuse)
     assert genera() == before
     for n in range(2, 9):
         assert build_Mn.__wrapped__(n).gram == grams[n]

@@ -31,7 +31,6 @@ from k3lat.forms import (
     find_u_block,
     forms_isomorphic,
     group_invariants,
-    isotropic_subgroups,
     length,
     milgram_signature,
     negate,
@@ -55,6 +54,7 @@ from form_oracles import (
 )
 from glue_oracles import _close_subgroup, closure_isotropic_subgroups, value_listing
 from rational_oracles import group_invariants_snf
+from search_oracles import isotropic_subgroups
 
 # ---------------------------------------------------------------------------
 # Oracles

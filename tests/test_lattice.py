@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import k3lat
 from k3lat.forms import (
     FiniteQuadraticForm,
+    SearchBudgetExceeded,
     cyclic_block,
     forms_isomorphic,
     milgram_signature,
@@ -37,7 +38,6 @@ from k3lat.intmat import (
 from k3lat.lattice import (
     IntegralLattice,
     IsometryAction,
-    SearchBudgetExceeded,
     diagonal_blocks,
     direct_sum,
     discriminant_form,
@@ -46,7 +46,6 @@ from k3lat.lattice import (
     from_rows,
     gram_in_basis,
     invariant_split,
-    is_isometric_definite,
     is_primitive,
     orthogonal_complement,
     quotient_by_radical,
@@ -64,6 +63,7 @@ from rational_oracles import (
     symmetric_grams,
     unimodular_mats,
 )
+from search_oracles import is_isometric_definite
 
 U = from_rows([[0, 1], [1, 0]])
 A1 = from_rows([[2]])
@@ -654,6 +654,7 @@ if __debug__:
     sys.exit("asserts are enabled")
 from fractions import Fraction
 from k3lat import forms, lattice
+import search_oracles
 
 # A basis change T1 for the first form that sends its generator to 3
 # times its normal-basis image: an element of the same order with q-value
@@ -677,18 +678,18 @@ lattice.IntegralLattice.pairing = lambda self, v, w: sum(
     for i in range(self.rank) for j in range(self.rank)
 )
 try:
-    print("lattice", lattice.is_isometric_definite(a2, a2))
+    print("lattice", search_oracles.is_isometric_definite(a2, a2))
 except ArithmeticError:
     print("lattice", "rejected")
 """
 
 
 def test_corrupt_certificates_are_rejected_under_python_O():
-    # The final re-checks of forms_isomorphic and is_isometric_definite must
-    # not be asserts, which `python -O` strips: a wrong answer from the
-    # search has to raise.
+    # The final re-checks of forms_isomorphic and of the isometry search
+    # oracle must not be asserts, which `python -O` strips: a wrong answer
+    # has to raise.
     src = os.path.dirname(os.path.dirname(k3lat.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
     done = subprocess.run(
         [sys.executable, "-O", "-c", _CORRUPT_CERTIFICATES],
         capture_output=True, text=True, env=env, timeout=300,

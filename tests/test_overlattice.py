@@ -19,7 +19,6 @@ from k3lat.forms import (
     _normal_form,
     cyclic_block,
     forms_isomorphic,
-    isotropic_subgroups,
     length,
     milgram_signature,
     quotient_form,
@@ -50,6 +49,7 @@ from k3lat.overlattice import (
 )
 from lattice_builders import rescale
 from rational_oracles import glue_overlattice_by_solves, unimodular_mats
+from search_oracles import isotropic_subgroups
 
 U = from_rows([[0, 1], [1, 0]])
 A2 = from_rows([[2, 1], [1, 2]])
@@ -336,6 +336,63 @@ def test_lemma_rejects_corrupt_glue_under_python_O():
         "index-2 glue order does not divide m",
         "primed glue order does not divide m",
         "isotropy glue is not isotropic",
+    ]
+
+
+# A glued lattice that is not what the glue row asks for: _glue_overlattice
+# is made to drop the row, or the row's head part, and genus_lemma_quotient
+# is given a wrong c = d/m.  The checks after the glue are `require` calls,
+# so each must raise under `python -O`.
+_WRONG_GLUE_RESULTS = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import overlattice
+from k3lat.catalog import named
+
+glue_overlattice = overlattice._glue_overlattice
+
+
+def attempt(label, build):
+    try:
+        build()
+        print(label, "accepted")
+    except ArithmeticError as exc:
+        print(label, exc)
+
+
+def lemma():
+    return overlattice.lemma_overlattice(4, 2, named("E8(-2)"))
+
+
+# no glue: the direct sum itself comes back, of index 1, not 2
+overlattice._glue_overlattice = lambda lat, glue, den: glue_overlattice(lat, [], den)
+attempt("index", lemma)
+# the glue h/2 + eps without h/2: eps is isotropic of order 2, so E8(-2)
+# is glued onto itself, with the right index and W not primitive
+overlattice._glue_overlattice = lambda lat, glue, den: glue_overlattice(
+    lat, [(0,) + tuple(row[1:]) for row in glue], den)
+attempt("primitive", lemma)
+overlattice._glue_overlattice = glue_overlattice
+# c = 1 in place of d/m = 2: the glue 2c*h of <1/8> has order 4, not 2
+overlattice._lemma_c = lambda d, m: 1
+attempt("quotient", lambda: overlattice.genus_lemma_quotient(
+    4, 2, overlattice.genus_of(named("E8(-2)"))))
+"""
+
+
+def test_wrong_glue_results_are_refused_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_GLUE_RESULTS],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "index glue changed the determinant by the wrong index",
+        "primitive W is not primitively embedded",
+        "quotient glue is not of order m",
     ]
 
 
