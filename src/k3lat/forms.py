@@ -70,6 +70,7 @@ from .intmat import (
     kernel_int,
     mat_mul,
     mat_vec,
+    prime_factors,
     require,
     snf,
     transpose,
@@ -280,17 +281,6 @@ def length(q: FiniteQuadraticForm) -> int:
 # ---------------------------------------------------------------------------
 # Jordan splitting and normal form
 # ---------------------------------------------------------------------------
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
 
 
 def _poly(coeffs: Sequence[int], t: int) -> int:
@@ -731,7 +721,7 @@ def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
     degenerate form.  Cached per form; a raise is not, so a degenerate
     form raises on every call."""
     key, basis, gram = [], [], []
-    for p in _prime_factors(q.group_order):
+    for p in prime_factors(q.group_order):
         fr = _Frame(q, p)
         levels = _split(fr)
         (_normal2 if p == 2 else _normal_odd)(fr, levels)
@@ -752,9 +742,11 @@ def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
             for j in range(at, at + len(qs)):
                 want[i][j] = t * n // o if i == j else n // o
         at += len(qs)
-    bad = _first_bad(mat_mul(mat_mul(basis, q.table), transpose(basis)), want, n)
+    # row i: N*b(x_i, e_j) for every j, as the table is symmetric
+    pairings = mat_mul(basis, q.table)
+    bad = _first_bad(mat_mul(pairings, transpose(basis)), want, n)
     require(bad is None, f"the normal form table is wrong at {bad}")
-    return NormalForm(tuple(key), tuple(basis), _coordinates(q, gram, basis))
+    return NormalForm(tuple(key), tuple(basis), _coordinates(gram, pairings, n))
 
 
 def _first_bad(gram: Mat, table: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:
@@ -765,30 +757,28 @@ def _first_bad(gram: Mat, table: Sequence[Sequence[int]], n: int) -> tuple[int, 
                  if (g[j] - t[j]) % (2 * n if i == j else n)), None)
 
 
-def _coordinates(q: FiniteQuadraticForm, gram: list, basis: list) -> tuple[Vec, ...]:
-    """Coordinates of each generator of q in an orthogonal basis of
-    unimodular blocks: for a block X at scale o, the coefficients c of e_i
-    solve (o*b(X, X)) c = o*b(e_i, X) mod o."""
-    n = q.level
+def _coordinates(gram: list, pairings: Mat, n: int) -> tuple[Vec, ...]:
+    """Coordinates of each generator of a form over the level n in an
+    orthogonal basis of unimodular blocks, from `pairings`, whose row j
+    holds n*b(x_j, e_i) for every i: for a block X at scale o the
+    coefficients c of e_i solve (o*b(X, X)) c = o*b(e_i, X) mod o.  The
+    checked basis Gram gives o*b(X, X): the block's q-values from `gram`
+    on the diagonal and, for a pair, 1 off it."""
     cols: list[list[int]] = []
     at = 0
     for o, qs in gram:
         s = n // o
-        xs = basis[at:at + len(qs)]
-        pair = [mat_vec(q.table, x) for x in xs]  # N*b(e_i, x) for every i
-        if len(xs) == 1:
-            inv = pow(q._q_int(xs[0]) // s, -1, o)
-            cols.append([t // s * inv % o for t in pair[0]])
+        rows = [[t // s for t in row] for row in pairings[at:at + len(qs)]]
+        if len(qs) == 1:
+            inv = pow(qs[0], -1, o)
+            cols.append([t * inv % o for t in rows[0]])
         else:
-            bxx, byy = q._q_int(xs[0]) // s, q._q_int(xs[1]) // s
-            bxy = q._b_int(xs[0], xs[1]) // s
-            inv = pow(bxx * byy - bxy * bxy, -1, o)
-            bx = [t // s for t in pair[0]]
-            by = [t // s for t in pair[1]]
-            cols.append([inv * (byy * u - bxy * w) % o for u, w in zip(bx, by)])
-            cols.append([inv * (bxx * w - bxy * u) % o for u, w in zip(bx, by)])
+            (bxx, byy), (bx, by) = qs, rows
+            inv = pow(bxx * byy - 1, -1, o)
+            cols.append([inv * (byy * u - w) % o for u, w in zip(bx, by)])
+            cols.append([inv * (bxx * w - u) % o for u, w in zip(bx, by)])
         at += len(qs)
-    return tuple(zip(*cols)) if cols else ((),) * q.rank
+    return tuple(zip(*cols))
 
 
 def _block_signature(p: int, k: int, kind: str, value: int) -> int:
@@ -987,7 +977,7 @@ def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     if m < 2:
         raise ValueError(f"u({m}) needs m >= 2")
     blocks = list(_normal_form(q).key)
-    for p in _prime_factors(m):
+    for p in prime_factors(m):
         k = 0
         while m % p**(k + 1) == 0:
             k += 1

@@ -13,6 +13,15 @@ over det, and `fp_enumerate` takes the centre of its shell as an integer
 vector over `den`.  Its Fincke-Pohst recursion returns the vectors of one
 exact value, and takes an integer coordinate box and cuts each level's
 range to it instead of filtering the shell afterwards.
+
+There are two Smith forms.  `snf` works over Z and returns an exact
+unimodular V: `lattice.quotient_by_radical` and `forms._quotient_structure`
+invert it, and `lattice.discriminant_group` prints and glues along the
+generators its columns give, so its pivot rule fixes those bytes.
+`local_snf` works over Z/p^k for one prime p with k = v_p(det): its
+entries stay below p^k, and it returns V mod p^k only, which is all that
+`overlattice.genus_of` needs, as a genus reads each p-part of the
+discriminant form up to isomorphism.
 Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
@@ -266,6 +275,75 @@ def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
             d[t0] = [-x for x in d[t0]]
         t0 += 1
     return freeze(d), freeze(v)
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def local_snf(a: Sequence[Sequence[int]], p: int, k: int) -> tuple[Vec, Mat]:
+    """The Smith form of a square integer matrix over Z/p^k: returns
+    (orders, cols) with orders[i] = p^e_i, e_1 <= e_2 <= ..., and cols[i]
+    column i of a unimodular V mod p^k such that U*a*V = diag(orders) mod
+    p^k for some U invertible mod p^k.  When k = v_p(det a), the orders
+    are the p-parts of the invariant factors of `a`, and they multiply to
+    p^k.
+
+    Each pivot is an entry of least p-valuation e in the remaining block,
+    scaled to p^e by a unit mod p^k (a row operation, like every one that
+    acts on the block alone; no caller needs U).  Every entry of the block
+    is a multiple of p^e, so each clearing step is one exact subtraction,
+    and every entry stays in [0, p^k).  Once the pivot column is cleared,
+    a column operation against the pivot changes the pivot row alone, so
+    the pivot row is cleared on V's columns only.  A block that is 0 mod
+    p^k leaves one generator of order p^k per row."""
+    mod = p**k
+    n = len(a)
+    block = [[x % mod for x in row] for row in a]
+    # the columns of V that belong to the block's columns, in their order
+    one = 1 % mod
+    vcols = [[one if i == j else 0 for i in range(n)] for j in range(n)]
+    orders: list[int] = []
+    cols: list[list[int]] = []
+    pe = 1
+    while block:
+        # the block is a multiple of pe: look for an entry that p*pe does
+        # not divide, or raise pe
+        hit = None
+        while hit is None and pe < mod:
+            hit = next(((i, j) for i, row in enumerate(block)
+                        for j, x in enumerate(row) if x % (p * pe)), None)
+            if hit is None:
+                pe *= p
+        if hit is None:
+            orders += [mod] * len(block)
+            cols += vcols
+            break
+        i, j = hit
+        head = block.pop(i)
+        inv = pow(head.pop(j) // pe, -1, mod)
+        head = [x * inv % mod for x in head]
+        rest = []
+        for row in block:
+            c = row.pop(j) // pe
+            rest.append([(y - c * x) % mod for x, y in zip(head, row)] if c else row)
+        block = rest
+        pivot = vcols.pop(j)
+        for x, col in zip(head, vcols):
+            if x:
+                c = x // pe
+                col[:] = [(y - c * z) % mod for y, z in zip(col, pivot)]
+        orders.append(pe)
+        cols.append(pivot)
+    return tuple(orders), freeze(cols)
 
 
 # ---------------------------------------------------------------------------

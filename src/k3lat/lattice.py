@@ -246,14 +246,22 @@ def _discriminant_cached(gram: Mat) -> DiscriminantData:
     orders = [d[i][i] for i in range(n)]
     if 0 in orders:
         raise ValueError("discriminant group requires a non-degenerate form")
-    keep = [i for i in range(n) if orders[i] > 1]
-    vt = transpose(v)
-    # g_i lifts to column i of V over d_i, reduced mod d_i: a change by a
-    # vector of L leaves q mod 2 and b mod 1 as they are on an even lattice.
-    # Over N = lcm(d_i) that is (N/d_i) (column i mod d_i), entries in
-    # [0, N); N^2 q and N^2 b on the lifts are the Gram of those rows
+    return lifted_discriminant(gram, orders, transpose(v))
+
+
+def lifted_discriminant(
+    gram: Mat, orders: Sequence[int], cols: Sequence[Sequence[int]]
+) -> DiscriminantData:
+    """The form and lifts of the elements cols[i] / orders[i] of L*, for
+    columns with gram @ cols[i] = 0 mod orders[i]; those of order 1 are
+    dropped.  The caller's elimination makes them generators of L*/L."""
+    keep = [i for i, o in enumerate(orders) if o > 1]
+    # g_i lifts to column i over d_i, reduced mod d_i: a change by a vector
+    # of L leaves q mod 2 and b mod 1 as they are on an even lattice.  Over
+    # N = lcm(d_i) that is (N/d_i) (column i mod d_i), entries in [0, N);
+    # N^2 q and N^2 b on the lifts are the Gram of those rows
     level = lcm(*(orders[i] for i in keep))
-    lifts = tuple(tuple(level // orders[i] * (x % orders[i]) for x in vt[i])
+    lifts = tuple(tuple(level // orders[i] * (x % orders[i]) for x in cols[i])
                   for i in keep)
     form = FiniteQuadraticForm.from_table(
         [orders[i] for i in keep], gram_in_basis(IntegralLattice(gram), lifts),

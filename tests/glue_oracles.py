@@ -27,8 +27,11 @@ def value_listing(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
     return tuple((x, q.element_order(x), q._q_int(x)) for x in q.elements())
 
 
-def _close_subgroup(q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int) -> frozenset[Vec] | None:
-    """Subgroup generated by gens, or None once it exceeds cap elements."""
+def close_subgroup(
+    q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int | None = None
+) -> frozenset[Vec] | None:
+    """Subgroup generated by gens, closed under adding a generator; None
+    once it exceeds cap elements (never, for no cap)."""
     zero = (0,) * q.rank
     seen = {zero}
     frontier = [zero]
@@ -37,7 +40,7 @@ def _close_subgroup(q: FiniteQuadraticForm, gens: Sequence[Vec], cap: int) -> fr
         for g in gens:
             y = q.reduce(tuple(a + b for a, b in zip(x, g)))
             if y not in seen:
-                if len(seen) >= cap:
+                if cap is not None and len(seen) >= cap:
                     return None
                 seen.add(y)
                 frontier.append(y)
@@ -66,7 +69,7 @@ def closure_isotropic_subgroups(q: FiniteQuadraticForm, order: int) -> list[Subg
             g = iso[idx]
             if g in members:
                 continue
-            grown = _close_subgroup(q, gens + [g], order)
+            grown = close_subgroup(q, gens + [g], order)
             if grown is None or order % len(grown) or len(grown) <= len(members):
                 continue
             # every element of an isotropic subgroup must itself be isotropic

@@ -53,6 +53,7 @@ from k3lat.overlattice import (
 )
 from k3lat.report import run
 from k3lat.towers import cover_step, mukai_twisted_check, tower, tower_related
+from glue_oracles import close_subgroup
 from search_oracles import isotropic_subgroups
 
 
@@ -318,23 +319,6 @@ def _add(q, x, y):
     return q.reduce(tuple(a + b for a, b in zip(x, y)))
 
 
-def _closure(q, gens, cap):
-    """Subgroup generated by gens, or None once it grows past cap."""
-    zero = (0,) * q.rank
-    members = {zero}
-    frontier = [zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = _add(q, x, g)
-            if y not in members:
-                if len(members) >= cap:
-                    return None
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
-
-
 def _brute_isotropic(q, order):
     """All subgroups of the given order on which q vanishes, found by closing
     every <= 3-element generating set of isotropic elements (3 generators
@@ -347,7 +331,7 @@ def _brute_isotropic(q, order):
     found = set()
     for r in (1, 2, 3):
         for gens in combinations(iso, r):
-            h = _closure(q, gens, order)
+            h = close_subgroup(q, gens, order)
             if h is not None and len(h) == order:
                 if all(q.q_value(x) == 0 for x in h):
                     found.add(h)
@@ -449,7 +433,7 @@ def test_criterion_09_subgroup_machinery_vs_brute_force():
                 assert len(keys) == len(mine), "duplicate subgroup returned"
                 for h in mine:
                     assert h.order == order
-                    assert _closure(q, h.gens, order + 1) == frozenset(
+                    assert close_subgroup(q, h.gens, order + 1) == frozenset(
                         h.elements
                     )
                 assert keys == _brute_isotropic(q, order)

@@ -78,6 +78,7 @@ from rational_oracles import discriminant_gram_frac
 import search_oracles
 from search_oracles import is_isometric_definite, isotropic_subgroups
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
+from test_intmat import _gl_conjugate
 from test_lattice import E8  # coordinate-model oracle
 
 
@@ -486,6 +487,23 @@ def test_catalog_forms_against_the_oracles():
     for qs in by_group.values():
         for q1, q2 in itertools.combinations(qs, 2):
             assert_decides_like_the_search(q1, q2)
+
+
+def test_genus_forms_are_the_discriminant_forms_on_the_catalog():
+    # the p-local genus form of each catalog lattice and of a GL_n(Z)
+    # conjugate against the whole Gram's Smith-form discriminant form
+    for seed, lat in enumerate(CATALOG_LATTICES):
+        for conj in (lat, _conjugate(lat, seed)):
+            assert forms_isomorphic(genus_of(conj).disc, discriminant_form(conj)) is not None
+
+
+@pytest.mark.parametrize("kind, d", [("L", 4), ("M", 8), ("Mp", 16), ("Lp", 16)])
+@pytest.mark.parametrize("seed", range(3))
+def test_genus_forms_are_the_discriminant_forms_on_family_conjugates(kind, d, seed):
+    # the 9x9 conjugates of test_snf_matches_transform_oracle_on_family_conjugates
+    rng = random.Random(f"snf:{kind}:{d}:{seed}")
+    conj = IntegralLattice(_gl_conjugate(rng, family_lattice(FamilyDescriptor(kind, d, 2)).gram))
+    assert forms_isomorphic(genus_of(conj).disc, discriminant_form(conj)) is not None
 
 
 def test_catalog_discriminant_forms_match_the_fraction_gram_oracle():

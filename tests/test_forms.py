@@ -52,7 +52,7 @@ from form_oracles import (
     is_degenerate,
     walk_u_block,
 )
-from glue_oracles import _close_subgroup, closure_isotropic_subgroups, value_listing
+from glue_oracles import close_subgroup, closure_isotropic_subgroups, value_listing
 from rational_oracles import group_invariants_snf
 from search_oracles import isotropic_subgroups
 
@@ -85,24 +85,10 @@ def brute_subgroups(q, order):
     exercised here (<= 8, abelian) need at most three generators.
     """
     elems = [x for x in q.elements()]
-
-    def close(gens):
-        zero = (0,) * q.rank
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = q.reduce(tuple(a + b for a, b in zip(x, g)))
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
-
     found = set()
     for r in range(0, 4):
         for gens in itertools.combinations(elems, r):
-            sub = close(gens)
+            sub = close_subgroup(q, gens)
             if len(sub) == order:
                 found.add(sub)
     return found
@@ -693,7 +679,7 @@ def assert_matches_closure_search(q, order):
         s.elements for s in closure_isotropic_subgroups(q, order)
     ]
     for s in subs:
-        assert _close_subgroup(q, s.gens, q.group_order) == frozenset(s.elements)
+        assert close_subgroup(q, s.gens, q.group_order) == frozenset(s.elements)
 
 
 @st.composite

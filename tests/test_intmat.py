@@ -27,8 +27,10 @@ from k3lat.intmat import (
     inv_unimodular,
     kernel_int,
     ldl_int,
+    local_snf,
     mat_mul,
     mat_vec,
+    prime_factors,
     signature,
     snf,
     transpose,
@@ -235,11 +237,18 @@ def wide_mats(draw):
     that corners go negative, the corner fails to divide an entry, and a
     non-unit corner meets a stray row."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = _wide_entries(draw)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+def _wide_entries(draw):
+    """Entries up to 10^4 in absolute value, all multiples of one drawn
+    factor, on some draws mostly zeros."""
     k = draw(st.sampled_from((1, 2, 6, 30)))
     entry = st.integers(-(10**4 // k), 10**4 // k).map(lambda x: k * x)
     if draw(st.booleans()):
         entry = st.one_of(st.just(0), entry)
-    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return entry
 
 
 @settings(max_examples=300, deadline=None)
@@ -247,6 +256,79 @@ def wide_mats(draw):
 def test_snf_matches_transform_oracle_on_wide_entries(a):
     d, _, v = snf_with_transforms(a)
     assert snf(a) == (d, v)
+
+
+def _valuation(x, p):
+    k = 0
+    while x and x % p**(k + 1) == 0:
+        k += 1
+    return k
+
+
+def assert_local_snf_matches_the_oracle(a, p):
+    """local_snf(a, p, v_p(det a)) against the p-parts of the oracle's
+    invariant factors: the same orders, columns reduced mod p^k with
+    a @ col = 0 mod its order, and V invertible mod p when k > 0."""
+    k = _valuation(det_int(a), p)
+    d, _, _ = snf_with_transforms(a)
+    orders, cols = local_snf(a, p, k)
+    assert orders == tuple(p**_valuation(d[i][i], p) for i in range(len(a)))
+    assert prod(orders) == p**k
+    assert all(0 <= x < p**k for col in cols for x in col)
+    for o, col in zip(orders, cols):
+        assert not any(x % o for x in mat_vec(a, col))
+    assert not k or det_int(cols) % p
+
+
+@st.composite
+def wide_nonsingular_mats(draw):
+    """Square matrices up to 6x6 from `wide_mats`' entries, nonsingular."""
+    n = draw(st.integers(1, 6))
+    entry = _wide_entries(draw)
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    assume(det_int(a))
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_nonsingular_mats(), st.sampled_from((2, 3, 5, 7)))
+def test_local_snf_matches_the_transform_oracle_on_wide_entries(a, p):
+    assert_local_snf_matches_the_oracle(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_mats(5), unimodular_mats(5), st.integers(0, 6))
+def test_local_snf_on_a_composite_determinant(u, w, a):
+    # U diag(1, 1, 2^a, 3, 10) W has det 2^(a+1) * 3 * 5
+    m = mat_mul(mat_mul(u, [[x if i == j else 0 for j in range(5)]
+                            for i, x in enumerate((1, 1, 2**a, 3, 10))]), w)
+    assert prime_factors(abs(det_int(m))) == [2, 3, 5]
+    for p in (2, 3, 5):
+        assert_local_snf_matches_the_oracle(m, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unimodular_mats(4))
+def test_local_snf_of_a_unimodular_matrix_has_no_generator(u):
+    # det +-1: k = 0 for every p, and mod p^0 every row is one generator of
+    # order p^0 = 1
+    for p in (2, 3):
+        orders, cols = local_snf(u, p, 0)
+        assert orders == (1,) * 4
+        assert cols == ((0,) * 4,) * 4
+
+
+@pytest.mark.parametrize("gram, p, want", [
+    (((4,),), 2, (4,)),
+    (((2, 1, 0), (1, 2, 0), (0, 0, 8)), 2, (1, 1, 8)),
+    (((2, 1, 0), (1, 2, 0), (0, 0, 8)), 3, (1, 1, 3)),
+    (((0, 2), (2, 0)), 2, (2, 2)),
+])
+def test_local_snf_keeps_a_zero_block_as_one_generator(gram, p, want):
+    # a cyclic p-part such as that of <2d> leaves a block that is 0 mod
+    # p^k: one generator of order p^k
+    assert local_snf(gram, p, _valuation(det_int(gram), p))[0] == want
+    assert_local_snf_matches_the_oracle(gram, p)
 
 
 @settings(max_examples=120)

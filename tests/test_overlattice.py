@@ -396,6 +396,62 @@ def test_wrong_glue_results_are_refused_under_python_O():
     ]
 
 
+# A p-local Smith form that is not one: the kernel is made to drop a
+# generator, or to return a column whose lift is not in L*.  The checks on
+# its output are `require` calls, so each must raise under `python -O`.
+_WRONG_LOCAL_SMITH = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import overlattice
+from k3lat.catalog import named
+from k3lat.lattice import direct_sum
+
+local_snf = overlattice.local_snf
+
+
+def attempt(label, lat, kernel):
+    overlattice.local_snf = kernel
+    try:
+        overlattice.genus_of(lat)
+        print(label, "accepted")
+    except ArithmeticError as exc:
+        print(label, exc)
+    finally:
+        overlattice.local_snf = local_snf
+
+
+def dropped(gram, p, k):
+    # the generator of largest order becomes one of order 1
+    orders, cols = local_snf(gram, p, k)
+    return orders[:-1] + (1,), cols
+
+
+def moved(gram, p, k):
+    # every column gains e_0, whose image under the A2 Gram is not 0 mod 3
+    orders, cols = local_snf(gram, p, k)
+    return orders, tuple((c[0] + 1,) + c[1:] for c in cols)
+
+
+attempt("dropped", direct_sum(named("U"), named("A(2)")), dropped)
+attempt("moved", named("A(2)"), moved)
+"""
+
+
+def test_wrong_local_smith_forms_are_refused_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_LOCAL_SMITH],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "dropped the 3-part of L*/L does not have order 3^1",
+        "moved a lift of the 3-part of L*/L is not in L*",
+    ]
+
+
 def test_glue_of_the_wrong_order_is_refused():
     from k3lat.catalog import named
 
