@@ -27,7 +27,6 @@ from .forms import (
     length,
     milgram_signature,
     negate,
-    quotient_form,
     sum_forms,
     u_block,
 )

@@ -253,7 +253,7 @@ def build_Mn(n: int) -> IntegralLattice:
             f"ambiguous construction for n={n}: two glue words pass")
     # glue the accepted word and check the judgement on the lattice
     z, _ = _glue_overlattice(root_sum, [_lift_of(disc, accepted[0])], q.level)
-    require(z.is_even and z.rank == MN_RANK[n] and length(discriminant_form(z)) == MN_LENGTH[n],
+    require(z.is_even and z.rank == MN_RANK[n] and length(genus_of(z).disc) == MN_LENGTH[n],
             f"the glue for n={n} is not even of rank {MN_RANK[n]} and length {MN_LENGTH[n]}")
     require(root_count(z) == target_roots,
             f"the glue for n={n} does not have {target_roots} roots")
@@ -365,7 +365,9 @@ def family_lattice(f: FamilyDescriptor) -> IntegralLattice:
 
 def family_genus(f: FamilyDescriptor) -> GenusDescriptor:
     """Genus of any family class.  A genus-level class takes the genus of
-    the partner of M_n: <2d> plus it for L, its lemma quotient for Lp."""
+    the partner of M_n: <2d> plus it for L, and its lemma quotient for Lp,
+    whose form is <1/2d> plus the complement of u(n) in q_Omega
+    (`genus_lemma_quotient`)."""
     if f.has_gram:
         return genus_of(family_lattice(f))
     og = omega_genus(f.n)

@@ -173,6 +173,7 @@ def _suite_lemma(*, n: int = 2, d: int | None = None) -> list[Check]:
 def _lemma_un(n: int, d: int) -> list[dict]:
     demo_w = named(f"U({n})")
     z, emb = lemma_overlattice(d, n, demo_w)
+    g = genus_of(z)
     v_det = -2 * d * n * n  # det(<2d>) * det(U(n))
     first = check(
         f"lemma-construction-un-d{d}", z.det * n * n == v_det and is_primitive(emb),
@@ -181,15 +182,14 @@ def _lemma_un(n: int, d: int) -> list[dict]:
         {"det": z.det})
     second = check(
         f"lemma-disc-form-un-d{d}",
-        forms_isomorphic(
-            discriminant_form(z), cyclic_block(2 * d, Fraction(1, 2 * d))) is not None,
+        forms_isomorphic(g.disc, cyclic_block(2 * d, Fraction(1, 2 * d))) is not None,
         f"the glue quotient has cyclic discriminant form of order {2 * d} "
         f"and value 1/{2 * d}",
         "the glue quotient has the wrong discriminant form")
     # Form-level quotient agrees with the lattice-level construction.
     return [first, second, check(
         f"lemma-genus-crosscheck-un-d{d}",
-        genus_equal(genus_of(z), genus_lemma_quotient(d, n, genus_of(demo_w))),
+        genus_equal(g, genus_lemma_quotient(d, n, genus_of(demo_w))),
         "lattice-level and form-level constructions land in the same genus",
         "the two construction routes disagree")]
 
@@ -197,6 +197,7 @@ def _lemma_un(n: int, d: int) -> list[dict]:
 def _lemma_e8(d: int) -> list[dict]:
     w = named("E8(-2)")
     z2, emb2 = lemma_overlattice(d, 2, w)
+    g = genus_of(z2)
     first = check(
         f"lemma-construction-e8-d{d}",
         4 * z2.det == 2 * d * w.det and is_primitive(emb2),
@@ -207,12 +208,12 @@ def _lemma_e8(d: int) -> list[dict]:
         [cyclic_block(2 * d, Fraction(1, 2 * d))] + [u_block(2)] * 3)
     return [first, check(
         f"lemma-disc-form-e8-d{d}",
-        forms_isomorphic(discriminant_form(z2), expected) is not None,
+        forms_isomorphic(g.disc, expected) is not None,
         f"discriminant form is cyclic(1/{2 * d}) plus three hyperbolic "
         "2-blocks",
         "rank-9 overlattice has the wrong discriminant form"), check(
         f"lemma-family-agreement-d{d}",
-        genus_equal(genus_of(z2), family_genus(FamilyDescriptor("Lp", d, 2))),
+        genus_equal(g, family_genus(FamilyDescriptor("Lp", d, 2))),
         f"the congruence construction lands in the Lp({d},2) genus",
         "the congruence construction misses the family genus")]
 
@@ -246,7 +247,7 @@ def _suite_theorem(*, n: int = 2, d: int | None = None) -> list[Check]:
 
 def _table_mn(n: int) -> list[dict]:
     lat = build_Mn(n)
-    got = (lat.rank, length(discriminant_form(lat)))
+    got = (lat.rank, length(genus_of(lat).disc))
     want = (MN_RANK[n], MN_LENGTH[n])
     # build_Mn refuses all but exactly one accepted cyclic code
     return [check(

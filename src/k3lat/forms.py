@@ -37,16 +37,14 @@ grow with |A|:
   (Nikulin 1979, sec. 1), but they need not pair up with another sum's
   blocks for the sums to be isomorphic.
 
-Value counts and u(m) pairs are read off the normal form too, not off a
-walk over the group.  `_block_form` turns one entry of its key back into a
-form; `value_counts` (genus records) convolves the blocks' own value
-counts, and `find_u_block` reads the complement of a u(m) off the key and
-lets `forms_isomorphic` map u(m) plus that complement onto the form.
-
-`quotient_form` takes a subgroup H by generator rows alone, a cyclic glue's
-one word included: H is L/diag(d)Z^k for the lattice L that those rows
-span with diag(d)Z^k, so |H| = |A|/(h_1 ... h_k) for the diagonal h_i of
-the Hermite normal form of L.
+Value counts and u(m) summands are read off the normal form too, not off
+a walk over the group.  `_block_form` turns one entry of its key back into
+a form; `value_counts` (genus records) convolves the blocks' own value
+counts, and `split_u_block` reads the complement A' of a u(m) off the key
+and lets `forms_isomorphic` map u(m) plus A' onto the form.  A quotient
+of a form by an isotropic subgroup is not taken here: the one the package
+needs, the congruence lemma's, has a closed form in terms of A'
+(`overlattice.genus_lemma_quotient`).
 """
 
 from __future__ import annotations
@@ -62,17 +60,10 @@ from typing import Iterable, Iterator, Sequence
 from .intmat import (
     Mat,
     Vec,
-    adjugate,
     freeze,
-    hnf_basis,
-    identity,
-    inv_unimodular,
-    kernel_int,
     mat_mul,
-    mat_vec,
     prime_factors,
     require,
-    snf,
     transpose,
     vec_mat,
 )
@@ -873,107 +864,16 @@ def isotropic_subgroups(*args, **kwargs):
     raise RuntimeError("isotropic_subgroups has moved to tests/search_oracles.py")
 
 
-# ---------------------------------------------------------------------------
-# Quotients
-# ---------------------------------------------------------------------------
-
-
-def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:
-    """Rows generating {x in Z^k : b(x, g) integral for all gens g}."""
-    k = q.rank
-    if not gens:
-        return identity(k)
-    n = q.level
-    s = len(gens)
-    # x satisfies (table g_j) . x == 0 mod N for all j; take the x-part of
-    # the integer kernel of (x, y) -> B^T x + N*y
-    amat = [
-        mat_vec(q.table, g) + tuple(n if t == j else 0 for t in range(s))
-        for j, g in enumerate(gens)
-    ]
-    rows = [x[:k] for x in kernel_int(amat)]
-    rows += [tuple(q.orders[i] if i == j else 0 for j in range(k)) for i in range(k)]
-    return hnf_basis(rows)
-
-
-def _quotient_structure(sup_rows: Mat, sub_rows: Mat) -> tuple[tuple[int, ...], Mat]:
-    """Structure of (row lattice of sup)/(row lattice of sub).
-
-    Returns invariant factor orders (including 1s) and lift rows: row i
-    generates the Z/orders[i] factor, expressed in ambient coordinates.
-    sup is square and nonsingular: a sub row's coordinates are row.adj/det.
-    """
-    k = len(sup_rows)
-    det, adj = adjugate(sup_rows)
-    coords = []
-    for row in sub_rows:
-        x = vec_mat(row, adj)
-        if any(c % det for c in x):
-            raise ValueError("sub lattice is not contained in sup lattice")
-        coords.append(tuple(c // det for c in x))
-    d, v = snf(coords)
-    vi = inv_unimodular(v)
-    orders = []
-    for i in range(k):
-        di = d[i][i] if i < len(d) and i < len(d[0]) else 0
-        if di == 0:
-            raise ValueError("quotient is infinite")
-        orders.append(di)
-    lifts = mat_mul(vi, sup_rows)
-    return tuple(orders), freeze(lifts)
-
-
-def _form_on_subquotient(
-    q: FiniteQuadraticForm, orders: Sequence[int], lifts: Mat
-) -> FiniteQuadraticForm:
-    keep = [i for i, o in enumerate(orders) if o > 1]
-    table = [
-        [q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]) for b in keep]
-        for a in keep
-    ]
-    return FiniteQuadraticForm.from_table([orders[i] for i in keep], table, q.level)
-
-
-def quotient_form(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> FiniteQuadraticForm:
-    """Induced form on H-perp / H for the subgroup H generated by the rows
-    `gens`, which must be isotropic: q = 0 on each row and b = 0 on each
-    pair, or ArithmeticError (q(x + y) = q(x) + q(y) + 2b(x, y))."""
-    require(all(q._q_int(g) == 0 for g in gens)
-            and not any(q._b_int(g, h) for g, h in itertools.combinations(gens, 2)),
-            "the subgroup is not isotropic")
-    perp = _orthogonal_lattice(q, gens)
-    k = q.rank
-    sub_rows = [list(g) for g in gens]
-    sub_rows += [[q.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    sub = hnf_basis(sub_rows)
-    order = q.group_order // prod(sub[i][i] for i in range(k))
-    orders, lifts = _quotient_structure(perp, sub)
-    out = _form_on_subquotient(q, orders, lifts)
-    require(out.group_order * order * order == q.group_order, "quotient size mismatch")
-    return out
-
-
-@lru_cache(maxsize=None)
-def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
-    """A hyperbolic u(m) pair (x, y) in q: q(x) = q(y) = 0, both of order
-    m, and b(x, y) = -1/m.
-
-    The complement A' of u(m) is read off the normal-form key, one
-    p^k || m at a time.  At p = 2 a u block at 2^k is dropped; failing
-    that, a v at 2^k is, and 4 is added to the value of a w at 2^(k+1), as
-    v + w(e) = u + w(e + 4) there (sign walking upward, the mirror of
-    `_normal2` move (b)).  At odd p the scale-p^k blocks <a_1>, ...,
-    <a_r> need r >= 2: two are dropped and the next, if any, is scaled by
-    -a_1*a_2, which divides the determinant by that of u, -1.
-    `forms_isomorphic` then maps u(m) + A' onto q, or finds that q has no
-    u(m) summand (for r = 2 exactly when -a_1*a_2 is not a square mod p),
-    and the pair is the image of u(m)'s generators.  It is not checked
-    again here: `forms_isomorphic` has checked that the images keep every
-    q-value and pairing of u(m) + A', so x and y are isotropic with
-    b(x, y) = -1/m, and that check fixes their orders to m as well (see
-    its docstring).  ValueError for m < 2 or when q has no u(m) summand;
-    ArithmeticError on a degenerate form.  Cached per (q, m); a raise is
-    not."""
+def _complement_key(q: FiniteQuadraticForm, m: int) -> list[tuple[int, int, str, int]]:
+    """The normal-form key of a complement A' of u(m) in q, one p^k || m
+    at a time.  At p = 2 a u block at 2^k is dropped; failing that, a v at
+    2^k is, and 4 is added to the value of a w at 2^(k+1), as v + w(e) =
+    u + w(e + 4) there (sign walking upward, the mirror of `_normal2` move
+    (b)).  At odd p the scale-p^k blocks <a_1>, ..., <a_r> need r >= 2:
+    two are dropped and the next, if any, is scaled by -a_1*a_2, which
+    divides the determinant by that of u, -1.  Not checked here; for r = 2
+    it is a complement exactly when -a_1*a_2 is a square mod p.
+    ValueError for m < 2 or when no such blocks are there."""
     if m < 2:
         raise ValueError(f"u({m}) needs m >= 2")
     blocks = list(_normal_form(q).key)
@@ -998,7 +898,32 @@ def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
         else:
             raise ValueError(f"no u({m}) block found")
         blocks = [b for i, b in enumerate(blocks) if i not in drop]
-    images = forms_isomorphic(sum_forms([u_block(m)] + [_block_form(*b) for b in blocks]), q)
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def split_u_block(
+    q: FiniteQuadraticForm, m: int
+) -> tuple[tuple[Vec, Vec], FiniteQuadraticForm]:
+    """q as u(m) + A': a hyperbolic pair (x, y) in q, with q(x) = q(y) = 0,
+    both of order m, and b(x, y) = -1/m, and the complement A' as the sum
+    of the blocks of `_complement_key`.
+
+    `forms_isomorphic` maps u(m) + A' onto q, or finds that q has no u(m)
+    summand, and the pair is the image of u(m)'s generators.  It is not
+    checked again here: `forms_isomorphic` has checked that the images
+    keep every q-value and pairing of u(m) + A', so x and y are isotropic
+    with b(x, y) = -1/m, and that check fixes their orders to m as well
+    (see its docstring).  ValueError for m < 2 or when q has no u(m)
+    summand; ArithmeticError on a degenerate form.  Cached per (q, m); a
+    raise is not."""
+    rest = sum_forms([_block_form(*b) for b in _complement_key(q, m)])
+    images = forms_isomorphic(sum_forms([u_block(m), rest]), q)
     if images is None:
         raise ValueError(f"no u({m}) block found")
-    return images[0], images[1]
+    return (images[0], images[1]), rest
+
+
+def find_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
+    """The u(m) pair (x, y) of `split_u_block`."""
+    return split_u_block(q, m)[0]

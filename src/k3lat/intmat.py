@@ -15,9 +15,9 @@ exact value, and takes an integer coordinate box and cuts each level's
 range to it instead of filtering the shell afterwards.
 
 There are two Smith forms.  `snf` works over Z and returns an exact
-unimodular V: `lattice.quotient_by_radical` and `forms._quotient_structure`
-invert it, and `lattice.discriminant_group` prints and glues along the
-generators its columns give, so its pivot rule fixes those bytes.
+unimodular V: `lattice.quotient_by_radical` inverts it, and
+`lattice.discriminant_group` prints and glues along the generators its
+columns give, so its pivot rule fixes those bytes.
 `local_snf` works over Z/p^k for one prime p with k = v_p(det): its
 entries stay below p^k, and it returns V mod p^k only, which is all that
 `overlattice.genus_of` needs, as a genus reads each p-part of the

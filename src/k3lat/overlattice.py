@@ -13,8 +13,11 @@ and all by one rule: eps = x + c*y for the u(m) pair (x, y) of q_W that
 `find_u_block` gives (`_u_glue`), with c = d/m for the lemma, d/2 for
 Mp/Lp(d,2) and 1 for the primed models.  Genus data (signature plus
 discriminant form) suffices to identify many indefinite lattices up to
-isometry via the rank-versus-length criterion; the genus of <2d> + W has
-one builder, `_rank1_sum_genus`, for the L family and the lemma alike.
+isometry via the rank-versus-length criterion.  The genus of <2d> + W has
+one builder, `_rank1_sum_genus`.  The lemma's overlattice has the form
+<1/2d> + A', with A' the complement of the u(m) pair in q_W, in closed
+form (`genus_lemma_quotient`): no subgroup of a form is built, and no
+Smith form is taken.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .forms import (
     forms_isomorphic,
     length,
     milgram_signature,
-    quotient_form,
+    split_u_block,
     sum_forms,
 )
 from .intmat import (
@@ -287,18 +290,25 @@ def _rank1_sum_genus(d: int, g_w: GenusDescriptor) -> GenusDescriptor:
 
 def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescriptor:
     """Form-level version of the congruence overlattice: the genus of
-    `lemma_overlattice(d, m, W)` from the genus of W.
+    `lemma_overlattice(d, m, W)` from the genus of W, in closed form.
 
-    The genus of <2d> + W has form <1/2d> + q_W, and the glue (2d/m)h + eps,
-    h the generator of <1/2d> and eps = x + (d/m)y (`_u_glue`), is
-    quotiented out of it (`quotient_form` checks that it is isotropic);
-    the signature is unchanged.
+    The overlattice has the signature of <2d> + W, and its form is H-perp/H
+    for the glue H = <g> in <1/2d> + q_W (Nikulin 1979, sec. 1).  Write
+    q_W = u(m) + A' with the u(m) pair (x, y) of `split_u_block`, h the
+    generator of <1/2d> and c = d/m, so g = 2c*h + x + c*y (`_u_glue`):
+    q(g) = 2c^2/d - 2c/m = 0, and g has order m.  Then h' = h + y has
+    q(h') = 1/2d and order 2d (m divides d), and b(h', g) = c/d + b(y, x)
+    = 1/m - 1/m = 0; A' is orthogonal to h, x and y.  So S = <h'> + A'
+    lies in H-perp, and its form <1/2d> + A' is non-degenerate, so S meets
+    H in 0 (an element of both pairs to 0 with all of S) and maps into
+    H-perp/H without kernel.  |S| = 2d*|q_W|/m^2 = |H-perp|/|H|, so
+    H-perp/H = <1/2d> + A'.  For m = 1 there is no glue, and the genus is
+    that of <2d> + W.  ValueError when the congruence d = 0 mod 2m fails
+    or q_W has no u(m) summand.
     """
-    c = _lemma_c(d, m)
-    gv = _rank1_sum_genus(d, g_w)
+    _lemma_c(d, m)  # the congruence check alone: c is not needed here
     if m == 1:
-        return gv
-    q = gv.disc
-    glue = q.reduce((2 * c,) + _u_glue(g_w.disc, m, c))
-    require(q.element_order(glue) == m, "glue is not of order m")
-    return GenusDescriptor(gv.sig_plus, gv.sig_minus, quotient_form(q, (glue,)))
+        return _rank1_sum_genus(d, g_w)
+    _, rest = split_u_block(g_w.disc, m)
+    return GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus,
+                           sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), rest]))

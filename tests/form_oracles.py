@@ -6,13 +6,22 @@ the budgeted backtracking search for an isomorphism, which matches
 generators to elements of the same order and value, and the search for a
 u(m) pair among the isotropic elements of order m.  The last three read
 `_walk`, an odometer over the whole group, not the normal form.
+
+`quotient_form` takes the form on H-perp/H for an isotropic subgroup H
+given by generator rows alone, a cyclic glue's one word included: H is
+L/diag(d)Z^k for the lattice L that those rows span with diag(d)Z^k, so
+|H| = |A|/(h_1 ... h_k) for the diagonal h_i of the Hermite normal form
+of L.  H-perp comes from an integer kernel, and the quotient's structure
+from a Smith form over Z.  The package takes the one quotient it needs,
+the congruence lemma's, in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -21,7 +30,21 @@ from k3lat.forms import (
     SearchBudgetExceeded,
     group_invariants,
 )
-from k3lat.intmat import Vec, hnf_basis, mat_vec, require
+from k3lat.intmat import (
+    Mat,
+    Vec,
+    adjugate,
+    freeze,
+    hnf_basis,
+    identity,
+    inv_unimodular,
+    kernel_int,
+    mat_mul,
+    mat_vec,
+    require,
+    snf,
+    vec_mat,
+)
 
 
 def _walk(
@@ -444,4 +467,84 @@ def backtrack_isomorphism(
     for i in range(q1.rank):
         require(q2._q_int(out[i]) == q1.table[i][i],
                 f"the image of generator {i} does not keep its q-value")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Quotients
+# ---------------------------------------------------------------------------
+
+
+def _orthogonal_lattice(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> Mat:
+    """Rows generating {x in Z^k : b(x, g) integral for all gens g}."""
+    k = q.rank
+    if not gens:
+        return identity(k)
+    n = q.level
+    s = len(gens)
+    # x satisfies (table g_j) . x == 0 mod N for all j; take the x-part of
+    # the integer kernel of (x, y) -> B^T x + N*y
+    amat = [
+        mat_vec(q.table, g) + tuple(n if t == j else 0 for t in range(s))
+        for j, g in enumerate(gens)
+    ]
+    rows = [x[:k] for x in kernel_int(amat)]
+    rows += [tuple(q.orders[i] if i == j else 0 for j in range(k)) for i in range(k)]
+    return hnf_basis(rows)
+
+
+def _quotient_structure(sup_rows: Mat, sub_rows: Mat) -> tuple[tuple[int, ...], Mat]:
+    """Structure of (row lattice of sup)/(row lattice of sub).
+
+    Returns invariant factor orders (including 1s) and lift rows: row i
+    generates the Z/orders[i] factor, expressed in ambient coordinates.
+    sup is square and nonsingular: a sub row's coordinates are row.adj/det.
+    """
+    k = len(sup_rows)
+    det, adj = adjugate(sup_rows)
+    coords = []
+    for row in sub_rows:
+        x = vec_mat(row, adj)
+        if any(c % det for c in x):
+            raise ValueError("sub lattice is not contained in sup lattice")
+        coords.append(tuple(c // det for c in x))
+    d, v = snf(coords)
+    vi = inv_unimodular(v)
+    orders = []
+    for i in range(k):
+        di = d[i][i] if i < len(d) and i < len(d[0]) else 0
+        if di == 0:
+            raise ValueError("quotient is infinite")
+        orders.append(di)
+    lifts = mat_mul(vi, sup_rows)
+    return tuple(orders), freeze(lifts)
+
+
+def _form_on_subquotient(
+    q: FiniteQuadraticForm, orders: Sequence[int], lifts: Mat
+) -> FiniteQuadraticForm:
+    keep = [i for i, o in enumerate(orders) if o > 1]
+    table = [
+        [q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]) for b in keep]
+        for a in keep
+    ]
+    return FiniteQuadraticForm.from_table([orders[i] for i in keep], table, q.level)
+
+
+def quotient_form(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> FiniteQuadraticForm:
+    """Induced form on H-perp / H for the subgroup H generated by the rows
+    `gens`, which must be isotropic: q = 0 on each row and b = 0 on each
+    pair, or ArithmeticError (q(x + y) = q(x) + q(y) + 2b(x, y))."""
+    require(all(q._q_int(g) == 0 for g in gens)
+            and not any(q._b_int(g, h) for g, h in itertools.combinations(gens, 2)),
+            "the subgroup is not isotropic")
+    perp = _orthogonal_lattice(q, gens)
+    k = q.rank
+    sub_rows = [list(g) for g in gens]
+    sub_rows += [[q.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    sub = hnf_basis(sub_rows)
+    order = q.group_order // prod(sub[i][i] for i in range(k))
+    orders, lifts = _quotient_structure(perp, sub)
+    out = _form_on_subquotient(q, orders, lifts)
+    require(out.group_order * order * order == q.group_order, "quotient size mismatch")
     return out

@@ -31,7 +31,6 @@ from k3lat.forms import (
     forms_isomorphic,
     length,
     milgram_signature,
-    quotient_form,
     sum_forms,
     u_block,
 )
@@ -53,6 +52,7 @@ from k3lat.overlattice import (
 )
 from k3lat.report import run
 from k3lat.towers import cover_step, mukai_twisted_check, tower, tower_related
+from form_oracles import quotient_form
 from glue_oracles import close_subgroup
 from search_oracles import isotropic_subgroups
 

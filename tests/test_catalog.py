@@ -44,7 +44,7 @@ from k3lat.forms import (
     group_invariants,
     length,
     milgram_signature,
-    quotient_form,
+    split_u_block,
     sum_forms,
     u_block,
 )
@@ -65,7 +65,7 @@ from k3lat.overlattice import (
     genus_of,
     unique_in_genus_by_length,
 )
-from form_oracles import gauss_milgram_signature
+from form_oracles import gauss_milgram_signature, quotient_form
 from glue_oracles import (
     cyclic_isotropic_subgroups,
     glue_candidate,
@@ -638,6 +638,32 @@ def test_omega_genus_shapes():
         og = omega_genus(n)
         assert og.sig_minus == MN_RANK[n]
         assert length(og.disc) == 2 + MN_LENGTH[n]
+
+
+# The theorem for every d = 0 mod 2n, one check per n.  Lp(d,n) has the
+# form <1/2d> + A' with A' the complement of u(n) in q_Omega
+# (`genus_lemma_quotient`), and M(d,n) = <2d> + M_n has <1/2d> + q_{M_n};
+# both have signature (1, rank M_n).  So A' = q_{M_n} puts them in one genus
+# for every such d.  The length of <1/2d> + q is at most 1 + length(q), and
+# the rank is 1 + rank(M_n), so rank(M_n) >= 2 + length(q_{M_n}) makes the
+# length criterion hold for every d.  (rank M_n, length q_{M_n}):
+THEOREM_ROW = {2: (8, 6), 3: (12, 4), 4: (14, 4), 5: (16, 2), 6: (16, 2), 7: (18, 1), 8: (18, 2)}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_theorem_holds_for_every_d_by_one_check_per_n(n):
+    mn, og = build_Mn(n), omega_genus(n)
+    _, rest = split_u_block(og.disc, n)
+    q_mn = genus_of(mn).disc
+    assert forms_isomorphic(rest, q_mn) is not None
+    assert (og.sig_plus, og.sig_minus) == mn.signature
+    rank, ell = THEOREM_ROW[n]
+    assert (mn.rank, length(q_mn)) == (rank, ell)
+    assert rank >= 2 + ell
+    for d in (2 * n, 2 * n * 7):
+        lp = genus_lemma_quotient(d, n, og)
+        assert lp.disc == sum_forms([cyclic_block(2 * d, F(1, 2 * d)), rest])
+        assert genus_equal(lp, family_genus(FamilyDescriptor("M", d, n)))
 
 
 # ---------------------------------------------------------------------------

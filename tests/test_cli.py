@@ -6,16 +6,19 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import k3lat
 from k3lat import cli
-from k3lat.catalog import FamilyDescriptor, family_lattice
+from k3lat.catalog import FamilyDescriptor, family_lattice, omega_genus
 from k3lat.cli import main
+from k3lat.forms import FiniteQuadraticForm, forms_isomorphic
 from k3lat.intmat import det_int, mat_mul, transpose
 from test_acceptance import VERIFY_ALL_SHA256
+from test_overlattice import oracle_lemma_quotient
 
 
 def run(capsys, *argv):
@@ -391,11 +394,13 @@ def test_index2_family_stdout_bytes_are_pinned(capsys, command):
 
 
 # stdout of `disc` and `genus` on the genus-level families (L/Lp, n >= 3),
-# which have no Gram: `family_genus` builds their genus from `omega_genus`
+# which have no Gram: `family_genus` builds their genus from `omega_genus`.
+# The Lp form prints as <1/2d> followed by the normal-form blocks of the
+# complement of u(n) (`genus_lemma_quotient`)
 GENUS_LEVEL_SHA256 = {
     "disc L(6,3)": "5871e3054e238cda7508faceac654a27872c2436a358b82ede329f0458621b88",
     "genus L(6,3)": "3cc3114c540455ea1f738278cc4155a8c85ecd393252c88040e09830fa2a2dfc",
-    "disc Lp(6,3)": "444febc922a9301d0838581546fffa98cebea35093de3c44972836720e1abc84",
+    "disc Lp(6,3)": "d0675f184be3fb64546e1b2fa911a1f0218bb3a46f53f71dbd09607f8e6c1f4d",
     "genus Lp(6,3)": "840b7c8435f6eae78c77778d4f469049cd4c7415bd85f63a6367fc1777c79cbe",
 }
 
@@ -405,6 +410,19 @@ def test_genus_level_family_stdout_bytes_are_pinned(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == GENUS_LEVEL_SHA256[command]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_printed_lp_form_is_the_subquotient_oracles(capsys, n):
+    # the printed form of Lp(2n,n) read back from its q-table is
+    # isomorphic to H-perp/H taken by the oracle
+    code, data, _ = run_json(capsys, "disc", f"Lp({2 * n},{n})")
+    assert code == 0
+    printed = FiniteQuadraticForm.from_gram(
+        data["orders"], [[Fraction(x) for x in row] for row in data["q"]])
+    assert (data["orders"][0], data["q"][0][0]) == (4 * n, f"1/{4 * n}")
+    want = oracle_lemma_quotient(2 * n, n, omega_genus(n))
+    assert forms_isomorphic(printed, want) is not None
 
 
 # stdout of `catalog` on M(n): the one glue word that

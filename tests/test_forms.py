@@ -25,7 +25,6 @@ from k3lat.forms import (
     SearchBudgetExceeded,
     _block_signature,
     _first_bad,
-    _quotient_structure,
     _normal_form,
     cyclic_block,
     find_u_block,
@@ -34,7 +33,6 @@ from k3lat.forms import (
     length,
     milgram_signature,
     negate,
-    quotient_form,
     sum_forms,
     trivial_form,
     u_block,
@@ -45,11 +43,13 @@ from k3lat.intmat import mat_mul, transpose
 from k3lat.lattice import direct_sum, discriminant_form, from_rows
 from form_oracles import (
     _gauss_counts,
+    _quotient_structure,
     _value_classes,
     _value_multiset,
     backtrack_isomorphism,
     gauss_milgram_signature,
     is_degenerate,
+    quotient_form,
     walk_u_block,
 )
 from glue_oracles import close_subgroup, closure_isotropic_subgroups, value_listing

@@ -21,7 +21,6 @@ from k3lat.forms import (
     forms_isomorphic,
     length,
     milgram_signature,
-    quotient_form,
     sum_forms,
     u_block,
 )
@@ -41,12 +40,14 @@ from k3lat.overlattice import (
     _glue_overlattice,
     _lift_of,
     _scaled_inverse,
+    _u_glue,
     genus_equal,
     genus_lemma_quotient,
     genus_of,
     lemma_overlattice,
     unique_in_genus_by_length,
 )
+from form_oracles import quotient_form
 from lattice_builders import rescale
 from rational_oracles import glue_overlattice_by_solves, unimodular_mats
 from search_oracles import isotropic_subgroups
@@ -341,13 +342,15 @@ def test_lemma_rejects_corrupt_glue_under_python_O():
 
 # A glued lattice that is not what the glue row asks for: _glue_overlattice
 # is made to drop the row, or the row's head part, and genus_lemma_quotient
-# is given a wrong c = d/m.  The checks after the glue are `require` calls,
-# so each must raise under `python -O`.
+# is given a complement of u(2) of the right order but the wrong Arf
+# invariant.  The checks after the glue are `require` calls, and the
+# complement is refused by the isomorphism that `split_u_block` checks, so
+# each must raise under `python -O`.
 _WRONG_GLUE_RESULTS = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import overlattice
+from k3lat import forms, overlattice
 from k3lat.catalog import named
 
 glue_overlattice = overlattice._glue_overlattice
@@ -357,7 +360,7 @@ def attempt(label, build):
     try:
         build()
         print(label, "accepted")
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         print(label, exc)
 
 
@@ -374,9 +377,12 @@ overlattice._glue_overlattice = lambda lat, glue, den: glue_overlattice(
     lat, [(0,) + tuple(row[1:]) for row in glue], den)
 attempt("primitive", lemma)
 overlattice._glue_overlattice = glue_overlattice
-# c = 1 in place of d/m = 2: the glue 2c*h of <1/8> has order 4, not 2
-overlattice._lemma_c = lambda d, m: 1
-attempt("quotient", lambda: overlattice.genus_lemma_quotient(
+# q_E8(-2) = u(2)^4, and v(2) + u(2)^2 in place of u(2)^3: u(2) plus it is
+# v(2) + u(2)^3, of the same order and another Arf invariant
+complement_key = forms._complement_key
+forms._complement_key = lambda q, m: [(2, 1, "v", 2)] + complement_key(q, m)[1:]
+forms.split_u_block.cache_clear()
+attempt("complement", lambda: overlattice.genus_lemma_quotient(
     4, 2, overlattice.genus_of(named("E8(-2)"))))
 """
 
@@ -392,7 +398,7 @@ def test_wrong_glue_results_are_refused_under_python_O():
     assert done.stdout.splitlines() == [
         "index glue changed the determinant by the wrong index",
         "primitive W is not primitively embedded",
-        "quotient glue is not of order m",
+        "complement no u(2) block found",
     ]
 
 
@@ -636,6 +642,32 @@ def test_genus_quotient_matches_lattice_level_glue():
             out = genus_lemma_quotient(d, m, genus_of(w))
             assert (out.sig_plus, out.sig_minus) == z.signature
             assert genus_equal(out, genus_of(z)), (name, d)
+
+
+def oracle_lemma_quotient(d, m, g_w):
+    """The form of the lemma quotient by the subquotient oracle: H-perp/H
+    in <1/2d> + q_W for the glue H = <2c*h + x + c*y>, c = d/m, with the
+    u(m) pair (x, y) of `_u_glue`."""
+    c = d // m
+    q = sum_forms([cyclic_block(2 * d, F(1, 2 * d)), g_w.disc])
+    return quotient_form(q, (q.reduce((2 * c,) + _u_glue(g_w.disc, m, c)),))
+
+
+def test_closed_form_quotient_is_the_subquotient_oracles():
+    # <1/2d> + A' against H-perp/H, up to isomorphism and not only in
+    # genus: the partners of M_n and U(m) for d = 2m*k, k <= 24, and
+    # E8(-2) for d = 4..256
+    from k3lat.catalog import named, omega_genus
+
+    bases = ([(omega_genus(n), n) for n in range(2, 9)]
+             + [(genus_of(named(f"U({m})")), m) for m in range(2, 7)])
+    cases = [(g_w, m, 2 * m * k) for g_w, m in bases for k in range(1, 25)]
+    cases += [(genus_of(named("E8(-2)")), 2, d) for d in range(4, 257, 4)]
+    assert len(cases) == 352
+    for g_w, m, d in cases:
+        out = genus_lemma_quotient(d, m, g_w)
+        assert (out.sig_plus, out.sig_minus) == (g_w.sig_plus + 1, g_w.sig_minus)
+        assert forms_isomorphic(out.disc, oracle_lemma_quotient(d, m, g_w)) is not None, (m, d)
 
 
 def test_genus_quotient_order_3():
