@@ -17,6 +17,7 @@ from .catalog import (
     omega_genus,
     resolve_name,
 )
+from .evensets import EvenSets, find_even_sets
 from .forms import (
     FiniteQuadraticForm,
     SearchBudgetExceeded,
@@ -52,13 +53,11 @@ from .lattice import (
     sublattice,
 )
 from .nsgeometry import (
-    EvenSets,
     LabeledLattice,
     base_change,
     base_change_report,
     build_UN_vgs,
     build_X2,
-    find_even_sets,
     involutions_X2,
     known_even_sets,
     no_reducible_fibers,

@@ -50,7 +50,6 @@ from .overlattice import (
     _glue_overlattice,
     _lift_of,
     _rank1_sum_genus,
-    _u_glue,
     genus_equal,
     genus_of,
     genus_lemma_quotient,
@@ -344,7 +343,7 @@ def _primitive_index2_overlattice(
     require(all(o == 2 for o in qw.orders)
             and not any(row[i] % qw.level for i, row in enumerate(qw.table)),
             "the index-2 glue needs a 2-elementary W with integer q-values")
-    z, _ = _glue_one(_scaled_rank1(d), (1,), w, _u_glue(qw, 2, d // 2), 2)
+    z, _ = _glue_one(_scaled_rank1(d), (1,), w, 2, d // 2)
     return z.relabel(label)
 
 

@@ -45,6 +45,7 @@ from .forms import (
     u_block,
     value_counts,
 )
+from .evensets import find_even_sets
 from .lattice import (
     IntegralLattice,
     discriminant_form,
@@ -53,7 +54,6 @@ from .lattice import (
 )
 from .nsgeometry import (
     build_X2,
-    find_even_sets,
     known_even_sets,
     ue8_checks,
     un_checks,

@@ -9,11 +9,11 @@ passed on as that vector.
 head + W along head/m + eps, eps of order m in the discriminant form of W,
 with both summands primitive (Nikulin 1979, 1.4).  The congruence lemma,
 the Mp/Lp(d,2) families and the primed rank-10 models are all built by it,
-and all by one rule: eps = x + c*y for the u(m) pair (x, y) of q_W that
-`find_u_block` gives (`_u_glue`), with c = d/m for the lemma, d/2 for
-Mp/Lp(d,2) and 1 for the primed models.  Genus data (signature plus
-discriminant form) suffices to identify many indefinite lattices up to
-isometry via the rank-versus-length criterion.  The genus of <2d> + W has
+and all by one rule, which `_glue_one` applies itself: eps = x + c*y for
+the u(m) pair (x, y) of q_W that `find_u_block` gives, with c = d/m for
+the lemma, d/2 for Mp/Lp(d,2) and 1 for the primed models.  Genus data
+(signature plus discriminant form) suffices to identify many indefinite
+lattices up to isometry via the rank-versus-length criterion.  The genus of <2d> + W has
 one builder, `_rank1_sum_genus`.  The lemma's overlattice has the form
 <1/2d> + A', with A' the complement of the u(m) pair in q_W, in closed
 form (`genus_lemma_quotient`): no subgroup of a form is built, and no
@@ -124,11 +124,13 @@ def _glue_one(
     head: IntegralLattice,
     head_coords: Sequence[int],
     w: IntegralLattice,
-    eps: Sequence[int],
     m: int,
+    c: int,
 ) -> tuple[IntegralLattice, Embedding]:
     """Index-m even overlattice of head + W glued along head_coords/m + eps,
-    with eps given by its coordinates in the discriminant group of W.
+    eps = x + c*y for the u(m) pair (x, y) of q_W that `find_u_block`
+    gives: its order divides m and q(eps) = -2c/m mod 2.  For m = 1,
+    eps = 0 and nothing is glued.
 
     The glue row is over lcm(m, N), N the level of W.  It must have order
     dividing m and be isotropic, and the result must be even of index m
@@ -137,12 +139,16 @@ def _glue_one(
     """
     v = direct_sum(head, w)
     wdisc = discriminant_group(w)
+    eps = (0,) * wdisc.form.rank
+    if m > 1:
+        x, y = find_u_block(wdisc.form, m)
+        eps = vec_add(x, vec_scale(y, c))
     level = wdisc.form.level
     den = lcm(m, level)
     row = vec_scale(head_coords, den // m) + vec_scale(_lift_of(wdisc, eps), den // level)
     # isotropic of order dividing m: m*glue is integral and its norm lies
     # in 2Z
-    require(all(m * c % den == 0 for c in row), "glue order does not divide m")
+    require(all(m * a % den == 0 for a in row), "glue order does not divide m")
     require(v.norm(row) % (2 * den * den) == 0, "glue is not isotropic")
     z, emb = _glue_overlattice(v, [row], den)
     if not z.is_even:
@@ -154,26 +160,15 @@ def _glue_one(
     return z, emb
 
 
-def _u_glue(q: FiniteQuadraticForm, m: int, c: int) -> Vec:
-    """The glue element eps = x + c*y of q, where (x, y) is the u(m) pair
-    of `find_u_block`: its order divides m and q(eps) = -2c/m mod 2.  It
-    is 0 for m = 1, where there is nothing to glue."""
-    if m == 1:
-        return (0,) * q.rank
-    x, y = find_u_block(q, m)
-    return vec_add(x, vec_scale(y, c))
-
-
 def lemma_overlattice(d: int, m: int, w: IntegralLattice) -> tuple[IntegralLattice, Embedding]:
     """Index-m even overlattice of <2d> + W from the congruence d = 0 mod 2m,
     with the embedding of W.
 
     The glue is h/m + eps, h the basis vector of <2d> and eps = x + (d/m)y
-    (`_u_glue`): q(h/m) = 2d/m^2 cancels q(eps) = -2d/m^2.  For m = 1,
+    (`_glue_one`): q(h/m) = 2d/m^2 cancels q(eps) = -2d/m^2.  For m = 1,
     eps = 0 and the glue gives the direct sum itself.
     """
-    eps = _u_glue(discriminant_group(w).form, m, _lemma_c(d, m))
-    z, emb = _glue_one(from_rows([[2 * d]]), (1,), w, eps, m)
+    z, emb = _glue_one(from_rows([[2 * d]]), (1,), w, m, _lemma_c(d, m))
     return z, Embedding(z, w, emb.vectors[1:])
 
 
@@ -295,7 +290,7 @@ def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescripto
     The overlattice has the signature of <2d> + W, and its form is H-perp/H
     for the glue H = <g> in <1/2d> + q_W (Nikulin 1979, sec. 1).  Write
     q_W = u(m) + A' with the u(m) pair (x, y) of `split_u_block`, h the
-    generator of <1/2d> and c = d/m, so g = 2c*h + x + c*y (`_u_glue`):
+    generator of <1/2d> and c = d/m, so g = 2c*h + x + c*y (`_glue_one`):
     q(g) = 2c^2/d - 2c/m = 0, and g has order m.  Then h' = h + y has
     q(h') = 1/2d and order 2d (m divides d), and b(h', g) = c/d + b(y, x)
     = 1/m - 1/m = 0; A' is orthogonal to h, x and y.  So S = <h'> + A'

@@ -48,6 +48,19 @@ def test_retired_search_names_raise_and_name_their_oracle(module, name):
         getattr(importlib.import_module(f"k3lat.{module}"), name)()
 
 
+def test_every_binding_of_find_even_sets_is_the_kernel():
+    # spans.py traces ("nsgeometry", "find_even_sets") and patches every
+    # k3lat namespace that binds that object, so the span sees the calls
+    # from cli.cmd_evenset and both suites only while all of them bind the
+    # one function of k3lat.evensets
+    from k3lat import evensets
+
+    bound = {name: vars(module)["find_even_sets"] for name, module in sys.modules.items()
+             if name.split(".")[0] == "k3lat" and "find_even_sets" in vars(module)}
+    assert {"k3lat", "k3lat.cli", "k3lat.evensets", "k3lat.nsgeometry"} <= bound.keys()
+    assert all(f is evensets.find_even_sets for f in bound.values()), bound
+
+
 def test_worker_cli_names_exist():
     assert callable(cli.main)
     assert cli.SUITES and all(isinstance(s, str) for s in cli.SUITES)

@@ -1,5 +1,6 @@
 """Tests for the two labeled rank-9/rank-10 models, their involutions,
-the even-set search, and the glue/report surface.
+the even-set search of `k3lat.evensets` on them, and the glue/report
+surface.
 
 The displayed coordinates (sections, orbit classes, polarization,
 base-change identities) are frozen here and re-derived from the Gram by
@@ -23,6 +24,13 @@ import pytest
 
 import k3lat
 from k3lat.catalog import FamilyDescriptor, family_genus, named
+from k3lat.evensets import (
+    _bounded_sections,
+    _packing,
+    _section_frame,
+    _translate_shapes,
+    find_even_sets,
+)
 from k3lat.intmat import (
     det_int,
     dot,
@@ -50,19 +58,14 @@ from k3lat.lattice import (
 )
 from k3lat.nsgeometry import (
     LabeledLattice,
-    _bounded_sections,
     _certified_definite_isometry,
     _e8_labelling,
-    _packing,
-    _section_frame,
     _simple_root_rows,
-    _translate_shapes,
     _unit,
     base_change,
     base_change_report,
     build_UN_vgs,
     build_X2,
-    find_even_sets,
     involutions_X2,
     known_even_sets,
     no_reducible_fibers,
@@ -587,12 +590,12 @@ _NARROW_FIELDS = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import nsgeometry
-nsgeometry._FIELD_BITS = 8
+from k3lat import evensets, nsgeometry
+evensets._FIELD_BITS = 8
 x2 = nsgeometry.build_X2()
-print(len(nsgeometry.find_even_sets(x2.lattice, x2.vec("E1"), 6)))
+print(len(evensets.find_even_sets(x2.lattice, x2.vec("E1"), 6)))
 try:
-    nsgeometry.find_even_sets(x2.lattice, x2.vec("E2"), 6)
+    evensets.find_even_sets(x2.lattice, x2.vec("E2"), 6)
 except ArithmeticError as exc:
     print(exc)
 """
@@ -799,10 +802,10 @@ _CORRUPT_MASK = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import nsgeometry
+from k3lat import evensets, nsgeometry
 known1 = nsgeometry.known_even_sets()[0]
 x2 = nsgeometry.build_X2()
-sets = nsgeometry.find_even_sets(x2.lattice, x2.vec("E1"), 4)
+sets = evensets.find_even_sets(x2.lattice, x2.vec("E1"), 4)
 print(known1 in sets)
 i, s = sets._locate(known1)
 masks = list(sets.masks)
@@ -839,14 +842,14 @@ import sys
 if __debug__:
     sys.exit("asserts are enabled")
 from dataclasses import replace
-from k3lat import nsgeometry
+from k3lat import evensets, nsgeometry
 from k3lat.catalog import named
 from k3lat.intmat import dot, vec_add, vec_scale, vec_sub
 from k3lat.lattice import direct_sum
 x2 = nsgeometry.build_X2()
 lat, e1 = x2.lattice, x2.vec("E1")
 known1 = nsgeometry.known_even_sets()[0]
-sets = nsgeometry.find_even_sets(lat, e1, 5)
+sets = evensets.find_even_sets(lat, e1, 5)
 key = {v: dot(v, sets.functional) for v in sets.cands}
 anchor = min(known1, key=key.get)
 case = sys.argv[1]
@@ -883,9 +886,9 @@ elif case == "meet":
 else:
     # U + E8(-2) has odd shapes, which the search leaves out
     u_e8 = direct_sum(named("U"), named("E8(-2)"))
-    sets = nsgeometry.find_even_sets(u_e8, (1,) + (0,) * 9, 2)
+    sets = evensets.find_even_sets(u_e8, (1,) + (0,) * 9, 2)
     root_keys = [dot(r, sets.functional) for r in sets.roots]
-    planted = replace(sets, shapes=tuple(nsgeometry._translate_shapes(root_keys)))
+    planted = replace(sets, shapes=tuple(evensets._translate_shapes(root_keys)))
     item = next(s for s in planted if any(sum(col) % 2 for col in zip(*s)))
 try:
     print(item in planted)
@@ -919,16 +922,16 @@ _OFF_SHELL = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import nsgeometry
+from k3lat import evensets, nsgeometry
 from k3lat.intmat import dot, mat_vec
 planted = []
 def off_shell(gram, value, center=None, den=1, box=None):
     planted.append(dot(center, mat_vec(gram, center)) != value)
     return [(0,) * len(gram)]
-nsgeometry.fp_enumerate = off_shell
+evensets.fp_enumerate = off_shell
 x2 = nsgeometry.build_X2()
 try:
-    nsgeometry._bounded_sections(x2.lattice, x2.vec("E1"), 2)
+    evensets._bounded_sections(x2.lattice, x2.vec("E1"), 2)
 except ArithmeticError as exc:
     print(planted[-1])
     print(exc)
@@ -956,15 +959,15 @@ _DUPLICATE = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import nsgeometry
-real = nsgeometry.fp_enumerate
+from k3lat import evensets, nsgeometry
+real = evensets.fp_enumerate
 def duplicate(*args, **kwargs):
     shell = real(*args, **kwargs)
     return shell + shell[:1]
-nsgeometry.fp_enumerate = duplicate
+evensets.fp_enumerate = duplicate
 x2 = nsgeometry.build_X2()
 try:
-    nsgeometry._bounded_sections(x2.lattice, x2.vec("E1"), 2)
+    evensets._bounded_sections(x2.lattice, x2.vec("E1"), 2)
 except ArithmeticError as exc:
     print(exc)
 """
@@ -1097,16 +1100,16 @@ _CORRUPT_FRAME = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import nsgeometry
+from k3lat import evensets, nsgeometry
 from k3lat.intmat import vec_add, vec_scale
 x2 = nsgeometry.build_X2()
 e = x2.vec("E1")
-rows = nsgeometry._complement_rows
+rows = evensets._complement_rows
 for corrupt in (lambda r: (vec_scale(r[0], 2),) + r[1:],
                 lambda r: (vec_add(r[0], e),) + r[1:]):
-    nsgeometry._complement_rows = lambda lat, vs, c=corrupt: c(rows(lat, vs))
+    evensets._complement_rows = lambda lat, vs, c=corrupt: c(rows(lat, vs))
     try:
-        nsgeometry.find_even_sets(x2.lattice, e, 3)
+        evensets.find_even_sets(x2.lattice, e, 3)
     except ArithmeticError as exc:
         print(exc)
 """

@@ -18,6 +18,7 @@ import k3lat
 from k3lat.forms import (
     _normal_form,
     cyclic_block,
+    find_u_block,
     forms_isomorphic,
     length,
     milgram_signature,
@@ -36,11 +37,9 @@ from k3lat.lattice import (
 )
 from k3lat.overlattice import (
     GenusDescriptor,
-    _glue_one,
     _glue_overlattice,
     _lift_of,
     _scaled_inverse,
-    _u_glue,
     genus_equal,
     genus_lemma_quotient,
     genus_of,
@@ -458,14 +457,45 @@ def test_wrong_local_smith_forms_are_refused_under_python_O():
     ]
 
 
-def test_glue_of_the_wrong_order_is_refused():
-    from k3lat.catalog import named
+# `_glue_one` derives its glue eps = x + c*y from the pair `find_u_block`
+# gives.  Planted here: for m = 3 on E8(-2), whose form has no u(3), a pair
+# (x, 0) with x of order 2, so that eps has order 2, which does not divide
+# 3.  The order check is a `require`, so the glue must be refused under
+# `python -O`, in the lemma and in a direct call alike.
+_WRONG_ORDER_PAIR = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import overlattice
+from k3lat.catalog import named
+from k3lat.lattice import from_rows
 
-    w = named("E8(-2)")
-    qw = discriminant_form(w)
-    eps = next(x for x in qw.elements() if any(x))
-    with pytest.raises(ArithmeticError, match="glue order does not divide m"):
-        _glue_one(from_rows([[2]]), (1,), w, eps, 3)
+w = named("E8(-2)")
+q = overlattice.discriminant_group(w).form
+x = next(x for x in q.elements() if any(x))
+overlattice.find_u_block = lambda form, m: (x, (0,) * form.rank)
+for label, build in (("lemma", lambda: overlattice.lemma_overlattice(6, 3, w)),
+                     ("direct", lambda: overlattice._glue_one(from_rows([[2]]), (1,), w, 3, 1))):
+    try:
+        build()
+        print(label, "accepted")
+    except ArithmeticError as exc:
+        print(label, exc)
+"""
+
+
+def test_glue_of_the_wrong_order_is_refused():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_ORDER_PAIR],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "lemma glue order does not divide m",
+        "direct glue order does not divide m",
+    ]
 
 
 @pytest.mark.parametrize("name", ["N", "E8(-2)"])
@@ -647,10 +677,11 @@ def test_genus_quotient_matches_lattice_level_glue():
 def oracle_lemma_quotient(d, m, g_w):
     """The form of the lemma quotient by the subquotient oracle: H-perp/H
     in <1/2d> + q_W for the glue H = <2c*h + x + c*y>, c = d/m, with the
-    u(m) pair (x, y) of `_u_glue`."""
+    u(m) pair (x, y) of `find_u_block`."""
     c = d // m
+    x, y = find_u_block(g_w.disc, m)
     q = sum_forms([cyclic_block(2 * d, F(1, 2 * d)), g_w.disc])
-    return quotient_form(q, (q.reduce((2 * c,) + _u_glue(g_w.disc, m, c)),))
+    return quotient_form(q, (q.reduce((2 * c,) + tuple(a + c * b for a, b in zip(x, y))),))
 
 
 def test_closed_form_quotient_is_the_subquotient_oracles():
