@@ -2,26 +2,20 @@
 
 Everything here runs on arbitrary-precision integers; there is
 deliberately no floating point anywhere, and no `Fraction` either.
-The eliminations are fraction-free: Hermite and
-Smith forms by extended gcds (a Smith step whose positive pivot divides
-the entry is a plain subtraction of a multiple of the pivot row or column,
-the same step without its identity half), and determinants, LDL^T and
-adjugates by Bareiss elimination; a symmetric matrix gets its signature
-and determinant from one symmetric pass.  A rational matrix or vector is
-an integer one over one denominator: `adjugate` gives the inverse as adj
-over det, and `fp_enumerate` takes the centre of its shell as an integer
-vector over `den`.  Its Fincke-Pohst recursion returns the vectors of one
-exact value, and takes an integer coordinate box and cuts each level's
-range to it instead of filtering the shell afterwards.
+The eliminations are fraction-free: Hermite forms by extended gcds, and
+determinants, LDL^T and adjugates by Bareiss elimination; a symmetric
+matrix gets its signature and determinant from one symmetric pass.  A
+rational matrix or vector is an integer one over one denominator:
+`adjugate` gives the inverse as adj over det, and `fp_enumerate` takes
+the centre of its shell as an integer vector over `den`.  Its
+Fincke-Pohst recursion returns the vectors of one exact value, and takes
+an integer coordinate box and cuts each level's range to it instead of
+filtering the shell afterwards.
 
-There are two Smith forms.  `snf` works over Z and returns an exact
-unimodular V: `lattice.quotient_by_radical` inverts it, and
-`lattice.discriminant_group` prints and glues along the generators its
-columns give, so its pivot rule fixes those bytes.
-`local_snf` works over Z/p^k for one prime p with k = v_p(det): its
-entries stay below p^k, and it returns V mod p^k only, which is all that
-`overlattice.genus_of` needs, as a genus reads each p-part of the
-discriminant form up to isomorphism.
+The one Smith form, `local_snf`, works over Z/p^k for one prime p with
+k = v_p(det): its entries stay below p^k, and it returns V mod p^k only,
+which is all that `lattice.discriminant_group` needs to present the
+p-part of L*/L.
 Matrices are plain sequences of row sequences.
 Functions return tuples of tuples so results can live inside frozen
 dataclasses.
@@ -29,7 +23,6 @@ dataclasses.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -114,7 +107,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b == g == gcd(a, b), g >= 0.
 
     The pair (s, t) is normalized to minimal |t|; in particular a | b gives
-    (|a|, sign(a), 0), which keeps the HNF/SNF pivot operations from
+    (|a|, sign(a), 0), which keeps the HNF pivot operations from
     cycling.
     """
     old_r, r = a, b
@@ -141,7 +134,7 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Hermite / Smith normal forms with transforms
+# Hermite and Smith normal forms
 # ---------------------------------------------------------------------------
 
 
@@ -206,75 +199,10 @@ def kernel_int(a: Sequence[Sequence[int]]) -> Mat:
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
-def snf(a: Sequence[Sequence[int]]) -> tuple[Mat, Mat]:
-    """Smith normal form: returns (D, V) with U*a*V == D diagonal for some
-    unimodular U, d_1 | d_2 | ... nonnegative, V unimodular.  No caller
-    needs U, so the row operations act on D alone.
-
-    Each step clears one entry b against the corner a by the xgcd pair
-    (g, s, t) = xgcd(a, b).  When a > 0 divides b that pair is (a, 1, 0),
-    so the step only subtracts (b // a) times the pivot row from row i, or
-    the pivot column from column j of D and V; that exact-division step
-    leaves D and V as the full xgcd step would."""
-    d = [list(map(int, row)) for row in a]
-    m = len(d)
-    n = len(d[0]) if m else 0
-    v = [list(row) for row in identity(n)]
-    t0 = 0
-    while t0 < min(m, n):
-        # move the first nonzero entry of smallest magnitude, in row-major
-        # order, into the corner
-        rest = [row[t0:] for row in d[t0:]]
-        small = min(filter(None, map(abs, chain.from_iterable(rest))), default=0)
-        if not small:
-            break
-        bi, r = next((i, r) for i, r in enumerate(rest, t0) if small in r or -small in r)
-        bj = t0 + min(r.index(x) for x in (small, -small) if x in r)
-        d[t0], d[bi] = d[bi], d[t0]
-        for row in d + v:
-            row[t0], row[bj] = row[bj], row[t0]
-        while True:
-            for i in range(t0 + 1, m):
-                a, b = d[t0][t0], d[i][t0]
-                if not b:
-                    continue
-                if a > 0 and not b % a:
-                    # xgcd(a, b) = (a, 1, 0): the pivot row stays as it is
-                    q = b // a
-                    d[i] = [y - q * x for x, y in zip(d[t0], d[i])]
-                    continue
-                g, s, t = xgcd(a, b)
-                p, q = a // g, b // g
-                d[t0], d[i] = (
-                    [s * x + t * y for x, y in zip(d[t0], d[i])],
-                    [p * y - q * x for x, y in zip(d[t0], d[i])],
-                )
-            if not any(d[t0][t0 + 1:]):
-                break
-            for j in range(t0 + 1, n):
-                a, b = d[t0][t0], d[t0][j]
-                if not b:
-                    continue
-                if a > 0 and not b % a:
-                    q = b // a
-                    for row in d + v:
-                        row[j] -= q * row[t0]
-                    continue
-                g, s, t = xgcd(a, b)
-                p, q = a // g, b // g
-                for row in d + v:
-                    row[t0], row[j] = s * row[t0] + t * row[j], p * row[j] - q * row[t0]
-        # enforce divisibility of the remaining block by the corner entry
-        c = d[t0][t0]
-        stray = None if c in (1, -1) else next(
-            (i for i in range(t0 + 1, m) if any(x % c for x in d[i][t0 + 1:])), None)
-        if stray is not None:
-            d[t0] = [x + y for x, y in zip(d[t0], d[stray])]
-            continue
-        if d[t0][t0] < 0:
-            d[t0] = [-x for x in d[t0]]
-        t0 += 1
-    return freeze(d), freeze(v)
+# The Smith form over Z is a test oracle now; the name stays because the
+# benchmark (k3bench/spans.py) wraps it, and a call fails loudly.
+def snf(*args, **kwargs):
+    raise RuntimeError("snf has moved to tests/rational_oracles.py")
 
 
 def prime_factors(n: int) -> list[int]:

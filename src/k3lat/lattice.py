@@ -33,13 +33,16 @@ from .intmat import (
     fp_enumerate,
     freeze,
     hnf_basis,
+    hnf_row,
     identity,
     inv_unimodular,
     kernel_int,
+    local_snf,
     mat_mul,
     mat_vec,
+    prime_factors,
+    require,
     signature,
-    snf,
     transpose,
     vec_neg,
 )
@@ -220,10 +223,11 @@ class IsometryAction:
 class DiscriminantData:
     """Discriminant group L*/L with generator lifts.
 
-    `form` lives on generators g_1, ..., g_k of orders d_1 | ... | d_k;
-    `lifts` holds integer rows over N = `form.level`: row i over N is a
-    coordinate vector representing g_i inside L*, with every entry in
-    [0, N).
+    `form` lives on p-primary generators g_1, ..., g_k, the primes p | det
+    ascending and, within one p, the orders p^e ascending; `lifts` holds
+    integer rows over N = `form.level`: row i over N is a coordinate
+    vector representing g_i inside L*, with every entry in [0, N).
+    `forms.group_invariants` reads the invariant factors off the orders.
     """
 
     form: FiniteQuadraticForm
@@ -233,7 +237,7 @@ class DiscriminantData:
 def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
     """Structure of L*/L, computed once per Gram matrix (lattices with equal
     Grams share one result).  ValueError if L is odd, where q is not
-    defined on L*/L, or degenerate (a zero invariant factor)."""
+    defined on L*/L, or degenerate (det 0)."""
     if not lat.is_even:
         raise ValueError("discriminant form requires an even lattice")
     return _discriminant_cached(lat.gram)
@@ -241,31 +245,43 @@ def discriminant_group(lat: IntegralLattice) -> DiscriminantData:
 
 @lru_cache(maxsize=None)
 def _discriminant_cached(gram: Mat) -> DiscriminantData:
-    n = len(gram)
-    d, v = snf(gram)
-    orders = [d[i][i] for i in range(n)]
-    if 0 in orders:
+    """L*/L of a non-degenerate even Gram G from its p-local Smith forms:
+    for each p | det with k = v_p(det), the columns c of
+    `local_snf(G, p, k)` whose orders d > 1 must multiply to p^k and must
+    have G c = 0 mod d, so that the lift c/d lies in L*.
+
+    Those lifts x_i = c_i/d_i give a map phi, e_i -> x_i, from the form F
+    on the product of the Z/d_i that their table describes into L*/L,
+    keeping q and b (d_i x_i = c_i lies in L, and reducing c_i mod d_i
+    moves x_i by a vector of L, which leaves q mod 2 and b mod 1 as they
+    are on an even lattice).  The orders multiply to |det| = |L*/L|, so
+    phi is an isomorphism once it is onto, as V invertible mod p makes
+    it, or one-to-one: phi(c) = 0 gives b(c, e_j) = 0 for every j, so
+    c = 0 when F is non-degenerate, which the normal form that `genus_of`
+    reads checks.  Cached per Gram."""
+    det = abs(_invariants_cached(gram)[0])
+    if not det:
         raise ValueError("discriminant group requires a non-degenerate form")
-    return lifted_discriminant(gram, orders, transpose(v))
-
-
-def lifted_discriminant(
-    gram: Mat, orders: Sequence[int], cols: Sequence[Sequence[int]]
-) -> DiscriminantData:
-    """The form and lifts of the elements cols[i] / orders[i] of L*, for
-    columns with gram @ cols[i] = 0 mod orders[i]; those of order 1 are
-    dropped.  The caller's elimination makes them generators of L*/L."""
-    keep = [i for i, o in enumerate(orders) if o > 1]
-    # g_i lifts to column i over d_i, reduced mod d_i: a change by a vector
-    # of L leaves q mod 2 and b mod 1 as they are on an even lattice.  Over
-    # N = lcm(d_i) that is (N/d_i) (column i mod d_i), entries in [0, N);
+    orders: list[int] = []
+    cols: list[Vec] = []
+    for p in prime_factors(det):
+        k = 0
+        while det % p**(k + 1) == 0:
+            k += 1
+        part = local_snf(gram, p, k)
+        require(prod(part[0]) == p**k, f"the {p}-part of L*/L does not have order {p}^{k}")
+        for o, c in zip(*part):
+            if o > 1:
+                require(not any(x % o for x in mat_vec(gram, c)),
+                        f"a lift of the {p}-part of L*/L is not in L*")
+                orders.append(o)
+                cols.append(c)
+    # over N = lcm(d_i), x_i is (N/d_i) (c_i mod d_i), entries in [0, N);
     # N^2 q and N^2 b on the lifts are the Gram of those rows
-    level = lcm(*(orders[i] for i in keep))
-    lifts = tuple(tuple(level // orders[i] * (x % orders[i]) for x in cols[i])
-                  for i in keep)
+    level = lcm(*orders)
+    lifts = tuple(tuple(level // o * (x % o) for x in c) for o, c in zip(orders, cols))
     form = FiniteQuadraticForm.from_table(
-        [orders[i] for i in keep], gram_in_basis(IntegralLattice(gram), lifts),
-        level * level)
+        orders, gram_in_basis(IntegralLattice(gram), lifts), level * level)
     return DiscriminantData(form, lifts)
 
 
@@ -325,10 +341,10 @@ def quotient_by_radical(lat: IntegralLattice) -> tuple[IntegralLattice, Mat]:
     n = lat.rank
     if not rad:
         return lat, identity(n)
-    _, v = snf(rad)
-    vi = inv_unimodular(v)
-    # row span of rad = span of the first r rows of v^-1; the rest descend
-    # to a basis of the quotient
+    # rad is saturated, so u @ rad^T = [I; 0] and rad is the first r rows
+    # of (u^T)^-1; the rest descend to a basis of the quotient
+    _, u = hnf_row(transpose(rad))
+    vi = inv_unimodular(transpose(u))
     comp = tuple(vi[i] for i in range(len(rad), n))
     return sublattice(lat, comp), freeze(comp)
 

@@ -12,8 +12,9 @@ given by generator rows alone, a cyclic glue's one word included: H is
 L/diag(d)Z^k for the lattice L that those rows span with diag(d)Z^k, so
 |H| = |A|/(h_1 ... h_k) for the diagonal h_i of the Hermite normal form
 of L.  H-perp comes from an integer kernel, and the quotient's structure
-from a Smith form over Z.  The package takes the one quotient it needs,
-the congruence lemma's, in closed form.
+from the Smith form over Z of `rational_oracles.snf_with_transforms`.
+The package takes the one quotient it needs, the congruence lemma's, in
+closed form.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from k3lat.intmat import (
     mat_mul,
     mat_vec,
     require,
-    snf,
     vec_mat,
 )
+from rational_oracles import snf_with_transforms
 
 
 def _walk(
@@ -508,7 +509,7 @@ def _quotient_structure(sup_rows: Mat, sub_rows: Mat) -> tuple[tuple[int, ...], 
         if any(c % det for c in x):
             raise ValueError("sub lattice is not contained in sup lattice")
         coords.append(tuple(c // det for c in x))
-    d, v = snf(coords)
+    d, _, v = snf_with_transforms(coords)
     vi = inv_unimodular(v)
     orders = []
     for i in range(k):

@@ -3,17 +3,18 @@
 These are the rational Gaussian eliminations that k3lat used before its
 eliminations became fraction-free, the entry-by-entry Gram loops,
 per-vector solves and Smith forms it used before its Gram changes became
-matrix products, the Smith form with both transforms that it used
-before its Smith form dropped the left one, and the Fraction Gram of the
-discriminant form that it built before forms kept integer tables only,
-and the Fraction inverse it had before rational matrices became integer
-rows over one denominator.  They are kept here, outside the package, as oracles for k3lat's routines.
+matrix products, the Smith form over Z, with both transforms, that it
+used before its discriminant groups came from Smith forms modulo p^k,
+the Fraction Gram of the discriminant form that it built before forms
+kept integer tables only, and the Fraction inverse it had before
+rational matrices became integer rows over one denominator.  They are
+kept here, outside the package, as oracles for k3lat's routines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -22,8 +23,10 @@ from k3lat.intmat import (
     freeze,
     hnf_basis,
     identity,
+    local_snf,
     mat_mul,
-    snf,
+    prime_factors,
+    require,
     transpose,
     xgcd,
 )
@@ -168,8 +171,9 @@ def inv_frac(a):
 
 def snf_with_transforms(a):
     """Smith normal form with both transforms: (D, U, V) with U*a*V == D
-    diagonal, d_1 | d_2 | ... nonnegative, U and V unimodular.  The same
-    pivoting as `snf`, with U following every row operation."""
+    diagonal, d_1 | d_2 | ... nonnegative, U and V unimodular.  The pivot
+    is an entry of least magnitude of the remaining block, and each step
+    is the xgcd step on a row pair or a column pair."""
     d = [list(map(int, row)) for row in a]
     m = len(d)
     n = len(d[0]) if m else 0
@@ -273,25 +277,49 @@ def gram_in_basis_loops(gram, rows):
     )
 
 
-def discriminant_gram_frac(gram):
-    """(orders, Fraction Gram) of L*/L for a non-degenerate even Gram G:
-    with U G V = D the Smith form, generator i lifts to column i of V over
-    d_i, so q and b on the generators are (V^T G V)_ij / (d_i d_j),
-    reduced mod 2 on the diagonal and mod 1 off it; only the d_i > 1 are
-    kept."""
-    n = len(gram)
-    d, _, v = snf_with_transforms(gram)
-    orders = [d[i][i] for i in range(n)]
-    keep = [i for i in range(n) if orders[i] > 1]
-    vt = transpose(v)
-    vgv = gram_in_basis_loops(gram, [vt[i] for i in keep])
+def _fraction_gram(gram, orders, cols):
+    """(orders, Fraction Gram) of the lifts cols[i] / orders[i] in L*: q and
+    b are (c_i^T G c_j) / (d_i d_j), reduced mod 2 on the diagonal and mod
+    1 off it; only the d_i > 1 are kept."""
+    keep = [i for i, o in enumerate(orders) if o > 1]
+    cgc = gram_in_basis_loops(gram, [cols[i] for i in keep])
     return tuple(orders[i] for i in keep), tuple(
         tuple(
-            Fraction(vgv[a][b], orders[i] * orders[j]) % (2 if a == b else 1)
+            Fraction(cgc[a][b], orders[i] * orders[j]) % (2 if a == b else 1)
             for b, j in enumerate(keep)
         )
         for a, i in enumerate(keep)
     )
+
+
+def smith_gram_frac(gram):
+    """(orders, Fraction Gram) of L*/L for a non-degenerate even Gram G on
+    the generators of its Smith form over Z: with U G V = D, generator i
+    lifts to column i of V over d_i."""
+    d, _, v = snf_with_transforms(gram)
+    return _fraction_gram(gram, [d[i][i] for i in range(len(gram))], transpose(v))
+
+
+def discriminant_gram_frac(gram):
+    """(orders, Fraction Gram) of L*/L for a non-degenerate even Gram G on
+    the generators that k3lat presents it by: for each p | det, the columns
+    of `local_snf(G, p, v_p(det))` over their orders.  Those orders must be
+    the p-parts of the invariant factors of `snf_with_transforms`."""
+    d, _, _ = snf_with_transforms(gram)
+    factors = [d[i][i] for i in range(len(gram))]
+    det = prod(factors)
+    orders, cols = [], []
+    for p in prime_factors(det):
+        k = 0
+        while det % p**(k + 1) == 0:
+            k += 1
+        part = local_snf(gram, p, k)
+        # each invariant factor divides det, so its p-part divides p^k
+        require(part[0] == tuple(gcd(x, p**k) for x in factors),
+                f"the {p}-part orders are not the oracle's")
+        orders += part[0]
+        cols += part[1]
+    return _fraction_gram(gram, orders, cols)
 
 
 def glue_overlattice_by_solves(gram, lifts):
@@ -329,7 +357,7 @@ def group_invariants_snf(orders):
     diag = tuple(
         tuple(orders[i] if i == j else 0 for j in range(k)) for i in range(k)
     )
-    d, _ = snf(diag)
+    d, _, _ = snf_with_transforms(diag)
     return tuple(d[i][i] for i in range(k) if d[i][i] > 1)
 
 

@@ -39,12 +39,14 @@ def test_worker_import_exists(name):
 
 
 @pytest.mark.parametrize("module, name", [
-    ("lattice", "is_isometric_definite"), ("forms", "isotropic_subgroups"),
+    ("lattice", "is_isometric_definite"), ("forms", "isotropic_subgroups"), ("intmat", "snf"),
 ])
 def test_retired_search_names_raise_and_name_their_oracle(module, name):
-    # the searches moved to tests/search_oracles.py; the traced names stay,
-    # and a call from anywhere fails loudly
-    with pytest.raises(RuntimeError, match=f"{name} has moved to tests/search_oracles.py"):
+    # the searches moved to tests/search_oracles.py and the Smith form over
+    # Z to tests/rational_oracles.py; the traced names stay, and a call
+    # from anywhere fails loudly
+    oracle = "rational_oracles" if name == "snf" else "search_oracles"
+    with pytest.raises(RuntimeError, match=f"{name} has moved to tests/{oracle}.py"):
         getattr(importlib.import_module(f"k3lat.{module}"), name)()
 
 

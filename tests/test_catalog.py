@@ -74,7 +74,7 @@ from glue_oracles import (
     transvection_orbits,
 )
 from lattice_builders import rescale
-from rational_oracles import discriminant_gram_frac
+from rational_oracles import discriminant_gram_frac, smith_gram_frac
 import search_oracles
 from search_oracles import is_isometric_definite, isotropic_subgroups
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
@@ -489,12 +489,18 @@ def test_catalog_forms_against_the_oracles():
             assert_decides_like_the_search(q1, q2)
 
 
+def _smith_form_oracle(lat):
+    """The discriminant form on the generators of the whole Gram's Smith
+    form over Z, from the Fraction oracle."""
+    return FiniteQuadraticForm.from_gram(*smith_gram_frac(lat.gram))
+
+
 def test_genus_forms_are_the_discriminant_forms_on_the_catalog():
     # the p-local genus form of each catalog lattice and of a GL_n(Z)
-    # conjugate against the whole Gram's Smith-form discriminant form
+    # conjugate against the whole Gram's Smith form over Z
     for seed, lat in enumerate(CATALOG_LATTICES):
         for conj in (lat, _conjugate(lat, seed)):
-            assert forms_isomorphic(genus_of(conj).disc, discriminant_form(conj)) is not None
+            assert forms_isomorphic(genus_of(conj).disc, _smith_form_oracle(conj)) is not None
 
 
 @pytest.mark.parametrize("kind, d", [("L", 4), ("M", 8), ("Mp", 16), ("Lp", 16)])
@@ -503,18 +509,146 @@ def test_genus_forms_are_the_discriminant_forms_on_family_conjugates(kind, d, se
     # the 9x9 conjugates of test_snf_matches_transform_oracle_on_family_conjugates
     rng = random.Random(f"snf:{kind}:{d}:{seed}")
     conj = IntegralLattice(_gl_conjugate(rng, family_lattice(FamilyDescriptor(kind, d, 2)).gram))
-    assert forms_isomorphic(genus_of(conj).disc, discriminant_form(conj)) is not None
+    assert forms_isomorphic(genus_of(conj).disc, _smith_form_oracle(conj)) is not None
 
 
 def test_catalog_discriminant_forms_match_the_fraction_gram_oracle():
-    # the integer table against the Fraction Gram of the same Smith form,
-    # on each catalog lattice and on a GL_n(Z) conjugate of it
+    # the integer table against the Fraction Gram of the same p-local Smith
+    # forms, on each catalog lattice and on a GL_n(Z) conjugate of it
     for seed, lat in enumerate(CATALOG_LATTICES):
         for g in (lat.gram, _conjugate(lat, seed).gram):
             orders, gram = discriminant_gram_frac(g)
             q = discriminant_form(IntegralLattice(g))
             assert q == FiniteQuadraticForm.from_gram(orders, gram)
             assert q.q_gram == gram
+
+
+# The Mp/Lp(d,2) Grams as the glue gave them while `discriminant_group`
+# read its generators off the Smith form over Z.  The u(2) pair that
+# `find_u_block` gives now comes from the p-primary generators, so the glue
+# vector and the printed Gram differ; by Witt's argument in
+# `_primitive_index2_overlattice` the lattices are isometric.
+OLD_INDEX2_GRAMS = {
+    ("Mp", 2): (
+        (0, -1, 0, 0, 0, 0, -1, -1, 0),
+        (-1, -4, -1, -1, -1, -1, -1, -1, -1),
+        (0, -1, -2, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, -2, 0, 0, 0, 0, 0),
+        (0, -1, 0, 0, -2, 0, 0, 0, 0),
+        (0, -1, 0, 0, 0, -2, 0, 0, 0),
+        (-1, -1, 0, 0, 0, 0, -2, 0, 0),
+        (-1, -1, 0, 0, 0, 0, 0, -2, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, -2),
+    ),
+    ("Mp", 4): (
+        (0, -2, -1, 0, -1, -1, -1, 0, 0),
+        (-2, -4, -1, -1, -1, -1, -1, -1, -1),
+        (-1, -1, -2, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, -2, 0, 0, 0, 0, 0),
+        (-1, -1, 0, 0, -2, 0, 0, 0, 0),
+        (-1, -1, 0, 0, 0, -2, 0, 0, 0),
+        (-1, -1, 0, 0, 0, 0, -2, 0, 0),
+        (0, -1, 0, 0, 0, 0, 0, -2, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, -2),
+    ),
+    ("Mp", 6): (
+        (2, -1, 0, 0, 0, 0, -1, -1, 0),
+        (-1, -4, -1, -1, -1, -1, -1, -1, -1),
+        (0, -1, -2, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, -2, 0, 0, 0, 0, 0),
+        (0, -1, 0, 0, -2, 0, 0, 0, 0),
+        (0, -1, 0, 0, 0, -2, 0, 0, 0),
+        (-1, -1, 0, 0, 0, 0, -2, 0, 0),
+        (-1, -1, 0, 0, 0, 0, 0, -2, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, -2),
+    ),
+    ("Mp", 8): (
+        (2, -2, -1, 0, -1, -1, -1, 0, 0),
+        (-2, -4, -1, -1, -1, -1, -1, -1, -1),
+        (-1, -1, -2, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, -2, 0, 0, 0, 0, 0),
+        (-1, -1, 0, 0, -2, 0, 0, 0, 0),
+        (-1, -1, 0, 0, 0, -2, 0, 0, 0),
+        (-1, -1, 0, 0, 0, 0, -2, 0, 0),
+        (0, -1, 0, 0, 0, 0, 0, -2, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, -2),
+    ),
+    ("Mp", 16): (
+        (6, -2, -1, 0, -1, -1, -1, 0, 0),
+        (-2, -4, -1, -1, -1, -1, -1, -1, -1),
+        (-1, -1, -2, 0, 0, 0, 0, 0, 0),
+        (0, -1, 0, -2, 0, 0, 0, 0, 0),
+        (-1, -1, 0, 0, -2, 0, 0, 0, 0),
+        (-1, -1, 0, 0, 0, -2, 0, 0, 0),
+        (-1, -1, 0, 0, 0, 0, -2, 0, 0),
+        (0, -1, 0, 0, 0, 0, 0, -2, 0),
+        (0, -1, 0, 0, 0, 0, 0, 0, -2),
+    ),
+    ("Lp", 2): (
+        (0, 0, 0, 0, 1, -2, 1, 0, 0),
+        (0, -4, 2, 0, 0, 0, 0, 0, 0),
+        (0, 2, -4, 2, 0, 0, 0, 0, 0),
+        (0, 0, 2, -4, 2, 0, 0, 0, 2),
+        (1, 0, 0, 2, -4, 2, 0, 0, 0),
+        (-2, 0, 0, 0, 2, -4, 2, 0, 0),
+        (1, 0, 0, 0, 0, 2, -4, 2, 0),
+        (0, 0, 0, 0, 0, 0, 2, -4, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0, -4),
+    ),
+    ("Lp", 4): (
+        (0, 1, -2, 2, -2, 1, 0, 0, 0),
+        (1, -4, 2, 0, 0, 0, 0, 0, 0),
+        (-2, 2, -4, 2, 0, 0, 0, 0, 0),
+        (2, 0, 2, -4, 2, 0, 0, 0, 2),
+        (-2, 0, 0, 2, -4, 2, 0, 0, 0),
+        (1, 0, 0, 0, 2, -4, 2, 0, 0),
+        (0, 0, 0, 0, 0, 2, -4, 2, 0),
+        (0, 0, 0, 0, 0, 0, 2, -4, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0, -4),
+    ),
+    ("Lp", 6): (
+        (2, 0, 0, 0, 1, -2, 1, 0, 0),
+        (0, -4, 2, 0, 0, 0, 0, 0, 0),
+        (0, 2, -4, 2, 0, 0, 0, 0, 0),
+        (0, 0, 2, -4, 2, 0, 0, 0, 2),
+        (1, 0, 0, 2, -4, 2, 0, 0, 0),
+        (-2, 0, 0, 0, 2, -4, 2, 0, 0),
+        (1, 0, 0, 0, 0, 2, -4, 2, 0),
+        (0, 0, 0, 0, 0, 0, 2, -4, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0, -4),
+    ),
+    ("Lp", 8): (
+        (2, 1, -2, 2, -2, 1, 0, 0, 0),
+        (1, -4, 2, 0, 0, 0, 0, 0, 0),
+        (-2, 2, -4, 2, 0, 0, 0, 0, 0),
+        (2, 0, 2, -4, 2, 0, 0, 0, 2),
+        (-2, 0, 0, 2, -4, 2, 0, 0, 0),
+        (1, 0, 0, 0, 2, -4, 2, 0, 0),
+        (0, 0, 0, 0, 0, 2, -4, 2, 0),
+        (0, 0, 0, 0, 0, 0, 2, -4, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0, -4),
+    ),
+    ("Lp", 16): (
+        (6, 1, -2, 2, -2, 1, 0, 0, 0),
+        (1, -4, 2, 0, 0, 0, 0, 0, 0),
+        (-2, 2, -4, 2, 0, 0, 0, 0, 0),
+        (2, 0, 2, -4, 2, 0, 0, 0, 2),
+        (-2, 0, 0, 2, -4, 2, 0, 0, 0),
+        (1, 0, 0, 0, 2, -4, 2, 0, 0),
+        (0, 0, 0, 0, 0, 2, -4, 2, 0),
+        (0, 0, 0, 0, 0, 0, 2, -4, 0),
+        (0, 0, 0, 2, 0, 0, 0, 0, -4),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, d", sorted(OLD_INDEX2_GRAMS))
+def test_index2_family_grams_are_isometric_to_the_smith_form_glue(kind, d):
+    # same genus, and the genus has one class: rank 9 >= 2 + length
+    new = genus_of(family_lattice(FamilyDescriptor(kind, d, 2)))
+    old = genus_of(IntegralLattice(OLD_INDEX2_GRAMS[kind, d]))
+    assert genus_equal(new, old)
+    assert unique_in_genus_by_length(new)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

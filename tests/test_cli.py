@@ -133,13 +133,15 @@ def test_genus_records_of_equal_genera_are_byte_identical(capsys):
     assert data["form"]["group"] == [2, 2, 2, 2, 2, 2, 8]
 
 
-# stdout of the only commands that print form values, recorded before the
-# form values moved from Fraction to integers over the level
+# stdout of the only commands that print form values; the genus record
+# was recorded before the form values moved from Fraction to integers over
+# the level, and the disc record when `disc` moved to the p-primary
+# generators of the p-local Smith forms
 DISC_M42 = (
     '{"invariants":[2,2,2,2,2,2,8],"milgram":1,"orders":[2,2,2,2,2,2,8],'
-    '"q":[["1","1/2","0","0","0","0","0"],["1/2","1","1/2","0","0","0","0"],'
-    '["0","1/2","1","1/2","0","0","0"],["0","0","1/2","1","1/2","0","0"],'
-    '["0","0","0","1/2","1","1/2","0"],["0","0","0","0","1/2","1","0"],'
+    '"q":[["1","1/2","0","0","0","0","0"],["1/2","1","0","0","0","0","0"],'
+    '["0","0","0","1/2","0","0","0"],["0","0","1/2","0","0","0","0"],'
+    '["0","0","0","0","1","1/2","0"],["0","0","0","0","1/2","1","0"],'
     '["0","0","0","0","0","0","1/8"]]}\n'
 )
 GENUS_LP42 = (
@@ -373,16 +375,17 @@ def test_evenset_command_finds_both_sets_at_bound_five(capsys):
 
 
 # stdout of `catalog` and `disc` on the index-2 families: the glue element
-# that `find_u_block` gives for q_W decides the printed Gram
+# that `find_u_block` gives for q_W, on the p-primary generators of
+# `discriminant_group`, decides the printed Gram
 FAMILY_SHA256 = {
-    "catalog Mp(4,2)": "fff34a55318ff271a92c9d30675799850c08a5f7da9efd9d80c7d7d1a7dbffe2",
-    "catalog Lp(4,2)": "14cda41f921394f6ff035e24a725741214b57da8aff72eb69663da829949bef8",
-    "catalog Mp(6,2)": "c1b7e3d3b415a1d5cb97b6b50090ad68027e8f5be1b6be45e8e080393240e78d",
-    "catalog Lp(6,2)": "4980dd0746a4874e5b7bf80e0d495ced1115700afddc7a539959fb0dca3eaf64",
-    "disc Mp(4,2)": "a5877e8881782014b60a9ec067e2b19e2a11ad3b25874cad4a4ad3bbaa64ad1a",
-    "disc Lp(4,2)": "ce419bf64f4a95edb0a48be60cef8b6a3722bf6d3735ebcf5a8673141a078eb3",
-    "disc Mp(6,2)": "e30d5afc99f94ab695fda90f3a08e48338cb62e5dfdfda82c967ad6e1debe177",
-    "disc Lp(6,2)": "389030846f73fb901b8072b27d5ef254016cdec4ae06259b04860f0bd7fc62f8",
+    "catalog Mp(4,2)": "a92b22b66179bedef791b094381403ae1e7df869c6833fe23e11d0d8e766b563",
+    "catalog Lp(4,2)": "a08ee7bcc1afe98769ef36738377af3640ac90f6cac880f9e616c420750d9f9d",
+    "catalog Mp(6,2)": "ae2e1f8d5cbe623f9927474a2e47ffe07bd77b17f055de0664abf57d791822e8",
+    "catalog Lp(6,2)": "62d1e8598854c4912a358a0a17732370f312169e97e39d6227f5ae1b68c02c16",
+    "disc Mp(4,2)": "8846ffc0901287ab096daa96d5d4f194db29d581119220762d718782c764ef42",
+    "disc Lp(4,2)": "53a46117be18f7ac169e0e85015e0cd5f1a782db378a0a728a810f7b6cd598b8",
+    "disc Mp(6,2)": "ae57114effab5bcc015270225d5253b32a3655e4bb5cc47414a616294464fd6d",
+    "disc Lp(6,2)": "5d7241d5ecea9bddfc89c6725a74ed06eb5b2de83676072f4860f93ed38701d9",
 }
 
 
@@ -395,10 +398,11 @@ def test_index2_family_stdout_bytes_are_pinned(capsys, command):
 
 # stdout of `disc` and `genus` on the genus-level families (L/Lp, n >= 3),
 # which have no Gram: `family_genus` builds their genus from `omega_genus`.
-# The Lp form prints as <1/2d> followed by the normal-form blocks of the
+# The L form prints u(n) + q_{M_n} on the generators `discriminant_group`
+# gives M_n.  The Lp form prints as <1/2d> followed by the normal-form blocks of the
 # complement of u(n) (`genus_lemma_quotient`)
 GENUS_LEVEL_SHA256 = {
-    "disc L(6,3)": "5871e3054e238cda7508faceac654a27872c2436a358b82ede329f0458621b88",
+    "disc L(6,3)": "ffbe54c3cc5497151fc6ffb0bc67e90ba969e2b6af59e50887a8fe2bd8bc798b",
     "genus L(6,3)": "3cc3114c540455ea1f738278cc4155a8c85ecd393252c88040e09830fa2a2dfc",
     "disc Lp(6,3)": "d0675f184be3fb64546e1b2fa911a1f0218bb3a46f53f71dbd09607f8e6c1f4d",
     "genus Lp(6,3)": "840b7c8435f6eae78c77778d4f469049cd4c7415bd85f63a6367fc1777c79cbe",

@@ -32,7 +32,6 @@ from k3lat.intmat import (
     mat_vec,
     prime_factors,
     signature,
-    snf,
     transpose,
     xgcd,
 )
@@ -166,11 +165,23 @@ def test_hnf_row_properties(a):
     assert hnf_basis(h) == nz
 
 
-@settings(max_examples=120)
-@given(small_mats)
+@st.composite
+def wide_mats(draw):
+    """Matrices up to 6x6 with entries up to 10^4 in absolute value: on
+    some draws all multiples of a common factor, on some mostly zeros, so
+    that corners go negative, the corner fails to divide an entry, and a
+    non-unit corner meets a stray row."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = _wide_entries(draw)
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_mats, wide_mats()))
 def test_snf_properties(a):
-    d, v = snf(a)
-    _, u, _ = snf_with_transforms(a)
+    # the Smith form over Z of the oracle, against which local_snf and the
+    # saturation and kernel tests are read
+    d, u, v = snf_with_transforms(a)
     assert mat_mul(mat_mul(u, a), v) == d
     assert abs(det_gauss(u)) == 1
     assert abs(det_gauss(v)) == 1
@@ -185,24 +196,6 @@ def test_snf_properties(a):
             assert y % x == 0
         else:
             assert y == 0
-
-
-rect_mats = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
-    lambda mn: st.lists(
-        st.lists(st.integers(-9, 9), min_size=mn[1], max_size=mn[1]),
-        min_size=mn[0],
-        max_size=mn[0],
-    )
-)
-
-
-@settings(max_examples=150)
-@given(rect_mats)
-def test_snf_matches_transform_oracle(a):
-    # the left transform only followed the row operations: dropping it
-    # leaves D and V exactly as they were
-    d, _, v = snf_with_transforms(a)
-    assert snf(a) == (d, v)
 
 
 def _gl_conjugate(rng, gram, steps=40):
@@ -221,24 +214,13 @@ def _gl_conjugate(rng, gram, steps=40):
 @pytest.mark.parametrize("kind, d", [("L", 4), ("M", 8), ("Mp", 16), ("Lp", 16)])
 @pytest.mark.parametrize("seed", range(3))
 def test_snf_matches_transform_oracle_on_family_conjugates(kind, d, seed):
-    # 9x9 conjugates of the rank-9 family Grams, whose V entries run to
-    # hundreds of bits: the exact-division steps give the oracle's D and V
+    # local_snf on 9x9 conjugates of the rank-9 family Grams, whose Smith
+    # transforms over Z run to hundreds of bits, for each p | det
     rng = random.Random(f"snf:{kind}:{d}:{seed}")
     gram = k3lat.family_lattice(k3lat.FamilyDescriptor(kind, d, 2)).gram
     a = _gl_conjugate(rng, gram)
-    dd, _, v = snf_with_transforms(a)
-    assert snf(a) == (dd, v)
-
-
-@st.composite
-def wide_mats(draw):
-    """Matrices up to 6x6 with entries up to 10^4 in absolute value: on
-    some draws all multiples of a common factor, on some mostly zeros, so
-    that corners go negative, the corner fails to divide an entry, and a
-    non-unit corner meets a stray row."""
-    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    entry = _wide_entries(draw)
-    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for p in prime_factors(abs(det_int(a))):
+        assert_local_snf_matches_the_oracle(a, p)
 
 
 def _wide_entries(draw):
@@ -249,13 +231,6 @@ def _wide_entries(draw):
     if draw(st.booleans()):
         entry = st.one_of(st.just(0), entry)
     return entry
-
-
-@settings(max_examples=300, deadline=None)
-@given(wide_mats())
-def test_snf_matches_transform_oracle_on_wide_entries(a):
-    d, _, v = snf_with_transforms(a)
-    assert snf(a) == (d, v)
 
 
 def _valuation(x, p):
@@ -347,7 +322,7 @@ def test_kernel_is_exact_and_saturated(a):
         assert all(x == 0 for x in mat_vec(a, row))
     # saturation: SNF invariants of the kernel basis are all 1
     if k:
-        d, _ = snf(k)
+        d, _, _ = snf_with_transforms(k)
         assert all(d[i][i] == 1 for i in range(len(k)))
 
 

@@ -30,9 +30,10 @@ from k3lat.intmat import (
     det_int,
     freeze,
     hnf_basis,
+    local_snf,
     mat_mul,
+    prime_factors,
     signature,
-    snf,
     transpose,
 )
 from k3lat.lattice import (
@@ -59,6 +60,8 @@ from lattice_builders import rescale
 from rational_oracles import (
     discriminant_gram_frac,
     gram_in_basis_loops,
+    smith_gram_frac,
+    snf_with_transforms,
     solve_integral,
     symmetric_grams,
     unimodular_mats,
@@ -335,14 +338,21 @@ def test_discriminant_group_is_shared_by_equal_grams():
 
 @pytest.mark.parametrize("lat", DISC_CASES)
 def test_discriminant_lifts_are_columns_of_v_mod_their_order(lat):
+    # V is that of local_snf mod p^k, one per p^k exactly dividing det:
+    # the generators are its columns of order > 1, p ascending
     data = discriminant_group(lat)
     level = data.form.level
-    d, v = snf(lat.gram)
-    keep = [i for i in range(lat.rank) if d[i][i] > 1]
-    assert len(keep) == len(data.lifts)
-    for i, lift in zip(keep, data.lifts):
-        assert all(0 <= x < level for x in lift)
-        assert lift == tuple(level // d[i][i] * row[i] % level for row in v)
+    det = abs(lat.det)
+    orders, lifts = [], []
+    for p in prime_factors(det):
+        k = next(k for k in range(det.bit_length()) if det % p**(k + 1))
+        for o, col in zip(*local_snf(lat.gram, p, k)):
+            if o > 1:
+                orders.append(o)
+                lifts.append(tuple(level // o * (x % o) for x in col))
+    assert data.form.orders == tuple(orders)
+    assert data.lifts == tuple(lifts)
+    assert all(0 <= x < level for lift in data.lifts for x in lift)
 
 
 @st.composite
@@ -360,9 +370,10 @@ def _even_conjugate_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(_even_conjugate_pairs())
 def test_discriminant_form_matches_fraction_gram_oracle(pair):
-    # the integer table equals the Fraction Gram (V^T G V)_ij / d_i d_j of
-    # the same Smith form, on G and on a GL_n(Z) conjugate; the two forms
-    # are isomorphic
+    # the integer table equals the Fraction Gram (c_i^T G c_j) / d_i d_j of
+    # the same p-local Smith forms, on G and on a GL_n(Z) conjugate; the two
+    # forms are isomorphic, and so is the form on the generators of the
+    # Smith form over Z
     forms = []
     for g in pair:
         orders, gram = discriminant_gram_frac(g)
@@ -371,6 +382,8 @@ def test_discriminant_form_matches_fraction_gram_oracle(pair):
         assert q.q_gram == gram
         forms.append(q)
     assert forms_isomorphic(*forms) is not None
+    assert forms_isomorphic(forms[0], FiniteQuadraticForm.from_gram(
+        *smith_gram_frac(pair[0]))) is not None
 
 
 def test_discriminant_forms_known():
@@ -465,7 +478,7 @@ def test_saturation_and_primitivity():
     # mixed: index-2 sublattice of a plane
     emb = embedding_of(Z3, [[1, 1, 0], [1, -1, 0]])
     sat = saturation(emb)
-    d, _ = snf(sat.vectors)
+    d, _, _ = snf_with_transforms(sat.vectors)
     assert [d[i][i] for i in range(2)] == [1, 1]
     for r in emb.vectors:
         assert solve_integral(transpose(sat.vectors), r) is not None
@@ -487,7 +500,7 @@ def test_saturation_properties(rows):
     # same rational span: every input row solves in sat, ranks agree
     for r in rows:
         assert solve_integral(transpose(sat.vectors), r) is not None
-    d, _ = snf(sat.vectors)
+    d, _, _ = snf_with_transforms(sat.vectors)
     assert all(d[i][i] == 1 for i in range(len(sat.vectors)))
     assert saturation(sat).vectors == sat.vectors
     assert is_primitive(sat)
@@ -542,6 +555,19 @@ def test_radical_and_quotient():
     assert radical(U) == ()
     same, ident = quotient_by_radical(U)
     assert same == U and ident == ((1, 0), (0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_grams(min_rank=1))
+def test_quotient_by_radical_completes_the_radical(gram):
+    # the radical rows and the complement rows form a basis of Z^n, and
+    # the form on the complement is non-degenerate
+    lat = from_rows(gram)
+    rad = radical(lat)
+    q, comp = quotient_by_radical(lat)
+    assert abs(det_int(rad + comp)) == 1
+    assert q == sublattice(lat, comp)
+    assert q.rank == lat.rank - len(rad) and not q.is_degenerate
 
 
 # ---------------------------------------------------------------------------

@@ -403,27 +403,28 @@ def test_wrong_glue_results_are_refused_under_python_O():
 
 # A p-local Smith form that is not one: the kernel is made to drop a
 # generator, or to return a column whose lift is not in L*.  The checks on
-# its output are `require` calls, so each must raise under `python -O`.
+# its output are `require` calls, so each must raise under `python -O`, in
+# a genus and in the glue and `disc` paths, which read `discriminant_group`.
 _WRONG_LOCAL_SMITH = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from k3lat import overlattice
+from k3lat import lattice, overlattice
 from k3lat.catalog import named
-from k3lat.lattice import direct_sum
+from k3lat.lattice import direct_sum, discriminant_group
 
-local_snf = overlattice.local_snf
+local_snf = lattice.local_snf
 
 
-def attempt(label, lat, kernel):
-    overlattice.local_snf = kernel
+def attempt(label, run, kernel):
+    lattice.local_snf = kernel
     try:
-        overlattice.genus_of(lat)
+        run()
         print(label, "accepted")
     except ArithmeticError as exc:
         print(label, exc)
     finally:
-        overlattice.local_snf = local_snf
+        lattice.local_snf = local_snf
 
 
 def dropped(gram, p, k):
@@ -433,13 +434,16 @@ def dropped(gram, p, k):
 
 
 def moved(gram, p, k):
-    # every column gains e_0, whose image under the A2 Gram is not 0 mod 3
+    # every column gains e_0, whose image under the Grams of A(2) and A(5)
+    # has odd entries and entries prime to 3
     orders, cols = local_snf(gram, p, k)
     return orders, tuple((c[0] + 1,) + c[1:] for c in cols)
 
 
-attempt("dropped", direct_sum(named("U"), named("A(2)")), dropped)
-attempt("moved", named("A(2)"), moved)
+attempt("dropped", lambda: overlattice.genus_of(direct_sum(named("U"), named("A(2)"))), dropped)
+attempt("moved", lambda: overlattice.genus_of(named("A(2)")), moved)
+attempt("glue", lambda: overlattice.lemma_overlattice(4, 2, named("E8(-2)")), dropped)
+attempt("disc", lambda: discriminant_group(named("A(5)")), moved)
 """
 
 
@@ -454,6 +458,8 @@ def test_wrong_local_smith_forms_are_refused_under_python_O():
     assert done.stdout.splitlines() == [
         "dropped the 3-part of L*/L does not have order 3^1",
         "moved a lift of the 3-part of L*/L is not in L*",
+        "glue the 2-part of L*/L does not have order 2^8",
+        "disc a lift of the 2-part of L*/L is not in L*",
     ]
 
 

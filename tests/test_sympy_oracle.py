@@ -7,7 +7,7 @@ skipped when sympy is not installed.
 import pytest
 from hypothesis import given, settings
 
-from k3lat.intmat import det_int, hnf_basis, ldl_int, mat_mul, snf, transpose
+from k3lat.intmat import det_int, hnf_basis, ldl_int, local_snf, mat_mul, prime_factors, transpose
 from rational_oracles import conjugated_grams
 
 sympy = pytest.importorskip("sympy")
@@ -23,6 +23,17 @@ def sympy_hnf_basis(a):
     return [row[::-1] for row in w][::-1]
 
 
+def local_orders(a):
+    """local_snf's orders for each p | det, with k = v_p(det); {} when a
+    is singular."""
+    det = abs(det_int(a))
+    out = {}
+    for p in prime_factors(det) if det else ():
+        k = next(k for k in range(det.bit_length()) if det % p**(k + 1))
+        out[p] = local_snf(a, p, k)[0]
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(conjugated_grams())
 def test_det_snf_hnf_match_sympy(case):
@@ -30,14 +41,16 @@ def test_det_snf_hnf_match_sympy(case):
         n = len(a)
         m = sympy.Matrix(a)
         assert det_int(a) == m.det()
-        d, _ = snf(a)
+        # the p-local orders are the p-parts of sympy's invariant factors
         s = smith_normal_form(m, domain=sympy.ZZ)
-        assert [d[i][i] for i in range(n)] == [s[i, i] for i in range(n)]
+        for p, orders in local_orders(a).items():
+            want = [p**sympy.multiplicity(p, s[i, i]) for i in range(n)]
+            assert list(orders) == sorted(want)
         assert [list(row) for row in hnf_basis(a)] == sympy_hnf_basis(a)
     # conjugation keeps the determinant and the invariant factors
     g, h = case
     assert det_int(g) == det_int(h)
-    assert snf(g)[0] == snf(h)[0]
+    assert local_orders(g) == local_orders(h)
 
 
 @settings(max_examples=100, deadline=None)
