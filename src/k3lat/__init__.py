@@ -2,8 +2,8 @@
 overlattices, genus certification, the rank-9/rank-10 geometric models,
 and degree-2 isogeny towers.
 
-Everything is integer or rational arithmetic; nothing here uses floating
-point.  The command-line entry point lives in :mod:`k3lat.cli`.
+Everything is integer arithmetic, with a rational value held as an
+integer over a stated denominator; nothing here uses floating point.  The command-line entry point lives in :mod:`k3lat.cli`.
 """
 
 from .catalog import (

@@ -18,7 +18,6 @@ import inspect
 import json
 import sys
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -67,7 +66,7 @@ from .overlattice import (
     lemma_overlattice,
     unique_in_genus_by_length,
 )
-from .report import Check, check, entry, run
+from .report import Check, check, entry, ratio, run
 from .towers import cover_step, mukai_twisted_check, quotient_step, tower, tower_related
 
 SUITES = ("lemma", "theorem", "table", "x2", "un", "ue8", "towers", "mukai")
@@ -123,7 +122,7 @@ def _form_record(q: FiniteQuadraticForm) -> dict:
         "orders": list(q.orders),
         "invariants": list(group_invariants(q.orders)),
         "milgram": milgram_signature(q),
-        "q": [[str(x) for x in row] for row in q.q_gram],
+        "q": [[ratio(t, q.level) for t in row] for row in q.table],
     }
 
 
@@ -136,7 +135,7 @@ def _genus_record(g: GenusDescriptor) -> dict:
         "form": {
             "group": list(group_invariants(q.orders)),
             "milgram": milgram_signature(q),
-            "values": [[str(Fraction(v, q.level)), n] for v, n in value_counts(q)],
+            "values": [[ratio(v, q.level), n] for v, n in value_counts(q)],
         },
     }
 
@@ -182,7 +181,7 @@ def _lemma_un(n: int, d: int) -> list[dict]:
         {"det": z.det})
     second = check(
         f"lemma-disc-form-un-d{d}",
-        forms_isomorphic(g.disc, cyclic_block(2 * d, Fraction(1, 2 * d))) is not None,
+        forms_isomorphic(g.disc, cyclic_block(2 * d, 1)) is not None,
         f"the glue quotient has cyclic discriminant form of order {2 * d} "
         f"and value 1/{2 * d}",
         "the glue quotient has the wrong discriminant form")
@@ -205,7 +204,7 @@ def _lemma_e8(d: int) -> list[dict]:
         "rank-9 overlattice construction violated index or primitivity",
         {"det": z2.det})
     expected = sum_forms(
-        [cyclic_block(2 * d, Fraction(1, 2 * d))] + [u_block(2)] * 3)
+        [cyclic_block(2 * d, 1)] + [u_block(2)] * 3)
     return [first, check(
         f"lemma-disc-form-e8-d{d}",
         forms_isomorphic(g.disc, expected) is not None,

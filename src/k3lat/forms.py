@@ -4,12 +4,11 @@ A form lives on A = Z/d_1 x ... x Z/d_k and takes values q(x) in Q/2Z with
 associated pairing b(x, y) in Q/Z.  It is stored as integers only: over
 the level N = lcm(d_1, ..., d_k), an isomorphism invariant, its table holds
 N*q(e_i) mod 2N on the diagonal and N*b(e_i, e_j) mod N off it, and
-equality and hashing read that table.  Gram data as exact fractions
-(q-values in [0, 2), pairings in [0, 1)) enters in one place,
-`FiniteQuadraticForm.from_gram`; builders that change the level pass
-integers through `from_table`, which checks that the division is exact.
-`q_value`, `b_value` and `q_gram` turn results back into fractions for
-outside callers.
+equality and hashing read that table.  A value is always an integer over
+a stated denominator, never a `Fraction`: builders that change the level
+pass integers through `from_table`, which checks that the division is
+exact, and a printed value is `report.ratio` of a table entry and the
+level.
 
 Isomorphism and the Milgram signature read one normal form per form
 (`_normal_form`, cached), computed on generators, so its cost does not
@@ -52,7 +51,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
@@ -79,8 +77,7 @@ class SearchBudgetExceeded(RuntimeError):
 class FiniteQuadraticForm:
     """Finite quadratic form given by generator orders and its integer
     table over the level N = lcm(orders): N*q(e_i) mod 2N on the diagonal,
-    N*b(e_i, e_j) mod N off it.  Fraction Gram data enters only through
-    `from_gram`."""
+    N*b(e_i, e_j) mod N off it; a `Fraction` entry is a TypeError."""
 
     orders: tuple[int, ...]
     table: Mat
@@ -94,7 +91,7 @@ class FiniteQuadraticForm:
         if len(table) != k or any(len(r) != k for r in table):
             raise ValueError("Gram table shape does not match orders")
         if not all(type(t) is int for row in table for t in row):
-            raise TypeError("the table holds integers; use from_gram for a Fraction Gram")
+            raise TypeError("the table holds integers, not fractions")
         n = lcm(*self.orders)
         for i, di in enumerate(self.orders):
             t = table[i][i]
@@ -116,18 +113,6 @@ class FiniteQuadraticForm:
         object.__setattr__(self, "level", n)
 
     @classmethod
-    def from_gram(
-        cls, orders: Sequence[int], gram: Sequence[Sequence[Fraction | int]]
-    ) -> FiniteQuadraticForm:
-        """The form with Gram data as exact fractions: q-values in [0, 2)
-        on the diagonal, pairing values in [0, 1) off it."""
-        n = lcm(*orders)
-        scaled = [[Fraction(x) * n for x in row] for row in gram]
-        if any(v.denominator != 1 for row in scaled for v in row):
-            raise ValueError("Gram entry incompatible with generator orders")
-        return cls(tuple(orders), tuple(tuple(v.numerator for v in row) for row in scaled))
-
-    @classmethod
     def from_table(
         cls, orders: Sequence[int], table: Sequence[Sequence[int]], level: int
     ) -> FiniteQuadraticForm:
@@ -143,11 +128,6 @@ class FiniteQuadraticForm:
             for i, row in enumerate(scaled)))
 
     @property
-    def q_gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The table as fractions: q-values on the diagonal, pairings off it."""
-        return tuple(tuple(Fraction(t, self.level) for t in row) for row in self.table)
-
-    @property
     def rank(self) -> int:
         return len(self.orders)
 
@@ -157,12 +137,6 @@ class FiniteQuadraticForm:
 
     def elements(self) -> Iterator[Vec]:
         return itertools.product(*(range(o) for o in self.orders))
-
-    def q_value(self, x: Sequence[int]) -> Fraction:
-        return Fraction(self._q_int(x), self.level)
-
-    def b_value(self, x: Sequence[int], y: Sequence[int]) -> Fraction:
-        return Fraction(self._b_int(x, y), self.level)
 
     def _q_int(self, x: Sequence[int]) -> int:
         """N*q(x) mod 2N for any integer vector x."""
@@ -202,16 +176,17 @@ def trivial_form() -> FiniteQuadraticForm:
     return FiniteQuadraticForm((), ())
 
 
-def cyclic_block(order: int, value: Fraction | int) -> FiniteQuadraticForm:
-    """Cyclic form Z/order with q(generator) = value in Q/2Z."""
-    value = Fraction(value) % 2
+def cyclic_block(order: int, value: int) -> FiniteQuadraticForm:
+    """Cyclic form Z/order with q(generator) = value/order in Q/2Z: `value`
+    is the table entry order*q mod 2*order, so <1/2d> is
+    cyclic_block(2 * d, 1)."""
     if order < 1:
         raise ValueError("order must be positive")
     if order == 1:
         if value % 2:
             raise ValueError("nontrivial value on the trivial group")
         return trivial_form()
-    return FiniteQuadraticForm.from_gram((order,), ((value,),))
+    return FiniteQuadraticForm((order,), ((value % (2 * order),),))
 
 
 def u_block(n: int) -> FiniteQuadraticForm:

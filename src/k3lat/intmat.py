@@ -1,11 +1,11 @@
 """Exact linear algebra over Z for small dense matrices.
 
 Everything here runs on arbitrary-precision integers; there is
-deliberately no floating point anywhere, and no `Fraction` either.
+deliberately no floating point anywhere, and no rational type: a
+rational matrix or vector is an integer one over one denominator.
 The eliminations are fraction-free: Hermite forms by extended gcds, and
 determinants, LDL^T and adjugates by Bareiss elimination; a symmetric
-matrix gets its signature and determinant from one symmetric pass.  A
-rational matrix or vector is an integer one over one denominator:
+matrix gets its signature and determinant from one symmetric pass.
 `adjugate` gives the inverse as adj over det, and `fp_enumerate` takes
 the centre of its shell as an integer vector over `den`.  Its
 Fincke-Pohst recursion returns the vectors of one exact value, and takes
@@ -281,8 +281,8 @@ def local_snf(a: Sequence[Sequence[int]], p: int, k: int) -> tuple[Vec, Mat]:
 # Every elimination below runs on integers.  After k pivots of the one-step
 # scheme of Bareiss (1968, "Sylvester's identity and multistep
 # integer-preserving Gaussian elimination") each remaining entry is a minor
-# of order k + 1 of the input, so the division by the previous pivot is
-# exact; `require` checks that it is, also under `python -O`.
+# of order k + 1 of the input, by Sylvester's identity, so the division by
+# the previous pivot is exact and `//` loses nothing.
 
 
 def _bareiss_update(
@@ -290,12 +290,7 @@ def _bareiss_update(
 ) -> list[int]:
     """(p * row - f * pivot_row) / prev, entry by entry: one fraction-free
     elimination step of `row` against the pivot row, whose pivot is p."""
-    nums = [p * x - f * y for x, y in zip(row, pivot_row)]
-    if prev == 1:
-        return nums
-    require(not any(x % prev for x in nums),
-            "a fraction-free elimination step is not exact")
-    return [x // prev for x in nums]
+    return [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
 
 
 def _bareiss_step(a: list[list[int]], prev: int) -> list[list[int]]:
@@ -421,12 +416,6 @@ def ldl_int(gram: Sequence[Sequence[int]]) -> tuple[Vec, Mat]:
     return tuple(pivots), tuple(rows)
 
 
-def _div_exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    require(not r, f"{num} is not divisible by {den}")
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Inverting
 # ---------------------------------------------------------------------------
@@ -510,9 +499,11 @@ def fp_enumerate(
     scale = lcm(*(pm // gcd(pi, pm) for pi, pm in zip(p, prev)))
     big = lcm(*(pi // gcd(r, pi) for pi, row in zip(p, rows) for r in row[1:]))
     step = big * den
-    a = [_div_exact(pi * scale, pm) for pi, pm in zip(p, prev)]
+    # pm / gcd(pi, pm) divides scale, so pm divides pi * scale; likewise
+    # pi / gcd(r, pi) divides big, so pi divides r * big: both are exact
+    a = [pi * scale // pm for pi, pm in zip(p, prev)]
     # K_i = k0[i] + den * sum_{j>i} ll[i][j - i - 1] * x_j
-    ll = [[_div_exact(r * big, pi) for r in row[1:]] for pi, row in zip(p, rows)]
+    ll = [[r * big // pi for r in row[1:]] for pi, row in zip(p, rows)]
     k0 = [big * c + sum(map(mul, ll[i], cen[i + 1:])) for i, c in enumerate(cen)]
     top = value * scale * big * big
     if top < 0:

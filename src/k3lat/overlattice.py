@@ -23,7 +23,6 @@ Smith form is taken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
@@ -243,7 +242,7 @@ def _rank1_sum_genus(d: int, g_w: GenusDescriptor) -> GenusDescriptor:
     """Genus of <2d> + W from the genus of W: one more positive direction,
     and the form <1/2d> + q_W, in that order."""
     return GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus,
-                           sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), g_w.disc]))
+                           sum_forms([cyclic_block(2 * d, 1), g_w.disc]))
 
 
 def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescriptor:
@@ -269,4 +268,4 @@ def genus_lemma_quotient(d: int, m: int, g_w: GenusDescriptor) -> GenusDescripto
         return _rank1_sum_genus(d, g_w)
     _, rest = split_u_block(g_w.disc, m)
     return GenusDescriptor(g_w.sig_plus + 1, g_w.sig_minus,
-                           sum_forms([cyclic_block(2 * d, Fraction(1, 2 * d)), rest]))
+                           sum_forms([cyclic_block(2 * d, 1), rest]))

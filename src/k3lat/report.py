@@ -10,6 +10,7 @@ computed object get it from an lru_cache builder.
 from __future__ import annotations
 
 import time
+from math import gcd
 from typing import Callable, Iterable
 
 Check = tuple[str, Callable[[], list[dict]]]
@@ -21,6 +22,12 @@ def entry(check: str, status: str, detail: str, witness=None) -> dict:
 
 def check(name: str, ok: bool, detail_pass: str, detail_fail: str, witness=None) -> dict:
     return entry(name, "pass" if ok else "fail", detail_pass if ok else detail_fail, witness)
+
+
+def ratio(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms: "p/q", or "p" when den divides num."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)
 
 
 def run(checks: Iterable[Check]) -> list[tuple[dict, float]]:

@@ -23,7 +23,6 @@ depend on e.  `TowerNode` checks exactly these finite facts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -240,21 +239,24 @@ def mukai_twisted_check(m: int, d: int) -> list[dict]:
 
 
 class GaloisInvariants(NamedTuple):
-    chi_w: Fraction
-    h20_w: Fraction
-    h20_v: Fraction
-    h10: Fraction
+    chi_w: int
+    h20_w: int
+    h20_v: int
+    h10: int
 
 
 def galois_cover_invariants(d: int, ks: Sequence[int]) -> GaloisInvariants:
     """Euler characteristic and Hodge numbers of the degree-4 cover built
     from eight bisection multiplicities k_1..k_8 (each N_i + N_i' = k_i H
     with k_i >= 1): chi(W) = 4 + (d/2)(sum k_i)^2, h^(2,0) = chi(W) - 1,
-    h^(1,0) = 0.  As sum k_i >= 8, h^(2,0) >= 3 + 32d >= 35."""
+    h^(1,0) = 0.  As sum k_i >= 8, h^(2,0) >= 3 + 32d >= 35.  ValueError
+    when d (sum k_i)^2 is odd, as chi(W) is an integer."""
     ks = tuple(ks)
     if len(ks) != 8:
         raise ValueError("need exactly eight multiplicities")
     if any(k < 1 for k in ks) or d < 1:
         raise ValueError("multiplicities and the degree must be positive")
-    bulk = Fraction(d, 2) * sum(ks) ** 2
-    return GaloisInvariants(4 + bulk, 3 + bulk, 3 + bulk, Fraction(0))
+    bulk, odd = divmod(d * sum(ks) ** 2, 2)
+    if odd:
+        raise ValueError("d (sum k_i)^2 is odd, so chi(W) would not be an integer")
+    return GaloisInvariants(4 + bulk, 3 + bulk, 3 + bulk, 0)

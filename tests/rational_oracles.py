@@ -9,6 +9,12 @@ the Fraction Gram of the discriminant form that it built before forms
 kept integer tables only, and the Fraction inverse it had before
 rational matrices became integer rows over one denominator.  They are
 kept here, outside the package, as oracles for k3lat's routines.
+
+`from_gram`, `q_gram`, `q_value`, `b_value` and `cyclic` are the Fraction
+views of a finite quadratic form that the package no longer has: they
+read and build its integer table over the level, and `from_gram` builds
+through `FiniteQuadraticForm.from_table`, so its validation is the
+package's.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from math import gcd, lcm, prod
 
 from hypothesis import strategies as st
 
+from k3lat.forms import FiniteQuadraticForm, cyclic_block
 from k3lat.intmat import (
     adjugate,
     freeze,
@@ -30,6 +37,39 @@ from k3lat.intmat import (
     transpose,
     xgcd,
 )
+
+
+def from_gram(orders, gram):
+    """The form with Gram data as exact fractions: q-values on the
+    diagonal, pairings off it, written over the lcm of their denominators
+    for `FiniteQuadraticForm.from_table`."""
+    gram = [[Fraction(x) for x in row] for row in gram]
+    den = lcm(*(x.denominator for row in gram for x in row))
+    return FiniteQuadraticForm.from_table(
+        orders, [[x.numerator * (den // x.denominator) for x in row] for row in gram], den)
+
+
+def q_gram(q):
+    """The table of q as fractions: q-values on the diagonal, pairings off it."""
+    return tuple(tuple(Fraction(t, q.level) for t in row) for row in q.table)
+
+
+def q_value(q, x):
+    return Fraction(q._q_int(x), q.level)
+
+
+def b_value(q, x, y):
+    return Fraction(q._b_int(x, y), q.level)
+
+
+def cyclic(order, value):
+    """Cyclic form Z/order with q(generator) = value, a Fraction in Q/2Z:
+    `cyclic_block` of the table entry order * value.  ValueError when that
+    is not an integer."""
+    entry = Fraction(value) * order
+    if entry.denominator != 1:
+        raise ValueError("q-value incompatible with generator order")
+    return cyclic_block(order, entry.numerator)
 
 
 def signature_frac(gram):

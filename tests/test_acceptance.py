@@ -54,6 +54,7 @@ from k3lat.report import run
 from k3lat.towers import cover_step, mukai_twisted_check, tower, tower_related
 from form_oracles import quotient_form
 from glue_oracles import close_subgroup
+from rational_oracles import b_value, q_value
 from search_oracles import isotropic_subgroups
 
 
@@ -326,14 +327,14 @@ def _brute_isotropic(q, order):
     iso = [
         x
         for x in _elements(q)
-        if q.q_value(x) == 0 and order % q.element_order(x) == 0
+        if q_value(q, x) == 0 and order % q.element_order(x) == 0
     ]
     found = set()
     for r in (1, 2, 3):
         for gens in combinations(iso, r):
             h = close_subgroup(q, gens, order)
             if h is not None and len(h) == order:
-                if all(q.q_value(x) == 0 for x in h):
+                if all(q_value(q, x) == 0 for x in h):
                     found.add(h)
     return found
 
@@ -352,7 +353,7 @@ def _check_quotient(q, sub):
     perp = [
         x
         for x in _elements(q)
-        if all(q.b_value(x, g) == 0 for g in sub.elements)
+        if all(b_value(q, x, g) == 0 for g in sub.elements)
     ]
     assert len(perp) * sub.order == q.group_order
     cosets = {}
@@ -361,12 +362,12 @@ def _check_quotient(q, sub):
         cosets.setdefault(rep, []).append(x)
     assert len(cosets) * sub.order == len(perp)
     for rep, members in cosets.items():
-        assert len({q.q_value(x) for x in members}) == 1, "q not coset-constant"
+        assert len({q_value(q, x) for x in members}) == 1, "q not coset-constant"
     assert qq.group_order == len(cosets)
-    want_values = Counter(q.q_value(rep) for rep in cosets)
+    want_values = Counter(q_value(q, rep) for rep in cosets)
     want_orders = Counter(_coset_order(q, rep, h_set) for rep in cosets)
     qq_elems = _elements(qq)
-    assert Counter(qq.q_value(y) for y in qq_elems) == want_values
+    assert Counter(q_value(qq, y) for y in qq_elems) == want_values
     assert Counter(qq.element_order(y) for y in qq_elems) == want_orders
     assert milgram_signature(qq) == milgram_signature(q)
 
@@ -398,7 +399,7 @@ def _check_glue_words(config, n):
     q = _block_disc(config)[1].form
     listed = _cyclic_glue_codes(config, q, n)
     for y in listed:
-        assert q.element_order(y) == n and q.q_value(y) == 0
+        assert q.element_order(y) == n and q_value(q, y) == 0
     for h in _brute_isotropic(q, n):
         gens = [x for x in h if q.element_order(x) == n]
         assert not gens or any(_fold(config, x) in listed for x in gens), (config, n)

@@ -37,7 +37,6 @@ from k3lat.catalog import (
     resolve_name,
 )
 from k3lat.forms import (
-    FiniteQuadraticForm,
     _normal_form,
     cyclic_block,
     forms_isomorphic,
@@ -74,7 +73,14 @@ from glue_oracles import (
     transvection_orbits,
 )
 from lattice_builders import rescale
-from rational_oracles import discriminant_gram_frac, smith_gram_frac
+from rational_oracles import (
+    b_value,
+    discriminant_gram_frac,
+    from_gram,
+    q_gram,
+    q_value,
+    smith_gram_frac,
+)
 import search_oracles
 from search_oracles import is_isometric_definite, isotropic_subgroups
 from test_forms import assert_decides_like_the_search, assert_matches_closure_search, v_block
@@ -492,7 +498,7 @@ def test_catalog_forms_against_the_oracles():
 def _smith_form_oracle(lat):
     """The discriminant form on the generators of the whole Gram's Smith
     form over Z, from the Fraction oracle."""
-    return FiniteQuadraticForm.from_gram(*smith_gram_frac(lat.gram))
+    return from_gram(*smith_gram_frac(lat.gram))
 
 
 def test_genus_forms_are_the_discriminant_forms_on_the_catalog():
@@ -519,8 +525,8 @@ def test_catalog_discriminant_forms_match_the_fraction_gram_oracle():
         for g in (lat.gram, _conjugate(lat, seed).gram):
             orders, gram = discriminant_gram_frac(g)
             q = discriminant_form(IntegralLattice(g))
-            assert q == FiniteQuadraticForm.from_gram(orders, gram)
-            assert q.q_gram == gram
+            assert q == from_gram(orders, gram)
+            assert q_gram(q) == gram
 
 
 # The Mp/Lp(d,2) Grams as the glue gave them while `discriminant_group`
@@ -663,8 +669,8 @@ def test_root_sum_block_forms_match_their_lifts(n):
     pair = [[sum(x * lat.gram[r][c] * y for r, x in enumerate(u) for c, y in enumerate(v))
              for v in lifts] for u in lifts]
     gram = tuple(tuple(pair[i][j] % (2 if i == j else 1) for j in range(k)) for i in range(k))
-    assert data.form.q_gram == gram
-    assert data.form == FiniteQuadraticForm.from_gram(data.form.orders, gram)
+    assert q_gram(data.form) == gram
+    assert data.form == from_gram(data.form.orders, gram)
 
 
 # every 2-elementary form with integer values of rank at most 4
@@ -681,11 +687,11 @@ def brute_isometries(q):
     """O(q) by brute force: every tuple of generator images that keeps q
     and b and generates the group."""
     nonzero = [x for x in q.elements() if any(x)]
-    cands = [[y for y in nonzero if q.q_value(y) == q.q_value(e)] for e in unit_vectors(q)]
+    cands = [[y for y in nonzero if q_value(q, y) == q_value(q, e)] for e in unit_vectors(q)]
     out = []
     for images in itertools.product(*cands):
         if any(
-            q.b_value(images[i], images[j]) != q.q_gram[i][j]
+            b_value(q, images[i], images[j]) != q_gram(q)[i][j]
             for i in range(q.rank) for j in range(i)
         ):
             continue
@@ -717,7 +723,7 @@ def orbits(q, group):
 def q_classes(q, elements):
     classes = {}
     for x in elements:
-        classes.setdefault(q.q_value(x), []).append(x)
+        classes.setdefault(q_value(q, x), []).append(x)
     return list(classes.values())
 
 
@@ -796,7 +802,7 @@ def test_the_theorem_holds_for_every_d_by_one_check_per_n(n):
     assert rank >= 2 + ell
     for d in (2 * n, 2 * n * 7):
         lp = genus_lemma_quotient(d, n, og)
-        assert lp.disc == sum_forms([cyclic_block(2 * d, F(1, 2 * d)), rest])
+        assert lp.disc == sum_forms([cyclic_block(2 * d, 1), rest])
         assert genus_equal(lp, family_genus(FamilyDescriptor("M", d, n)))
 
 
@@ -884,13 +890,13 @@ def test_family_genus_level_for_higher_order():
     g = family_genus(FamilyDescriptor("L", 6, 3))
     assert (g.sig_plus, g.sig_minus) == (1, 12)
     target = sum_forms(
-        [cyclic_block(12, F(1, 12)), u_block(3), discriminant_form(build_Mn(3))]
+        [cyclic_block(12, 1), u_block(3), discriminant_form(build_Mn(3))]
     )
     assert forms_isomorphic(g.disc, target) is not None
     gp = family_genus(FamilyDescriptor("Lp", 6, 3))
     assert (gp.sig_plus, gp.sig_minus) == (1, 12)
     reduced = sum_forms(
-        [cyclic_block(12, F(1, 12)), discriminant_form(build_Mn(3))]
+        [cyclic_block(12, 1), discriminant_form(build_Mn(3))]
     )
     assert forms_isomorphic(gp.disc, reduced) is not None
 

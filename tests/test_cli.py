@@ -15,8 +15,10 @@ import k3lat
 from k3lat import cli
 from k3lat.catalog import FamilyDescriptor, family_lattice, omega_genus
 from k3lat.cli import main
-from k3lat.forms import FiniteQuadraticForm, forms_isomorphic
+from k3lat.forms import forms_isomorphic
 from k3lat.intmat import det_int, mat_mul, transpose
+from k3lat.report import ratio
+from rational_oracles import from_gram
 from test_acceptance import VERIFY_ALL_SHA256
 from test_overlattice import oracle_lemma_quotient
 
@@ -148,6 +150,13 @@ GENUS_LP42 = (
     '{"form":{"group":[2,2,2,2,2,2,8],"milgram":1,"values":[["0",71],'
     '["1/8",128],["1/2",72],["1",56],["9/8",128],["3/2",56]]},"sig":[1,8]}\n'
 )
+
+
+def test_ratio_prints_as_fraction_does():
+    # the one printer of a rational value, against the Fraction it replaced
+    for den in range(1, 41):
+        for num in range(-60, 61):
+            assert ratio(num, den) == str(Fraction(num, den)), (num, den)
 
 
 def test_disc_and_genus_stdout_bytes_are_pinned(capsys):
@@ -422,7 +431,7 @@ def test_printed_lp_form_is_the_subquotient_oracles(capsys, n):
     # isomorphic to H-perp/H taken by the oracle
     code, data, _ = run_json(capsys, "disc", f"Lp({2 * n},{n})")
     assert code == 0
-    printed = FiniteQuadraticForm.from_gram(
+    printed = from_gram(
         data["orders"], [[Fraction(x) for x in row] for row in data["q"]])
     assert (data["orders"][0], data["q"][0][0]) == (4 * n, f"1/{4 * n}")
     want = oracle_lemma_quotient(2 * n, n, omega_genus(n))

@@ -1,10 +1,14 @@
-"""Every module-level import of the package modules and the tests is read.
+"""Every module-level import of the package modules and the tests is read,
+and the package loads no rational type.
 
 The package's `__init__.py` imports names only to export them, so it is
 left out.  A name counts as read when the module loads it anywhere, as a
 bare name or as the base of an attribute."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +45,14 @@ def test_the_scan_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_module_level_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def test_the_cli_leaves_fractions_unloaded():
+    # a rational value is an integer over a stated denominator throughout
+    # the package, so a fresh interpreter that imports the command line
+    # never loads `fractions`
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, k3lat.cli; print('fractions' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr[-2000:]

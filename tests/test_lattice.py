@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import k3lat
 from k3lat.forms import (
-    FiniteQuadraticForm,
     SearchBudgetExceeded,
     cyclic_block,
     forms_isomorphic,
@@ -59,7 +58,9 @@ from k3lat.lattice import (
 from lattice_builders import rescale
 from rational_oracles import (
     discriminant_gram_frac,
+    from_gram,
     gram_in_basis_loops,
+    q_gram,
     smith_gram_frac,
     snf_with_transforms,
     solve_integral,
@@ -274,14 +275,14 @@ def check_discriminant_data(lat):
             for r in range(n)
             for s in range(n)
         )
-        assert form.q_gram[i][i] == qi % 2
+        assert q_gram(form)[i][i] == qi % 2
         for j in range(i):
             bij = sum(
                 lifts[i][r] * lat.gram[r][s] * lifts[j][s]
                 for r in range(n)
                 for s in range(n)
             )
-            assert form.q_gram[i][j] == bij % 1
+            assert q_gram(form)[i][j] == bij % 1
     # independence: subgroup generated in Q^n/Z^n has order |det|
     if k:
         den = 1
@@ -378,11 +379,11 @@ def test_discriminant_form_matches_fraction_gram_oracle(pair):
     for g in pair:
         orders, gram = discriminant_gram_frac(g)
         q = discriminant_form(from_rows(g))
-        assert q == FiniteQuadraticForm.from_gram(orders, gram)
-        assert q.q_gram == gram
+        assert q == from_gram(orders, gram)
+        assert q_gram(q) == gram
         forms.append(q)
     assert forms_isomorphic(*forms) is not None
-    assert forms_isomorphic(forms[0], FiniteQuadraticForm.from_gram(
+    assert forms_isomorphic(forms[0], from_gram(
         *smith_gram_frac(pair[0]))) is not None
 
 
@@ -394,15 +395,15 @@ def test_discriminant_forms_known():
         is not None
     )
     assert (
-        forms_isomorphic(discriminant_form(neg(A2)), cyclic_block(3, F(4, 3)))
+        forms_isomorphic(discriminant_form(neg(A2)), cyclic_block(3, 4))
         is not None
     )
     # <2d> and its negative: cyclic of order 2d with q = +-1/(2d)
     for d in (1, 2, 3, 5):
         qp = discriminant_form(from_rows([[2 * d]]))
         qm = discriminant_form(from_rows([[-2 * d]]))
-        assert forms_isomorphic(qp, cyclic_block(2 * d, F(1, 2 * d))) is not None
-        assert forms_isomorphic(qm, cyclic_block(2 * d, F(-1, 2 * d) % 2)) is not None
+        assert forms_isomorphic(qp, cyclic_block(2 * d, 1)) is not None
+        assert forms_isomorphic(qm, cyclic_block(2 * d, -1)) is not None
 
 
 def test_discriminant_form_of_doubled_even_unimodular():
@@ -678,15 +679,14 @@ import dataclasses
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from fractions import Fraction
 from k3lat import forms, lattice
 import search_oracles
 
 # A basis change T1 for the first form that sends its generator to 3
 # times its normal-basis image: an element of the same order with q-value
 # 9/8, not 1/8.
-q1 = forms.cyclic_block(8, Fraction(1, 8))
-q2 = forms.cyclic_block(8, Fraction(1, 8))
+q1 = forms.cyclic_block(8, 1)
+q2 = forms.cyclic_block(8, 1)
 normal_form = forms._normal_form
 forms._normal_form = lambda q: dataclasses.replace(
     normal_form(q), coords=tuple(tuple(3 * c for c in row) for row in normal_form(q).coords)

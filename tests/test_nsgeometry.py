@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -179,6 +180,22 @@ def test_half_sums_are_integral_classes():
 
 def test_verify_sections_report_is_clean():
     assert set(statuses(verify_sections()).values()) == {"pass"}
+
+
+def test_an_odd_section_sum_fails_with_the_halves_as_witness(monkeypatch):
+    # N1 moved by E1 makes the first coordinate of the section sum odd: the
+    # half-sum check fails, and its witness prints each half in lowest
+    # terms, "c/2" for an odd c, as str(Fraction(c, 2)) does
+    x2 = build_X2()
+    labels = dict(x2.labels, N1=vec_add(x2.vec("N1"), x2.vec("E1")))
+    monkeypatch.setattr(k3lat.nsgeometry, "build_X2",
+                        lambda: LabeledLattice(x2.lattice, labels, x2.relations))
+    total = [sum(c) for c in zip(*(labels[f"N{i}"] for i in range(1, 9)))]
+    assert total[0] % 2 == 1
+    (entry,) = [e for e in verify_sections() if e["check"] == "x2-even-set-halfsum"]
+    assert entry["status"] == "fail"
+    assert entry["witness"] == [str(Fraction(c, 2)) for c in total]
+    assert entry["witness"][0] == f"{total[0]}/2"
 
 
 def test_involution_tables():

@@ -48,7 +48,7 @@ from k3lat.overlattice import (
 )
 from form_oracles import quotient_form
 from lattice_builders import rescale
-from rational_oracles import glue_overlattice_by_solves, unimodular_mats
+from rational_oracles import b_value, glue_overlattice_by_solves, q_value, unimodular_mats
 from search_oracles import isotropic_subgroups
 
 U = from_rows([[0, 1], [1, 0]])
@@ -228,7 +228,7 @@ def test_lemma_glue_over_e8_minus_2():
     assert z.signature == (1, 8)
     assert z.det == 512
     assert z.is_even
-    target = sum_forms([cyclic_block(8, F(1, 8))] + [u_block(2)] * 3)
+    target = sum_forms([cyclic_block(8, 1)] + [u_block(2)] * 3)
     assert forms_isomorphic(discriminant_form(z), target) is not None
     assert emb.host == z
     assert emb.sub == w
@@ -243,7 +243,7 @@ def test_lemma_glue_order_3():
     assert z.rank == 5
     assert z.det * 9 == 12 * 9
     assert forms_isomorphic(
-        discriminant_form(z), cyclic_block(12, F(1, 12))
+        discriminant_form(z), cyclic_block(12, 1)
     ) is not None
     assert is_primitive(emb)
 
@@ -639,9 +639,9 @@ def test_conjugate_discriminant_forms_are_isomorphic(case):
     assert images is not None
     gens = [tuple(int(i == j) for j in range(q1.rank)) for i in range(q1.rank)]
     for i, (g, x) in enumerate(zip(gens, images)):
-        assert q2.q_value(x) == q1.q_value(g)
+        assert q_value(q2, x) == q_value(q1, g)
         for h, y in zip(gens[:i], images):
-            assert q2.b_value(x, y) == q1.b_value(g, h)
+            assert b_value(q2, x, y) == b_value(q1, g, h)
     assert genus_equal(genus_of(lat), genus_of(conj))
 
 
@@ -686,7 +686,7 @@ def oracle_lemma_quotient(d, m, g_w):
     u(m) pair (x, y) of `find_u_block`."""
     c = d // m
     x, y = find_u_block(g_w.disc, m)
-    q = sum_forms([cyclic_block(2 * d, F(1, 2 * d)), g_w.disc])
+    q = sum_forms([cyclic_block(2 * d, 1), g_w.disc])
     return quotient_form(q, (q.reduce((2 * c,) + tuple(a + c * b for a, b in zip(x, y))),))
 
 
@@ -711,7 +711,7 @@ def test_genus_quotient_order_3():
     w = direct_sum(A2, neg(A2))
     out = genus_lemma_quotient(6, 3, genus_of(w))
     assert (out.sig_plus, out.sig_minus) == (3, 2)
-    assert forms_isomorphic(out.disc, cyclic_block(12, F(1, 12))) is not None
+    assert forms_isomorphic(out.disc, cyclic_block(12, 1)) is not None
     z, _ = lemma_overlattice(6, 3, w)
     assert genus_equal(out, genus_of(z))
 
@@ -720,7 +720,7 @@ def test_genus_quotient_m1_is_identity():
     # m = 1 glues nothing: the genus of <2d> + W itself
     g_w = genus_of(neg(A2))
     out = genus_lemma_quotient(2, 1, g_w)
-    assert out == GenusDescriptor(1, 2, sum_forms([cyclic_block(4, F(1, 4)), g_w.disc]))
+    assert out == GenusDescriptor(1, 2, sum_forms([cyclic_block(4, 1), g_w.disc]))
     assert genus_equal(out, genus_of(direct_sum(from_rows([[4]]), neg(A2))))
 
 

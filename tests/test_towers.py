@@ -7,7 +7,6 @@ power-of-two answer is checked against the chain it summarizes.
 """
 
 import itertools
-from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -158,7 +157,7 @@ def test_storey_free_facts_hold():
 def test_q_n_that_is_not_its_own_negative_is_refused(monkeypatch):
     # <1/4> on Z/4: its negative has q = 7/4, another table
     monkeypatch.setattr(towers, "genus_of",
-                        lambda lat: SimpleNamespace(disc=cyclic_block(4, Fraction(1, 4))))
+                        lambda lat: SimpleNamespace(disc=cyclic_block(4, 1)))
     assert towers._storey_free_facts.__wrapped__() is False
     monkeypatch.setattr(towers, "_storey_free_facts", lambda: False)
     node = tower(1, 0)[0]
@@ -265,12 +264,14 @@ def test_galois_cover_invariants_values():
     inv = galois_cover_invariants(1, [1] * 8)
     assert inv == GaloisInvariants(36, 35, 35, 0)
     assert galois_cover_invariants(2, [1] * 8).chi_w == 68
-    # Non-uniform multiplicities, exact fraction arithmetic.
-    inv = galois_cover_invariants(1, (1, 1, 1, 1, 1, 1, 1, 2))
-    assert inv.chi_w == Fraction(89, 2)
-    assert inv.h20_w == inv.h20_v == Fraction(87, 2)
-    assert inv.h10 == 0
-    assert galois_cover_invariants(3, [2] * 8).h20_v == 3 + Fraction(3, 2) * 256
+    # Non-uniform multiplicities: d (sum k_i)^2 = 81 is odd, and chi(W) = 89/2
+    # is no Euler characteristic, so the data are refused.
+    with pytest.raises(ValueError):
+        galois_cover_invariants(1, (1, 1, 1, 1, 1, 1, 1, 2))
+    inv = galois_cover_invariants(1, (1, 1, 1, 1, 1, 1, 2, 2))
+    assert inv == GaloisInvariants(54, 53, 53, 0)
+    assert all(type(x) is int for x in inv)
+    assert galois_cover_invariants(3, [2] * 8).h20_v == 3 + 3 * 256 // 2
 
 
 def test_galois_cover_invariants_errors():
@@ -284,10 +285,31 @@ def test_galois_cover_invariants_errors():
         galois_cover_invariants(0, [1] * 8)
 
 
-@given(st.integers(1, 6), st.lists(st.integers(1, 5), min_size=8, max_size=8))
+_MULTIPLICITIES = st.lists(st.integers(1, 5), min_size=8, max_size=8)
+
+
+@st.composite
+def _cover_data(draw):
+    """(d, ks) with d (sum k_i)^2 even: the data of a cover."""
+    ks = draw(_MULTIPLICITIES)
+    return draw(st.integers(1, 6).filter(lambda d: d * sum(ks) % 2 == 0)), ks
+
+
+@given(_cover_data())
 @settings(max_examples=60, deadline=None)
-def test_galois_bound_holds(d, ks):
+def test_galois_bound_holds(data):
+    d, ks = data
     inv = galois_cover_invariants(d, ks)
     assert inv.h20_v >= 3 + 32 * d >= 35
     assert inv.chi_w - inv.h20_w == 1
     assert inv.h10 == 0
+
+
+@given(st.integers(1, 6), _MULTIPLICITIES)
+@settings(max_examples=60, deadline=None)
+def test_galois_invariants_refuse_exactly_the_odd_case(d, ks):
+    if d * sum(ks) ** 2 % 2:
+        with pytest.raises(ValueError):
+            galois_cover_invariants(d, ks)
+    else:
+        assert 2 * (galois_cover_invariants(d, ks).chi_w - 4) == d * sum(ks) ** 2
