@@ -40,9 +40,9 @@ from .forms import (
     group_invariants,
     length,
     milgram_signature,
+    normal_blocks,
     sum_forms,
     u_block,
-    value_counts,
 )
 from .evensets import find_even_sets
 from .lattice import (
@@ -127,15 +127,16 @@ def _form_record(q: FiniteQuadraticForm) -> dict:
 
 
 def _genus_record(g: GenusDescriptor) -> dict:
-    """Canonical isomorphism-invariant genus data: two genus-equal inputs
-    print the same bytes."""
+    """Canonical genus data: the signature, and the normal-form blocks
+    [p, k, kind, p^k*q over p^k] of the form, which `genus_equal` compares,
+    so two inputs print the same bytes exactly when they are in one genus."""
     q = g.disc
     return {
         "sig": [g.sig_plus, g.sig_minus],
         "form": {
+            "blocks": [[p, k, kind, ratio(v, p**k)] for p, k, kind, v in normal_blocks(q)],
             "group": list(group_invariants(q.orders)),
             "milgram": milgram_signature(q),
-            "values": [[ratio(v, q.level), n] for v, n in value_counts(q)],
         },
     }
 

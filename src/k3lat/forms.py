@@ -36,10 +36,10 @@ grow with |A|:
   (Nikulin 1979, sec. 1), but they need not pair up with another sum's
   blocks for the sums to be isomorphic.
 
-Value counts and u(m) summands are read off the normal form too, not off
-a walk over the group.  `_block_form` turns one entry of its key back into
-a form; `value_counts` (genus records) convolves the blocks' own value
-counts, and `split_u_block` reads the complement A' of a u(m) off the key
+Genus records and u(m) summands are read off the normal form too, not off
+a walk over the group.  `normal_blocks` gives its key, which the `genus`
+record prints block by block, and `split_u_block` reads the complement A'
+of a u(m) off the key, turns its entries back into forms (`_block_form`)
 and lets `forms_isomorphic` map u(m) plus A' onto the form.  A quotient
 of a form by an isotropic subgroup is not taken here: the one the package
 needs, the congruence lemma's, has a closed form in terms of A'
@@ -48,12 +48,10 @@ needs, the congruence lemma's, has a closed form in terms of A'
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .intmat import (
     Mat,
@@ -135,9 +133,6 @@ class FiniteQuadraticForm:
     def group_order(self) -> int:
         return prod(self.orders)
 
-    def elements(self) -> Iterator[Vec]:
-        return itertools.product(*(range(o) for o in self.orders))
-
     def _q_int(self, x: Sequence[int]) -> int:
         """N*q(x) mod 2N for any integer vector x."""
         t = self.table
@@ -153,17 +148,6 @@ class FiniteQuadraticForm:
                         s += 2 * row[j] * x[j]
                 total += s * xi
         return total % (2 * self.level)
-
-    def _b_int(self, x: Sequence[int], y: Sequence[int]) -> int:
-        """N*b(x, y) mod N for any integer vectors x and y."""
-        t = self.table
-        k = len(t)
-        total = 0
-        for i in range(k):
-            if x[i]:
-                row = t[i]
-                total += x[i] * sum(row[j] * y[j] for j in range(k) if y[j])
-        return total % self.level
 
     def element_order(self, x: Sequence[int]) -> int:
         return lcm(*(oi // gcd(oi, xi) for xi, oi in zip(x, self.orders)))
@@ -772,25 +756,12 @@ def milgram_signature(q: FiniteQuadraticForm) -> int:
     return sum(_block_signature(*block) for block in _normal_form(q).key) % 8
 
 
-def value_counts(q: FiniteQuadraticForm) -> tuple[tuple[int, int], ...]:
-    """Sorted (N*q mod 2N, count) over the nonzero elements.  The counts
-    of an orthogonal sum are its blocks' own value counts convolved under
-    + mod 2N, so the cost grows with the blocks' sizes times the number of
-    distinct values, not with |A|.  Raises ArithmeticError on a degenerate
-    form."""
-    n = q.level
-    counts = Counter({0: 1})
-    for block in _normal_form(q).key:
-        b = _block_form(*block)
-        s = n // b.level
-        own = Counter(b._q_int(x) * s for x in b.elements())
-        step: Counter[int] = Counter()
-        for v1, c1 in counts.items():
-            for v2, c2 in own.items():
-                step[(v1 + v2) % (2 * n)] += c1 * c2
-        counts = step
-    counts[0] -= 1  # zero
-    return tuple(sorted((v, c) for v, c in counts.items() if c))
+def normal_blocks(q: FiniteQuadraticForm) -> tuple[tuple[int, int, str, int], ...]:
+    """The key of q's normal form: one (p, k, kind, p^k*q) per block,
+    primes ascending and scales descending.  Two forms are isomorphic
+    exactly when their keys are equal (`forms_isomorphic`).  Raises
+    ArithmeticError on a degenerate form."""
+    return _normal_form(q).key
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,6 @@ class IntegralLattice:
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.rank > 0 and self.det == 0
-
     def norm(self, v: Sequence[int]) -> int:
         return self.pairing(v, v)
 

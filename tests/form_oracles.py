@@ -45,7 +45,7 @@ from k3lat.intmat import (
     require,
     vec_mat,
 )
-from rational_oracles import snf_with_transforms
+from rational_oracles import b_int, snf_with_transforms
 
 
 def _walk(
@@ -151,7 +151,7 @@ def walk_u_block(q: FiniteQuadraticForm, m: int) -> tuple[Vec, Vec]:
     target = q.level - q.level // m  # N*(-1/m) mod N
     for x in cands:
         for y in cands:
-            if y != x and q._b_int(x, y) == target:
+            if y != x and b_int(q, x, y) == target:
                 return x, y
     raise ValueError(f"no u({m}) block found")
 
@@ -526,7 +526,7 @@ def _form_on_subquotient(
 ) -> FiniteQuadraticForm:
     keep = [i for i, o in enumerate(orders) if o > 1]
     table = [
-        [q._q_int(lifts[a]) if a == b else q._b_int(lifts[a], lifts[b]) for b in keep]
+        [q._q_int(lifts[a]) if a == b else b_int(q, lifts[a], lifts[b]) for b in keep]
         for a in keep
     ]
     return FiniteQuadraticForm.from_table([orders[i] for i in keep], table, q.level)
@@ -537,7 +537,7 @@ def quotient_form(q: FiniteQuadraticForm, gens: Sequence[Vec]) -> FiniteQuadrati
     `gens`, which must be isotropic: q = 0 on each row and b = 0 on each
     pair, or ArithmeticError (q(x + y) = q(x) + q(y) + 2b(x, y))."""
     require(all(q._q_int(g) == 0 for g in gens)
-            and not any(q._b_int(g, h) for g, h in itertools.combinations(gens, 2)),
+            and not any(b_int(q, g, h) for g, h in itertools.combinations(gens, 2)),
             "the subgroup is not isotropic")
     perp = _orthogonal_lattice(q, gens)
     k = q.rank

@@ -18,13 +18,14 @@ from k3lat.forms import FiniteQuadraticForm, length
 from k3lat.intmat import Vec, require
 from k3lat.lattice import DiscriminantData, IntegralLattice, discriminant_form, root_count
 from k3lat.overlattice import _glue_overlattice, _lift_of
+from rational_oracles import elements
 from search_oracles import Subgroup, isotropic_subgroups
 
 
 def value_listing(q: FiniteQuadraticForm) -> tuple[tuple[Vec, int, int], ...]:
     """Every element x of q, zero included, as (x, order, N*q(x) mod 2N),
     in itertools.product order, each computed on its own."""
-    return tuple((x, q.element_order(x), q._q_int(x)) for x in q.elements())
+    return tuple((x, q.element_order(x), q._q_int(x)) for x in elements(q))
 
 
 def close_subgroup(

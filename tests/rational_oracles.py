@@ -14,11 +14,14 @@ kept here, outside the package, as oracles for k3lat's routines.
 views of a finite quadratic form that the package no longer has: they
 read and build its integer table over the level, and `from_gram` builds
 through `FiniteQuadraticForm.from_table`, so its validation is the
-package's.
+package's.  `elements`, a walk over the whole group, and `b_int`, the
+pairing as an integer over the level, are the integer views that the
+package no longer needs either.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -54,12 +57,29 @@ def q_gram(q):
     return tuple(tuple(Fraction(t, q.level) for t in row) for row in q.table)
 
 
+def elements(q):
+    """Every element of q's group, in itertools.product order."""
+    return itertools.product(*(range(o) for o in q.orders))
+
+
+def b_int(q, x, y):
+    """N*b(x, y) mod N for any integer vectors x and y, N the level."""
+    t = q.table
+    k = len(t)
+    total = 0
+    for i in range(k):
+        if x[i]:
+            row = t[i]
+            total += x[i] * sum(row[j] * y[j] for j in range(k) if y[j])
+    return total % q.level
+
+
 def q_value(q, x):
     return Fraction(q._q_int(x), q.level)
 
 
 def b_value(q, x, y):
-    return Fraction(q._b_int(x, y), q.level)
+    return Fraction(b_int(q, x, y), q.level)
 
 
 def cyclic(order, value):

@@ -25,6 +25,7 @@ from typing import Iterator
 from k3lat.forms import FiniteQuadraticForm, SearchBudgetExceeded
 from k3lat.intmat import Mat, Vec, freeze, require, transpose, vec_neg
 from k3lat.lattice import IntegralLattice, _definite_sign, gram_in_basis, short_vectors
+from rational_oracles import b_int
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +76,7 @@ def _isotropic_hnf(
             # must be isotropic and pair to zero with the rows below, as
             # q(x + y) = q(x) + q(y) + 2b(x, y)
             if h == d or (
-                q._q_int(row) == 0 and not any(q._b_int(row, r) for r in below)
+                q._q_int(row) == 0 and not any(b_int(q, row, r) for r in below)
             ):
                 yield from _isotropic_hnf(q, index // h, (row,) + below)
 

@@ -76,6 +76,7 @@ from lattice_builders import rescale
 from rational_oracles import (
     b_value,
     discriminant_gram_frac,
+    elements,
     from_gram,
     q_gram,
     q_value,
@@ -437,6 +438,35 @@ def test_wrong_m2_glue_is_rejected_on_the_lattice_under_python_O():
     assert done.stdout.splitlines() == ["[32]", "the glue for n=2 does not have 16 roots"]
 
 
+# omega_genus(2) checks its genus against that of E8(-2).  With that name
+# resolving to the unimodular E8(-1), whose form is trivial, the two genera
+# differ, and the check must raise, also when `python -O` strips asserts.
+_WRONG_E8 = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat import catalog
+named = catalog.named
+catalog.named = lambda name: named("E8(-1)" if name == "E8(-2)" else name)
+try:
+    catalog.omega_genus.__wrapped__(2)
+    print("accepted")
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_wrong_rank8_partner_is_rejected_under_python_O():
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _WRONG_E8],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["the rank-8 partner genus is not that of E8(-2)"]
+
+
 # ---------------------------------------------------------------------------
 # glue groups against the closure and transvection searches
 # ---------------------------------------------------------------------------
@@ -686,7 +716,7 @@ WITT_FORMS = {
 def brute_isometries(q):
     """O(q) by brute force: every tuple of generator images that keeps q
     and b and generates the group."""
-    nonzero = [x for x in q.elements() if any(x)]
+    nonzero = [x for x in elements(q) if any(x)]
     cands = [[y for y in nonzero if q_value(q, y) == q_value(q, e)] for e in unit_vectors(q)]
     out = []
     for images in itertools.product(*cands):
@@ -695,7 +725,7 @@ def brute_isometries(q):
             for i in range(q.rank) for j in range(i)
         ):
             continue
-        if len({apply(q, images, x) for x in q.elements()}) == q.group_order:
+        if len({apply(q, images, x) for x in elements(q)}) == q.group_order:
             out.append(images)
     return out
 
@@ -712,7 +742,7 @@ def orbits(q, group):
     """Orbits of the group on the nonzero elements, in element order."""
     out = []
     seen = set()
-    for x in q.elements():
+    for x in elements(q):
         if any(x) and x not in seen:
             orbit = {apply(q, g, x) for g in group}
             seen |= orbit
@@ -720,9 +750,9 @@ def orbits(q, group):
     return out
 
 
-def q_classes(q, elements):
+def q_classes(q, xs):
     classes = {}
-    for x in elements:
+    for x in xs:
         classes.setdefault(q_value(q, x), []).append(x)
     return list(classes.values())
 
@@ -730,7 +760,7 @@ def q_classes(q, elements):
 @pytest.mark.parametrize("name", WITT_FORMS)
 def test_isometry_orbits_are_the_q_classes(name):
     q = WITT_FORMS[name]
-    nonzero = [x for x in q.elements() if any(x)]
+    nonzero = [x for x in elements(q) if any(x)]
     classes = q_classes(q, nonzero)
     assert sorted(map(sorted, orbits(q, brute_isometries(q)))) == sorted(map(sorted, classes))
 
@@ -738,7 +768,7 @@ def test_isometry_orbits_are_the_q_classes(name):
 @pytest.mark.parametrize("name", [*WITT_FORMS, "N", "E8(-2)"])
 def test_transvection_orbits_lie_in_the_q_classes(name):
     q = WITT_FORMS[name] if name in WITT_FORMS else q_of(name)
-    nonzero = [x for x in q.elements() if any(x)]
+    nonzero = [x for x in elements(q) if any(x)]
     classes = q_classes(q, nonzero)
     per_class = [transvection_orbits(q, c) for c in classes]
     # an orbit that met two classes would get one representative in the
@@ -752,7 +782,7 @@ def test_transvection_orbits_lie_in_the_q_classes(name):
 
 def test_transvections_are_not_transitive_on_u2_u2():
     q = WITT_FORMS["u(2)+u(2)"]
-    nonzero = [x for x in q.elements() if any(x)]
+    nonzero = [x for x in elements(q) if any(x)]
     group = brute_isometries(q)
     assert len(group) == 72
     assert len(orbits(q, group)) == 2

@@ -2,21 +2,24 @@
 codes, and output determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 import k3lat
 from k3lat import cli
-from k3lat.catalog import FamilyDescriptor, family_lattice, omega_genus
+from k3lat.catalog import FamilyDescriptor, family_genus, family_lattice, omega_genus
 from k3lat.cli import main
 from k3lat.forms import forms_isomorphic
 from k3lat.intmat import det_int, mat_mul, transpose
+from k3lat.overlattice import genus_equal
 from k3lat.report import ratio
 from rational_oracles import from_gram
 from test_acceptance import VERIFY_ALL_SHA256
@@ -135,10 +138,10 @@ def test_genus_records_of_equal_genera_are_byte_identical(capsys):
     assert data["form"]["group"] == [2, 2, 2, 2, 2, 2, 8]
 
 
-# stdout of the only commands that print form values; the genus record
-# was recorded before the form values moved from Fraction to integers over
-# the level, and the disc record when `disc` moved to the p-primary
-# generators of the p-local Smith forms
+# stdout of the only commands that print form values; the disc record was
+# recorded when `disc` moved to the p-primary generators of the p-local
+# Smith forms, and the genus record when it came to print the normal-form
+# blocks
 DISC_M42 = (
     '{"invariants":[2,2,2,2,2,2,8],"milgram":1,"orders":[2,2,2,2,2,2,8],'
     '"q":[["1","1/2","0","0","0","0","0"],["1/2","1","0","0","0","0","0"],'
@@ -147,8 +150,8 @@ DISC_M42 = (
     '["0","0","0","0","0","0","1/8"]]}\n'
 )
 GENUS_LP42 = (
-    '{"form":{"group":[2,2,2,2,2,2,8],"milgram":1,"values":[["0",71],'
-    '["1/8",128],["1/2",72],["1",56],["9/8",128],["3/2",56]]},"sig":[1,8]}\n'
+    '{"form":{"blocks":[[2,3,"w","1/8"],[2,1,"u","0"],[2,1,"u","0"],[2,1,"u","0"]],'
+    '"group":[2,2,2,2,2,2,8],"milgram":1},"sig":[1,8]}\n'
 )
 
 
@@ -165,7 +168,7 @@ def test_disc_and_genus_stdout_bytes_are_pinned(capsys):
 
 
 # a storey of the M tower above the old tabulation cap of 10^6 elements
-GENUS_M8192_SHA256 = "47ce22effa40727d5810ad5067d14c6cbf9508a0975bc116e5098a3594e9fd0f"
+GENUS_M8192_SHA256 = "ad9c765a46c874d7490e05d1c3dd7886b7ea6a62a1baeaaaf818f6113ff881e8"
 
 
 def test_genus_of_a_high_tower_storey_is_pinned(capsys, tmp_path):
@@ -174,7 +177,8 @@ def test_genus_of_a_high_tower_storey_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out.encode()).hexdigest() == GENUS_M8192_SHA256
     data = json.loads(out)
     assert data["form"]["group"] == [2, 2, 2, 2, 2, 2, 16384]
-    assert sum(n for _, n in data["form"]["values"]) == 2**20 - 1
+    assert prod(p**k * (1 if kind == "w" else p**k)
+                for p, k, kind, _ in data["form"]["blocks"]) == 2**20
     # the same lattice in another basis: u is unimodular (transvections)
     gram = family_lattice(FamilyDescriptor("M", 8192, 2)).gram
     u = [[int(i == j) for j in range(9)] for i in range(9)]
@@ -186,6 +190,42 @@ def test_genus_of_a_high_tower_storey_is_pinned(capsys, tmp_path):
     moved = tmp_path / "m8192.json"
     moved.write_text(json.dumps([list(r) for r in mat_mul(mat_mul(u, gram), transpose(u))]))
     assert run(capsys, "genus", str(moved)) == (0, out, "")
+
+
+# groups too large to walk element by element: |A| = 2^23, and a Gram of
+# prime determinant 10 000 019
+GENUS_M65536 = (
+    '{"form":{"blocks":[[2,17,"w","1/131072"],[2,1,"u","0"],[2,1,"u","0"],[2,1,"u","0"]],'
+    '"group":[2,2,2,2,2,2,131072],"milgram":1},"sig":[1,8]}\n'
+)
+GENUS_PRIME_DET = (
+    '{"form":{"blocks":[[10000019,1,"w","2/10000019"]],"group":[10000019],"milgram":2},'
+    '"sig":[2,0]}\n'
+)
+
+
+def test_genus_of_a_large_group_is_pinned(capsys, tmp_path):
+    assert run(capsys, "genus", "M(65536,2)") == (0, GENUS_M65536, "")
+    f = tmp_path / "prime.json"
+    f.write_text("[[2, 1], [1, 5000010]]")
+    assert run(capsys, "genus", str(f)) == (0, GENUS_PRIME_DET, "")
+
+
+def test_genus_records_are_equal_exactly_when_genus_equal_is():
+    # every family kind with n = 2 and d <= 32, and with n = 3..8 and
+    # d = 2n, 4n, 6n: 150 families, 34 pairs of them in one genus
+    families = [FamilyDescriptor(kind, d, 2) for d in range(1, 33)
+                for kind in ("L", "Lp", "M", "Mp") if d % 2 == 0 or kind in ("L", "M")]
+    families += [FamilyDescriptor(kind, d, n) for n in range(3, 9)
+                 for d in (2 * n, 4 * n, 6 * n) for kind in ("L", "Lp", "M")]
+    genera = [family_genus(f) for f in families]
+    records = [cli._dumps(cli._genus_record(g)) for g in genera]
+    equal = 0
+    for (g1, r1), (g2, r2) in itertools.combinations(zip(genera, records), 2):
+        same = genus_equal(g1, g2)
+        assert same == (r1 == r2), (r1, r2)
+        equal += same
+    assert (len(families), equal) == (150, 34)
 
 
 def test_genus_of_degenerate_input_rejected(capsys, tmp_path):
@@ -412,9 +452,9 @@ def test_index2_family_stdout_bytes_are_pinned(capsys, command):
 # complement of u(n) (`genus_lemma_quotient`)
 GENUS_LEVEL_SHA256 = {
     "disc L(6,3)": "ffbe54c3cc5497151fc6ffb0bc67e90ba969e2b6af59e50887a8fe2bd8bc798b",
-    "genus L(6,3)": "3cc3114c540455ea1f738278cc4155a8c85ecd393252c88040e09830fa2a2dfc",
+    "genus L(6,3)": "354d4d6327aab82d4c04e8ffd4d57f6072cc5ba94a3edb864fe7ebe0faeb4452",
     "disc Lp(6,3)": "d0675f184be3fb64546e1b2fa911a1f0218bb3a46f53f71dbd09607f8e6c1f4d",
-    "genus Lp(6,3)": "840b7c8435f6eae78c77778d4f469049cd4c7415bd85f63a6367fc1777c79cbe",
+    "genus Lp(6,3)": "0545b83f71ea9aca78540337e3dd813b966ac15dcf58ac0b503259bab5c30603",
 }
 
 

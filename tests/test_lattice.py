@@ -78,6 +78,10 @@ def neg(lat):
     return rescale(lat, -1)
 
 
+def is_degenerate(lat):
+    return lat.rank > 0 and lat.det == 0
+
+
 # ---------------------------------------------------------------------------
 # Coordinate-model oracle for the positive even unimodular rank-8 lattice
 # ---------------------------------------------------------------------------
@@ -232,8 +236,8 @@ def test_rescale_must_stay_even():
 
 def test_degenerate_flags():
     d = from_rows([[2, 2], [2, 2]])
-    assert d.is_degenerate and d.det == 0
-    assert not U.is_degenerate
+    assert is_degenerate(d) and d.det == 0
+    assert not is_degenerate(U)
     with pytest.raises(ValueError):
         discriminant_group(d)
 
@@ -512,7 +516,7 @@ def test_orthogonal_complement_basic():
     comp = orthogonal_complement(embedding_of(lat, [(1, 0, 0)]))
     # (1,0,0) pairs via U: x . (1,0,0) = x_2; complement is x_2 = 0
     assert comp.vectors == ((1, 0, 0), (0, 0, 1))
-    assert comp.sub.is_degenerate  # (1,0,0) is isotropic and survives
+    assert is_degenerate(comp.sub)  # (1,0,0) is isotropic and survives
     comp2 = orthogonal_complement(embedding_of(lat, [(0, 0, 1)]))
     assert comp2.vectors == ((1, 0, 0), (0, 1, 0))
     assert comp2.sub == U
@@ -550,7 +554,7 @@ def test_radical_and_quotient():
     rad = radical(d)
     assert rad == ((1, -1, 0),)
     q, comp = quotient_by_radical(d)
-    assert not q.is_degenerate
+    assert not is_degenerate(q)
     assert q.rank == 2
     assert abs(q.det) == 8
     assert radical(U) == ()
@@ -568,7 +572,7 @@ def test_quotient_by_radical_completes_the_radical(gram):
     q, comp = quotient_by_radical(lat)
     assert abs(det_int(rad + comp)) == 1
     assert q == sublattice(lat, comp)
-    assert q.rank == lat.rank - len(rad) and not q.is_degenerate
+    assert q.rank == lat.rank - len(rad) and not is_degenerate(q)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,7 @@ def test_lemma_glue_is_the_lp_family_glue(d):
 
 
 _CORRUPT_GLUE = """
+import itertools
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
@@ -315,7 +316,8 @@ attempt("primed", lambda: _primed_model(named("N")), order_10)
 # both lifts replaced by that of an element of order 2 with q = 1: the
 # glue keeps order 2, but its q-value is 1
 qw = discriminant_form(named("E8(-2)"))
-odd = next(x for x in qw.elements() if qw._q_int(x) == qw.level)
+odd = next(x for x in itertools.product(*map(range, qw.orders))
+           if qw._q_int(x) == qw.level)
 attempt("isotropy", lemma(named("E8(-2)")), lambda disc, coords: lift_of(disc, odd))
 """
 
@@ -469,6 +471,7 @@ def test_wrong_local_smith_forms_are_refused_under_python_O():
 # 3.  The order check is a `require`, so the glue must be refused under
 # `python -O`, in the lemma and in a direct call alike.
 _WRONG_ORDER_PAIR = """
+import itertools
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
@@ -478,7 +481,7 @@ from k3lat.lattice import from_rows
 
 w = named("E8(-2)")
 q = overlattice.discriminant_group(w).form
-x = next(x for x in q.elements() if any(x))
+x = next(x for x in itertools.product(*map(range, q.orders)) if any(x))
 overlattice.find_u_block = lambda form, m: (x, (0,) * form.rank)
 for label, build in (("lemma", lambda: overlattice.lemma_overlattice(6, 3, w)),
                      ("direct", lambda: overlattice._glue_one(from_rows([[2]]), (1,), w, 3, 1))):

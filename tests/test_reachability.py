@@ -12,7 +12,12 @@ module's definition.  The roots are:
 - what `k3bench/` runs: the functions that `k3bench/spans.py` traces, and
   the names that `k3bench/worker.py` imports from `k3lat`.
 A definition that no root reaches has only tests as callers: it goes, or it
-moves to `tests/`."""
+moves to `tests/`.
+
+Methods and properties are matched by name alone: one that is defined in a
+class of `src/k3lat` is reached when some attribute read in `src/k3lat` or
+`k3bench/*.py` has its name, whatever the object.  Dunders are called by
+Python itself, and are left out."""
 
 import ast
 import symtable
@@ -91,6 +96,20 @@ def unreached(sources: dict[str, str], roots: set[tuple[str, str]]) -> dict[str,
     return {f"{m}.{n}": lines[m, n] for m, n in sorted(defs.keys() - seen)}
 
 
+def unread_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Methods and properties, as "module.Class.name", of the classes in
+    `sources` whose name no attribute read in `readers` has; dunders aside."""
+    reads = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(
+        f"{module}.{cls.name}.{node.name}"
+        for module, source in sources.items()
+        for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in reads
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def benchmark_roots() -> set[tuple[str, str]]:
     """The (module, name) pairs that `k3bench/` traces or imports."""
     exports = _relative_imports(ast.parse((PACKAGE / "__init__.py").read_text()))
@@ -130,3 +149,22 @@ def test_every_definition_has_a_product_caller():
     tests_only = sorted(found.keys() - UNCERTIFIED.keys())
     assert not tests_only, f"only tests reach {', '.join(tests_only)}"
     assert sorted(found) == sorted(UNCERTIFIED)  # no stale allowance
+
+
+def test_the_method_scan_reads_attribute_loads():
+    source = ("class K:\n"
+              "    def __init__(self):\n        self.stored = 0\n"
+              "    def used(self):\n        return self.helper()\n"
+              "    def helper(self):\n        return 1\n"
+              "    @property\n    def size(self):\n        return 2\n"
+              "    def stored(self):\n        return 3\n")
+    # a store is not a read, and a read in another file counts
+    assert unread_methods({"a": source}, [source]) == ["a.K.size", "a.K.stored", "a.K.used"]
+    assert unread_methods({"a": source}, [source, "k.size\nk.used()\n"]) == ["a.K.stored"]
+
+
+def test_every_method_has_a_product_reader():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [*sources.values(), *(p.read_text() for p in sorted((ROOT / "k3bench").glob("*.py")))]
+    unread = unread_methods(sources, readers)
+    assert not unread, f"only tests read {', '.join(unread)}"
