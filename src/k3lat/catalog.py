@@ -22,7 +22,6 @@ g/2 + x + (d/2)y for the u(2) pair (x, y) of q_W that `find_u_block` gives.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, lcm, prod
@@ -34,7 +33,7 @@ from .forms import (
     sum_forms,
     u_block,
 )
-from .intmat import Vec, adjugate, freeze, require, vec_scale
+from .intmat import Record, Vec, adjugate, freeze, require, vec_scale
 from .lattice import (
     DiscriminantData,
     IntegralLattice,
@@ -279,19 +278,17 @@ def omega_genus(n: int) -> GenusDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(Record):
     """One of the rank-(1 + rank M_n) family classes.
 
     kind L = <2d> + (negative partner of M_n); Lp = its index-n overlattice;
     kind M = <2d> + M_n; Mp = the index-2 overlattice of M (n = 2 only).
     """
 
-    kind: str
-    d: int
-    n: int
+    __slots__ = _repr = ("kind", "d", "n")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: str, d: int, n: int) -> None:
+        self._fill(kind=kind, d=d, n=n)
         if self.kind not in ("L", "Lp", "M", "Mp"):
             raise ValueError(f"unknown family kind {self.kind!r}")
         if self.d < 1:
@@ -380,11 +377,12 @@ def family_genus(f: FamilyDescriptor) -> GenusDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MembershipFlags:
-    covers_K3: bool
-    covered_by_K3: bool
-    matches: tuple[FamilyDescriptor, ...]
+class MembershipFlags(Record):
+    __slots__ = _repr = ("covers_K3", "covered_by_K3", "matches")
+
+    def __init__(self, covers_K3: bool, covered_by_K3: bool,
+                 matches: tuple[FamilyDescriptor, ...]) -> None:
+        self._fill(covers_K3=covers_K3, covered_by_K3=covered_by_K3, matches=matches)
 
 
 def membership_classification(ns: IntegralLattice) -> MembershipFlags:

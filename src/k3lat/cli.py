@@ -14,7 +14,6 @@ No check runs a budgeted search, so none is inconclusive.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from collections import Counter
@@ -147,7 +146,8 @@ def _genus_record(g: GenusDescriptor) -> dict:
 
 
 # A suite function checks its parameters and returns its named checks; its
-# keyword parameters are the verify options it reads.  cmd_verify calls every
+# keyword-only parameters, each with a default, are the verify options it
+# reads, and cmd_verify finds them in `__kwdefaults__`.  cmd_verify calls every
 # suite function before any check runs, so unusable parameters exit 2 with
 # nothing printed.  Each docstring gives the suite's row of the README table:
 # the claim and, after "all:", what `verify all` runs, all of it or a sample.
@@ -391,7 +391,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    given = {opt: v for fn in _SUITE_FN.values() for opt in inspect.signature(fn).parameters
+    given = {opt: v for fn in _SUITE_FN.values() for opt in fn.__kwdefaults__ or {}
              if (v := getattr(args, opt)) is not None}
     if args.suite == "all" and "d" in given:
         raise ValueError("verify all does not read --d: lemma and theorem read it as "
@@ -400,7 +400,7 @@ def cmd_verify(args) -> int:
     checks = []
     for name in names:
         # `all` hands each suite the options it reads; one named suite reads all
-        reads = inspect.signature(_SUITE_FN[name]).parameters
+        reads = _SUITE_FN[name].__kwdefaults__ or {}
         unread = [f"--{opt}" for opt in given if opt not in reads]
         if unread and args.suite != "all":
             raise ValueError(f"verify {name} does not read {', '.join(unread)}")

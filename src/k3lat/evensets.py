@@ -11,7 +11,6 @@ shape S whose differences have norm -4 and whose sum lies in 2W.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations, product
 from operator import and_
@@ -19,6 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 from .intmat import (
     Mat,
+    Record,
     Vec,
     adjugate,
     det_int,
@@ -170,7 +170,7 @@ def _section_frame(lat: IntegralLattice, e: Vec, o: Vec) -> tuple[IntegralLattic
     require(len(basis) == lat.rank and det_int(basis) in (1, -1),
             "the frame W + <E, O> is not a basis of the lattice")
     g = gram_in_basis(lat, basis)
-    w = IntegralLattice(freeze(row[:-2] for row in g[:-2]))
+    w = IntegralLattice(row[:-2] for row in g[:-2])
     require(g == direct_sum(w, from_rows(((0, 1), (1, -2)))).gram,
             "the frame Gram is not W + [[0, 1], [1, -2]]")
     return w, basis, inv_unimodular(basis)
@@ -290,8 +290,7 @@ def _box_fits(gram: Mat, e: Vec, bound: int, cands: Sequence[Vec],
     return fits
 
 
-@dataclass(frozen=True, eq=False)
-class EvenSets:
+class EvenSets(Record):
     """The even sets of one bounded search, held as one anchor bit mask
     per even shape.
 
@@ -315,21 +314,18 @@ class EvenSets:
     the even shapes as sorted indices into `roots`.
     """
 
-    lattice: IntegralLattice
-    e: Vec
-    bound: int
-    cands: tuple[Vec, ...] = field(repr=False)
-    functional: Vec = field(repr=False)
-    roots: tuple[Vec, ...] = field(repr=False)
-    shapes: tuple[tuple[int, ...], ...] = field(repr=False)
-    masks: tuple[int, ...] = field(init=False, repr=False)
-    _keys: tuple[int, ...] = field(init=False, repr=False)
-    _at: dict[int, int] = field(init=False, repr=False)
-    _root_keys: tuple[int, ...] = field(init=False, repr=False)
-    _root_at: dict[int, int] = field(init=False, repr=False)
-    _shape_of: dict[tuple[int, ...], int] = field(init=False, repr=False)
+    _repr = ("lattice", "e", "bound")
+    __slots__ = (*_repr, "cands", "functional", "roots", "shapes",
+                 "masks", "_keys", "_at", "_root_keys", "_root_at", "_shape_of")
+    # compared by identity, as one search's result
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, lattice: IntegralLattice, e: Vec, bound: int, cands: tuple[Vec, ...],
+                 functional: Vec, roots: tuple[Vec, ...],
+                 shapes: tuple[tuple[int, ...], ...]) -> None:
+        self._fill(lattice=lattice, e=e, bound=bound, cands=cands, functional=functional,
+                   roots=roots, shapes=shapes)
         keys = tuple(dot(v, self.functional) for v in self.cands)
         root_keys = tuple(dot(r, self.functional) for r in self.roots)
         # bit i of fits[j]: cands[i] + roots[j] is a section, for the roots

@@ -48,13 +48,13 @@ needs, the congruence lemma's, has a closed form in terms of A'
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .intmat import (
     Mat,
+    Record,
     Vec,
     freeze,
     mat_mul,
@@ -71,27 +71,28 @@ class SearchBudgetExceeded(RuntimeError):
     benchmark worker (k3bench/worker.py) still imports it."""
 
 
-@dataclass(frozen=True)
-class FiniteQuadraticForm:
+class FiniteQuadraticForm(Record):
     """Finite quadratic form given by generator orders and its integer
     table over the level N = lcm(orders): N*q(e_i) mod 2N on the diagonal,
-    N*b(e_i, e_j) mod N off it; a `Fraction` entry is a TypeError."""
+    N*b(e_i, e_j) mod N off it; a `Fraction` entry is a TypeError.  Both
+    are stored as tuples; `level` is N, left out of `==`, the hash and
+    `repr`."""
 
-    orders: tuple[int, ...]
-    table: Mat
-    level: int = field(init=False, repr=False, compare=False)
+    _repr = ("orders", "table")
+    __slots__ = (*_repr, "level")
 
-    def __post_init__(self) -> None:
-        k = len(self.orders)
-        if any(o < 2 for o in self.orders):
+    def __init__(self, orders: Sequence[int], table: Sequence[Sequence[int]]) -> None:
+        orders = tuple(orders)
+        k = len(orders)
+        if any(o < 2 for o in orders):
             raise ValueError("generator orders must be >= 2")
-        table = freeze(self.table)
+        table = freeze(table)
         if len(table) != k or any(len(r) != k for r in table):
             raise ValueError("Gram table shape does not match orders")
         if not all(type(t) is int for row in table for t in row):
             raise TypeError("the table holds integers, not fractions")
-        n = lcm(*self.orders)
-        for i, di in enumerate(self.orders):
+        n = lcm(*orders)
+        for i, di in enumerate(orders):
             t = table[i][i]
             if not 0 <= t < 2 * n:
                 raise ValueError("diagonal entries must lie in [0, 2)")
@@ -105,10 +106,19 @@ class FiniteQuadraticForm:
                     raise ValueError("Gram table must be symmetric")
                 if not 0 <= s < n:
                     raise ValueError("pairing entries must lie in [0, 1)")
-                if (s * di) % n or (s * self.orders[j]) % n:
+                if (s * di) % n or (s * orders[j]) % n:
                     raise ValueError("pairing incompatible with generator orders")
+        object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "level", n)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.orders == other.orders and self.table == other.table
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.orders, self.table))
 
     @classmethod
     def from_table(
@@ -631,17 +641,18 @@ def _normal_odd(fr: _Frame, levels: dict[int, list[Block]]) -> None:
         levels[k] = [("w", (x,)) for x in xs]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """A form's normal form: `key` lists its blocks (p, k, kind, p^k*q on
     the first generator), primes ascending and scales descending; `basis`
     holds the blocks' generators, elements of the form's group, in the
     same order; `coords` row i holds the coordinates of generator e_i in
     that basis, read off the pairings with it."""
 
-    key: tuple[tuple[int, int, str, int], ...]
-    basis: tuple[Vec, ...]
-    coords: tuple[Vec, ...]
+    __slots__ = _repr = ("key", "basis", "coords")
+
+    def __init__(self, key: tuple[tuple[int, int, str, int], ...], basis: tuple[Vec, ...],
+                 coords: tuple[Vec, ...]) -> None:
+        self._fill(key=key, basis=basis, coords=coords)
 
 
 _BLOCK_VALUES = {"u": (0, 0), "v": (2, 2)}

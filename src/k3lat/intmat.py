@@ -17,8 +17,8 @@ k = v_p(det): its entries stay below p^k, and it returns V mod p^k only,
 which is all that `lattice.discriminant_group` needs to present the
 p-part of L*/L.
 Matrices are plain sequences of row sequences.
-Functions return tuples of tuples so results can live inside frozen
-dataclasses.
+Functions return tuples of tuples so results can live inside the
+package's immutable, hashable records (`Record`).
 """
 
 from __future__ import annotations
@@ -38,8 +38,49 @@ def require(ok: bool, message: str) -> None:
         raise ArithmeticError(message)
 
 
+class Record:
+    """Base of the package's immutable records.  A record keeps its fields
+    in `__slots__` and sets them once, in its own `__init__`, through
+    `_fill` or `object.__setattr__`.  The constructor's checks run in
+    `__init__` as well.  `_repr` names the fields that `repr` shows, in
+    constructor order.  Two records are equal only when they are of the
+    same class and their `_key()` tuples are equal, and the hash is that of
+    the tuple; `_key()` is the `_repr` fields unless the class says
+    otherwise.  A class may also write its own `__eq__` and `__hash__` on
+    that rule, or compare by identity.  Assigning or deleting a field
+    raises AttributeError."""
+
+    __slots__ = ()
+    _repr: tuple[str, ...] = ()
+
+    def _fill(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._repr])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def freeze(rows: Iterable[Sequence]) -> tuple:
-    return tuple(tuple(r) for r in rows)
+    return tuple(map(tuple, rows))
 
 
 def identity(n: int) -> Mat:

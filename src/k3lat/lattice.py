@@ -18,7 +18,6 @@ multiply and add.  All computations are exact (no floating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
@@ -26,6 +25,7 @@ from typing import Sequence
 from .forms import FiniteQuadraticForm
 from .intmat import (
     Mat,
+    Record,
     Vec,
     det_int,
     diagonal_blocks,
@@ -48,22 +48,31 @@ from .intmat import (
 )
 
 
-@dataclass(frozen=True)
-class IntegralLattice:
-    """Free Z-module with an integer-valued symmetric bilinear form."""
+class IntegralLattice(Record):
+    """Free Z-module with an integer-valued symmetric bilinear form.  The
+    Gram matrix is stored as a tuple of tuples; `label` is left out of `==`
+    and the hash."""
 
-    gram: Mat
-    label: str | None = field(default=None, compare=False)
+    __slots__ = _repr = ("gram", "label")
 
-    def __post_init__(self) -> None:
-        g = self.gram
-        n = len(g)
-        if any(len(row) != n for row in g):
-            raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+    def __init__(self, gram: Sequence[Sequence[int]], label: str | None = None) -> None:
+        g = freeze(gram)
+        object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "label", label)
+        # the transpose is the Gram itself exactly when it is square and
+        # symmetric
+        if tuple(zip(*g)) != g:
+            n = len(g)
+            raise ValueError("Gram matrix must be square" if any(len(row) != n for row in g)
+                             else "Gram matrix must be symmetric")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.gram == other.gram
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.gram,))
 
     @property
     def rank(self) -> int:
@@ -110,7 +119,7 @@ def _invariants_cached(gram: Mat) -> tuple[int, int, int]:
 def from_rows(
     gram_rows: Sequence[Sequence[int]], label: str | None = None
 ) -> IntegralLattice:
-    return IntegralLattice(freeze(gram_rows), label)
+    return IntegralLattice(gram_rows, label)
 
 
 def direct_sum(*parts: IntegralLattice) -> IntegralLattice:
@@ -123,7 +132,7 @@ def direct_sum(*parts: IntegralLattice) -> IntegralLattice:
             for j in range(r):
                 g[off + i][off + j] = p.gram[i][j]
         off += r
-    return IntegralLattice(freeze(g))
+    return IntegralLattice(g)
 
 
 def _check_lengths(lat: IntegralLattice, vectors: Sequence[Sequence[int]]) -> None:
@@ -150,16 +159,14 @@ def sublattice(lat: IntegralLattice, rows: Sequence[Sequence[int]]) -> IntegralL
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(Record):
     """Sublattice of a host: row j of `vectors` is the image of the j-th
     basis vector of `sub` in host coordinates."""
 
-    host: IntegralLattice
-    sub: IntegralLattice
-    vectors: Mat
+    __slots__ = _repr = ("host", "sub", "vectors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, host: IntegralLattice, sub: IntegralLattice, vectors: Mat) -> None:
+        self._fill(host=host, sub=sub, vectors=vectors)
         n, k = self.host.rank, self.sub.rank
         if len(self.vectors) != k or any(len(r) != n for r in self.vectors):
             raise ValueError("embedding rows have the wrong shape")
@@ -180,20 +187,22 @@ def embedding_of(
     return Embedding(host, sublattice(host, rows), rows)
 
 
-@dataclass(frozen=True)
-class IsometryAction:
-    """Self-isometry acting on coordinate columns: x -> matrix @ x."""
+class IsometryAction(Record):
+    """Self-isometry acting on coordinate columns: x -> matrix @ x.  `label`
+    is left out of `==` and the hash."""
 
-    lattice: IntegralLattice
-    matrix: Mat
-    label: str | None = field(default=None, compare=False)
+    __slots__ = _repr = ("lattice", "matrix", "label")
 
-    def __post_init__(self) -> None:
+    def __init__(self, lattice: IntegralLattice, matrix: Mat, label: str | None = None) -> None:
+        self._fill(lattice=lattice, matrix=matrix, label=label)
         lat = self.lattice
         if gram_in_basis(lat, transpose(self.matrix)) != lat.gram:
             raise ValueError("matrix does not preserve the form")
         if det_int(self.matrix) not in (1, -1):
             raise ValueError("matrix is not invertible over Z")
+
+    def _key(self) -> tuple:
+        return self.lattice, self.matrix
 
     def apply(self, v: Sequence[int]) -> Vec:
         _check_lengths(self.lattice, (v,))
@@ -215,8 +224,7 @@ class IsometryAction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscriminantData:
+class DiscriminantData(Record):
     """Discriminant group L*/L with generator lifts.
 
     `form` lives on p-primary generators g_1, ..., g_k, the primes p | det
@@ -226,8 +234,10 @@ class DiscriminantData:
     `forms.group_invariants` reads the invariant factors off the orders.
     """
 
-    form: FiniteQuadraticForm
-    lifts: Mat
+    __slots__ = _repr = ("form", "lifts")
+
+    def __init__(self, form: FiniteQuadraticForm, lifts: Mat) -> None:
+        self._fill(form=form, lifts=lifts)
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantData:

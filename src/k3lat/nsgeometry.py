@@ -23,7 +23,6 @@ named checks in the vocabulary of k3lat.report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
@@ -32,6 +31,7 @@ from .evensets import find_even_sets
 from .forms import length
 from .intmat import (
     Mat,
+    Record,
     Vec,
     det_int,
     freeze,
@@ -76,19 +76,21 @@ from .report import Check, check, entry, ratio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledLattice:
+class LabeledLattice(Record):
     """A lattice together with named coordinate vectors and checked relations.
 
     `relations` lists (name_a, name_b, value) pairings that are verified at
     construction time; a violated relation is a defect of the model data,
     not of the caller, hence ValueError."""
 
-    lattice: IntegralLattice
-    labels: dict[str, Vec]
-    relations: tuple[tuple[str, str, int], ...] = ()
+    __slots__ = _repr = ("lattice", "labels", "relations")
+    # compared by identity: `labels` is a dict
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self) -> None:
+    def __init__(self, lattice: IntegralLattice, labels: dict[str, Vec],
+                 relations: tuple[tuple[str, str, int], ...] = ()) -> None:
+        self._fill(lattice=lattice, labels=labels, relations=relations)
         n = self.lattice.rank
         for name, v in self.labels.items():
             if len(v) != n:

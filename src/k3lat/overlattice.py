@@ -22,7 +22,6 @@ Smith form is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
@@ -39,9 +38,9 @@ from .forms import (
 )
 from .intmat import (
     Mat,
+    Record,
     Vec,
     diagonal_blocks,
-    freeze,
     hnf_basis,
     require,
     vec_add,
@@ -109,7 +108,7 @@ def _glue_overlattice(
     den2 = den * den
     if any(x % den2 for row in scaled for x in row):
         raise ArithmeticError("glue lift does not pair integrally")
-    z = IntegralLattice(freeze(tuple(x // den2 for x in row) for row in scaled))
+    z = IntegralLattice(tuple(x // den2 for x in row) for row in scaled)
     # basis vector i of L is den * e_i = y @ basis, so y is row i of
     # den * basis^-1, and basis is upper triangular (full-rank HNF): the
     # embedding rows
@@ -173,16 +172,14 @@ def lemma_overlattice(d: int, m: int, w: IntegralLattice) -> tuple[IntegralLatti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenusDescriptor:
+class GenusDescriptor(Record):
     """Signature pair plus discriminant form, the genus data of an even
     lattice."""
 
-    sig_plus: int
-    sig_minus: int
-    disc: FiniteQuadraticForm
+    __slots__ = _repr = ("sig_plus", "sig_minus", "disc")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sig_plus: int, sig_minus: int, disc: FiniteQuadraticForm) -> None:
+        self._fill(sig_plus=sig_plus, sig_minus=sig_minus, disc=disc)
         if self.sig_plus < 0 or self.sig_minus < 0:
             raise ValueError("signature entries must be non-negative")
         if self.rank < length(self.disc):

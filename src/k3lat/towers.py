@@ -22,13 +22,12 @@ depend on e.  `TowerNode` checks exactly these finite facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .catalog import FamilyDescriptor, family_genus, family_lattice, named
 from .forms import negate
-from .intmat import diagonal_blocks, freeze, hnf_basis, mat_mul
+from .intmat import Record, diagonal_blocks, freeze, hnf_basis, mat_mul
 from .lattice import (
     IntegralLattice,
     direct_sum,
@@ -119,8 +118,7 @@ def _minus_ns_form(ns: FamilyDescriptor, t: IntegralLattice) -> bool:
             and _storey_free_facts())
 
 
-@dataclass(frozen=True)
-class TowerNode:
+class TowerNode(Record):
     """One storey of a cover tower: the NS family, the transcendental
     lattice, and the storey index (isogeny degree 2^depth down to the
     base).  Construction certifies rank 13, signature (2,11), and that
@@ -133,11 +131,10 @@ class TowerNode:
     another basis, or an NS family of another kind, raises ValueError
     like any mismatch."""
 
-    ns: FamilyDescriptor
-    transcendental: IntegralLattice
-    depth: int
+    __slots__ = _repr = ("ns", "transcendental", "depth")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ns: FamilyDescriptor, transcendental: IntegralLattice, depth: int) -> None:
+        self._fill(ns=ns, transcendental=transcendental, depth=depth)
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         t = self.transcendental

@@ -543,7 +543,6 @@ def test_evenset_command_reports_missing_sets(capsys):
 # final re-check of forms_isomorphic can catch the map, and it must still
 # run when `python -O` strips asserts.
 _CORRUPT_THEOREM = """
-import dataclasses
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
@@ -564,7 +563,7 @@ def corrupt(q):
         return nf
     coords = list(nf.coords)
     coords[i], coords[j] = coords[j], coords[i]
-    return dataclasses.replace(nf, coords=tuple(coords))
+    return forms.NormalForm(nf.key, nf.basis, tuple(coords))
 
 
 forms._normal_form = corrupt

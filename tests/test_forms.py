@@ -9,7 +9,6 @@ group elements, and degeneracy against a direct adjoint scan.
 """
 
 import cmath
-import dataclasses
 import gc
 import itertools
 import math
@@ -22,6 +21,7 @@ from hypothesis import strategies as st
 
 from k3lat.forms import (
     FiniteQuadraticForm,
+    NormalForm,
     SearchBudgetExceeded,
     _block_signature,
     _first_bad,
@@ -464,7 +464,8 @@ def test_from_gram_round_trip(q):
 
 def test_the_form_stores_integers_only():
     q = sum_forms([u_block(2), cyclic(9, F(2, 9))])
-    assert [f.name for f in dataclasses.fields(q) if f.compare] == ["orders", "table"]
+    assert FiniteQuadraticForm.__slots__ == ("orders", "table", "level")
+    assert type(q.level) is int
     assert all(type(t) is int for row in q.table for t in row)
     assert q_gram(q)[2][2] == F(2, 9) and q_gram(q)[0][1] == F(1, 2)
     # a Fraction never lands in the table: not through the constructor, and
@@ -1095,7 +1096,7 @@ def test_witness_check_names_the_first_bad_entry(monkeypatch):
     nf = _normal_form(q)
     # the normal basis is the identity; trading the coordinates of
     # generators 1 and 2 across the blocks keeps q = 0 and breaks b(e0, e1)
-    bad = dataclasses.replace(nf, coords=(nf.coords[0], nf.coords[2], nf.coords[1], nf.coords[3]))
+    bad = NormalForm(nf.key, nf.basis, (nf.coords[0], nf.coords[2], nf.coords[1], nf.coords[3]))
     monkeypatch.setattr(forms_module, "_normal_form", lambda f: bad if f == q else nf)
     with pytest.raises(ArithmeticError, match="generators 0 and 1 do not keep their pairing"):
         forms_isomorphic(q, q)
@@ -1108,7 +1109,7 @@ def test_witness_check_names_a_lost_q_value(monkeypatch):
 
     q = sum_forms([u_block(2), u_block(2)])
     nf = _normal_form(q)
-    bad = dataclasses.replace(nf, coords=((1, 1, 0, 0),) + nf.coords[1:])
+    bad = NormalForm(nf.key, nf.basis, ((1, 1, 0, 0),) + nf.coords[1:])
     monkeypatch.setattr(forms_module, "_normal_form", lambda f: bad if f == q else nf)
     with pytest.raises(ArithmeticError, match="image of generator 0 does not keep its q-value"):
         forms_isomorphic(q, q)

@@ -1,5 +1,5 @@
 """Every module-level import of the package modules and the tests is read,
-and the package loads no rational type.
+and the package loads no rational type, `dataclasses` or `inspect`.
 
 The package's `__init__.py` imports names only to export them, so it is
 left out.  A name counts as read when the module loads it anywhere, as a
@@ -49,10 +49,15 @@ def test_every_module_level_import_is_read(path):
 
 def test_the_cli_leaves_fractions_unloaded():
     # a rational value is an integer over a stated denominator throughout
-    # the package, so a fresh interpreter that imports the command line
-    # never loads `fractions`
+    # the package, its records are plain classes on `__slots__`, and
+    # `verify` reads each suite's options off `__kwdefaults__`; so a fresh
+    # interpreter that imports the package or its command line never loads
+    # `fractions`, `dataclasses` or `inspect`
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, k3lat.cli; print('fractions' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr[-2000:]
+    for module in ("k3lat", "k3lat.cli"):
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; "
+             "print(sorted({'dataclasses', 'fractions', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stdout,
+                                                              done.stderr[-2000:])

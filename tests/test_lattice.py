@@ -679,7 +679,6 @@ def test_isometry_search_leaves_no_cyclic_garbage():
 
 
 _CORRUPT_CERTIFICATES = """
-import dataclasses
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
@@ -692,9 +691,16 @@ import search_oracles
 q1 = forms.cyclic_block(8, 1)
 q2 = forms.cyclic_block(8, 1)
 normal_form = forms._normal_form
-forms._normal_form = lambda q: dataclasses.replace(
-    normal_form(q), coords=tuple(tuple(3 * c for c in row) for row in normal_form(q).coords)
-) if q is q1 else normal_form(q)
+
+
+def tripled(q):
+    nf = normal_form(q)
+    if q is not q1:
+        return nf
+    return forms.NormalForm(nf.key, nf.basis, tuple(tuple(3 * c for c in row) for row in nf.coords))
+
+
+forms._normal_form = tripled
 try:
     print("forms", forms.forms_isomorphic(q1, q2))
 except ArithmeticError:

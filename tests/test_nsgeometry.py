@@ -18,7 +18,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -26,6 +25,7 @@ import pytest
 import k3lat
 from k3lat.catalog import FamilyDescriptor, family_genus, named
 from k3lat.evensets import (
+    EvenSets,
     _bounded_sections,
     _packing,
     _section_frame,
@@ -593,7 +593,8 @@ def test_box_test_masks_equal_the_lookup_oracle():
             assert sets.masks == lookup_masks(sets), (e_label, bound)
     sets = find_even_sets(direct_sum(named("U"), named("E8(-2)")), _unit(10, 0), 2)
     keys = [dot(r, sets.functional) for r in sets.roots]
-    every = replace(sets, shapes=tuple(_translate_shapes(keys)))
+    every = EvenSets(sets.lattice, sets.e, sets.bound, sets.cands, sets.functional, sets.roots,
+                     tuple(_translate_shapes(keys)))
     assert (len(every.roots), len(every.shapes)) == (120, 25920)
     assert every.masks == lookup_masks(every)
     assert sum(map(int.bit_count, every.masks)) == 3992
@@ -858,7 +859,6 @@ _PLANTED_RECHECK = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
-from dataclasses import replace
 from k3lat import evensets, nsgeometry
 from k3lat.catalog import named
 from k3lat.intmat import dot, vec_add, vec_scale, vec_sub
@@ -874,10 +874,14 @@ if case == "sections":
     # v + E has the packed W-key of v, but square 0
     v = known1[-1]
     cands = tuple(vec_add(v, e1) if c == v else c for c in sets.cands)
-    planted, item = replace(sets, cands=cands), tuple(sorted(known1[:-1] + (vec_add(v, e1),)))
+    planted = evensets.EvenSets(sets.lattice, sets.e, sets.bound, cands, sets.functional, sets.roots,
+                                sets.shapes)
+    item = tuple(sorted(known1[:-1] + (vec_add(v, e1),)))
 elif case == "bound":
     # N7 has a coordinate 5
-    planted, item = replace(sets, bound=4), known1
+    planted = evensets.EvenSets(sets.lattice, sets.e, 4, sets.cands, sets.functional, sets.roots,
+                                sets.shapes)
+    item = known1
     object.__setattr__(planted, "masks", sets.masks)
 elif case == "meet":
     # the root that leads from the anchor to member m is swapped for
@@ -899,13 +903,16 @@ elif case == "meet":
     d = vec_sub(c, anchor)
     roots = tuple(d if dot(r, sets.functional) == key[m] - key[anchor] else r
                   for r in sets.roots)
-    planted, item = replace(sets, roots=roots), tuple(sorted(rest + [c]))
+    planted = evensets.EvenSets(sets.lattice, sets.e, sets.bound, sets.cands, sets.functional, roots,
+                                sets.shapes)
+    item = tuple(sorted(rest + [c]))
 else:
     # U + E8(-2) has odd shapes, which the search leaves out
     u_e8 = direct_sum(named("U"), named("E8(-2)"))
     sets = evensets.find_even_sets(u_e8, (1,) + (0,) * 9, 2)
     root_keys = [dot(r, sets.functional) for r in sets.roots]
-    planted = replace(sets, shapes=tuple(evensets._translate_shapes(root_keys)))
+    planted = evensets.EvenSets(sets.lattice, sets.e, sets.bound, sets.cands, sets.functional, sets.roots,
+                                tuple(evensets._translate_shapes(root_keys)))
     item = next(s for s in planted if any(sum(col) % 2 for col in zip(*s)))
 try:
     print(item in planted)
