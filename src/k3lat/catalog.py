@@ -173,7 +173,7 @@ def _block_disc(config: Sequence[int]) -> tuple[IntegralLattice, DiscriminantDat
     k = len(blocks)
     table = [[qdiag[i] if i == j else 0 for j in range(k)] for i in range(k)]
     form = FiniteQuadraticForm.from_table(orders, table, level)
-    return lat, DiscriminantData(form, tuple(lifts))
+    return lat, DiscriminantData(form, lifts)
 
 
 def _place(config: Sequence[int], words: Sequence[Sequence[int]]) -> Vec:

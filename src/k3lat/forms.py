@@ -265,8 +265,10 @@ def _lift_root(f: Sequence[int], x: int, p: int, m: int) -> int:
 
 def _sqrt_unit(u: int, p: int, m: int) -> int:
     """A square root mod p^m of a unit u that is a square mod p^m (for
-    p = 2 and m >= 3, u = 1 mod 8): a scan mod p, then Newton's iteration;
-    for p = 2, bit by bit, as (r + 2^(i-1))^2 = r^2 + 2^i mod 2^(i+1)."""
+    p = 2 and m >= 3, u = 1 mod 8).  For odd p, the root mod p is the
+    lesser of the two that Tonelli-Shanks gives, then Newton's iteration
+    lifts it; for p = 2, bit by bit, as (r + 2^(i-1))^2 = r^2 + 2^i mod
+    2^(i+1)."""
     mod = p**m
     if p == 2:
         r = 1
@@ -275,9 +277,18 @@ def _sqrt_unit(u: int, p: int, m: int) -> int:
                 r += 1 << (i - 1)
         require((r * r - u) % mod == 0, f"{u} is not a square mod {mod}")
         return r
-    r = next((t for t in range(1, p) if (t * t - u) % p == 0), None)
-    require(r is not None, f"{u} is not a square mod {p}")
-    return _lift_root((-u, 0, 1), r, p, m)
+    require(pow(u, (p - 1) // 2, p) == 1, f"{u} is not a square mod {p}")
+    # p - 1 = q 2^s with q odd; c generates the 2-Sylow subgroup of the
+    # units, and r^2 = u t holds throughout as the order of t falls
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(u, q, p), pow(u, (q + 1) // 2, p)
+    while t != 1:
+        i = next(i for i in range(1, s) if pow(t, 1 << i, p) == 1)
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return _lift_root((-u, 0, 1), min(r, p - r), p, m)
 
 
 class _Frame:
@@ -652,7 +663,7 @@ class NormalForm(Record):
 
     def __init__(self, key: tuple[tuple[int, int, str, int], ...], basis: tuple[Vec, ...],
                  coords: tuple[Vec, ...]) -> None:
-        self._fill(key=key, basis=basis, coords=coords)
+        self._fill(key=freeze(key), basis=freeze(basis), coords=freeze(coords))
 
 
 _BLOCK_VALUES = {"u": (0, 0), "v": (2, 2)}
@@ -707,7 +718,7 @@ def _normal_form(q: FiniteQuadraticForm) -> NormalForm:
     pairings = mat_mul(basis, q.table)
     bad = _first_bad(mat_mul(pairings, transpose(basis)), want, n)
     require(bad is None, f"the normal form table is wrong at {bad}")
-    return NormalForm(tuple(key), tuple(basis), _coordinates(gram, pairings, n))
+    return NormalForm(key, basis, _coordinates(gram, pairings, n))
 
 
 def _first_bad(gram: Mat, table: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:

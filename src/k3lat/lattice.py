@@ -166,7 +166,7 @@ class Embedding(Record):
     __slots__ = _repr = ("host", "sub", "vectors")
 
     def __init__(self, host: IntegralLattice, sub: IntegralLattice, vectors: Mat) -> None:
-        self._fill(host=host, sub=sub, vectors=vectors)
+        self._fill(host=host, sub=sub, vectors=freeze(vectors))
         n, k = self.host.rank, self.sub.rank
         if len(self.vectors) != k or any(len(r) != n for r in self.vectors):
             raise ValueError("embedding rows have the wrong shape")
@@ -194,7 +194,7 @@ class IsometryAction(Record):
     __slots__ = _repr = ("lattice", "matrix", "label")
 
     def __init__(self, lattice: IntegralLattice, matrix: Mat, label: str | None = None) -> None:
-        self._fill(lattice=lattice, matrix=matrix, label=label)
+        self._fill(lattice=lattice, matrix=freeze(matrix), label=label)
         lat = self.lattice
         if gram_in_basis(lat, transpose(self.matrix)) != lat.gram:
             raise ValueError("matrix does not preserve the form")
@@ -237,7 +237,7 @@ class DiscriminantData(Record):
     __slots__ = _repr = ("form", "lifts")
 
     def __init__(self, form: FiniteQuadraticForm, lifts: Mat) -> None:
-        self._fill(form=form, lifts=lifts)
+        self._fill(form=form, lifts=freeze(lifts))
 
 
 def discriminant_group(lat: IntegralLattice) -> DiscriminantData:

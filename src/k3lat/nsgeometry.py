@@ -59,7 +59,6 @@ from .lattice import (
     is_primitive,
     orthogonal_complement,
     saturation,
-    short_vectors,
 )
 from .overlattice import (
     GenusDescriptor,
@@ -189,7 +188,7 @@ def involutions_X2() -> tuple[IsometryAction, IsometryAction, IsometryAction]:
     n = 9
 
     def action(cols: Sequence[Vec], label: str) -> IsometryAction:
-        return IsometryAction(lat, transpose(freeze(cols)), label)
+        return IsometryAction(lat, transpose(cols), label)
 
     e2 = x2.vec("E2")
     sigma = action([e2] + [vec_neg(_unit(n, i)) for i in range(1, 9)], "sigma")
@@ -445,69 +444,14 @@ def base_change_report() -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _simple_root_rows(lat: IntegralLattice) -> Mat:
-    """A simple-root basis (rows) of a negative-definite lattice generated
-    by its norm -4 vectors.
-
-    A root is positive when its first nonzero coordinate is, the sign
-    representative `short_vectors` keeps, so the extraction is
-    deterministic; the simple system of an irreducible
-    2-scaled root lattice is a lattice basis whose Gram matrix is its
-    Dynkin diagram, which `_e8_labelling` reads.
-    """
-    pos = short_vectors(lat, 4)
-    if not pos:
-        raise ArithmeticError("minimal vectors do not yield a root basis")
-    pset = set(pos)
-    simple = [
-        v for v in pos
-        if not any(w != v and vec_sub(v, w) in pset for w in pos)
-    ]
-    rows = freeze(sorted(simple))
-    if len(rows) != lat.rank or det_int(rows) not in (1, -1):
-        raise ArithmeticError("minimal vectors do not yield a root basis")
-    return rows
-
-
-def _e8_labelling(g: Mat) -> list[int] | None:
-    """Simple roots with Gram g in the order of `_e8_gram`'s basis, or None
-    unless their diagram is E8: one branch node, arms of lengths 1, 2, 4.
-    E8 has no diagram automorphism, so walking out from the branch node
-    (e3) fixes the labels: the arms are e8; e2, e1; and e4..e7."""
-    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(g)]
-    branch = [i for i, ns in enumerate(nbrs) if len(ns) == 3]
-    if len(g) != 8 or len(branch) != 1:
-        return None
-    b = branch[0]
-    arms = {}
-    for start in nbrs[b]:
-        path = [b, start]
-        while len(nbrs[path[-1]]) == 2:
-            path.append(next(j for j in nbrs[path[-1]] if j != path[-2]))
-        if len(nbrs[path[-1]]) != 1:
-            return None
-        arms[len(path) - 1] = path[1:]
-    if sorted(arms) != [1, 2, 4]:
-        return None
-    return [arms[2][1], arms[2][0], b, *arms[4], arms[1][0]]
-
-
-def _certified_definite_isometry(
-    l1: IntegralLattice, l2: IntegralLattice
-) -> Mat | None:
-    """Rows B with B G2 B^T = G1, row i the image in l2 of l1's i-th basis
-    vector, for l1 a 2-scaled root lattice in an arbitrary basis and
-    l2 = E8(-2) in `_e8_gram`'s basis: l1's simple roots, labelled along
-    the E8 diagram, are rows R with R G1 R^T = G2, and B = R^-1.  None
-    when they do not form the E8 diagram."""
-    s = _simple_root_rows(l1)
-    labels = _e8_labelling(gram_in_basis(l1, s))
-    if labels is None:
-        return None
-    rows = inv_unimodular([s[i] for i in labels])
-    require(gram_in_basis(l2, rows) == l1.gram,
-            "the isometry certificate does not carry one Gram to the other")
-    return rows
+def _is_e8_minus_2(lat: IntegralLattice) -> bool:
+    """Whether lat is isometric to E8(-2): its Gram is twice an even
+    unimodular negative-definite Gram of rank 8, and E8(-1) is the only
+    such lattice (Serre, A Course in Arithmetic, ch. V, sec. 2)."""
+    if lat.rank != 8 or any(x % 2 for row in lat.gram for x in row):
+        return False
+    half = IntegralLattice(tuple(tuple(x // 2 for x in row) for row in lat.gram))
+    return half.is_even and half.det == 1 and half.signature == (0, 8)
 
 
 @lru_cache(maxsize=None)
@@ -522,7 +466,8 @@ def build_UN_vgs() -> tuple[LabeledLattice, IsometryAction]:
     Returns the labeled lattice and the involution; construction verifies
     that the fixed part is U(2) (spanned by F and F + O + t with t the
     torsion section), that the anti-invariant part is isometric to E8(-2)
-    by an explicit matrix, and that the model lies in the genus of U + N.
+    by its invariants (`_is_e8_minus_2`), and that the model lies in the
+    genus of U + N.
     The result is cached; treat the labels as read-only.
     """
     lat = direct_sum(named("U"), _n_half_sum_last()).relabel("UN-I2")
@@ -553,7 +498,7 @@ def build_UN_vgs() -> tuple[LabeledLattice, IsometryAction]:
     for j in range(1, 8):
         cols.append(vec_sub(labels["F"], labels[f"C1_{j}"]))
     cols.append((4, 0, 0, 0, 0, 0, 0, 0, 0, -1))  # S -> 4F - S
-    sigma = IsometryAction(lat, transpose(freeze(cols)), "torsion-translation")
+    sigma = IsometryAction(lat, transpose(cols), "torsion-translation")
     if not sigma.is_involution:
         raise ArithmeticError("torsion translation is not an involution")
     if sigma.apply(labels["O"]) != labels["t"] or sigma.apply(labels["t"]) != labels["O"]:
@@ -568,8 +513,7 @@ def build_UN_vgs() -> tuple[LabeledLattice, IsometryAction]:
         raise ArithmeticError("fixed part is not spanned by F and F + O + t")
     if gram_in_basis(lat, (labels["F"], u)) != ((0, 2), (2, 0)):
         raise ArithmeticError("fixed part is not U(2)")
-    if _certified_definite_isometry(anti.sub, named("E8(-2)")) is None:
-        raise ArithmeticError("anti-invariant part is not E8(-2)")
+    require(_is_e8_minus_2(anti.sub), "anti-invariant part is not E8(-2)")
     if not genus_equal(genus_of(lat), genus_of(direct_sum(named("U"), named("N")))):
         raise ArithmeticError("model does not lie in the genus of U + N")
     return model, sigma

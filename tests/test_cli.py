@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -209,6 +210,20 @@ def test_genus_of_a_large_group_is_pinned(capsys, tmp_path):
     f = tmp_path / "prime.json"
     f.write_text("[[2, 1], [1, 5000010]]")
     assert run(capsys, "genus", str(f)) == (0, GENUS_PRIME_DET, "")
+
+
+@pytest.mark.parametrize("gram, det", [("[[6, 1], [1, 5000000]]", 29999999),
+                                       ("[[26, 1], [1, 5000014]]", 130000363)])
+def test_genus_of_a_large_prime_determinant_takes_no_scan_mod_p(capsys, tmp_path, gram, det):
+    # the square root mod det of the Gram's unit is not 1 here, so a scan
+    # over the residues mod det would take seconds
+    f = tmp_path / "prime.json"
+    f.write_text(gram)
+    start = time.perf_counter()
+    out = run(capsys, "genus", str(f))
+    assert time.perf_counter() - start < 0.5
+    assert out == (0, f'{{"form":{{"blocks":[[{det},1,"w","2/{det}"]],"group":[{det}],'
+                      '"milgram":2},"sig":[2,0]}\n', "")
 
 
 def test_genus_records_are_equal_exactly_when_genus_equal_is():

@@ -12,6 +12,9 @@ import cmath
 import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import k3lat
 from k3lat.forms import (
     FiniteQuadraticForm,
     NormalForm,
@@ -26,6 +30,7 @@ from k3lat.forms import (
     _block_signature,
     _first_bad,
     _normal_form,
+    _sqrt_unit,
     cyclic_block,
     find_u_block,
     forms_isomorphic,
@@ -1135,3 +1140,47 @@ def test_images_that_keep_the_table_keep_the_orders(q):
         elif not right and all(q._q_int(x) % (2 * n) == q.table[i][i] for i, x in enumerate(out)):
             q_only += 1
     assert kept > 1 and q_only > 0
+
+
+def test_square_roots_mod_odd_primes_are_the_least_root():
+    # every square unit u mod every odd prime p < 200: the root mod p is the
+    # least t with t^2 = u, the one a scan from 1 finds first, and the
+    # root mod p^3 squares to u
+    for p in range(3, 200, 2):
+        if any(p % d == 0 for d in range(3, p, 2)):
+            continue
+        least = {}
+        for t in range(p - 1, 0, -1):
+            least[t * t % p] = t
+        for u, t in least.items():
+            assert _sqrt_unit(u, p, 1) == t, (u, p)
+            r = _sqrt_unit(u, p, 3)
+            assert (r * r - u) % p**3 == 0, (u, p)
+
+
+_NON_SQUARES = """
+import sys
+if __debug__:
+    sys.exit("asserts are enabled")
+from k3lat.forms import _sqrt_unit
+for u, p, m in ((2, 5, 1), (3, 7, 2), (3, 2, 5)):
+    try:
+        _sqrt_unit(u, p, m)
+    except ArithmeticError as exc:
+        print(exc)
+"""
+
+
+def test_square_roots_of_non_squares_are_refused_under_python_O():
+    # a non-residue mod an odd p, and a 2-adic unit that is 3 mod 8, must
+    # each raise by a check that `python -O` keeps
+    src = os.path.dirname(os.path.dirname(k3lat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NON_SQUARES],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == [
+        "2 is not a square mod 5", "3 is not a square mod 7", "3 is not a square mod 32",
+    ]

@@ -59,9 +59,7 @@ from k3lat.lattice import (
 )
 from k3lat.nsgeometry import (
     LabeledLattice,
-    _certified_definite_isometry,
-    _e8_labelling,
-    _simple_root_rows,
+    _is_e8_minus_2,
     _unit,
     base_change,
     base_change_report,
@@ -81,10 +79,20 @@ from k3lat.overlattice import genus_equal, genus_of
 from k3lat.report import run
 
 from clique_oracles import even_eight_cliques, lookup_masks, packed_adjacency
+from lattice_builders import rescale
+from search_oracles import is_isometric_definite
 
 
 def statuses(report):
     return {e["check"]: e["status"] for e in report}
+
+
+def assert_isometric_to_e8_minus_2(lat):
+    # the search oracle's matrix m has m^T G m = lat.gram for G the Gram of
+    # E8(-2), so its transpose holds lat's basis as rows in E8(-2)
+    m = is_isometric_definite(lat, named("E8(-2)"))
+    assert m is not None
+    assert gram_in_basis(named("E8(-2)"), transpose(m)) == lat.gram
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +249,8 @@ def test_invariant_splits_of_the_three_involutions():
     assert fixed.sub.gram == ((4,),)
     assert fixed.vectors[0] in (x2.vec("L"), vec_neg(x2.vec("L")))
     assert anti.sub.rank == 8
-    m = _certified_definite_isometry(anti.sub, named("E8(-2)"))
-    assert m is not None
-    # m holds image rows: row i is anti's i-th basis vector in E8(-2)
-    assert gram_in_basis(named("E8(-2)"), m) == anti.sub.gram
+    assert _is_e8_minus_2(anti.sub)
+    assert_isometric_to_e8_minus_2(anti.sub)
 
     fixed_q, anti_q = invariant_split(iota_q)
     pencil = freeze([x2.vec("E1"), x2.vec("E2")])
@@ -1077,47 +1083,105 @@ def test_torsion_translation_invariant_split():
     assert hnf_basis(fixed.vectors) == hnf_basis(span)
     assert gram_in_basis(model.lattice, span) == ((0, 2), (2, 0))
     assert anti.sub.rank == 8
-    m = _certified_definite_isometry(anti.sub, named("E8(-2)"))
-    assert m is not None
-    # m holds image rows: row i is anti's i-th basis vector in E8(-2)
-    assert gram_in_basis(named("E8(-2)"), m) == anti.sub.gram
+    assert _is_e8_minus_2(anti.sub)
+    assert_isometric_to_e8_minus_2(anti.sub)
     assert genus_equal(
         genus_of(model.lattice), genus_of(direct_sum(named("U"), named("N")))
     )
 
 
-_CORRUPT_CERTIFICATE = """
+def _dynkin(n, edges):
+    """The negative-definite root lattice of a Dynkin diagram on n nodes."""
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return from_rows(g)
+
+
+def _e8_minus_2_conjugate(seed):
+    """E8(-2) in the basis U B for a seeded U in GL_8(Z): eight row
+    transvections that keep every basis norm at least -8, so that the
+    search oracle's shells stay small, then a shuffle."""
+    e8 = named("E8(-2)")
+    rng = random.Random(seed)
+    u = [list(row) for row in identity(8)]
+    steps = 0
+    while steps < 8:
+        i, j = rng.sample(range(8), 2)
+        c = rng.choice((-1, 1))
+        row = [a + c * b for a, b in zip(u[i], u[j])]
+        if e8.norm(row) >= -8:
+            u[i] = row
+            steps += 1
+    rng.shuffle(u)
+    return from_rows(gram_in_basis(e8, u))
+
+
+_CHAIN = [(i, i + 1) for i in range(7)]
+_E7 = _CHAIN[:5] + [(2, 6)]
+_E8_TABLE = [
+    *((f"E8(-2) conjugate {seed}", lambda seed=seed: _e8_minus_2_conjugate(seed), True)
+      for seed in range(10)),
+    ("X2 anti part", lambda: invariant_split(involutions_X2()[0])[1].sub, True),
+    ("U + N anti part", lambda: invariant_split(build_UN_vgs()[1])[1].sub, True),
+    ("E8(-1)", lambda: named("E8(-1)"), False),
+    ("-E8(-2)", lambda: rescale(named("E8(-2)"), -1), False),
+    # halved, <-1>^8 is odd and unimodular
+    ("<-2>^8", lambda: from_rows([[-2 * (i == j) for j in range(8)] for i in range(8)]), False),
+    ("<-4>^8", lambda: from_rows([[-4 * (i == j) for j in range(8)] for i in range(8)]), False),
+    ("A8(-2)", lambda: rescale(_dynkin(8, _CHAIN), 2), False),
+    ("D8(-2)", lambda: rescale(_dynkin(8, _CHAIN[:6] + [(5, 7)]), 2), False),
+    ("(D4 + D4)(-2)", lambda: rescale(direct_sum(named("D4"), named("D4")), 2), False),
+    ("E7(-2) + <-4>", lambda: direct_sum(rescale(_dynkin(7, _E7), 2), from_rows([[-4]])), False),
+    ("N", lambda: named("N"), False),
+    ("E7(-2), rank 7", lambda: rescale(_dynkin(7, _E7), 2), False),
+    ("E8(-2) + <-4>, rank 9", lambda: direct_sum(named("E8(-2)"), from_rows([[-4]])), False),
+]
+
+
+@pytest.mark.parametrize("build, expected", [row[1:] for row in _E8_TABLE],
+                         ids=[row[0] for row in _E8_TABLE])
+def test_e8_minus_2_predicate_against_the_isometry_oracle(build, expected):
+    # the invariants decide isometry to E8(-2) exactly as the search does
+    lat = build()
+    assert _is_e8_minus_2(lat) is expected
+    if expected:
+        assert_isometric_to_e8_minus_2(lat)
+    else:
+        assert is_isometric_definite(lat, named("E8(-2)")) is None
+
+
+_PLANTED_ANTI = """
 import sys
 if __debug__:
     sys.exit("asserts are enabled")
 from k3lat import nsgeometry
-from k3lat.catalog import named
-from k3lat.lattice import invariant_split
-_, anti = invariant_split(nsgeometry.build_UN_vgs()[1])
-labelling = nsgeometry._e8_labelling
-def swapped(g):
-    labels = labelling(g)
-    labels[0], labels[7] = labels[7], labels[0]  # e1 and e8 exchanged
-    return labels
-nsgeometry._e8_labelling = swapped
+from k3lat.intmat import vec_scale
+from k3lat.lattice import embedding_of
+split = nsgeometry.invariant_split
+def doubled(sigma):
+    fixed, anti = split(sigma)
+    rows = (vec_scale(anti.vectors[0], 2),) + anti.vectors[1:]
+    return fixed, embedding_of(anti.host, rows)
+nsgeometry.invariant_split = doubled
 try:
-    nsgeometry._certified_definite_isometry(anti.sub, named("E8(-2)"))
-except ArithmeticError:
-    print("rejected")
+    nsgeometry.build_UN_vgs.__wrapped__()
+except ArithmeticError as exc:
+    print(exc)
 """
 
 
-def test_corrupt_isometry_certificate_is_rejected_under_python_O():
-    # The re-check of the certificate must not be an assert, which
-    # `python -O` strips: a matrix from a wrong labelling has to raise.
+def test_planted_anti_part_is_rejected_under_python_O():
+    # The anti-invariant part with its first basis row doubled, a sublattice
+    # of index 2, must stop the model by a check that `python -O` keeps.
     src = os.path.dirname(os.path.dirname(k3lat.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _CORRUPT_CERTIFICATE],
+        [sys.executable, "-O", "-c", _PLANTED_ANTI],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == ["rejected"]
+    assert done.stdout.splitlines() == ["anti-invariant part is not E8(-2)"]
 
 
 _CORRUPT_FRAME = """
@@ -1153,48 +1217,6 @@ def test_corrupt_frame_is_rejected_under_python_O():
         "the frame W + <E, O> is not a basis of the lattice",
         "the frame Gram is not W + [[0, 1], [1, -2]]",
     ]
-
-
-def _diagram_gram(n, edges):
-    g = [[-4 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j in edges:
-        g[i][j] = g[j][i] = 2
-    return g
-
-
-def test_e8_labelling_reads_the_diagram():
-    # the E8 diagram with its nodes shuffled is labelled back onto
-    # _e8_gram's basis; A8, D8, E7 + A1, E6 + A2 and a node of degree 4
-    # are not E8, nor is E7 on seven nodes
-    e8 = named("E8(-2)").gram
-    rng = random.Random(5)
-    for _ in range(20):
-        perm = list(range(8))
-        rng.shuffle(perm)
-        g = [[e8[perm[i]][perm[j]] for j in range(8)] for i in range(8)]
-        labels = _e8_labelling(g)
-        assert [[g[a][b] for b in labels] for a in labels] == [list(r) for r in e8]
-    chain = [(i, i + 1) for i in range(7)]
-    for edges in (chain, chain[:6] + [(5, 7)], chain[:5] + [(2, 6)],
-                  chain[:4] + [(2, 5), (6, 7)], chain[:3] + [(2, 4), (2, 5), (5, 6)]):
-        assert _e8_labelling(_diagram_gram(8, edges)) is None
-    assert _e8_labelling(_diagram_gram(7, chain[:5] + [(2, 6)])) is None
-
-
-def test_simple_root_rows_give_a_unimodular_small_basis():
-    _, sigma_t = build_UN_vgs()
-    _, anti = invariant_split(sigma_t)
-    rows = _simple_root_rows(anti.sub)
-    assert len(rows) == 8
-    assert det_int(rows) in (1, -1)
-    g = gram_in_basis(anti.sub, rows)
-    for i in range(8):
-        assert g[i][i] == -4
-        for j in range(8):
-            if i != j:
-                assert g[i][j] in (0, 2)
-    with pytest.raises(ArithmeticError):
-        _simple_root_rows(from_rows([[-2]]))  # no norm -4 vectors at all
 
 
 def test_polarized_complement_matches_the_primed_family():

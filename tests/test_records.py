@@ -113,3 +113,16 @@ def test_list_input_is_frozen():
     assert q == ref and hash(q) == hash(ref)
     assert (q.orders, q.table) == ((2,), ((1,),))
     assert milgram_signature(q) == 1
+    # so are the rows of an embedding, an isometry, the lifts of a
+    # discriminant group and the three fields of a normal form
+    a2 = from_rows(A2)
+    q3 = FiniteQuadraticForm((3,), ((2,),))
+    for listed, ref in [
+        (Embedding(a2, from_rows([[2]]), [[1, 0]]), Embedding(a2, from_rows([[2]]), ((1, 0),))),
+        (IsometryAction(a2, [[0, 1], [1, 0]]), IsometryAction(a2, ((0, 1), (1, 0)))),
+        (DiscriminantData(q3, [[2, 1]]), DiscriminantData(q3, ((2, 1),))),
+        (NormalForm([[3, 1, "w", 2]], [[1]], [[1]]),
+         NormalForm(((3, 1, "w", 2),), ((1,),), ((1,),))),
+    ]:
+        assert listed == ref and hash(listed) == hash(ref)
+        assert repr(listed) == repr(ref)
